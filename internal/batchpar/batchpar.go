@@ -82,30 +82,68 @@ func (e *Executor) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w 
 }
 
 // BackwardWeightsBatch computes dw = Σ_i grad(eos[i], ins[i]): each worker
-// sums its chunk's gradients into an arena-backed private accumulator (the
-// inner kernel's batch-sum semantics do the per-chunk reduction), then the
-// per-worker partials are reduced into dw. dw is overwritten.
-//
-// Unlike FP/BPI this keeps the STATIC partition: the grouping of partial
-// sums follows the chunk boundaries, so dynamic chunking would change the
-// floating-point reduction order run to run.
+// sums its chunk's gradients into a private accumulator (the inner kernel's
+// batch-sum semantics do the per-chunk reduction), then the per-worker
+// partials are reduced into dw. dw is overwritten.
 func (e *Executor) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	if len(eos) != len(ins) {
 		panic("batchpar: BackwardWeightsBatch batch length mismatch")
 	}
+	e.sumChunks(c, dw, len(eos), func(serial *exec.Ctx, acc *tensor.Tensor, lo, hi int) {
+		e.k.BackwardWeightsBatch(serial, acc, eos[lo:hi], ins[lo:hi])
+	})
+}
+
+// Fused returns the executor's engine.FusedBackward entry — the wrapped
+// kernel's fused backward pass fanned out over the same static partition as
+// BackwardWeightsBatch, so dw's reduction order is the same whichever seam
+// the caller uses — or nil when the wrapped kernel has none.
+func (e *Executor) Fused() engine.FusedBackward {
+	k, ok := e.k.(engine.FusedBackward)
+	if !ok {
+		return nil
+	}
+	return fusedExecutor{e, k}
+}
+
+type fusedExecutor struct {
+	e *Executor
+	k engine.FusedBackward
+}
+
+func (f fusedExecutor) BackwardBatch(c *exec.Ctx, eis []*tensor.Tensor, dw *tensor.Tensor,
+	eos, ins []*tensor.Tensor, w *tensor.Tensor) {
+	if len(eos) != len(ins) || (eis != nil && len(eis) != len(eos)) {
+		panic("batchpar: BackwardBatch batch length mismatch")
+	}
+	f.e.sumChunks(c, dw, len(eos), func(serial *exec.Ctx, acc *tensor.Tensor, lo, hi int) {
+		var chunk []*tensor.Tensor
+		if eis != nil {
+			chunk = eis[lo:hi]
+		}
+		f.k.BackwardBatch(serial, chunk, acc, eos[lo:hi], ins[lo:hi], w)
+	})
+}
+
+// sumChunks runs fn over the STATIC partition of n samples, handing worker 0
+// dw itself and every other worker an arena-backed accumulator to overwrite
+// with its chunk's batch-summed weight gradient, then reduces the partials
+// into dw in worker order. Unlike FP/BPI this cannot claim chunks
+// dynamically: the grouping of partial sums follows the chunk boundaries,
+// so dynamic chunking would change the floating-point reduction order run
+// to run.
+func (e *Executor) sumChunks(c *exec.Ctx, dw *tensor.Tensor, n int,
+	fn func(serial *exec.Ctx, acc *tensor.Tensor, lo, hi int)) {
 	s := e.spec
 	conv.CheckWeights(s, dw)
-	if len(eos) == 0 {
+	if n == 0 {
 		dw.Zero()
 		return
 	}
-	used := c.Workers()
-	if used > len(eos) {
-		used = len(eos)
-	}
+	used := min(c.Workers(), n)
 	serial := c.Serial()
 	if used <= 1 {
-		e.k.BackwardWeightsBatch(serial, dw, eos, ins)
+		fn(serial, dw, 0, n)
 		return
 	}
 	var accArr [64]*tensor.Tensor
@@ -118,11 +156,8 @@ func (e *Executor) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins
 	for i := 1; i < used; i++ {
 		accs = append(accs, c.GetTensor(s.WeightDims()...))
 	}
-	par.ForWorkers(len(eos), used, func(worker, lo, hi int) {
-		if lo > hi {
-			lo = hi // empty chunk: the inner call still zeroes the accumulator
-		}
-		e.k.BackwardWeightsBatch(serial, accs[worker], eos[lo:hi], ins[lo:hi])
+	par.ForWorkers(n, used, func(worker, lo, hi int) {
+		fn(serial, accs[worker], lo, hi)
 	})
 	for i := 1; i < used; i++ {
 		dw.AddScaled(accs[i], 1)

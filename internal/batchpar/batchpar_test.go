@@ -22,6 +22,69 @@ func TestDifferentialVsUnfoldGEMM(t *testing.T) {
 	enginetest.RunDifferential(t, gen, unfoldgemm.Generator(1), enginetest.DiffOptions{Seed: 0xD1F3, Batch: 4})
 }
 
+// fusedSparse is the batch-parallel sparse strategy as core deploys it: the
+// executor plus its fused backward entry, so the differential sweep drives
+// both seams.
+func fusedSparse(s conv.Spec) engine.Kernel {
+	e := New(spkernel.Generator(), s)
+	return struct {
+		*Executor
+		engine.FusedBackward
+	}{e, e.Fused()}
+}
+
+func TestDifferentialSparseAcrossWorkers(t *testing.T) {
+	// Batch 5 over 1, 2 and 3 workers: one chunk, uneven chunks, and chunks
+	// of one or two samples, at the sparsities the planner deploys sparse
+	// BP for plus dense and an all-zero gradient.
+	gen := engine.Generator{Name: "batchpar(sparse)", New: fusedSparse, Supports: engine.PlainOnly}
+	for _, workers := range []int{1, 2, 3} {
+		enginetest.RunDifferential(t, gen, unfoldgemm.Generator(1), enginetest.DiffOptions{
+			Seed: 0xD1F6, Batch: 5, Workers: workers, Trials: 6,
+			Sparsities: []float64{0, 0.5, 0.75, 0.94, 0.99, 1},
+		})
+	}
+}
+
+func TestFusedKeepsReductionOrder(t *testing.T) {
+	// The fused fan-out uses BackwardWeightsBatch's static partition, so its
+	// dW is bit-identical to the two-call path at every worker count, and
+	// its EI to the dynamically chunked BackwardInputBatch.
+	r := rng.New(11)
+	s := conv.Square(12, 6, 3, 3, 1)
+	w := conv.RandWeights(r, s)
+	ins, _, eos, eis := makeBatch(r, s, 7, 0.8)
+	e := New(spkernel.Generator(), s)
+	for _, workers := range []int{1, 2, 3, 4, 9} {
+		c := exec.New(workers)
+		wantDW := conv.NewWeights(s)
+		e.BackwardInputBatch(c, eis, eos, w)
+		e.BackwardWeightsBatch(c, wantDW, eos, ins)
+		var wantEIs []*tensor.Tensor
+		for _, ei := range eis {
+			wantEIs = append(wantEIs, ei.Clone())
+			ei.FillUniform(r, 5, 6)
+		}
+		gotDW := conv.NewWeights(s)
+		e.Fused().BackwardBatch(c, eis, gotDW, eos, ins, w)
+		if !tensor.Identical(gotDW, wantDW) {
+			t.Fatalf("workers=%d: fused dW not bit-identical to BackwardWeightsBatch", workers)
+		}
+		for i := range eis {
+			if !tensor.Identical(eis[i], wantEIs[i]) {
+				t.Fatalf("workers=%d: fused EI %d not bit-identical to BackwardInputBatch", workers, i)
+			}
+		}
+		e.Fused().BackwardBatch(c, nil, gotDW, eos, ins, w)
+		if !tensor.Identical(gotDW, wantDW) {
+			t.Fatalf("workers=%d: dW changes when the input gradient is elided", workers)
+		}
+	}
+	if New(unfoldgemm.Generator(1), s).Fused() != nil {
+		t.Fatal("executor over a kernel with no fused entry claims one")
+	}
+}
+
 func makeBatch(r *rng.RNG, s conv.Spec, n int, sparsity float64) (ins, outs, eos, eis []*tensor.Tensor) {
 	for i := 0; i < n; i++ {
 		ins = append(ins, conv.RandInput(r, s))

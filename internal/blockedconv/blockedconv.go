@@ -77,9 +77,15 @@ func (k *Kernel) Spec() conv.Spec { return k.spec }
 // packed engine's plan cache.
 func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 	conv.CheckWeights(k.spec, w)
+	if w.Ver == 0 {
+		// Untracked weights are never cached, so they must not go through
+		// the shared block either: batch-parallel workers re-blocking into
+		// it would overwrite what their neighbours are still reading.
+		return tensor.BlockWeights(w)
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.wb != nil && w.Ver != 0 && k.wver == w.Ver &&
+	if k.wb != nil && k.wver == w.Ver &&
 		len(k.wdata) == len(w.Data) && &k.wdata[0] == &w.Data[0] {
 		c.Probe().Observe(k.spanHit, 0)
 		return k.wb

@@ -35,6 +35,7 @@ type AutoConv struct {
 	lastEOs  []*tensor.Tensor // retained sample gradients for re-tuning
 	lastIns  []*tensor.Tensor
 	lastWRef *tensor.Tensor
+	lastNoEI bool // the last Backward had nil eis: re-tune without Eq. 3 too
 }
 
 // AutoOptions configures an AutoConv.
@@ -110,18 +111,27 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	fp.Forward(outs, ins, w)
 }
 
-// Backward executes both BP computations for the batch, tuning on first
-// use with the batch's real error gradients (so measured sparsity is the
-// training run's actual sparsity).
+// bpTune is the layer's TuneOptions for a BP selection.
+func (a *AutoConv) bpTune() TuneOptions {
+	opts := a.opts.Tune
+	opts.NoInputGrad = a.lastNoEI
+	return opts
+}
+
+// Backward executes both BP computations for the batch (Eq. 4 alone when
+// eis is nil — see Exec.Backward), tuning on first use with the batch's
+// real error gradients (so measured sparsity is the training run's actual
+// sparsity).
 func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
 	eos, ins []*tensor.Tensor, w *tensor.Tensor) {
 	a.mu.Lock()
+	a.lastNoEI = eis == nil
 	if !a.tunedBP {
 		n := len(eos)
 		if n > a.ctx.Workers() {
 			n = a.ctx.Workers()
 		}
-		pd := a.planner.PlanBP(a.spec, a.ctx, eos[:n], ins[:n], w, a.opts.Tune)
+		pd := a.planner.PlanBP(a.spec, a.ctx, eos[:n], ins[:n], w, a.bpTune())
 		a.bpSel = pd.Selection
 		a.bp = a.bpSel.Chosen
 		a.tunedBP = true
@@ -139,8 +149,7 @@ func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
 	a.lastWRef = w
 	bp := a.bp
 	a.mu.Unlock()
-	bp.BackwardInput(eis, eos, w)
-	bp.BackwardWeights(dw, eos, ins)
+	bp.Backward(eis, dw, eos, ins, w)
 }
 
 // retainSamples copies src into dst, reusing dst's tensors when shapes
@@ -178,7 +187,7 @@ func (a *AutoConv) EpochEnd() {
 	// cache hit while sparsity stays in-band and a fresh measurement the
 	// moment training crosses a band boundary — §4.4's re-check with the
 	// redundant in-band re-measurements deduplicated away.
-	pd := a.planner.PlanBP(a.spec, a.ctx, a.lastEOs, a.lastIns, a.lastWRef, a.opts.Tune)
+	pd := a.planner.PlanBP(a.spec, a.ctx, a.lastEOs, a.lastIns, a.lastWRef, a.bpTune())
 	a.bpSel = pd.Selection
 	a.bp = a.bpSel.Chosen
 	if next := a.bpSel.Chosen.Strategy().Name; next != prev {

@@ -176,3 +176,42 @@ func TestAutoConvEpochEndFlipsBPStrategy(t *testing.T) {
 		t.Fatalf("bp-flip choice events = %+v, want one sparse-friendly flip", flips)
 	}
 }
+
+// recordingPlanner wraps the measure-everything planner and keeps the
+// TuneOptions of every BP request.
+type recordingPlanner struct {
+	Planner
+	bp []TuneOptions
+}
+
+func (p *recordingPlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
+	w *tensor.Tensor, opts TuneOptions) Planned {
+	p.bp = append(p.bp, opts)
+	return p.Planner.PlanBP(s, c, eos, ins, w, opts)
+}
+
+// TestAutoConvPlansWhatItDeploys: a layer driven with nil eis (a network's
+// first layer) asks the planner for a verdict measured without Eq. 3, at
+// first tuning and at the epoch re-check alike; a layer driven with eis
+// never does.
+func TestAutoConvPlansWhatItDeploys(t *testing.T) {
+	s := conv.Square(8, 2, 2, 3, 1)
+	r := rng.New(9)
+	eos := []*tensor.Tensor{conv.RandOutputError(r, s, 0.9)}
+	ins := []*tensor.Tensor{conv.RandInput(r, s)}
+	dw := conv.NewWeights(s)
+	for _, eis := range [][]*tensor.Tensor{nil, {conv.NewInput(s)}} {
+		pl := &recordingPlanner{Planner: measurePlanner{bp: fakeBPStrategies()}}
+		a := NewAutoConv(s, 1, AutoOptions{RecheckEpochs: 1, Tune: TuneOptions{Reps: 1}, Planner: pl})
+		a.Backward(eis, dw, eos, ins, conv.NewWeights(s))
+		a.EpochEnd()
+		if len(pl.bp) != 2 {
+			t.Fatalf("planner saw %d BP requests, want 2 (first tune + re-check)", len(pl.bp))
+		}
+		for i, opts := range pl.bp {
+			if opts.NoInputGrad != (eis == nil) {
+				t.Errorf("request %d with eis nil=%v: NoInputGrad = %v", i, eis == nil, opts.NoInputGrad)
+			}
+		}
+	}
+}

@@ -109,9 +109,11 @@ type Exec struct {
 	spec     conv.Spec
 	ctx      *exec.Ctx
 	k        engine.Kernel
+	// fused is the kernel's one-call backward pass, nil when it has none.
+	fused engine.FusedBackward
 
 	// Precomputed span names keep the per-call probe path allocation-free.
-	spanFP, spanBPI, spanBPW string
+	spanFP, spanBPI, spanBPW, spanBP string
 }
 
 // NewExecCtx instantiates a strategy for a spec under an execution context.
@@ -122,13 +124,16 @@ func NewExecCtx(st Strategy, s conv.Spec, c *exec.Ctx) *Exec {
 	}
 	e := &Exec{strategy: st, spec: s, ctx: c}
 	if st.BatchParallel {
-		e.k = batchpar.New(st.Gen, s)
+		bp := batchpar.New(st.Gen, s)
+		e.k, e.fused = bp, bp.Fused()
 	} else {
 		e.k = st.Gen.New(s)
+		e.fused, _ = e.k.(engine.FusedBackward)
 	}
 	e.spanFP = "core/fp/" + st.Name
 	e.spanBPI = "core/bpi/" + st.Name
 	e.spanBPW = "core/bpw/" + st.Name
+	e.spanBP = "core/bp/" + st.Name
 	return e
 }
 
@@ -174,6 +179,38 @@ func (e *Exec) BackwardWeights(dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	e.ctx.Probe().Observe(e.spanBPW, time.Since(start).Seconds())
 }
 
+// Backward runs one layer's whole backward pass: eis[i] = corr(eos[i], w)
+// and dw = Σ_i grad(eos[i], ins[i]), both overwritten. A nil eis means the
+// input gradient is not needed (the layer is the network's first), and Eq. 3
+// is skipped. Kernels with a fused entry (engine.FusedBackward) run it as
+// one span "core/bp/<strategy>"; the rest fall back to BackwardInput +
+// BackwardWeights with their own spans.
+func (e *Exec) Backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
+	if e.fused == nil {
+		if eis != nil {
+			e.BackwardInput(eis, eos, w)
+		}
+		e.BackwardWeights(dw, eos, ins)
+		return
+	}
+	start := time.Now()
+	e.fused.BackwardBatch(e.ctx, eis, dw, eos, ins, w)
+	e.ctx.Probe().Observe(e.spanBP, time.Since(start).Seconds())
+}
+
+// backward is Backward without the probe spans: the measurement pass times
+// exactly what a deployment will run, under its own "tune/bp" span.
+func (e *Exec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
+	if e.fused != nil {
+		e.fused.BackwardBatch(e.ctx, eis, dw, eos, ins, w)
+		return
+	}
+	if eis != nil {
+		e.k.BackwardInputBatch(e.ctx, eis, eos, w)
+	}
+	e.k.BackwardWeightsBatch(e.ctx, dw, eos, ins)
+}
+
 // Timing records one candidate's measured cost.
 type Timing struct {
 	Strategy Strategy
@@ -208,6 +245,13 @@ type TuneOptions struct {
 	// plan.Planner stores the verdict under, so inference deployments keyed
 	// per batch-size bucket never collide with training verdicts (Batch 0).
 	Batch int
+	// NoInputGrad marks a BP selection for a layer whose input gradient
+	// nobody reads (the network's first layer; AutoConv sets it from a nil
+	// eis, never a caller by hand): candidates are measured without Eq. 3,
+	// as they will be deployed. The ranking differs from the full pass, so
+	// plan.Planner keys the verdict on it and a same-spec mid-network layer
+	// never deploys a first-layer verdict.
+	NoInputGrad bool
 }
 
 func (o TuneOptions) reps() int {
@@ -252,8 +296,10 @@ func ChooseFP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 }
 
 // ChooseBP measures every BP strategy (input-error plus delta-weights, the
-// two Eq. 3/Eq. 4 computations of one layer's backward pass) on sample
-// error gradients whose sparsity reflects the current training phase.
+// two Eq. 3/Eq. 4 computations of one layer's backward pass, or Eq. 4 alone
+// under opts.NoInputGrad) on sample error gradients whose sparsity reflects
+// the current training phase. Candidates run exactly as Exec.Backward will
+// deploy them.
 func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	eos, ins []*tensor.Tensor, w *tensor.Tensor, opts TuneOptions) Selection {
 	if len(strategies) == 0 {
@@ -262,9 +308,12 @@ func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	if c == nil {
 		c = exec.New(1)
 	}
-	eis := make([]*tensor.Tensor, len(eos))
-	for i := range eis {
-		eis[i] = conv.NewInput(s)
+	var eis []*tensor.Tensor
+	if !opts.NoInputGrad {
+		eis = make([]*tensor.Tensor, len(eos))
+		for i := range eis {
+			eis[i] = conv.NewInput(s)
+		}
 	}
 	dw := conv.NewWeights(s)
 	var sel Selection
@@ -273,8 +322,7 @@ func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	for _, st := range strategies {
 		e := NewExecCtx(st, s, c)
 		t := c.Measure("tune/bp/"+st.Name, opts.reps(), func() {
-			e.k.BackwardInputBatch(c, eis, eos, w)
-			e.k.BackwardWeightsBatch(c, dw, eos, ins)
+			e.backward(eis, dw, eos, ins, w)
 		})
 		sel.Timings = append(sel.Timings, Timing{Strategy: st, Seconds: t})
 		if bestExec == nil || t < bestT {

@@ -98,6 +98,65 @@ func TestAllExecsAgree(t *testing.T) {
 	}
 }
 
+func TestExecBackwardMatchesThePair(t *testing.T) {
+	// Exec.Backward is BackwardInput + BackwardWeights behind one seam, for
+	// every BP candidate: bit-identical on the fallback path, and on the
+	// fused one too (sparse keeps the pair's per-sample EI and its static dW
+	// partition). With nil eis the weight gradient is unchanged and the
+	// reference strategy — no fused entry — still runs.
+	r := rng.New(5)
+	s := conv.Spec{Nx: 13, Ny: 9, Nc: 3, Nf: 5, Fx: 3, Fy: 2, Sx: 2, Sy: 1}
+	w := conv.RandWeights(r, s)
+	for _, workers := range []int{1, 3} {
+		c := exec.New(workers)
+		for _, st := range append(BPStrategies(workers), ReferenceStrategy()) {
+			for _, sparsity := range []float64{0, 0.94, 1} {
+				ins, eos := sampleBatch(r, s, 5, sparsity)
+				e := NewExecCtx(st, s, c)
+				if got, want := e.fused != nil, st.Name == "sparse"; got != want {
+					t.Fatalf("%s: fused seam present = %v, want %v", st.Name, got, want)
+				}
+				wantEIs := make([]*tensor.Tensor, len(eos))
+				gotEIs := make([]*tensor.Tensor, len(eos))
+				for i := range eos {
+					wantEIs[i], gotEIs[i] = conv.NewInput(s), conv.NewInput(s)
+					gotEIs[i].FillUniform(r, 5, 6) // must be overwritten
+				}
+				wantDW, gotDW := conv.NewWeights(s), conv.NewWeights(s)
+				e.BackwardInput(wantEIs, eos, w)
+				e.BackwardWeights(wantDW, eos, ins)
+
+				e.Backward(gotEIs, gotDW, eos, ins, w)
+				for i := range gotEIs {
+					if !tensor.Identical(gotEIs[i], wantEIs[i]) {
+						t.Fatalf("%s p=%d sparsity %v: Backward EI %d differs from BackwardInput", st.Name, workers, sparsity, i)
+					}
+				}
+				if !tensor.Identical(gotDW, wantDW) {
+					t.Fatalf("%s p=%d sparsity %v: Backward dW differs from BackwardWeights", st.Name, workers, sparsity)
+				}
+				gotDW.FillUniform(r, 5, 6)
+				e.Backward(nil, gotDW, eos, ins, w)
+				if !tensor.Identical(gotDW, wantDW) {
+					t.Fatalf("%s p=%d sparsity %v: dW changes when eis is nil", st.Name, workers, sparsity)
+				}
+			}
+		}
+	}
+}
+
+func TestChooseBPWithoutInputGrad(t *testing.T) {
+	// NoInputGrad measures (and must run) every candidate with nil eis.
+	r := rng.New(6)
+	s := conv.Square(10, 4, 3, 3, 1)
+	ins, eos := sampleBatch(r, s, 2, 0.9)
+	w := conv.RandWeights(r, s)
+	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{Reps: 1, NoInputGrad: true})
+	if sel.Chosen == nil || len(sel.Timings) != len(BPStrategies(2)) {
+		t.Fatalf("selection incomplete: %+v", sel)
+	}
+}
+
 func TestChooseFPPicksMeasuredMinimum(t *testing.T) {
 	r := rng.New(2)
 	s := conv.Square(12, 8, 3, 3, 1)

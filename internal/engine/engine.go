@@ -52,6 +52,21 @@ type Kernel interface {
 	BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor)
 }
 
+// FusedBackward is implemented by kernels that run a layer's whole backward
+// pass in one call, sharing per-sample work the two separate entry points
+// would each redo (the Sparse-Kernel compresses every EO once and drives
+// Eq. 3 and Eq. 4 from that one compression). Callers that find the seam
+// use it instead of BackwardInputBatch + BackwardWeightsBatch; kernels
+// without it keep being called through the pair.
+type FusedBackward interface {
+	// BackwardBatch computes eis[i] = corr(eos[i], w) (Eq. 3) and
+	// dw = Σ_i grad(eos[i], ins[i]) (Eq. 4); both are overwritten. A nil
+	// eis means the input gradient is not needed (the network's first
+	// layer): Eq. 3 is skipped entirely.
+	BackwardBatch(c *exec.Ctx, eis []*tensor.Tensor, dw *tensor.Tensor,
+		eos, ins []*tensor.Tensor, w *tensor.Tensor)
+}
+
 // BlockedKernel is implemented by kernels whose forward pass can consume
 // and produce channel-blocked (tensor.NCHW8) activations natively — no
 // per-call layout conversion. A net whose layers all expose this seam runs

@@ -22,6 +22,10 @@ type DiffOptions struct {
 	Seed uint64
 	// Batch is the batch size driven through the batch seam (default 2).
 	Batch int
+	// Workers is the worker count of the shared context (default 2).
+	// Batch-parallel wrappers partition the batch by it, so sweeping it
+	// sweeps their chunk boundaries.
+	Workers int
 	// MaxULP is the per-element unit-in-the-last-place budget (default 256,
 	// roughly 3e-5 relative — tight enough to catch wrong math, loose
 	// enough for reassociated float32 sums).
@@ -61,6 +65,9 @@ func (o *DiffOptions) fill() {
 	}
 	if o.Batch == 0 {
 		o.Batch = 2
+	}
+	if o.Workers == 0 {
+		o.Workers = 2
 	}
 	if o.MaxULP == 0 {
 		o.MaxULP = 256
@@ -142,6 +149,8 @@ func diffCompare(t *testing.T, label string, s conv.Spec, sparsity float64,
 // geometries and a sweep of error-gradient sparsities from dense to 0.99.
 // Both kernels execute batch-first through one shared, NaN-poisoned
 // context, and every output element must agree within a tight ULP budget.
+// A kernel with a fused backward entry (engine.FusedBackward) has it held
+// to the same reference, with and without the input gradient.
 // The reference generator is a parameter rather than an import so engine
 // packages (whose tests live in the package itself) can pass
 // unfoldgemm.Generator(1) without an import cycle through enginetest.
@@ -150,7 +159,7 @@ func RunDifferential(t *testing.T, gen, ref engine.Generator, opts DiffOptions) 
 	opts.fill()
 	r := rng.New(opts.Seed)
 
-	c := exec.New(2)
+	c := exec.New(opts.Workers)
 	poisonArena(c)
 
 	specs := []conv.Spec{
@@ -215,6 +224,30 @@ func RunDifferential(t *testing.T, gen, ref engine.Generator, opts DiffOptions) 
 			wantDW := conv.NewWeights(s)
 			kRef.BackwardWeightsBatch(c, wantDW, eos, ins)
 			diffCompare(t, gen.Name+" vs "+ref.Name+" BPW", s, sp, dw, wantDW, opts)
+
+			fk, ok := k.(engine.FusedBackward)
+			if !ok {
+				continue
+			}
+			for _, withEI := range []bool{true, false} {
+				label := gen.Name + " vs " + ref.Name + " fused"
+				var fusedEIs []*tensor.Tensor
+				if withEI {
+					fusedEIs = eis
+					for i := range eis {
+						eis[i].FillUniform(r, -9, 9)
+					}
+				} else {
+					label += "(no EI)"
+				}
+				dw.FillUniform(r, -9, 9)
+				fk.BackwardBatch(c, fusedEIs, dw, eos, ins, w)
+				for i := range fusedEIs {
+					kRef.BackwardInputBatch(c, []*tensor.Tensor{wantEI}, eos[i:i+1], w)
+					diffCompare(t, label+" BPI", s, sp, eis[i], wantEI, opts)
+				}
+				diffCompare(t, label+" BPW", s, sp, dw, wantDW, opts)
+			}
 		}
 	}
 

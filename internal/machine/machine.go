@@ -229,12 +229,13 @@ func (m Machine) SparseGoodput(s conv.Spec, sparsity float64, p int) float64 {
 	// with nnz), per core.
 	denseFlops := 2 * float64(s.FlopsFP()) // EI + dW
 	useful := denseFlops * (1 - sparsity) / float64(p)
-	// Layout transforms stream EO, W, EI, I and dW once each regardless of
-	// sparsity; that work is also divided across cores (each core handles
-	// different images).
-	transformBytes := 4 * float64(2*s.OutputSize()+2*s.WeightSize()+2*s.InputSize()) / float64(p)
-	tTransform := transformBytes / (m.TransformGBsPerCore * 1e9)
-	workRate := m.PeakGFlopsPerCore * m.SparseAxpyEfficiency * channelEfficiency(s.Nc)
+	// The layout transforms are paid regardless of sparsity; like the
+	// non-zero work they divide across cores (each core handles different
+	// images).
+	tTransform := sparseTransformBytes(s) / float64(p) / (m.TransformGBsPerCore * 1e9)
+	// Pointer shifting merges the kx and c loops: each non-zero drives
+	// axpys of length Fx·Nc, not Nc.
+	workRate := m.PeakGFlopsPerCore * m.SparseAxpyEfficiency * channelEfficiency(s.Fx*s.Nc)
 	tWork := useful / (workRate * 1e9)
 	total := tTransform + tWork
 	if total <= 0 {
@@ -245,10 +246,19 @@ func (m Machine) SparseGoodput(s conv.Spec, sparsity float64, p int) float64 {
 	return m.shareBandwidth(goodput, ait.Intrinsic(s), p)
 }
 
+// sparseTransformBytes is the traffic of the Sparse-Kernel's layout
+// transforms for one image, paid regardless of sparsity: EO is streamed
+// once (one CT-CSR compression serves both Eq. 3 and Eq. 4), W, EI, I and
+// dW once each.
+func sparseTransformBytes(s conv.Spec) float64 {
+	return 4 * float64(s.OutputSize()+2*s.WeightSize()+2*s.InputSize())
+}
+
 // channelEfficiency models how much of the axpy rate survives for short
-// channel vectors (per-non-zero loop overhead amortizes over Nc).
-func channelEfficiency(nc int) float64 {
-	return float64(nc) / (float64(nc) + 4)
+// vectors (per-non-zero loop overhead amortizes over the n contiguous
+// values one axpy covers).
+func channelEfficiency(n int) float64 {
+	return float64(n) / (float64(n) + 4)
 }
 
 // BlockedConvFP predicts GFlops/core for the channel-blocked direct FP
@@ -335,8 +345,7 @@ func (m Machine) SparseSpeedup(s conv.Spec, sparsity float64, p int) float64 {
 	var tSparse float64
 	if useful <= 0 {
 		// Fully sparse: only the transforms remain.
-		transformBytes := 4 * float64(2*s.OutputSize()+2*s.WeightSize()+2*s.InputSize())
-		tSparse = transformBytes / (m.TransformGBsPerCore * 1e9 * float64(p))
+		tSparse = sparseTransformBytes(s) / (m.TransformGBsPerCore * 1e9 * float64(p))
 	} else {
 		tSparse = useful / goodput
 	}

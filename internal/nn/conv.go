@@ -8,6 +8,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/par"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -28,8 +29,7 @@ func (f fixedExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	f.e.Forward(outs, ins, w)
 }
 func (f fixedExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	f.e.BackwardInput(eis, eos, w)
-	f.e.BackwardWeights(dw, eos, ins)
+	f.e.Backward(eis, dw, eos, ins, w)
 }
 func (f fixedExec) EpochEnd() {}
 func (f fixedExec) strategyNames() (fp, bp string) {
@@ -50,8 +50,7 @@ func (s splitExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	s.fp.Forward(outs, ins, w)
 }
 func (s splitExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	s.bp.BackwardInput(eis, eos, w)
-	s.bp.BackwardWeights(dw, eos, ins)
+	s.bp.Backward(eis, dw, eos, ins, w)
 }
 func (s splitExec) EpochEnd() {}
 func (s splitExec) strategyNames() (fp, bp string) {
@@ -93,6 +92,8 @@ func (x autoExec) strategyLayouts() (fp, bp tensor.Layout) {
 
 type convBackend interface {
 	ConvExecutor
+	// backward runs the layer's whole backward pass (core.Exec.Backward's
+	// contract: nil eis skips the input gradient).
 	backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor)
 	// strategyNames reports the currently deployed FP and BP strategy
 	// names — the third level of the layer/phase/strategy span tree.
@@ -117,11 +118,17 @@ type Conv struct {
 
 	exec convBackend
 
+	// first marks the layer as a network's layer 0 (set by NewNetwork from
+	// graph position): nothing reads its input gradient, so Backward skips
+	// Eq. 3 and leaves the caller's eis untouched.
+	first bool
+
 	// EOSparsity accumulates the observed sparsity of the output-error
 	// gradients across Backward calls since the last TakeSparsity — the
 	// Fig. 3b probe.
 	eoSparsitySum float64
 	eoBatches     int
+	eoZeros       []int // per-sample zero counts of the current Backward
 
 	// Cached probe span paths "layer/<name>/<phase>/<strategy>". The auto
 	// scheduler deploys strategies lazily and may flip BP at epoch
@@ -257,32 +264,63 @@ func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity
-// the Fig. 3b experiment tracks.
+// the Fig. 3b experiment tracks. As a network's first layer it computes no
+// input gradient and does not write eis.
 func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 	start := time.Now()
-	for _, eo := range eos {
-		c.eoSparsitySum += eo.Sparsity()
-		c.eoBatches++
+	c.reduceEO(eos)
+	if c.first {
+		eis = nil
 	}
 	dwTmp := c.ctx.GetTensor(c.spec.WeightDims()...)
 	c.exec.backward(eis, dwTmp, eos, ins, c.W)
 	c.dW.AddScaled(dwTmp, 1)
 	c.ctx.PutTensor(dwTmp)
-	oy, ox := c.spec.OutY(), c.spec.OutX()
-	for _, eo := range eos {
-		for f := 0; f < c.spec.Nf; f++ {
-			plane := eo.Data[f*oy*ox : (f+1)*oy*ox]
-			var sum float32
-			for _, v := range plane {
-				sum += v
-			}
-			c.dB.Data[f] += sum
-		}
-	}
 	if !c.spansFinal {
 		c.refreshSpans()
 	}
 	c.ctx.Probe().Observe(c.spanBP, time.Since(start).Seconds())
+}
+
+// reduceEO makes the layer's one pass over the batch's error gradients: per
+// sample, the zero count behind the sparsity probe and the Nf plane sums
+// behind dB, fanned over the context's workers. The per-sample partials are
+// then folded in sample order, so dB and the probe are bit-identical to a
+// serial sample-by-sample reduction whatever the worker count.
+func (c *Conv) reduceEO(eos []*tensor.Tensor) {
+	nf := c.spec.Nf
+	plane := c.spec.OutY() * c.spec.OutX()
+	sums := c.ctx.Get(len(eos) * nf)
+	if cap(c.eoZeros) < len(eos) {
+		c.eoZeros = make([]int, len(eos))
+	}
+	zeros := c.eoZeros[:len(eos)]
+	par.ForChunked(len(eos), c.ctx.Workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			z := 0
+			for f := 0; f < nf; f++ {
+				var sum float32
+				for _, v := range eos[i].Data[f*plane:][:plane] {
+					sum += v
+					if v == 0 {
+						z++
+					}
+				}
+				sums[i*nf+f] = sum
+			}
+			zeros[i] = z
+		}
+	})
+	for i, eo := range eos {
+		if len(eo.Data) > 0 {
+			c.eoSparsitySum += float64(zeros[i]) / float64(len(eo.Data))
+		}
+		c.eoBatches++
+		for f, sum := range sums[i*nf:][:nf] {
+			c.dB.Data[f] += sum
+		}
+	}
+	c.ctx.Put(sums)
 }
 
 // ApplyGrads implements Layer.

@@ -29,7 +29,10 @@ type Network struct {
 }
 
 // NewNetwork validates that consecutive layer shapes chain and returns the
-// network.
+// network. A convolution at layer 0 is marked as the network's first layer:
+// nothing reads the input gradient of the data, so its Backward skips Eq. 3
+// and leaves its eis argument unwritten — whether Network.Backward or a
+// caller walking Layers() drives it.
 func NewNetwork(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -40,6 +43,9 @@ func NewNetwork(layers ...Layer) *Network {
 				i-1, layers[i-1].Name(), layers[i-1].OutDims(),
 				i, layers[i].Name(), layers[i].InDims()))
 		}
+	}
+	if c, ok := layers[0].(*Conv); ok {
+		c.first = true
 	}
 	n := &Network{layers: layers}
 	n.acts = make([][]*tensor.Tensor, len(layers))

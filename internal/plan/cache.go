@@ -56,12 +56,21 @@ type Key struct {
 	// training-path verdict, and every cache file written before batch
 	// keying existed, which therefore stays valid under this schema.
 	Batch int `json:"batch,omitempty"`
+	// NoInputGrad marks a BP verdict measured without Eq. 3, for a layer
+	// whose input gradient nobody reads (the network's first). Dropping
+	// half the dense work moves the ranking, so the verdict must never
+	// serve a same-spec layer deeper in a network; false everywhere else,
+	// which keeps every earlier cache file valid.
+	NoInputGrad bool `json:"no_input_grad,omitempty"`
 }
 
 func (k Key) String() string {
 	batch := ""
 	if k.Batch > 0 {
 		batch = fmt.Sprintf("/batch%d", k.Batch)
+	}
+	if k.NoInputGrad {
+		batch += "/no-ei"
 	}
 	return fmt.Sprintf("%s/%s/p%d/band%d%s on %s", k.Phase, k.Spec, k.Workers, k.Band, batch, k.Host)
 }

@@ -239,16 +239,17 @@ func (p *Planner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
 	if w != nil {
 		wSparsity = w.Sparsity()
 	}
-	return p.plan("fp", s, wSparsity, opts.Batch, c, func(survivors []core.Strategy) core.Selection {
+	return p.plan("fp", s, wSparsity, opts, c, func(survivors []core.Strategy) core.Selection {
 		return core.ChooseFP(survivors, s, c, ins, w, p.tuneOpts(opts))
 	})
 }
 
 // PlanBP implements core.Planner: back-propagation selection, keyed on
-// the sample gradients' sparsity band.
+// the sample gradients' sparsity band and on whether the measurement drops
+// Eq. 3 (opts.NoInputGrad).
 func (p *Planner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
 	w *tensor.Tensor, opts core.TuneOptions) core.Planned {
-	return p.plan("bp", s, meanSparsity(eos), opts.Batch, c, func(survivors []core.Strategy) core.Selection {
+	return p.plan("bp", s, meanSparsity(eos), opts, c, func(survivors []core.Strategy) core.Selection {
 		return core.ChooseBP(survivors, s, c, eos, ins, w, p.tuneOpts(opts))
 	})
 }
@@ -287,22 +288,21 @@ func (p *Planner) candidates(phase string, workers int, s conv.Spec) []core.Stra
 
 // plan is the shared request path: cache lookup, single-flight dedup, and
 // on a genuine miss the model-prune + measure pipeline.
-func (p *Planner) plan(phase string, s conv.Spec, sparsity float64, batch int, c *exec.Ctx,
+func (p *Planner) plan(phase string, s conv.Spec, sparsity float64, opts core.TuneOptions, c *exec.Ctx,
 	measure func([]core.Strategy) core.Selection) core.Planned {
 	s.MustValidate()
 	if c == nil {
 		c = exec.New(1)
 	}
-	if batch < 0 {
-		batch = 0
-	}
+	batch := max(opts.Batch, 0)
 	// Both phases band on their driving sparsity: gradient sparsity for BP,
 	// weight sparsity for FP (dense weights band to 0).
 	band := Band(sparsity)
 	// Canon() folds the spelled-out defaults (dilation 1, groups 1) onto
 	// the zero values, so generalized-spec keys never alias plain entries
 	// written before the fields existed — and plain specs hash unchanged.
-	key := Key{Host: p.host, Spec: s.Canon(), Workers: c.Workers(), Phase: phase, Band: band, Batch: batch}
+	key := Key{Host: p.host, Spec: s.Canon(), Workers: c.Workers(), Phase: phase, Band: band, Batch: batch,
+		NoInputGrad: phase == "bp" && opts.NoInputGrad}
 	for {
 		p.mu.Lock()
 		if e := p.entries[key]; e != nil {

@@ -645,3 +645,67 @@ func TestBatchKeyPersistence(t *testing.T) {
 		t.Errorf("Load adopted %d entries, want 1 (negative batch dropped)", n)
 	}
 }
+
+// TestPlannerDeploysSparseWhereThePaperSays is the measured Fig. 7 claim on
+// the real engines: for CIFAR conv0's geometry the planner's BP verdict is
+// the Sparse-Kernel at the layer's measured 0.94 gradient sparsity and a
+// dense GEMM engine at 0.50 — with and without the input gradient.
+func TestPlannerDeploysSparseWhereThePaperSays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times real kernels; margins do not survive the race detector's slowdown")
+	}
+	s := conv.Square(36, 64, 3, 5, 1)
+	ctx := exec.New(2)
+	for _, noEI := range []bool{false, true} {
+		for _, tc := range []struct {
+			sparsity float64
+			sparse   bool
+		}{{0.94, true}, {0.50, false}} {
+			ins, eos, w := sampleTensors(t, s, 2, tc.sparsity)
+			p := New(Options{})
+			pd := p.PlanBP(s, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: noEI})
+			if got := pd.Selection.Chosen.Strategy().Name; (got == "sparse") != tc.sparse {
+				t.Errorf("EO sparsity %.2f, input gradient elided %v: deployed %q (timings %+v)",
+					tc.sparsity, noEI, got, pd.Selection.Timings)
+			}
+		}
+	}
+}
+
+// TestFirstLayerVerdictsKeySeparately: a BP verdict measured without Eq. 3
+// never serves a same-spec request that needs the input gradient, or the
+// other way round, in memory and across Save/Load; files written before the
+// key existed load as full-pass verdicts.
+func TestFirstLayerVerdictsKeySeparately(t *testing.T) {
+	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
+	p := fakePlanner()
+	ctx := exec.New(2)
+	p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: true})
+	if pd := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{}); pd.FromCache {
+		t.Fatal("a mid-network request deployed the first layer's verdict")
+	}
+	if st := p.Stats(); st.Measurements != 2 {
+		t.Fatalf("%d measurement passes, want 2", st.Measurements)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"no_input_grad"`)); n != 1 {
+		t.Fatalf("saved cache mentions no_input_grad %d times, want 1 (omitted when false)", n)
+	}
+	q := fakePlanner()
+	if n, err := q.Load(&buf); err != nil || n != 2 {
+		t.Fatalf("Load = %d, %v; want 2 entries", n, err)
+	}
+	for _, noEI := range []bool{true, false} {
+		if pd := q.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: noEI}); !pd.FromCache {
+			t.Fatalf("verdict with NoInputGrad=%v did not survive the round trip", noEI)
+		}
+	}
+	// FP has no input gradient to drop: the flag must not split FP keys.
+	p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
+	if pd := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{NoInputGrad: true}); !pd.FromCache {
+		t.Fatal("NoInputGrad split an FP key")
+	}
+}

@@ -35,45 +35,10 @@ func FromDenseCT(data []float32, rows, cols, tileWidth int) *CTCSR {
 // per-step sparse BP kernel depends on. tileWidth <= 0 selects
 // DefaultTileWidth.
 func FromDenseCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("sparse: data length %d != %d x %d", len(data), rows, cols))
-	}
-	if tileWidth <= 0 {
-		tileWidth = DefaultTileWidth
-	}
-	nTiles := (cols + tileWidth - 1) / tileWidth
-	if cols == 0 {
-		nTiles = 0
-	}
-	m.Rows, m.Cols, m.TileWidth = rows, cols, tileWidth
-	if cap(m.Tiles) < nTiles {
-		tiles := make([]*CSR, nTiles)
-		copy(tiles, m.Tiles)
-		m.Tiles = tiles
-	} else {
-		m.Tiles = m.Tiles[:nTiles]
-	}
-	for t := 0; t < nTiles; t++ {
-		lo := t * tileWidth
-		hi := lo + tileWidth
-		if hi > cols {
-			hi = cols
-		}
-		w := hi - lo
-		tile := m.Tiles[t]
-		if tile == nil {
-			tile = &CSR{}
-			m.Tiles[t] = tile
-		}
-		tile.Rows, tile.Cols = rows, w
-		if cap(tile.RowPtr) < rows+1 {
-			tile.RowPtr = make([]int32, rows+1)
-		} else {
-			tile.RowPtr = tile.RowPtr[:rows+1]
-		}
-		tile.RowPtr[0] = 0
-		tile.Values = tile.Values[:0]
-		tile.ColIdx = tile.ColIdx[:0]
+	m.reset(len(data), rows, cols, tileWidth)
+	for t, tile := range m.Tiles {
+		lo := t * m.TileWidth
+		hi := lo + tile.Cols
 		for i := 0; i < rows; i++ {
 			row := data[i*cols+lo : i*cols+hi]
 			for j, v := range row {
@@ -84,6 +49,89 @@ func FromDenseCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
 			}
 			tile.RowPtr[i+1] = int32(len(tile.Values))
 		}
+	}
+}
+
+// FromPlanesCTInto rebuilds m from the TRANSPOSE of what FromDenseCTInto
+// reads: data holds cols planes of rows elements each (a [C][H][W] feature
+// map with cols = C and rows = H·W), and the result is bit-for-bit the
+// matrix FromDenseCTInto builds from the [H][W][C] copy — one row per
+// plane position, one column per plane — without that copy ever being
+// made. Each tile is a counting transpose: one sequential pass over its
+// planes counts every row's non-zeros into RowPtr, a second places them,
+// so the dense operand is only ever read in memory order and only
+// non-zeros are written. Storage is reused exactly as by FromDenseCTInto.
+func FromPlanesCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
+	m.reset(len(data), rows, cols, tileWidth)
+	for t, tile := range m.Tiles {
+		planes := data[t*m.TileWidth*rows:][:tile.Cols*rows]
+		next := tile.RowPtr[1:] // next[i] ends up as row i's end, RowPtr[i+1]
+		clear(next)
+		for j := 0; j < tile.Cols; j++ {
+			for i, v := range planes[j*rows:][:rows] {
+				if v != 0 {
+					next[i]++
+				}
+			}
+		}
+		nnz := int32(0)
+		for i, n := range next {
+			next[i] = nnz // row i's insertion cursor
+			nnz += n
+		}
+		if cap(tile.Values) < int(nnz) || cap(tile.ColIdx) < int(nnz) {
+			tile.Values = make([]float32, nnz)
+			tile.ColIdx = make([]int32, nnz)
+		}
+		vals, idx := tile.Values[:nnz], tile.ColIdx[:nnz]
+		for j := 0; j < tile.Cols; j++ {
+			for i, v := range planes[j*rows:][:rows] {
+				if v != 0 {
+					p := next[i]
+					vals[p], idx[p] = v, int32(j)
+					next[i] = p + 1
+				}
+			}
+		}
+		tile.Values, tile.ColIdx = vals, idx
+	}
+}
+
+// reset reshapes m to an empty rows×cols matrix at the given tile width
+// (<= 0 selects DefaultTileWidth), keeping every tile skeleton and its
+// storage: RowPtr has rows+1 entries with RowPtr[0] = 0, Values and ColIdx
+// are emptied. n is the dense operand's length, which must be rows·cols.
+func (m *CTCSR) reset(n, rows, cols, tileWidth int) {
+	if n != rows*cols {
+		panic(fmt.Sprintf("sparse: data length %d != %d x %d", n, rows, cols))
+	}
+	if tileWidth <= 0 {
+		tileWidth = DefaultTileWidth
+	}
+	nTiles := (cols + tileWidth - 1) / tileWidth
+	m.Rows, m.Cols, m.TileWidth = rows, cols, tileWidth
+	if cap(m.Tiles) < nTiles {
+		tiles := make([]*CSR, nTiles)
+		copy(tiles, m.Tiles)
+		m.Tiles = tiles
+	} else {
+		m.Tiles = m.Tiles[:nTiles]
+	}
+	for t := range m.Tiles {
+		tile := m.Tiles[t]
+		if tile == nil {
+			tile = &CSR{}
+			m.Tiles[t] = tile
+		}
+		tile.Rows, tile.Cols = rows, min(tileWidth, cols-t*tileWidth)
+		if cap(tile.RowPtr) < rows+1 {
+			tile.RowPtr = make([]int32, rows+1)
+		} else {
+			tile.RowPtr = tile.RowPtr[:rows+1]
+		}
+		tile.RowPtr[0] = 0
+		tile.Values = tile.Values[:0]
+		tile.ColIdx = tile.ColIdx[:0]
 	}
 }
 
@@ -144,25 +192,5 @@ func (m *CTCSR) SpMM(c, b []float32, bCols int) {
 				}
 			}
 		}
-	}
-}
-
-// VisitTile calls fn(row, col, value) for every non-zero of tile t, with
-// col given in whole-matrix coordinates, in row-major tile order. It is the
-// traversal the pointer-shifting Sparse-Kernel uses.
-func (m *CTCSR) VisitTile(t int, fn func(row, col int, v float32)) {
-	tile := m.Tiles[t]
-	colBase := t * m.TileWidth
-	for i := 0; i < tile.Rows; i++ {
-		for p := tile.RowPtr[i]; p < tile.RowPtr[i+1]; p++ {
-			fn(i, colBase+int(tile.ColIdx[p]), tile.Values[p])
-		}
-	}
-}
-
-// Visit calls fn for every non-zero of the matrix, tile by tile.
-func (m *CTCSR) Visit(fn func(row, col int, v float32)) {
-	for t := range m.Tiles {
-		m.VisitTile(t, fn)
 	}
 }

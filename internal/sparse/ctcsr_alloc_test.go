@@ -41,6 +41,25 @@ func TestFromDenseCTIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFromPlanesCTIntoSteadyStateAllocs pins the same property for the
+// plane-major encoder the sparse BP kernel runs once per sample per step.
+func TestFromPlanesCTIntoSteadyStateAllocs(t *testing.T) {
+	const rows, cols = 1 << 10, 1 << 6 // CIFAR conv0's EO: 64 planes of 32x32
+	buf := make([]float32, rows*cols)
+	m := &CTCSR{}
+	makeDelta(buf, 1.0, 1)
+	FromPlanesCTInto(m, buf, rows, cols, DefaultTileWidth)
+	seed := uint64(2)
+	allocs := testing.AllocsPerRun(20, func() {
+		makeDelta(buf, 0.06, seed)
+		seed++
+		FromPlanesCTInto(m, buf, rows, cols, DefaultTileWidth)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state re-encode allocates %v times per run, want 0", allocs)
+	}
+}
+
 // TestFromDenseCTIntoRoundTrip checks the re-encode round-trips exactly
 // across shrinking and growing contents in the same skeleton.
 func TestFromDenseCTIntoRoundTrip(t *testing.T) {
@@ -82,5 +101,21 @@ func BenchmarkFromDenseCTIntoReencode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FromDenseCTInto(m, buf, 1, l, DefaultTileWidth)
+	}
+}
+
+// BenchmarkFromPlanesCTInto measures the per-sample EO compression of the
+// sparse BP kernel at CIFAR conv0's shape and sparsity.
+func BenchmarkFromPlanesCTInto(b *testing.B) {
+	const rows, cols = 1 << 10, 1 << 6
+	buf := make([]float32, rows*cols)
+	makeDelta(buf, 0.06, 3)
+	m := &CTCSR{}
+	FromPlanesCTInto(m, buf, rows, cols, DefaultTileWidth)
+	b.SetBytes(int64(len(buf) * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FromPlanesCTInto(m, buf, rows, cols, DefaultTileWidth)
 	}
 }

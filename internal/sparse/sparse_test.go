@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -162,49 +164,56 @@ func TestCTCSRAgreesWithCSR(t *testing.T) {
 	}
 }
 
-func TestCTCSRVisitCoversAllNonzeros(t *testing.T) {
-	r := rng.New(5)
-	d := randSparseDense(r, 9, 70, 0.8)
-	m := FromDenseCT(d, 9, 70, 16)
-	seen := make(map[[2]int]float32)
-	m.Visit(func(row, col int, v float32) {
-		key := [2]int{row, col}
-		if _, dup := seen[key]; dup {
-			t.Fatalf("element (%d,%d) visited twice", row, col)
-		}
-		seen[key] = v
-	})
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 70; j++ {
-			v := d[i*70+j]
-			got, ok := seen[[2]int{i, j}]
-			if v != 0 && (!ok || got != v) {
-				t.Fatalf("nonzero (%d,%d)=%v missed or wrong (%v)", i, j, v, got)
-			}
-			if v == 0 && ok {
-				t.Fatalf("zero (%d,%d) visited", i, j)
-			}
-		}
-	}
-}
-
-func TestCTCSRVisitTileOrder(t *testing.T) {
-	// Within a tile, visits must be row-major (the pointer-shifting kernel
-	// depends on walking a tile's rows consecutively).
+func TestCTCSRTileLayout(t *testing.T) {
+	// The pointer-shifting kernel walks RowPtr/ColIdx/Values directly: a
+	// tile stores its rows consecutively with tile-relative columns.
 	d := []float32{
 		1, 0, 2, 0,
 		0, 3, 0, 4,
 	}
 	m := FromDenseCT(d, 2, 4, 2)
-	var order [][2]int
-	m.VisitTile(0, func(row, col int, v float32) { order = append(order, [2]int{row, col}) })
-	want := [][2]int{{0, 0}, {1, 1}}
-	if len(order) != len(want) {
-		t.Fatalf("tile 0 visited %v", order)
+	for ti, want := range []CSR{
+		{Rows: 2, Cols: 2, Values: []float32{1, 3}, ColIdx: []int32{0, 1}, RowPtr: []int32{0, 1, 2}},
+		{Rows: 2, Cols: 2, Values: []float32{2, 4}, ColIdx: []int32{0, 1}, RowPtr: []int32{0, 1, 2}},
+	} {
+		if !reflect.DeepEqual(*m.Tiles[ti], want) {
+			t.Fatalf("tile %d = %+v, want %+v", ti, *m.Tiles[ti], want)
+		}
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("tile 0 visit order %v, want %v", order, want)
+}
+
+func TestFromPlanesCTMatchesFromDenseCT(t *testing.T) {
+	// Encoding the plane-major (transposed) operand must give exactly the
+	// matrix FromDenseCTInto gives from the row-major one, through one
+	// reused skeleton whose contents shrink and grow.
+	r := rng.New(5)
+	got := &CTCSR{}
+	for _, tc := range []struct {
+		rows, cols, tw int
+		sparsity       float64
+	}{
+		{9, 70, 16, 0.8}, {1024, 64, 64, 0.94}, {16, 130, 64, 0.5}, {7, 5, 1, 0},
+		{12, 3, 1024, 1}, {1, 1, 0, 0}, {30, 65, 64, 0.99}, {0, 0, 4, 0},
+	} {
+		d := randSparseDense(r, tc.rows, tc.cols, tc.sparsity)
+		planes := make([]float32, len(d))
+		for i := 0; i < tc.rows; i++ {
+			for j := 0; j < tc.cols; j++ {
+				planes[j*tc.rows+i] = d[i*tc.cols+j]
+			}
+		}
+		want := FromDenseCT(d, tc.rows, tc.cols, tc.tw)
+		FromPlanesCTInto(got, planes, tc.rows, tc.cols, tc.tw)
+		if got.Rows != want.Rows || got.Cols != want.Cols || got.TileWidth != want.TileWidth || len(got.Tiles) != len(want.Tiles) {
+			t.Fatalf("%+v: shape %dx%d/%d in %d tiles, want %dx%d/%d in %d", tc, got.Rows, got.Cols,
+				got.TileWidth, len(got.Tiles), want.Rows, want.Cols, want.TileWidth, len(want.Tiles))
+		}
+		for ti, w := range want.Tiles {
+			g := got.Tiles[ti]
+			if g.Rows != w.Rows || g.Cols != w.Cols || !slices.Equal(g.RowPtr, w.RowPtr) ||
+				!slices.Equal(g.ColIdx, w.ColIdx) || !slices.Equal(g.Values, w.Values) {
+				t.Fatalf("%+v: tile %d differs from FromDenseCT's", tc, ti)
+			}
 		}
 	}
 }

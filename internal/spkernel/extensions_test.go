@@ -8,81 +8,6 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// --- fused ReLU-mask BP ---
-
-func maskedCopy(grad *tensor.Tensor, mask []bool) *tensor.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		if !mask[i] {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-func randMask(r *rng.RNG, n int, keep float64) []bool {
-	m := make([]bool, n)
-	for i := range m {
-		m[i] = r.Float64() < keep
-	}
-	return m
-}
-
-func TestFusedBackwardMatchesUnfused(t *testing.T) {
-	r := rng.New(1)
-	for trial := 0; trial < 12; trial++ {
-		s := conv.RandSpec(r, 10)
-		k := New(s, 0)
-		w := conv.RandWeights(r, s)
-		in := conv.RandInput(r, s)
-		grad := conv.NewOutput(s)
-		grad.FillNormal(r, 0, 1)
-		mask := randMask(r, grad.Len(), 0.3)
-		eo := maskedCopy(grad, mask)
-
-		fusedEI, plainEI := conv.NewInput(s), conv.NewInput(s)
-		k.BackwardInputFused(fusedEI, grad, mask, w)
-		k.BackwardInput(plainEI, eo, w)
-		if !tensor.AlmostEqual(fusedEI, plainEI, 1e-4) {
-			t.Fatalf("fused EI differs for %v", s)
-		}
-
-		fusedDW, plainDW := conv.NewWeights(s), conv.NewWeights(s)
-		k.BackwardWeightsFused(fusedDW, grad, mask, in)
-		k.BackwardWeights(plainDW, eo, in)
-		if !tensor.AlmostEqual(fusedDW, plainDW, 1e-4) {
-			t.Fatalf("fused dW differs for %v", s)
-		}
-	}
-}
-
-func TestFusedMaskLengthCheck(t *testing.T) {
-	s := conv.Square(6, 2, 1, 3, 1)
-	k := New(s, 0)
-	r := rng.New(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short mask accepted")
-		}
-	}()
-	k.BackwardInputFused(conv.NewInput(s), conv.RandOutputError(r, s, 0),
-		make([]bool, 3), conv.RandWeights(r, s))
-}
-
-func TestFusedAllMaskedGivesZero(t *testing.T) {
-	s := conv.Square(8, 3, 2, 3, 1)
-	r := rng.New(3)
-	k := New(s, 0)
-	grad := conv.NewOutput(s)
-	grad.FillNormal(r, 0, 1)
-	ei := conv.NewInput(s)
-	ei.FillUniform(r, 1, 2)
-	k.BackwardInputFused(ei, grad, make([]bool, grad.Len()), conv.RandWeights(r, s))
-	if ei.NNZ() != 0 {
-		t.Fatal("all-masked gradient produced non-zero EI")
-	}
-}
-
 // --- sparse-weights inference ---
 
 func TestInferenceMatchesReference(t *testing.T) {

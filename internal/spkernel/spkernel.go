@@ -6,18 +6,21 @@
 //
 //   - Sparse data representation: the error gradient EO is stored in
 //     CT-CSR (column-tiled CSR, Fig. 5a) with the spatial positions as rows
-//     and the features as tiled columns.
-//   - Data-layout transformation: weights are transformed to [ky][kx][f][c]
-//     (c fastest — Eq. 13's W'), EO and I to HWC (f/c fastest), and the
-//     results EI/dW are produced channel-contiguous and transformed back.
-//   - Pointer shifting (Eq. 15): each non-zero EO[y′,x′,f] is multiplied
-//     against the contiguous weight vector W′[ky][kx][f][·] and accumulated
-//     in place into the output vector EI[y′·sy+ky, x′·sx+kx, ·] — a series
-//     of small dense vector operations, with no unfolding and nothing done
-//     for zero gradients (Fig. 6).
+//     and the features as tiled columns. Each sample's EO is compressed
+//     ONCE per backward pass, straight from the [f][y][x] tensor, and both
+//     Eq. 3 and Eq. 4 walk that one compression.
+//   - Data-layout transformation: weights are transformed to [f][ky][kx·c]
+//     (Eq. 13's W' with the kx and c loops merged), I to HWC, and the
+//     results EI/dW are produced in the same layouts and transformed back.
+//   - Pointer shifting (Eq. 15): in an HWC image the Fx·Nc values under one
+//     kernel row are contiguous, so each non-zero EO[y′,x′,f] costs one
+//     axpy of length Fx·Nc per kernel row — W′[f][ky][·] accumulated in
+//     place into EI[y′·sy+ky, x′·sx, ·] — with no unfolding and nothing
+//     done for zero gradients (Fig. 6).
 //
 // The delta-weight computation (Eq. 4) follows the same structure with the
-// input activations in place of the weights.
+// input activations in place of the weights. The inner loops live in
+// kernels.go.
 package spkernel
 
 import (
@@ -84,129 +87,121 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 	k.fwd.ForwardBatch(c, outs, ins, w)
 }
 
-// buildEO transforms eo to feature-fastest layout in eoHWC and compresses
-// it into the reusable CT-CSR: rows are the OutY·OutX spatial positions,
-// columns the Nf features, tiled by tileWidth.
-func (k *Kernel) buildEO(ceo *sparse.CTCSR, eoHWC, eo *tensor.Tensor) {
-	tensor.CHWToHWCInto(eoHWC, eo)
-	s := k.spec
-	sparse.FromDenseCTInto(ceo, eoHWC.Data, s.OutY()*s.OutX(), s.Nf, k.tileWidth)
+// BackwardBatch implements engine.FusedBackward: one CT-CSR compression per
+// sample drives both Eq. 3 (skipped when eis is nil) and Eq. 4. The weight
+// transform is hoisted out of the per-sample loop, and the [f][ky][kx·c]
+// accumulator is zeroed once and summed over the whole batch, so the batch
+// reduction is free.
+func (k *Kernel) BackwardBatch(c *exec.Ctx, eis []*tensor.Tensor, dw *tensor.Tensor,
+	eos, ins []*tensor.Tensor, w *tensor.Tensor) {
+	if len(eos) != len(ins) || (eis != nil && len(eis) != len(eos)) {
+		panic("spkernel: BackwardBatch length mismatch")
+	}
+	k.backward(c, eis, dw, eos, ins, w)
 }
 
-// BackwardInputBatch computes Eq. 3 by pointer shifting: for every stored
-// non-zero of EO and every kernel coordinate, one dense axpy of length Nc
-// lands directly at its shifted output position (Eq. 15). The weight
-// transform is hoisted out of the per-sample loop.
+// BackwardInputBatch computes Eq. 3 alone by pointer shifting (Eq. 15).
 func (k *Kernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
 	if len(eis) != len(eos) {
 		panic("spkernel: BackwardInputBatch length mismatch")
 	}
-	s := k.spec
-	conv.CheckWeights(s, w)
-	if len(eos) == 0 {
-		return
-	}
-	sc := k.scratch.Get().(*ceoScratch)
-	eoHWC := c.GetTensor(s.OutY(), s.OutX(), s.Nf)
-	wKKFC := c.GetTensor(s.Fy, s.Fx, s.Nf, s.Nc)
-	eiHWC := c.GetTensor(s.Ny, s.Nx, s.Nc)
-	tensor.FCKKToKKFCInto(wKKFC, w)
-	for i := range eos {
-		conv.CheckInput(s, eis[i])
-		conv.CheckOutput(s, eos[i])
-		k.buildEO(&sc.ceo, eoHWC, eos[i])
-		eiHWC.Zero()
-		k.scatterEI(&sc.ceo, wKKFC, eiHWC)
-		tensor.HWCToCHWInto(eis[i], eiHWC)
-	}
-	c.PutTensor(eiHWC)
-	c.PutTensor(wKKFC)
-	c.PutTensor(eoHWC)
-	k.scratch.Put(sc)
+	k.backward(c, eis, nil, eos, nil, w)
 }
 
-// scatterEI performs the Eq. 15 pointer-shifting scatter of every stored
-// non-zero into the channel-contiguous EI scratch. Weights must already be
-// in KKFC layout and eiHWC zeroed.
-func (k *Kernel) scatterEI(ceo *sparse.CTCSR, wKKFC, eiHWC *tensor.Tensor) {
-	s := k.spec
-	nc := s.Nc
-	ox := s.OutX()
-	wdat := wKKFC.Data
-	edat := eiHWC.Data
-	for t := range ceo.Tiles {
-		ceo.VisitTile(t, func(row, f int, v float32) {
-			yq, xq := row/ox, row%ox
-			yBase := yq * s.Sy
-			xBase := xq * s.Sx
-			for ky := 0; ky < s.Fy; ky++ {
-				iy := yBase + ky
-				rowBase := (iy*s.Nx + xBase) * nc
-				for kx := 0; kx < s.Fx; kx++ {
-					src := wdat[((ky*s.Fx+kx)*s.Nf+f)*nc:][:nc]
-					dst := edat[rowBase+kx*nc:][:nc]
-					axpy(dst, src, v)
-				}
-			}
-		})
-	}
-}
-
-// BackwardWeightsBatch computes dw = Σ_i grad(eos[i], ins[i]) (Eq. 4) with
-// the same non-zero-driven structure: each stored EO non-zero contributes
-// one Nc-length axpy of the input vector at its shifted position into the
-// (ky, kx, f) weight-gradient row. The KKFC accumulator is zeroed once and
-// summed over the whole batch, so the batch reduction is free. dw is
-// overwritten.
+// BackwardWeightsBatch computes dw = Σ_i grad(eos[i], ins[i]) (Eq. 4)
+// alone. dw is overwritten.
 func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	if len(eos) != len(ins) {
 		panic("spkernel: BackwardWeightsBatch length mismatch")
 	}
-	s := k.spec
-	conv.CheckWeights(s, dw)
-	sc := k.scratch.Get().(*ceoScratch)
-	eoHWC := c.GetTensor(s.OutY(), s.OutX(), s.Nf)
-	inHWC := c.GetTensor(s.Ny, s.Nx, s.Nc)
-	dwKK := c.GetTensor(s.Fy, s.Fx, s.Nf, s.Nc)
-	dwKK.Zero()
-	for i := range eos {
-		conv.CheckOutput(s, eos[i])
-		conv.CheckInput(s, ins[i])
-		k.buildEO(&sc.ceo, eoHWC, eos[i])
-		tensor.CHWToHWCInto(inHWC, ins[i])
-		k.scatterDW(&sc.ceo, inHWC, dwKK)
-	}
-	tensor.KKFCToFCKKInto(dw, dwKK)
-	c.PutTensor(dwKK)
-	c.PutTensor(inHWC)
-	c.PutTensor(eoHWC)
-	k.scratch.Put(sc)
+	k.backward(c, nil, dw, eos, ins, nil)
 }
 
-// scatterDW accumulates every stored non-zero's input-vector contribution
-// into the KKFC-layout weight-gradient scratch (Eq. 4, non-zero-driven).
-// Inputs must already be in HWC layout; dwKK accumulates across calls.
-func (k *Kernel) scatterDW(ceo *sparse.CTCSR, inHWC, dwKK *tensor.Tensor) {
+// backward is the one sparse BP loop nest behind all three entry points:
+// nil eis skips Eq. 3 (w is then unused), nil dw skips Eq. 4 (ins unused).
+// The two equations walk the compression one after the other rather than
+// interleaved, so each walk's operands (one image, one set of blocks) stay
+// L1-resident.
+func (k *Kernel) backward(c *exec.Ctx, eis []*tensor.Tensor, dw *tensor.Tensor,
+	eos, ins []*tensor.Tensor, w *tensor.Tensor) {
 	s := k.spec
-	nc := s.Nc
-	ox := s.OutX()
-	idat := inHWC.Data
-	ddat := dwKK.Data
-	for t := range ceo.Tiles {
-		ceo.VisitTile(t, func(row, f int, v float32) {
-			yq, xq := row/ox, row%ox
-			yBase := yq * s.Sy
-			xBase := xq * s.Sx
-			for ky := 0; ky < s.Fy; ky++ {
-				iy := yBase + ky
-				rowBase := (iy*s.Nx + xBase) * nc
-				for kx := 0; kx < s.Fx; kx++ {
-					src := idat[rowBase+kx*nc:][:nc]
-					dst := ddat[((ky*s.Fx+kx)*s.Nf+f)*nc:][:nc]
-					axpy(dst, src, v)
+	var wT, eiHWC, inHWC, dwT *tensor.Tensor
+	if eis != nil {
+		conv.CheckWeights(s, w)
+		wT = c.GetTensor(s.Nf, s.Fy, s.Fx, s.Nc)
+		tensor.FCKKToFKKCInto(wT, w)
+		eiHWC = c.GetTensor(s.Ny, s.Nx, s.Nc)
+	}
+	if dw != nil {
+		conv.CheckWeights(s, dw)
+		inHWC = c.GetTensor(s.Ny, s.Nx, s.Nc)
+		dwT = c.GetTensor(s.Nf, s.Fy, s.Fx, s.Nc)
+		dwT.Zero()
+	}
+	sc := k.scratch.Get().(*ceoScratch)
+	for i, eo := range eos {
+		conv.CheckOutput(s, eo)
+		sparse.FromPlanesCTInto(&sc.ceo, eo.Data, s.OutY()*s.OutX(), s.Nf, k.tileWidth)
+		if eis != nil {
+			conv.CheckInput(s, eis[i])
+			eiHWC.Zero()
+			shift(s, &sc.ceo, eiHWC.Data, wT.Data, true)
+			tensor.HWCToCHWInto(eis[i], eiHWC)
+		}
+		if dw != nil {
+			conv.CheckInput(s, ins[i])
+			tensor.CHWToHWCInto(inHWC, ins[i])
+			shift(s, &sc.ceo, inHWC.Data, dwT.Data, false)
+		}
+	}
+	k.scratch.Put(sc)
+	if dw != nil {
+		tensor.FKKCToFCKKInto(dw, dwT)
+		c.PutTensor(dwT)
+		c.PutTensor(inHWC)
+	}
+	if eis != nil {
+		c.PutTensor(eiHWC)
+		c.PutTensor(wT)
+	}
+}
+
+// shift walks the compressed EO tile by tile, row by row, pointer-shifting
+// every stored non-zero between an HWC image and the [f][ky][kx·c] blocks:
+// toImage accumulates v·block into the image window (Eq. 3: blocks are W′,
+// img the zeroed EI), otherwise v·window into the block (Eq. 4: img is I,
+// blocks the dW′ accumulator). A row is one output position (y′,x′): its
+// window origin is hoisted out of the non-zero loop, and under it each of
+// the Fy kernel rows is one contiguous run of Fx·Nc values, so a non-zero
+// costs Fy axpys and an empty row one RowPtr compare.
+func shift(s conv.Spec, ceo *sparse.CTCSR, img, blocks []float32, toImage bool) {
+	run := s.Fx * s.Nc    // merged kx·c vector length
+	imgRow := s.Nx * s.Nc // one image row in HWC
+	block := s.Fy * run   // one feature's [ky][kx·c] block
+	span := (s.Fy-1)*imgRow + run
+	oy, ox := s.OutY(), s.OutX()
+	for t, tile := range ceo.Tiles {
+		fBase := t * ceo.TileWidth
+		ptr, cols, vals := tile.RowPtr, tile.ColIdx, tile.Values
+		row := 0
+		for yq := 0; yq < oy; yq++ {
+			for xq := 0; xq < ox; xq++ {
+				lo, hi := ptr[row], ptr[row+1]
+				row++
+				if lo == hi {
+					continue
+				}
+				win := img[yq*s.Sy*imgRow+xq*s.Sx*s.Nc:][:span]
+				for p := lo; p < hi; p++ {
+					blk := blocks[(fBase+int(cols[p]))*block:][:block]
+					if toImage {
+						axpyRows(win, blk, vals[p], run, imgRow, run)
+					} else {
+						axpyRows(blk, win, vals[p], run, run, imgRow)
+					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -220,22 +215,6 @@ func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInpu
 // BackwardWeights implements engine.SingleKernel.
 func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
 	k.single.BackwardWeights(k, dw, eo, in)
-}
-
-// axpy computes dst += a*src for equal-length slices, 4-way unrolled.
-func axpy(dst, src []float32, a float32) {
-	n := len(dst)
-	src = src[:n]
-	x := 0
-	for ; x+4 <= n; x += 4 {
-		dst[x] += a * src[x]
-		dst[x+1] += a * src[x+1]
-		dst[x+2] += a * src[x+2]
-		dst[x+3] += a * src[x+3]
-	}
-	for ; x < n; x++ {
-		dst[x] += a * src[x]
-	}
 }
 
 // NonZeroFlops returns the useful (non-zero) flop count of one BP pass of

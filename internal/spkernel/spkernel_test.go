@@ -6,6 +6,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/engine/enginetest"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
@@ -13,10 +14,13 @@ import (
 
 func TestDifferentialVsUnfoldGEMM(t *testing.T) {
 	// The sparse kernel's whole point is the high-sparsity regime, so the
-	// sweep leans there on top of the default dense-to-0.99 ladder.
+	// sweep leans there — through CIFAR conv0's measured 0.94 to an all-zero
+	// gradient — on top of dense and the 0.50/0.75 band edges. The sweep's
+	// built-in specs are strided and non-square; it drives the fused entry
+	// as well as the two separate ones.
 	enginetest.RunDifferential(t, Generator(), unfoldgemm.Generator(1), enginetest.DiffOptions{
 		Seed:       0xD1F5,
-		Sparsities: []float64{0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99},
+		Sparsities: []float64{0, 0.25, 0.5, 0.75, 0.9, 0.94, 0.99, 1},
 	})
 }
 
@@ -63,6 +67,33 @@ func TestFullySparseEOGivesZeroGradients(t *testing.T) {
 	k.BackwardWeights(dw, eo, in)
 	if dw.NNZ() != 0 {
 		t.Fatal("zero EO produced non-zero dW")
+	}
+}
+
+// TestBackwardBatchSteadyStateAllocs extends sparse's re-encode pin to the
+// whole fused pass: once the pooled CT-CSR skeleton and the arena's free
+// lists have been warmed by a worst-case (dense) gradient, a backward pass
+// over fresh sparse gradients allocates nothing.
+func TestBackwardBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops the pooled CT-CSR skeleton under the race detector")
+	}
+	s := conv.Square(36, 64, 3, 5, 1) // CIFAR conv0
+	r := rng.New(7)
+	c := exec.New(1)
+	k := New(s, 0)
+	w := conv.RandWeights(r, s)
+	dw := conv.NewWeights(s)
+	ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
+	eis := []*tensor.Tensor{conv.NewInput(s), conv.NewInput(s)}
+	dense := []*tensor.Tensor{conv.RandOutputError(r, s, 0), conv.RandOutputError(r, s, 0)}
+	k.BackwardBatch(c, eis, dw, dense, ins, w)
+	sparse := []*tensor.Tensor{conv.RandOutputError(r, s, 0.94), conv.RandOutputError(r, s, 0.9)}
+	for _, withEI := range [][]*tensor.Tensor{eis, nil} {
+		if allocs := testing.AllocsPerRun(10, func() { k.BackwardBatch(c, withEI, dw, sparse, ins, w) }); allocs != 0 {
+			t.Fatalf("steady-state fused BP (input gradient: %v) allocates %v times per pass, want 0",
+				withEI != nil, allocs)
+		}
 	}
 }
 
@@ -128,19 +159,26 @@ func TestSparseMatchesReferenceAcrossSparsities(t *testing.T) {
 	}
 }
 
-func TestAxpy(t *testing.T) {
-	for n := 0; n <= 9; n++ {
-		dst := make([]float32, n)
-		src := make([]float32, n)
-		for i := range src {
+func TestAxpyRows(t *testing.T) {
+	// Three runs of n elements, dst rows 7 apart and src rows packed: every
+	// run element accumulates, everything between the dst runs is untouched.
+	for n := 0; n <= 7; n++ {
+		dst := make([]float32, 2*7+n)
+		src := make([]float32, 3*n)
+		for i := range dst {
 			dst[i] = float32(i)
+		}
+		for i := range src {
 			src[i] = float32(i * i)
 		}
-		axpy(dst, src, 2)
+		axpyRows(dst, src, 2, n, 7, n)
 		for i := range dst {
-			want := float32(i) + 2*float32(i*i)
+			want := float32(i)
+			if r, x := i/7, i%7; x < n {
+				want += 2 * float32((r*n+x)*(r*n+x))
+			}
 			if dst[i] != want {
-				t.Fatalf("n=%d: axpy[%d] = %v, want %v", n, i, dst[i], want)
+				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want)
 			}
 		}
 	}
@@ -164,3 +202,35 @@ func benchBP(b *testing.B, sparsity float64) {
 func BenchmarkBackwardInputSparsity50(b *testing.B) { benchBP(b, 0.50) }
 func BenchmarkBackwardInputSparsity85(b *testing.B) { benchBP(b, 0.85) }
 func BenchmarkBackwardInputSparsity97(b *testing.B) { benchBP(b, 0.97) }
+
+// benchCIFAR times one whole backward pass (Eq. 3 + Eq. 4, or Eq. 4 alone
+// when the input gradient is elided) per sample on a CIFAR layer shape.
+func benchCIFAR(b *testing.B, s conv.Spec, sparsity float64, needEI bool) {
+	r := rng.New(1)
+	c := exec.New(1)
+	k := New(s, 0)
+	w := conv.RandWeights(r, s)
+	const batch = 8
+	var eis, eos, ins []*tensor.Tensor
+	for i := 0; i < batch; i++ {
+		eos = append(eos, conv.RandOutputError(r, s, sparsity))
+		ins = append(ins, conv.RandInput(r, s))
+		if needEI {
+			eis = append(eis, conv.NewInput(s))
+		}
+	}
+	dw := conv.NewWeights(s)
+	k.BackwardBatch(c, eis, dw, eos, ins, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.BackwardBatch(c, eis, dw, eos, ins, w)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/image")
+}
+
+func BenchmarkBackwardConv0(b *testing.B) { benchCIFAR(b, conv.Square(36, 64, 3, 5, 1), 0.94, true) }
+func BenchmarkBackwardConv0NoEI(b *testing.B) {
+	benchCIFAR(b, conv.Square(36, 64, 3, 5, 1), 0.94, false)
+}
+func BenchmarkBackwardConv1(b *testing.B) { benchCIFAR(b, conv.Square(8, 64, 64, 5, 1), 0.50, true) }

@@ -79,9 +79,15 @@ func (k *Kernel) Spec() conv.Spec { return k.spec }
 // span carrying the compression time) when the per-Ver cache is stale.
 func (k *Kernel) compressed(c *exec.Ctx, w *tensor.Tensor) *csrPlan {
 	conv.CheckWeights(k.spec, w)
+	if w.Ver == 0 {
+		// Untracked weights are never cached, so they must not go through
+		// the shared plan either: batch-parallel workers recompressing into
+		// it would overwrite what their neighbours are still reading.
+		return compress(k.spec, w, nil)
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.plan != nil && w.Ver != 0 && k.wver == w.Ver &&
+	if k.plan != nil && k.wver == w.Ver &&
 		len(k.wdata) == len(w.Data) && &k.wdata[0] == &w.Data[0] {
 		c.Probe().Observe(k.spanHit, 0)
 		return k.plan

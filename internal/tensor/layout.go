@@ -10,9 +10,10 @@ import "fmt"
 //     fastest-varying position so a kernel can operate on a contiguous
 //     channel vector per spatial location. The Sparse-Kernel transforms
 //     weights and outputs so c is fastest, and inputs so f is fastest.
-//   - FCKKToKKFC reorders weights [f][c][ky][kx] -> [ky][kx][f][c] so that
-//     for fixed kernel coordinates the [f][c] block is a contiguous dense
-//     matrix — the W' of Eq. 13.
+//   - FCKKToFKKC reorders weights [f][c][ky][kx] -> [f][ky][kx][c] so that
+//     for a fixed feature and kernel row the [kx][c] block is one contiguous
+//     vector, matching a kernel-row window of an HWC image — Eq. 13's W'
+//     with the kx and c loops merged.
 //   - StrideSplit implements Eq. 21: I[y][x] -> I[y][s][x'] with
 //     s = x mod sx, turning strided accesses into unit-stride vector loads.
 
@@ -52,43 +53,25 @@ func HWCToCHW(t *Tensor) *Tensor {
 	return out
 }
 
-// FCKKToKKFC reorders convolution weights from the canonical
-// [F][C][Ky][Kx] layout to [Ky][Kx][F][C], so that W'[f][c] for fixed
-// (ky, kx) is a contiguous F×C matrix with c fastest (Eq. 13's W').
-func FCKKToKKFC(w *Tensor) *Tensor {
+// FCKKToFKKC reorders convolution weights from the canonical
+// [F][C][Ky][Kx] layout to [F][Ky][Kx][C], so that W'[f][ky] is one
+// contiguous Kx·C vector with c fastest (Eq. 13's W' with kx and c merged).
+func FCKKToFKKC(w *Tensor) *Tensor {
 	if w.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: FCKKToKKFC needs rank-4 input, got %v", w.Dims))
+		panic(fmt.Sprintf("tensor: FCKKToFKKC needs rank-4 input, got %v", w.Dims))
 	}
-	f, c, ky, kx := w.Dims[0], w.Dims[1], w.Dims[2], w.Dims[3]
-	out := New(ky, kx, f, c)
-	for fi := 0; fi < f; fi++ {
-		for ci := 0; ci < c; ci++ {
-			for yi := 0; yi < ky; yi++ {
-				for xi := 0; xi < kx; xi++ {
-					out.Data[((yi*kx+xi)*f+fi)*c+ci] = w.At4(fi, ci, yi, xi)
-				}
-			}
-		}
-	}
+	out := New(w.Dims[0], w.Dims[2], w.Dims[3], w.Dims[1])
+	FCKKToFKKCInto(out, w)
 	return out
 }
 
-// KKFCToFCKK inverts FCKKToKKFC.
-func KKFCToFCKK(w *Tensor) *Tensor {
+// FKKCToFCKK inverts FCKKToFKKC.
+func FKKCToFCKK(w *Tensor) *Tensor {
 	if w.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: KKFCToFCKK needs rank-4 input, got %v", w.Dims))
+		panic(fmt.Sprintf("tensor: FKKCToFCKK needs rank-4 input, got %v", w.Dims))
 	}
-	ky, kx, f, c := w.Dims[0], w.Dims[1], w.Dims[2], w.Dims[3]
-	out := New(f, c, ky, kx)
-	for yi := 0; yi < ky; yi++ {
-		for xi := 0; xi < kx; xi++ {
-			for fi := 0; fi < f; fi++ {
-				for ci := 0; ci < c; ci++ {
-					out.Data[((fi*c+ci)*ky+yi)*kx+xi] = w.At4(yi, xi, fi, ci)
-				}
-			}
-		}
-	}
+	out := New(w.Dims[0], w.Dims[3], w.Dims[1], w.Dims[2])
+	FKKCToFCKKInto(out, w)
 	return out
 }
 

@@ -45,45 +45,44 @@ func HWCToCHWInto(dst, src *Tensor) {
 	}
 }
 
-// FCKKToKKFCInto writes the [Ky][Kx][F][C] layout of src ([F][C][Ky][Kx])
+// FCKKToFKKCInto writes the [F][Ky][Kx][C] layout of src ([F][C][Ky][Kx])
 // into dst.
-func FCKKToKKFCInto(dst, src *Tensor) {
+func FCKKToFKKCInto(dst, src *Tensor) {
 	if src.Rank() != 4 || dst.Rank() != 4 {
-		panic("tensor: FCKKToKKFCInto needs rank-4 tensors")
+		panic("tensor: FCKKToFKKCInto needs rank-4 tensors")
 	}
 	f, c, ky, kx := src.Dims[0], src.Dims[1], src.Dims[2], src.Dims[3]
-	if dst.Dims[0] != ky || dst.Dims[1] != kx || dst.Dims[2] != f || dst.Dims[3] != c {
-		panic(fmt.Sprintf("tensor: FCKKToKKFCInto dst %v incompatible with src %v", dst.Dims, src.Dims))
+	if dst.Dims[0] != f || dst.Dims[1] != ky || dst.Dims[2] != kx || dst.Dims[3] != c {
+		panic(fmt.Sprintf("tensor: FCKKToFKKCInto dst %v incompatible with src %v", dst.Dims, src.Dims))
 	}
+	kk := ky * kx
 	for fi := 0; fi < f; fi++ {
+		d := dst.Data[fi*kk*c:][:kk*c]
 		for ci := 0; ci < c; ci++ {
-			srcBase := (fi*c + ci) * ky * kx
-			for yi := 0; yi < ky; yi++ {
-				for xi := 0; xi < kx; xi++ {
-					dst.Data[((yi*kx+xi)*f+fi)*c+ci] = src.Data[srcBase+yi*kx+xi]
-				}
+			for i, v := range src.Data[(fi*c+ci)*kk:][:kk] {
+				d[i*c+ci] = v
 			}
 		}
 	}
 }
 
-// KKFCToFCKKInto writes the [F][C][Ky][Kx] layout of src ([Ky][Kx][F][C])
+// FKKCToFCKKInto writes the [F][C][Ky][Kx] layout of src ([F][Ky][Kx][C])
 // into dst.
-func KKFCToFCKKInto(dst, src *Tensor) {
+func FKKCToFCKKInto(dst, src *Tensor) {
 	if src.Rank() != 4 || dst.Rank() != 4 {
-		panic("tensor: KKFCToFCKKInto needs rank-4 tensors")
+		panic("tensor: FKKCToFCKKInto needs rank-4 tensors")
 	}
-	ky, kx, f, c := src.Dims[0], src.Dims[1], src.Dims[2], src.Dims[3]
+	f, ky, kx, c := src.Dims[0], src.Dims[1], src.Dims[2], src.Dims[3]
 	if dst.Dims[0] != f || dst.Dims[1] != c || dst.Dims[2] != ky || dst.Dims[3] != kx {
-		panic(fmt.Sprintf("tensor: KKFCToFCKKInto dst %v incompatible with src %v", dst.Dims, src.Dims))
+		panic(fmt.Sprintf("tensor: FKKCToFCKKInto dst %v incompatible with src %v", dst.Dims, src.Dims))
 	}
-	for yi := 0; yi < ky; yi++ {
-		for xi := 0; xi < kx; xi++ {
-			srcBase := (yi*kx + xi) * f * c
-			for fi := 0; fi < f; fi++ {
-				for ci := 0; ci < c; ci++ {
-					dst.Data[((fi*c+ci)*ky+yi)*kx+xi] = src.Data[srcBase+fi*c+ci]
-				}
+	kk := ky * kx
+	for fi := 0; fi < f; fi++ {
+		s := src.Data[fi*kk*c:][:kk*c]
+		for ci := 0; ci < c; ci++ {
+			d := dst.Data[(fi*c+ci)*kk:][:kk]
+			for i := range d {
+				d[i] = s[i*c+ci]
 			}
 		}
 	}

@@ -39,21 +39,21 @@ func TestCHWToHWCElementMapping(t *testing.T) {
 func TestFCKKRoundTrip(t *testing.T) {
 	r := rng.New(2)
 	w := randT(r, 4, 3, 2, 5)
-	back := KKFCToFCKK(FCKKToKKFC(w))
+	back := FKKCToFCKK(FCKKToFKKC(w))
 	if MaxAbsDiff(w, back) != 0 {
-		t.Fatal("FCKK->KKFC->FCKK not identity")
+		t.Fatal("FCKK->FKKC->FCKK not identity")
 	}
 }
 
-func TestFCKKToKKFCMapping(t *testing.T) {
+func TestFCKKToFKKCMapping(t *testing.T) {
 	w := New(4, 3, 2, 5) // F,C,Ky,Kx
 	w.Set4(2, 1, 0, 4, 7)
-	y := FCKKToKKFC(w)
-	if y.Dims[0] != 2 || y.Dims[1] != 5 || y.Dims[2] != 4 || y.Dims[3] != 3 {
-		t.Fatalf("KKFC dims = %v, want [2 5 4 3]", y.Dims)
+	y := FCKKToFKKC(w)
+	if y.Dims[0] != 4 || y.Dims[1] != 2 || y.Dims[2] != 5 || y.Dims[3] != 3 {
+		t.Fatalf("FKKC dims = %v, want [4 2 5 3]", y.Dims)
 	}
-	if y.At4(0, 4, 2, 1) != 7 {
-		t.Fatal("element (f=2,c=1,ky=0,kx=4) not mapped to (ky=0,kx=4,f=2,c=1)")
+	if y.At4(2, 0, 4, 1) != 7 {
+		t.Fatal("element (f=2,c=1,ky=0,kx=4) not mapped to (f=2,ky=0,kx=4,c=1)")
 	}
 }
 

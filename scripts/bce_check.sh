@@ -11,9 +11,11 @@
 #   internal/stencil/kernels.go       saxpy1-4, gatherDot, scatterAxpy
 #   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRow(Stride), zeroBuf (CSR FP)
+#   internal/spkernel/kernels.go      axpyRows (CT-CSR pointer-shifting BP)
 #
-# (blockedconv/forward.go and spweight/forward.go are the drivers feeding
-# those loops — per-row slicing, excluded like the GEMM drivers.)
+# (blockedconv/forward.go, spweight/forward.go and spkernel/spkernel.go are
+# the drivers feeding those loops — per-row slicing, excluded like the GEMM
+# drivers.)
 #
 # Pack/driver code (packed.go, gemm.go, ...) is deliberately NOT protected:
 # its checks execute O(M·N/8) times, not in the inner loops.
@@ -26,7 +28,8 @@ cd "$(dirname "$0")/.."
 protected="internal/gemm/microkernel.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
-internal/spweight/kernels.go"
+internal/spweight/kernels.go
+internal/spkernel/kernels.go"
 
 pkgs="./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/"
 
