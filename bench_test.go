@@ -58,73 +58,69 @@ func BenchmarkAblationSpatial(b *testing.B) { benchExperiment(b, "ablation-spati
 func BenchmarkAblationRTile(b *testing.B)   { benchExperiment(b, "ablation-rtile") }
 func BenchmarkAblationCTCSR(b *testing.B)   { benchExperiment(b, "ablation-ctcsr") }
 func BenchmarkAblationMachine(b *testing.B) { benchExperiment(b, "ablation-machine") }
-func BenchmarkAblationFFT(b *testing.B)     { benchExperiment(b, "ablation-fft") }
-func BenchmarkGoodputTrain(b *testing.B)    { benchExperiment(b, "goodput-train") }
+func BenchmarkGoodputTrain(b *testing.B)    { benchExperiment(b, "goodput") }
 
 // Per-technique kernel micro-benchmarks on the paper's CIFAR-10 layer 0
 // geometry (Table 2: 36,64,3,5,1) — the head-to-head behind Fig. 8's
 // CIFAR bars, with GFlops and goodput reported as custom metrics.
 
-func cifarL0() (spec spgcnn.ConvSpec, in, w, out, ei, dw, eoDense, eoSparse *spgcnn.Tensor) {
+// cifarL0 returns the layer's fixtures as the one-element batches the kernel
+// seam takes, so the timed loops below build nothing.
+func cifarL0() (spec spgcnn.ConvSpec, w, dw *spgcnn.Tensor, ins, outs, eis, eosDense, eosSparse []*spgcnn.Tensor) {
 	spec = spgcnn.Square(36, 64, 3, 5, 1)
 	r := spgcnn.NewRNG(1)
-	in = spgcnn.NewInput(spec)
+	in := spgcnn.NewInput(spec)
 	in.FillNormal(r, 0, 1)
 	w = spgcnn.NewWeights(spec)
 	w.FillNormal(r, 0, 0.1)
-	out = spgcnn.NewOutput(spec)
-	ei = spgcnn.NewInput(spec)
 	dw = spgcnn.NewWeights(spec)
-	eoDense = spgcnn.NewOutput(spec)
+	eoDense := spgcnn.NewOutput(spec)
 	eoDense.FillNormal(r, 0, 1)
-	eoSparse = eoDense.Clone()
+	eoSparse := eoDense.Clone()
 	eoSparse.Sparsify(r, 0.85)
-	return
+	one := func(t *spgcnn.Tensor) []*spgcnn.Tensor { return []*spgcnn.Tensor{t} }
+	return spec, w, dw, one(in), one(spgcnn.NewOutput(spec)), one(spgcnn.NewInput(spec)), one(eoDense), one(eoSparse)
+}
+
+func benchKernelFP(b *testing.B, k spgcnn.Kernel, w *spgcnn.Tensor, ins, outs []*spgcnn.Tensor) {
+	c := spgcnn.NewCtx(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.ForwardBatch(c, outs, ins, w)
+	}
+	b.ReportMetric(float64(k.Spec().FlopsFP())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 }
 
 func BenchmarkKernelFPUnfoldGEMM(b *testing.B) {
-	spec, in, w, out, _, _, _, _ := cifarL0()
-	k := spgcnn.NewUnfoldGEMM(spec, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Forward(out, in, w)
-	}
-	b.ReportMetric(float64(spec.FlopsFP())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+	spec, w, _, ins, outs, _, _, _ := cifarL0()
+	benchKernelFP(b, spgcnn.NewUnfoldGEMM(spec, 1), w, ins, outs)
 }
 
 func BenchmarkKernelFPStencil(b *testing.B) {
-	spec, in, w, out, _, _, _, _ := cifarL0()
-	k := spgcnn.NewStencil(spec)
+	spec, w, _, ins, outs, _, _, _ := cifarL0()
+	benchKernelFP(b, spgcnn.NewStencil(spec), w, ins, outs)
+}
+
+func benchKernelBP(b *testing.B, k spgcnn.Kernel, w, dw *spgcnn.Tensor, ins, eis, eos []*spgcnn.Tensor) {
+	c := spgcnn.NewCtx(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Forward(out, in, w)
+		k.BackwardInputBatch(c, eis, eos, w)
+		k.BackwardWeightsBatch(c, dw, eos, ins)
 	}
-	b.ReportMetric(float64(spec.FlopsFP())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 }
 
 func BenchmarkKernelBPDense(b *testing.B) {
-	spec, in, w, _, ei, dw, eoDense, _ := cifarL0()
-	k := spgcnn.NewUnfoldGEMM(spec, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.BackwardInput(ei, eoDense, w)
-		k.BackwardWeights(dw, eoDense, in)
-	}
+	spec, w, dw, ins, _, eis, eosDense, _ := cifarL0()
+	benchKernelBP(b, spgcnn.NewUnfoldGEMM(spec, 1), w, dw, ins, eis, eosDense)
 }
 
 func BenchmarkKernelBPSparse85(b *testing.B) {
-	spec, in, w, _, ei, dw, _, eoSparse := cifarL0()
-	k := spgcnn.NewSparse(spec, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.BackwardInput(ei, eoSparse, w)
-		k.BackwardWeights(dw, eoSparse, in)
-	}
-	useful := float64(2 * spgcnn.SparseNonZeroFlops(spec, eoSparse.NNZ()))
+	spec, w, dw, ins, _, eis, _, eosSparse := cifarL0()
+	benchKernelBP(b, spgcnn.NewSparse(spec, 0), w, dw, ins, eis, eosSparse)
+	useful := float64(2 * spgcnn.SparseNonZeroFlops(spec, eosSparse[0].NNZ()))
 	b.ReportMetric(useful*float64(b.N)/b.Elapsed().Seconds()/1e9, "goodput-GFlops")
 }
 
@@ -136,7 +132,7 @@ func BenchmarkTrainStepCIFAR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := spgcnn.FPStrategies(1)[1]
+	st, _ := spgcnn.StrategyByName("gemm-in-parallel", 1)
 	net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -178,8 +174,10 @@ func BenchmarkTrainStepAllocs(b *testing.B) {
 	w.FillNormal(r, 0, 0.1)
 	dw := spgcnn.NewWeights(spec)
 
-	fe := spgcnn.NewExec(spgcnn.FPStrategies(2)[2], spec, 2) // stencil
-	be := spgcnn.NewExec(spgcnn.BPStrategies(2)[2], spec, 2) // sparse
+	stencil, _ := spgcnn.StrategyByName("stencil", 2)
+	sparse, _ := spgcnn.StrategyByName("sparse", 2)
+	fe := spgcnn.NewExecCtx(stencil, spec, spgcnn.NewCtx(2))
+	be := spgcnn.NewExecCtx(sparse, spec, spgcnn.NewCtx(2))
 
 	step := func() {
 		fe.Forward(outs, ins, w)

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"spgcnn"
@@ -48,13 +49,11 @@ func run(args []string, stdout io.Writer) error {
 		batch        = fs.Int("batch", 16, "minibatch size")
 		lr           = fs.Float64("lr", 0.01, "learning rate")
 		workers      = fs.Int("workers", 0, "worker cores (0 = GOMAXPROCS)")
-		strategy     = fs.String("strategy", "auto", "conv strategy: auto, parallel-gemm, gemm-in-parallel, stencil, sparse")
+		strategy     = fs.String("strategy", "auto", "conv strategy: auto, "+strings.Join(strategyNames(), ", "))
 		seed         = fs.Uint64("seed", 42, "random seed")
 		profile      = fs.Bool("profile", false, "print a per-layer time breakdown after training")
 		savePath     = fs.String("save", "", "write a weight checkpoint here after training")
 		loadPath     = fs.String("load", "", "restore a weight checkpoint before training")
-		saveTune     = fs.String("savetune", "", "write the scheduler's per-layer choices (JSON) here after training")
-		loadTune     = fs.String("loadtune", "", "deploy a saved tuning configuration instead of measuring")
 		planCache    = fs.String("plan-cache", "", "persistent plan cache file: load cached strategy verdicts on start (skipping their measurement passes), save the updated cache on exit")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics (Prometheus), /healthz and /debug/pprof on this address during training (e.g. :8080)")
 		replicas     = fs.Int("replicas", 1, "data-parallel model replicas; N > 1 shards each global batch of -batch across N replicas with synchronous parameter averaging")
@@ -178,24 +177,11 @@ func run(args []string, stdout io.Writer) error {
 
 	opts := spgcnn.BuildOptions{Ctx: ctx, Seed: *seed, Planner: planner}
 	if *strategy != "auto" {
-		st, ok := findStrategy(*strategy, w)
+		st, ok := spgcnn.StrategyByName(*strategy, w)
 		if !ok {
-			return fmt.Errorf("unknown strategy %q", *strategy)
+			return fmt.Errorf("unknown strategy %q (want auto, %s)", *strategy, strings.Join(strategyNames(), ", "))
 		}
 		opts.FixedStrategy = &st
-	}
-	if *loadTune != "" {
-		f, err := os.Open(*loadTune)
-		if err != nil {
-			return err
-		}
-		choices, err := spgcnn.LoadTuningChoices(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		opts.Choices = choices
-		fmt.Fprintf(stdout, "deployed tuning configuration %s (%d layers)\n", *loadTune, len(choices))
 	}
 	ds := datasetByName(*dataset, *examples)
 	if ds == nil {
@@ -361,25 +347,6 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("plan cache: %w", err)
 		}
 		fmt.Fprintf(stdout, "plan cache: saved %d entries to %s\n", planner.Entries(), *planCache)
-	}
-	if *saveTune != "" {
-		choices := net.TuningChoices()
-		if len(choices) == 0 {
-			fmt.Fprintln(stdout, "no tuning choices to save (run with -strategy auto)")
-		} else {
-			f, err := os.Create(*saveTune)
-			if err != nil {
-				return err
-			}
-			err = choices.Save(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("saving %s: %w", *saveTune, err)
-			}
-			fmt.Fprintf(stdout, "saved tuning configuration %s\n", *saveTune)
-		}
 	}
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
@@ -639,14 +606,16 @@ func datasetByName(name string, n int) spgcnn.Dataset {
 	}
 }
 
-func findStrategy(name string, workers int) (spgcnn.Strategy, bool) {
-	if workers < 1 {
-		workers = 1
-	}
-	for _, st := range append(spgcnn.FPStrategies(workers), spgcnn.BPStrategies(workers)...) {
-		if st.Name == name {
-			return st, true
+// strategyNames lists the candidate sets' strategy names, FP first, each
+// once — what -strategy accepts besides "auto".
+func strategyNames() []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, st := range append(spgcnn.FPStrategies(1), spgcnn.BPStrategies(1)...) {
+		if !seen[st.Name] {
+			seen[st.Name] = true
+			names = append(names, st.Name)
 		}
 	}
-	return spgcnn.Strategy{}, false
+	return names
 }

@@ -124,18 +124,31 @@ func TestDatasetByName(t *testing.T) {
 }
 
 func TestFindStrategy(t *testing.T) {
-	for _, name := range []string{"parallel-gemm", "gemm-in-parallel", "stencil", "sparse"} {
-		st, ok := findStrategy(name, 2)
+	seen := map[string]bool{}
+	for _, name := range strategyNames() {
+		if seen[name] {
+			t.Fatalf("strategyNames() lists %q twice", name)
+		}
+		seen[name] = true
+		st, ok := spgcnn.StrategyByName(name, 2)
 		if !ok || st.Name != name {
-			t.Fatalf("findStrategy(%q) failed", name)
+			t.Fatalf("StrategyByName(%q) failed", name)
 		}
 	}
-	if _, ok := findStrategy("auto", 2); ok {
+	if !seen["stencil"] || !seen["sparse"] {
+		t.Fatalf("strategyNames() = %v, want both candidate sets", strategyNames())
+	}
+	if _, ok := spgcnn.StrategyByName("auto", 2); ok {
 		t.Fatal("'auto' is not a strategy name and must not resolve")
 	}
 	// Worker floor.
-	if st, ok := findStrategy("parallel-gemm", 0); !ok || st.Name != "parallel-gemm" {
+	if st, ok := spgcnn.StrategyByName("parallel-gemm", 0); !ok || st.Name != "parallel-gemm" {
 		t.Fatal("workers=0 not floored")
+	}
+	// An unknown name is rejected with the accepted names listed.
+	err := run([]string{"-strategy", "warp-drive", "-epochs", "0"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "sparse-weight") {
+		t.Fatalf("unknown strategy error = %v, want the accepted names", err)
 	}
 }
 

@@ -35,8 +35,10 @@ func ExampleNewStencil() {
 
 	a := spgcnn.NewOutput(spec)
 	b := spgcnn.NewOutput(spec)
-	spgcnn.NewStencil(spec).Forward(a, in, w)
-	spgcnn.NewUnfoldGEMM(spec, 1).Forward(b, in, w)
+	ctx := spgcnn.NewCtx(1)
+	ins := []*spgcnn.Tensor{in}
+	spgcnn.NewStencil(spec).ForwardBatch(ctx, []*spgcnn.Tensor{a}, ins, w)
+	spgcnn.NewUnfoldGEMM(spec, 1).ForwardBatch(ctx, []*spgcnn.Tensor{b}, ins, w)
 
 	maxDiff := float32(0)
 	for i := range a.Data {

@@ -29,7 +29,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		st := spgcnn.FPStrategies(1)[1]
+		st, _ := spgcnn.StrategyByName("gemm-in-parallel", 1)
 		// Each replica gets its own execution context (replicas step
 		// concurrently, and a private arena keeps their scratch disjoint).
 		net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{

@@ -1,8 +1,9 @@
 // Pruned inference: train a small network, magnitude-prune its convolution
-// weights, compile the survivors into a sparse-weights inference kernel,
-// and compare dense vs sparse inference time and accuracy across pruning
-// levels — the weight-sparsity counterpart (paper §6, related work) of the
-// error-sparsity the Sparse-Kernel exploits during training.
+// weights, and compare the dense GEMM-in-Parallel strategy against the
+// sparse-weight strategy (the engine the planner deploys on pruned layers)
+// across pruning levels — the weight-sparsity counterpart (paper §6,
+// related work) of the error-sparsity the Sparse-Kernel exploits during
+// training.
 package main
 
 import (
@@ -20,8 +21,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	st := spgcnn.FPStrategies(1)[1]
-	net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{Workers: 1, Seed: 7, FixedStrategy: &st})
+	denseSt, _ := spgcnn.StrategyByName("gemm-in-parallel", 1)
+	sparseSt, _ := spgcnn.StrategyByName("sparse-weight", 1)
+	net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{Workers: 1, Seed: 7, FixedStrategy: &denseSt})
 	if err != nil {
 		panic(err)
 	}
@@ -36,23 +38,27 @@ func main() {
 
 	cv := net.ConvLayers()[0]
 	spec := cv.Spec()
-	dense := spgcnn.NewUnfoldGEMM(spec, 1)
+	ctx := spgcnn.NewCtx(1)
+	dense := spgcnn.NewExecCtx(denseSt, spec, ctx)
+	sparse := spgcnn.NewExecCtx(sparseSt, spec, ctx)
 
 	in := spgcnn.NewInput(spec)
 	out := spgcnn.NewOutput(spec)
 	img := spgcnn.NewTensor(1, 28, 28)
 	ds.Image(0, img)
 	copy(in.Data, img.Data)
+	ins, outs := []*spgcnn.Tensor{in}, []*spgcnn.Tensor{out}
 
+	fmt.Printf("dense = %s, sparse = %s\n", denseSt.Name, sparseSt.Name)
 	fmt.Printf("%-8s %-8s %-12s %-12s %-10s %s\n",
 		"pruned", "taps", "dense ms", "sparse ms", "speedup", "max |out diff|")
 	for _, frac := range []float64{0, 0.5, 0.8, 0.9, 0.95} {
 		pruned := magnitudePrune(cv.W.Clone(), frac)
-		ik := spgcnn.CompileWeights(spec, pruned)
+		pruned.Bump() // tracked weights: the tap compression is cached after the first call
 
-		tDense := timeIt(5, func() { dense.Forward(out, in, pruned) })
+		tDense := timeIt(5, func() { dense.Forward(outs, ins, pruned) })
 		ref := out.Clone()
-		tSparse := timeIt(5, func() { ik.Forward(out, in) })
+		tSparse := timeIt(5, func() { sparse.Forward(outs, ins, pruned) })
 
 		maxDiff := 0.0
 		for i := range out.Data {
@@ -62,10 +68,10 @@ func main() {
 			}
 		}
 		fmt.Printf("%7.0f%% %-8d %-12.3f %-12.3f %-10.2f %g\n",
-			frac*100, ik.NNZ(), tDense*1e3, tSparse*1e3, tDense/tSparse, maxDiff)
+			frac*100, pruned.NNZ(), tDense*1e3, tSparse*1e3, tDense/tSparse, maxDiff)
 	}
-	fmt.Println("\n(both kernels compute the identical pruned convolution; the sparse")
-	fmt.Println(" kernel's time falls with the surviving tap count)")
+	fmt.Println("\n(both strategies compute the identical pruned convolution, bit for bit;")
+	fmt.Println(" the sparse one's time falls with the surviving tap count)")
 }
 
 // magnitudePrune zeroes the fraction of smallest-magnitude weights.

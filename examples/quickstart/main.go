@@ -33,10 +33,14 @@ func main() {
 	baseline := spgcnn.NewUnfoldGEMM(spec, 1) // the Unfold+GEMM baseline
 	stencil := spgcnn.NewStencil(spec)        // §4.3's generated FP kernel
 
+	// Kernels are stateless plans: every call takes the execution context
+	// (workers + scratch arena) and a batch, here of one sample.
+	ctx := spgcnn.NewCtx(1)
+	ins := []*spgcnn.Tensor{in}
 	outA := spgcnn.NewOutput(spec)
 	outB := spgcnn.NewOutput(spec)
-	baseline.Forward(outA, in, w)
-	stencil.Forward(outB, in, w)
+	baseline.ForwardBatch(ctx, []*spgcnn.Tensor{outA}, ins, w)
+	stencil.ForwardBatch(ctx, []*spgcnn.Tensor{outB}, ins, w)
 	maxDiff := float32(0)
 	for i := range outA.Data {
 		d := outA.Data[i] - outB.Data[i]
@@ -56,13 +60,12 @@ func main() {
 	eo.Sparsify(r, 0.85) // the sparsity level real training reaches (Fig. 3b)
 	sparse := spgcnn.NewSparse(spec, 0)
 	ei := spgcnn.NewInput(spec)
-	sparse.BackwardInput(ei, eo, w)
+	sparse.BackwardInputBatch(ctx, []*spgcnn.Tensor{ei}, []*spgcnn.Tensor{eo}, w)
 	fmt.Printf("sparse BP: EO is %.0f%% zeros; EI computed from %d non-zeros\n",
 		eo.Sparsity()*100, eo.NNZ())
 
 	// 4. Or let spg-CNN's scheduler measure and choose (§4.4).
 	auto := spgcnn.NewAutoConv(spec, 2)
-	ins := []*spgcnn.Tensor{in}
 	outs := []*spgcnn.Tensor{spgcnn.NewOutput(spec)}
 	auto.Forward(outs, ins, w)
 	fmt.Println("scheduler measurements (FP):")

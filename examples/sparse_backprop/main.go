@@ -31,7 +31,9 @@ func main() {
 	in.FillNormal(r, 0, 1)
 	w := spgcnn.NewWeights(spec)
 	w.FillNormal(r, 0, 0.1)
-	ei := spgcnn.NewInput(spec)
+	ctx := spgcnn.NewCtx(1)
+	ins := []*spgcnn.Tensor{in}
+	eis := []*spgcnn.Tensor{spgcnn.NewInput(spec)}
 	dw := spgcnn.NewWeights(spec)
 
 	dense := spgcnn.NewUnfoldGEMM(spec, 1)
@@ -43,14 +45,15 @@ func main() {
 		eo := spgcnn.NewOutput(spec)
 		eo.FillNormal(r, 0, 1)
 		eo.Sparsify(r, sp)
+		eos := []*spgcnn.Tensor{eo}
 
 		tDense := timeIt(*reps, func() {
-			dense.BackwardInput(ei, eo, w)
-			dense.BackwardWeights(dw, eo, in)
+			dense.BackwardInputBatch(ctx, eis, eos, w)
+			dense.BackwardWeightsBatch(ctx, dw, eos, ins)
 		})
 		tSparse := timeIt(*reps, func() {
-			sparse.BackwardInput(ei, eo, w)
-			sparse.BackwardWeights(dw, eo, in)
+			sparse.BackwardInputBatch(ctx, eis, eos, w)
+			sparse.BackwardWeightsBatch(ctx, dw, eos, ins)
 		})
 
 		// Goodput (Eq. 9): non-zero flops over elapsed time. The dense

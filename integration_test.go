@@ -66,7 +66,7 @@ func TestSparsityGrowsOnLongerTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := spgcnn.FPStrategies(2)[1]
+	st, _ := spgcnn.StrategyByName("gemm-in-parallel", 2)
 	net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{Workers: 2, Seed: 3, FixedStrategy: &st})
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,9 @@ import (
 // It is itself an engine.Kernel, so batch-parallel deployments compose
 // with everything that consumes the seam.
 type Executor struct {
-	spec   conv.Spec
-	k      engine.Kernel
-	name   string
-	single engine.SingleOps
+	spec conv.Spec
+	k    engine.Kernel
+	name string
 }
 
 // New builds an executor fanning gen's kernel for spec s across the
@@ -163,15 +162,4 @@ func (e *Executor) sumChunks(c *exec.Ctx, dw *tensor.Tensor, n int,
 		dw.AddScaled(accs[i], 1)
 		c.PutTensor(accs[i])
 	}
-}
-
-// Forward implements engine.SingleKernel.
-func (e *Executor) Forward(out, in, w *tensor.Tensor) { e.single.Forward(e, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (e *Executor) BackwardInput(ei, eo, w *tensor.Tensor) { e.single.BackwardInput(e, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (e *Executor) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	e.single.BackwardWeights(e, dw, eo, in)
 }

@@ -213,11 +213,12 @@ func TestSingleSampleCompat(t *testing.T) {
 	in := conv.RandInput(r, s)
 	w := conv.RandWeights(r, s)
 	out := conv.NewOutput(s)
-	e.Forward(out, in, w)
+	// One sample, four workers: the fan-out must cope with n < workers.
+	e.ForwardBatch(exec.New(4), []*tensor.Tensor{out}, []*tensor.Tensor{in}, w)
 	want := conv.NewOutput(s)
 	conv.ForwardRef(s, want, in, w)
 	if !tensor.AlmostEqual(out, want, 1e-3) {
-		t.Fatal("single-sample Forward via compat adapter wrong")
+		t.Fatal("single-sample ForwardBatch wrong")
 	}
 }
 

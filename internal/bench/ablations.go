@@ -5,7 +5,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
-	"spgcnn/internal/fftconv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/spkernel"
@@ -34,53 +34,15 @@ func RunAblationSpatial(o Options) []Table {
 		Columns: []string{"N", "|U| (KiB)", "Unfold ms", "Stencil ms", "Speedup"},
 	}
 	r := rng.New(0xAB1)
+	c := exec.New(1)
 	for _, n := range sizes {
 		s := conv.Square(n, 8, 3, 5, 1)
 		in := conv.RandInput(r, s)
 		w := conv.RandWeights(r, s)
 		out := conv.NewOutput(s)
-		base := unfoldgemm.New(s, 1)
-		stk := stencil.New(s)
-		tBase := minTime(reps, func() { base.Forward(out, in, w) })
-		tStencil := minTime(reps, func() { stk.Forward(out, in, w) })
+		tBase := fpTime(reps, c, unfoldgemm.New(s, 1), out, in, w)
+		tStencil := fpTime(reps, c, stencil.New(s), out, in, w)
 		t.AddRow(n, float64(s.UnfoldedSize()*4)/1024, tBase*1e3, tStencil*1e3, tBase/tStencil)
-	}
-	return []Table{t}
-}
-
-// RunAblationFFT measures the kernel-size trade-off between direct
-// methods and FFT-based convolution (the related-work technique): the FFT
-// amortizes its transforms over more taps as the kernel grows, closing the
-// gap with — and for large enough kernels overtaking — direct convolution,
-// while small kernels are firmly direct-method territory (why the paper's
-// Stencil-Kernel, not an FFT, is the small-conv answer).
-func RunAblationFFT(o Options) []Table {
-	reps := 3
-	if o.full() {
-		reps = 5
-	}
-	t := Table{
-		Title:   "Ablation: FFT vs direct convolution vs kernel size (measured ms, single core)",
-		Note:    "64x64 input, 4 features, 4 channels, stride 1",
-		Columns: []string{"F", "Unfold+GEMM", "Stencil", "FFT", "FFT/best-direct"},
-	}
-	r := rng.New(0xAB4)
-	for _, f := range []int{3, 5, 9, 15, 21, 31} {
-		s := conv.Square(64, 4, 4, f, 1)
-		in := conv.RandInput(r, s)
-		w := conv.RandWeights(r, s)
-		out := conv.NewOutput(s)
-		ug := unfoldgemm.New(s, 1)
-		st := stencil.New(s)
-		ff := fftconv.New(s)
-		tU := minTime(reps, func() { ug.Forward(out, in, w) })
-		tS := minTime(reps, func() { st.Forward(out, in, w) })
-		tF := minTime(reps, func() { ff.Forward(out, in, w) })
-		best := tU
-		if tS < best {
-			best = tS
-		}
-		t.AddRow(f, tU*1e3, tS*1e3, tF*1e3, tF/best)
 	}
 	return []Table{t}
 }
@@ -99,6 +61,7 @@ func RunAblationRTile(o Options) []Table {
 		Columns: []string{"Spec", "ry=1", "ry=2", "ry=3", "ry=4", "chosen"},
 	}
 	r := rng.New(0xAB2)
+	c := exec.New(1)
 	specs := []conv.Spec{
 		conv.Square(28, 20, 1, 5, 1), // MNIST L0
 		conv.Square(36, 64, 3, 5, 1), // CIFAR L0
@@ -112,8 +75,7 @@ func RunAblationRTile(o Options) []Table {
 		for ry := 1; ry <= 4; ry++ {
 			p := stencil.ChoosePlan(s)
 			p.RY = ry
-			k := stencil.NewWithPlan(p)
-			el := minTime(reps, func() { k.Forward(out, in, w) })
+			el := fpTime(reps, c, stencil.NewWithPlan(p), out, in, w)
 			cells = append(cells, float64(s.FlopsFP())/el/1e9)
 		}
 		cells = append(cells, fmt.Sprintf("ry=%d", stencil.ChoosePlan(s).RY))
@@ -148,6 +110,7 @@ func RunAblationCTCSR(o Options) []Table {
 		}(),
 	}
 	r := rng.New(0xAB3)
+	c := exec.New(1)
 	specs := []conv.Spec{
 		conv.Square(32, 32, 32, 4, 1),  // Table 1 ID 0
 		conv.Square(16, 256, 16, 3, 1), // many features: tiling matters
@@ -161,11 +124,7 @@ func RunAblationCTCSR(o Options) []Table {
 		dw := conv.NewWeights(s)
 		cells := []any{s.String()}
 		for _, tw := range widths {
-			k := spkernel.New(s, tw)
-			el := minTime(reps, func() {
-				k.BackwardInput(ei, eo, w)
-				k.BackwardWeights(dw, eo, in)
-			})
+			el := bpTime(reps, c, spkernel.New(s, tw), ei, dw, eo, in, w)
 			cells = append(cells, el*1e3)
 		}
 		t.AddRow(cells...)

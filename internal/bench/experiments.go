@@ -51,7 +51,8 @@ func (o Options) machineOf() machine.Machine {
 // when an experiment needs *a* correct engine and measures something else
 // (e.g. the Fig. 3b sparsity trajectories).
 func fixedSerialStrategy(workers int) core.Strategy {
-	return core.FPStrategies(workers)[1]
+	st, _ := core.StrategyByName("gemm-in-parallel", workers)
+	return st
 }
 
 // Experiment kinds, by how reproducible the numbers are. Deterministic
@@ -103,7 +104,6 @@ func Experiments() []Experiment {
 		{"ablation-rtile", "Ablation: stencil register-tile sweep vs generator choice (measured)", KindMeasured, RunAblationRTile},
 		{"ablation-ctcsr", "Ablation: CT-CSR column-tile width sweep (measured)", KindMeasured, RunAblationCTCSR},
 		{"ablation-machine", "Ablation: machine-model sensitivity study (modeled)", KindModeled, RunAblationMachine},
-		{"ablation-fft", "Ablation: FFT vs direct convolution vs kernel size (measured)", KindMeasured, RunAblationFFT},
 		{"goodput", "Goodput across training: dense vs sparse BP (measured)", KindMeasured, RunGoodputTrain},
 		{"microkernel", "Micro-kernel layer: packed-panel GEMM, pack amortization, prepacked engine (measured)", KindMeasured, RunMicrokernel},
 		{"blockedconv", "Blocked (NCHW8) engine vs packed unfold+GEMM, conversion tax, sparse-weight goodput (measured)", KindMeasured, RunBlockedConv},
@@ -113,16 +113,8 @@ func Experiments() []Experiment {
 	}
 }
 
-// aliases maps historical experiment IDs onto their current names.
-var aliases = map[string]string{
-	"goodput-train": "goodput",
-}
-
-// Lookup finds an experiment by ID (accepting historical aliases).
+// Lookup finds an experiment by ID.
 func Lookup(id string) (Experiment, error) {
-	if canonical, ok := aliases[id]; ok {
-		id = canonical
-	}
 	for _, e := range Experiments() {
 		if e.ID == id {
 			return e, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spgcnn/internal/conv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/spkernel"
 	"spgcnn/internal/stencil"
@@ -25,6 +26,7 @@ func RunFig4Measured(o Options) []Table {
 		reps = 5
 	}
 	r := rng.New(0x4D4F)
+	c := exec.New(1)
 
 	fp := Table{
 		Title: "Fig 4d analogue (measured): Stencil-Kernel FP speedup over serial Unfold+GEMM",
@@ -55,23 +57,15 @@ func RunFig4Measured(o Options) []Table {
 		stk := stencil.New(s)
 		spk := spkernel.New(s, 0)
 
-		tBase := minTime(reps, func() { base.Forward(out, in, w) })
-		tStencil := minTime(reps, func() { stk.Forward(out, in, w) })
+		tBase := fpTime(reps, c, base, out, in, w)
+		tStencil := fpTime(reps, c, stk, out, in, w)
 		fp.AddRow(row.ID, s.String(), s.Nf, tBase*1e3, tStencil*1e3, tBase/tStencil)
 
 		// Dense BP baseline time (sparsity-independent).
-		eoDense := conv.RandOutputError(r, s, 0)
-		tDenseBP := minTime(reps, func() {
-			base.BackwardInput(ei, eoDense, w)
-			base.BackwardWeights(dw, eoDense, in)
-		})
+		tDenseBP := bpTime(reps, c, base, ei, dw, conv.RandOutputError(r, s, 0), in, w)
 		spCells := []any{fmt.Sprintf("ID:%d", row.ID)}
 		for _, sp := range Fig4fSparsities {
-			eo := conv.RandOutputError(r, s, sp)
-			tSparse := minTime(reps, func() {
-				spk.BackwardInput(ei, eo, w)
-				spk.BackwardWeights(dw, eo, in)
-			})
+			tSparse := bpTime(reps, c, spk, ei, dw, conv.RandOutputError(r, s, sp), in, w)
 			spCells = append(spCells, tDenseBP/tSparse)
 		}
 		bp.AddRow(spCells...)
@@ -79,10 +73,7 @@ func RunFig4Measured(o Options) []Table {
 		gpCells := []any{fmt.Sprintf("ID:%d", row.ID)}
 		for _, sp := range SparsityLevels {
 			eo := conv.RandOutputError(r, s, sp)
-			tSparse := minTime(reps, func() {
-				spk.BackwardInput(ei, eo, w)
-				spk.BackwardWeights(dw, eo, in)
-			})
+			tSparse := bpTime(reps, c, spk, ei, dw, eo, in, w)
 			nzf := 2 * spkernel.NonZeroFlops(s, eo.NNZ()) // EI + dW
 			gpCells = append(gpCells, float64(nzf)/tSparse/1e9)
 		}

@@ -6,10 +6,13 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/engine"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/spkernel"
 	"spgcnn/internal/stencil"
+	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
 )
 
@@ -82,6 +85,7 @@ func fig8Measured(o Options) Table {
 		Columns: []string{"Network", "Layer", "Spec (scaled)", "FP Stencil", "BP Sparse"},
 	}
 	r := rng.New(0xF188)
+	c := exec.New(1)
 	for _, l := range Table2() {
 		s := ScaledForHost(l.Spec, maxFlops)
 		in := conv.RandInput(r, s)
@@ -95,20 +99,31 @@ func fig8Measured(o Options) Table {
 		stk := stencil.New(s)
 		spk := spkernel.New(s, 0)
 
-		tFPBase := minTime(reps, func() { base.Forward(out, in, w) })
-		tFPStencil := minTime(reps, func() { stk.Forward(out, in, w) })
-		tBPBase := minTime(reps, func() {
-			base.BackwardInput(ei, eo, w)
-			base.BackwardWeights(dw, eo, in)
-		})
-		tBPSparse := minTime(reps, func() {
-			spk.BackwardInput(ei, eo, w)
-			spk.BackwardWeights(dw, eo, in)
-		})
+		tFPBase := fpTime(reps, c, base, out, in, w)
+		tFPStencil := fpTime(reps, c, stk, out, in, w)
+		tBPBase := bpTime(reps, c, base, ei, dw, eo, in, w)
+		tBPSparse := bpTime(reps, c, spk, ei, dw, eo, in, w)
 		t.AddRow(l.Network, fmt.Sprintf("L%d", l.Layer), s.String(),
 			tFPBase/tFPStencil, tBPBase/tBPSparse)
 	}
 	return t
+}
+
+// fpTime is minTime over one sample's forward pass (Eq. 2) through k. The
+// one-element batches are built outside the timed closure.
+func fpTime(reps int, c *exec.Ctx, k engine.Kernel, out, in, w *tensor.Tensor) float64 {
+	outs, ins := []*tensor.Tensor{out}, []*tensor.Tensor{in}
+	return minTime(reps, func() { k.ForwardBatch(c, outs, ins, w) })
+}
+
+// bpTime is minTime over one sample's backward pass (Eq. 3 + Eq. 4)
+// through k.
+func bpTime(reps int, c *exec.Ctx, k engine.Kernel, ei, dw, eo, in, w *tensor.Tensor) float64 {
+	eis, eos, ins := []*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in}
+	return minTime(reps, func() {
+		k.BackwardInputBatch(c, eis, eos, w)
+		k.BackwardWeightsBatch(c, dw, eos, ins)
+	})
 }
 
 // minTime runs fn reps times after a warm-up and returns the fastest run

@@ -119,16 +119,6 @@ func TestCompareCrossIdentityRejected(t *testing.T) {
 	}
 }
 
-func TestLookupAlias(t *testing.T) {
-	e, err := Lookup("goodput-train")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "goodput" {
-		t.Fatalf("alias resolved to %q, want goodput", e.ID)
-	}
-}
-
 func TestEveryExperimentHasKind(t *testing.T) {
 	for _, e := range Experiments() {
 		switch e.Kind {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"spgcnn/internal/conv"
-	"spgcnn/internal/core"
 	"spgcnn/internal/dataparallel"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/nn"
@@ -197,8 +196,7 @@ type scaleoutGoodputConfig struct {
 func scaleoutNet(seed uint64) *nn.Network {
 	r := rng.New(seed)
 	s := conv.Square(8, 3, 2, 3, 1)
-	st := core.FPStrategies(1)[1]
-	cv := nn.NewConvFixed("conv0", s, st, 1, r)
+	cv := nn.NewConvFixed("conv0", s, fixedSerialStrategy(1), 1, r)
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
 	fc := nn.NewFC("fc0", re.OutDims(), 4, 1, r)
 	return nn.NewNetwork(cv, re, fc)

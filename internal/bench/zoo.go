@@ -54,14 +54,16 @@ func RunZoo(o Options) []Table {
 			float64(elapsed)/float64(time.Millisecond)/float64(steps),
 			float64(batch*steps)/elapsed.Seconds(),
 			flops)
-		choices := net.TuningChoices()
 		for _, c := range convs {
 			s := c.Spec()
-			ch := choices[c.Name()]
+			var fpName, bpName string
+			if fp, bp, ok := c.Selections(); ok && fp.Chosen != nil && bp.Chosen != nil {
+				fpName, bpName = fp.Chosen.Strategy().Name, bp.Chosen.Strategy().Name
+			}
 			t2.AddRow(z.Name+"/"+c.Name(),
 				s.String(),
 				fmt.Sprintf("%v / %v", ait.Classify(s, 0), ait.Classify(s, 1)),
-				ch.FP, ch.BP)
+				fpName, bpName)
 		}
 	}
 	return []Table{t1, t2}

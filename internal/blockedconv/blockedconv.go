@@ -39,9 +39,8 @@ import (
 // concurrent use: the weight-block cache is mutex-guarded and all other
 // state is per-call arena scratch.
 type Kernel struct {
-	spec   conv.Spec
-	single engine.SingleOps
-	bp     *unfoldgemm.Kernel // BP delegate (serial; batchpar supplies the fan-out)
+	spec conv.Spec
+	bp   *unfoldgemm.Kernel // BP delegate (serial; batchpar supplies the fan-out)
 
 	mu    sync.Mutex
 	wdata []float32      // identity of the cached weight tensor's Data
@@ -164,15 +163,6 @@ func (k *Kernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *t
 func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	k.bp.BackwardWeightsBatch(c, dw, eos, ins)
 }
-
-// Forward implements engine.SingleKernel.
-func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInput(k, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) { k.single.BackwardWeights(k, dw, eo, in) }
 
 // Generator returns an engine.Generator for the blocked-layout technique.
 func Generator() engine.Generator {

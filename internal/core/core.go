@@ -80,8 +80,6 @@ func FPStrategies(workers int) []Strategy {
 		{Name: "parallel-gemm", Gen: unfoldgemm.Generator(workers)},
 		{Name: "gemm-in-parallel", Gen: unfoldgemm.Generator(1), BatchParallel: true},
 		{Name: "stencil", Gen: stencil.Generator(), BatchParallel: true},
-		// Appended after the paper's three so existing positional
-		// references ([1] gemm-in-parallel, [2] stencil) stay stable.
 		{Name: "gemm-packed", Gen: unfoldgemm.PackedGenerator(workers)},
 		{Name: "blocked", Gen: blockedconv.Generator(), BatchParallel: true, Layout: tensor.NCHW8},
 		{Name: "sparse-weight", Gen: spweight.Generator(), BatchParallel: true},
@@ -95,9 +93,25 @@ func BPStrategies(workers int) []Strategy {
 		{Name: "parallel-gemm", Gen: unfoldgemm.Generator(workers)},
 		{Name: "gemm-in-parallel", Gen: unfoldgemm.Generator(1), BatchParallel: true},
 		{Name: "sparse", Gen: spkernel.Generator(), BatchParallel: true},
-		// Appended after the paper's three (see FPStrategies).
 		{Name: "gemm-packed", Gen: unfoldgemm.PackedGenerator(workers)},
 	}
+}
+
+// StrategyByName resolves a strategy name (from either candidate set, or
+// the reference fallback) at the given worker count.
+func StrategyByName(name string, workers int) (Strategy, bool) {
+	if workers < 1 {
+		workers = 1
+	}
+	for _, st := range append(FPStrategies(workers), BPStrategies(workers)...) {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	if ref := ReferenceStrategy(); ref.Name == name {
+		return ref, true
+	}
+	return Strategy{}, false
 }
 
 // Exec executes one layer phase over batches according to a strategy. All
@@ -135,12 +149,6 @@ func NewExecCtx(st Strategy, s conv.Spec, c *exec.Ctx) *Exec {
 	e.spanBPW = "core/bpw/" + st.Name
 	e.spanBP = "core/bp/" + st.Name
 	return e
-}
-
-// NewExec instantiates a strategy for a spec with a private context of the
-// given worker count.
-func NewExec(st Strategy, s conv.Spec, workers int) *Exec {
-	return NewExecCtx(st, s, exec.New(workers))
 }
 
 // Strategy returns the strategy this exec runs.

@@ -54,6 +54,18 @@ func names(sts []Strategy) []string {
 	return out
 }
 
+func TestStrategyByName(t *testing.T) {
+	for _, name := range []string{"parallel-gemm", "gemm-in-parallel", "stencil", "sparse", ReferenceStrategy().Name} {
+		st, ok := StrategyByName(name, 4)
+		if !ok || st.Name != name {
+			t.Fatalf("StrategyByName(%q) failed", name)
+		}
+	}
+	if _, ok := StrategyByName("nope", 4); ok {
+		t.Fatal("unknown name resolved")
+	}
+}
+
 func TestAllExecsAgree(t *testing.T) {
 	// Every strategy must compute identical results on the same batch —
 	// the scheduler's freedom to pick any of them depends on it.
@@ -70,7 +82,7 @@ func TestAllExecsAgree(t *testing.T) {
 	var results []result
 	var nms []string
 	for _, st := range append(FPStrategies(3), BPStrategies(3)...) {
-		e := NewExec(st, s, 3)
+		e := NewExecCtx(st, s, exec.New(3))
 		res := result{dw: conv.NewWeights(s)}
 		for range ins {
 			res.outs = append(res.outs, conv.NewOutput(s))

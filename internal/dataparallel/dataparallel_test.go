@@ -15,7 +15,7 @@ import (
 func buildNet(seed uint64) *nn.Network {
 	r := rng.New(seed)
 	s := conv.Square(8, 3, 2, 3, 1)
-	st := core.FPStrategies(1)[1]
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	cv := nn.NewConvFixed("conv0", s, st, 1, r)
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
 	fc := nn.NewFC("fc0", re.OutDims(), 4, 1, r)

@@ -60,12 +60,20 @@ func TestSharedPlannerAcrossReplicas(t *testing.T) {
 	}
 
 	// Every replica deployed the same verdicts.
-	ref := tr.Replica(0).TuningChoices()
+	deployed := func(i int) (names []string) {
+		for _, c := range tr.Replica(i).ConvLayers() {
+			if fp, bp, ok := c.Selections(); ok && fp.Chosen != nil && bp.Chosen != nil {
+				names = append(names, c.Name(), fp.Chosen.Strategy().Name, bp.Chosen.Strategy().Name)
+			}
+		}
+		return names
+	}
+	ref := deployed(0)
 	if len(ref) == 0 {
 		t.Fatal("replica 0 recorded no tuning choices")
 	}
 	for i := 1; i < 4; i++ {
-		if got := tr.Replica(i).TuningChoices(); !reflect.DeepEqual(got, ref) {
+		if got := deployed(i); !reflect.DeepEqual(got, ref) {
 			t.Errorf("replica %d deployed %v, replica 0 deployed %v", i, got, ref)
 		}
 	}

@@ -11,16 +11,9 @@
 // call. One kernel instance is therefore cheap to build, cheap to hold,
 // and safe to invoke concurrently from many goroutines as long as each
 // call gets its own output tensors.
-//
-// Legacy per-sample callers use SingleKernel, which every engine also
-// implements via a small SingleOps adapter that wraps each sample in a
-// one-element batch against a private serial context.
 package engine
 
 import (
-	"fmt"
-	"sync"
-
 	"spgcnn/internal/conv"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
@@ -81,73 +74,6 @@ type BlockedKernel interface {
 	ForwardBlockedBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor)
 }
 
-// SingleKernel is the legacy per-sample seam. Every engine still provides
-// it (through SingleOps) for callers that step one sample at a time.
-// Unlike the batch entry points, these methods are NOT safe for concurrent
-// use on one kernel instance.
-type SingleKernel interface {
-	Name() string
-	Spec() conv.Spec
-
-	// Forward computes out = conv(in, w) (Eq. 2).
-	Forward(out, in, w *tensor.Tensor)
-
-	// BackwardInput computes ei = corr(eo, w) (Eq. 3). ei is overwritten.
-	BackwardInput(ei, eo, w *tensor.Tensor)
-
-	// BackwardWeights computes dw = grad(eo, in) (Eq. 4). dw is
-	// overwritten.
-	BackwardWeights(dw, eo, in *tensor.Tensor)
-}
-
-// SingleOps adapts the batch seam to the per-sample one. Engines embed a
-// SingleOps value and forward their SingleKernel methods through it:
-//
-//	func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-//
-// The adapter lazily builds one private serial context (fresh arena, no
-// probe sharing) and reuses two one-element batch slices across calls, so
-// per-sample stepping stays allocation-free after the first call. Like the
-// legacy contract it replaces, a SingleOps value is not safe for
-// concurrent use.
-type SingleOps struct {
-	once sync.Once
-	ctx  *exec.Ctx
-	a, b [1]*tensor.Tensor
-}
-
-// Ctx returns the adapter's private serial context, building it on first
-// use.
-func (s *SingleOps) Ctx() *exec.Ctx {
-	s.once.Do(func() { s.ctx = exec.New(1) })
-	return s.ctx
-}
-
-// Forward runs k's ForwardBatch on the single sample (out, in).
-func (s *SingleOps) Forward(k Kernel, out, in, w *tensor.Tensor) {
-	c := s.Ctx()
-	s.a[0], s.b[0] = out, in
-	k.ForwardBatch(c, s.a[:], s.b[:], w)
-	s.a[0], s.b[0] = nil, nil
-}
-
-// BackwardInput runs k's BackwardInputBatch on the single sample (ei, eo).
-func (s *SingleOps) BackwardInput(k Kernel, ei, eo, w *tensor.Tensor) {
-	c := s.Ctx()
-	s.a[0], s.b[0] = ei, eo
-	k.BackwardInputBatch(c, s.a[:], s.b[:], w)
-	s.a[0], s.b[0] = nil, nil
-}
-
-// BackwardWeights runs k's BackwardWeightsBatch on the single sample
-// (eo, in).
-func (s *SingleOps) BackwardWeights(k Kernel, dw, eo, in *tensor.Tensor) {
-	c := s.Ctx()
-	s.a[0], s.b[0] = eo, in
-	k.BackwardWeightsBatch(c, dw, s.a[:], s.b[:])
-	s.a[0], s.b[0] = nil, nil
-}
-
 // Generator builds a kernel specialized to a spec. It plays the role of
 // the paper's code generators: invoked once per (layer, technique), the
 // result is then run for every training batch.
@@ -159,10 +85,9 @@ type Generator struct {
 	New func(s conv.Spec) Kernel
 	// Supports reports whether the technique can execute the given
 	// geometry. nil means every valid spec is supported. Shape-restricted
-	// engines (Winograd's fixed 3×3/stride-1 form, FFT's plain geometry,
-	// the sparse kernels' ungrouped/undilated loop nests) set this so the
-	// planner prunes them from the candidate set instead of crashing at
-	// generation time.
+	// engines (the sparse kernels' ungrouped/undilated loop nests, the
+	// prepacked GEMM's single weight pack) set this so the planner prunes
+	// them from the candidate set instead of crashing at generation time.
 	Supports func(s conv.Spec) bool
 }
 
@@ -182,38 +107,3 @@ func Supports(g Generator, s conv.Spec) bool {
 // generalized spec: they handle exactly the unpadded, undilated,
 // ungrouped geometry.
 func PlainOnly(s conv.Spec) bool { return s.Plain() }
-
-// Registry is an ordered collection of kernel generators the scheduler
-// chooses among.
-type Registry struct {
-	gens []Generator
-}
-
-// Register appends a generator. Duplicate names panic — the scheduler
-// reports choices by name, so names must be unambiguous.
-func (r *Registry) Register(g Generator) {
-	if g.New == nil {
-		panic("engine: Register with nil constructor")
-	}
-	for _, existing := range r.gens {
-		if existing.Name == g.Name {
-			panic(fmt.Sprintf("engine: duplicate generator %q", g.Name))
-		}
-	}
-	r.gens = append(r.gens, g)
-}
-
-// Generators returns the registered generators in registration order.
-func (r *Registry) Generators() []Generator {
-	return append([]Generator(nil), r.gens...)
-}
-
-// Lookup returns the generator with the given name.
-func (r *Registry) Lookup(name string) (Generator, bool) {
-	for _, g := range r.gens {
-		if g.Name == name {
-			return g, true
-		}
-	}
-	return Generator{}, false
-}

@@ -4,138 +4,31 @@ import (
 	"testing"
 
 	"spgcnn/internal/conv"
-	"spgcnn/internal/exec"
-	"spgcnn/internal/tensor"
 )
 
-type fakeKernel struct {
-	s      conv.Spec
-	single SingleOps
-	calls  []string
-}
+func TestSupports(t *testing.T) {
+	plain := conv.Square(8, 4, 2, 3, 1)
+	padded := plain
+	padded.Px, padded.Py = 1, 1
+	invalid := plain
+	invalid.Nf = 0
 
-func (f *fakeKernel) Name() string    { return "fake" }
-func (f *fakeKernel) Spec() conv.Spec { return f.s }
-
-func (f *fakeKernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	f.calls = append(f.calls, "fwd")
-	for i := range outs {
-		outs[i].Data[0] = ins[i].Data[0] + w.Data[0]
-	}
-}
-
-func (f *fakeKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
-	f.calls = append(f.calls, "bpi")
-	for i := range eis {
-		eis[i].Data[0] = eos[i].Data[0] * w.Data[0]
-	}
-}
-
-func (f *fakeKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-	f.calls = append(f.calls, "bpw")
-	dw.Data[0] = 0
-	for i := range eos {
-		dw.Data[0] += eos[i].Data[0] * ins[i].Data[0]
-	}
-}
-
-func (f *fakeKernel) Forward(out, in, w *tensor.Tensor) { f.single.Forward(f, out, in, w) }
-func (f *fakeKernel) BackwardInput(ei, eo, w *tensor.Tensor) {
-	f.single.BackwardInput(f, ei, eo, w)
-}
-func (f *fakeKernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	f.single.BackwardWeights(f, dw, eo, in)
-}
-
-func newFake(s conv.Spec) Kernel { return &fakeKernel{s: s} }
-
-func scalar(v float32) *tensor.Tensor {
-	t := tensor.New(1)
-	t.Data[0] = v
-	return t
-}
-
-func TestSingleOpsAdaptsBatchSeam(t *testing.T) {
-	f := &fakeKernel{}
-	out, in, w := scalar(0), scalar(3), scalar(5)
-	f.Forward(out, in, w)
-	if out.Data[0] != 8 {
-		t.Fatalf("Forward via SingleOps: got %v, want 8", out.Data[0])
-	}
-	ei, eo := scalar(0), scalar(2)
-	f.BackwardInput(ei, eo, w)
-	if ei.Data[0] != 10 {
-		t.Fatalf("BackwardInput via SingleOps: got %v, want 10", ei.Data[0])
-	}
-	dw := scalar(99)
-	f.BackwardWeights(dw, eo, in)
-	if dw.Data[0] != 6 {
-		t.Fatalf("BackwardWeights via SingleOps: got %v, want 6 (overwrite semantics)", dw.Data[0])
-	}
-	want := []string{"fwd", "bpi", "bpw"}
-	for i, c := range want {
-		if f.calls[i] != c {
-			t.Fatalf("calls = %v, want %v", f.calls, want)
+	open := Generator{Name: "open"}
+	plainOnly := Generator{Name: "plain", Supports: PlainOnly}
+	for _, tc := range []struct {
+		g    Generator
+		s    conv.Spec
+		want bool
+	}{
+		{open, plain, true},
+		{open, padded, true},
+		{open, invalid, false},
+		{plainOnly, plain, true},
+		{plainOnly, padded, false},
+		{plainOnly, invalid, false},
+	} {
+		if got := Supports(tc.g, tc.s); got != tc.want {
+			t.Errorf("Supports(%s, %v) = %v, want %v", tc.g.Name, tc.s, got, tc.want)
 		}
-	}
-	// The adapter's context is serial and stable across calls.
-	if f.single.Ctx().Workers() != 1 || f.single.Ctx() != f.single.Ctx() {
-		t.Fatal("SingleOps context must be a stable serial ctx")
-	}
-	// Batch slots are cleared after each call so tensors are not retained.
-	if f.single.a[0] != nil || f.single.b[0] != nil {
-		t.Fatal("SingleOps retained sample tensors after the call")
-	}
-}
-
-func TestRegistryRegisterLookup(t *testing.T) {
-	var r Registry
-	r.Register(Generator{Name: "a", New: newFake})
-	r.Register(Generator{Name: "b", New: newFake})
-	if len(r.Generators()) != 2 {
-		t.Fatalf("Generators = %d entries, want 2", len(r.Generators()))
-	}
-	g, ok := r.Lookup("b")
-	if !ok || g.Name != "b" {
-		t.Fatal("Lookup(b) failed")
-	}
-	if _, ok := r.Lookup("missing"); ok {
-		t.Fatal("Lookup(missing) succeeded")
-	}
-	// Order preserved.
-	if r.Generators()[0].Name != "a" {
-		t.Fatal("registration order not preserved")
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	var r Registry
-	g := Generator{Name: "a", New: newFake}
-	r.Register(g)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	r.Register(g)
-}
-
-func TestRegistryNilConstructorPanics(t *testing.T) {
-	var r Registry
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil constructor Register did not panic")
-		}
-	}()
-	r.Register(Generator{Name: "x"})
-}
-
-func TestGeneratorsReturnsCopy(t *testing.T) {
-	var r Registry
-	r.Register(Generator{Name: "a", New: newFake})
-	gens := r.Generators()
-	gens[0].Name = "mutated"
-	if g, _ := r.Lookup("a"); g.Name != "a" {
-		t.Fatal("Generators exposed internal slice")
 	}
 }

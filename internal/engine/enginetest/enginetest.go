@@ -162,13 +162,12 @@ func checkForward(t *testing.T, c *exec.Ctx, k engine.Kernel, r *rng.RNG, opts O
 		t.Fatalf("%s: second ForwardBatch not bit-identical (stale scratch?) for %v", k.Name(), s)
 	}
 
-	// Per-sample compat path must agree with the batch path bit-for-bit.
-	if sk, ok := k.(engine.SingleKernel); ok {
-		got := conv.NewOutput(s)
-		sk.Forward(got, ins[0], w)
-		if !tensor.Identical(got, outs[0]) {
-			t.Fatalf("%s: single-sample Forward differs from ForwardBatch for %v", k.Name(), s)
-		}
+	// A batch of one must reproduce sample 0 of the full batch bit-for-bit:
+	// batch-size-1 special cases are serving's common path.
+	one := conv.NewOutput(s)
+	k.ForwardBatch(c, []*tensor.Tensor{one}, ins[:1], w)
+	if !tensor.Identical(one, outs[0]) {
+		t.Fatalf("%s: ForwardBatch of one differs from sample 0 of the batch for %v", k.Name(), s)
 	}
 }
 
@@ -203,6 +202,35 @@ func checkBackward(t *testing.T, c *exec.Ctx, k engine.Kernel, r *rng.RNG, spars
 	if !tensor.AlmostEqual(gotDW, wantDW, opts.Tol) {
 		t.Fatalf("%s: BackwardWeightsBatch differs from per-sample sum for %v at sparsity %.2f (max diff %g)",
 			k.Name(), s, sparsity, tensor.MaxAbsDiff(gotDW, wantDW))
+	}
+
+	// Batch of one: EI reproduces sample 0 of the full batch bit-for-bit;
+	// dW has no per-sample slice in a batch sum, so it is held to the
+	// reference; the fused seam, where present, reproduces both.
+	oneEI := conv.NewInput(s)
+	oneEI.FillUniform(r, -9, 9)
+	k.BackwardInputBatch(c, []*tensor.Tensor{oneEI}, eos[:1], w)
+	if !tensor.Identical(oneEI, eis[0]) {
+		t.Fatalf("%s: BackwardInputBatch of one differs from sample 0 of the batch for %v at sparsity %.2f",
+			k.Name(), s, sparsity)
+	}
+	oneDW := conv.NewWeights(s)
+	oneDW.FillUniform(r, -9, 9)
+	k.BackwardWeightsBatch(c, oneDW, eos[:1], ins[:1])
+	conv.BackwardWeightsRef(s, wantDW, eos[0], ins[0])
+	if !tensor.AlmostEqual(oneDW, wantDW, opts.Tol) {
+		t.Fatalf("%s: BackwardWeightsBatch of one differs from reference for %v at sparsity %.2f (max diff %g)",
+			k.Name(), s, sparsity, tensor.MaxAbsDiff(oneDW, wantDW))
+	}
+	if fk, ok := k.(engine.FusedBackward); ok {
+		fusedEI, fusedDW := conv.NewInput(s), conv.NewWeights(s)
+		fusedEI.FillUniform(r, -9, 9)
+		fusedDW.FillUniform(r, -9, 9)
+		fk.BackwardBatch(c, []*tensor.Tensor{fusedEI}, fusedDW, eos[:1], ins[:1], w)
+		if !tensor.Identical(fusedEI, eis[0]) || !tensor.Identical(fusedDW, oneDW) {
+			t.Fatalf("%s: fused BackwardBatch of one differs from the pair for %v at sparsity %.2f",
+				k.Name(), s, sparsity)
+		}
 	}
 }
 

@@ -25,10 +25,6 @@ type BuildOptions struct {
 	// baseline configurations of Fig. 9 are constructed). Nil selects
 	// spg-CNN's auto-tuning scheduler.
 	FixedStrategy *core.Strategy
-	// Choices deploys a saved tuning configuration: any conv layer named
-	// in it gets the recorded FP/BP strategies (taking precedence over
-	// FixedStrategy and auto-tuning for that layer).
-	Choices core.Choices
 	// Planner owns strategy selection for auto-tuned conv layers. Nil
 	// builds one fresh plan.Planner per Build call, so same-geometry
 	// layers within the network tune once and share the verdict. Pass an
@@ -41,7 +37,7 @@ type BuildOptions struct {
 	// layers plan one strategy per batch-size bucket instead of carrying
 	// the training scheduler, dropout layers run as identity, and the
 	// returned network allocates no gradient storage (Backward panics).
-	// FixedStrategy and Choices still take precedence per layer.
+	// FixedStrategy still takes precedence.
 	Inference bool
 	// InferBuckets are the batch-size buckets inference conv layers plan
 	// for (sorted internally). Empty plans each observed batch size on
@@ -104,19 +100,7 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 				return nil, fmt.Errorf("netdef: layer %q: %w", l.Name, err)
 			}
 			var cl *nn.Conv
-			if ch, ok := opts.Choices[name]; ok {
-				fp, okFP := core.StrategyByName(ch.FP, workers)
-				bp, okBP := core.StrategyByName(ch.BP, workers)
-				if !okFP || !okBP {
-					return nil, fmt.Errorf("netdef: layer %q: tuning config names unknown strategy (%q/%q)",
-						name, ch.FP, ch.BP)
-				}
-				if !fp.Supports(s) || !bp.Supports(s) {
-					return nil, fmt.Errorf("netdef: layer %q: tuning config strategy (%q/%q) does not support spec %v",
-						name, ch.FP, ch.BP, s)
-				}
-				cl = nn.NewConvSplitCtx(name, s, fp, bp, ctx, r)
-			} else if opts.FixedStrategy != nil {
+			if opts.FixedStrategy != nil {
 				if !opts.FixedStrategy.Supports(s) {
 					return nil, fmt.Errorf("netdef: layer %q: fixed strategy %q does not support spec %v",
 						name, opts.FixedStrategy.Name, s)

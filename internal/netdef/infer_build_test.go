@@ -40,7 +40,7 @@ func TestInferenceBuildSharesWeightsAndMatchesTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.FPStrategies(1)[1] // gemm-in-parallel
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	train, err := Build(def, BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/nn"
 	"spgcnn/internal/rng"
@@ -89,7 +90,7 @@ func prodInts(dims []int) int {
 }
 
 func TestBuildFixedStrategy(t *testing.T) {
-	st := core.FPStrategies(1)[1]
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	net := MustBuild(MNISTNet, BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 2})
 	// Run one tiny forward/backward to prove it executes.
 	in := tensor.New(net.InDims()...)
@@ -229,42 +230,6 @@ func TestFloatFieldPromotion(t *testing.T) {
 	}
 }
 
-func TestBuildDeploysTuningChoices(t *testing.T) {
-	choices := core.Choices{
-		"conv0": {FP: "stencil", BP: "sparse"},
-	}
-	def, err := Parse(MNISTNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := Build(def, BuildOptions{Workers: 1, Seed: 2, Choices: choices})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The layer runs the deployed strategies (fixed, not auto): a
-	// forward/backward must execute without a tuning pass, and
-	// TuningChoices (auto-harvest) reports nothing for fixed layers.
-	in := tensor.New(net.InDims()...)
-	logits := net.Forward([]*tensor.Tensor{in})
-	d := tensor.New(net.OutDims()...)
-	nn.SoftmaxXent{}.Loss(logits[0], 0, d)
-	net.Backward([]*tensor.Tensor{d}, []*tensor.Tensor{in})
-	if len(net.TuningChoices()) != 0 {
-		t.Fatal("fixed-choice layers should not report auto-tuning selections")
-	}
-}
-
-func TestBuildRejectsBadTuningChoices(t *testing.T) {
-	def, err := Parse(MNISTNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Build(def, BuildOptions{Choices: core.Choices{"conv0": {FP: "bogus", BP: "sparse"}}})
-	if err == nil {
-		t.Fatal("bogus strategy name accepted")
-	}
-}
-
 func TestRoundTripTable2Geometry(t *testing.T) {
 	// CIFARNet's conv0 must match Table 2's 36,64,3,5,1 exactly.
 	net := MustBuild(CIFARNet, BuildOptions{Seed: 4})
@@ -284,8 +249,8 @@ func TestRoundTripTable2Geometry(t *testing.T) {
 
 func TestBuildBlockedAndSparseWeightStrategies(t *testing.T) {
 	// The grown FP engines resolve through the same name registry as the
-	// paper's strategies, both as a net-wide FixedStrategy and as a saved
-	// per-layer tuning choice, and the layer reports the planned layout.
+	// paper's strategies as a net-wide FixedStrategy, and the layer reports
+	// the strategy's layout.
 	for _, name := range []string{"blocked", "sparse-weight"} {
 		st, ok := core.StrategyByName(name, 1)
 		if !ok {
@@ -300,22 +265,15 @@ func TestBuildBlockedAndSparseWeightStrategies(t *testing.T) {
 		nn.SoftmaxXent{}.Loss(logits[0], 3, d)
 		net.Backward([]*tensor.Tensor{d}, []*tensor.Tensor{in})
 		net.ApplyGrads(0.01, 1)
-	}
-
-	choices := core.Choices{"conv0": {FP: "blocked", BP: "gemm-in-parallel"}}
-	net := MustBuild(MNISTNet, BuildOptions{Workers: 1, Choices: choices, Seed: 2})
-	var cl *nn.Conv
-	for _, l := range net.Layers() {
-		if c, ok := l.(*nn.Conv); ok {
-			cl = c
-			break
+		if fpL, bpL := net.ConvLayers()[0].Layouts(); fpL != st.Layout || bpL != st.Layout {
+			t.Fatalf("%s: conv0 layouts fp=%v bp=%v, want %v", name, fpL, bpL, st.Layout)
 		}
 	}
-	if cl == nil {
-		t.Fatal("no conv layer built")
-	}
-	fpL, bpL := cl.Layouts()
-	if fpL != tensor.NCHW8 || bpL != tensor.NCHW {
+	// A split layer reports each phase's own layout.
+	fp, _ := core.StrategyByName("blocked", 1)
+	bp, _ := core.StrategyByName("gemm-in-parallel", 1)
+	cl := nn.NewConvSplit("conv0", conv.Square(8, 8, 8, 3, 1), fp, bp, 1, rng.New(4))
+	if fpL, bpL := cl.Layouts(); fpL != tensor.NCHW8 || bpL != tensor.NCHW {
 		t.Fatalf("conv0 layouts fp=%v bp=%v, want nchw8/nchw", fpL, bpL)
 	}
 }

@@ -49,7 +49,7 @@ func TestZooTrainsEndToEnd(t *testing.T) {
 				net.Backward(ds, ins)
 				net.ApplyGrads(0.01, batch)
 			}
-			choices := net.TuningChoices()
+			choices := deployed(net)
 			for _, c := range net.ConvLayers() {
 				if _, ok := choices[c.Name()]; !ok {
 					t.Errorf("conv layer %q deployed no strategy", c.Name())

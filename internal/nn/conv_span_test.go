@@ -23,7 +23,7 @@ func TestConvLayerSpansFixedStrategy(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
 	ctx := exec.New(1)
 	r := rng.New(1)
-	st := core.FPStrategies(1)[1] // gemm-in-parallel
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	c := NewConvFixedCtx("c0", s, st, ctx, r)
 	ins, outs, eos, eis := convFixtures(r, s)
 

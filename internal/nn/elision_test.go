@@ -25,7 +25,7 @@ func twoConvNet(seed uint64, bp string) *Network {
 	const workers = 2
 	c := exec.New(workers)
 	r := rng.New(seed)
-	fp := core.FPStrategies(workers)[1]
+	fp, _ := core.StrategyByName("gemm-in-parallel", workers)
 	s0 := conv.Square(12, 6, 2, 3, 1)
 	c0 := NewConvSplitCtx("conv0", s0, fp, bpStrategy(bp, workers), c, r)
 	r0 := NewReLU("relu0", c0.OutDims(), workers)

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"spgcnn/internal/core"
 	"spgcnn/internal/tensor"
 )
 
@@ -155,25 +154,6 @@ func (n *Network) EpochEnd() {
 	for _, layer := range n.layers {
 		layer.EpochEnd()
 	}
-}
-
-// TuningChoices harvests the spg-CNN scheduler's current per-layer
-// deployments from every auto-tuned conv layer — the network's "best
-// configuration" (§1.3), serializable via core.Choices.Save. Layers that
-// have not tuned yet (or run fixed strategies) are omitted.
-func (n *Network) TuningChoices() core.Choices {
-	out := core.Choices{}
-	for _, c := range n.ConvLayers() {
-		fp, bp, ok := c.Selections()
-		if !ok || fp.Chosen == nil || bp.Chosen == nil {
-			continue
-		}
-		out[c.Name()] = core.LayerChoice{
-			FP: fp.Chosen.Strategy().Name,
-			BP: bp.Chosen.Strategy().Name,
-		}
-	}
-	return out
 }
 
 // ConvLayers returns the convolution layers, in order — the Fig. 3b/Fig. 8

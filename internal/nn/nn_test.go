@@ -10,7 +10,11 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-func serialStrategy() core.Strategy { return core.FPStrategies(1)[1] } // gemm-in-parallel(serial kernels)
+// serialStrategy is gemm-in-parallel: serial kernels, batch parallel.
+func serialStrategy() core.Strategy {
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
+	return st
+}
 
 func TestReLUForwardBackward(t *testing.T) {
 	l := NewReLU("relu", []int{4}, 2)

@@ -39,7 +39,7 @@ func TestParametersDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestTuningChoicesHarvestAfterAutoTune(t *testing.T) {
+func TestSelectionsAfterAutoTune(t *testing.T) {
 	r := rng.New(3)
 	s := conv.Square(8, 3, 2, 3, 1)
 	cv := NewConv("conv0", s, 1, r)
@@ -47,9 +47,9 @@ func TestTuningChoicesHarvestAfterAutoTune(t *testing.T) {
 	fc := NewFC("fc0", re.OutDims(), 3, 1, r)
 	net := NewNetwork(cv, re, fc)
 
-	// Before any batch: nothing tuned, nothing harvested.
-	if len(net.TuningChoices()) != 0 {
-		t.Fatal("choices harvested before tuning")
+	// Before any batch: nothing tuned, nothing reported.
+	if _, _, ok := cv.Selections(); ok {
+		t.Fatal("selections reported before tuning")
 	}
 
 	in := tensor.New(net.InDims()...)
@@ -59,10 +59,9 @@ func TestTuningChoicesHarvestAfterAutoTune(t *testing.T) {
 	SoftmaxXent{}.Loss(logits[0], 1, d)
 	net.Backward([]*tensor.Tensor{d}, []*tensor.Tensor{in})
 
-	choices := net.TuningChoices()
-	ch, ok := choices["conv0"]
-	if !ok {
-		t.Fatalf("conv0 missing from harvested choices: %v", choices)
+	fp, bp, ok := cv.Selections()
+	if !ok || fp.Chosen == nil || bp.Chosen == nil {
+		t.Fatalf("conv0 reports no selections after a tuned step (ok=%v)", ok)
 	}
 	validFP := map[string]bool{}
 	for _, st := range core.FPStrategies(1) {
@@ -72,7 +71,7 @@ func TestTuningChoicesHarvestAfterAutoTune(t *testing.T) {
 	for _, st := range core.BPStrategies(1) {
 		validBP[st.Name] = true
 	}
-	if !validFP[ch.FP] || !validBP[ch.BP] {
-		t.Fatalf("harvested invalid strategies: %+v", ch)
+	if fpName, bpName := fp.Chosen.Strategy().Name, bp.Chosen.Strategy().Name; !validFP[fpName] || !validBP[bpName] {
+		t.Fatalf("deployed invalid strategies: fp=%s bp=%s", fpName, bpName)
 	}
 }

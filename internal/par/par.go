@@ -1,7 +1,7 @@
 // Package par provides the small parallel-execution substrate that every
-// spg-CNN scheduling strategy is built on: a bounded worker pool,
-// static-chunked parallel-for loops, and a guided dynamically-chunked
-// variant (ForDynamic) for ragged work.
+// spg-CNN scheduling strategy is built on: static-chunked parallel-for
+// loops and a guided dynamically-chunked variant (ForDynamic) for ragged
+// work.
 //
 // The distinction the paper draws between Parallel-GEMM (one matrix multiply
 // partitioned across cores) and GEMM-in-Parallel (many independent
@@ -200,90 +200,5 @@ func ForDynamic(n, workers, grain int, fn func(lo, hi int)) {
 		}()
 	}
 	run() // worker 0 inline
-	wg.Wait()
-}
-
-// Pool is a long-lived set of worker goroutines that execute submitted
-// tasks. The spg-CNN trainer keeps one pool alive across an entire training
-// run (as a BLAS library keeps its thread pool) so per-layer dispatch does
-// not pay goroutine start-up cost.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	workers int
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewPool starts a pool with the given number of workers (minimum 1).
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{
-		tasks:   make(chan func(), workers*4),
-		workers: workers,
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for task := range p.tasks {
-				task()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Workers reports the pool's degree of parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task. It panics if the pool is closed.
-func (p *Pool) Submit(task func()) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("par: Submit on closed Pool")
-	}
-	p.wg.Add(1)
-	p.mu.Unlock()
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding tasks and stops the workers. The pool cannot
-// be reused afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.wg.Wait()
-	close(p.tasks)
-}
-
-// Map applies fn to every index in [0, n) on the pool and waits for
-// completion. Unlike For, tasks are dynamically scheduled, which suits
-// GEMM-in-Parallel when per-item cost is uneven (e.g. sparse inputs of
-// varying density).
-func (p *Pool) Map(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.Submit(func() {
-			defer wg.Done()
-			fn(i)
-		})
-	}
 	wg.Wait()
 }

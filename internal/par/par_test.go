@@ -199,74 +199,6 @@ func TestForProperty(t *testing.T) {
 	}
 }
 
-func TestPoolMap(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var sum int64
-	p.Map(1000, func(i int) {
-		atomic.AddInt64(&sum, int64(i))
-	})
-	if sum != 499500 {
-		t.Fatalf("sum = %d, want 499500", sum)
-	}
-}
-
-func TestPoolReuse(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	for round := 0; round < 5; round++ {
-		var count int64
-		p.Map(100, func(int) { atomic.AddInt64(&count, 1) })
-		if count != 100 {
-			t.Fatalf("round %d: count = %d, want 100", round, count)
-		}
-	}
-}
-
-func TestPoolSubmitWait(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 50; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 50 {
-		t.Fatalf("count = %d, want 50", count)
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	p.Close() // must not panic or deadlock
-}
-
-func TestPoolSubmitAfterClosePanics(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Close did not panic")
-		}
-	}()
-	p.Submit(func() {})
-}
-
-func TestPoolMinWorkers(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if p.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", p.Workers())
-	}
-	done := false
-	p.Submit(func() { done = true })
-	p.Wait()
-	if !done {
-		t.Fatal("task did not run")
-	}
-}
-
 func TestMaxWorkersPositive(t *testing.T) {
 	if MaxWorkers() < 1 {
 		t.Fatalf("MaxWorkers() = %d", MaxWorkers())
@@ -276,14 +208,5 @@ func TestMaxWorkersPositive(t *testing.T) {
 func BenchmarkForOverheadTiny(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		For(8, 4, func(int) {})
-	}
-}
-
-func BenchmarkPoolMapOverhead(b *testing.B) {
-	p := NewPool(4)
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Map(8, func(int) {})
 	}
 }

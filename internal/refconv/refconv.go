@@ -18,8 +18,7 @@ const Name = "reference"
 
 // Kernel is a reference-oracle convolution plan for one spec.
 type Kernel struct {
-	spec   conv.Spec
-	single engine.SingleOps
+	spec conv.Spec
 }
 
 var _ engine.Kernel = (*Kernel)(nil)
@@ -73,17 +72,6 @@ func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins [
 		dw.AddScaled(tmp, 1)
 	}
 	c.PutTensor(tmp)
-}
-
-// Forward implements engine.SingleKernel.
-func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInput(k, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	k.single.BackwardWeights(k, dw, eo, in)
 }
 
 // Generator returns the reference-oracle engine.Generator. It supports

@@ -56,7 +56,7 @@ func TestServeForwardBitIdenticalToTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.FPStrategies(1)[1] // gemm-in-parallel
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 
 	// Training side: fixed strategy, seeded weights, saved checkpoint.
 	train, err := netdef.Build(def, netdef.BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 11})
@@ -129,7 +129,7 @@ func TestPaddingRowsDoNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.FPStrategies(1)[1]
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	model, err := NewModel(def, ModelConfig{
 		Buckets: DefaultBuckets(8),
 		Planner: pinnedPlanner(st),

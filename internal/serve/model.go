@@ -48,8 +48,6 @@ type ModelConfig struct {
 	// FixedStrategy pins every conv layer to one strategy instead of
 	// planner-driven per-bucket selection.
 	FixedStrategy *core.Strategy
-	// Choices deploys a saved training tuning configuration per layer.
-	Choices core.Choices
 	// Seed seeds the (soon overwritten or shared) weight initialization.
 	Seed uint64
 }
@@ -103,7 +101,6 @@ func NewModel(def *netdef.NetDef, cfg ModelConfig) (*Model, error) {
 			Ctx:           ctx,
 			Planner:       planner,
 			FixedStrategy: cfg.FixedStrategy,
-			Choices:       cfg.Choices,
 			Seed:          cfg.Seed,
 			Inference:     true,
 			InferBuckets:  buckets,

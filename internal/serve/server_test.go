@@ -23,7 +23,7 @@ func testServer(t *testing.T, maxDelay time.Duration, maxBatch, queueCap int, re
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.FPStrategies(1)[1]
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	model, err := NewModel(def, ModelConfig{
 		Replicas: 1,
 		Buckets:  DefaultBuckets(maxBatch),
@@ -146,10 +146,11 @@ func TestServerBackpressure503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	model, err := NewModel(def, ModelConfig{
 		Replicas: 1,
 		Buckets:  DefaultBuckets(4),
-		Planner:  pinnedPlanner(core.FPStrategies(1)[1]),
+		Planner:  pinnedPlanner(st),
 		Seed:     3,
 	})
 	if err != nil {

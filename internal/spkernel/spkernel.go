@@ -52,8 +52,7 @@ type Kernel struct {
 	// reused across steps via sparse.FromDenseCTInto.
 	scratch sync.Pool
 
-	fwd    *unfoldgemm.Kernel
-	single engine.SingleOps
+	fwd *unfoldgemm.Kernel
 }
 
 type ceoScratch struct {
@@ -203,18 +202,6 @@ func shift(s conv.Spec, ceo *sparse.CTCSR, img, blocks []float32, toImage bool) 
 			}
 		}
 	}
-}
-
-// Forward implements engine.SingleKernel by delegating to the serial
-// unfold+GEMM kernel directly.
-func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.fwd.Forward(out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInput(k, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	k.single.BackwardWeights(k, dw, eo, in)
 }
 
 // NonZeroFlops returns the useful (non-zero) flop count of one BP pass of

@@ -55,16 +55,17 @@ func TestFullySparseEOGivesZeroGradients(t *testing.T) {
 	in := conv.RandInput(r, s)
 	w := conv.RandWeights(r, s)
 	eo := conv.NewOutput(s) // all zeros
+	c := exec.New(1)
 
 	ei := conv.NewInput(s)
 	ei.FillUniform(r, 1, 2)
-	k.BackwardInput(ei, eo, w)
+	k.BackwardInputBatch(c, []*tensor.Tensor{ei}, []*tensor.Tensor{eo}, w)
 	if ei.NNZ() != 0 {
 		t.Fatal("zero EO produced non-zero EI")
 	}
 	dw := conv.NewWeights(s)
 	dw.FillUniform(r, 1, 2)
-	k.BackwardWeights(dw, eo, in)
+	k.BackwardWeightsBatch(c, dw, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	if dw.NNZ() != 0 {
 		t.Fatal("zero EO produced non-zero dW")
 	}
@@ -106,7 +107,8 @@ func TestSingleNonZeroPointerShift(t *testing.T) {
 	eo := conv.NewOutput(s)
 	eo.Set3(1, 2, 1, 5)
 	ei := conv.NewInput(s)
-	New(s, 0).BackwardInput(ei, eo, w)
+	c := exec.New(1)
+	New(s, 0).BackwardInputBatch(c, []*tensor.Tensor{ei}, []*tensor.Tensor{eo}, w)
 	for c := 0; c < s.Nc; c++ {
 		for ky := 0; ky < s.Fy; ky++ {
 			for kx := 0; kx < s.Fx; kx++ {
@@ -140,18 +142,19 @@ func TestSparseMatchesReferenceAcrossSparsities(t *testing.T) {
 	r := rng.New(3)
 	s := conv.Square(14, 8, 5, 3, 1)
 	k := New(s, 4)
+	c := exec.New(1)
 	w := conv.RandWeights(r, s)
 	in := conv.RandInput(r, s)
 	for _, sp := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.97, 1} {
 		eo := conv.RandOutputError(r, s, sp)
 		gotEI, wantEI := conv.NewInput(s), conv.NewInput(s)
-		k.BackwardInput(gotEI, eo, w)
+		k.BackwardInputBatch(c, []*tensor.Tensor{gotEI}, []*tensor.Tensor{eo}, w)
 		conv.BackwardInputRef(s, wantEI, eo, w)
 		if !tensor.AlmostEqual(gotEI, wantEI, 1e-3) {
 			t.Fatalf("EI differs at sparsity %v", sp)
 		}
 		gotDW, wantDW := conv.NewWeights(s), conv.NewWeights(s)
-		k.BackwardWeights(gotDW, eo, in)
+		k.BackwardWeightsBatch(c, gotDW, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 		conv.BackwardWeightsRef(s, wantDW, eo, in)
 		if !tensor.AlmostEqual(gotDW, wantDW, 1e-3) {
 			t.Fatalf("dW differs at sparsity %v", sp)
@@ -189,11 +192,12 @@ func benchBP(b *testing.B, sparsity float64) {
 	r := rng.New(1)
 	w := conv.RandWeights(r, s)
 	eo := conv.RandOutputError(r, s, sparsity)
-	ei := conv.NewInput(s)
+	eis, eos := []*tensor.Tensor{conv.NewInput(s)}, []*tensor.Tensor{eo}
 	k := New(s, 0)
+	c := exec.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.BackwardInput(ei, eo, w)
+		k.BackwardInputBatch(c, eis, eos, w)
 	}
 	nzf := NonZeroFlops(s, eo.NNZ())
 	b.ReportMetric(float64(nzf)*float64(b.N)/b.Elapsed().Seconds()/1e9, "goodput-GFlops")

@@ -48,7 +48,7 @@ func TestBitIdentity(t *testing.T) {
 		ref := unfoldgemm.New(s, 1)
 		in := conv.RandInput(r, s)
 		got, want := conv.NewOutput(s), conv.NewOutput(s)
-		for _, ws := range []float64{0, 0.3, 0.6, 0.9, 0.99} {
+		for _, ws := range []float64{0, 0.3, 0.6, 0.9, 0.99, 1} {
 			w := conv.RandWeights(r, s)
 			w.Sparsify(r, ws)
 			w.Bump()

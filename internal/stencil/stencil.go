@@ -32,8 +32,6 @@ type Kernel struct {
 	// (unit stride, rows <= 2): ops2 feed both tile rows, ops0/ops1 feed
 	// only one.
 	scratch sync.Pool
-
-	single engine.SingleOps
 }
 
 type fwdScratch struct {
@@ -441,17 +439,6 @@ func allZero(row []float32) bool {
 		}
 	}
 	return true
-}
-
-// Forward implements engine.SingleKernel.
-func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInput(k, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	k.single.BackwardWeights(k, dw, eo, in)
 }
 
 // Generator returns the engine.Generator for the stencil technique.

@@ -193,8 +193,9 @@ func TestStencilMatchesUnfoldGEMM(t *testing.T) {
 	in := conv.RandInput(r, s)
 	w := conv.RandWeights(r, s)
 	a, b := conv.NewOutput(s), conv.NewOutput(s)
-	New(s).Forward(a, in, w)
-	unfoldgemm.New(s, 1).Forward(b, in, w)
+	c := exec.New(1)
+	New(s).ForwardBatch(c, []*tensor.Tensor{a}, []*tensor.Tensor{in}, w)
+	unfoldgemm.New(s, 1).ForwardBatch(c, []*tensor.Tensor{b}, []*tensor.Tensor{in}, w)
 	if !tensor.AlmostEqual(a, b, 1e-3) {
 		t.Fatalf("stencil and unfold-gemm disagree: max diff %g", tensor.MaxAbsDiff(a, b))
 	}
@@ -204,11 +205,12 @@ func benchStencil(b *testing.B, s conv.Spec) {
 	r := rng.New(1)
 	in := conv.RandInput(r, s)
 	w := conv.RandWeights(r, s)
-	out := conv.NewOutput(s)
+	outs, ins := []*tensor.Tensor{conv.NewOutput(s)}, []*tensor.Tensor{in}
 	k := New(s)
+	c := exec.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Forward(out, in, w)
+		k.ForwardBatch(c, outs, ins, w)
 	}
 	b.ReportMetric(float64(s.FlopsFP())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 }

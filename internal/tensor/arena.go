@@ -8,7 +8,7 @@ import (
 
 // Arena is a size-classed free-list pool for kernel scratch memory. Every
 // convolution engine acquires its working buffers (unfold matrices, layout
-// transforms, FFT planes, accumulator tiles) from an Arena instead of the
+// transforms, accumulator tiles) from an Arena instead of the
 // Go allocator, so steady-state training reuses the same hot buffers
 // across layers and steps — the memory-traffic discipline §3's AIT
 // analysis calls for — and the garbage collector sees almost no churn.
@@ -27,7 +27,6 @@ import (
 type Arena struct {
 	mu       sync.Mutex
 	f32      [arenaClasses][][]float32
-	c128     [arenaClasses][][]complex128
 	headers  []*Tensor // recycled tensor headers for GetTensor/PutTensor
 	stats    ArenaStats
 	growHook func(bytes int64)
@@ -44,7 +43,7 @@ const arenaClasses = 41
 // ArenaStats summarizes an arena's traffic. Misses (fresh allocations)
 // are Gets - Hits.
 type ArenaStats struct {
-	// Gets counts buffer acquisitions (float32 and complex128 combined).
+	// Gets counts buffer acquisitions.
 	Gets int64
 	// Hits counts acquisitions served from a free list.
 	Hits int64
@@ -123,48 +122,6 @@ func (a *Arena) Put(buf []float32) {
 	k := bits.Len(uint(c)) - 1
 	a.mu.Lock()
 	a.f32[k] = append(a.f32[k], buf[:c])
-	a.stats.Outstanding--
-	a.mu.Unlock()
-}
-
-// GetComplex returns a complex128 buffer of length n (NOT zeroed) — the
-// FFT engine's spectra scratch.
-func (a *Arena) GetComplex(n int) []complex128 {
-	if n < 0 {
-		panic(fmt.Sprintf("tensor: Arena.GetComplex(%d)", n))
-	}
-	k := class(n)
-	a.mu.Lock()
-	a.stats.Gets++
-	a.stats.BytesAcquired += 16 * int64(n)
-	a.stats.Outstanding++
-	if l := len(a.c128[k]); l > 0 {
-		buf := a.c128[k][l-1]
-		a.c128[k][l-1] = nil
-		a.c128[k] = a.c128[k][:l-1]
-		a.stats.Hits++
-		a.mu.Unlock()
-		return buf[:n]
-	}
-	a.stats.Grows++
-	a.stats.GrowBytes += 16 << k
-	hook := a.growHook
-	a.mu.Unlock()
-	if hook != nil {
-		hook(16 << k)
-	}
-	return make([]complex128, 1<<k)[:n]
-}
-
-// PutComplex returns a buffer obtained from GetComplex.
-func (a *Arena) PutComplex(buf []complex128) {
-	c := cap(buf)
-	if c < MinArenaClass {
-		return
-	}
-	k := bits.Len(uint(c)) - 1
-	a.mu.Lock()
-	a.c128[k] = append(a.c128[k], buf[:c])
 	a.stats.Outstanding--
 	a.mu.Unlock()
 }

@@ -54,19 +54,6 @@ func TestArenaZeroLength(t *testing.T) {
 	a.Put(b)
 }
 
-func TestArenaComplexPool(t *testing.T) {
-	a := NewArena()
-	c1 := a.GetComplex(50)
-	if len(c1) != 50 || cap(c1) != 64 {
-		t.Fatalf("GetComplex(50): len=%d cap=%d", len(c1), cap(c1))
-	}
-	a.PutComplex(c1)
-	c2 := a.GetComplex(64)
-	if &c1[0] != &c2[0] {
-		t.Fatal("complex pool did not reuse buffer")
-	}
-}
-
 func TestArenaGetTensor(t *testing.T) {
 	a := NewArena()
 	x := a.GetTensor(3, 4, 5)
@@ -125,14 +112,9 @@ func TestArenaGrowHookFiresOnMissOnly(t *testing.T) {
 	if len(grown) != 1 {
 		t.Fatalf("hit fired grow hook: %v", grown)
 	}
-	cb := a.GetComplex(100) // miss: class 128 complex128 = 2048 bytes
-	a.PutComplex(cb)
-	if len(grown) != 2 || grown[1] != 2048 {
-		t.Fatalf("complex grow events = %v, want [512 2048]", grown)
-	}
 	a.SetGrowHook(nil)
 	_ = a.Get(1 << 12)
-	if len(grown) != 2 {
+	if len(grown) != 1 {
 		t.Fatal("nil hook still fired")
 	}
 }

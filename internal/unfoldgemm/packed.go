@@ -38,7 +38,6 @@ import (
 type PackedKernel struct {
 	spec    conv.Spec
 	workers int
-	single  engine.SingleOps
 
 	mu    sync.Mutex
 	wdata []float32     // identity of the cached weight tensor's Data
@@ -181,19 +180,6 @@ func (k *PackedKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor
 func (k *PackedKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	base := Kernel{spec: k.spec, workers: k.workers}
 	base.BackwardWeightsBatch(c, dw, eos, ins)
-}
-
-// Forward implements engine.SingleKernel.
-func (k *PackedKernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *PackedKernel) BackwardInput(ei, eo, w *tensor.Tensor) {
-	k.single.BackwardInput(k, ei, eo, w)
-}
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *PackedKernel) BackwardWeights(dw, eo, in *tensor.Tensor) {
-	k.single.BackwardWeights(k, dw, eo, in)
 }
 
 // PackedGenerator returns an engine.Generator for the prepacked-weights

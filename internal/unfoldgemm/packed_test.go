@@ -118,6 +118,7 @@ func TestPackedWeightCacheVersioning(t *testing.T) {
 
 func TestPackedSingleAgreesWithBase(t *testing.T) {
 	r := rng.New(11)
+	c := exec.New(1)
 	for trial := 0; trial < 8; trial++ {
 		s := conv.RandSpec(r, 10)
 		in := conv.RandInput(r, s)
@@ -127,22 +128,22 @@ func TestPackedSingleAgreesWithBase(t *testing.T) {
 		base, packed := New(s, 1), NewPacked(s, 1)
 
 		o1, o2 := conv.NewOutput(s), conv.NewOutput(s)
-		base.Forward(o1, in, w)
-		packed.Forward(o2, in, w)
+		base.ForwardBatch(c, []*tensor.Tensor{o1}, []*tensor.Tensor{in}, w)
+		packed.ForwardBatch(c, []*tensor.Tensor{o2}, []*tensor.Tensor{in}, w)
 		if !tensor.AlmostEqual(o1, o2, 1e-4) {
 			t.Fatalf("FP base/packed disagree for %v", s)
 		}
 
 		e1, e2 := conv.NewInput(s), conv.NewInput(s)
-		base.BackwardInput(e1, eo, w)
-		packed.BackwardInput(e2, eo, w)
+		base.BackwardInputBatch(c, []*tensor.Tensor{e1}, []*tensor.Tensor{eo}, w)
+		packed.BackwardInputBatch(c, []*tensor.Tensor{e2}, []*tensor.Tensor{eo}, w)
 		if !tensor.AlmostEqual(e1, e2, 1e-4) {
 			t.Fatalf("BP-EI base/packed disagree for %v", s)
 		}
 
 		d1, d2 := conv.NewWeights(s), conv.NewWeights(s)
-		base.BackwardWeights(d1, eo, in)
-		packed.BackwardWeights(d2, eo, in)
+		base.BackwardWeightsBatch(c, d1, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
+		packed.BackwardWeightsBatch(c, d2, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 		if !tensor.AlmostEqual(d1, d2, 1e-4) {
 			t.Fatalf("BP-dW base/packed disagree for %v", s)
 		}
@@ -155,11 +156,12 @@ func BenchmarkForwardCIFARL0Packed(b *testing.B) {
 	in := conv.RandInput(r, s)
 	w := conv.RandWeights(r, s)
 	w.Bump()
-	out := conv.NewOutput(s)
+	outs, ins := []*tensor.Tensor{conv.NewOutput(s)}, []*tensor.Tensor{in}
 	k := NewPacked(s, 1)
+	c := exec.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Forward(out, in, w)
+		k.ForwardBatch(c, outs, ins, w)
 	}
 	b.ReportMetric(float64(s.FlopsFP())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 }

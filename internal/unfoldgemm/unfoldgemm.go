@@ -33,7 +33,6 @@ import (
 type Kernel struct {
 	spec    conv.Spec
 	workers int
-	single  engine.SingleOps
 }
 
 var _ engine.BlockedKernel = (*Kernel)(nil)
@@ -183,15 +182,6 @@ func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins [
 	}
 	c.Put(ubuf)
 }
-
-// Forward implements engine.SingleKernel.
-func (k *Kernel) Forward(out, in, w *tensor.Tensor) { k.single.Forward(k, out, in, w) }
-
-// BackwardInput implements engine.SingleKernel.
-func (k *Kernel) BackwardInput(ei, eo, w *tensor.Tensor) { k.single.BackwardInput(k, ei, eo, w) }
-
-// BackwardWeights implements engine.SingleKernel.
-func (k *Kernel) BackwardWeights(dw, eo, in *tensor.Tensor) { k.single.BackwardWeights(k, dw, eo, in) }
 
 // Generator returns an engine.Generator for this technique at the given
 // fan-out. Name is "unfold-gemm" for workers <= 1 and

@@ -1,5 +1,8 @@
 #!/bin/sh
-# CI gate: formatting, vet, build, the race-instrumented short test suite,
+# CI gate: formatting, vet, build, the nested benchmark module's vet and
+# tests (it is outside `go build ./...`, so a deleted symbol its adapter
+# freezes would otherwise break nothing until the benchmark driver runs),
+# the race-instrumented short test suite,
 # the bounds-check-elimination gate on the hot micro-kernel files, the
 # quick-scale benchmark baseline check, the plan-cache round-trip check
 # (warm starts must deploy cached strategy verdicts with zero measurement
@@ -18,6 +21,7 @@ set -eux
 test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
+(cd benchmark && go vet . && go test .)
 go test -race -short ./...
 scripts/bce_check.sh
 scripts/bench_check.sh

@@ -11,8 +11,9 @@
 //     Parallel-GEMM), NewStencil (the §4.3 FP code generator), NewSparse
 //     (the §4.2 CT-CSR BP kernel). All satisfy Kernel and compute
 //     identical results.
-//   - Scheduling: FPStrategies/BPStrategies/NewExec for explicit
-//     deployment, NewAutoConv for §4.4's measure-and-pick scheduler.
+//   - Scheduling: FPStrategies/BPStrategies/StrategyByName/NewExecCtx for
+//     explicit deployment, NewAutoConv for §4.4's measure-and-pick
+//     scheduler.
 //   - Training: networks from text descriptions (ParseNet/BuildNet or the
 //     built-in benchmark networks), the SGD Trainer, and the synthetic
 //     datasets.
@@ -27,12 +28,9 @@
 //	ctx := spgcnn.NewCtx(4)                    // workers + scratch arena
 //	k := spgcnn.NewStencil(spec)               // generate a kernel (stateless plan)
 //	k.ForwardBatch(ctx, outs, ins, weights)    // run a batch through the context
-//	k.Forward(out, in, weights)                // or one sample, compat adapter
 package spgcnn
 
 import (
-	"io"
-
 	"spgcnn/internal/ait"
 	"spgcnn/internal/bench"
 	"spgcnn/internal/conv"
@@ -41,7 +39,6 @@ import (
 	"spgcnn/internal/dataparallel"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
-	"spgcnn/internal/fftconv"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/metrics"
 	"spgcnn/internal/netdef"
@@ -56,7 +53,6 @@ import (
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/trace"
 	"spgcnn/internal/unfoldgemm"
-	"spgcnn/internal/winograd"
 )
 
 // Geometry and tensors.
@@ -145,14 +141,9 @@ func NewCtxWithArena(workers int, a *Arena, p *Probe) *Ctx {
 // Kernels (paper §4).
 
 // Kernel executes the three convolution computations of one training step
-// (Eqs. 2–4). The batch entry points (ForwardBatch and friends) take the
-// execution context explicitly and are safe for concurrent use; the
-// per-sample methods (Forward and friends) are a convenience adapter over
-// a private serial context and are not.
-type Kernel interface {
-	engine.Kernel
-	engine.SingleKernel
-}
+// (Eqs. 2–4) over a batch, under an explicit execution context. Kernels are
+// stateless plans and safe for concurrent use.
+type Kernel = engine.Kernel
 
 // NewUnfoldGEMM builds an Unfold+GEMM kernel (§2.3): workers <= 1 gives
 // the single-threaded GEMM, workers > 1 the Parallel-GEMM baseline.
@@ -166,31 +157,10 @@ func NewStencil(s ConvSpec) Kernel { return stencil.New(s) }
 // default CT-CSR column-tile width.
 func NewSparse(s ConvSpec, tileWidth int) Kernel { return spkernel.New(s, tileWidth) }
 
-// NewFFTConv generates an FFT-based forward-convolution kernel (the
-// complementary technique of the paper's related work; unit-stride FP via
-// the convolution theorem, everything else via unfold+GEMM fallback).
-func NewFFTConv(s ConvSpec) Kernel { return fftconv.New(s) }
-
-// NewWinograd generates a Winograd F(2×2, 3×3) minimal-filtering kernel
-// (2.25× fewer multiplies for 3×3 unit-stride convolutions; other
-// geometries and BP fall back to unfold+GEMM).
-func NewWinograd(s ConvSpec) Kernel { return winograd.New(s) }
-
 // SparseNonZeroFlops returns the useful flop count of one sparse BP
 // computation when the error gradient has nnz non-zeros — the numerator of
 // the paper's goodput (Eq. 9).
 func SparseNonZeroFlops(s ConvSpec, nnz int) int64 { return spkernel.NonZeroFlops(s, nnz) }
-
-// InferenceKernel executes forward propagation with compiled sparse
-// (pruned) weights — the weight-sparsity direction of the paper's related
-// work, applicable to inference.
-type InferenceKernel = spkernel.InferenceKernel
-
-// CompileWeights compiles a pruned weight tensor into an inference kernel
-// that executes only the surviving taps.
-func CompileWeights(s ConvSpec, w *Tensor) *InferenceKernel {
-	return spkernel.CompileWeights(s, w)
-}
 
 // Scheduling (paper §4.1, §4.4).
 
@@ -208,9 +178,11 @@ type AutoConv = core.AutoConv
 func FPStrategies(workers int) []Strategy { return core.FPStrategies(workers) }
 func BPStrategies(workers int) []Strategy { return core.BPStrategies(workers) }
 
-// NewExec instantiates a strategy for a spec with a private context of the
-// given worker count.
-func NewExec(st Strategy, s ConvSpec, workers int) *Exec { return core.NewExec(st, s, workers) }
+// StrategyByName resolves a strategy name from either candidate set (or
+// the reference fallback) at the given worker count.
+func StrategyByName(name string, workers int) (Strategy, bool) {
+	return core.StrategyByName(name, workers)
+}
 
 // NewExecCtx instantiates a strategy for a spec under a shared execution
 // context.
@@ -258,15 +230,6 @@ func NewPlanner(opts PlannerOptions) *Planner { return plan.New(opts) }
 
 // BindPlannerMetrics exports a planner's counters into a metrics registry.
 func BindPlannerMetrics(p *Planner, r *MetricsRegistry) { metrics.BindPlanner(p, r) }
-
-// TuningChoices is a network's serializable per-layer deployment — the
-// "best configuration" the scheduler produced (§1.3). Harvest one from a
-// trained network with Network.TuningChoices, persist it with its Save
-// method, and redeploy via BuildOptions.Choices.
-type TuningChoices = core.Choices
-
-// LoadTuningChoices reads a configuration saved by TuningChoices.Save.
-func LoadTuningChoices(r io.Reader) (TuningChoices, error) { return core.LoadChoices(r) }
 
 // Training substrate.
 

@@ -23,13 +23,12 @@ func TestKernelsAgreeThroughPublicAPI(t *testing.T) {
 		spgcnn.NewUnfoldGEMM(spec, 4),
 		spgcnn.NewStencil(spec),
 		spgcnn.NewSparse(spec, 0),
-		spgcnn.NewFFTConv(spec),
-		spgcnn.NewWinograd(spec),
 	}
 	var ref *spgcnn.Tensor
+	ctx := spgcnn.NewCtx(1)
 	for _, k := range kernels {
 		out := spgcnn.NewOutput(spec)
-		k.Forward(out, in, w)
+		k.ForwardBatch(ctx, []*spgcnn.Tensor{out}, []*spgcnn.Tensor{in}, w)
 		if ref == nil {
 			ref = out
 			continue
