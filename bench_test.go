@@ -151,9 +151,9 @@ func BenchmarkTrainStepCIFAR(b *testing.B) {
 // BenchmarkTrainStepAllocs measures steady-state allocations of one full
 // FP+BP step on the CIFAR-10 layer-0 geometry with the paper's composed
 // deployment (Stencil-Kernel FP + Sparse-Kernel BP). allocs/op is the
-// headline number tracked in results/alloc_baseline.txt: it should stay
-// near zero once every engine draws scratch from the execution context's
-// arena instead of the Go allocator.
+// headline number (the ledger's runtime.allocs_per_op tracks it end to
+// end): it stays near zero because every engine draws scratch from the
+// execution context's arena instead of the Go allocator.
 func BenchmarkTrainStepAllocs(b *testing.B) {
 	spec := spgcnn.Square(36, 64, 3, 5, 1) // CIFAR-10 layer 0 (Table 2)
 	r := spgcnn.NewRNG(9)

@@ -41,18 +41,17 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("spg-bench", flag.ContinueOnError)
 	var (
-		list        = fs.Bool("list", false, "list available experiments")
-		exp         = fs.String("exp", "", "experiment ID to run (see -list)")
-		all         = fs.Bool("all", false, "run every experiment")
-		scale       = fs.String("scale", "quick", "workload scale: quick or full")
-		workers     = fs.Int("workers", 0, "host workers for measured experiments (0 = GOMAXPROCS)")
-		mach        = fs.String("machine", "paper", "model behind modeled figures: paper (16-core Xeon) or host (calibrated probe)")
-		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut     = fs.Bool("json", false, "write machine-readable BENCH_<exp>.json reports (into -out, default .)")
-		baseline    = fs.String("baseline", "", "directory of committed BENCH_<exp>.json baselines to compare -json reports against")
-		tolerance   = fs.Float64("tolerance", 0.05, "relative tolerance band for deterministic baseline comparison")
-		out         = fs.String("out", "", "directory to write per-experiment files into (default: stdout; with -json: .)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while experiments run")
+		list      = fs.Bool("list", false, "list available experiments")
+		exp       = fs.String("exp", "", "experiment ID to run (see -list)")
+		all       = fs.Bool("all", false, "run every experiment")
+		scale     = fs.String("scale", "quick", "workload scale: quick or full")
+		workers   = fs.Int("workers", 0, "host workers for measured experiments (0 = GOMAXPROCS)")
+		mach      = fs.String("machine", "paper", "model behind modeled figures: paper (16-core Xeon) or host (calibrated probe)")
+		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonOut   = fs.Bool("json", false, "write machine-readable BENCH_<exp>.json reports (into -out, default .)")
+		baseline  = fs.String("baseline", "", "directory of committed BENCH_<exp>.json baselines to compare -json reports against")
+		tolerance = fs.Float64("tolerance", 0.05, "relative tolerance band for deterministic baseline comparison")
+		out       = fs.String("out", "", "directory to write per-experiment files into (default: stdout; with -json: .)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,15 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-baseline requires -json")
 	}
 	opts := spgcnn.ExperimentOptions{Scale: *scale, Workers: *workers, Machine: *mach}
-
-	if *metricsAddr != "" {
-		srv, err := spgcnn.ServeMetrics(*metricsAddr, spgcnn.NewMetricsRegistry())
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "metrics endpoint %s\n", srv.URL())
-	}
 
 	var exps []spgcnn.Experiment
 	switch {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,20 @@ import (
 
 	"spgcnn"
 )
+
+// update regenerates the committed results/*.txt goldens after an
+// intentional change:
+//
+//	go test ./cmd/spg-bench -run Golden -update
+var update = flag.Bool("update", false, "rewrite the deterministic results/*.txt goldens")
+
+// The committed numbers live at the repository root.
+var (
+	baselinesDir = filepath.Join("..", "..", "baselines")
+	resultsDir   = filepath.Join("..", "..", "results")
+)
+
+func deterministic(kind string) bool { return kind == "analytical" || kind == "modeled" }
 
 func runQuiet(t *testing.T, args ...string) error {
 	t.Helper()
@@ -105,12 +120,76 @@ func TestBaselineRequiresJSON(t *testing.T) {
 	}
 }
 
+// TestCommittedBaselines regenerates every deterministic
+// baselines/BENCH_<exp>.json at quick scale and holds it to the tolerance
+// band. Measured baselines only compare structurally and run real
+// training, so they get their own non-short test (TestGoodputJSONSmoke).
+func TestCommittedBaselines(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(baselinesDir, "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed baselines under %s (%v)", baselinesDir, err)
+	}
+	for _, path := range paths {
+		base, err := spgcnn.LoadBenchReport(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !deterministic(base.Kind) {
+			if base.Experiment != "goodput" {
+				t.Errorf("%s: %s baseline has no structural test", path, base.Kind)
+			}
+			continue
+		}
+		if err := runQuiet(t, "-exp", base.Experiment, "-json", "-out", t.TempDir(),
+			"-baseline", baselinesDir); err != nil {
+			t.Errorf("%s: %v (regenerate with: go run ./cmd/spg-bench -exp %s -json -out baselines)",
+				path, err, base.Experiment)
+		}
+	}
+}
+
+// TestResultsGolden regenerates every deterministic experiment's committed
+// results/<id>.txt byte-for-byte. Every deterministic experiment must
+// have one.
+func TestResultsGolden(t *testing.T) {
+	for _, e := range spgcnn.Experiments() {
+		if !deterministic(e.Kind) {
+			continue
+		}
+		golden := filepath.Join(resultsDir, e.ID+".txt")
+		want, err := os.ReadFile(golden)
+		if *update {
+			if err := runQuiet(t, "-exp", e.ID, "-out", resultsDir); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("deterministic experiment %s has no committed golden (create it with -update): %v", e.ID, err)
+			continue
+		}
+		dir := t.TempDir()
+		if err := runQuiet(t, "-exp", e.ID, "-out", dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, e.ID+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s diverged from its regeneration (rewrite with -update after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
+				golden, got, want)
+		}
+	}
+}
+
 func TestGoodputJSONSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("goodput runs a real training loop")
 	}
 	dir := t.TempDir()
-	if err := runQuiet(t, "-exp", "goodput", "-json", "-out", dir, "-workers", "2"); err != nil {
+	if err := runQuiet(t, "-exp", "goodput", "-json", "-out", dir, "-workers", "2",
+		"-baseline", baselinesDir); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := spgcnn.LoadBenchReport(filepath.Join(dir, "BENCH_goodput.json"))

@@ -21,8 +21,9 @@ import (
 //	go test ./cmd/spg-load -run Golden -update
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt")
 
-// scriptedTransport answers /v1/spec with a fixed input length and
-// /v1/infer from a fixed script of (status, batch) pairs, cycling.
+// scriptedTransport answers /v1/spec with a fixed input length, /metrics
+// with one serving and one foreign series, and /v1/infer from a fixed
+// script of (status, batch) pairs, cycling.
 type scriptedTransport struct {
 	mu     sync.Mutex
 	calls  int
@@ -37,6 +38,9 @@ type scriptedReply struct {
 func (f *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if strings.HasSuffix(req.URL.Path, "/v1/spec") {
 		return textResp(http.StatusOK, `{"input_len": 8}`), nil
+	}
+	if strings.HasSuffix(req.URL.Path, "/metrics") {
+		return textResp(http.StatusOK, "spg_serve_queue_depth 0\nspg_workers 2\n"), nil
 	}
 	if req.Body != nil {
 		io.Copy(io.Discard, req.Body)
@@ -123,19 +127,24 @@ func TestRunGolden(t *testing.T) {
 }
 
 // TestRunOpenLoopMode checks the open-loop header and pacing fields
-// render (same fakes, -rate set).
+// render (same fakes, -rate set) and that -scrape prints the target's
+// spg_serve_* series and nothing else.
 func TestRunOpenLoopMode(t *testing.T) {
 	loadCfgHook = withFakes([]scriptedReply{{http.StatusOK, 1}})
 	defer func() { loadCfgHook = nil }()
 
 	var out strings.Builder
-	if err := run([]string{"-url", "http://fake", "-c", "2", "-n", "4", "-rate", "50"}, &out); err != nil {
+	if err := run([]string{"-url", "http://fake", "-c", "2", "-n", "4", "-rate", "50", "-scrape"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"open loop", "target rate     50.0 req/s", "ok              4"} {
+	for _, want := range []string{"open loop", "target rate     50.0 req/s", "ok              4",
+		"server metrics (spg_serve_*)\n  spg_serve_queue_depth 0\n"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "spg_workers") {
+		t.Errorf("-scrape printed a non-serving series:\n%s", out.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,49 +10,49 @@ import (
 	"testing"
 )
 
-// TestRunGolden pins the deterministic (non -tune) output: the §3
-// characterization, the stencil plan, the paper-machine numbers and the
-// planner's model ranking are all pure functions of the flags, so the
-// rendering is compared byte-for-byte against testdata/golden.txt.
-// Regenerate after an intentional change with:
+// update regenerates the goldens after an intentional change:
 //
-//	go run ./cmd/spg-plan -n 36 -nf 64 -nc 3 -f 5 -s 1 -sparsity 0.85 -workers 4 > cmd/spg-plan/testdata/golden.txt
-func TestRunGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden.txt"))
-	if err != nil {
+//	go test ./cmd/spg-plan -run Golden -update
+var update = flag.Bool("update", false, "rewrite testdata goldens")
+
+// checkGolden runs the command and compares its output byte-for-byte
+// against testdata/<name>.
+func checkGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	err = run([]string{"-n", "36", "-nf", "64", "-nc", "3", "-f", "5", "-s", "1",
-		"-sparsity", "0.85", "-workers", "4"}, &out)
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != string(want) {
-		t.Errorf("output diverged from testdata/golden.txt\n--- got ---\n%s\n--- want ---\n%s",
-			out.String(), want)
+		t.Errorf("output diverged from %s (regenerate with -update after an intentional change)\n--- got ---\n%s\n--- want ---\n%s",
+			path, out.String(), want)
 	}
+}
+
+// TestRunGolden pins the deterministic (non -tune) output: the §3
+// characterization, the stencil plan, the paper-machine numbers and the
+// planner's model ranking are all pure functions of the flags.
+func TestRunGolden(t *testing.T) {
+	checkGolden(t, "golden.txt", "-n", "36", "-nf", "64", "-nc", "3", "-f", "5", "-s", "1",
+		"-sparsity", "0.85", "-workers", "4")
 }
 
 // TestRunExploreGolden pins the -explore design-space report over the
 // workload zoo: every line is a pure function of the netdefs and the
-// paper machine model, compared byte-for-byte. Regenerate after an
-// intentional change with:
-//
-//	scripts/explore_check.sh -update
+// paper machine model.
 func TestRunExploreGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "explore_golden.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := run([]string{"-explore", "all", "-workers", "16"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != string(want) {
-		t.Errorf("explore output diverged from testdata/explore_golden.txt\n--- got ---\n%s\n--- want ---\n%s",
-			out.String(), want)
-	}
+	checkGolden(t, "explore_golden.txt", "-explore", "all", "-workers", "16")
 }
 
 // TestRunExploreBuiltinsAndErrors covers name resolution: every built-in

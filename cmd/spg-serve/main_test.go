@@ -67,8 +67,9 @@ func startServe(t *testing.T, extraArgs ...string) (addr string, stop func() str
 }
 
 // TestServeEndToEnd boots the real spg-serve command on loopback, drives
-// it with the loadgen package under concurrency, scrapes /metrics
-// MID-RUN, and checks the load report and the shutdown epilogue agree.
+// it with the loadgen package under concurrency in both loop modes,
+// scrapes /metrics MID-RUN, and checks the load report and the shutdown
+// epilogue agree.
 func TestServeEndToEnd(t *testing.T) {
 	addr, stop := startServe(t, "-max-batch", "4", "-max-delay", "2ms", "-replicas", "2", "-drift")
 	url := "http://" + addr
@@ -87,7 +88,7 @@ func TestServeEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	metrics := string(b)
 	for _, want := range []string{
-		"spg_serve_queue_depth", "spg_serve_requests_total", "spg_serve_batch_size",
+		"spg_serve_queue_depth", "spg_serve_requests_total", "spg_serve_batches_total", "spg_serve_batch_size",
 		"spg_serve_goodput_ratio", "spg_serve_replicas 2",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -119,10 +120,24 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalOK := res1.OK + res2.OK
-	if totalOK != 80 {
-		t.Errorf("%d requests succeeded, want 80 (rejected %d+%d, failed %d+%d)",
-			totalOK, res1.Rejected, res2.Rejected, res1.Failed, res2.Failed)
+	// Third slice, open loop: paced arrivals against the same server.
+	res3, err := loadgen.Run(loadgen.Config{URL: url, Concurrency: 8, Requests: 60, RateHz: 300, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Mode != "open" || res3.OK != 60 {
+		t.Errorf("open-loop slice: mode %q, %d of 60 ok (rejected %d, failed %d)",
+			res3.Mode, res3.OK, res3.Rejected, res3.Failed)
+	}
+	totalOK := res1.OK + res2.OK + res3.OK
+	if res1.OK+res2.OK != 80 {
+		t.Errorf("%d closed-loop requests succeeded, want 80 (rejected %d+%d, failed %d+%d)",
+			res1.OK+res2.OK, res1.Rejected, res2.Rejected, res1.Failed, res2.Failed)
+	}
+	// Under 4 concurrent closed-loop clients the admission queue must have
+	// coalesced at least some requests into multi-row batches.
+	if res1.BatchMean <= 1 && res2.BatchMean <= 1 {
+		t.Errorf("no dynamic batching happened (mean batch %.2f, %.2f)", res1.BatchMean, res2.BatchMean)
 	}
 	// p99 sanity: positive and under a generous ceiling — this is a
 	// correctness bound (nothing hung), not a performance assertion.

@@ -158,7 +158,7 @@ func TestRunJSONGolden(t *testing.T) {
 	}
 }
 
-// TestRunCheck covers the validation-only mode used by scripts/trace_check.sh.
+// TestRunCheck covers the validation-only mode (-check).
 func TestRunCheck(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-check", filepath.Join("testdata", "sample_trace.json")}, &out); err != nil {

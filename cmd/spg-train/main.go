@@ -67,8 +67,6 @@ func run(args []string, stdout io.Writer) error {
 		traceMode    = fs.String("trace-mode", "ring", "trace capture mode: ring (bounded flight recorder, keeps the newest events) or full (everything up to a cap)")
 		drift        = fs.Bool("drift", false, "run the plan-drift observatory: track model-vs-measured agreement per layer and re-tune automatically when a deployed strategy drifts")
 		driftReport  = fs.String("drift-report", "", "write the observatory's agreement report (schema-versioned JSON, render with spg-doctor) here after training; implies -drift")
-		driftThresh  = fs.Float64("drift-threshold", 0, "drift alarm factor: alarm when the smoothed agreement ratio leaves [baseline/t, baseline*t] (0 = default 1.5)")
-		driftWindow  = fs.Int("drift-window", 0, "consecutive breaching observations before a drift event fires (0 = default 3)")
 		injectEpoch  = fs.Int("drift-inject-epoch", 0, "TESTING: from the start of this epoch (1-based), scale every span time the observatory sees by -drift-inject-factor — a synthetic co-tenant; implies -drift")
 		injectFac    = fs.Float64("drift-inject-factor", 2, "synthetic slowdown factor for -drift-inject-epoch")
 	)
@@ -163,11 +161,9 @@ func run(args []string, stdout io.Writer) error {
 	if *drift || *driftReport != "" || *injectEpoch > 0 {
 		coupler = spgcnn.NewDriftCoupler(planner)
 		oo := spgcnn.ObservatoryOptions{
-			Workers:   w,
-			Threshold: *driftThresh,
-			Window:    *driftWindow,
-			OnDrift:   coupler.OnDrift,
-			Metrics:   reg,
+			Workers: w,
+			OnDrift: coupler.OnDrift,
+			Metrics: reg,
 		}
 		if rec != nil {
 			oo.Trace = rec.Emitter(-1, 0)

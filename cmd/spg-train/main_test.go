@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"spgcnn"
+	"spgcnn/internal/trace"
 )
 
 // scrape fetches one URL off the live metrics endpoint.
@@ -152,28 +153,31 @@ func TestFindStrategy(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWarmStart trains the same tiny network twice against one
-// plan cache file. The cold run must measure once per (geometry, phase);
-// the warm run must deploy every verdict from the cache with zero
-// measurement passes and land on identical strategies.
-//
-// The network is conv+fc only — no relu/pool — so the conv layer's
-// gradients stay dense (sparsity band 0) and the warm run's BP key matches
-// the cold run's deterministically.
-func TestPlanCacheWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	netFile := filepath.Join(dir, "net.prototxt")
-	netSrc := `
-name: "plancache"
+// tinyNetFile writes the conv+fc network the command-level tests train:
+// no relu/pool, so the conv layer's gradients stay dense (sparsity band 0)
+// and plan-cache keys are deterministic run to run.
+func tinyNetFile(t *testing.T) string {
+	t.Helper()
+	const src = `
+name: "tiny"
 input { channels: 1 height: 28 width: 28 }
 layer { name: "conv0" type: "conv" features: 4 kernel: 5 stride: 2 }
 layer { name: "fc0" type: "fc" outputs: 10 }
 `
-	if err := os.WriteFile(netFile, []byte(netSrc), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "net.prototxt")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache := filepath.Join(dir, "plans.json")
-	args := []string{"-file", netFile, "-dataset", "mnist",
+	return path
+}
+
+// TestPlanCacheWarmStart trains the same tiny network twice against one
+// plan cache file. The cold run must measure once per (geometry, phase);
+// the warm run must deploy every verdict from the cache with zero
+// measurement passes and land on identical strategies.
+func TestPlanCacheWarmStart(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "plans.json")
+	args := []string{"-file", tinyNetFile(t), "-dataset", "mnist",
 		"-epochs", "1", "-examples", "16", "-batch", "8", "-workers", "2",
 		"-plan-cache", cache}
 
@@ -214,19 +218,11 @@ layer { name: "fc0" type: "fc" outputs: 10 }
 // schema-validate; the identical run WITHOUT injection must stay silent —
 // zero events, zero re-tunes, zero invalidations.
 func TestDriftInjectionAndControl(t *testing.T) {
-	dir := t.TempDir()
-	netFile := filepath.Join(dir, "net.prototxt")
-	netSrc := `
-name: "drifttiny"
-input { channels: 1 height: 28 width: 28 }
-layer { name: "conv0" type: "conv" features: 4 kernel: 5 stride: 2 }
-layer { name: "fc0" type: "fc" outputs: 10 }
-`
-	if err := os.WriteFile(netFile, []byte(netSrc), 0o644); err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("load-sensitive span timing; the non-short pass runs it once")
 	}
-	report := filepath.Join(dir, "drift_report.json")
-	base := []string{"-file", netFile, "-dataset", "mnist",
+	report := filepath.Join(t.TempDir(), "drift_report.json")
+	base := []string{"-file", tinyNetFile(t), "-dataset", "mnist",
 		"-epochs", "4", "-examples", "64", "-batch", "8", "-workers", "2"}
 
 	var injected bytes.Buffer
@@ -250,8 +246,17 @@ layer { name: "fc0" type: "fc" outputs: 10 }
 	if err != nil {
 		t.Fatalf("written report does not validate: %v", err)
 	}
+	// The spg-doctor gates on the fresh report: -max-drifts 0 must fail on
+	// it and the agreement floor must hold. Absolute agreement is a host
+	// and deployed-strategy property: 14 fresh reports on the 2-vCPU
+	// reference host read 0.125-0.384, so spg-doctor's usual 0.2 would
+	// flake here; 0.05 is well under the observed minimum and still fails
+	// a model or clock regression that collapses agreement.
 	if rep.TotalDrifts() < 1 {
 		t.Fatalf("validated report carries no drift events: %+v", rep)
+	}
+	if a := rep.Agreement(); !(a >= 0.05) {
+		t.Fatalf("overall agreement %v below the 0.05 floor", a)
 	}
 	if !strings.Contains(out, "agreement per Fig. 1 region:") {
 		t.Fatalf("epilogue missing the per-region agreement table:\n%s", out)
@@ -263,6 +268,98 @@ layer { name: "fc0" type: "fc" outputs: 10 }
 	}
 	if !strings.Contains(control.String(), "drift: 0 events, 0 re-tunes applied, 0 plan entries invalidated") {
 		t.Fatalf("control run was not silent:\n%s", control.String())
+	}
+}
+
+// TestCommandWiring covers flag wiring no library test reaches: a traced
+// 2-replica run must write a capture the trace reader validates and
+// attributes (stragglers per step group, Eq. 9 waste per conv layer); an
+// injected straggler must engage the re-chunker with -mitigate and never
+// without it; -save must write a checkpoint that -load restores.
+func TestCommandWiring(t *testing.T) {
+	capture := filepath.Join(t.TempDir(), "trace.json")
+	ckpt := filepath.Join(t.TempDir(), "w.ckpt")
+	tiny := []string{"-file", tinyNetFile(t), "-dataset", "mnist", "-epochs", "1", "-examples", "16",
+		"-batch", "8", "-workers", "2"}
+	straggler := []string{"-net", "mnist", "-epochs", "2", "-examples", "96", "-batch", "16",
+		"-replicas", "4", "-allreduce", "ring", "-inject-slow-replica", "1", "-inject-slow-ms", "2.0"}
+	with := func(base []string, extra ...string) []string {
+		return append(append([]string{}, base...), extra...)
+	}
+	cases := []struct {
+		name  string
+		args  []string
+		check func(t *testing.T, out string)
+	}{
+		{"traced ring capture",
+			with(tiny, "-replicas", "2", "-trace", capture, "-trace-mode", "ring"),
+			func(t *testing.T, out string) {
+				for _, want := range []string{"trace: wrote", "barrier wait"} {
+					if !strings.Contains(out, want) {
+						t.Errorf("output missing %q:\n%s", want, out)
+					}
+				}
+				c, err := trace.ReadFile(capture)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := trace.Validate(c); err != nil {
+					t.Fatalf("capture does not validate: %v", err)
+				}
+				if rep := trace.Stragglers(c); rep.Steps < 1 || rep.SlowestReplica < 0 {
+					t.Errorf("straggler attribution found no step groups: %+v", rep)
+				}
+				var conv0 bool
+				for _, r := range trace.GoodputWaste(c).Rows {
+					conv0 = conv0 || r.Layer == "conv0"
+				}
+				if !conv0 {
+					t.Error("goodput-waste attribution has no conv0 row")
+				}
+			}},
+		{"straggler mitigation",
+			with(straggler, "-mitigate"),
+			func(t *testing.T, out string) {
+				for _, want := range []string{
+					"data-parallel: injecting straggler: replica 1",
+					"straggler mitigation on",
+					"rechunks",
+				} {
+					if !strings.Contains(out, want) {
+						t.Errorf("mitigated run missing %q:\n%s", want, out)
+					}
+				}
+				var control bytes.Buffer
+				if err := run(straggler, &control); err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(control.String(), "rechunks") {
+					t.Errorf("re-chunker ran without -mitigate:\n%s", control.String())
+				}
+			}},
+		{"checkpoint save and restore",
+			with(tiny, "-save", ckpt),
+			func(t *testing.T, out string) {
+				if !strings.Contains(out, "saved checkpoint "+ckpt) {
+					t.Errorf("-save did not report a checkpoint:\n%s", out)
+				}
+				var restored bytes.Buffer
+				if err := run(with(tiny, "-load", ckpt), &restored); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(restored.String(), "restored checkpoint "+ckpt) {
+					t.Errorf("-load did not restore the checkpoint:\n%s", restored.String())
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(tc.args, &out); err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, out.String())
+		})
 	}
 }
 

@@ -105,11 +105,7 @@ func Experiments() []Experiment {
 		{"ablation-ctcsr", "Ablation: CT-CSR column-tile width sweep (measured)", KindMeasured, RunAblationCTCSR},
 		{"ablation-machine", "Ablation: machine-model sensitivity study (modeled)", KindModeled, RunAblationMachine},
 		{"goodput", "Goodput across training: dense vs sparse BP (measured)", KindMeasured, RunGoodputTrain},
-		{"microkernel", "Micro-kernel layer: packed-panel GEMM, pack amortization, prepacked engine (measured)", KindMeasured, RunMicrokernel},
-		{"blockedconv", "Blocked (NCHW8) engine vs packed unfold+GEMM, conversion tax, sparse-weight goodput (measured)", KindMeasured, RunBlockedConv},
-		{"serve", "Serving: dynamic batching vs batch=1 dispatch, batch-size vs goodput curve (measured)", KindMeasured, RunServe},
-		{"zoo", "Workload zoo: generalized-spec nets (grouped/dilated/1x1/residual) trained under the planner (measured)", KindMeasured, RunZoo},
-		{"scaleout", "Scale-out: ring/tree/sparse allreduce, cluster-model curves, straggler-mitigation goodput (mixed)", KindMixed, RunScaleout},
+		{"scaleout", "Scale-out (Fig 4 analogue): CT-CSR exchange wire bytes, alpha-beta cluster allreduce curves (modeled)", KindModeled, RunScaleout},
 	}
 }
 

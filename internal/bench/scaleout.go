@@ -2,44 +2,29 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"spgcnn/internal/conv"
 	"spgcnn/internal/dataparallel"
 	"spgcnn/internal/machine"
-	"spgcnn/internal/nn"
 	"spgcnn/internal/rng"
-	"spgcnn/internal/tensor"
 )
 
 // RunScaleout regenerates the scale-out data-parallel evaluation (the Fig. 4
-// analogue for the reduction subsystem): measured wall-clock of the flat,
-// ring and tree allreduce schedules over shared-memory replicas, the CT-CSR
-// sparse exchange's wire-byte savings across a delta-density sweep, the
-// alpha-beta cluster model's 8-64 replica curves, and the measured goodput
-// recovery when an injected straggler meets trace-driven re-chunking or
-// bounded-staleness sync.
+// analogue for the reduction subsystem) as far as it is a pure function of
+// the code: the CT-CSR sparse exchange's wire-byte savings across a
+// delta-density sweep and the alpha-beta cluster model's 8-64 replica
+// curves. Wall-clock of the schedules and of straggler mitigation is host
+// timing, which the benchmark ledger owns (dataparallel.* rows).
 func RunScaleout(o Options) []Table {
 	sizes := []int{131072, 65536, 24576}
-	rounds := 3
-	goodputCfg := scaleoutGoodputConfig{examples: 128, epochs: 2, batch: 32, slowMS: 1.5}
 	if o.full() {
 		sizes = []int{524288, 262144, 65536}
-		rounds = 5
-		goodputCfg = scaleoutGoodputConfig{examples: 256, epochs: 3, batch: 32, slowMS: 1.5}
 	}
-
-	syncTable := scaleoutSyncTable(sizes, rounds)
-	wireTable := scaleoutWireTable(sizes)
-	goodputTable, stepSec := scaleoutGoodputTable(goodputCfg)
-	modelTable := scaleoutModelTable(stepSec, goodputCfg.batch)
-	return []Table{syncTable, wireTable, modelTable, goodputTable}
+	return []Table{scaleoutWireTable(sizes), scaleoutModelTable()}
 }
 
-// scaleoutViews builds n aligned replica parameter views, then perturbs each
-// replica's copy so a reduction round has real work to do. The perturbation
-// only changes the values, never the arithmetic schedule, so repeated Sync
-// rounds over the (now converged) views time the identical element stream.
+// scaleoutViews builds n aligned replica parameter views from one seeded
+// parameter set, then perturbs each replica's copy so a reduction round has
+// real work to do.
 func scaleoutViews(n int, sizes []int) [][][]float32 {
 	r := rng.New(0xAC0)
 	params := make([][]float32, len(sizes))
@@ -58,63 +43,6 @@ func scaleoutViews(n int, sizes []int) [][][]float32 {
 		}
 	}
 	return views
-}
-
-// timeSyncs times the reduction schedules against each other: per-round
-// seconds for each exchange, as the best of several interleaved trials.
-// Interleaving matters — a transient host stall then inflates one trial of
-// every method instead of one method's whole sample, and the min discards
-// it entirely.
-func timeSyncs(exs []*dataparallel.Exchange, rounds int) []float64 {
-	const trials = 5
-	best := make([]float64, len(exs))
-	for _, ex := range exs {
-		ex.Sync() // warm: scratch allocation, first-round convergence
-	}
-	for trial := 0; trial < trials; trial++ {
-		for m, ex := range exs {
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				ex.Sync()
-			}
-			sec := time.Since(start).Seconds() / float64(rounds)
-			if trial == 0 || sec < best[m] {
-				best[m] = sec
-			}
-		}
-	}
-	return best
-}
-
-// scaleoutSyncTable measures the dense schedules' wall-clock per round at
-// growing replica counts. On one shared-memory host the ring's win is pure
-// locality: each worker's 4 KiB chunk accumulator stays cache-hot while the
-// flat coordinator streams every replica's full vector.
-func scaleoutSyncTable(sizes []int, rounds int) Table {
-	var elems int
-	for _, l := range sizes {
-		elems += l
-	}
-	t := Table{
-		Title: "Scale-out: dense allreduce wall-clock per round (measured)",
-		Note: fmt.Sprintf("%d parameters across %d tensors, shared-memory replicas; "+
-			"advantage = time saved vs flat (ring wins while its chunk workers fit "+
-			"the host; tree's log-depth rounds win everywhere)", elems, len(sizes)),
-		Columns: []string{"replicas", "flat ms", "ring ms", "tree ms", "ring advantage %", "tree advantage %"},
-	}
-	for _, n := range []int{8, 16, 32, 64} {
-		var exs []*dataparallel.Exchange
-		for _, m := range []dataparallel.Method{
-			dataparallel.MethodFlat, dataparallel.MethodRing, dataparallel.MethodTree,
-		} {
-			exs = append(exs, dataparallel.NewExchange(m, dataparallel.SparseOff, scaleoutViews(n, sizes), nil))
-		}
-		times := timeSyncs(exs, rounds)
-		flat, ring, tree := times[0], times[1], times[2]
-		t.AddRow(n, flat*1e3, ring*1e3, tree*1e3,
-			(flat-ring)/flat*100, (flat-tree)/flat*100)
-	}
-	return t
 }
 
 // scaleoutWireTable sweeps the per-replica delta density and reports the
@@ -159,18 +87,15 @@ func scaleoutWireTable(sizes []int) Table {
 }
 
 // scaleoutModelTable evaluates the alpha-beta cluster model (10 GbE-era
-// defaults) for a 1M-parameter model at 8-64 replicas, and converts the
-// round cost into a modeled goodput curve using the measured per-step
-// compute time from the goodput experiment — the executed-vs-modeled pair.
-func scaleoutModelTable(stepSec float64, globalBatch int) Table {
+// defaults) for a 1M-parameter model at 8-64 replicas.
+func scaleoutModelTable() Table {
 	const params = 1_000_000
 	const density = 0.05
 	t := Table{
-		Title: "Scale-out: modeled allreduce cost and goodput, 1M parameters (alpha-beta cluster model)",
-		Note: fmt.Sprintf("10 GbE-class links (1.25 GB/s, 25us); sparse at density %.2f; "+
-			"modeled img/s = batch / (measured step %.2fms + round cost)", density, stepSec*1e3),
+		Title: "Scale-out: modeled allreduce cost, 1M parameters (alpha-beta cluster model)",
+		Note:  fmt.Sprintf("10 GbE-class links (1.25 GB/s, 25us); sparse at density %.2f", density),
 		Columns: []string{"replicas", "flat ms", "ring ms", "tree ms", "sparse-ring ms",
-			"ring speedup over flat", "modeled img/s (ring)"},
+			"ring speedup over flat"},
 	}
 	for _, n := range []int{8, 16, 32, 64} {
 		c := machine.DefaultCluster(n)
@@ -178,127 +103,7 @@ func scaleoutModelTable(stepSec float64, globalBatch int) Table {
 		ring := c.AllReduceSeconds("ring", params)
 		tree := c.AllReduceSeconds("tree", params)
 		sparse := c.SparseAllReduceSeconds("ring", params, density)
-		imgs := float64(globalBatch) / (stepSec + ring)
-		t.AddRow(n, flat*1e3, ring*1e3, tree*1e3, sparse*1e3, flat/ring, imgs)
+		t.AddRow(n, flat*1e3, ring*1e3, tree*1e3, sparse*1e3, flat/ring)
 	}
 	return t
-}
-
-// scaleoutGoodputConfig sizes the measured straggler-recovery experiment.
-type scaleoutGoodputConfig struct {
-	examples, epochs, batch int
-	slowMS                  float64
-}
-
-// scaleoutNet is the tiny deterministic conv+relu+fc network the goodput
-// experiment replicates — small enough that 8 replicas train in
-// milliseconds, real enough that conv goodput accounting applies.
-func scaleoutNet(seed uint64) *nn.Network {
-	r := rng.New(seed)
-	s := conv.Square(8, 3, 2, 3, 1)
-	cv := nn.NewConvFixed("conv0", s, fixedSerialStrategy(1), 1, r)
-	re := nn.NewReLU("relu0", cv.OutDims(), 1)
-	fc := nn.NewFC("fc0", re.OutDims(), 4, 1, r)
-	return nn.NewNetwork(cv, re, fc)
-}
-
-// scaleoutDataset is a deterministic synthetic dataset for the tiny net.
-type scaleoutDataset struct{ n int }
-
-func (d scaleoutDataset) Len() int        { return d.n }
-func (d scaleoutDataset) Classes() int    { return 4 }
-func (d scaleoutDataset) Label(i int) int { return i % 4 }
-func (d scaleoutDataset) Image(i int, dst *tensor.Tensor) {
-	r := rng.New(uint64(i)*0x9e3779b97f4a7c15 + 7)
-	dst.FillNormal(r, float32(i%4), 1)
-}
-
-// scaleoutGoodputTable measures 8-replica training throughput with an
-// injected straggler (replica 1 sleeps slowMS per image) and how much of it
-// each mitigation recovers: trace-driven re-chunking shrinks the slow
-// replica's shard; bounded staleness removes the per-step barrier. Also
-// returns the unperturbed mean step time, which calibrates the model table.
-func scaleoutGoodputTable(cfg scaleoutGoodputConfig) (Table, float64) {
-	const replicas = 8
-	t := Table{
-		Title: "Scale-out: goodput under an injected straggler, 8 replicas (measured)",
-		Note: fmt.Sprintf("%d images/epoch, global batch %d, replica 1 sleeps %.1fms/image; "+
-			"recovery = images/sec gained over the unmitigated straggler run",
-			cfg.examples, cfg.batch, cfg.slowMS),
-		Columns: []string{"configuration", "images/sec", "conv goodput GF/s",
-			"others' barrier wait ms", "rechunks", "recovery %"},
-	}
-	configs := []struct {
-		name      string
-		inject    bool
-		mitigate  bool
-		staleness int
-	}{
-		{"baseline (no straggler)", false, false, 0},
-		{"injected straggler", true, false, 0},
-		{"straggler + re-chunking", true, true, 0},
-		{"straggler + staleness K=2", true, false, 2},
-	}
-	var stragglerIPS, stepSec float64
-	for _, c := range configs {
-		dcfg := dataparallel.Config{
-			Replicas: replicas, LR: 0.01, GlobalBatch: cfg.batch, SyncEvery: 1,
-			AllReduce: dataparallel.MethodRing,
-			Mitigate:  c.mitigate, Staleness: c.staleness,
-		}
-		if c.inject {
-			dcfg.InjectSlowReplica = 1
-			dcfg.InjectSlowPerImage = time.Duration(cfg.slowMS * float64(time.Millisecond))
-		}
-		tr, err := dataparallel.New(func(int) *nn.Network { return scaleoutNet(11) }, dcfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: scaleout goodput config: %v", err))
-		}
-		ds := scaleoutDataset{n: cfg.examples}
-		var stats dataparallel.Stats
-		rechunks := 0
-		for e := 0; e < cfg.epochs; e++ {
-			r := rng.New(uint64(0x5CA1E + e))
-			stats = tr.TrainEpoch(ds, r) // last epoch (warmed) is the measurement
-			// Re-chunks count across the whole run: the first epoch's move
-			// away from the equal split is the robust engagement signal —
-			// converged shares may legitimately stop moving later.
-			rechunks += stats.Rechunks
-		}
-		var otherWait float64
-		for _, rs := range stats.Replicas {
-			if rs.Replica != 1 {
-				otherWait += rs.BarrierWait
-			}
-		}
-		switch c.name {
-		case "baseline (no straggler)":
-			var meanSum float64
-			for _, rs := range stats.Replicas {
-				meanSum += rs.Mean()
-			}
-			stepSec = meanSum / float64(len(stats.Replicas))
-			t.AddRow(c.name, stats.ImagesPerSec, stats.ConvGoodputGFlops,
-				otherWait*1e3, rechunks, "-")
-		case "injected straggler":
-			stragglerIPS = stats.ImagesPerSec
-			t.AddRow(c.name, stats.ImagesPerSec, stats.ConvGoodputGFlops,
-				otherWait*1e3, rechunks, "-")
-		default:
-			// Only re-chunking's recovery is gated: staleness merely removes
-			// the per-step convoy while the straggler still computes its full
-			// share, so its gain hovers near zero on this workload.
-			if c.mitigate {
-				t.AddRow(c.name, stats.ImagesPerSec, stats.ConvGoodputGFlops,
-					otherWait*1e3, rechunks, (stats.ImagesPerSec-stragglerIPS)/stragglerIPS*100)
-			} else {
-				t.AddRow(c.name, stats.ImagesPerSec, stats.ConvGoodputGFlops,
-					otherWait*1e3, rechunks, "-")
-			}
-		}
-	}
-	if stepSec <= 0 {
-		stepSec = 1e-3
-	}
-	return t, stepSec
 }

@@ -1,10 +1,15 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (the per-experiment index lives in
-// DESIGN.md §4). Each experiment is a named runner producing Tables —
-// column-aligned text for the terminal, CSV for plotting — from either the
-// analytical machine model (multicore shapes; see the substitution note in
-// DESIGN.md §2) or real execution on this host (single-core comparisons,
-// training runs).
+// figure of the paper's evaluation, their ablations and the Eq. 9 goodput
+// run (the per-experiment index lives in DESIGN.md §4) — and nothing else:
+// an experiment backs a paper artifact or it does not belong here. Each
+// experiment is a named runner producing Tables — column-aligned text for
+// the terminal, CSV for plotting — from either the analytical machine model
+// (multicore shapes; see the substitution note in DESIGN.md §2) or real
+// execution on this host (the paper's measured figures). Host timing meant
+// to be compared across commits is not this package's job: the repository
+// benchmark under benchmark/ owns it. The deterministic experiments'
+// committed output (results/*.txt, baselines/BENCH_*.json) is regenerated
+// in tier-1 by cmd/spg-bench's tests.
 package bench
 
 import (

@@ -10,7 +10,7 @@ import (
 
 // benchEpoch drives 2-replica epochs with or without a bound ring
 // recorder. Comparing the two pins the flight recorder's step-time
-// overhead (budget: <5%, recorded in results/trace_overhead.txt).
+// overhead (budget: <5%; the ledger's bench.trace_overhead_share).
 func benchEpoch(b *testing.B, traced bool) {
 	def, err := netdef.Parse(tracedNet)
 	if err != nil {

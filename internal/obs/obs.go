@@ -276,8 +276,8 @@ func (o *Observatory) SetSparsity(layer string, wSparsity, eoSparsity float64) {
 // SetSlowdown installs the fault-injection factor: every subsequently
 // observed span time is multiplied by f before accounting, simulating a
 // host slowdown (co-tenant interference) without perturbing the workload.
-// This is the deterministic seam the drift acceptance test and
-// scripts/drift_check.sh inject through. f <= 0 or 1 disables.
+// This is the deterministic seam the drift acceptance test (cmd/spg-train
+// TestDriftInjectionAndControl) injects through. f <= 0 or 1 disables.
 func (o *Observatory) SetSlowdown(f float64) {
 	o.mu.Lock()
 	o.slowdown = f

@@ -15,8 +15,8 @@ import (
 	"spgcnn/internal/plan"
 )
 
-// ReportSchemaVersion stamps every drift report. Readers (spg-doctor,
-// scripts/drift_check.sh) reject other versions instead of misreading.
+// ReportSchemaVersion stamps every drift report. Readers (spg-doctor)
+// reject other versions instead of misreading.
 const ReportSchemaVersion = 1
 
 // Row is one (layer, phase) series of the agreement report.
@@ -196,7 +196,7 @@ func ReadReportFile(path string) (Report, error) {
 // Validate checks the report's schema and invariants: known schema
 // version, phases in {fp, bp}, regions in Fig. 1's six cells, bands
 // within plan.BandCount, and finite non-negative statistics. This is the
-// gate scripts/drift_check.sh holds the artifact to.
+// gate ReadReportFile and spg-doctor -check hold the artifact to.
 func (rep Report) Validate() error {
 	if rep.Schema != ReportSchemaVersion {
 		return fmt.Errorf("obs: report schema %d, want %d", rep.Schema, ReportSchemaVersion)
