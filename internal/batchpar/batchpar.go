@@ -47,9 +47,6 @@ func (e *Executor) Name() string { return e.name }
 // Spec implements engine.Kernel.
 func (e *Executor) Spec() conv.Spec { return e.spec }
 
-// Inner returns the wrapped per-input kernel.
-func (e *Executor) Inner() engine.Kernel { return e.k }
-
 // ForwardBatch computes outs[i] = conv(ins[i], w) for the whole batch.
 // Inputs are claimed in dynamically-sized contiguous chunks (guided
 // self-scheduling) rather than one static chunk per worker: per-input cost

@@ -201,9 +201,6 @@ func TestNameAndAccessors(t *testing.T) {
 	if e.Name() == "" {
 		t.Fatal("empty name")
 	}
-	if e.Inner() == nil || e.Inner().Spec() != s {
-		t.Fatal("inner kernel accessor")
-	}
 }
 
 func TestSingleSampleCompat(t *testing.T) {

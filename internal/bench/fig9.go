@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/data"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/nn"
 	"spgcnn/internal/rng"
@@ -172,15 +173,16 @@ func fig9Measured(o Options) Table {
 	return t
 }
 
-// buildCIFARNet assembles the Table 2 CIFAR network with split FP/BP
-// strategies on every conv layer.
+// buildCIFARNet assembles the Table 2 CIFAR network with every conv layer
+// pinned to fp for forward and bp for backward propagation.
 func buildCIFARNet(fp, bp core.Strategy, workers int) *nn.Network {
 	r := rng.New(0x0C1F)
 	specs := cifarConvSpecs()
-	c0 := nn.NewConvSplit("conv0", specs[0], fp, bp, workers, r)
+	pinned := core.FixedPlanner(fp, bp)
+	c0 := nn.NewConvCtx("conv0", specs[0], pinned, exec.New(workers), r)
 	r0 := nn.NewReLU("relu0", c0.OutDims(), workers)
 	p0 := nn.NewMaxPool("pool0", r0.OutDims(), 4, 4, workers)
-	c1 := nn.NewConvSplit("conv1", specs[1], fp, bp, workers, r)
+	c1 := nn.NewConvCtx("conv1", specs[1], pinned, exec.New(workers), r)
 	r1 := nn.NewReLU("relu1", c1.OutDims(), workers)
 	fc := nn.NewFC("fc0", r1.OutDims(), 10, workers, r)
 	return nn.NewNetwork(c0, r0, p0, c1, r1, fc)

@@ -50,8 +50,6 @@ type Kernel struct {
 	spanHit, spanMiss string
 }
 
-var _ engine.BlockedKernel = (*Kernel)(nil)
-
 // New builds a blocked-convolution kernel for s.
 func New(s conv.Spec) *Kernel {
 	s.MustValidate()
@@ -129,28 +127,6 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 	}
 	c.PutTensor(outb)
 	c.PutTensor(inb)
-}
-
-// ForwardBlockedBatch implements engine.BlockedKernel: the native seam,
-// no layout conversion at all. ins and outs carry the blocked shapes of
-// conv.CheckBlockedInput/Output.
-func (k *Kernel) ForwardBlockedBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	if len(outs) != len(ins) {
-		panic("blockedconv: ForwardBlockedBatch length mismatch")
-	}
-	s := k.spec
-	if !s.Plain() {
-		// Generalized specs gather straight out of blocked storage through
-		// the grouped/padded Im2colBlocked path.
-		k.bp.ForwardBlockedBatch(c, outs, ins, w)
-		return
-	}
-	wb := k.blockedWeights(c, w)
-	for i := range ins {
-		conv.CheckBlockedInput(s, ins[i])
-		conv.CheckBlockedOutput(s, outs[i])
-		forwardBlocked(s, outs[i], ins[i], wb)
-	}
 }
 
 // BackwardInputBatch implements engine.Kernel by delegating to the serial

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spgcnn/internal/conv"
-	"spgcnn/internal/engine"
 	"spgcnn/internal/engine/enginetest"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
@@ -29,69 +28,6 @@ func TestDifferential(t *testing.T) {
 			{Nx: 19, Ny: 9, Nc: 11, Nf: 13, Fx: 3, Fy: 2, Sx: 3, Sy: 2},
 		},
 	})
-}
-
-// TestNativeBlockedPath pins the engine.BlockedKernel seam: running FP on
-// pre-blocked tensors must produce bit-identically the same values as the
-// canonical NCHW entry point (both paths execute the same forwardBlocked).
-func TestNativeBlockedPath(t *testing.T) {
-	r := rng.New(7)
-	c := exec.New(1)
-	for _, s := range []conv.Spec{
-		conv.Square(9, 3, 2, 3, 1),
-		conv.Square(12, 16, 9, 3, 1),
-		{Nx: 11, Ny: 7, Nc: 5, Nf: 10, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
-	} {
-		k := New(s)
-		in := conv.RandInput(r, s)
-		w := conv.RandWeights(r, s)
-		w.Bump()
-
-		want := conv.NewOutput(s)
-		k.ForwardBatch(c, []*tensor.Tensor{want}, []*tensor.Tensor{in}, w)
-
-		inb := tensor.ToBlocked(in)
-		outb := conv.NewBlockedOutput(s)
-		k.ForwardBlockedBatch(c, []*tensor.Tensor{outb}, []*tensor.Tensor{inb}, w)
-		got := tensor.FromBlocked(outb, s.Nf)
-		if !tensor.Identical(got, want) {
-			t.Fatalf("%v: native blocked FP differs from NCHW entry point", s)
-		}
-	}
-}
-
-// TestEndToEndBlockedPipeline chains two conv layers through the
-// engine.BlockedKernel seam: the intermediate activation stays blocked and
-// is never converted. The result must match the all-NCHW pipeline bitwise.
-func TestEndToEndBlockedPipeline(t *testing.T) {
-	r := rng.New(11)
-	c := exec.New(1)
-	s1 := conv.Square(14, 12, 3, 3, 1)                                         // 14x14x3 -> 12x12x12
-	s2 := conv.Spec{Nx: 12, Ny: 12, Nc: 12, Nf: 5, Fx: 3, Fy: 3, Sx: 1, Sy: 1} // -> 10x10x5
-	k1, k2 := New(s1), New(s2)
-	in := conv.RandInput(r, s1)
-	w1, w2 := conv.RandWeights(r, s1), conv.RandWeights(r, s2)
-	w1.Bump()
-	w2.Bump()
-
-	// Reference: canonical NCHW at every seam.
-	mid := conv.NewOutput(s1)
-	want := conv.NewOutput(s2)
-	k1.ForwardBatch(c, []*tensor.Tensor{mid}, []*tensor.Tensor{in}, w1)
-	k2.ForwardBatch(c, []*tensor.Tensor{want}, []*tensor.Tensor{mid}, w2)
-
-	// Blocked pipeline: convert only at ingest and egress, and drive both
-	// layers through the interface the net-level executor would use.
-	var b1, b2 engine.BlockedKernel = k1, k2
-	inb := tensor.ToBlocked(in)
-	midb := conv.NewBlockedOutput(s1)
-	outb := conv.NewBlockedOutput(s2)
-	b1.ForwardBlockedBatch(c, []*tensor.Tensor{midb}, []*tensor.Tensor{inb}, w1)
-	b2.ForwardBlockedBatch(c, []*tensor.Tensor{outb}, []*tensor.Tensor{midb}, w2)
-	got := tensor.FromBlocked(outb, s2.Nf)
-	if !tensor.Identical(got, want) {
-		t.Fatal("end-to-end blocked pipeline differs from NCHW pipeline")
-	}
 }
 
 // TestWeightBlockCache verifies the per-Ver cache: repeated FP with the

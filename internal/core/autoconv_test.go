@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -67,14 +68,35 @@ func fakeBPStrategies() []Strategy {
 	}
 }
 
+// measureAll is the tests' planner: one timed repetition of every candidate
+// on every request, no cache — ChooseFP/ChooseBP called directly.
+type measureAll struct{ fp, bp []Strategy }
+
+func (m measureAll) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
+	w *tensor.Tensor, opts TuneOptions) Planned {
+	opts.Reps = 1
+	return Planned{Selection: ChooseFP(SupportedStrategies(m.fp, s), s, c, ins, w, opts)}
+}
+
+func (m measureAll) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
+	w *tensor.Tensor, opts TuneOptions) Planned {
+	opts.Reps = 1
+	return Planned{Selection: ChooseBP(SupportedStrategies(m.bp, s), s, c, eos, ins, w, opts)}
+}
+
 func newFakeAutoConv(s conv.Spec, c *exec.Ctx) *AutoConv {
-	return NewAutoConv(s, 0, AutoOptions{
-		Ctx:           c,
-		RecheckEpochs: 1,
-		Tune:          TuneOptions{Reps: 1},
-		FP:            []Strategy{fakeStrategy("fake-fp", nil)},
-		BP:            fakeBPStrategies(),
+	return NewAutoConv(s, c, measureAll{
+		fp: []Strategy{fakeStrategy("fake-fp", nil)},
+		bp: fakeBPStrategies(),
 	})
+}
+
+// recheck ends as many epochs as the BP re-check period, so exactly one
+// re-plan runs.
+func recheck(a *AutoConv) {
+	for i := 0; i < recheckEpochs; i++ {
+		a.EpochEnd()
+	}
 }
 
 // TestAutoConvCopiesRetainedGradients is the regression test for the
@@ -148,7 +170,7 @@ func TestAutoConvEpochEndFlipsBPStrategy(t *testing.T) {
 	if got := a.BPSelection().Chosen.Strategy().Name; got != "dense-friendly" {
 		t.Fatalf("dense tuning deployed %q, want dense-friendly", got)
 	}
-	a.EpochEnd() // re-check against the dense sample: no flip
+	recheck(a) // against the dense sample: no flip
 	if got := a.BPSelection().Chosen.Strategy().Name; got != "dense-friendly" {
 		t.Fatalf("dense re-check flipped to %q", got)
 	}
@@ -161,7 +183,7 @@ func TestAutoConvEpochEndFlipsBPStrategy(t *testing.T) {
 	for i := range eos[0].Data {
 		eos[0].Data[i] = 1
 	}
-	a.EpochEnd()
+	recheck(a)
 
 	if got := a.BPSelection().Chosen.Strategy().Name; got != "sparse-friendly" {
 		t.Fatalf("sparse re-check deployed %q, want sparse-friendly", got)
@@ -177,8 +199,8 @@ func TestAutoConvEpochEndFlipsBPStrategy(t *testing.T) {
 	}
 }
 
-// recordingPlanner wraps the measure-everything planner and keeps the
-// TuneOptions of every BP request.
+// recordingPlanner wraps measureAll and keeps the TuneOptions of every BP
+// request.
 type recordingPlanner struct {
 	Planner
 	bp []TuneOptions
@@ -201,10 +223,10 @@ func TestAutoConvPlansWhatItDeploys(t *testing.T) {
 	ins := []*tensor.Tensor{conv.RandInput(r, s)}
 	dw := conv.NewWeights(s)
 	for _, eis := range [][]*tensor.Tensor{nil, {conv.NewInput(s)}} {
-		pl := &recordingPlanner{Planner: measurePlanner{bp: fakeBPStrategies()}}
-		a := NewAutoConv(s, 1, AutoOptions{RecheckEpochs: 1, Tune: TuneOptions{Reps: 1}, Planner: pl})
+		pl := &recordingPlanner{Planner: measureAll{bp: fakeBPStrategies()}}
+		a := NewAutoConv(s, exec.New(1), pl)
 		a.Backward(eis, dw, eos, ins, conv.NewWeights(s))
-		a.EpochEnd()
+		recheck(a)
 		if len(pl.bp) != 2 {
 			t.Fatalf("planner saw %d BP requests, want 2 (first tune + re-check)", len(pl.bp))
 		}
@@ -212,6 +234,42 @@ func TestAutoConvPlansWhatItDeploys(t *testing.T) {
 			if opts.NoInputGrad != (eis == nil) {
 				t.Errorf("request %d with eis nil=%v: NoInputGrad = %v", i, eis == nil, opts.NoInputGrad)
 			}
+		}
+	}
+}
+
+// TestFixedPlannerPinsWithoutMeasuring: a layer under FixedPlanner runs the
+// named strategy per phase, records no tune span and no choice event, and
+// its epoch re-checks never flip.
+func TestFixedPlannerPinsWithoutMeasuring(t *testing.T) {
+	s := conv.Square(8, 2, 2, 3, 1)
+	r := rng.New(13)
+	c := exec.New(2)
+	fpSt, _ := StrategyByName("stencil", 2)
+	bpSt, _ := StrategyByName("sparse", 2)
+	a := NewAutoConv(s, c, FixedPlanner(fpSt, bpSt))
+	w := conv.RandWeights(r, s)
+	ins, eos := sampleBatch(r, s, 3, 0.9)
+	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s), conv.NewOutput(s)}
+	dw := conv.NewWeights(s)
+	for epoch := 0; epoch < 2*recheckEpochs; epoch++ {
+		if got := a.Forward(outs, ins, w).Strategy().Name; got != "stencil" {
+			t.Fatalf("epoch %d: FP ran %q, want stencil", epoch, got)
+		}
+		if got := a.Backward(nil, dw, eos, ins, w).Strategy().Name; got != "sparse" {
+			t.Fatalf("epoch %d: BP ran %q, want sparse", epoch, got)
+		}
+		a.EpochEnd()
+	}
+	if fp, bp := a.FPSelection(), a.BPSelection(); len(fp.Timings)+len(bp.Timings) != 0 {
+		t.Errorf("pinned selections carry timing tables: fp %v bp %v", fp.Timings, bp.Timings)
+	}
+	if ch := c.Probe().Choices(); len(ch) != 0 {
+		t.Errorf("pinned layer recorded choices %+v", ch)
+	}
+	for name := range c.Probe().Spans() {
+		if strings.HasPrefix(name, "tune/") {
+			t.Errorf("pinned layer recorded tune span %s", name)
 		}
 	}
 }

@@ -10,6 +10,13 @@
 //
 //	FP: Parallel-GEMM, GEMM-in-Parallel, Stencil-Kernel, Packed, Blocked, Sparse-Weight
 //	BP: Parallel-GEMM, GEMM-in-Parallel, Sparse-Kernel, Packed
+//
+// A layer reaches its kernel through exactly one path: nn.Conv holds an
+// AutoConv, the AutoConv asks its Planner what to deploy per phase, and the
+// answer is an Exec — one strategy instantiated for the spec under the
+// layer's execution context. ChooseFP/ChooseBP are the measurement passes a
+// tuning planner (internal/plan) runs; FixedPlanner is the planner of a
+// pinned layer.
 package core
 
 import (
@@ -38,10 +45,10 @@ type Strategy struct {
 	Name          string
 	Gen           engine.Generator
 	BatchParallel bool
-	// Layout is the activation layout the strategy's kernel computes in.
-	// Strategies that run natively on channel-blocked activations report
-	// tensor.NCHW8; the zero value is the canonical NCHW. Reported by the
-	// planner so layer layout is a planned property, not an engine detail.
+	// Layout is the activation layout the strategy's kernel computes in
+	// internally (every strategy takes and returns NCHW at the batch seam).
+	// The channel-blocked engine reports tensor.NCHW8; the zero value is
+	// the canonical NCHW. spg-plan prints it beside the model ranking.
 	Layout tensor.Layout
 }
 
@@ -156,9 +163,6 @@ func (e *Exec) Strategy() Strategy { return e.strategy }
 
 // Ctx returns the execution context this exec runs under.
 func (e *Exec) Ctx() *exec.Ctx { return e.ctx }
-
-// Kernel returns the underlying batch kernel.
-func (e *Exec) Kernel() engine.Kernel { return e.k }
 
 // Name describes the exec.
 func (e *Exec) Name() string {

@@ -220,7 +220,7 @@ func TestChooseBPPicksMeasuredMinimum(t *testing.T) {
 func TestAutoConvTunesAndExecutes(t *testing.T) {
 	r := rng.New(4)
 	s := conv.Square(10, 4, 2, 3, 1)
-	a := NewAutoConv(s, 2, AutoOptions{Tune: TuneOptions{Reps: 1}})
+	a := NewAutoConv(s, exec.New(2), measureAll{fp: FPStrategies(2), bp: BPStrategies(2)})
 	w := conv.RandWeights(r, s)
 	ins, eos := sampleBatch(r, s, 4, 0.85)
 	outs := make([]*tensor.Tensor, len(ins))
@@ -252,14 +252,14 @@ func TestAutoConvTunesAndExecutes(t *testing.T) {
 func TestAutoConvRechecksBP(t *testing.T) {
 	r := rng.New(5)
 	s := conv.Square(8, 4, 2, 3, 1)
-	a := NewAutoConv(s, 2, AutoOptions{RecheckEpochs: 1, Tune: TuneOptions{Reps: 1}})
+	a := NewAutoConv(s, exec.New(2), measureAll{fp: FPStrategies(2), bp: BPStrategies(2)})
 	w := conv.RandWeights(r, s)
 	ins, eos := sampleBatch(r, s, 2, 0.5)
 	eis := []*tensor.Tensor{conv.NewInput(s), conv.NewInput(s)}
 	dw := conv.NewWeights(s)
 	a.Backward(eis, dw, eos, ins, w)
 	first := a.BPSelection()
-	a.EpochEnd() // triggers re-tune with RecheckEpochs=1
+	recheck(a)
 	second := a.BPSelection()
 	if len(second.Timings) == 0 {
 		t.Fatal("re-tune produced no timings")
@@ -272,8 +272,8 @@ func TestAutoConvRechecksBP(t *testing.T) {
 
 func TestEpochEndBeforeTuneIsNoop(t *testing.T) {
 	s := conv.Square(8, 4, 2, 3, 1)
-	a := NewAutoConv(s, 2, AutoOptions{RecheckEpochs: 1})
-	a.EpochEnd() // must not panic with no gradients retained
+	a := NewAutoConv(s, exec.New(2), FixedPlanner(ReferenceStrategy(), ReferenceStrategy()))
+	recheck(a) // must not panic with no gradients retained
 }
 
 func TestSelectionBest(t *testing.T) {

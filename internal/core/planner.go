@@ -10,11 +10,10 @@ import (
 // an execution context and sample tensors, it produces the deployed
 // verdict for one phase. AutoConv delegates every selection to a Planner,
 // so where the verdict comes from — a fresh measurement pass, an
-// in-memory share with another layer or replica, or a persistent plan
-// cache — is the planner's concern, not the layer's. The caching,
-// model-pruning implementation lives in internal/plan; the fallback used
-// when no planner is injected measures every candidate on every request
-// (the pre-planner behavior).
+// in-memory share with another layer or replica, a persistent plan
+// cache, or a constant — is the planner's concern, not the layer's. The
+// caching, model-pruning implementation lives in internal/plan;
+// FixedPlanner is the one that pins a layer.
 type Planner interface {
 	// PlanFP selects the forward-propagation strategy for s under c,
 	// using ins/w as the sample batch if a measurement pass is needed.
@@ -35,24 +34,22 @@ type Planned struct {
 	FromCache bool
 }
 
-// NewMeasurePlanner returns the fallback planner for the given worker
-// count: measure every candidate on every request, no cache — exactly the
-// behavior of calling ChooseFP/ChooseBP directly.
-func NewMeasurePlanner(workers int) Planner {
-	return measurePlanner{fp: FPStrategies(workers), bp: BPStrategies(workers)}
+// FixedPlanner returns the planner of a pinned layer: every FP request is
+// answered with fp and every BP request with bp (how the baseline and
+// composed configurations of Fig. 9 are built). Like a plan-cache hit it
+// builds a fresh Exec per request; unlike one it measures nothing, so its
+// selections carry no timing table and no tune span or choice event reaches
+// the probe.
+func FixedPlanner(fp, bp Strategy) Planner { return fixedPlanner{fp: fp, bp: bp} }
+
+type fixedPlanner struct{ fp, bp Strategy }
+
+func (p fixedPlanner) PlanFP(s conv.Spec, c *exec.Ctx, _ []*tensor.Tensor,
+	_ *tensor.Tensor, _ TuneOptions) Planned {
+	return Planned{Selection: Selection{Chosen: NewExecCtx(p.fp, s, c)}}
 }
 
-// measurePlanner is the planner AutoConv falls back to when none is
-// injected: measure every candidate on every request, no cache — exactly
-// the behavior of calling ChooseFP/ChooseBP directly.
-type measurePlanner struct{ fp, bp []Strategy }
-
-func (m measurePlanner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
-	w *tensor.Tensor, opts TuneOptions) Planned {
-	return Planned{Selection: ChooseFP(SupportedStrategies(m.fp, s), s, c, ins, w, opts)}
-}
-
-func (m measurePlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
-	w *tensor.Tensor, opts TuneOptions) Planned {
-	return Planned{Selection: ChooseBP(SupportedStrategies(m.bp, s), s, c, eos, ins, w, opts)}
+func (p fixedPlanner) PlanBP(s conv.Spec, c *exec.Ctx, _, _ []*tensor.Tensor,
+	_ *tensor.Tensor, _ TuneOptions) Planned {
+	return Planned{Selection: Selection{Chosen: NewExecCtx(p.bp, s, c)}}
 }

@@ -194,9 +194,6 @@ func NewExchange(method Method, sparseMode string, views [][][]float32,
 // Replicas returns the replica count of the views.
 func (e *Exchange) Replicas() int { return len(e.views) }
 
-// Elems returns the total parameter element count.
-func (e *Exchange) Elems() int64 { return e.elems }
-
 // Sync averages the replica views in place and returns what happened.
 func (e *Exchange) Sync() SyncInfo {
 	n := len(e.views)

@@ -209,10 +209,6 @@ func NewFromDef(def *netdef.NetDef, opts netdef.BuildOptions, cfg Config) (*Trai
 	return t, nil
 }
 
-// Contexts returns the per-replica execution contexts (nil when the
-// trainer was built with New, which does not see the builder's contexts).
-func (t *Trainer) Contexts() []*exec.Ctx { return t.ctxs }
-
 // AddSink attaches an additional probe sink to every replica's execution
 // context — how span observers that span replicas (the drift observatory)
 // ride the trainer. Only usable on NewFromDef trainers, whose contexts the

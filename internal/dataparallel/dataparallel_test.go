@@ -5,6 +5,7 @@ import (
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/nn"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
@@ -16,7 +17,7 @@ func buildNet(seed uint64) *nn.Network {
 	r := rng.New(seed)
 	s := conv.Square(8, 3, 2, 3, 1)
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
-	cv := nn.NewConvFixed("conv0", s, st, 1, r)
+	cv := nn.NewConvCtx("conv0", s, core.FixedPlanner(st, st), exec.New(1), r)
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
 	fc := nn.NewFC("fc0", re.OutDims(), 4, 1, r)
 	return nn.NewNetwork(cv, re, fc)

@@ -122,7 +122,7 @@ layer { name: "conv0" type: "conv" features: 2 kernel: 9 }
 }
 
 // TestTrainEpochRunsEpochEnd: the epoch boundary must reach every
-// replica's scheduler (the §4.4 BP re-check). With RecheckEpochs' default
+// replica's scheduler (the §4.4 BP re-check). With the re-check period
 // of 2, two epochs trigger exactly one re-plan per replica — all in-band
 // cache hits on the shared planner, zero extra measurement passes.
 func TestTrainEpochRunsEpochEnd(t *testing.T) {

@@ -32,8 +32,8 @@ func TestTrainEpochTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Contexts()) != 2 {
-		t.Fatalf("contexts = %d, want 2", len(tr.Contexts()))
+	if len(tr.ctxs) != 2 {
+		t.Fatalf("contexts = %d, want 2", len(tr.ctxs))
 	}
 	rec := trace.New(trace.Options{})
 	tr.BindTrace(rec)

@@ -60,20 +60,6 @@ type FusedBackward interface {
 		eos, ins []*tensor.Tensor, w *tensor.Tensor)
 }
 
-// BlockedKernel is implemented by kernels whose forward pass can consume
-// and produce channel-blocked (tensor.NCHW8) activations natively — no
-// per-call layout conversion. A net whose layers all expose this seam runs
-// end-to-end blocked, converting only at ingest and egress.
-type BlockedKernel interface {
-	Kernel
-
-	// ForwardBlockedBatch computes outs[i] = conv(ins[i], w) where ins and
-	// outs have the blocked shapes of conv.CheckBlockedInput/Output. w stays
-	// in the canonical [Nf][Nc][Fy][Fx] layout (blocked engines cache their
-	// own weight form per tensor.Ver).
-	ForwardBlockedBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor)
-}
-
 // Generator builds a kernel specialized to a spec. It plays the role of
 // the paper's code generators: invoked once per (layer, technique), the
 // result is then run for every training batch.

@@ -42,9 +42,6 @@ func FromSlice(data []float32, rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
@@ -138,16 +135,6 @@ var (
 func ForcePackedForTest() (restore func()) {
 	oldRows, oldArea := minPackedRows, minPackedArea
 	minPackedRows, minPackedArea = 1, 1
-	return func() { minPackedRows, minPackedArea = oldRows, oldArea }
-}
-
-// DisablePackedForTest raises the packed-path dispatch limits above any
-// realistic size so Serial/SerialAccum run the blocked baseline kernel —
-// used by benchmarks that measure the packed path's advantage. It returns
-// a restore function; not for use outside tests and benchmarks.
-func DisablePackedForTest() (restore func()) {
-	oldRows, oldArea := minPackedRows, minPackedArea
-	minPackedRows, minPackedArea = 1<<30, 1<<62
 	return func() { minPackedRows, minPackedArea = oldRows, oldArea }
 }
 

@@ -179,10 +179,3 @@ func PackedSerial(c, a, b *Matrix) {
 	packedMulRange(c, a, panels, b.Cols, 0, a.Rows, false)
 	bufPool.Put(buf)
 }
-
-// PackedAccumWith computes C += A·B using caller-owned packing storage
-// (reusable across calls, e.g. by a conv kernel invoked per image).
-func PackedAccumWith(buf *packBuf, c, a, b *Matrix) {
-	checkMul(c, a, b)
-	packedAccum(buf, c, a, b)
-}

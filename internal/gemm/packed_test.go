@@ -32,8 +32,8 @@ func TestPackedAccumWithReuse(t *testing.T) {
 	a := randMatrix(r, 20, 33)
 	b := randMatrix(r, 33, 17)
 	c := NewMatrix(20, 17)
-	PackedAccumWith(&buf, c, a, b)
-	PackedAccumWith(&buf, c, a, b) // accumulate again with reused buffers
+	packedAccum(&buf, c, a, b)
+	packedAccum(&buf, c, a, b) // accumulate again with reused buffers
 	want := NewMatrix(20, 17)
 	Naive(want, a, b)
 	want.Data = append([]float32(nil), want.Data...)
@@ -41,7 +41,7 @@ func TestPackedAccumWithReuse(t *testing.T) {
 		want.Data[i] *= 2
 	}
 	if !matricesClose(c, FromSlice(want.Data, 20, 17), 1e-3) {
-		t.Fatal("PackedAccumWith did not accumulate correctly across reuses")
+		t.Fatal("packedAccum did not accumulate correctly across reuses")
 	}
 }
 

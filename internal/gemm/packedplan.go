@@ -76,14 +76,6 @@ func MulPacked(c, a *Matrix, p *PackedB) {
 	packedMulRange(c, a, p.panels, p.N, 0, a.Rows, false)
 }
 
-// MulPackedAccum computes C += A·B from the prepacked operand.
-func MulPackedAccum(c, a *Matrix, p *PackedB) {
-	if a.Cols != p.K || c.Rows != a.Rows || c.Cols != p.N {
-		panic("gemm: MulPackedAccum dimension mismatch")
-	}
-	packedMulRange(c, a, p.panels, p.N, 0, a.Rows, true)
-}
-
 // ParallelMulPacked computes C = A·B from the prepacked operand with rows of
 // C claimed dynamically (par.ForDynamic): rows write disjoint output and the
 // packed panels are read-only, so guided chunking is safe and absorbs both

@@ -21,9 +21,10 @@ type BuildOptions struct {
 	// all scratch, one probe for all instrumentation. Nil builds a fresh
 	// context with Workers workers.
 	Ctx *exec.Ctx
-	// FixedStrategy pins every convolution to one strategy (how the
-	// baseline configurations of Fig. 9 are constructed). Nil selects
-	// spg-CNN's auto-tuning scheduler.
+	// FixedStrategy pins every convolution to one strategy for both phases
+	// (how the baseline configurations of Fig. 9 are constructed): the
+	// layers ask core.FixedPlanner instead of Planner. Nil selects spg-CNN's
+	// auto-tuning scheduler.
 	FixedStrategy *core.Strategy
 	// Planner owns strategy selection for auto-tuned conv layers. Nil
 	// builds one fresh plan.Planner per Build call, so same-geometry
@@ -54,7 +55,9 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 	}
 	workers := ctx.Workers()
 	planner := opts.Planner
-	if planner == nil {
+	if st := opts.FixedStrategy; st != nil {
+		planner = core.FixedPlanner(*st, *st)
+	} else if planner == nil {
 		planner = plan.New(plan.Options{})
 	}
 	r := rng.New(opts.Seed ^ 0xB111D)
@@ -99,17 +102,15 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			if err := s.Validate(); err != nil {
 				return nil, fmt.Errorf("netdef: layer %q: %w", l.Name, err)
 			}
+			if st := opts.FixedStrategy; st != nil && !st.Supports(s) {
+				return nil, fmt.Errorf("netdef: layer %q: fixed strategy %q does not support spec %v",
+					name, st.Name, s)
+			}
 			var cl *nn.Conv
-			if opts.FixedStrategy != nil {
-				if !opts.FixedStrategy.Supports(s) {
-					return nil, fmt.Errorf("netdef: layer %q: fixed strategy %q does not support spec %v",
-						name, opts.FixedStrategy.Name, s)
-				}
-				cl = nn.NewConvFixedCtx(name, s, *opts.FixedStrategy, ctx, r)
-			} else if opts.Inference {
+			if opts.Inference && opts.FixedStrategy == nil {
 				cl = nn.NewConvInferCtx(name, s, planner, opts.InferBuckets, ctx, r)
 			} else {
-				cl = nn.NewConvPlannedCtx(name, s, planner, ctx, r)
+				cl = nn.NewConvCtx(name, s, planner, ctx, r)
 			}
 			layers = append(layers, cl)
 			dims = cl.OutDims()
@@ -126,18 +127,6 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			}
 			stride := l.Field("stride", k)
 			pl := nn.NewMaxPool(name, dims, k, stride, workers)
-			layers = append(layers, pl)
-			dims = pl.OutDims()
-		case "pad":
-			if len(dims) != 3 {
-				return nil, fmt.Errorf("netdef: layer %q: pad needs a [C][H][W] input, have %v", l.Name, dims)
-			}
-			py := l.Field("rows", l.Field("size", 0))
-			px := l.Field("cols", l.Field("size", 0))
-			if py < 0 || px < 0 || (py == 0 && px == 0) {
-				return nil, fmt.Errorf("netdef: layer %q: pad needs a positive size (or rows/cols)", l.Name)
-			}
-			pl := nn.NewPad(name, dims, py, px, workers)
 			layers = append(layers, pl)
 			dims = pl.OutDims()
 		case "avgpool":

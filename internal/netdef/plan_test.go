@@ -149,9 +149,8 @@ func TestDefaultPlannerSharesWithinBuild(t *testing.T) {
 	src := `
 name: "twins"
 input { channels: 2 height: 10 width: 10 }
-layer { name: "convA" type: "conv" features: 2 kernel: 3 stride: 1 }
-layer { name: "pad0" type: "pad" size: 1 }
-layer { name: "convB" type: "conv" features: 2 kernel: 3 stride: 1 }
+layer { name: "convA" type: "conv" features: 2 kernel: 3 stride: 1 pad: 1 }
+layer { name: "convB" type: "conv" features: 2 kernel: 3 stride: 1 pad: 1 }
 layer { name: "fc0" type: "fc" outputs: 3 }
 `
 	def, err := Parse(src)
@@ -163,7 +162,7 @@ layer { name: "fc0" type: "fc" outputs: 3 }
 	soloSrc := `
 name: "solo"
 input { channels: 2 height: 10 width: 10 }
-layer { name: "convA" type: "conv" features: 2 kernel: 3 stride: 1 }
+layer { name: "convA" type: "conv" features: 2 kernel: 3 stride: 1 pad: 1 }
 layer { name: "fc0" type: "fc" outputs: 3 }
 `
 	soloDef, err := Parse(soloSrc)
@@ -177,7 +176,7 @@ layer { name: "fc0" type: "fc" outputs: 3 }
 	}
 	stepOnce(t, solo)
 
-	// convA: 10x10x2 -> 8x8x2; pad back to 10x10; convB has identical
+	// convA pads by 1 and so keeps the 10x10x2 extent; convB has identical
 	// geometry, so its FP selection must come from convA's verdict: every
 	// FP tune span carries exactly one pass worth of observations, same as
 	// the single-layer calibration run. BP is the exception by design:

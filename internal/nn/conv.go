@@ -13,100 +13,9 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// ConvExecutor abstracts how a convolution layer's batch computations run:
-// a fixed core.Exec (one strategy) or a core.AutoConv (spg-CNN's
-// self-tuning scheduler). Both satisfy this interface shape; Conv adapts
-// them through small funcs to keep the layer independent of the choice.
-type ConvExecutor interface {
-	Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor)
-	EpochEnd()
-}
-
-// fixedExec adapts a core.Exec (single strategy for both phases).
-type fixedExec struct{ e *core.Exec }
-
-func (f fixedExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	f.e.Forward(outs, ins, w)
-}
-func (f fixedExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	f.e.Backward(eis, dw, eos, ins, w)
-}
-func (f fixedExec) EpochEnd() {}
-func (f fixedExec) strategyNames() (fp, bp string) {
-	n := f.e.Strategy().Name
-	return n, n
-}
-func (f fixedExec) strategyLayouts() (fp, bp tensor.Layout) {
-	l := f.e.Strategy().Layout
-	return l, l
-}
-
-// splitExec runs different fixed strategies for FP and BP — how the
-// paper's composed configurations (e.g. Stencil-Kernel FP + Sparse-Kernel
-// BP, Fig. 9) are expressed.
-type splitExec struct{ fp, bp *core.Exec }
-
-func (s splitExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	s.fp.Forward(outs, ins, w)
-}
-func (s splitExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	s.bp.Backward(eis, dw, eos, ins, w)
-}
-func (s splitExec) EpochEnd() {}
-func (s splitExec) strategyNames() (fp, bp string) {
-	return s.fp.Strategy().Name, s.bp.Strategy().Name
-}
-func (s splitExec) strategyLayouts() (fp, bp tensor.Layout) {
-	return s.fp.Strategy().Layout, s.bp.Strategy().Layout
-}
-
-// autoExec adapts core.AutoConv.
-type autoExec struct{ a *core.AutoConv }
-
-func (x autoExec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	x.a.Forward(outs, ins, w)
-}
-func (x autoExec) backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor) {
-	x.a.Backward(eis, dw, eos, ins, w)
-}
-func (x autoExec) EpochEnd() { x.a.EpochEnd() }
-func (x autoExec) strategyNames() (fp, bp string) {
-	fp, bp = "tuning", "tuning"
-	if sel := x.a.FPSelection(); sel.Chosen != nil {
-		fp = sel.Chosen.Strategy().Name
-	}
-	if sel := x.a.BPSelection(); sel.Chosen != nil {
-		bp = sel.Chosen.Strategy().Name
-	}
-	return fp, bp
-}
-func (x autoExec) strategyLayouts() (fp, bp tensor.Layout) {
-	if sel := x.a.FPSelection(); sel.Chosen != nil {
-		fp = sel.Chosen.Strategy().Layout
-	}
-	if sel := x.a.BPSelection(); sel.Chosen != nil {
-		bp = sel.Chosen.Strategy().Layout
-	}
-	return fp, bp
-}
-
-type convBackend interface {
-	ConvExecutor
-	// backward runs the layer's whole backward pass (core.Exec.Backward's
-	// contract: nil eis skips the input gradient).
-	backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*tensor.Tensor, w *tensor.Tensor)
-	// strategyNames reports the currently deployed FP and BP strategy
-	// names — the third level of the layer/phase/strategy span tree.
-	strategyNames() (fp, bp string)
-	// strategyLayouts reports the activation layouts those strategies
-	// compute in (tensor.NCHW until a blocked strategy is deployed).
-	strategyLayouts() (fp, bp tensor.Layout)
-}
-
-// Conv is a convolution layer with per-feature bias. The execution
-// strategy is pluggable: NewConv uses spg-CNN's auto-tuning scheduler;
-// NewConvFixed pins one strategy (how the baseline configurations of
-// Fig. 9 are built).
+// Conv is a convolution layer with per-feature bias. Every call runs
+// through one core.AutoConv, which asks the layer's planner what to deploy:
+// a plan.Planner tunes (spg-CNN scheduling), core.FixedPlanner pins.
 type Conv struct {
 	name string
 	spec conv.Spec
@@ -116,7 +25,7 @@ type Conv struct {
 	dW, dB *tensor.Tensor
 	opt    sgdState // optimizer config (momentum.go)
 
-	exec convBackend
+	exec *core.AutoConv
 
 	// first marks the layer as a network's layer 0 (set by NewNetwork from
 	// graph position): nothing reads its input gradient, so Backward skips
@@ -130,80 +39,49 @@ type Conv struct {
 	eoBatches     int
 	eoZeros       []int // per-sample zero counts of the current Backward
 
-	// Cached probe span paths "layer/<name>/<phase>/<strategy>". The auto
-	// scheduler deploys strategies lazily and may flip BP at epoch
-	// boundaries, so the cache is rebuilt until both names are final and
-	// invalidated by EpochEnd.
-	spanFP, spanBP string
-	spansFinal     bool
+	// spans caches the probe span paths "layer/<name>/<phase>/<strategy>":
+	// a call is billed to the strategy of the exec that ran it, and the
+	// steady-state probe path allocates nothing.
+	spans map[spanKey]string
 }
 
-// NewConvCtx builds an auto-tuned convolution layer (spg-CNN scheduling)
-// running under the given execution context.
-func NewConvCtx(name string, s conv.Spec, c *exec.Ctx, r *rng.RNG) *Conv {
-	l := newConvCommon(name, s, c, r)
-	l.exec = autoExec{core.NewAutoConv(s, 0, core.AutoOptions{Ctx: l.ctx})}
-	return l
+type spanKey struct{ phase, strategy string }
+
+// NewConvCtx builds a trainable convolution layer under c whose strategies
+// come from pl: typically one plan.Planner shared by every layer of a
+// network (and every replica of a data-parallel trainer), so layers with
+// identical geometry tune once and deploy everywhere — or
+// core.FixedPlanner, which pins the layer.
+func NewConvCtx(name string, s conv.Spec, pl core.Planner, c *exec.Ctx, r *rng.RNG) *Conv {
+	return newConv(name, s, pl, nil, c, r)
 }
 
-// NewConv builds an auto-tuned convolution layer with a private context of
-// the given worker count.
-func NewConv(name string, s conv.Spec, workers int, r *rng.RNG) *Conv {
-	return NewConvCtx(name, s, exec.New(workers), r)
+// NewConvInferCtx builds a forward-only convolution layer that plans one
+// strategy per batch-size bucket through pl. No buckets plans each observed
+// batch size as itself, which is what the single bucket 1 does. Backward
+// panics — inference layers carry no gradient state.
+func NewConvInferCtx(name string, s conv.Spec, pl core.Planner, buckets []int, c *exec.Ctx, r *rng.RNG) *Conv {
+	if len(buckets) == 0 {
+		buckets = []int{1}
+	}
+	return newConv(name, s, pl, buckets, c, r)
 }
 
-// NewConvPlannedCtx builds an auto-tuned convolution layer whose strategy
-// selection is delegated to pl — typically one plan.Planner shared by every
-// layer of a network (and every replica of a data-parallel trainer), so
-// layers with identical geometry tune once and deploy everywhere. A nil
-// planner degrades to NewConvCtx's measure-every-time behavior.
-func NewConvPlannedCtx(name string, s conv.Spec, pl core.Planner, c *exec.Ctx, r *rng.RNG) *Conv {
-	l := newConvCommon(name, s, c, r)
-	l.exec = autoExec{core.NewAutoConv(s, 0, core.AutoOptions{Ctx: l.ctx, Planner: pl})}
-	return l
-}
-
-// NewConvFixedCtx builds a convolution layer pinned to one strategy under
-// the given execution context.
-func NewConvFixedCtx(name string, s conv.Spec, st core.Strategy, c *exec.Ctx, r *rng.RNG) *Conv {
-	l := newConvCommon(name, s, c, r)
-	l.exec = fixedExec{core.NewExecCtx(st, s, l.ctx)}
-	return l
-}
-
-// NewConvFixed builds a convolution layer pinned to one strategy with a
-// private context of the given worker count.
-func NewConvFixed(name string, s conv.Spec, st core.Strategy, workers int, r *rng.RNG) *Conv {
-	return NewConvFixedCtx(name, s, st, exec.New(workers), r)
-}
-
-// NewConvSplitCtx builds a convolution layer with separate fixed strategies
-// for forward and backward propagation, both under the given context.
-func NewConvSplitCtx(name string, s conv.Spec, fp, bp core.Strategy, c *exec.Ctx, r *rng.RNG) *Conv {
-	l := newConvCommon(name, s, c, r)
-	l.exec = splitExec{fp: core.NewExecCtx(fp, s, l.ctx), bp: core.NewExecCtx(bp, s, l.ctx)}
-	return l
-}
-
-// NewConvSplit builds a split-strategy convolution layer with a private
-// context of the given worker count.
-func NewConvSplit(name string, s conv.Spec, fp, bp core.Strategy, workers int, r *rng.RNG) *Conv {
-	return NewConvSplitCtx(name, s, fp, bp, exec.New(workers), r)
-}
-
-func newConvCommon(name string, s conv.Spec, ctx *exec.Ctx, r *rng.RNG) *Conv {
+func newConv(name string, s conv.Spec, pl core.Planner, buckets []int, ctx *exec.Ctx, r *rng.RNG) *Conv {
 	s.MustValidate()
 	if ctx == nil {
 		ctx = exec.New(1)
 	}
 	c := &Conv{
-		name: name,
-		spec: s,
-		ctx:  ctx,
-		W:    conv.NewWeights(s),
-		B:    tensor.New(s.Nf),
-		dW:   conv.NewWeights(s),
-		dB:   tensor.New(s.Nf),
+		name:  name,
+		spec:  s,
+		ctx:   ctx,
+		W:     conv.NewWeights(s),
+		B:     tensor.New(s.Nf),
+		dW:    conv.NewWeights(s),
+		dB:    tensor.New(s.Nf),
+		exec:  core.NewAutoConv(s, ctx, pl, buckets...),
+		spans: make(map[spanKey]string),
 	}
 	// He initialization: stddev = sqrt(2 / fan-in). Grouped layers see only
 	// their group's channel slab, so fan-in is Nc/G taps.
@@ -231,19 +109,22 @@ func (c *Conv) InDims() []int { return []int{c.spec.Nc, c.spec.Ny, c.spec.Nx} }
 // OutDims implements Layer.
 func (c *Conv) OutDims() []int { return []int{c.spec.Nf, c.spec.OutY(), c.spec.OutX()} }
 
-// refreshSpans rebuilds the cached span paths from the currently deployed
-// strategies.
-func (c *Conv) refreshSpans() {
-	fp, bp := c.exec.strategyNames()
-	c.spanFP = "layer/" + c.name + "/fp/" + fp
-	c.spanBP = "layer/" + c.name + "/bp/" + bp
-	c.spansFinal = fp != "tuning" && bp != "tuning"
+// observe bills the time since start to the layer span of the exec that ran
+// the call.
+func (c *Conv) observe(phase string, e *core.Exec, start time.Time) {
+	k := spanKey{phase, e.Strategy().Name}
+	span, ok := c.spans[k]
+	if !ok {
+		span = "layer/" + c.name + "/" + phase + "/" + k.strategy
+		c.spans[k] = span
+	}
+	c.ctx.Probe().Observe(span, time.Since(start).Seconds())
 }
 
 // Forward implements Layer: convolution plus per-feature bias.
 func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 	start := time.Now()
-	c.exec.Forward(outs, ins, c.W)
+	ran := c.exec.Forward(outs, ins, c.W)
 	oy, ox := c.spec.OutY(), c.spec.OutX()
 	for _, out := range outs {
 		for f := 0; f < c.spec.Nf; f++ {
@@ -257,10 +138,7 @@ func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 			}
 		}
 	}
-	if !c.spansFinal {
-		c.refreshSpans()
-	}
-	c.ctx.Probe().Observe(c.spanFP, time.Since(start).Seconds())
+	c.observe("fp", ran, start)
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity
@@ -273,13 +151,10 @@ func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 		eis = nil
 	}
 	dwTmp := c.ctx.GetTensor(c.spec.WeightDims()...)
-	c.exec.backward(eis, dwTmp, eos, ins, c.W)
+	ran := c.exec.Backward(eis, dwTmp, eos, ins, c.W)
 	c.dW.AddScaled(dwTmp, 1)
 	c.ctx.PutTensor(dwTmp)
-	if !c.spansFinal {
-		c.refreshSpans()
-	}
-	c.ctx.Probe().Observe(c.spanBP, time.Since(start).Seconds())
+	c.observe("bp", ran, start)
 }
 
 // reduceEO makes the layer's one pass over the batch's error gradients: per
@@ -331,13 +206,8 @@ func (c *Conv) ApplyGrads(lr float32, batch int) {
 	c.W.Bump()
 }
 
-// EpochEnd implements Layer: forwards to the scheduler (BP re-check). The
-// re-check may flip the deployed BP strategy, so the cached span paths are
-// invalidated.
-func (c *Conv) EpochEnd() {
-	c.exec.EpochEnd()
-	c.spansFinal = false
-}
+// EpochEnd implements Layer: forwards to the scheduler (BP re-check).
+func (c *Conv) EpochEnd() { c.exec.EpochEnd() }
 
 // TakeSparsity returns the mean observed EO sparsity since the last call
 // and resets the probe. Returns 0 with ok=false if nothing was recorded.
@@ -350,41 +220,25 @@ func (c *Conv) TakeSparsity() (float64, bool) {
 	return s, true
 }
 
-// Layouts reports the activation layouts of the currently deployed FP and
-// BP strategies — the planner's layout verdict surfaced at the layer
-// level. Until the scheduler deploys, both report the canonical NCHW.
-func (c *Conv) Layouts() (fp, bp tensor.Layout) {
-	return c.exec.strategyLayouts()
-}
+// Retune asks the scheduler to re-plan the given phase's strategy ("fp",
+// "bp", or "" for both) on its next batch — the layer-level re-tune trigger
+// the drift observatory's coupler invokes after invalidating the planner's
+// cached verdict. Must be called from the training goroutine (between
+// batches), like EpochEnd.
+func (c *Conv) Retune(phase string) { c.exec.Retune(phase) }
 
-// Retune asks the scheduler to re-select the given phase's strategy
-// ("fp", "bp", or "" for both) on its next batch — the layer-level re-tune
-// trigger the drift observatory's coupler invokes after invalidating the
-// planner's cached verdict. Reports false for layers without a scheduler
-// (fixed, split or inference-bucketed execution). Must be called from the
-// training goroutine (between batches), like EpochEnd.
-func (c *Conv) Retune(phase string) bool {
-	a, isAuto := c.exec.(autoExec)
-	if !isAuto {
-		return false
-	}
-	a.a.Retune(phase)
-	c.spansFinal = false // the re-plan may deploy a different strategy
-	return true
-}
-
-// Selections returns the spg-CNN scheduler's FP and BP measurement tables
-// when this layer is auto-tuned (ok=false for fixed-strategy layers or
-// before the first tuned batch).
+// Selections returns the scheduler's FP and BP measurement tables. ok is
+// false before the first planned batch and for a pinned layer, whose
+// planner deploys without measuring.
 func (c *Conv) Selections() (fp, bp core.Selection, ok bool) {
-	a, isAuto := c.exec.(autoExec)
-	if !isAuto {
-		return core.Selection{}, core.Selection{}, false
-	}
-	fp = a.a.FPSelection()
-	bp = a.a.BPSelection()
-	return fp, bp, fp.Chosen != nil || bp.Chosen != nil
+	fp, bp = c.exec.FPSelection(), c.exec.BPSelection()
+	return fp, bp, len(fp.Timings) > 0 || len(bp.Timings) > 0
 }
+
+// PlannedBuckets reports which batch-size buckets of an inference layer
+// have a deployed strategy and the strategy each runs — the serving
+// analogue of Selections. Nil for a training layer.
+func (c *Conv) PlannedBuckets() map[int]string { return c.exec.PlannedBuckets() }
 
 // String describes the layer.
 func (c *Conv) String() string {

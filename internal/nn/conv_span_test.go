@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/plan"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -24,7 +25,7 @@ func TestConvLayerSpansFixedStrategy(t *testing.T) {
 	ctx := exec.New(1)
 	r := rng.New(1)
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
-	c := NewConvFixedCtx("c0", s, st, ctx, r)
+	c := NewConvCtx("c0", s, core.FixedPlanner(st, st), ctx, r)
 	ins, outs, eos, eis := convFixtures(r, s)
 
 	c.Forward(outs, ins)
@@ -45,7 +46,7 @@ func TestConvLayerSpansAutoResolveToChosenStrategy(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
 	ctx := exec.New(1)
 	r := rng.New(2)
-	c := NewConvCtx("c1", s, ctx, r)
+	c := NewConvCtx("c1", s, plan.New(plan.Options{}), ctx, r)
 	ins, outs, eos, eis := convFixtures(r, s)
 
 	c.Forward(outs, ins)
@@ -67,5 +68,43 @@ func TestConvLayerSpansAutoResolveToChosenStrategy(t *testing.T) {
 	// strategy level must be the deployed name, never the placeholder.
 	if strings.HasSuffix(fpSpan, "/tuning") || strings.HasSuffix(bpSpan, "/tuning") {
 		t.Fatalf("span recorded under placeholder strategy: %s %s", fpSpan, bpSpan)
+	}
+}
+
+// bucketPlanner answers stencil for batch-size bucket 1 and gemm-in-parallel
+// for every other bucket, measuring nothing.
+type bucketPlanner struct{ core.Planner }
+
+func (bucketPlanner) PlanFP(s conv.Spec, c *exec.Ctx, _ []*tensor.Tensor, _ *tensor.Tensor,
+	opts core.TuneOptions) core.Planned {
+	name := "gemm-in-parallel"
+	if opts.Batch == 1 {
+		name = "stencil"
+	}
+	st, _ := core.StrategyByName(name, c.Workers())
+	return core.Planned{Selection: core.Selection{Chosen: core.NewExecCtx(st, s, c)}}
+}
+
+// TestConvLayerSpansFollowTheStrategyThatRan: an inference layer whose
+// buckets deploy different strategies bills each call's layer span to the
+// strategy that executed it, like the core span beneath it.
+func TestConvLayerSpansFollowTheStrategyThatRan(t *testing.T) {
+	s := conv.Square(8, 2, 2, 3, 1)
+	ctx := exec.New(1)
+	r := rng.New(3)
+	c := NewConvInferCtx("conv0", s, bucketPlanner{}, []int{1, 2}, ctx, r)
+	ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
+	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
+
+	c.Forward(outs[:1], ins[:1])
+	c.Forward(outs, ins)
+
+	for _, span := range []string{
+		"core/fp/stencil", "core/fp/gemm-in-parallel",
+		"layer/conv0/fp/stencil", "layer/conv0/fp/gemm-in-parallel",
+	} {
+		if st, ok := ctx.Probe().SpanStats(span); !ok || st.Calls != 1 {
+			t.Errorf("span %s = %+v ok=%v, want 1 call", span, st, ok)
+		}
 	}
 }

@@ -27,10 +27,10 @@ func twoConvNet(seed uint64, bp string) *Network {
 	r := rng.New(seed)
 	fp, _ := core.StrategyByName("gemm-in-parallel", workers)
 	s0 := conv.Square(12, 6, 2, 3, 1)
-	c0 := NewConvSplitCtx("conv0", s0, fp, bpStrategy(bp, workers), c, r)
+	c0 := NewConvCtx("conv0", s0, core.FixedPlanner(fp, bpStrategy(bp, workers)), c, r)
 	r0 := NewReLU("relu0", c0.OutDims(), workers)
 	s1 := conv.Square(10, 4, 6, 3, 2)
-	c1 := NewConvSplitCtx("conv1", s1, fp, bpStrategy(bp, workers), c, r)
+	c1 := NewConvCtx("conv1", s1, core.FixedPlanner(fp, bpStrategy(bp, workers)), c, r)
 	r1 := NewReLU("relu1", c1.OutDims(), workers)
 	fc := NewFCCtx("fc0", r1.OutDims(), 4, c, r)
 	return NewNetwork(c0, r0, c1, r1, fc)
@@ -127,7 +127,7 @@ func TestElisionFollowsGraphPosition(t *testing.T) {
 	}
 
 	s := conv.Square(12, 6, 2, 3, 1)
-	alone := NewConvFixed("alone", s, bpStrategy("sparse", 1), 1, r)
+	alone := pinnedConv("alone", s, bpStrategy("sparse", 1), 1, r)
 	ins := []*tensor.Tensor{conv.RandInput(r, s)}
 	eos := []*tensor.Tensor{conv.RandOutputError(r, s, 0.8)}
 	eis := []*tensor.Tensor{conv.NewInput(s)}
@@ -146,7 +146,7 @@ func TestBackwardEOReductionMatchesSerial(t *testing.T) {
 	s := conv.Square(9, 5, 2, 3, 1)
 	for _, workers := range []int{1, 2, 3} {
 		r := rng.New(8)
-		c := NewConvFixed("c", s, bpStrategy("gemm-in-parallel", workers), workers, r)
+		c := pinnedConv("c", s, bpStrategy("gemm-in-parallel", workers), workers, r)
 		var ins, eos, eis []*tensor.Tensor
 		for _, sp := range []float64{0, 0.3, 0.94, 1, 0.5} {
 			ins = append(ins, conv.RandInput(r, s))

@@ -9,7 +9,9 @@
 // Batches are slices of per-image tensors, matching the execution engines:
 // GEMM-in-Parallel-style strategies parallelize across the slice while
 // Parallel-GEMM strategies process it sequentially with internal
-// parallelism.
+// parallelism. A Conv holds one core.AutoConv and nothing else between it
+// and its kernel; training, pinned and serving layers differ only in the
+// planner (and bucket list) the executor is built with.
 package nn
 
 import "spgcnn/internal/tensor"

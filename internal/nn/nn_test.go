@@ -6,9 +6,16 @@ import (
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
+
+// pinnedConv builds a conv layer pinned to one strategy for both phases
+// under a private context.
+func pinnedConv(name string, s conv.Spec, st core.Strategy, workers int, r *rng.RNG) *Conv {
+	return NewConvCtx(name, s, core.FixedPlanner(st, st), exec.New(workers), r)
+}
 
 // serialStrategy is gemm-in-parallel: serial kernels, batch parallel.
 func serialStrategy() core.Strategy {
@@ -137,7 +144,7 @@ func TestSoftmaxXentStability(t *testing.T) {
 // conv -> relu -> fc(10->classes).
 func tinyNet(r *rng.RNG, workers int) *Network {
 	s := conv.Square(6, 3, 2, 3, 1) // in 2x6x6, out 3x4x4
-	cv := NewConvFixed("conv0", s, serialStrategy(), workers, r)
+	cv := pinnedConv("conv0", s, serialStrategy(), workers, r)
 	re := NewReLU("relu0", cv.OutDims(), workers)
 	fc := NewFC("fc0", re.OutDims(), 4, workers, r)
 	return NewNetwork(cv, re, fc)
@@ -276,7 +283,7 @@ func TestApplyGradsMovesWeightsAndClears(t *testing.T) {
 func TestConvSparsityProbe(t *testing.T) {
 	r := rng.New(13)
 	s := conv.Square(6, 2, 1, 3, 1)
-	cv := NewConvFixed("c", s, serialStrategy(), 1, r)
+	cv := pinnedConv("c", s, serialStrategy(), 1, r)
 	eo := conv.RandOutputError(r, s, 0.8)
 	ei := conv.NewInput(s)
 	in := conv.RandInput(r, s)

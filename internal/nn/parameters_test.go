@@ -5,6 +5,8 @@ import (
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
+	"spgcnn/internal/exec"
+	"spgcnn/internal/plan"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -42,7 +44,7 @@ func TestParametersDeterministicAcrossCalls(t *testing.T) {
 func TestSelectionsAfterAutoTune(t *testing.T) {
 	r := rng.New(3)
 	s := conv.Square(8, 3, 2, 3, 1)
-	cv := NewConv("conv0", s, 1, r)
+	cv := NewConvCtx("conv0", s, plan.New(plan.Options{}), exec.New(1), r)
 	re := NewReLU("relu0", cv.OutDims(), 1)
 	fc := NewFC("fc0", re.OutDims(), 3, 1, r)
 	net := NewNetwork(cv, re, fc)

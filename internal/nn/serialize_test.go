@@ -124,7 +124,7 @@ func TestCheckpointResumesTraining(t *testing.T) {
 // tinyTrainNet is a deterministic conv+relu+fc net for training tests.
 func tinyTrainNet(r *rng.RNG) *Network {
 	s := tinySpec()
-	cv := NewConvFixed("conv0", s, serialStrategy(), 1, r)
+	cv := pinnedConv("conv0", s, serialStrategy(), 1, r)
 	re := NewReLU("relu0", cv.OutDims(), 1)
 	fc := NewFC("fc0", re.OutDims(), 4, 1, r)
 	return NewNetwork(cv, re, fc)

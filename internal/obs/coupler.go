@@ -8,12 +8,12 @@ import (
 )
 
 // Retunable is the layer-side half of the re-tune loop: nn.Conv satisfies
-// it. Retune clears the scheduler's tuning latch for a phase and reports
-// whether the layer has a scheduler at all.
+// it. Retune drops the scheduler's deployment for a phase, so the next
+// batch re-plans.
 type Retunable interface {
 	Name() string
 	Spec() conv.Spec
-	Retune(phase string) bool
+	Retune(phase string)
 }
 
 // Coupler turns drift events into re-tunes. It does two things per event:
@@ -89,16 +89,13 @@ func (c *Coupler) Apply() int {
 		delete(c.pending, k)
 	}
 	c.mu.Unlock()
-	n := 0
 	for i, l := range work {
-		if l.Retune(phases[i]) {
-			n++
-		}
+		l.Retune(phases[i])
 	}
 	c.mu.Lock()
-	c.applied += n
+	c.applied += len(work)
 	c.mu.Unlock()
-	return n
+	return len(work)
 }
 
 // Applied reports how many layer re-tunes Apply has executed in total.

@@ -24,7 +24,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 	ctx := exec.New(workers)
 	pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
 	r := rng.New(7)
-	layer := nn.NewConvPlannedCtx("c1", s, pl, ctx, r)
+	layer := nn.NewConvCtx("c1", s, pl, ctx, r)
 
 	cp := NewCoupler(pl)
 	cp.Register(layer)
@@ -70,7 +70,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 		step()
 	}
 	layer.EpochEnd()
-	layer.EpochEnd() // second epoch crosses the default RecheckEpochs=2
+	layer.EpochEnd() // second epoch crosses the BP re-check period
 	step()
 	st1 := pl.Stats()
 	if n := len(o.Events()); n != 0 {

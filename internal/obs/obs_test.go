@@ -332,12 +332,9 @@ type fakeRetunable struct {
 	retunes []string
 }
 
-func (f *fakeRetunable) Name() string    { return f.name }
-func (f *fakeRetunable) Spec() conv.Spec { return f.spec }
-func (f *fakeRetunable) Retune(phase string) bool {
-	f.retunes = append(f.retunes, phase)
-	return true
-}
+func (f *fakeRetunable) Name() string        { return f.name }
+func (f *fakeRetunable) Spec() conv.Spec     { return f.spec }
+func (f *fakeRetunable) Retune(phase string) { f.retunes = append(f.retunes, phase) }
 
 func TestCouplerQueuesAndApplies(t *testing.T) {
 	s := testSpec()

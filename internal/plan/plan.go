@@ -85,10 +85,9 @@ type Stats struct {
 	// Waits counts requests that blocked on another caller's in-flight
 	// measurement of the same key.
 	Waits uint64
-	// Invalidations counts cached verdicts dropped through Invalidate /
-	// InvalidateSpec — the drift observatory's re-tune trigger. Each
-	// invalidated key turns the next request for it from a free hit into
-	// a fresh measurement pass.
+	// Invalidations counts cached verdicts dropped through InvalidateSpec —
+	// the drift observatory's re-tune trigger. Each invalidated key turns
+	// the next request for it from a free hit into a fresh measurement pass.
 	Invalidations uint64
 }
 
@@ -178,25 +177,6 @@ func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.st
-}
-
-// Invalidate drops the cached verdict for exactly k, reporting whether an
-// entry was present. The next request for k re-enters the measurement
-// path instead of free-hitting — the re-tune primitive the drift
-// observatory's trigger callback uses.
-func (p *Planner) Invalidate(k Key) bool {
-	p.mu.Lock()
-	_, ok := p.entries[k]
-	if ok {
-		delete(p.entries, k)
-		p.st.Invalidations++
-	}
-	tr := p.tr
-	p.mu.Unlock()
-	if ok {
-		tr.Instant("plan", "plan/"+k.Phase+"/invalidate", k.Spec.String(), 0)
-	}
-	return ok
 }
 
 // InvalidateSpec drops every cached verdict for the spec and phase ("fp",
@@ -345,13 +325,11 @@ func (p *Planner) plan(phase string, s conv.Spec, sparsity float64, opts core.Tu
 // key, publishes the verdict, and releases the key's waiters.
 func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 	measure func([]core.Strategy) core.Selection) core.Planned {
-	published := false
 	defer func() {
 		p.mu.Lock()
 		delete(p.inflight, key)
 		p.mu.Unlock()
 		close(f.done)
-		_ = published
 	}()
 
 	cands := p.candidates(key.Phase, key.Workers, key.Spec)
@@ -399,7 +377,6 @@ func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 		}
 	}
 	p.mu.Unlock()
-	published = true
 	return core.Planned{Selection: sel}
 }
 

@@ -59,8 +59,6 @@ func NewWithPlan(p Plan) *Kernel {
 	return k
 }
 
-var _ engine.BlockedKernel = (*Kernel)(nil)
-
 // Name implements engine.Kernel.
 func (k *Kernel) Name() string {
 	return fmt.Sprintf("stencil(rx=%d,ry=%d)", k.plan.RX, k.plan.RY)
@@ -68,9 +66,6 @@ func (k *Kernel) Name() string {
 
 // Spec implements engine.Kernel.
 func (k *Kernel) Spec() conv.Spec { return k.spec }
-
-// Plan returns the generated plan.
-func (k *Kernel) Plan() Plan { return k.plan }
 
 // strideSplitInto performs the Eq. 21 transform into the scratch tensor:
 // dst[c][y][x mod sx][x/sx] = in[c][y][x].
@@ -138,36 +133,6 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 		c.PutTensor(split)
 	}
 	c.Put(accBacking)
-}
-
-// ForwardBlockedBatch implements engine.BlockedKernel with a convert-at-
-// boundary adapter: each blocked sample is unpacked into shared NCHW
-// scratch, the register-tiled stencil runs unchanged, and the result is
-// re-blocked. The stencil's row-streaming schedule is built around NCHW
-// rows, so the O(|I|+|O|) boundary moves cost less than reworking the
-// tile generator — this keeps stencil usable inside an end-to-end blocked
-// net.
-func (k *Kernel) ForwardBlockedBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	if len(outs) != len(ins) {
-		panic("stencil: ForwardBlockedBatch length mismatch")
-	}
-	if len(ins) == 0 {
-		return
-	}
-	s := k.spec
-	in := c.GetTensor(s.Nc, s.Ny, s.Nx)
-	out := c.GetTensor(s.Nf, s.OutY(), s.OutX())
-	var ia, oa [1]*tensor.Tensor
-	ia[0], oa[0] = in, out
-	for i := range ins {
-		conv.CheckBlockedInput(s, ins[i])
-		conv.CheckBlockedOutput(s, outs[i])
-		tensor.FromBlockedInto(in, ins[i])
-		k.ForwardBatch(c, oa[:], ia[:], w)
-		tensor.ToBlockedInto(outs[i], out)
-	}
-	c.PutTensor(out)
-	c.PutTensor(in)
 }
 
 // forwardOne runs the register-tiled stencil for one sample. The loop

@@ -219,26 +219,3 @@ func BenchmarkForwardMNISTL0(b *testing.B) { benchStencil(b, conv.Square(28, 20,
 func BenchmarkForwardCIFARL0(b *testing.B) { benchStencil(b, conv.Square(36, 64, 3, 5, 1)) }
 func BenchmarkForwardCIFARL1(b *testing.B) { benchStencil(b, conv.Square(8, 64, 64, 5, 1)) }
 func BenchmarkForwardStrided(b *testing.B) { benchStencil(b, conv.Square(64, 16, 3, 7, 2)) }
-
-func TestForwardBlockedBatchAdapter(t *testing.T) {
-	// The convert-at-boundary adapter runs the identical stencil schedule
-	// on unpacked scratch, so it must match ForwardBatch bit-for-bit.
-	r := rng.New(31)
-	c := exec.New(1)
-	for _, s := range []conv.Spec{
-		conv.Square(9, 3, 2, 3, 1),
-		conv.Square(14, 12, 9, 3, 1),
-		{Nx: 11, Ny: 7, Nc: 5, Nf: 10, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
-	} {
-		k := New(s)
-		in := conv.RandInput(r, s)
-		w := conv.RandWeights(r, s)
-		want := conv.NewOutput(s)
-		k.ForwardBatch(c, []*tensor.Tensor{want}, []*tensor.Tensor{in}, w)
-		outb := conv.NewBlockedOutput(s)
-		k.ForwardBlockedBatch(c, []*tensor.Tensor{outb}, []*tensor.Tensor{tensor.ToBlocked(in)}, w)
-		if got := tensor.FromBlocked(outb, s.Nf); !tensor.Identical(got, want) {
-			t.Fatalf("%v: blocked adapter differs from NCHW FP", s)
-		}
-	}
-}

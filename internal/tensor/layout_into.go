@@ -2,9 +2,17 @@ package tensor
 
 import "fmt"
 
-// Allocation-free variants of the layout transforms, used by kernels that
-// run the transform on every invocation (the Sparse-Kernel transforms EO,
-// W, EI and I per §4.2) and keep preallocated scratch.
+// The data-layout transformations the Sparse-Kernel depends on (paper §4.2
+// "Vectorization"), written into caller-owned storage because the kernel
+// runs them on every invocation and keeps preallocated scratch:
+//
+//   - CHWToHWCInto / HWCToCHWInto move the channel (or feature) dimension
+//     into the fastest-varying position so a kernel can operate on a
+//     contiguous channel vector per spatial location.
+//   - FCKKToFKKCInto reorders weights [f][c][ky][kx] -> [f][ky][kx][c] so
+//     that for a fixed feature and kernel row the [kx][c] block is one
+//     contiguous vector, matching a kernel-row window of an HWC image —
+//     Eq. 13's W' with the kx and c loops merged. FKKCToFCKKInto inverts it.
 
 // CHWToHWCInto writes the [H][W][C] layout of src ([C][H][W]) into dst.
 func CHWToHWCInto(dst, src *Tensor) {

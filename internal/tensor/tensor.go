@@ -147,17 +147,11 @@ func (t *Tensor) At3(a, b, c int) float32 { return t.Data[t.index3(a, b, c)] }
 // Set3 assigns element (a, b, c) of a rank-3 tensor.
 func (t *Tensor) Set3(a, b, c int, v float32) { t.Data[t.index3(a, b, c)] = v }
 
-// Add3 accumulates into element (a, b, c) of a rank-3 tensor.
-func (t *Tensor) Add3(a, b, c int, v float32) { t.Data[t.index3(a, b, c)] += v }
-
 // At4 returns element (a, b, c, d) of a rank-4 tensor.
 func (t *Tensor) At4(a, b, c, d int) float32 { return t.Data[t.index4(a, b, c, d)] }
 
 // Set4 assigns element (a, b, c, d) of a rank-4 tensor.
 func (t *Tensor) Set4(a, b, c, d int, v float32) { t.Data[t.index4(a, b, c, d)] = v }
-
-// Add4 accumulates into element (a, b, c, d) of a rank-4 tensor.
-func (t *Tensor) Add4(a, b, c, d int, v float32) { t.Data[t.index4(a, b, c, d)] += v }
 
 // Row3 returns the contiguous innermost row at (a, b) of a rank-3 tensor,
 // i.e. elements (a, b, 0..Dims[2]). The slice aliases the tensor's data.

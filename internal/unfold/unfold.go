@@ -111,83 +111,6 @@ func zeroRow(dst []float32) {
 // NewU allocates the unfolded matrix for s (one group's worth).
 func NewU(s conv.Spec) *gemm.Matrix { return gemm.NewMatrix(Rows(s), Cols(s)) }
 
-// Im2colBlocked unfolds a channel-blocked input ([ceil(Nc/8)][Ny][Nx][8],
-// tensor.NCHW8) into the same canonical U matrix Im2col produces from an
-// NCHW input — the gather-at-boundary adapter that lets the unfold+GEMM
-// engines consume blocked activations without a separate layout round
-// trip through input space. Column order stays (c, ky, kx), so downstream
-// GEMM results are bit-identical to the NCHW path. Grouped specs use
-// Im2colBlockedGroup per group.
-func Im2colBlocked(s conv.Spec, u *gemm.Matrix, in *tensor.Tensor) {
-	if s.G() != 1 {
-		panic(fmt.Sprintf("unfold: Im2colBlocked on grouped spec %v; use Im2colBlockedGroup", s))
-	}
-	Im2colBlockedGroup(s, 0, u, in)
-}
-
-// Im2colBlockedGroup is Im2colGroup reading from channel-blocked (NCHW8)
-// storage. Group channels are addressed by their global channel index, so
-// a group boundary may fall inside an 8-lane block (and tail lanes past
-// Nc are never read) — the lane gather handles both for free.
-func Im2colBlockedGroup(s conv.Spec, g int, u *gemm.Matrix, in *tensor.Tensor) {
-	s.MustValidate()
-	conv.CheckBlockedInput(s, in)
-	checkU(s, u)
-	checkGroup(s, g)
-	oy, ox := s.OutY(), s.OutX()
-	gnc := s.GroupNc()
-	cbase := g * gnc
-	fxy := s.Fy * s.Fx
-	dx, dy := s.DilX(), s.DilY()
-	rowN := s.Nx * tensor.Block
-	for y := 0; y < oy; y++ {
-		for x := 0; x < ox; x++ {
-			dst := u.Row(y*ox + x)
-			ix0 := x*s.Sx - s.Px
-			for cc := 0; cc < gnc; cc++ {
-				c := cbase + cc
-				cb, cl := c/tensor.Block, c%tensor.Block
-				base := cc * fxy
-				for ky := 0; ky < s.Fy; ky++ {
-					drow := dst[base+ky*s.Fx : base+(ky+1)*s.Fx]
-					iy := y*s.Sy + ky*dy - s.Py
-					if iy < 0 || iy >= s.Ny {
-						zeroRow(drow)
-						continue
-					}
-					if dx == 1 && ix0 >= 0 && ix0+s.Fx <= s.Nx {
-						iOff := (cb*s.Ny+iy)*rowN + ix0*tensor.Block + cl
-						gatherLane(drow, in.Data[iOff:])
-						continue
-					}
-					for kx := 0; kx < s.Fx; kx++ {
-						ix := ix0 + kx*dx
-						if ix < 0 || ix >= s.Nx {
-							drow[kx] = 0
-						} else {
-							drow[kx] = in.Data[(cb*s.Ny+iy)*rowN+ix*tensor.Block+cl]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// gatherLane copies one channel lane out of blocked storage: dst[i] =
-// src[i·Block], for len(dst) elements.
-func gatherLane(dst, src []float32) {
-	for len(dst) >= 1 && len(src) >= 1 {
-		dst[0] = src[0]
-		dst = dst[1:]
-		if uint(tensor.Block) <= uint(len(src)) {
-			src = src[tensor.Block:]
-		} else {
-			src = src[:0]
-		}
-	}
-}
-
 // Col2im folds the matrix U back into input space, ACCUMULATING overlapping
 // windows: in[c, y·sy+ky·dy−py, x·sx+kx·dx−px] += U[(y,x), (c,ky,kx)]. It
 // is the exact adjoint of Im2col (padding taps are dropped), which is what
@@ -278,29 +201,9 @@ func WeightMatrix(s conv.Spec, w *tensor.Tensor) *gemm.Matrix {
 	return gemm.FromSlice(w.Data, s.Nf, Cols(s))
 }
 
-// GroupWeightMatrix views group g's slab of the weight tensor as its
-// (Nf/G) × Cols(s) matrix (aliasing w's data).
-func GroupWeightMatrix(s conv.Spec, g int, w *tensor.Tensor) *gemm.Matrix {
-	conv.CheckWeights(s, w)
-	checkGroup(s, g)
-	gnf := s.GroupNf()
-	stride := gnf * Cols(s)
-	return gemm.FromSlice(w.Data[g*stride:(g+1)*stride], gnf, Cols(s))
-}
-
 // OutputMatrix views output tensor o ([Nf][OutY][OutX]) as the Nf × Rows(s)
 // matrix O of Fig. 2c (aliasing o's data).
 func OutputMatrix(s conv.Spec, o *tensor.Tensor) *gemm.Matrix {
 	conv.CheckOutput(s, o)
 	return gemm.FromSlice(o.Data, s.Nf, Rows(s))
-}
-
-// GroupOutputMatrix views feature group g's slab of output tensor o as its
-// (Nf/G) × Rows(s) matrix (aliasing o's data).
-func GroupOutputMatrix(s conv.Spec, g int, o *tensor.Tensor) *gemm.Matrix {
-	conv.CheckOutput(s, o)
-	checkGroup(s, g)
-	gnf := s.GroupNf()
-	stride := gnf * Rows(s)
-	return gemm.FromSlice(o.Data[g*stride:(g+1)*stride], gnf, Rows(s))
 }

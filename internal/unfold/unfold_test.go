@@ -184,30 +184,3 @@ func BenchmarkIm2colCIFARL1(b *testing.B) {
 		Im2col(s, u, in)
 	}
 }
-
-func TestIm2colBlockedMatchesIm2col(t *testing.T) {
-	// Unfolding straight out of blocked storage must reproduce the NCHW
-	// unfold bit-for-bit — it is a gather, not a computation.
-	r := rng.New(8)
-	specs := []conv.Spec{
-		conv.Square(3, 1, 2, 2, 1),
-		conv.Square(9, 3, 7, 3, 1), // channel tail block
-		conv.Square(12, 2, 16, 3, 2),
-		{Nx: 11, Ny: 5, Nc: 9, Nf: 3, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
-	}
-	for trial := 0; trial < 10; trial++ {
-		specs = append(specs, conv.RandSpec(r, 9))
-	}
-	for _, s := range specs {
-		in := conv.RandInput(r, s)
-		want := NewU(s)
-		Im2col(s, want, in)
-		got := NewU(s)
-		Im2colBlocked(s, got, tensor.ToBlocked(in))
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%v: Im2colBlocked differs from Im2col at %d", s, i)
-			}
-		}
-	}
-}

@@ -35,8 +35,6 @@ type Kernel struct {
 	workers int
 }
 
-var _ engine.BlockedKernel = (*Kernel)(nil)
-
 // New builds a kernel for s. workers selects Parallel-GEMM fan-out;
 // workers <= 1 yields the single-threaded GEMM.
 func New(s conv.Spec, workers int) *Kernel {
@@ -87,40 +85,6 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 			}
 		}
 	}
-	c.Put(ubuf)
-}
-
-// ForwardBlockedBatch implements engine.BlockedKernel: FP over channel-
-// blocked activations. The unfold step gathers straight out of the blocked
-// input (unfold.Im2colBlocked), so only the output pays a layout move —
-// through one arena-backed NCHW scratch plane re-blocked at egress. Column
-// order is unchanged, so results are bit-identical to ForwardBatch.
-func (k *Kernel) ForwardBlockedBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	if len(outs) != len(ins) {
-		panic("unfoldgemm: ForwardBlockedBatch length mismatch")
-	}
-	s := k.spec
-	rows, cols := unfold.Rows(s), unfold.Cols(s)
-	conv.CheckWeights(s, w)
-	ng, gnf := s.G(), s.GroupNf()
-	ubuf := c.Get(rows * cols)
-	u := gemm.Matrix{Rows: rows, Cols: cols, Data: ubuf}
-	o := c.GetTensor(s.Nf, s.OutY(), s.OutX())
-	for i := range ins {
-		conv.CheckBlockedOutput(s, outs[i])
-		for g := 0; g < ng; g++ {
-			unfold.Im2colBlockedGroup(s, g, &u, ins[i])
-			wmat := gemm.Matrix{Rows: gnf, Cols: cols, Data: w.Data[g*gnf*cols : (g+1)*gnf*cols]}
-			omat := gemm.Matrix{Rows: gnf, Cols: rows, Data: o.Data[g*gnf*rows : (g+1)*gnf*rows]}
-			if k.workers <= 1 {
-				gemm.MulTransB(&omat, &wmat, &u)
-			} else {
-				gemm.ParallelMulTransB(&omat, &wmat, &u, k.workers)
-			}
-		}
-		tensor.ToBlockedInto(outs[i], o)
-	}
-	c.PutTensor(o)
 	c.Put(ubuf)
 }
 

@@ -101,29 +101,3 @@ func BenchmarkForwardCIFARL1Serial(b *testing.B) {
 func BenchmarkForwardMNISTL0Serial(b *testing.B) {
 	benchForward(b, conv.Square(28, 20, 1, 5, 1), 1)
 }
-
-func TestForwardBlockedBatchBitIdentical(t *testing.T) {
-	// The blocked entry point unfolds out of blocked storage and re-blocks
-	// the output; the GEMM in between is the same code with the same
-	// operand order, so results must match ForwardBatch bit-for-bit.
-	r := rng.New(21)
-	c := exec.New(2)
-	for _, s := range []conv.Spec{
-		conv.Square(9, 3, 2, 3, 1),
-		conv.Square(12, 16, 9, 3, 1),
-		{Nx: 11, Ny: 7, Nc: 5, Nf: 10, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
-	} {
-		for _, workers := range []int{1, 2} {
-			k := New(s, workers)
-			in := conv.RandInput(r, s)
-			w := conv.RandWeights(r, s)
-			want := conv.NewOutput(s)
-			k.ForwardBatch(c, []*tensor.Tensor{want}, []*tensor.Tensor{in}, w)
-			outb := conv.NewBlockedOutput(s)
-			k.ForwardBlockedBatch(c, []*tensor.Tensor{outb}, []*tensor.Tensor{tensor.ToBlocked(in)}, w)
-			if got := tensor.FromBlocked(outb, s.Nf); !tensor.Identical(got, want) {
-				t.Fatalf("%v p=%d: blocked FP differs from NCHW FP", s, workers)
-			}
-		}
-	}
-}

@@ -132,12 +132,6 @@ type ArenaStats = tensor.ArenaStats
 // 1), a fresh arena and a fresh probe.
 func NewCtx(workers int) *Ctx { return exec.New(workers) }
 
-// NewCtxWithArena builds a context over an existing arena and probe — how
-// sub-systems share one scratch pool. Nil arena or probe get fresh ones.
-func NewCtxWithArena(workers int, a *Arena, p *Probe) *Ctx {
-	return exec.NewWithArena(workers, a, p)
-}
-
 // Kernels (paper §4).
 
 // Kernel executes the three convolution computations of one training step
@@ -170,8 +164,8 @@ type Strategy = core.Strategy
 // Exec executes one layer phase over batches according to a strategy.
 type Exec = core.Exec
 
-// AutoConv is the self-tuning layer executor: it measures every candidate
-// strategy and deploys the fastest, re-checking BP periodically.
+// AutoConv is the layer executor: it asks a planner for a strategy per
+// phase, deploys it, and re-checks BP periodically.
 type AutoConv = core.AutoConv
 
 // FPStrategies and BPStrategies return the paper's candidate sets.
@@ -188,9 +182,10 @@ func StrategyByName(name string, workers int) (Strategy, bool) {
 // context.
 func NewExecCtx(st Strategy, s ConvSpec, c *Ctx) *Exec { return core.NewExecCtx(st, s, c) }
 
-// NewAutoConv builds the §4.4 auto-tuning scheduler for one layer.
+// NewAutoConv builds the §4.4 auto-tuning scheduler for one layer, under a
+// private context and a fresh planner.
 func NewAutoConv(s ConvSpec, workers int) *AutoConv {
-	return core.NewAutoConv(s, workers, core.AutoOptions{})
+	return core.NewAutoConv(s, exec.New(workers), plan.New(plan.Options{}))
 }
 
 // Planning (the §4.4 scheduler promoted to a subsystem).
