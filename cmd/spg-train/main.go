@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -184,112 +185,123 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
 
+	method, err := spgcnn.ParseAllReduceMethod(*allreduce)
+	if err != nil {
+		return err
+	}
+	sparseMode, err := spgcnn.ParseSparseSyncMode(*sparseSync)
+	if err != nil {
+		return err
+	}
+	cfg := spgcnn.DataParallelConfig{
+		Replicas: *replicas, LR: float32(*lr), GlobalBatch: *batch, SyncEvery: 1,
+		AllReduce: method, SparseSync: sparseMode,
+		Staleness: *staleness, Mitigate: *mitigate,
+	}
+	if *injectSlow >= 0 {
+		cfg.InjectSlowReplica = *injectSlow
+		cfg.InjectSlowPerImage = time.Duration(*injectSlowMS * float64(time.Millisecond))
+	}
+
 	fmt.Fprintf(stdout, "network %q, dataset %s (%d examples), strategy %s\n",
 		def.Name, *dataset, *examples, *strategy)
-	r := spgcnn.NewRNG(*seed)
-	var net *spgcnn.Network
-	if *replicas > 1 {
-		var err error
-		net, err = trainDataParallel(def, opts, dpFlags{
-			replicas: *replicas, epochs: *epochs, batch: *batch, lr: *lr,
-			loadPath: *loadPath, profile: *profile,
-			injectEpoch: *injectEpoch, injectFactor: *injectFac,
-			allreduce: *allreduce, sparseSync: *sparseSync,
-			staleness: *staleness, mitigate: *mitigate,
-			injectSlowReplica: *injectSlow, injectSlowMS: *injectSlowMS,
-		}, ds, r, rec, reg, obsv, coupler, stdout)
+	// One trainer for any -replicas: N model replicas share the planner,
+	// each global batch of -batch images shards across them and parameters
+	// average after every step; one replica is the plain SGD trainer run
+	// inline. Replica 0 — canonical after the final sync — is the model the
+	// epilogue profiles and checkpoints.
+	dp, err := spgcnn.NewDataParallelFromDef(def, opts, cfg)
+	if err != nil {
+		return err
+	}
+	net := dp.Replica(0)
+	if *loadPath != "" {
+		ckpt, err := os.ReadFile(*loadPath)
 		if err != nil {
 			return err
 		}
-	} else {
-		var err error
-		net, err = spgcnn.BuildNet(def, opts)
-		if err != nil {
-			return err
-		}
-		if *loadPath != "" {
-			f, err := os.Open(*loadPath)
-			if err != nil {
-				return err
-			}
-			err = net.Load(f)
-			f.Close()
-			if err != nil {
+		for i := 0; i < *replicas; i++ {
+			if err := dp.Replica(i).Load(bytes.NewReader(ckpt)); err != nil {
 				return fmt.Errorf("restoring %s: %w", *loadPath, err)
 			}
-			fmt.Fprintf(stdout, "restored checkpoint %s\n", *loadPath)
 		}
-		if *profile {
-			net.EnableProfiling()
+		fmt.Fprintf(stdout, "restored checkpoint %s\n", *loadPath)
+	}
+	if *profile {
+		net.EnableProfiling()
+	}
+	dp.BindTrace(rec) // no-op when tracing is off
+	if obsv != nil {
+		// Replicas share one observatory stream per layer (symmetric
+		// shards, shared planner) but every replica's layers register with
+		// the coupler so a re-tune reaches all of them.
+		for i := 0; i < *replicas; i++ {
+			spgcnn.RegisterObservatoryLayers(obsv, coupler, dp.Replica(i))
 		}
+		obsv.SetBatch(*batch / *replicas)
+		dp.AddSink(obsv)
+		// OnStep runs with no batch in flight on any replica — the safe
+		// point to apply queued re-tunes, so the very next batch re-measures.
+		dp.OnStep = func(int64) { coupler.Apply() }
+	}
+	if *replicas > 1 {
+		fmt.Fprintf(stdout, "data-parallel: %d replicas, global batch %d (shard %d), allreduce %s, sparse-sync %s\n",
+			*replicas, *batch, *batch / *replicas, *allreduce, *sparseSync)
+		if *staleness > 0 {
+			fmt.Fprintf(stdout, "data-parallel: bounded-staleness async, K=%d\n", *staleness)
+		}
+		if *mitigate {
+			fmt.Fprintln(stdout, "data-parallel: straggler mitigation on (trace-driven re-chunking)")
+		}
+		if *injectSlow >= 0 {
+			fmt.Fprintf(stdout, "data-parallel: injecting straggler: replica %d sleeps %.1fms/image\n",
+				*injectSlow, *injectSlowMS)
+		}
+	}
 
-		tr := spgcnn.NewTrainer(net, float32(*lr), *batch)
-		coord := rec.Emitter(-1, 0)
-		if rec != nil {
-			spgcnn.AttachTraceCtx(rec, ctx, 0)
-			planner.SetTrace(coord)
-			spgcnn.RegisterTraceLayers(rec, net)
-			tr.OnStep = rec.SetStep
+	r := spgcnn.NewRNG(*seed)
+	agg := make([]spgcnn.DataParallelReplicaStats, *replicas)
+	for e := 0; e < *epochs; e++ {
+		if obsv != nil && *injectEpoch > 0 && e+1 == *injectEpoch {
+			obsv.SetSlowdown(*injectFac)
+			fmt.Fprintf(stdout, "drift: injecting synthetic %.2fx slowdown from epoch %d\n", *injectFac, e+1)
 		}
+		stats := dp.TrainEpoch(ds, r)
 		if obsv != nil {
-			spgcnn.RegisterObservatoryLayers(obsv, coupler, net)
-			obsv.SetBatch(*batch)
-			ctx.Probe().AddSink(obsv)
-			// OnStep runs on the training goroutine before every minibatch
-			// — the safe point to apply queued re-tunes, so the very next
-			// batch re-measures.
-			prev := tr.OnStep
-			tr.OnStep = func(step int64) {
-				if prev != nil {
-					prev(step)
-				}
-				coupler.Apply()
+			for name, s := range stats.ConvSparsity {
+				obsv.SetSparsity(name, -1, s)
 			}
 		}
-		for e := 0; e < *epochs; e++ {
-			if obsv != nil && *injectEpoch > 0 && e+1 == *injectEpoch {
-				obsv.SetSlowdown(*injectFac)
-				fmt.Fprintf(stdout, "drift: injecting synthetic %.2fx slowdown from epoch %d\n", *injectFac, e+1)
-			}
-			stats := tr.TrainEpoch(ds, r)
-			if obsv != nil {
-				for name, s := range stats.ConvSparsity {
-					obsv.SetSparsity(name, -1, s)
-				}
-			}
-			if reg != nil {
-				reg.RecordEpoch(epochSample(stats))
-			}
-			if rec != nil {
-				coord.Instant("epoch", "epoch", "", float64(stats.Images))
-				mean, n := 0.0, 0
-				for name, s := range stats.ConvSparsity {
-					coord.Instant("sparsity", "sparsity/"+name, name, s)
-					mean, n = mean+s, n+1
-				}
-				if n > 0 {
-					rec.SetBand(spgcnn.SparsityBand(mean / float64(n)))
-				}
-			}
-			fmt.Fprintf(stdout, "epoch %2d  loss %.4f  acc %5.1f%%  %7.1f images/sec  conv %.2f GF (goodput %.2f)",
-				stats.Epoch, stats.Loss, stats.Accuracy*100, stats.ImagesPerSec,
-				stats.ConvGFlops, stats.ConvGoodputGFlops)
-			if len(stats.ConvSparsity) > 0 {
-				fmt.Fprintf(stdout, "  EO sparsity:")
-				for _, c := range net.ConvLayers() {
-					if s, ok := stats.ConvSparsity[c.Name()]; ok {
-						fmt.Fprintf(stdout, " %s=%.2f", c.Name(), s)
-					}
-				}
-			}
-			fmt.Fprintln(stdout)
-			if epochHook != nil {
-				epochHook(e)
+		if reg != nil {
+			reg.RecordEpoch(stats.EpochStats)
+			if *replicas > 1 {
+				reg.RecordDataParallel(stats)
 			}
 		}
-		if *profile {
-			fmt.Fprint(stdout, "\nper-layer time breakdown:\n", net.ProfileReport())
+		printEpoch(stdout, net, stats)
+		for i, rs := range stats.Replicas {
+			agg[i].Replica = rs.Replica
+			agg[i].Steps += rs.Steps
+			agg[i].Total += rs.Total
+			agg[i].BarrierWait += rs.BarrierWait
+			agg[i].Max = max(agg[i].Max, rs.Max)
+			if e == 0 || rs.Min < agg[i].Min {
+				agg[i].Min = rs.Min
+			}
 		}
+		if epochHook != nil {
+			epochHook(e)
+		}
+	}
+	if *replicas > 1 {
+		fmt.Fprintln(stdout, "replica  steps  step min/mean/max (ms)  barrier wait (ms)")
+		for _, rs := range agg {
+			fmt.Fprintf(stdout, "%7d  %5d  %7.2f /%7.2f /%7.2f  %17.2f\n",
+				rs.Replica, rs.Steps, rs.Min*1e3, rs.Mean()*1e3, rs.Max*1e3, rs.BarrierWait*1e3)
+		}
+	}
+	if *profile {
+		fmt.Fprint(stdout, "\nper-layer time breakdown:\n", net.ProfileReport())
 	}
 	if rec != nil {
 		if err := rec.WriteFile(*tracePath); err != nil {
@@ -361,219 +373,43 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// dpFlags carries the replica-path command-line knobs.
-type dpFlags struct {
-	replicas, epochs, batch int
-	lr                      float64
-	loadPath                string
-	profile                 bool
-	injectEpoch             int
-	injectFactor            float64
-	allreduce               string
-	sparseSync              string
-	staleness               int
-	mitigate                bool
-	injectSlowReplica       int
-	injectSlowMS            float64
-}
-
-// trainDataParallel runs the -replicas > 1 path: N model replicas share
-// the planner, each global batch of -batch images shards across them, and
-// parameters average after every step. Returns replica 0 — canonical
-// after the final sync — for the shared epilogue (checkpoints, tuning
-// choices).
-func trainDataParallel(def *spgcnn.NetDef, opts spgcnn.BuildOptions, f dpFlags,
-	ds spgcnn.Dataset, r *spgcnn.RNG, rec *spgcnn.TraceRecorder,
-	reg *spgcnn.MetricsRegistry, obsv *spgcnn.Observatory, coupler *spgcnn.DriftCoupler,
-	stdout io.Writer) (*spgcnn.Network, error) {
-	if f.loadPath != "" {
-		return nil, fmt.Errorf("-load is not supported with -replicas > 1")
-	}
-	if f.profile {
-		return nil, fmt.Errorf("-profile is not supported with -replicas > 1")
-	}
-	method, err := spgcnn.ParseAllReduceMethod(f.allreduce)
-	if err != nil {
-		return nil, err
-	}
-	sparseMode, err := spgcnn.ParseSparseSyncMode(f.sparseSync)
-	if err != nil {
-		return nil, err
-	}
-	cfg := spgcnn.DataParallelConfig{
-		Replicas: f.replicas, LR: float32(f.lr), GlobalBatch: f.batch, SyncEvery: 1,
-		AllReduce: method, SparseSync: sparseMode,
-		Staleness: f.staleness, Mitigate: f.mitigate,
-	}
-	if f.injectSlowReplica >= 0 {
-		cfg.InjectSlowReplica = f.injectSlowReplica
-		cfg.InjectSlowPerImage = time.Duration(f.injectSlowMS * float64(time.Millisecond))
-	}
-	dp, err := spgcnn.NewDataParallelFromDef(def, opts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dp.BindTrace(rec) // no-op when tracing is off
-	if obsv != nil {
-		// Replicas share one observatory stream per layer (symmetric
-		// shards, shared planner) but every replica's layers register with
-		// the coupler so a re-tune reaches all of them.
-		for i := 0; i < f.replicas; i++ {
-			spgcnn.RegisterObservatoryLayers(obsv, coupler, dp.Replica(i))
-		}
-		obsv.SetBatch(f.batch / f.replicas)
-		dp.AddSink(obsv)
-	}
-	fmt.Fprintf(stdout, "data-parallel: %d replicas, global batch %d (shard %d), allreduce %s, sparse-sync %s\n",
-		f.replicas, f.batch, f.batch/f.replicas, f.allreduce, f.sparseSync)
-	if f.staleness > 0 {
-		fmt.Fprintf(stdout, "data-parallel: bounded-staleness async, K=%d\n", f.staleness)
-	}
-	if f.mitigate {
-		fmt.Fprintln(stdout, "data-parallel: straggler mitigation on (trace-driven re-chunking)")
-	}
-	if f.injectSlowReplica >= 0 {
-		fmt.Fprintf(stdout, "data-parallel: injecting straggler: replica %d sleeps %.1fms/image\n",
-			f.injectSlowReplica, f.injectSlowMS)
-	}
-
-	agg := make([]spgcnn.DataParallelReplicaStats, f.replicas)
-	for e := 0; e < f.epochs; e++ {
-		if obsv != nil && f.injectEpoch > 0 && e+1 == f.injectEpoch {
-			obsv.SetSlowdown(f.injectFactor)
-			fmt.Fprintf(stdout, "drift: injecting synthetic %.2fx slowdown from epoch %d\n", f.injectFactor, e+1)
-		}
-		stats := dp.TrainEpoch(ds, r)
-		if obsv != nil {
-			for name, s := range stats.ConvSparsity {
-				obsv.SetSparsity(name, -1, s)
-			}
-			// Replicas are idle between epochs — the safe point to apply
-			// queued re-tunes on this path.
-			coupler.Apply()
-		}
-		if reg != nil {
-			reg.RecordEpoch(dpEpochSample(e+1, stats))
-			reg.RecordDataParallel(dpSample(e+1, f.replicas, stats))
-		}
-		fmt.Fprintf(stdout, "epoch %2d  loss %.4f  acc %5.1f%%  %7.1f images/sec  conv %.2f GF (goodput %.2f)  %d syncs\n",
-			e+1, stats.Loss, stats.Accuracy*100, stats.ImagesPerSec,
-			stats.ConvGFlops, stats.ConvGoodputGFlops, stats.Syncs)
-		if stats.Syncs > 0 {
-			line := fmt.Sprintf("          sync %s  %.2fms total  wire %.2f MB",
-				stats.AllReduceMethod, stats.AllReduceSeconds*1e3, float64(stats.WireBytes)/1e6)
-			if stats.SparseSyncs > 0 {
-				line += fmt.Sprintf("  sparse %d/%d (density %.3f)",
-					stats.SparseSyncs, stats.Syncs, stats.MeanDeltaDensity)
-			}
-			if stats.Rechunks > 0 {
-				line += fmt.Sprintf("  rechunks %d", stats.Rechunks)
-			}
-			if stats.StalenessMax > 0 {
-				line += fmt.Sprintf("  staleness max %d", stats.StalenessMax)
-			}
-			if stats.SkippedImages > 0 {
-				line += fmt.Sprintf("  skipped %d images", stats.SkippedImages)
-			}
-			fmt.Fprintln(stdout, line)
-		}
-		for i, rs := range stats.Replicas {
-			agg[i].Replica = rs.Replica
-			agg[i].Steps += rs.Steps
-			agg[i].Total += rs.Total
-			agg[i].BarrierWait += rs.BarrierWait
-			if agg[i].Max < rs.Max {
-				agg[i].Max = rs.Max
-			}
-			if e == 0 || rs.Min < agg[i].Min {
-				agg[i].Min = rs.Min
-			}
-		}
-		if epochHook != nil {
-			epochHook(e)
-		}
-	}
-	fmt.Fprintln(stdout, "replica  steps  step min/mean/max (ms)  barrier wait (ms)")
-	for _, rs := range agg {
-		fmt.Fprintf(stdout, "%7d  %5d  %7.2f /%7.2f /%7.2f  %17.2f\n",
-			rs.Replica, rs.Steps, rs.Min*1e3, rs.Mean()*1e3, rs.Max*1e3, rs.BarrierWait*1e3)
-	}
-	return dp.Replica(0), nil
-}
-
-// dpEpochSample converts data-parallel epoch statistics into the metrics
-// form of the per-epoch goodput series.
-func dpEpochSample(epoch int, stats spgcnn.DataParallelStats) spgcnn.EpochSample {
-	var spSum float64
-	for _, s := range stats.ConvSparsity {
-		spSum += s
-	}
-	mean := 0.0
+// printEpoch prints one epoch: the line every run gets, and under it the
+// sync account of a fleet.
+func printEpoch(stdout io.Writer, net *spgcnn.Network, stats spgcnn.DataParallelStats) {
+	fmt.Fprintf(stdout, "epoch %2d  loss %.4f  acc %5.1f%%  %7.1f images/sec  conv %.2f GF (goodput %.2f)",
+		stats.Epoch, stats.Loss, stats.Accuracy*100, stats.ImagesPerSec,
+		stats.ConvGFlops, stats.ConvGoodputGFlops)
 	if len(stats.ConvSparsity) > 0 {
-		mean = spSum / float64(len(stats.ConvSparsity))
+		fmt.Fprintf(stdout, "  EO sparsity:")
+		for _, c := range net.ConvLayers() {
+			if s, ok := stats.ConvSparsity[c.Name()]; ok {
+				fmt.Fprintf(stdout, " %s=%.2f", c.Name(), s)
+			}
+		}
 	}
-	return spgcnn.EpochSample{
-		Epoch:         epoch,
-		Images:        stats.Images,
-		Seconds:       stats.Seconds,
-		ImagesPerSec:  stats.ImagesPerSec,
-		Loss:          stats.Loss,
-		Accuracy:      stats.Accuracy,
-		DenseGFlops:   stats.ConvGFlops,
-		GoodputGFlops: stats.ConvGoodputGFlops,
-		MeanSparsity:  mean,
+	if len(stats.Replicas) > 1 {
+		fmt.Fprintf(stdout, "  %d syncs", stats.Syncs)
 	}
-}
-
-// dpSample converts data-parallel epoch statistics into the scale-out
-// metrics sample (spg_dp_* series).
-func dpSample(epoch, replicas int, stats spgcnn.DataParallelStats) spgcnn.DataParallelSample {
-	waits := make([]float64, len(stats.Replicas))
-	shares := make([]int, len(stats.Replicas))
-	for i, rs := range stats.Replicas {
-		waits[i] = rs.BarrierWait
-		shares[i] = rs.Share
+	fmt.Fprintln(stdout)
+	if stats.Syncs == 0 {
+		return
 	}
-	return spgcnn.DataParallelSample{
-		Epoch:            epoch,
-		Replicas:         replicas,
-		Syncs:            stats.Syncs,
-		SparseSyncs:      stats.SparseSyncs,
-		AllReduceSeconds: stats.AllReduceSeconds,
-		AllReduceMethod:  stats.AllReduceMethod,
-		MeanDeltaDensity: stats.MeanDeltaDensity,
-		WireBytes:        stats.WireBytes,
-		SkippedImages:    stats.SkippedImages,
-		SkippedConvFlops: stats.SkippedConvFlops,
-		Rechunks:         stats.Rechunks,
-		StalenessMax:     stats.StalenessMax,
-		BarrierWait:      waits,
-		Shares:           shares,
+	line := fmt.Sprintf("          sync %s  %.2fms total  wire %.2f MB",
+		stats.AllReduceMethod, stats.AllReduceSeconds*1e3, float64(stats.WireBytes)/1e6)
+	if stats.SparseSyncs > 0 {
+		line += fmt.Sprintf("  sparse %d/%d (density %.3f)",
+			stats.SparseSyncs, stats.Syncs, stats.MeanDeltaDensity)
 	}
-}
-
-// epochSample converts trainer statistics into the metrics form of the
-// per-epoch goodput series (Eq. 9).
-func epochSample(stats spgcnn.TrainEpochStats) spgcnn.EpochSample {
-	var spSum float64
-	for _, s := range stats.ConvSparsity {
-		spSum += s
+	if stats.Rechunks > 0 {
+		line += fmt.Sprintf("  rechunks %d", stats.Rechunks)
 	}
-	mean := 0.0
-	if len(stats.ConvSparsity) > 0 {
-		mean = spSum / float64(len(stats.ConvSparsity))
+	if stats.StalenessMax > 0 {
+		line += fmt.Sprintf("  staleness max %d", stats.StalenessMax)
 	}
-	return spgcnn.EpochSample{
-		Epoch:         stats.Epoch,
-		Images:        stats.Images,
-		Seconds:       stats.Seconds,
-		ImagesPerSec:  stats.ImagesPerSec,
-		Loss:          stats.Loss,
-		Accuracy:      stats.Accuracy,
-		DenseGFlops:   stats.ConvGFlops,
-		GoodputGFlops: stats.ConvGoodputGFlops,
-		MeanSparsity:  mean,
+	if stats.SkippedImages > 0 {
+		line += fmt.Sprintf("  skipped %d images", stats.SkippedImages)
 	}
+	fmt.Fprintln(stdout, line)
 }
 
 func builtin(name string) (src, dataset string) {

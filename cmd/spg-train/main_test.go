@@ -275,7 +275,8 @@ func TestDriftInjectionAndControl(t *testing.T) {
 // 2-replica run must write a capture the trace reader validates and
 // attributes (stragglers per step group, Eq. 9 waste per conv layer); an
 // injected straggler must engage the re-chunker with -mitigate and never
-// without it; -save must write a checkpoint that -load restores.
+// without it; -save must write a checkpoint that -load restores, into one
+// replica or into every replica of a fleet; -profile reports replica 0.
 func TestCommandWiring(t *testing.T) {
 	capture := filepath.Join(t.TempDir(), "trace.json")
 	ckpt := filepath.Join(t.TempDir(), "w.ckpt")
@@ -349,6 +350,26 @@ func TestCommandWiring(t *testing.T) {
 				}
 				if !strings.Contains(restored.String(), "restored checkpoint "+ckpt) {
 					t.Errorf("-load did not restore the checkpoint:\n%s", restored.String())
+				}
+				// A fleet restores into every replica: the first epoch's
+				// alignment check would refuse a checkpoint that reached
+				// replica 0 only.
+				var fleet bytes.Buffer
+				if err := run(with(tiny, "-replicas", "2", "-load", ckpt), &fleet); err != nil {
+					t.Fatal(err)
+				}
+				if n := strings.Count(fleet.String(), "restored checkpoint "+ckpt); n != 1 {
+					t.Errorf("-replicas 2 -load reported the restore %d times, want once:\n%s", n, fleet.String())
+				}
+				if !strings.Contains(fleet.String(), "epoch  1") || !strings.Contains(fleet.String(), "2 syncs") {
+					t.Errorf("restored fleet did not train:\n%s", fleet.String())
+				}
+			}},
+		{"fleet profile",
+			with(tiny, "-replicas", "2", "-profile"),
+			func(t *testing.T, out string) {
+				if !strings.Contains(out, "per-layer time breakdown:") || !strings.Contains(out, "conv0") {
+					t.Errorf("-replicas 2 -profile printed no breakdown:\n%s", out)
 				}
 			}},
 	}

@@ -1,34 +1,28 @@
 package dataparallel
 
 import (
-	"math"
 	"sync"
 	"time"
 
 	"spgcnn/internal/nn"
-	"spgcnn/internal/rng"
 )
 
-// trainEpochAsync is the bounded-staleness mode: replicas run their step
-// streams without a per-step barrier, each allowed up to cfg.Staleness
-// steps ahead of the slowest replica. Parameter averaging still happens
-// every SyncEvery fleet-wide steps, but instead of a hard barrier the sync
-// is "armed" once the slowest replica crosses the boundary; replicas park
-// at their next step start and the last active replica performs the
-// reduction over whatever the fleet's parameters hold — fast replicas
-// contribute up to Staleness extra local steps, which is exactly the
-// gradient staleness this mode trades for the removed barrier (§6's
-// parameter-synchronization latency discussion). Straggler mitigation is a
-// synchronous-mode feature and is ignored here (the staleness bound is
-// itself the slack that absorbs stragglers).
-func (t *Trainer) trainEpochAsync(ds nn.Dataset, r *rng.RNG) Stats {
+// runAsync schedules the epoch's steps in the bounded-staleness mode:
+// replicas run their step streams without a per-step barrier, each allowed
+// up to cfg.Staleness steps ahead of the slowest replica. Parameter
+// averaging still happens every SyncEvery fleet-wide steps, but instead of
+// a hard barrier the sync is "armed" once the slowest replica crosses the
+// boundary; replicas park at their next step start and the last active
+// replica performs the reduction over whatever the fleet's parameters hold
+// — fast replicas contribute up to Staleness extra local steps, which is
+// exactly the gradient staleness this mode trades for the removed barrier
+// (§6's parameter-synchronization latency discussion). There is no
+// straggler mitigation here (New rejects the combination): the staleness
+// bound is itself the slack that absorbs stragglers.
+func (t *Trainer) runAsync(ds nn.Dataset, order []int, e *epochTally) {
 	cfg := t.cfg
 	shard := cfg.GlobalBatch / cfg.Replicas
-	t.ensureBuffers(shard)
-	t.ensureExchange()
-	order := r.Perm(ds.Len())
 	totalSteps := len(order) / cfg.GlobalBatch
-	start := time.Now()
 
 	var (
 		mu       sync.Mutex
@@ -38,44 +32,28 @@ func (t *Trainer) trainEpochAsync(ds nn.Dataset, r *rng.RNG) Stats {
 		finished = 0
 		synced   = 0 // fleet-wide step count covered by the last sync
 	)
-	es := &epochSync{}
-	var totalLoss float64
-	correct, images := 0, 0
-	epochSyncs := 0
-
-	perRep := make([]ReplicaStats, cfg.Replicas)
-	for w := range perRep {
-		perRep[w] = ReplicaStats{Replica: w, Min: math.MaxFloat64, Share: shard}
-	}
-
 	minDone := func() int {
 		m := done[0]
 		for _, d := range done[1:] {
-			if d < m {
-				m = d
-			}
+			m = min(m, d)
 		}
 		return m
 	}
 	maxDone := func() int {
 		m := done[0]
 		for _, d := range done[1:] {
-			if d > m {
-				m = d
-			}
+			m = max(m, d)
 		}
 		return m
 	}
 	// doSync runs under mu with every other replica parked or finished —
-	// the whole fleet's parameters are quiescent.
+	// the whole fleet's parameters are quiescent, and holding mu is what
+	// keeps them so while OnStep and the reduction run.
 	doSync := func() {
 		md := minDone()
-		if gap := maxDone() - md; gap > es.stalenessMax {
-			es.stalenessMax = gap
-		}
-		t.rec.SetStep(int64(t.steps + md))
-		t.sync(es)
-		epochSyncs++
+		e.stalenessMax = max(e.stalenessMax, maxDone()-md)
+		t.onStep(int64(t.steps + md))
+		t.sync(e)
 		synced = md
 	}
 	syncPending := func() bool {
@@ -87,10 +65,9 @@ func (t *Trainer) trainEpochAsync(ds nn.Dataset, r *rng.RNG) Stats {
 	for w := 0; w < cfg.Replicas; w++ {
 		go func(w int) {
 			defer wg.Done()
-			var repLoss float64
-			repCorrect, repImages := 0, 0
-			rs := &ReplicaStats{Replica: w, Min: math.MaxFloat64}
-			st := t.trainers[w]
+			// Tallies stay goroutine-local until the replica finishes;
+			// perRep[w] is this replica's own row.
+			local := &epochTally{perRep: e.perRep}
 			for s := 0; s < totalSteps; s++ {
 				mu.Lock()
 				for {
@@ -110,23 +87,14 @@ func (t *Trainer) trainEpochAsync(ds nn.Dataset, r *rng.RNG) Stats {
 					cond.Wait()
 					wait := time.Since(waitStart).Seconds()
 					parked--
-					rs.BarrierWait += wait
+					e.perRep[w].BarrierWait += wait
 					t.em(w).Instant("sync", "barrier", "", wait)
 				}
 				mu.Unlock()
 
-				t.runStep(ds, w, order, s*cfg.GlobalBatch+w*shard, shard)
-				repLoss += st.loss
-				repCorrect += st.correct
-				repImages += st.images
-				rs.Steps++
-				rs.Total += st.secs
-				if st.secs < rs.Min {
-					rs.Min = st.secs
-				}
-				if st.secs > rs.Max {
-					rs.Max = st.secs
-				}
+				base := s*cfg.GlobalBatch + w*shard
+				t.runStep(ds, w, order[base:base+shard])
+				local.observe(w, t.replicas[w], shard)
 
 				mu.Lock()
 				done[w]++
@@ -139,47 +107,19 @@ func (t *Trainer) trainEpochAsync(ds nn.Dataset, r *rng.RNG) Stats {
 				doSync()
 			}
 			cond.Broadcast()
-			totalLoss += repLoss
-			correct += repCorrect
-			images += repImages
-			rs.Share = shard
-			perRep[w] = *rs
+			e.loss += local.loss
+			e.correct += local.correct
+			e.images += local.images
 			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
+	e.steps = totalSteps
 
 	// Final alignment: average whatever local steps ran since the last
 	// covered boundary so the epoch ends with replicas in lockstep.
-	if synced < totalSteps && totalSteps > 0 {
-		t.rec.SetStep(int64(t.steps + totalSteps))
-		t.sync(es)
-		epochSyncs++
+	if synced < totalSteps {
+		t.onStep(int64(t.steps + totalSteps))
+		t.sync(e)
 	}
-	t.steps += totalSteps
-
-	for _, net := range t.replicas {
-		net.EpochEnd()
-	}
-	elapsed := time.Since(start).Seconds()
-	for w := range perRep {
-		if perRep[w].Steps == 0 {
-			perRep[w].Min = 0
-		}
-	}
-	stats := Stats{
-		Loss:     safeDiv(totalLoss, float64(images)),
-		Accuracy: safeDiv(float64(correct), float64(images)),
-		Images:   images,
-		Seconds:  elapsed,
-		Steps:    t.steps,
-		Syncs:    epochSyncs,
-		Replicas: perRep,
-	}
-	if elapsed > 0 {
-		stats.ImagesPerSec = float64(images) / elapsed
-	}
-	t.fillSyncStats(&stats, es, len(order)%cfg.GlobalBatch)
-	t.convAccounting(&stats, images, elapsed)
-	return stats
 }

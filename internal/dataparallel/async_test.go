@@ -21,9 +21,15 @@ func TestAsyncBoundedStalenessTrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// OnStep fires where the fleet is quiescent: at every sync.
+		quiescent := 0
+		dp.OnStep = func(int64) { quiescent++ }
 		data := ds{n: 64}
 		r := rng.New(6)
 		first := dp.TrainEpoch(data, r)
+		if quiescent != first.Syncs || first.Steps != 8 {
+			t.Fatalf("K=%d: OnStep fired %d times over %d syncs, %d steps", k, quiescent, first.Syncs, first.Steps)
+		}
 		if first.Images != 64 {
 			t.Fatalf("K=%d: trained %d images, want 64", k, first.Images)
 		}

@@ -15,6 +15,12 @@
 // SyncEvery > 1 is local SGD with periodic averaging, trading
 // synchronization cost for gradient staleness exactly as the paper's §6
 // discussion of parameter-synchronization latency describes.
+//
+// A replica is an nn.Trainer: its shard of a step is nn.Trainer.Step, the
+// same call a plain trainer's epoch loops over, and an epoch's statistics
+// close through the same nn.EpochStats.Account. One replica is therefore not
+// "N = 1 of the fleet loop" but replica 0's own nn.Trainer.TrainEpoch, run
+// inline: no goroutine, no exchange, the tail batch trained.
 package dataparallel
 
 import (
@@ -64,7 +70,8 @@ type Config struct {
 	// attribution feeds an EWMA throughput estimate that re-chunks the
 	// next step's shard assignment (slow replicas get fewer images, the
 	// LR of each replica's locally-scaled step is rescaled to keep the
-	// global update unbiased). Synchronous mode only.
+	// global update unbiased). It needs the step barrier: New rejects it
+	// together with Staleness > 0.
 	Mitigate bool
 	// InjectSlowReplica / InjectSlowPerImage inject an artificial
 	// straggler for benchmarking: replica InjectSlowReplica sleeps
@@ -76,15 +83,21 @@ type Config struct {
 
 // Trainer coordinates the replicas.
 type Trainer struct {
+	// OnStep, when set, runs on the coordinating goroutine at the fleet's
+	// quiescent point — before every global step in synchronous mode, at
+	// every parameter sync in bounded-staleness mode, before every minibatch
+	// at one replica — with the global step number. No replica has a batch
+	// in flight, so it is where queued layer re-tunes are applied.
+	OnStep func(step int64)
+
 	cfg      Config
-	replicas []*nn.Network
-	trainers []*shardState
+	nets     []*nn.Network
+	replicas []*replica
 	ctxs     []*exec.Ctx // per-replica execution contexts (NewFromDef only)
 	planner  core.Planner
-	loss     nn.SoftmaxXent
 
+	epoch int
 	steps int
-	syncs int
 
 	exchange *Exchange // reduction subsystem (lazy; see ensureExchange)
 	shares   []int     // per-replica images per step (sums to GlobalBatch)
@@ -95,14 +108,13 @@ type Trainer struct {
 	emitters []*trace.Emitter // one per replica
 }
 
-// shardState is one replica's working storage.
-type shardState struct {
-	inputs  []*tensor.Tensor
-	dlogits []*tensor.Tensor
+// replica is one model replica: the trainer that runs its shard of every
+// step, and what its last step reported.
+type replica struct {
+	tr      *nn.Trainer
 	loss    float64
 	correct int
-	images  int
-	secs    float64 // wall time of the replica's last step
+	secs    float64 // wall time of the last step
 }
 
 // New builds a data-parallel trainer. The builder must return
@@ -132,6 +144,10 @@ func New(build func(replica int) *nn.Network, cfg Config) (*Trainer, error) {
 	if cfg.Staleness < 0 {
 		return nil, fmt.Errorf("dataparallel: staleness %d < 0", cfg.Staleness)
 	}
+	if cfg.Mitigate && cfg.Staleness > 0 {
+		return nil, fmt.Errorf("dataparallel: mitigate re-chunks at the step barrier, which staleness %d removes; set one of the two",
+			cfg.Staleness)
+	}
 	if cfg.InjectSlowPerImage > 0 &&
 		(cfg.InjectSlowReplica < 0 || cfg.InjectSlowReplica >= cfg.Replicas) {
 		return nil, fmt.Errorf("dataparallel: inject-slow replica %d out of range [0, %d)",
@@ -148,11 +164,14 @@ func New(build func(replica int) *nn.Network, cfg Config) (*Trainer, error) {
 		if net == nil {
 			return nil, fmt.Errorf("dataparallel: builder returned nil for replica %d", i)
 		}
-		t.replicas = append(t.replicas, net)
-		t.trainers = append(t.trainers, &shardState{})
+		t.nets = append(t.nets, net)
+		t.replicas = append(t.replicas, &replica{tr: nn.NewTrainer(net, cfg.LR, t.shares[i])})
 	}
 	if err := t.checkAligned(); err != nil {
 		return nil, err
+	}
+	if cfg.Replicas == 1 {
+		t.replicas[0].tr.OnStep = t.onStep
 	}
 	return t, nil
 }
@@ -221,13 +240,15 @@ func (t *Trainer) AddSink(s exec.Sink) {
 	}
 }
 
-// BindTrace attaches a trace recorder to the trainer: each replica gets an
-// emitter (its probe stream — layer, core and tune spans — plus arena
-// growth land on its timeline row), the coordinator emitter carries
-// all-reduce spans and epoch accounting, the shared planner's activity is
-// traced when it is a *plan.Planner, and replica 0's conv layer flop
-// metadata is registered for goodput-waste attribution. Call once, before
-// training; a nil recorder is a no-op.
+// BindTrace attaches a trace recorder to the trainer — the one place a
+// training run meets the tracer: each replica gets an emitter (through
+// trace.Attach its context's probe stream — layer, core and tune spans —
+// plus arena growth land on its timeline row), the coordinator emitter
+// carries all-reduce spans and every epoch's accounting instants (epoch,
+// per-layer sparsity, skipped tail) and refreshes the live sparsity band,
+// the shared planner's activity is traced when it is a *plan.Planner, and
+// replica 0's conv layer flop metadata is registered for goodput-waste
+// attribution. Call once, before training; a nil recorder is a no-op.
 func (t *Trainer) BindTrace(rec *trace.Recorder) {
 	if rec == nil {
 		return
@@ -236,26 +257,53 @@ func (t *Trainer) BindTrace(rec *trace.Recorder) {
 	t.coord = rec.Emitter(-1, 0)
 	t.emitters = make([]*trace.Emitter, len(t.replicas))
 	for w := range t.replicas {
-		em := rec.Emitter(w, 0)
-		t.emitters[w] = em
-		if w < len(t.ctxs) && t.ctxs[w] != nil {
-			t.ctxs[w].Probe().AddSink(trace.NewProbeSink(em))
-			em := em
-			t.ctxs[w].Arena().SetGrowHook(func(bytes int64) {
-				em.Instant("arena", "grow", "", float64(bytes))
-			})
+		var c *exec.Ctx
+		if w < len(t.ctxs) {
+			c = t.ctxs[w]
 		}
+		t.emitters[w] = trace.Attach(rec, c, w)
 	}
 	if p, ok := t.planner.(*plan.Planner); ok {
 		p.SetTrace(t.coord)
 	}
-	for _, c := range t.replicas[0].ConvLayers() {
+	for _, c := range t.nets[0].ConvLayers() {
 		spec := c.Spec()
 		rec.AddLayerMeta(trace.LayerMeta{
 			Name:    c.Name(),
 			FPFlops: spec.FlopsFP(),
 			BPFlops: spec.FlopsBPInput() + spec.FlopsBPWeights(),
 		})
+	}
+}
+
+// traceEpoch emits the epoch accounting events the goodput-waste analyzer
+// consumes and refreshes the live sparsity band.
+func (t *Trainer) traceEpoch(stats Stats) {
+	if t.rec == nil {
+		return
+	}
+	if stats.SkippedImages > 0 {
+		t.coord.Instant("epoch", "skipped", "", float64(stats.SkippedImages))
+	}
+	if n := len(stats.ConvSparsity); n > 0 {
+		mean := 0.0
+		for _, s := range stats.ConvSparsity {
+			mean += s
+		}
+		t.rec.SetBand(plan.Band(mean / float64(n)))
+	}
+	t.coord.Instant("epoch", "epoch", "", float64(stats.Images))
+	for name, s := range stats.ConvSparsity {
+		t.coord.Instant("sparsity", "sparsity/"+name, name, s)
+	}
+}
+
+// onStep marks the fleet's quiescent point before global step `step`: the
+// recorder's live step stamp moves and the caller's OnStep runs.
+func (t *Trainer) onStep(step int64) {
+	t.rec.SetStep(step)
+	if t.OnStep != nil {
+		t.OnStep(step)
 	}
 }
 
@@ -274,12 +322,12 @@ func (t *Trainer) Planner() core.Planner { return t.planner }
 
 // checkAligned verifies the replicas start from identical parameters.
 func (t *Trainer) checkAligned() error {
-	if len(t.replicas) < 2 {
+	if len(t.nets) < 2 {
 		return nil
 	}
-	ref := t.replicas[0].Parameters()
-	for i := 1; i < len(t.replicas); i++ {
-		ps := t.replicas[i].Parameters()
+	ref := t.nets[0].Parameters()
+	for i := 1; i < len(t.nets); i++ {
+		ps := t.nets[i].Parameters()
 		if len(ps) != len(ref) {
 			return fmt.Errorf("dataparallel: replica %d has %d parameters, replica 0 has %d",
 				i, len(ps), len(ref))
@@ -322,29 +370,24 @@ func (r ReplicaStats) Mean() float64 {
 	return r.Total / float64(r.Steps)
 }
 
-// Stats reports one epoch.
+// Stats reports one epoch: the nn.EpochStats every trainer fills (loss,
+// accuracy, throughput, per-layer gradient sparsity averaged across
+// replicas, dense and Eq. 9 goodput conv work rates over the global image
+// count) plus the fleet's own account.
 type Stats struct {
-	Loss         float64
-	Accuracy     float64
-	Images       int
-	Seconds      float64
-	ImagesPerSec float64
-	Steps        int
-	Syncs        int
+	nn.EpochStats
+	// Steps and Syncs count this epoch's global steps and parameter syncs.
+	Steps int
+	Syncs int
 	// Replicas holds per-replica step-time min/max/mean and barrier-wait
-	// attribution for this epoch.
+	// attribution for this epoch. A single replica trains inline with no
+	// per-step clock: its row carries Steps, Total and Share only.
 	Replicas []ReplicaStats
-	// ConvSparsity maps conv layer name to its mean gradient sparsity over
-	// the epoch, averaged across replicas.
-	ConvSparsity map[string]float64
-	// ConvGFlops / ConvGoodputGFlops mirror nn.EpochStats: the dense conv
-	// work rate and the Eq. 9 useful-work rate over the global image count.
-	ConvGFlops        float64
-	ConvGoodputGFlops float64
 
 	// SkippedImages counts trailing examples that did not fill a whole
 	// global batch and were never trained on this epoch — an Eq. 9-style
-	// waste term (work the epoch was supposed to do but didn't).
+	// waste term (work the epoch was supposed to do but didn't). Always 0
+	// at one replica, which trains the tail batch.
 	SkippedImages int
 	// SkippedConvFlops is the conv work those images would have cost.
 	SkippedConvFlops float64
@@ -371,8 +414,16 @@ type Stats struct {
 	StalenessMax int
 }
 
-// epochSync accumulates sync-round telemetry over one epoch.
-type epochSync struct {
+// epochTally accumulates one epoch's training tallies and sync-round
+// telemetry; TrainEpoch's epilogue turns it into Stats.
+type epochTally struct {
+	loss    float64
+	correct int
+	images  int
+	steps   int
+	perRep  []ReplicaStats
+
+	syncs        int
 	seconds      float64
 	wire         int64
 	sparse       int
@@ -383,36 +434,96 @@ type epochSync struct {
 	stalenessMax int
 }
 
-// TrainEpoch runs one shuffled pass over the dataset. Trailing examples
-// that do not fill a whole global batch are skipped (every step must shard
-// evenly) and reported as Stats.SkippedImages — an Eq. 9-style waste term;
-// size datasets as multiples of GlobalBatch for exact epochs. With
-// cfg.Staleness > 0 the bounded-staleness async path runs instead of the
-// per-step barrier.
+// observe folds one finished step of replica w into the tally.
+func (e *epochTally) observe(w int, rp *replica, images int) {
+	e.loss += rp.loss
+	e.correct += rp.correct
+	e.images += images
+	r := &e.perRep[w]
+	r.Steps++
+	r.Total += rp.secs
+	r.Min = min(r.Min, rp.secs)
+	r.Max = max(r.Max, rp.secs)
+}
+
+// TrainEpoch runs one shuffled pass over the dataset. One replica is
+// replica 0's nn.Trainer.TrainEpoch, inline. A fleet shards every global
+// batch: trailing examples that do not fill a whole one are skipped (every
+// step must shard evenly) and reported as Stats.SkippedImages — an Eq.
+// 9-style waste term; size datasets as multiples of GlobalBatch for exact
+// epochs. cfg.Staleness > 0 schedules the fleet's steps under the bounded-
+// staleness rule instead of the per-step barrier; everything around the
+// schedule is shared.
 func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
-	if t.cfg.Staleness > 0 && t.cfg.Replicas >= 2 {
-		return t.trainEpochAsync(ds, r)
-	}
 	cfg := t.cfg
+	if cfg.Replicas == 1 {
+		es := t.replicas[0].tr.TrainEpoch(ds, r)
+		steps := (es.Images + cfg.GlobalBatch - 1) / cfg.GlobalBatch
+		stats := Stats{EpochStats: es, Steps: steps, MeanDeltaDensity: -1,
+			Replicas: []ReplicaStats{{Steps: steps, Total: es.Seconds, Share: cfg.GlobalBatch}}}
+		t.traceEpoch(stats)
+		return stats
+	}
 	// Build the reduction subsystem up front: the sparse base snapshot
 	// must be taken while the replicas are aligned.
 	t.ensureExchange()
 	order := r.Perm(ds.Len())
-	start := time.Now()
-	var totalLoss float64
-	correct, images := 0, 0
-	epochSyncs := 0
-	es := &epochSync{}
-
-	perRep := make([]ReplicaStats, cfg.Replicas)
-	for w := range perRep {
-		perRep[w] = ReplicaStats{Replica: w, Min: math.MaxFloat64}
+	e := &epochTally{perRep: make([]ReplicaStats, cfg.Replicas)}
+	for w := range e.perRep {
+		e.perRep[w] = ReplicaStats{Replica: w, Min: math.MaxFloat64}
 	}
+	start := time.Now()
+	if cfg.Staleness > 0 {
+		t.runAsync(ds, order, e)
+	} else {
+		t.runSync(ds, order, e)
+	}
+	t.steps += e.steps
+	// Epoch boundary: run every replica's scheduler re-check (§4.4's
+	// periodic BP re-measurement). Replicas share the planner, so at most
+	// one re-measurement per distinct geometry actually runs; the rest
+	// deploy the refreshed verdict from cache.
+	for _, net := range t.nets {
+		net.EpochEnd()
+	}
+	t.epoch++
+	for w := range e.perRep {
+		if e.perRep[w].Steps == 0 {
+			e.perRep[w].Min = 0
+		}
+		e.perRep[w].Share = t.shares[w]
+	}
+	stats := Stats{
+		EpochStats:       nn.EpochStats{Epoch: t.epoch, Images: e.images, Seconds: time.Since(start).Seconds()},
+		Steps:            e.steps,
+		Syncs:            e.syncs,
+		Replicas:         e.perRep,
+		SkippedImages:    len(order) % cfg.GlobalBatch,
+		AllReduceMethod:  e.method,
+		AllReduceSeconds: e.seconds,
+		SparseSyncs:      e.sparse,
+		MeanDeltaDensity: -1,
+		WireBytes:        e.wire,
+		Rechunks:         e.rechunks,
+		StalenessMax:     e.stalenessMax,
+	}
+	if e.densityN > 0 {
+		stats.MeanDeltaDensity = e.densitySum / float64(e.densityN)
+	}
+	stats.SkippedConvFlops = stats.Account(e.loss, e.correct, t.nets...) * float64(stats.SkippedImages)
+	t.traceEpoch(stats)
+	return stats
+}
 
+// runSync schedules the epoch's steps under the per-step barrier: every
+// replica runs its shard of a global step on its own goroutine, the
+// coordinator waits for all of them, attributes the barrier wait, re-chunks
+// when mitigating, and averages parameters every SyncEvery steps.
+func (t *Trainer) runSync(ds nn.Dataset, order []int, e *epochTally) {
+	cfg := t.cfg
 	offsets := make([]int, cfg.Replicas)
 	for lo := 0; lo+cfg.GlobalBatch <= len(order); lo += cfg.GlobalBatch {
-		t.rec.SetStep(int64(t.steps + 1))
-		t.ensureBuffers(maxShare(t.shares))
+		t.onStep(int64(t.steps + e.steps + 1))
 		off := 0
 		for w := range offsets {
 			offsets[w] = off
@@ -423,116 +534,57 @@ func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
 		for w := 0; w < cfg.Replicas; w++ {
 			go func(w int) {
 				defer wg.Done()
-				t.runStep(ds, w, order, lo+offsets[w], t.shares[w])
+				t.runStep(ds, w, order[lo+offsets[w]:lo+offsets[w]+t.shares[w]])
 			}(w)
 		}
 		wg.Wait()
 		slowest := 0.0
-		for _, st := range t.trainers {
-			totalLoss += st.loss
-			correct += st.correct
-			images += st.images
-			if st.secs > slowest {
-				slowest = st.secs
-			}
+		for _, rp := range t.replicas {
+			slowest = max(slowest, rp.secs)
 		}
-		for w, st := range t.trainers {
-			r := &perRep[w]
-			r.Steps++
-			r.Total += st.secs
-			if st.secs < r.Min {
-				r.Min = st.secs
-			}
-			if st.secs > r.Max {
-				r.Max = st.secs
-			}
-			if cfg.Replicas >= 2 && st.secs < slowest {
-				wait := slowest - st.secs
-				r.BarrierWait += wait
+		for w, rp := range t.replicas {
+			e.observe(w, rp, t.shares[w])
+			if rp.secs < slowest {
+				wait := slowest - rp.secs
+				e.perRep[w].BarrierWait += wait
 				t.em(w).Instant("sync", "barrier", "", wait)
 			}
 		}
 		if cfg.Mitigate {
-			t.rechunk(es)
+			t.rechunk(e)
 		}
-		t.steps++
-		if t.steps%cfg.SyncEvery == 0 {
-			t.sync(es)
-			epochSyncs++
+		e.steps++
+		if (t.steps+e.steps)%cfg.SyncEvery == 0 {
+			t.sync(e)
 		}
 	}
-	// Epoch boundary: run every replica's scheduler re-check (§4.4's
-	// periodic BP re-measurement). Replicas share the planner, so at most
-	// one re-measurement per distinct geometry actually runs; the rest
-	// deploy the refreshed verdict from cache.
-	for _, net := range t.replicas {
-		net.EpochEnd()
-	}
-	elapsed := time.Since(start).Seconds()
-	for w := range perRep {
-		if perRep[w].Steps == 0 {
-			perRep[w].Min = 0
-		}
-		perRep[w].Share = t.shares[w]
-	}
-	stats := Stats{
-		Loss:     safeDiv(totalLoss, float64(images)),
-		Accuracy: safeDiv(float64(correct), float64(images)),
-		Images:   images,
-		Seconds:  elapsed,
-		Steps:    t.steps,
-		Syncs:    epochSyncs,
-		Replicas: perRep,
-	}
-	if elapsed > 0 {
-		stats.ImagesPerSec = float64(images) / elapsed
-	}
-	t.fillSyncStats(&stats, es, len(order)%cfg.GlobalBatch)
-	t.convAccounting(&stats, images, elapsed)
-	return stats
 }
 
-// runStep executes one replica's shard of one global step: share images
-// starting at order[base], forward/backward, locally-scaled SGD step. The
-// LR is rescaled for unequal mitigation shares so the replica average
-// still reconstructs the lr/GlobalBatch global step (at equal shares the
-// rescale is exactly cfg.LR, preserving the historical arithmetic).
-func (t *Trainer) runStep(ds nn.Dataset, w int, order []int, base, share int) {
+// runStep executes one replica's shard of one global step through its
+// trainer's Step. The LR is rescaled for unequal mitigation shares so the
+// replica average still reconstructs the lr/GlobalBatch global step (at
+// equal shares the rescale is exactly cfg.LR, preserving the historical
+// arithmetic).
+func (t *Trainer) runStep(ds nn.Dataset, w int, idx []int) {
 	cfg := t.cfg
-	st := t.trainers[w]
-	net := t.replicas[w]
+	rp := t.replicas[w]
 	stepStart := time.Now()
 	t.em(w).Region("step", "step", func() {
-		for i := 0; i < share; i++ {
-			ds.Image(order[base+i], st.inputs[i])
-		}
-		logits := net.Forward(st.inputs[:share])
-		st.loss, st.correct = 0, 0
-		for i := 0; i < share; i++ {
-			l, ok := t.loss.Loss(logits[i], ds.Label(order[base+i]), st.dlogits[i])
-			st.loss += l
-			if ok {
-				st.correct++
-			}
-		}
-		st.images = share
-		net.Backward(st.dlogits[:share], st.inputs[:share])
 		lr := cfg.LR
-		if share*cfg.Replicas != cfg.GlobalBatch {
+		if share := len(idx); share*cfg.Replicas != cfg.GlobalBatch {
 			lr = cfg.LR * float32(share*cfg.Replicas) / float32(cfg.GlobalBatch)
 		}
-		net.ApplyGrads(lr, share)
+		rp.loss, rp.correct = rp.tr.Step(ds, idx, lr)
 		if cfg.InjectSlowPerImage > 0 && w == cfg.InjectSlowReplica {
-			time.Sleep(cfg.InjectSlowPerImage * time.Duration(share))
+			time.Sleep(cfg.InjectSlowPerImage * time.Duration(len(idx)))
 		}
 	})
-	st.secs = time.Since(stepStart).Seconds()
+	rp.secs = time.Since(stepStart).Seconds()
 }
 
 // sync runs one parameter-averaging round through the reduction subsystem
 // and records its telemetry.
-func (t *Trainer) sync(es *epochSync) {
-	t.ensureExchange()
+func (t *Trainer) sync(es *epochTally) {
 	arStart := time.Now()
 	info := t.exchange.Sync()
 	dur := time.Since(arStart)
@@ -541,7 +593,7 @@ func (t *Trainer) sync(es *epochSync) {
 		method += "+sparse"
 	}
 	t.coord.SpanDetail("sync", "allreduce", method, float64(info.WireBytes), arStart, dur)
-	t.syncs++
+	es.syncs++
 	es.seconds += dur.Seconds()
 	es.wire += info.WireBytes
 	es.method = method
@@ -561,15 +613,21 @@ func (t *Trainer) ensureExchange() {
 	if t.exchange != nil {
 		return
 	}
-	views := make([][][]float32, len(t.replicas))
-	for i, net := range t.replicas {
+	// New verified the alignment the exchange's base snapshot assumes;
+	// whatever a caller restored into the replicas since must have reached
+	// every one of them.
+	if err := t.checkAligned(); err != nil {
+		panic(err)
+	}
+	views := make([][][]float32, len(t.nets))
+	for i, net := range t.nets {
 		ps := net.Parameters()
 		views[i] = make([][]float32, len(ps))
 		for j, p := range ps {
 			views[i][j] = p.Tensor.Data
 		}
 	}
-	cl := machine.DefaultCluster(len(t.replicas))
+	cl := machine.DefaultCluster(len(t.nets))
 	ranker := func(elems, replicas int, density float64) (Method, bool) {
 		best := cl.BestAllReduce(elems, density)
 		return Method(best.Method), best.Sparse
@@ -581,17 +639,17 @@ func (t *Trainer) ensureExchange() {
 // each replica's EWMA throughput, and shares are reassigned proportionally
 // (largest-remainder rounding, minimum 1 image) so next step's barrier
 // wait concentrates less on the fast replicas.
-func (t *Trainer) rechunk(es *epochSync) {
+func (t *Trainer) rechunk(es *epochTally) {
 	n := t.cfg.Replicas
 	if n < 2 {
 		return
 	}
 	const alpha = 0.5
-	for w, st := range t.trainers {
-		if st.secs <= 0 {
+	for w, rp := range t.replicas {
+		if rp.secs <= 0 {
 			continue
 		}
-		r := float64(t.shares[w]) / st.secs
+		r := float64(t.shares[w]) / rp.secs
 		if t.rate[w] == 0 {
 			t.rate[w] = r
 		} else {
@@ -660,110 +718,8 @@ func (t *Trainer) rechunk(es *epochSync) {
 	t.coord.Instant("sync", "rechunk", "", float64(moved))
 }
 
-// fillSyncStats folds the epoch's sync telemetry and the skipped-tail
-// waste term into the stats.
-func (t *Trainer) fillSyncStats(stats *Stats, es *epochSync, skipped int) {
-	stats.SkippedImages = skipped
-	if skipped > 0 {
-		var perImage float64
-		for _, c := range t.replicas[0].ConvLayers() {
-			spec := c.Spec()
-			perImage += float64(spec.FlopsFP() + spec.FlopsBPInput() + spec.FlopsBPWeights())
-		}
-		stats.SkippedConvFlops = perImage * float64(skipped)
-		t.coord.Instant("epoch", "skipped", "", float64(skipped))
-	}
-	stats.AllReduceMethod = es.method
-	stats.AllReduceSeconds = es.seconds
-	stats.SparseSyncs = es.sparse
-	stats.MeanDeltaDensity = -1
-	if es.densityN > 0 {
-		stats.MeanDeltaDensity = es.densitySum / float64(es.densityN)
-	}
-	stats.WireBytes = es.wire
-	stats.Rechunks = es.rechunks
-	stats.StalenessMax = es.stalenessMax
-}
-
-func maxShare(shares []int) int {
-	m := 0
-	for _, s := range shares {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// convAccounting fills the epoch's sparsity map and work rates (Eq. 9/10)
-// and, when a tracer is bound, emits the epoch accounting events the
-// goodput-waste analyzer consumes and refreshes the live sparsity band.
-func (t *Trainer) convAccounting(stats *Stats, images int, elapsed float64) {
-	stats.ConvSparsity = map[string]float64{}
-	counts := map[string]int{}
-	for _, net := range t.replicas {
-		for _, c := range net.ConvLayers() {
-			if s, ok := c.TakeSparsity(); ok {
-				stats.ConvSparsity[c.Name()] += s
-				counts[c.Name()]++
-			}
-		}
-	}
-	meanAll, layers := 0.0, 0
-	for name, n := range counts {
-		stats.ConvSparsity[name] /= float64(n)
-		meanAll += stats.ConvSparsity[name]
-		layers++
-	}
-	var denseFlops, usefulFlops float64
-	for _, c := range t.replicas[0].ConvLayers() {
-		spec := c.Spec()
-		fp := float64(spec.FlopsFP()) * float64(images)
-		bp := float64(spec.FlopsBPInput()+spec.FlopsBPWeights()) * float64(images)
-		denseFlops += fp + bp
-		s, ok := stats.ConvSparsity[c.Name()]
-		if !ok {
-			s = 0
-		}
-		usefulFlops += fp + bp*(1-s)
-	}
-	if elapsed > 0 {
-		stats.ConvGFlops = denseFlops / elapsed / 1e9
-		stats.ConvGoodputGFlops = usefulFlops / elapsed / 1e9
-	}
-	if t.rec == nil {
-		return
-	}
-	if layers > 0 {
-		t.rec.SetBand(plan.Band(meanAll / float64(layers)))
-	}
-	t.coord.Instant("epoch", "epoch", "", float64(images))
-	for name, s := range stats.ConvSparsity {
-		t.coord.Instant("sparsity", "sparsity/"+name, name, s)
-	}
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 // Replica returns replica i's network (replica 0 is the canonical model
-// after a sync).
-func (t *Trainer) Replica(i int) *nn.Network { return t.replicas[i] }
-
-// Syncs returns the total number of all-reduce rounds performed.
-func (t *Trainer) Syncs() int { return t.syncs }
-
-func (t *Trainer) ensureBuffers(shard int) {
-	in := t.replicas[0].InDims()
-	out := t.replicas[0].OutDims()
-	for _, st := range t.trainers {
-		for len(st.inputs) < shard {
-			st.inputs = append(st.inputs, tensor.New(in...))
-			st.dlogits = append(st.dlogits, tensor.New(out...))
-		}
-	}
-}
+// after a sync). A checkpoint restored before the first epoch must be
+// restored into every replica: the first TrainEpoch re-checks alignment and
+// panics on a fleet that diverged before it trained.
+func (t *Trainer) Replica(i int) *nn.Network { return t.nets[i] }

@@ -1,6 +1,7 @@
 package dataparallel
 
 import (
+	"strings"
 	"testing"
 
 	"spgcnn/internal/conv"
@@ -40,6 +41,8 @@ func TestConfigValidation(t *testing.T) {
 		{Replicas: 0, GlobalBatch: 4},
 		{Replicas: 3, GlobalBatch: 4}, // not divisible
 		{Replicas: 8, GlobalBatch: 4}, // batch < replicas
+		// mitigation re-chunks at the barrier that staleness removes
+		{Replicas: 2, GlobalBatch: 4, Staleness: 2, Mitigate: true},
 	}
 	for _, cfg := range cases {
 		cfg.LR = 0.01
@@ -49,6 +52,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(build, Config{Replicas: 2, GlobalBatch: 4, LR: 0.01}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	_, err := New(build, cases[len(cases)-1])
+	if err == nil || !strings.Contains(err.Error(), "mitigate") || !strings.Contains(err.Error(), "staleness 2") {
+		t.Fatalf("mitigate+staleness error = %v, want both settings named", err)
 	}
 }
 
@@ -61,6 +68,20 @@ func TestRejectsMisalignedReplicas(t *testing.T) {
 	if _, err := New(build, Config{Replicas: 2, GlobalBatch: 4, LR: 0.01}); err == nil {
 		t.Fatal("differently-initialized replicas accepted")
 	}
+
+	// Aligned at New, then a restore that reached one replica only: the
+	// first epoch refuses to average the two models.
+	dp, err := New(func(int) *nn.Network { return buildNet(1) }, Config{Replicas: 2, GlobalBatch: 4, LR: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.Replica(1).Parameters()[0].Tensor.Data[0]++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("first epoch trained a fleet that diverged before it")
+		}
+	}()
+	dp.TrainEpoch(ds{n: 8}, rng.New(1))
 }
 
 // TestSyncEveryOneEqualsSingleWorker is the core equivalence: 2-replica
@@ -127,31 +148,49 @@ func TestLocalSGDTrainsAndSyncsLess(t *testing.T) {
 	if !(last.Loss < first.Loss) {
 		t.Fatalf("local SGD did not learn: %v -> %v", first.Loss, last.Loss)
 	}
-	// 64/8 = 8 steps per epoch, sync every 4 -> 2 syncs per epoch.
-	if first.Syncs != 2 {
-		t.Fatalf("syncs per epoch = %d, want 2", first.Syncs)
+	// 64/8 = 8 steps per epoch, sync every 4 -> 2 syncs per epoch: both
+	// count the epoch, not the trainer's lifetime.
+	for _, st := range []Stats{first, last} {
+		if st.Steps != 8 || st.Syncs != 2 {
+			t.Fatalf("epoch %d: %d steps / %d syncs, want 8 / 2", st.Epoch, st.Steps, st.Syncs)
+		}
+	}
+	if last.Epoch != 6 {
+		t.Fatalf("epoch counter = %d, want 6", last.Epoch)
 	}
 	if last.Images != 64 || last.ImagesPerSec <= 0 {
 		t.Fatalf("accounting wrong: %+v", last)
 	}
 }
 
+// TestSingleReplicaDegeneratesToSGD: one replica is nn.Trainer.TrainEpoch
+// on replica 0 — the same weights bit for bit, the tail batch trained, no
+// sync and no skipped image — and OnStep fires before each of its steps.
 func TestSingleReplicaDegeneratesToSGD(t *testing.T) {
 	dp, err := New(func(int) *nn.Network { return buildNet(8) },
 		Config{Replicas: 1, GlobalBatch: 4, LR: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var steps []int64
+	dp.OnStep = func(step int64) { steps = append(steps, step) }
 	single := buildNet(8)
 	str := nn.NewTrainer(single, 0.05, 4)
-	data := ds{n: 16}
-	dp.TrainEpoch(data, rng.New(2))
-	str.TrainEpoch(data, rng.New(2))
+	data := ds{n: 18} // 4 full batches and a tail of 2
+	got := dp.TrainEpoch(data, rng.New(2))
+	want := str.TrainEpoch(data, rng.New(2))
 	sp := single.Parameters()
 	rp := dp.Replica(0).Parameters()
 	for j := range sp {
-		if !tensor.AlmostEqual(sp[j].Tensor, rp[j].Tensor, 1e-5) {
-			t.Fatalf("single-replica run differs from plain SGD at %q", sp[j].Name)
+		if d := tensor.MaxAbsDiff(sp[j].Tensor, rp[j].Tensor); d != 0 {
+			t.Fatalf("single-replica run differs from plain SGD at %q by %g", sp[j].Name, d)
 		}
+	}
+	if got.Loss != want.Loss || got.Images != 18 || got.SkippedImages != 0 ||
+		got.Steps != 5 || got.Syncs != 0 || len(got.Replicas) != 1 {
+		t.Fatalf("single-replica stats = %+v, plain SGD = %+v", got, want)
+	}
+	if len(steps) != 5 || steps[0] != 1 || steps[4] != 5 {
+		t.Fatalf("OnStep saw steps %v, want 1..5", steps)
 	}
 }

@@ -1,34 +1,20 @@
 package metrics
 
-import "strconv"
+import (
+	"strconv"
 
-// DPSample is one data-parallel epoch's scale-out accounting: the
-// reduction subsystem's telemetry (schedule, sparse rounds, wire traffic),
-// the Eq. 9-style skipped-tail waste term, and the straggler-mitigation
-// loop's evidence (per-replica barrier wait, shares, rechunk count).
-type DPSample struct {
-	Epoch            int
-	Replicas         int
-	Syncs            int
-	SparseSyncs      int
-	AllReduceSeconds float64
-	AllReduceMethod  string
-	MeanDeltaDensity float64 // -1 when no sync measured deltas
-	WireBytes        int64
-	SkippedImages    int
-	SkippedConvFlops float64
-	Rechunks         int
-	StalenessMax     int
-	// BarrierWait / Shares are indexed by replica.
-	BarrierWait []float64
-	Shares      []int
-}
+	"spgcnn/internal/dataparallel"
+)
 
 // RecordDataParallel publishes one data-parallel epoch under the spg_dp_*
 // namespace: counters for cumulative totals, gauges for last-epoch state,
-// and replica-labeled gauges for the straggler surface.
-func (r *Registry) RecordDataParallel(s DPSample) {
-	r.Gauge("spg_dp_replicas", "Data-parallel replica count.").Set(float64(s.Replicas))
+// and replica-labeled gauges for the straggler surface. It takes the
+// trainer's own epoch record: the reduction subsystem's telemetry (schedule,
+// sparse rounds, wire traffic), the Eq. 9-style skipped-tail waste term, and
+// the straggler-mitigation loop's evidence (per-replica barrier wait,
+// shares, rechunk count).
+func (r *Registry) RecordDataParallel(s dataparallel.Stats) {
+	r.Gauge("spg_dp_replicas", "Data-parallel replica count.").Set(float64(len(s.Replicas)))
 	r.Counter("spg_dp_syncs_total", "Parameter synchronization rounds.").Add(float64(s.Syncs))
 	r.Counter("spg_dp_sparse_syncs_total",
 		"Synchronization rounds that shipped CT-CSR-compressed parameter deltas.").
@@ -63,14 +49,13 @@ func (r *Registry) RecordDataParallel(s DPSample) {
 	r.Gauge("spg_dp_wire_bytes_series",
 		"Modeled sync wire traffic (per-epoch series).", "epoch", epoch).
 		Set(float64(s.WireBytes))
-	for w, wait := range s.BarrierWait {
+	for _, rs := range s.Replicas {
+		replica := strconv.Itoa(rs.Replica)
 		r.Gauge("spg_dp_barrier_wait_seconds",
 			"Cumulative barrier wait of the last epoch, per replica.",
-			"replica", strconv.Itoa(w)).Set(wait)
-	}
-	for w, share := range s.Shares {
+			"replica", replica).Set(rs.BarrierWait)
 		r.Gauge("spg_dp_share",
 			"Images-per-step share assigned to the replica after mitigation.",
-			"replica", strconv.Itoa(w)).Set(float64(share))
+			"replica", replica).Set(float64(rs.Share))
 	}
 }

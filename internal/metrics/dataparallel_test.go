@@ -3,26 +3,36 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"spgcnn/internal/dataparallel"
+	"spgcnn/internal/nn"
 )
+
+// fleet builds the per-replica rows of a Stats from barrier waits and shares.
+func fleet(waits []float64, shares []int) []dataparallel.ReplicaStats {
+	rows := make([]dataparallel.ReplicaStats, len(waits))
+	for w := range rows {
+		rows[w] = dataparallel.ReplicaStats{Replica: w, BarrierWait: waits[w], Share: shares[w]}
+	}
+	return rows
+}
 
 func TestRecordDataParallel(t *testing.T) {
 	r := NewRegistry()
-	r.RecordDataParallel(DPSample{
-		Epoch: 1, Replicas: 4, Syncs: 8, SparseSyncs: 3,
+	r.RecordDataParallel(dataparallel.Stats{
+		EpochStats: nn.EpochStats{Epoch: 1}, Syncs: 8, SparseSyncs: 3,
 		AllReduceSeconds: 0.5, AllReduceMethod: "ring+sparse",
 		MeanDeltaDensity: 0.07, WireBytes: 1 << 20,
 		SkippedImages: 5, SkippedConvFlops: 1e6,
 		Rechunks: 2, StalenessMax: 1,
-		BarrierWait: []float64{0.1, 0, 0.2, 0.3},
-		Shares:      []int{9, 5, 9, 9},
+		Replicas: fleet([]float64{0.1, 0, 0.2, 0.3}, []int{9, 5, 9, 9}),
 	})
-	r.RecordDataParallel(DPSample{
-		Epoch: 2, Replicas: 4, Syncs: 8, SparseSyncs: 5,
+	r.RecordDataParallel(dataparallel.Stats{
+		EpochStats: nn.EpochStats{Epoch: 2}, Syncs: 8, SparseSyncs: 5,
 		AllReduceSeconds: 0.25, AllReduceMethod: "ring+sparse",
 		MeanDeltaDensity: 0.05, WireBytes: 1 << 19,
 		SkippedImages: 5, Rechunks: 1,
-		BarrierWait: []float64{0.1, 0, 0.2, 0.3},
-		Shares:      []int{10, 4, 9, 9},
+		Replicas: fleet([]float64{0.1, 0, 0.2, 0.3}, []int{10, 4, 9, 9}),
 	})
 	// Counters accumulate across epochs.
 	if got := r.Counter("spg_dp_syncs_total", "").Value(); got != 16 {
@@ -41,6 +51,9 @@ func TestRecordDataParallel(t *testing.T) {
 		t.Fatalf("wire_bytes_total = %v", got)
 	}
 	// Gauges hold the last epoch's state.
+	if got := r.Gauge("spg_dp_replicas", "").Value(); got != 4 {
+		t.Fatalf("replicas = %v, want 4", got)
+	}
 	if got := r.Gauge("spg_dp_delta_density", "").Value(); got != 0.05 {
 		t.Fatalf("delta_density = %v, want 0.05", got)
 	}
@@ -57,7 +70,7 @@ func TestRecordDataParallel(t *testing.T) {
 
 func TestRecordDataParallelUnknownDensity(t *testing.T) {
 	r := NewRegistry()
-	r.RecordDataParallel(DPSample{Epoch: 1, Replicas: 2, Syncs: 4, MeanDeltaDensity: -1})
+	r.RecordDataParallel(dataparallel.Stats{EpochStats: nn.EpochStats{Epoch: 1}, Syncs: 4, MeanDeltaDensity: -1})
 	// Density gauge must not be registered when no sync measured deltas.
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {

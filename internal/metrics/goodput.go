@@ -1,29 +1,26 @@
 package metrics
 
-import "strconv"
+import (
+	"strconv"
 
-// EpochSample is one training epoch's goodput accounting, as produced by
-// the trainer: wall-clock progress (images/sec), model progress (loss,
-// accuracy) and the paper's Eq. 9 split between dense convolution
-// throughput and the useful subset of it.
-type EpochSample struct {
-	Epoch         int
-	Images        int
-	Seconds       float64
-	ImagesPerSec  float64
-	Loss          float64
-	Accuracy      float64
-	DenseGFlops   float64
-	GoodputGFlops float64
-	// MeanSparsity is the mean output-error sparsity across conv layers
-	// (0 when no conv layer reported).
-	MeanSparsity float64
-}
+	"spgcnn/internal/nn"
+)
 
 // RecordEpoch publishes one epoch's goodput accounting: "current value"
 // gauges for dashboards plus an epoch-labeled series of every sample, so a
 // single scrape at the end of a run still recovers the whole trajectory.
-func (r *Registry) RecordEpoch(s EpochSample) {
+// It takes the trainer's own record: wall-clock progress (images/sec),
+// model progress (loss, accuracy) and the paper's Eq. 9 split between dense
+// convolution throughput and the useful subset of it.
+func (r *Registry) RecordEpoch(s nn.EpochStats) {
+	// Mean output-error sparsity across conv layers (0 when none reported).
+	var meanSparsity float64
+	for _, sp := range s.ConvSparsity {
+		meanSparsity += sp
+	}
+	if n := len(s.ConvSparsity); n > 0 {
+		meanSparsity /= float64(n)
+	}
 	set := func(name, help string, v float64) {
 		r.Gauge(name, help).Set(v)
 		r.Gauge(name+"_series", help+" (per-epoch series)",
@@ -35,9 +32,9 @@ func (r *Registry) RecordEpoch(s EpochSample) {
 	set("spg_images_per_sec", "Training throughput of the last epoch.", s.ImagesPerSec)
 	set("spg_loss", "Mean training loss of the last epoch.", s.Loss)
 	set("spg_accuracy", "Training accuracy of the last epoch.", s.Accuracy)
-	set("spg_conv_dense_gflops", "Dense convolution work rate of the last epoch.", s.DenseGFlops)
+	set("spg_conv_dense_gflops", "Dense convolution work rate of the last epoch.", s.ConvGFlops)
 	set("spg_conv_goodput_gflops",
 		"Useful convolution work rate of the last epoch (Eq. 9: BP discounted by gradient sparsity).",
-		s.GoodputGFlops)
-	set("spg_eo_sparsity", "Mean conv output-error gradient sparsity of the last epoch.", s.MeanSparsity)
+		s.ConvGoodputGFlops)
+	set("spg_eo_sparsity", "Mean conv output-error gradient sparsity of the last epoch.", meanSparsity)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spgcnn/internal/exec"
+	"spgcnn/internal/nn"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -183,8 +184,9 @@ func TestBindStreamsProbeIntoRegistry(t *testing.T) {
 
 func TestRecordEpochSeries(t *testing.T) {
 	r := NewRegistry()
-	r.RecordEpoch(EpochSample{Epoch: 1, Images: 100, ImagesPerSec: 50, Accuracy: 0.5, GoodputGFlops: 2})
-	r.RecordEpoch(EpochSample{Epoch: 2, Images: 100, ImagesPerSec: 60, Accuracy: 0.6, GoodputGFlops: 3})
+	r.RecordEpoch(nn.EpochStats{Epoch: 1, Images: 100, ImagesPerSec: 50, Accuracy: 0.5, ConvGoodputGFlops: 2,
+		ConvSparsity: map[string]float64{"conv0": 0.75, "conv1": 0.25}})
+	r.RecordEpoch(nn.EpochStats{Epoch: 2, Images: 100, ImagesPerSec: 60, Accuracy: 0.6, ConvGoodputGFlops: 3})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -196,6 +198,8 @@ func TestRecordEpochSeries(t *testing.T) {
 		`spg_conv_goodput_gflops_series{epoch="1"} 2`,
 		`spg_conv_goodput_gflops_series{epoch="2"} 3`,
 		"spg_images_per_sec 60",
+		`spg_eo_sparsity_series{epoch="1"} 0.5`,
+		"spg_eo_sparsity 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)

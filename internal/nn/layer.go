@@ -12,6 +12,13 @@
 // parallelism. A Conv holds one core.AutoConv and nothing else between it
 // and its kernel; training, pinned and serving layers differ only in the
 // planner (and bucket list) the executor is built with.
+//
+// Training has one step and one epoch record. Trainer.Step is the only
+// fill → forward → loss → backward → apply in the tree: TrainEpoch loops
+// over it, and a data-parallel replica is a Trainer whose shard of a global
+// step is the same call. EpochStats.Account is the only Eq. 9 account:
+// both trainers close an epoch's loss, throughput, gradient sparsity and
+// dense/useful conv work rates through it.
 package nn
 
 import "spgcnn/internal/tensor"

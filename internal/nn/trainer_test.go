@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"spgcnn/internal/rng"
+	"spgcnn/internal/tensor"
 )
 
 func TestTrainEpochLearnsAndReports(t *testing.T) {
@@ -76,5 +78,77 @@ func TestTrainerBatchFloor(t *testing.T) {
 	tr := NewTrainer(net, 0.05, 0)
 	if tr.BatchSize != 1 {
 		t.Fatalf("batch floor = %d", tr.BatchSize)
+	}
+}
+
+// TestStepIsTheEpoch pins TrainEpoch as nothing but a loop of Step over the
+// shuffled order: a hand loop on a twin network lands on the same weights
+// and the same loss, bit for bit, tail batch included.
+func TestStepIsTheEpoch(t *testing.T) {
+	const batch, lr = 4, 0.05
+	epochNet, handNet := tinyTrainNet(rng.New(7)), tinyTrainNet(rng.New(7))
+	ds := &syntheticDS{n: 18, classes: 4, dims: epochNet.InDims()}
+
+	stats := NewTrainer(epochNet, lr, batch).TrainEpoch(ds, rng.New(8))
+
+	hand := NewTrainer(handNet, lr, batch)
+	order := rng.New(8).Perm(ds.Len())
+	var lossSum float64
+	for lo := 0; lo < len(order); lo += batch {
+		l, _ := hand.Step(ds, order[lo:min(lo+batch, len(order))], lr)
+		lossSum += l
+	}
+	if got := lossSum / float64(ds.Len()); got != stats.Loss {
+		t.Fatalf("hand loop loss %v, TrainEpoch loss %v", got, stats.Loss)
+	}
+	ep, hp := epochNet.Parameters(), handNet.Parameters()
+	for j := range ep {
+		if d := tensor.MaxAbsDiff(ep[j].Tensor, hp[j].Tensor); d != 0 {
+			t.Fatalf("parameter %q differs by %g between TrainEpoch and the Step loop", ep[j].Name, d)
+		}
+	}
+}
+
+// TestEpochAccountIsFinite: the account never divides by an empty dataset
+// or a zero-length epoch — every rate is a finite number the Prometheus
+// text can carry — and a tail batch is trained and counted.
+func TestEpochAccountIsFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		images int
+	}{
+		{"empty", 0, 0},
+		{"one image", 1, 1},
+		{"tail batch", 6, 6}, // batch 4: one full step, one of 2
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tinyTrainNet(rng.New(9))
+			tr := NewTrainer(net, 0.05, 4)
+			ds := &syntheticDS{n: tc.n, classes: 4, dims: net.InDims()}
+			stats := tr.TrainEpoch(ds, rng.New(10))
+			if stats.Images != tc.images {
+				t.Fatalf("images = %d, want %d", stats.Images, tc.images)
+			}
+			evalLoss, evalAcc := tr.Evaluate(ds)
+			for name, v := range map[string]float64{
+				"Loss": stats.Loss, "Accuracy": stats.Accuracy, "ImagesPerSec": stats.ImagesPerSec,
+				"ConvGFlops": stats.ConvGFlops, "ConvGoodputGFlops": stats.ConvGoodputGFlops,
+				"Evaluate loss": evalLoss, "Evaluate accuracy": evalAcc,
+			} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Errorf("%s = %v", name, v)
+				}
+			}
+			if (stats.Loss > 0) != (tc.n > 0) {
+				t.Errorf("loss %v on %d images", stats.Loss, tc.n)
+			}
+		})
+	}
+	// A zero-length epoch: work done, no time passed.
+	zero := EpochStats{Images: 8}
+	zero.Account(4, 2, tinyTrainNet(rng.New(9)))
+	if zero.Loss != 0.5 || zero.Accuracy != 0.25 || zero.ImagesPerSec != 0 || zero.ConvGFlops != 0 || zero.ConvGoodputGFlops != 0 {
+		t.Fatalf("zero-second epoch account = %+v", zero)
 	}
 }

@@ -23,7 +23,7 @@ type Retunable interface {
 //     any goroutine, the planner is mutex-protected — so the next
 //     selection request re-measures instead of free-hitting.
 //  2. Queues the layer's Retune for Apply, which the TRAINING goroutine
-//     calls at a batch/epoch boundary: nn.Conv.Retune touches scheduler
+//     calls at a batch boundary: nn.Conv.Retune touches scheduler
 //     state that must not race a batch in flight.
 //
 // Bind it with Observatory Options{OnDrift: coupler.OnDrift}.
@@ -76,7 +76,8 @@ func (c *Coupler) Pending() int {
 
 // Apply executes the queued re-tunes and returns how many layers were
 // asked to re-plan. Call from the goroutine that owns training control
-// flow — between batches (nn.Trainer.OnStep) or at an epoch boundary.
+// flow, with no batch in flight on any registered layer — a trainer's
+// OnStep (nn.Trainer's, or dataparallel.Trainer's for a fleet).
 func (c *Coupler) Apply() int {
 	c.mu.Lock()
 	var work []Retunable

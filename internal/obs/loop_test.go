@@ -5,7 +5,9 @@ import (
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
+	"spgcnn/internal/dataparallel"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/netdef"
 	"spgcnn/internal/nn"
 	"spgcnn/internal/plan"
 	"spgcnn/internal/rng"
@@ -121,4 +123,66 @@ func TestDriftRetuneLoop(t *testing.T) {
 	if _, ok := pl.Lookup(key); !ok {
 		t.Fatalf("re-measured verdict for %v not re-cached", key)
 	}
+}
+
+// TestRetuneLandsOnTheNextBatch pins where a queued re-tune is applied: on
+// the trainer's OnStep, so a drift raised during one step re-plans the very
+// next one — at one replica and across a fleet alike, not at the epoch
+// boundary. Scripted: the drift event is handed to the coupler from OnStep
+// itself, so no span timing is involved.
+func TestRetuneLandsOnTheNextBatch(t *testing.T) {
+	def, err := netdef.Parse(`
+name: "tiny"
+input { channels: 1 height: 12 width: 12 }
+layer { name: "conv0" type: "conv" features: 4 kernel: 3 stride: 1 }
+layer { name: "fc0" type: "fc" outputs: 4 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replicas := range []int{1, 2} {
+		pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
+		dp, err := dataparallel.NewFromDef(def, netdef.BuildOptions{Workers: 1, Seed: 3, Planner: pl},
+			dataparallel.Config{Replicas: replicas, GlobalBatch: 4, LR: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := NewCoupler(pl)
+		for i := 0; i < replicas; i++ {
+			cp.Register(dp.Replica(i).ConvLayers()[0])
+		}
+		conv := dp.Replica(0).ConvLayers()[0]
+		var appliedAt []int64
+		var passes []uint64 // measurement passes seen at each step's start
+		dp.OnStep = func(step int64) {
+			if cp.Apply() > 0 {
+				appliedAt = append(appliedAt, step)
+			}
+			passes = append(passes, pl.Stats().Measurements)
+			if step == 2 {
+				cp.OnDrift(DriftEvent{Layer: conv.Name(), Phase: "bp", Spec: conv.Spec()})
+			}
+		}
+		dp.TrainEpoch(stepDS{n: 16}, rng.New(1))
+
+		if len(appliedAt) != 1 || appliedAt[0] != 3 || cp.Applied() != replicas {
+			t.Fatalf("%d replicas: re-tune applied at steps %v to %d layers, want step 3 and every replica",
+				replicas, appliedAt, cp.Applied())
+		}
+		// Steps 1 and 3 measure (first deployment: FP and BP; the re-tune:
+		// BP again, once for the whole fleet), steps 2 and 4 do not.
+		if len(passes) != 4 || passes[1] != 2 || passes[2] != 2 || passes[3] != 3 {
+			t.Fatalf("%d replicas: measurement passes at step starts = %v, want [0 2 2 3]", replicas, passes)
+		}
+	}
+}
+
+// stepDS is a deterministic dataset for the trainer-level loop test.
+type stepDS struct{ n int }
+
+func (d stepDS) Len() int        { return d.n }
+func (d stepDS) Classes() int    { return 4 }
+func (d stepDS) Label(i int) int { return i % 4 }
+func (d stepDS) Image(i int, dst *tensor.Tensor) {
+	dst.FillNormal(rng.New(uint64(i)+11), float32(i%4), 1)
 }

@@ -16,6 +16,23 @@ type ProbeSink struct{ e *Emitter }
 
 var _ exec.Sink = (*ProbeSink)(nil)
 
+// Attach streams an execution context's probe (layer, kernel and tune
+// spans, scheduler choices) and arena growth onto the timeline under the
+// given replica identity, and returns that identity's emitter. Sinks fan
+// out, so a bound metrics bridge keeps observing. A nil recorder or context
+// attaches nothing (the nil recorder's emitter is nil, and nil-safe).
+func Attach(rec *Recorder, c *exec.Ctx, replica int) *Emitter {
+	e := rec.Emitter(replica, 0)
+	if rec == nil || c == nil {
+		return e
+	}
+	c.Probe().AddSink(NewProbeSink(e))
+	c.Arena().SetGrowHook(func(bytes int64) {
+		e.Instant("arena", "grow", "", float64(bytes))
+	})
+	return e
+}
+
 // NewProbeSink wraps an emitter. The emitter's replica stamp becomes the
 // replica of every span the probe reports — one ProbeSink per replica
 // context.

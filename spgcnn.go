@@ -231,7 +231,8 @@ func BindPlannerMetrics(p *Planner, r *MetricsRegistry) { metrics.BindPlanner(p,
 // Network is a stack of layers with preallocated batch storage.
 type Network = nn.Network
 
-// Trainer runs minibatch SGD.
+// Trainer runs minibatch SGD: Step is one step, TrainEpoch a shuffled pass
+// of them.
 type Trainer = nn.Trainer
 
 // Dataset is the trainer's data source.
@@ -263,8 +264,9 @@ func NewTrainer(net *Network, lr float32, batch int) *Trainer {
 // DataParallelConfig tunes a synchronous data-parallel run.
 type DataParallelConfig = dataparallel.Config
 
-// DataParallelTrainer coordinates model replicas with periodic parameter
-// averaging.
+// DataParallelTrainer coordinates model replicas — each a Trainer — with
+// periodic parameter averaging. One replica is the plain Trainer's
+// TrainEpoch, run inline.
 type DataParallelTrainer = dataparallel.Trainer
 
 // NewDataParallel builds a data-parallel trainer; build must return
@@ -301,9 +303,6 @@ func ParseAllReduceMethod(s string) (AllReduceMethod, error) { return dataparall
 
 // ParseSparseSyncMode validates a -sparse-sync flag value.
 func ParseSparseSyncMode(s string) (string, error) { return dataparallel.ParseSparseMode(s) }
-
-// DataParallelSample is one data-parallel epoch in metrics form (spg_dp_*).
-type DataParallelSample = metrics.DPSample
 
 // Built-in benchmark network descriptions (Table 2 geometries).
 const (
@@ -349,10 +348,6 @@ type MetricsRegistry = metrics.Registry
 // MetricsServer is a live metrics endpoint: /metrics (Prometheus text
 // format), /healthz, and net/http/pprof under /debug/pprof/.
 type MetricsServer = metrics.Server
-
-// EpochSample is one epoch's training statistics in metrics form — the
-// per-epoch goodput series of Eq. 9.
-type EpochSample = metrics.EpochSample
 
 // MetricsSpanStats is one span's aggregate (calls, total seconds, min,
 // max).
@@ -513,44 +508,12 @@ func ParseTraceMode(s string) (TraceMode, error) { return trace.ParseMode(s) }
 // the given replica identity. The metrics bridge, if bound, keeps
 // observing — sinks fan out.
 func AttachTraceCtx(rec *TraceRecorder, c *Ctx, replica int) *TraceEmitter {
-	e := rec.Emitter(replica, 0)
-	if rec == nil || c == nil {
-		return e
-	}
-	c.Probe().AddSink(trace.NewProbeSink(e))
-	c.Arena().SetGrowHook(func(bytes int64) {
-		e.Instant("arena", "grow", "", float64(bytes))
-	})
-	return e
+	return trace.Attach(rec, c, replica)
 }
 
 // BindTraceMetrics exports a recorder's buffer accounting (emitted,
 // buffered, overwritten, dropped, used ratio) as live gauges.
 func BindTraceMetrics(rec *TraceRecorder, r *MetricsRegistry) { metrics.BindTrace(rec, r) }
-
-// TraceLayerMeta is one layer's per-image flop metadata — what the
-// goodput-waste analyzer multiplies sparsity samples against.
-type TraceLayerMeta = trace.LayerMeta
-
-// RegisterTraceLayers records every conv layer's flop metadata with the
-// recorder, so exported captures carry what waste attribution needs.
-func RegisterTraceLayers(rec *TraceRecorder, net *Network) {
-	if rec == nil || net == nil {
-		return
-	}
-	for _, c := range net.ConvLayers() {
-		spec := c.Spec()
-		rec.AddLayerMeta(trace.LayerMeta{
-			Name:    c.Name(),
-			FPFlops: spec.FlopsFP(),
-			BPFlops: spec.FlopsBPInput() + spec.FlopsBPWeights(),
-		})
-	}
-}
-
-// SparsityBand maps a gradient sparsity to its quarter band (0..3) — the
-// stamp trace events and plan-cache keys carry.
-func SparsityBand(sparsity float64) int { return plan.Band(sparsity) }
 
 // Inference serving.
 
@@ -591,8 +554,9 @@ type LoadResult = loadgen.Result
 // RunLoad drives a serving endpoint with closed- or open-loop traffic.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) { return loadgen.Run(cfg) }
 
-// DataParallelStats reports one data-parallel epoch, including the
-// per-replica step-time min/max/mean and barrier-wait attribution.
+// DataParallelStats reports one data-parallel epoch: TrainEpochStats plus
+// the fleet's steps, syncs, wire traffic and the per-replica step-time
+// min/max/mean and barrier-wait attribution.
 type DataParallelStats = dataparallel.Stats
 
 // DataParallelReplicaStats is one replica's step-time summary.
