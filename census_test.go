@@ -103,14 +103,191 @@ var censusAllow = map[string]string{
 	"exec.Probe.SetSink":                instrument,
 	"exec.Probe.SpanStats":              instrument,
 	"exec.Probe.Spans":                  instrument,
-	"obs.Coupler.Pending":               instrument,
 	"plan.Planner.Lookup":               instrument,
-	"gemm.PackedB.Release":              pending, // with PackB's Allocator seam
-	"gemm.Batch":                        pending, // batchpar is what schedules GEMM-in-Parallel
 	"metrics.Registry.SpanTree":         pending, // item 4's typed span
 	"metrics.SpanTree.Find":             pending,
 	"nn.Network.DisableProfiling":       pending, // with spg-train -profile
 	"nn.Network.ResetProfile":           pending,
+}
+
+// exported is the exported surface of spgcnn.go and internal/ as the census
+// parses it: every exported function and method with its position, and for
+// the doc lint every package's top-level names and every type's fields,
+// methods and embedded types. Packages are keyed by their Go name.
+type exported struct {
+	funcs   []exportedFunc
+	pkgs    map[string]bool     // package names
+	names   map[string]bool     // "pkg.Name": exported func, type, var or const
+	types   map[string][]string // "Type" -> "pkg.Type" of each exported declaration
+	members map[string]bool     // "pkg.Type.Member": field or method
+	embeds  map[string][]string // "pkg.Type" -> the "pkg.Type"s it embeds or is defined as
+}
+
+// exportedFunc is one exported function or method: its census name
+// (package path under internal/, receiver, name), what a caller's selector
+// or identifier resolves to, and where it is declared.
+type exportedFunc struct{ name, use, pos string }
+
+func parseExported(t *testing.T) exported {
+	t.Helper()
+	ex := exported{pkgs: map[string]bool{}, names: map[string]bool{}, types: map[string][]string{},
+		members: map[string]bool{}, embeds: map[string][]string{}}
+	fset := token.NewFileSet()
+	for _, root := range []string{"spgcnn.go", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := strings.TrimSuffix("spgcnn/"+filepath.ToSlash(filepath.Dir(path)), "/.")
+			short := strings.TrimPrefix(pkg, "spgcnn/internal/")
+			name := f.Name.Name
+			ex.pkgs[name] = true
+			imports := map[string]string{} // local name -> package name
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				pkgName := p[strings.LastIndex(p, "/")+1:]
+				local := pkgName
+				if im.Name != nil {
+					local = im.Name.Name
+				}
+				imports[local] = pkgName
+			}
+			typeKey := func(e ast.Expr) string {
+				for {
+					switch x := e.(type) {
+					case *ast.StarExpr:
+						e = x.X
+					case *ast.IndexExpr:
+						e = x.X
+					case *ast.Ident:
+						return name + "." + x.Name
+					case *ast.SelectorExpr:
+						if id, ok := x.X.(*ast.Ident); ok {
+							return imports[id.Name] + "." + x.Sel.Name
+						}
+						return ""
+					default:
+						return ""
+					}
+				}
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					fn := exportedFunc{short + "." + d.Name.Name, pkg + "." + d.Name.Name, fset.Position(d.Pos()).String()}
+					if d.Recv != nil {
+						recv := typeKey(d.Recv.List[0].Type)
+						recv = recv[strings.IndexByte(recv, '.')+1:]
+						fn.name = short + "." + recv + "." + d.Name.Name
+						fn.use = "." + d.Name.Name
+						ex.members[name+"."+recv+"."+d.Name.Name] = true
+					} else {
+						ex.names[name+"."+d.Name.Name] = true
+					}
+					ex.funcs = append(ex.funcs, fn)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range sp.Names {
+								if id.IsExported() {
+									ex.names[name+"."+id.Name] = true
+								}
+							}
+						case *ast.TypeSpec:
+							key := name + "." + sp.Name.Name
+							if sp.Name.IsExported() {
+								ex.names[key] = true
+								ex.types[sp.Name.Name] = append(ex.types[sp.Name.Name], key)
+							}
+							var fields []*ast.Field
+							switch ty := sp.Type.(type) {
+							case *ast.StructType:
+								fields = ty.Fields.List
+							case *ast.InterfaceType:
+								fields = ty.Methods.List
+							default:
+								ex.embeds[key] = append(ex.embeds[key], typeKey(ty))
+							}
+							for _, fl := range fields {
+								for _, id := range fl.Names {
+									ex.members[key+"."+id.Name] = true
+								}
+								if len(fl.Names) == 0 { // embedded: its name is a field too
+									emb := typeKey(fl.Type)
+									ex.embeds[key] = append(ex.embeds[key], emb)
+									ex.members[key+"."+emb[strings.IndexByte(emb, '.')+1:]] = true
+								}
+							}
+						}
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ex.funcs) < 100 {
+		t.Fatalf("found only %d exported functions: the census walk is broken", len(ex.funcs))
+	}
+	return ex
+}
+
+// hasMember reports whether the type key, or a type it embeds or is
+// defined as, has the field or method.
+func (ex exported) hasMember(key, member string, seen map[string]bool) bool {
+	if ex.members[key+"."+member] {
+		return true
+	}
+	if seen[key] {
+		return false
+	}
+	seen[key] = true
+	for _, emb := range ex.embeds[key] {
+		if ex.hasMember(emb, member, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// resolves reports whether a Go reference named in prose — pkg.Name,
+// pkg.Type.Member, or Type.Member for an exported type of this module —
+// names something declared. A reference into a package outside the module
+// is not this lint's to check and resolves.
+func (ex exported) resolves(ref string) bool {
+	parts := strings.Split(ref, ".")
+	first := parts[0]
+	var owners []string
+	switch {
+	case ex.pkgs[first]:
+		if !ex.names[first+"."+parts[1]] {
+			return false
+		}
+		if len(parts) == 2 {
+			return true
+		}
+		owners, parts = []string{first + "." + parts[1]}, parts[1:]
+	case first[0] >= 'A' && first[0] <= 'Z':
+		owners = ex.types[first]
+	default:
+		return true
+	}
+	for _, o := range owners {
+		if ex.hasMember(o, parts[1], map[string]bool{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestEveryExportedFuncHasAProductionCaller is the exported-surface census
@@ -122,12 +299,9 @@ var censusAllow = map[string]string{
 // imports, or the bare name inside the declaring package); methods by
 // selector name alone, so an interface's method list is not a caller.
 func TestEveryExportedFuncHasAProductionCaller(t *testing.T) {
+	ex := parseExported(t)
 	fset := token.NewFileSet()
-	type decl struct{ name, use, pos string }
-	var decls []decl
-	notAUse := map[*ast.Ident]bool{} // declaration names and selector fields
-	used := map[string]bool{}        // "import/path.Func" or ".Method"
-
+	used := map[string]bool{} // "import/path.Func" or ".Method"
 	for _, root := range []string{"spgcnn.go", "internal", "cmd", "examples", "benchmark"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -138,23 +312,9 @@ func TestEveryExportedFuncHasAProductionCaller(t *testing.T) {
 				return err
 			}
 			pkg := strings.TrimSuffix("spgcnn/"+filepath.ToSlash(filepath.Dir(path)), "/.")
-			short := strings.TrimPrefix(pkg, "spgcnn/internal/")
-			if root == "spgcnn.go" || root == "internal" {
-				for _, d := range f.Decls {
-					fn, ok := d.(*ast.FuncDecl)
-					if !ok || !fn.Name.IsExported() {
-						continue
-					}
-					dc := decl{short + "." + fn.Name.Name, pkg + "." + fn.Name.Name, fset.Position(fn.Pos()).String()}
-					if fn.Recv != nil {
-						recv := fn.Recv.List[0].Type
-						if star, ok := recv.(*ast.StarExpr); ok {
-							recv = star.X
-						}
-						dc.name = short + "." + recv.(*ast.Ident).Name + "." + fn.Name.Name
-						dc.use = "." + fn.Name.Name
-					}
-					decls = append(decls, dc)
+			notAUse := map[*ast.Ident]bool{} // declaration names and selector fields
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
 					notAUse[fn.Name] = true
 				}
 			}
@@ -189,11 +349,8 @@ func TestEveryExportedFuncHasAProductionCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(decls) < 100 {
-		t.Fatalf("found only %d exported functions: the census walk is broken", len(decls))
-	}
 	declared := map[string]bool{}
-	for _, d := range decls {
+	for _, d := range ex.funcs {
 		declared[d.name] = true
 		if !used[d.use] && censusAllow[d.name] == "" {
 			t.Errorf("%s: %s has no non-test caller: delete it, or name it in censusAllow with a reason", d.pos, d.name)

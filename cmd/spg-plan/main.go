@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	// apply before measuring.
 	fmt.Fprintf(stdout, "planner model ranking (dense-equivalent GFlops/core at p=%d):\n", w)
 	fmt.Fprintf(stdout, "  fp keyed on weight band %d (%.0f%% weight sparsity), bp on gradient band %d (%.0f%% error sparsity)\n",
-		plan.Band(*wsparsity), *wsparsity*100, plan.Band(*sparsity), *sparsity*100)
+		ait.Band(*wsparsity), *wsparsity*100, ait.Band(*sparsity), *sparsity*100)
 	printModelRank(stdout, "fp", w, modelRanking(m, spec, "fp", *wsparsity, w))
 	printModelRank(stdout, "bp", w, modelRanking(m, spec, "bp", *sparsity, w))
 
@@ -132,9 +132,9 @@ func run(args []string, stdout io.Writer) error {
 	topts := core.TuneOptions{Reps: *reps}
 
 	fpPlan := planner.PlanFP(spec, ctx, ins, wts, topts)
-	printMeasured(stdout, "FP", fpPlan, plan.Band(wts.Sparsity()))
+	printMeasured(stdout, "FP", fpPlan, ait.Band(wts.Sparsity()))
 	bpPlan := planner.PlanBP(spec, ctx, eos, ins, wts, topts)
-	printMeasured(stdout, "BP", bpPlan, plan.Band(*sparsity))
+	printMeasured(stdout, "BP", bpPlan, ait.Band(*sparsity))
 
 	pst := planner.Stats()
 	fmt.Fprintf(stdout, "planner: %d hits, %d misses, %d measurement passes, %d candidates model-pruned\n",

@@ -141,7 +141,7 @@ func run(args []string, stdout io.Writer) error {
 	spgcnn.BindPlannerMetrics(planner, reg)
 
 	// The drift observatory in serving is report-only: per-bucket verdicts
-	// re-measure cheaply on restart, so there is no re-tune coupler; the
+	// re-measure cheaply on restart, so a drift invalidates nothing; the
 	// value is the live agreement series and the shutdown report.
 	var obsv *spgcnn.Observatory
 	if *drift || *driftOut != "" {

@@ -153,17 +153,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// The drift observatory rides the same probe seam as the metrics
-	// bridge and tracer; its coupler feeds re-tune triggers back into the
-	// shared planner.
-	var (
-		obsv    *spgcnn.Observatory
-		coupler *spgcnn.DriftCoupler
-	)
+	// bridge and tracer; a drift invalidates the shared planner's verdicts,
+	// and every layer that deployed one re-plans on its next call.
+	var obsv *spgcnn.Observatory
 	if *drift || *driftReport != "" || *injectEpoch > 0 {
-		coupler = spgcnn.NewDriftCoupler(planner)
 		oo := spgcnn.ObservatoryOptions{
 			Workers: w,
-			OnDrift: coupler.OnDrift,
+			OnDrift: func(ev spgcnn.DriftEvent) { planner.InvalidateSpec(ev.Spec, ev.Phase) },
 			Metrics: reg,
 		}
 		if rec != nil {
@@ -233,16 +229,10 @@ func run(args []string, stdout io.Writer) error {
 	dp.BindTrace(rec) // no-op when tracing is off
 	if obsv != nil {
 		// Replicas share one observatory stream per layer (symmetric
-		// shards, shared planner) but every replica's layers register with
-		// the coupler so a re-tune reaches all of them.
-		for i := 0; i < *replicas; i++ {
-			spgcnn.RegisterObservatoryLayers(obsv, coupler, dp.Replica(i))
-		}
+		// shards, shared planner).
+		spgcnn.RegisterObservatoryLayers(obsv, net)
 		obsv.SetBatch(*batch / *replicas)
 		dp.AddSink(obsv)
-		// OnStep runs with no batch in flight on any replica — the safe
-		// point to apply queued re-tunes, so the very next batch re-measures.
-		dp.OnStep = func(int64) { coupler.Apply() }
 	}
 	if *replicas > 1 {
 		fmt.Fprintf(stdout, "data-parallel: %d replicas, global batch %d (shard %d), allreduce %s, sparse-sync %s\n",
@@ -336,8 +326,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if obsv != nil {
 		evs := obsv.Events()
-		fmt.Fprintf(stdout, "drift: %d events, %d re-tunes applied, %d plan entries invalidated\n",
-			len(evs), coupler.Applied(), planner.Stats().Invalidations)
+		fmt.Fprintf(stdout, "drift: %d events, %d plan entries invalidated\n",
+			len(evs), planner.Stats().Invalidations)
 		for _, ev := range evs {
 			fmt.Fprintf(stdout, "  %s\n", ev)
 		}

@@ -66,10 +66,12 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 }
 
 // TestDocsNameOnlyWhatExists is the doc lint: every script, command,
-// package, result file, baseline, experiment ID, strategy and command-line
-// flag the docs name must exist in the tree, in Experiments(), in the
-// planner's candidate sets or on the command's FlagSet — so deleting or
-// renaming one fails tier-1 until the prose follows.
+// package, result file, baseline, experiment ID, strategy, command-line
+// flag and backticked Go reference (pkg.Name, pkg.Type.Member, Type.Member)
+// the docs name must exist in the tree, in Experiments(), in the planner's
+// candidate sets, on the command's FlagSet or among the declarations the
+// census parses — so deleting or renaming one fails tier-1 until the prose
+// follows.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	experiments := map[string]bool{}
 	for _, e := range spgcnn.Experiments() {
@@ -100,6 +102,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		{"strategy", regexp.MustCompile(`-strategy ([a-z*<>-]+)`), isStrategy},
 		{"strategy", regexp.MustCompile(`StrategyByName\("([^"]*)"`), isStrategy},
 		{"strategy", regexp.MustCompile(`\b[fb]p=([a-z][a-z-]*)`), isStrategy},
+		// A code span that opens with a dotted Go name.
+		{"Go reference", regexp.MustCompile("`([A-Za-z_]\\w*(?:\\.[A-Z]\\w*){1,2})(?:[^\\w.]|$)"), parseExported(t).resolves},
 	}
 
 	// Flags. An invocation — a command name followed by its arguments, up

@@ -205,6 +205,22 @@ func TestClassifyThresholds(t *testing.T) {
 	}
 }
 
+func TestBand(t *testing.T) {
+	cases := []struct {
+		sparsity float64
+		want     int
+	}{
+		{-0.5, 0}, {0, 0}, {0.1, 0}, {0.24, 0},
+		{0.25, 1}, {0.49, 1}, {0.5, 2}, {0.74, 2},
+		{0.75, 3}, {0.9, 3}, {1, 3}, {1.5, 3},
+	}
+	for _, c := range cases {
+		if got := Band(c.sparsity); got != c.want {
+			t.Errorf("Band(%v) = %d, want %d", c.sparsity, got, c.want)
+		}
+	}
+}
+
 func TestPropsRecommendations(t *testing.T) {
 	for r := Region0; r <= Region5; r++ {
 		p := r.Props()

@@ -45,6 +45,29 @@ const (
 	SparsityThreshold   = 0.75
 )
 
+// BandCount is the number of sparsity bands. Sparsity is quantized into
+// quarters, so the band boundaries fall at 0.25, 0.50 and 0.75 — the last
+// being SparsityThreshold, Fig. 1's dense/sparse crossover. Plan-cache keys
+// carry the band, so a BP verdict is shared across minibatches while
+// crossing the crossover always re-keys; a conv layer re-plans its BP
+// verdict when its batches leave the band it was deployed at.
+const BandCount = 4
+
+// Band quantizes a sparsity fraction into its band.
+func Band(sparsity float64) int {
+	if sparsity <= 0 {
+		return 0
+	}
+	if sparsity >= 1 {
+		return BandCount - 1
+	}
+	b := int(sparsity * BandCount)
+	if b >= BandCount {
+		b = BandCount - 1
+	}
+	return b
+}
+
 // Classify places a convolution with the given dynamic sparsity (of its
 // BP error gradients; pass 0 for a purely dense/FP analysis) into its
 // Fig. 1 region.

@@ -2,71 +2,15 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
-	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
-
-// fakeKernel is a no-compute kernel whose backward cost is a pure function
-// of the observed gradient sparsity, so scheduler decisions in tests are
-// deterministic: timing margins between candidates are ~10x, far beyond
-// scheduler-clock noise.
-type fakeKernel struct {
-	spec   conv.Spec
-	name   string
-	bpCost func(sparsity float64) time.Duration
-}
-
-func (k fakeKernel) Name() string    { return k.name }
-func (k fakeKernel) Spec() conv.Spec { return k.spec }
-
-func (k fakeKernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	time.Sleep(50 * time.Microsecond)
-}
-
-func (k fakeKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
-	var sum float64
-	for _, eo := range eos {
-		sum += eo.Sparsity()
-	}
-	time.Sleep(k.bpCost(sum / float64(len(eos))))
-}
-
-func (k fakeKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-}
-
-func fakeStrategy(name string, bpCost func(sparsity float64) time.Duration) Strategy {
-	return Strategy{
-		Name: name,
-		Gen: engine.Generator{
-			Name: name,
-			New:  func(s conv.Spec) engine.Kernel { return fakeKernel{spec: s, name: name, bpCost: bpCost} },
-		},
-	}
-}
-
-// fakeBPStrategies returns a pair of candidates with opposite sparsity
-// preferences: "dense-friendly" costs a constant 2ms, "sparse-friendly"
-// costs 20ms on dense gradients but 200µs once sparsity crosses 0.5 —
-// a miniature of the paper's GEMM-vs-Sparse-Kernel crossover (Fig. 3b).
-func fakeBPStrategies() []Strategy {
-	return []Strategy{
-		fakeStrategy("dense-friendly", func(float64) time.Duration {
-			return 2 * time.Millisecond
-		}),
-		fakeStrategy("sparse-friendly", func(sp float64) time.Duration {
-			if sp >= 0.5 {
-				return 200 * time.Microsecond
-			}
-			return 20 * time.Millisecond
-		}),
-	}
-}
 
 // measureAll is the tests' planner: one timed repetition of every candidate
 // on every request, no cache — ChooseFP/ChooseBP called directly.
@@ -84,153 +28,195 @@ func (m measureAll) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
 	return Planned{Selection: ChooseBP(SupportedStrategies(m.bp, s), s, c, eos, ins, w, opts)}
 }
 
-func newFakeAutoConv(s conv.Spec, c *exec.Ctx) *AutoConv {
-	return NewAutoConv(s, c, measureAll{
-		fp: []Strategy{fakeStrategy("fake-fp", nil)},
-		bp: fakeBPStrategies(),
-	})
+// bandPlanner is a counting planner that measures nothing: its BP verdict
+// is a pure function of the sample gradients' band — "sparse" past Fig. 1's
+// crossover, "gemm-in-parallel" below it — and its FP verdict is always
+// "stencil". Every verdict carries a staleness flag invalidate flips, the
+// way plan.Planner.InvalidateSpec flips a dropped entry's.
+type bandPlanner struct {
+	fpBuckets []int            // TuneOptions.Batch of every FP request
+	bpEOs     []*tensor.Tensor // first sample gradient of every BP request
+	bpOpts    []TuneOptions
+	stale     []*atomic.Bool
 }
 
-// recheck ends as many epochs as the BP re-check period, so exactly one
-// re-plan runs.
-func recheck(a *AutoConv) {
-	for i := 0; i < recheckEpochs; i++ {
-		a.EpochEnd()
-	}
+func (p *bandPlanner) verdict(name string, s conv.Spec, c *exec.Ctx) Planned {
+	st, _ := StrategyByName(name, c.Workers())
+	flag := new(atomic.Bool)
+	p.stale = append(p.stale, flag)
+	return Planned{Selection: Selection{Chosen: NewExecCtx(st, s, c),
+		Timings: []Timing{{Strategy: st, Seconds: 1e-3}}}, Stale: flag}
 }
 
-// TestAutoConvCopiesRetainedGradients is the regression test for the
-// scheduler aliasing caller-owned batch tensors: the retained re-tuning
-// sample must survive the caller recycling its gradient buffers.
-func TestAutoConvCopiesRetainedGradients(t *testing.T) {
-	s := conv.Square(8, 2, 2, 3, 1)
-	r := rng.New(7)
-	a := newFakeAutoConv(s, exec.New(1))
+func (p *bandPlanner) PlanFP(s conv.Spec, c *exec.Ctx, _ []*tensor.Tensor,
+	_ *tensor.Tensor, opts TuneOptions) Planned {
+	p.fpBuckets = append(p.fpBuckets, opts.Batch)
+	return p.verdict("stencil", s, c)
+}
 
-	eos := []*tensor.Tensor{conv.RandOutputError(r, s, 0.9)}
-	ins := []*tensor.Tensor{conv.RandInput(r, s)}
-	eis := []*tensor.Tensor{conv.NewInput(s)}
-	dw := conv.NewWeights(s)
+func (p *bandPlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, _ []*tensor.Tensor,
+	_ *tensor.Tensor, opts TuneOptions) Planned {
+	p.bpEOs = append(p.bpEOs, eos[0])
+	p.bpOpts = append(p.bpOpts, opts)
+	if ait.Band(eos[0].Sparsity()) == ait.BandCount-1 {
+		return p.verdict("sparse", s, c)
+	}
+	return p.verdict("gemm-in-parallel", s, c)
+}
 
-	a.Backward(eis, dw, eos, ins, a.lastWRef)
-	wantSp := eos[0].Sparsity()
-	wantIn := ins[0].Data[0]
-
-	if &a.lastEOs[0].Data[0] == &eos[0].Data[0] {
-		t.Fatal("retained gradient aliases the caller's tensor")
-	}
-	if &a.lastIns[0].Data[0] == &ins[0].Data[0] {
-		t.Fatal("retained input aliases the caller's tensor")
-	}
-
-	// The trainer recycles batch storage: overwrite with dense garbage.
-	for i := range eos[0].Data {
-		eos[0].Data[i] = 1
-	}
-	for i := range ins[0].Data {
-		ins[0].Data[i] = -3
-	}
-
-	if got := a.lastEOs[0].Sparsity(); got != wantSp {
-		t.Fatalf("retained sample sparsity changed with the caller's buffer: got %v, want %v", got, wantSp)
-	}
-	if got := a.lastIns[0].Data[0]; got != wantIn {
-		t.Fatalf("retained input changed with the caller's buffer: got %v, want %v", got, wantIn)
-	}
-
-	// Steady state reuses the retained tensors instead of reallocating.
-	prev := a.lastEOs[0]
-	a.Backward(eis, dw, eos, ins, nil)
-	if a.lastEOs[0] != prev {
-		t.Error("retention reallocated despite matching shapes")
-	}
-	if a.lastEOs[0].Sparsity() != 0 {
-		t.Error("second retention did not refresh the sample data")
+func (p *bandPlanner) invalidate() {
+	for _, f := range p.stale {
+		f.Store(true)
 	}
 }
 
-// TestAutoConvEpochEndFlipsBPStrategy drives the §4.4 re-check: tuning on
-// dense gradients deploys the dense-friendly candidate; once the retained
-// sample turns sparse, EpochEnd must switch the deployment and record the
-// flip as a probe choice event — even though the caller mutates its batch
-// buffers between Backward and EpochEnd.
-func TestAutoConvEpochEndFlipsBPStrategy(t *testing.T) {
-	s := conv.Square(8, 2, 2, 3, 1)
-	r := rng.New(11)
-	c := exec.New(1)
-	a := newFakeAutoConv(s, c)
-
-	ins := []*tensor.Tensor{conv.RandInput(r, s)}
-	eis := []*tensor.Tensor{conv.NewInput(s)}
-	dw := conv.NewWeights(s)
-
-	// Epoch 0: dense gradients. First Backward tunes.
-	eos := []*tensor.Tensor{conv.RandOutputError(r, s, 0)}
-	a.Backward(eis, dw, eos, ins, nil)
-	if got := a.BPSelection().Chosen.Strategy().Name; got != "dense-friendly" {
-		t.Fatalf("dense tuning deployed %q, want dense-friendly", got)
+// eoAt returns an output-error tensor whose sparsity is exactly the nearest
+// representable fraction to sp: the first zeros, the rest ones.
+func eoAt(s conv.Spec, sp float64) *tensor.Tensor {
+	t := conv.NewOutput(s)
+	zeros := int(sp*float64(len(t.Data)) + 0.5)
+	for i := zeros; i < len(t.Data); i++ {
+		t.Data[i] = 1
 	}
-	recheck(a) // against the dense sample: no flip
-	if got := a.BPSelection().Chosen.Strategy().Name; got != "dense-friendly" {
-		t.Fatalf("dense re-check flipped to %q", got)
-	}
+	return t
+}
 
-	// Epoch 1: training converged, gradients now ~95% sparse.
-	sparse := conv.RandOutputError(r, s, 0.95)
-	copy(eos[0].Data, sparse.Data)
-	a.Backward(eis, dw, eos, ins, nil)
-	// Caller recycles the batch buffer before the epoch boundary.
-	for i := range eos[0].Data {
-		eos[0].Data[i] = 1
-	}
-	recheck(a)
-
-	if got := a.BPSelection().Chosen.Strategy().Name; got != "sparse-friendly" {
-		t.Fatalf("sparse re-check deployed %q, want sparse-friendly", got)
-	}
-	var flips []exec.Choice
+func bpFlips(c *exec.Ctx) (flips []string) {
 	for _, ch := range c.Probe().Choices() {
 		if ch.Phase == "bp-flip" {
-			flips = append(flips, ch)
+			flips = append(flips, ch.Strategy)
 		}
 	}
-	if len(flips) != 1 || flips[0].Strategy != "sparse-friendly" {
-		t.Fatalf("bp-flip choice events = %+v, want one sparse-friendly flip", flips)
+	return flips
+}
+
+// TestAutoConvReplansWhenSparsityChangesBand scripts the band trigger with a
+// counting planner, one-sample batches and no timing: in-band batches never
+// reach the planner after the first; a band change re-plans only on its
+// third consecutive batch, on that batch's own samples; sparsity alternating
+// across 0.75 never re-plans; and a "bp-flip" is recorded exactly when a
+// re-plan changes the strategy.
+func TestAutoConvReplansWhenSparsityChangesBand(t *testing.T) {
+	s := conv.Square(8, 2, 2, 3, 1)
+	c := exec.New(1)
+	pl := &bandPlanner{}
+	a := NewAutoConv(s, c, pl)
+	w := conv.RandWeights(rng.New(3), s)
+	ins := []*tensor.Tensor{conv.RandInput(rng.New(4), s)}
+	dw := conv.NewWeights(s)
+	var eos []*tensor.Tensor
+	step := func(sp float64) string {
+		eos = []*tensor.Tensor{eoAt(s, sp)}
+		return a.Backward(nil, dw, eos, ins, w, eos[0].Sparsity()).Strategy().Name
+	}
+
+	for i, sp := range []float64{0.1, 0.2, 0.1, 0.15, 0.2} {
+		if got := step(sp); got != "gemm-in-parallel" {
+			t.Fatalf("dense batch %d ran %q", i, got)
+		}
+	}
+	if len(pl.bpEOs) != 1 {
+		t.Fatalf("in-band batches reached the planner %d times, want once", len(pl.bpEOs))
+	}
+
+	step(0.9)
+	step(0.9)
+	if len(pl.bpEOs) != 1 {
+		t.Fatalf("2 out-of-band batches re-planned (%d requests)", len(pl.bpEOs))
+	}
+	if got := step(0.95); got != "sparse" {
+		t.Fatalf("third out-of-band batch ran %q, want sparse", got)
+	}
+	if len(pl.bpEOs) != 2 || pl.bpEOs[1] != eos[0] {
+		t.Fatalf("third out-of-band batch: %d requests, planned on its own sample %v",
+			len(pl.bpEOs), pl.bpEOs[len(pl.bpEOs)-1] == eos[0])
+	}
+
+	for i := 0; i < 10; i++ { // 0.69, 0.81, 0.69, ...: across the crossover every batch
+		step(0.7 + 0.1*float64(i%2))
+	}
+	if len(pl.bpEOs) != 2 {
+		t.Fatalf("sparsity alternating across 0.75 re-planned (%d requests)", len(pl.bpEOs))
+	}
+
+	for _, sp := range []float64{0.6, 0.6, 0.6} { // band 2: back to dense, a flip
+		step(sp)
+	}
+	for _, sp := range []float64{0.1, 0.1, 0.1} { // band 0: re-planned, same strategy
+		step(sp)
+	}
+	if len(pl.bpEOs) != 4 {
+		t.Fatalf("two band moves made %d requests in all, want 4", len(pl.bpEOs))
+	}
+	if flips := bpFlips(c); len(flips) != 2 || flips[0] != "sparse" || flips[1] != "gemm-in-parallel" {
+		t.Fatalf("bp-flip events %v, want [sparse gemm-in-parallel]", flips)
 	}
 }
 
-// recordingPlanner wraps measureAll and keeps the TuneOptions of every BP
-// request.
-type recordingPlanner struct {
-	Planner
-	bp []TuneOptions
-}
+// TestAutoConvReplansInvalidatedVerdict: once the planner flips a verdict's
+// staleness flag, the very next call of that phase re-plans, FP and BP alike
+// and for each bucket of an inference executor; until then nothing does.
+func TestAutoConvReplansInvalidatedVerdict(t *testing.T) {
+	s := conv.Square(8, 2, 2, 3, 1)
+	r := rng.New(5)
+	w := conv.RandWeights(r, s)
+	ins, eos := sampleBatch(r, s, 3, 0.2)
+	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s), conv.NewOutput(s)}
+	dw := conv.NewWeights(s)
 
-func (p *recordingPlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
-	w *tensor.Tensor, opts TuneOptions) Planned {
-	p.bp = append(p.bp, opts)
-	return p.Planner.PlanBP(s, c, eos, ins, w, opts)
+	pl := &bandPlanner{}
+	a := NewAutoConv(s, exec.New(2), pl)
+	for i := 0; i < 2; i++ {
+		a.Forward(outs, ins, w)
+		a.Backward(nil, dw, eos, ins, w, 0.2)
+	}
+	pl.invalidate()
+	a.Forward(outs, ins, w)
+	if len(pl.fpBuckets) != 2 || len(pl.bpEOs) != 1 {
+		t.Fatalf("after invalidation the next Forward made %d FP and %d BP requests, want 2 and 1",
+			len(pl.fpBuckets), len(pl.bpEOs))
+	}
+	a.Backward(nil, dw, eos, ins, w, 0.2)
+	a.Forward(outs, ins, w)
+	a.Backward(nil, dw, eos, ins, w, 0.2)
+	if len(pl.fpBuckets) != 2 || len(pl.bpEOs) != 2 {
+		t.Fatalf("after invalidation: %d FP and %d BP requests, want 2 and 2", len(pl.fpBuckets), len(pl.bpEOs))
+	}
+
+	pl = &bandPlanner{}
+	inf := NewAutoConv(s, exec.New(2), pl, 1, 4)
+	one, three := outs[:1], outs
+	inf.Forward(one, ins[:1], w)
+	inf.Forward(three, ins, w)
+	pl.invalidate()
+	inf.Forward(one, ins[:1], w)
+	if got := pl.fpBuckets; len(got) != 3 || got[2] != 1 {
+		t.Fatalf("bucket requests %v, want [1 4 1]: only the called bucket re-plans", got)
+	}
+	inf.Forward(three, ins, w)
+	inf.Forward(one, ins[:1], w)
+	if got := pl.fpBuckets; len(got) != 4 || got[3] != 4 {
+		t.Fatalf("bucket requests %v, want [1 4 1 4]", got)
+	}
 }
 
 // TestAutoConvPlansWhatItDeploys: a layer driven with nil eis (a network's
 // first layer) asks the planner for a verdict measured without Eq. 3, at
-// first tuning and at the epoch re-check alike; a layer driven with eis
-// never does.
+// first use and at a band re-plan alike; a layer driven with eis never does.
 func TestAutoConvPlansWhatItDeploys(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
-	r := rng.New(9)
-	eos := []*tensor.Tensor{conv.RandOutputError(r, s, 0.9)}
-	ins := []*tensor.Tensor{conv.RandInput(r, s)}
+	ins := []*tensor.Tensor{conv.RandInput(rng.New(9), s)}
 	dw := conv.NewWeights(s)
 	for _, eis := range [][]*tensor.Tensor{nil, {conv.NewInput(s)}} {
-		pl := &recordingPlanner{Planner: measureAll{bp: fakeBPStrategies()}}
+		pl := &bandPlanner{}
 		a := NewAutoConv(s, exec.New(1), pl)
-		a.Backward(eis, dw, eos, ins, conv.NewWeights(s))
-		recheck(a)
-		if len(pl.bp) != 2 {
-			t.Fatalf("planner saw %d BP requests, want 2 (first tune + re-check)", len(pl.bp))
+		for _, sp := range []float64{0.1, 0.9, 0.9, 0.9} {
+			a.Backward(eis, dw, []*tensor.Tensor{eoAt(s, sp)}, ins, conv.NewWeights(s), sp)
 		}
-		for i, opts := range pl.bp {
+		if len(pl.bpOpts) != 2 {
+			t.Fatalf("planner saw %d BP requests, want 2 (first use + band re-plan)", len(pl.bpOpts))
+		}
+		for i, opts := range pl.bpOpts {
 			if opts.NoInputGrad != (eis == nil) {
 				t.Errorf("request %d with eis nil=%v: NoInputGrad = %v", i, eis == nil, opts.NoInputGrad)
 			}
@@ -240,7 +226,7 @@ func TestAutoConvPlansWhatItDeploys(t *testing.T) {
 
 // TestFixedPlannerPinsWithoutMeasuring: a layer under FixedPlanner runs the
 // named strategy per phase, records no tune span and no choice event, and
-// its epoch re-checks never flip.
+// its band re-plans never flip.
 func TestFixedPlannerPinsWithoutMeasuring(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
 	r := rng.New(13)
@@ -252,14 +238,13 @@ func TestFixedPlannerPinsWithoutMeasuring(t *testing.T) {
 	ins, eos := sampleBatch(r, s, 3, 0.9)
 	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s), conv.NewOutput(s)}
 	dw := conv.NewWeights(s)
-	for epoch := 0; epoch < 2*recheckEpochs; epoch++ {
+	for i, sp := range []float64{0.1, 0.1, 0.9, 0.9, 0.9, 0.4, 0.4, 0.4} {
 		if got := a.Forward(outs, ins, w).Strategy().Name; got != "stencil" {
-			t.Fatalf("epoch %d: FP ran %q, want stencil", epoch, got)
+			t.Fatalf("batch %d: FP ran %q, want stencil", i, got)
 		}
-		if got := a.Backward(nil, dw, eos, ins, w).Strategy().Name; got != "sparse" {
-			t.Fatalf("epoch %d: BP ran %q, want sparse", epoch, got)
+		if got := a.Backward(nil, dw, eos, ins, w, sp).Strategy().Name; got != "sparse" {
+			t.Fatalf("batch %d: BP ran %q, want sparse", i, got)
 		}
-		a.EpochEnd()
 	}
 	if fp, bp := a.FPSelection(), a.BPSelection(); len(fp.Timings)+len(bp.Timings) != 0 {
 		t.Errorf("pinned selections carry timing tables: fp %v bp %v", fp.Timings, bp.Timings)

@@ -1,8 +1,9 @@
 // Package core is spg-CNN's scheduler (§4.4): given a convolution layer,
 // it generates code for every candidate technique, measures each on sample
 // inputs, and deploys the fastest — separately for forward propagation and
-// back-propagation — then re-checks the BP choice periodically because
-// error-gradient sparsity drifts as training converges (Fig. 3b).
+// back-propagation — then re-plans a layer's BP choice inside its own call
+// when the layer's error-gradient sparsity changes band, because sparsity
+// drifts as training converges (Fig. 3b).
 //
 // The candidate set matches the paper, plus the engines this repo has
 // grown since (prepacked GEMM, the channel-blocked direct kernel, and the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"spgcnn/internal/conv"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
@@ -32,6 +34,10 @@ type Planned struct {
 	// FromCache reports that the verdict was deployed from a prior
 	// measurement — no tuning pass ran for this request.
 	FromCache bool
+	// Stale, when non-nil, flips to true once the planner drops the verdict
+	// (plan.Planner.InvalidateSpec); the layer that deployed it re-plans on
+	// its next call. FixedPlanner leaves it nil: a pin never goes stale.
+	Stale *atomic.Bool
 }
 
 // FixedPlanner returns the planner of a pinned layer: every FP request is

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
@@ -87,7 +88,7 @@ type Trainer struct {
 	// quiescent point — before every global step in synchronous mode, at
 	// every parameter sync in bounded-staleness mode, before every minibatch
 	// at one replica — with the global step number. No replica has a batch
-	// in flight, so it is where queued layer re-tunes are applied.
+	// in flight.
 	OnStep func(step int64)
 
 	cfg      Config
@@ -290,7 +291,7 @@ func (t *Trainer) traceEpoch(stats Stats) {
 		for _, s := range stats.ConvSparsity {
 			mean += s
 		}
-		t.rec.SetBand(plan.Band(mean / float64(n)))
+		t.rec.SetBand(ait.Band(mean / float64(n)))
 	}
 	t.coord.Instant("epoch", "epoch", "", float64(stats.Images))
 	for name, s := range stats.ConvSparsity {
@@ -479,13 +480,6 @@ func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
 		t.runSync(ds, order, e)
 	}
 	t.steps += e.steps
-	// Epoch boundary: run every replica's scheduler re-check (§4.4's
-	// periodic BP re-measurement). Replicas share the planner, so at most
-	// one re-measurement per distinct geometry actually runs; the rest
-	// deploy the refreshed verdict from cache.
-	for _, net := range t.nets {
-		net.EpochEnd()
-	}
 	t.epoch++
 	for w := range e.perRep {
 		if e.perRep[w].Steps == 0 {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spgcnn/internal/core"
 	"spgcnn/internal/netdef"
 	"spgcnn/internal/plan"
 	"spgcnn/internal/rng"
@@ -121,11 +122,11 @@ layer { name: "conv0" type: "conv" features: 2 kernel: 9 }
 	}
 }
 
-// TestTrainEpochRunsEpochEnd: the epoch boundary must reach every
-// replica's scheduler (the §4.4 BP re-check). With the re-check period
-// of 2, two epochs trigger exactly one re-plan per replica — all in-band
-// cache hits on the shared planner, zero extra measurement passes.
-func TestTrainEpochRunsEpochEnd(t *testing.T) {
+// TestFleetReplansOnInvalidation: two replicas share a planner; an
+// InvalidateSpec between steps makes the next step measure BP once for the
+// whole fleet, and every replica redeploys on that step — with no epoch
+// boundary and no call into the layers.
+func TestFleetReplansOnInvalidation(t *testing.T) {
 	def, err := netdef.Parse(replicaNet)
 	if err != nil {
 		t.Fatal(err)
@@ -136,19 +137,47 @@ func TestTrainEpochRunsEpochEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.TrainEpoch(ds{n: 8}, rng.New(1))
-	afterOne := planner.Stats()
-	tr.TrainEpoch(ds{n: 8}, rng.New(2))
-	afterTwo := planner.Stats()
+	bp := func(i int) *core.Exec {
+		_, sel, _ := tr.Replica(i).ConvLayers()[0].Selections()
+		return sel.Chosen
+	}
+	var passes []uint64
+	var deployed [][2]*core.Exec
+	tr.OnStep = func(step int64) {
+		passes = append(passes, planner.Stats().Measurements)
+		deployed = append(deployed, [2]*core.Exec{bp(0), bp(1)})
+		if step == 3 {
+			planner.InvalidateSpec(tr.Replica(0).ConvLayers()[0].Spec(), "bp")
+		}
+	}
+	tr.TrainEpoch(ds{n: 16}, rng.New(1))
 
-	// The epoch-2 re-check re-plans BP for each replica; gradients stayed
-	// dense (same band), so these are hits, not re-measurements.
-	if afterTwo.Measurements != afterOne.Measurements {
-		t.Errorf("in-band epoch re-check re-measured: %d -> %d passes",
-			afterOne.Measurements, afterTwo.Measurements)
+	// Step 1 measures FP and BP, step 3 BP again; steps 2 and 4 measure nothing.
+	if want := []uint64{0, 2, 2, 3}; !reflect.DeepEqual(passes, want) {
+		t.Fatalf("measurement passes at step starts = %v, want %v", passes, want)
 	}
-	if afterTwo.Hits <= afterOne.Hits {
-		t.Errorf("epoch re-check did not run (hits %d -> %d); is EpochEnd wired into TrainEpoch?",
-			afterOne.Hits, afterTwo.Hits)
+	for i := 0; i < 2; i++ {
+		if deployed[2][i] != deployed[1][i] {
+			t.Errorf("replica %d redeployed before the invalidation", i)
+		}
+		if deployed[3][i] == deployed[2][i] {
+			t.Errorf("replica %d kept its invalidated BP verdict through step 3", i)
+		}
+		if bp(i) != deployed[3][i] {
+			t.Errorf("replica %d redeployed again after step 3", i)
+		}
 	}
+
+	// The drift observatory invalidates from whichever goroutine observed
+	// the span, while replicas train: safe under -race.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			planner.InvalidateSpec(tr.Replica(0).ConvLayers()[0].Spec(), "")
+		}
+	}()
+	tr.OnStep = nil
+	tr.TrainEpoch(ds{n: 16}, rng.New(2))
+	<-done
 }

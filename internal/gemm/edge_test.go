@@ -85,10 +85,6 @@ func TestNegativeDimsPanics(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestBatchEmpty(t *testing.T) {
-	Batch(nil, nil, nil, 4) // must be a no-op, not a panic
-}
-
 func TestPackedAtThreshold(t *testing.T) {
 	// Shapes straddling packedThreshold take different code paths in
 	// Serial; both must agree with Naive.

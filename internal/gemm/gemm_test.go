@@ -126,37 +126,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesSerial(t *testing.T) {
-	r := rng.New(6)
-	const n = 7
-	as := make([]*Matrix, n)
-	bs := make([]*Matrix, n)
-	cs := make([]*Matrix, n)
-	want := make([]*Matrix, n)
-	for i := 0; i < n; i++ {
-		as[i] = randMatrix(r, 9, 11)
-		bs[i] = randMatrix(r, 11, 5)
-		cs[i] = NewMatrix(9, 5)
-		want[i] = NewMatrix(9, 5)
-		Serial(want[i], as[i], bs[i])
-	}
-	Batch(cs, as, bs, 4)
-	for i := 0; i < n; i++ {
-		if !matricesClose(cs[i], want[i], 1e-4) {
-			t.Fatalf("Batch instance %d differs", i)
-		}
-	}
-}
-
-func TestBatchLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Batch with mismatched slice lengths did not panic")
-		}
-	}()
-	Batch(make([]*Matrix, 1), make([]*Matrix, 2), make([]*Matrix, 2), 1)
-}
-
 func TestMulTransA(t *testing.T) {
 	r := rng.New(7)
 	a := randMatrix(r, 8, 5) // A is 8x5, A^T is 5x8

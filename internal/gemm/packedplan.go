@@ -8,31 +8,18 @@ import "spgcnn/internal/par"
 // pack (packed.go) can be hoisted out of the per-call path entirely. A
 // PackedB is that hoisted artifact: B (or Bᵀ) packed once, multiplied many
 // times.
-//
-// Storage comes through the Allocator seam so callers can keep pack buffers
-// inside the execution context's arena (exec.Ctx and tensor.Arena both
-// satisfy Allocator); a nil Allocator falls back to the Go heap.
-
-// Allocator is the scratch-storage seam: *exec.Ctx and *tensor.Arena both
-// implement it.
-type Allocator interface {
-	Get(n int) []float32
-	Put(buf []float32)
-}
 
 // PackedB holds one GEMM operand packed into k-interleaved column panels,
 // ready for MulPacked against any conforming A.
 type PackedB struct {
 	K, N   int // logical operand shape: B is K×N
 	panels []float32
-	al     Allocator
 }
 
 // PackB packs B (K×N) for C = A·B. The pack is a streaming copy
 // (copyStrip8) costing O(K·N).
-func PackB(b *Matrix, al Allocator) *PackedB {
-	p := &PackedB{K: b.Rows, N: b.Cols, al: al}
-	p.panels = p.get(b.Rows * padUp(b.Cols))
+func PackB(b *Matrix) *PackedB {
+	p := &PackedB{K: b.Rows, N: b.Cols, panels: make([]float32, b.Rows*padUp(b.Cols))}
 	packPanels(p.panels, b)
 	return p
 }
@@ -40,27 +27,10 @@ func PackB(b *Matrix, al Allocator) *PackedB {
 // PackBTrans packs srcᵀ for C = A·srcᵀ without materializing the transpose
 // (src is N×K; the logical operand is K×N). Panels gather eight consecutive
 // src rows along k (gatherStrip8).
-func PackBTrans(src *Matrix, al Allocator) *PackedB {
-	p := &PackedB{K: src.Cols, N: src.Rows, al: al}
-	p.panels = p.get(src.Cols * padUp(src.Rows))
+func PackBTrans(src *Matrix) *PackedB {
+	p := &PackedB{K: src.Cols, N: src.Rows, panels: make([]float32, src.Cols*padUp(src.Rows))}
 	packPanelsTrans(p.panels, src)
 	return p
-}
-
-func (p *PackedB) get(n int) []float32 {
-	if p.al != nil {
-		return p.al.Get(n)
-	}
-	return make([]float32, n)
-}
-
-// Release returns the panel storage to the allocator. The plan must not be
-// used afterwards.
-func (p *PackedB) Release() {
-	if p.al != nil && p.panels != nil {
-		p.al.Put(p.panels)
-	}
-	p.panels = nil
 }
 
 // Bytes reports the packed footprint (for pack-cache accounting and probes).

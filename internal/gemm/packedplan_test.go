@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spgcnn/internal/rng"
-	"spgcnn/internal/tensor"
 )
 
 func TestPackBMatchesNaive(t *testing.T) {
@@ -19,13 +18,15 @@ func TestPackBMatchesNaive(t *testing.T) {
 		want := NewMatrix(s.m, s.n)
 		Naive(want, a, b)
 
-		p := PackB(b, nil)
+		p := PackB(b)
+		if p.Bytes() != 4*s.k*padUp(s.n) {
+			t.Fatalf("Bytes = %d for a %dx%d operand", p.Bytes(), s.k, s.n)
+		}
 		got := NewMatrix(s.m, s.n)
 		MulPacked(got, a, p)
 		if !matricesClose(got, want, 1e-3) {
 			t.Fatalf("MulPacked differs from Naive for %dx%dx%d", s.m, s.k, s.n)
 		}
-		p.Release()
 	}
 }
 
@@ -39,35 +40,15 @@ func TestPackBTransMatchesMulTransB(t *testing.T) {
 		want := NewMatrix(s.m, s.n)
 		mulTransBRange(want, a, src, 0, s.m)
 
-		p := PackBTrans(src, nil)
+		p := PackBTrans(src)
 		got := NewMatrix(s.m, s.n)
 		MulPacked(got, a, p)
-		p.Release()
 		for i := range want.Data {
 			if want.Data[i] != got.Data[i] {
 				t.Fatalf("packed path not bit-identical to dot path at %d: %v != %v",
 					i, got.Data[i], want.Data[i])
 			}
 		}
-	}
-}
-
-func TestPackedPlanArenaAllocator(t *testing.T) {
-	// The Allocator seam: panels drawn from a tensor.Arena are returned to
-	// it on Release and reused by the next pack.
-	ar := tensor.NewArena()
-	r := rng.New(33)
-	b := randMatrix(r, 40, 24)
-	p := PackB(b, ar)
-	if p.Bytes() != 4*40*24 {
-		t.Fatalf("Bytes = %d", p.Bytes())
-	}
-	p.Release()
-	p2 := PackB(b, ar)
-	defer p2.Release()
-	st := ar.Stats()
-	if st.Hits == 0 {
-		t.Fatal("second pack did not reuse arena storage")
 	}
 }
 
@@ -78,10 +59,9 @@ func TestParallelMulPacked(t *testing.T) {
 		b := randMatrix(r, 60, 53)
 		want := NewMatrix(37, 53)
 		Naive(want, a, b)
-		p := PackB(b, nil)
+		p := PackB(b)
 		got := NewMatrix(37, 53)
 		ParallelMulPacked(got, a, p, workers)
-		p.Release()
 		if !matricesClose(got, want, 1e-3) {
 			t.Fatalf("ParallelMulPacked wrong for workers=%d", workers)
 		}
@@ -118,8 +98,7 @@ func BenchmarkGemmPackedReuse(b *testing.B) {
 	a := randMatrix(r, m, k)
 	bm := randMatrix(r, k, n)
 	c := NewMatrix(m, n)
-	p := PackB(bm, nil)
-	defer p.Release()
+	p := PackB(bm)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

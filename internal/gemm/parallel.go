@@ -42,26 +42,6 @@ func ParallelAccum(c, a, b *Matrix, workers int) {
 	})
 }
 
-// Batch runs one independent single-threaded GEMM per (c, a, b) triple,
-// spreading the instances across workers. This is the execution primitive
-// of GEMM-in-Parallel (§4.1): inputs are NOT divided across cores, so the
-// per-core AIT — and therefore per-core performance — stays at the
-// single-GEMM level no matter how many cores participate.
-//
-// All three slices must have equal length; instance i computes
-// cs[i] = as[i]·bs[i].
-func Batch(cs, as, bs []*Matrix, workers int) {
-	if len(cs) != len(as) || len(cs) != len(bs) {
-		panic("gemm: Batch slice length mismatch")
-	}
-	for i := range cs {
-		checkMul(cs[i], as[i], bs[i])
-	}
-	par.For(len(cs), workers, func(i int) {
-		Serial(cs[i], as[i], bs[i])
-	})
-}
-
 // MulTransA computes C = Aᵀ·B without materializing the transpose:
 // C[i][j] = Σ_k A[k][i]·B[k][j]. Used by the backward-weights GEMM where
 // the unfolded input appears transposed. The scatter structure skips

@@ -83,6 +83,3 @@ func (l *ReLU) Backward(eis, eos, _ []*tensor.Tensor) {
 
 // ApplyGrads implements Layer (no parameters).
 func (l *ReLU) ApplyGrads(float32, int) {}
-
-// EpochEnd implements Layer.
-func (l *ReLU) EpochEnd() {}

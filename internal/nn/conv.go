@@ -142,16 +142,17 @@ func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity
-// the Fig. 3b experiment tracks. As a network's first layer it computes no
-// input gradient and does not write eis.
+// the Fig. 3b experiment tracks and hands the batch's mean to the scheduler,
+// whose BP verdict follows its band. As a network's first layer it computes
+// no input gradient and does not write eis.
 func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 	start := time.Now()
-	c.reduceEO(eos)
+	sparsity := c.reduceEO(eos)
 	if c.first {
 		eis = nil
 	}
 	dwTmp := c.ctx.GetTensor(c.spec.WeightDims()...)
-	ran := c.exec.Backward(eis, dwTmp, eos, ins, c.W)
+	ran := c.exec.Backward(eis, dwTmp, eos, ins, c.W, sparsity)
 	c.dW.AddScaled(dwTmp, 1)
 	c.ctx.PutTensor(dwTmp)
 	c.observe("bp", ran, start)
@@ -161,8 +162,10 @@ func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 // sample, the zero count behind the sparsity probe and the Nf plane sums
 // behind dB, fanned over the context's workers. The per-sample partials are
 // then folded in sample order, so dB and the probe are bit-identical to a
-// serial sample-by-sample reduction whatever the worker count.
-func (c *Conv) reduceEO(eos []*tensor.Tensor) {
+// serial sample-by-sample reduction whatever the worker count. It returns
+// the batch-mean sparsity, from the same per-sample counts TakeSparsity
+// averages.
+func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
 	nf := c.spec.Nf
 	plane := c.spec.OutY() * c.spec.OutX()
 	sums := c.ctx.Get(len(eos) * nf)
@@ -186,9 +189,12 @@ func (c *Conv) reduceEO(eos []*tensor.Tensor) {
 			zeros[i] = z
 		}
 	})
+	batch := 0.0
 	for i, eo := range eos {
 		if len(eo.Data) > 0 {
-			c.eoSparsitySum += float64(zeros[i]) / float64(len(eo.Data))
+			sp := float64(zeros[i]) / float64(len(eo.Data))
+			c.eoSparsitySum += sp
+			batch += sp
 		}
 		c.eoBatches++
 		for f, sum := range sums[i*nf:][:nf] {
@@ -196,6 +202,7 @@ func (c *Conv) reduceEO(eos []*tensor.Tensor) {
 		}
 	}
 	c.ctx.Put(sums)
+	return batch / float64(len(eos))
 }
 
 // ApplyGrads implements Layer.
@@ -205,9 +212,6 @@ func (c *Conv) ApplyGrads(lr float32, batch int) {
 	// The in-place weight update invalidates any cached packed operands.
 	c.W.Bump()
 }
-
-// EpochEnd implements Layer: forwards to the scheduler (BP re-check).
-func (c *Conv) EpochEnd() { c.exec.EpochEnd() }
 
 // TakeSparsity returns the mean observed EO sparsity since the last call
 // and resets the probe. Returns 0 with ok=false if nothing was recorded.
@@ -219,13 +223,6 @@ func (c *Conv) TakeSparsity() (float64, bool) {
 	c.eoSparsitySum, c.eoBatches = 0, 0
 	return s, true
 }
-
-// Retune asks the scheduler to re-plan the given phase's strategy ("fp",
-// "bp", or "" for both) on its next batch — the layer-level re-tune trigger
-// the drift observatory's coupler invokes after invalidating the planner's
-// cached verdict. Must be called from the training goroutine (between
-// batches), like EpochEnd.
-func (c *Conv) Retune(phase string) { c.exec.Retune(phase) }
 
 // Selections returns the scheduler's FP and BP measurement tables. ok is
 // false before the first planned batch and for a pinned layer, whose

@@ -123,9 +123,6 @@ func (l *AvgPool) Backward(eis, eos, _ []*tensor.Tensor) {
 // ApplyGrads implements Layer (no parameters).
 func (l *AvgPool) ApplyGrads(float32, int) {}
 
-// EpochEnd implements Layer.
-func (l *AvgPool) EpochEnd() {}
-
 // Dropout zeroes each activation with probability Rate during training,
 // scaling survivors by 1/(1−Rate) (inverted dropout, so inference needs no
 // rescaling). SetTraining(false) makes it an identity.
@@ -227,6 +224,3 @@ func (l *Dropout) Backward(eis, eos, _ []*tensor.Tensor) {
 
 // ApplyGrads implements Layer (no parameters).
 func (l *Dropout) ApplyGrads(float32, int) {}
-
-// EpochEnd implements Layer.
-func (l *Dropout) EpochEnd() {}

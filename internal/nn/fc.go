@@ -144,6 +144,3 @@ func (l *FC) ApplyGrads(lr float32, batch int) {
 	l.opt.step(l.W, l.dW, lr, batch)
 	l.opt.step(l.B, l.dB, lr, batch)
 }
-
-// EpochEnd implements Layer.
-func (l *FC) EpochEnd() {}

@@ -11,7 +11,10 @@
 // Parallel-GEMM strategies process it sequentially with internal
 // parallelism. A Conv holds one core.AutoConv and nothing else between it
 // and its kernel; training, pinned and serving layers differ only in the
-// planner (and bucket list) the executor is built with.
+// planner (and bucket list) the executor is built with. A Conv counts each
+// batch's error-gradient zeros once, for the sparsity probe and for its
+// executor, which re-plans BP inside the call when the band moves — no
+// layer has an epoch hook.
 //
 // Training has one step and one epoch record. Trainer.Step is the only
 // fill → forward → loss → backward → apply in the tree: TrainEpoch loops
@@ -42,9 +45,6 @@ type Layer interface {
 	// ApplyGrads performs the SGD step w -= lr/batch · dw and clears the
 	// accumulated gradients. Layers without parameters do nothing.
 	ApplyGrads(lr float32, batch int)
-	// EpochEnd is called once per training epoch (the spg-CNN scheduler's
-	// BP re-check hook).
-	EpochEnd()
 }
 
 func dimsEqual(a, b []int) bool {

@@ -149,12 +149,9 @@ func (n *Network) ApplyGrads(lr float32, batch int) {
 	}
 }
 
-// EpochEnd notifies every layer (spg-CNN BP re-check hook).
-func (n *Network) EpochEnd() {
-	for _, layer := range n.layers {
-		layer.EpochEnd()
-	}
-}
+// EpochEnd does nothing: a conv layer re-plans inside its own call. It
+// stays only because the benchmark harness, whose API is frozen, calls it.
+func (n *Network) EpochEnd() {}
 
 // ConvLayers returns the convolution layers, in order — the Fig. 3b/Fig. 8
 // instrumentation points.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
@@ -297,5 +298,65 @@ func TestConvSparsityProbe(t *testing.T) {
 	}
 	if _, ok := cv.TakeSparsity(); ok {
 		t.Fatal("probe not reset")
+	}
+}
+
+// countingPlanner pins one strategy and counts BP requests.
+type countingPlanner struct {
+	core.Planner
+	bp int
+}
+
+func (p *countingPlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
+	w *tensor.Tensor, opts core.TuneOptions) core.Planned {
+	p.bp++
+	return p.Planner.PlanBP(s, c, eos, ins, w, opts)
+}
+
+// TestConvSchedulerSparsityIsTheProbeCount: the batch-mean EO sparsity a
+// conv hands its scheduler is, bit for bit, what TakeSparsity reports for
+// the batch — one count — and the BP verdict follows its band, not the
+// band of the workers-sized sample the planner measures on. Scripted over
+// two-sample batches whose first sample sits in another band than the
+// batch mean.
+func TestConvSchedulerSparsityIsTheProbeCount(t *testing.T) {
+	s := conv.Square(7, 2, 1, 3, 1) // 50 EO values a sample: fractions inexact in binary
+	r := rng.New(17)
+	pl := &countingPlanner{Planner: core.FixedPlanner(serialStrategy(), serialStrategy())}
+	cv := NewConvCtx("c", s, pl, exec.New(1), r)
+	twin := pinnedConv("twin", s, serialStrategy(), 1, r)
+	exactEO := func(sp float64) *tensor.Tensor {
+		eo := conv.NewOutput(s)
+		for i := int(sp*float64(len(eo.Data)) + 0.5); i < len(eo.Data); i++ {
+			eo.Data[i] = 1
+		}
+		return eo
+	}
+	ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
+	eis := []*tensor.Tensor{conv.NewInput(s), conv.NewInput(s)}
+	deployed, off, want := -1, 0, 0
+	for i, pair := range [][2]float64{
+		{0.1, 0.1}, {0.9, 0.2}, {0.9, 0.24}, {0.9, 0.2}, {0.9, 0.16}, {0.1, 0.1},
+		{0.1, 0.2}, {0.96, 0.96}, {0.8, 0.9}, {0.3, 0.4}, {0.8, 0.9}, {0.36, 0.3},
+	} {
+		eos := []*tensor.Tensor{exactEO(pair[0]), exactEO(pair[1])}
+		handed := twin.reduceEO(eos)
+		cv.Backward(eis, eos, ins)
+		got, _ := cv.TakeSparsity()
+		if math.Float64bits(got) != math.Float64bits(handed) {
+			t.Fatalf("batch %d: TakeSparsity %v, scheduler handed %v", i, got, handed)
+		}
+		if band := ait.Band(got); band == deployed {
+			off = 0
+		} else if off++; deployed < 0 || off >= 3 {
+			deployed, off = band, 0
+			want++
+		}
+		if pl.bp != want {
+			t.Fatalf("batch %d (mean band %d): %d BP requests, want %d", i, ait.Band(got), pl.bp, want)
+		}
+	}
+	if want != 3 {
+		t.Fatalf("script re-planned %d times, want 3: the script is broken", want)
 	}
 }

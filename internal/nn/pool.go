@@ -111,6 +111,3 @@ func (l *MaxPool) Backward(eis, eos, _ []*tensor.Tensor) {
 
 // ApplyGrads implements Layer (no parameters).
 func (l *MaxPool) ApplyGrads(float32, int) {}
-
-// EpochEnd implements Layer.
-func (l *MaxPool) EpochEnd() {}

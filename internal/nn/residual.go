@@ -83,9 +83,6 @@ func (l *Tap) Backward(eis, eos, _ []*tensor.Tensor) {
 // ApplyGrads implements Layer (no parameters).
 func (l *Tap) ApplyGrads(float32, int) {}
 
-// EpochEnd implements Layer.
-func (l *Tap) EpochEnd() {}
-
 // Add is the merge endpoint of a residual skip connection: Forward sums
 // the paired Tap's saved activation into the main path, Backward routes
 // the gradient both ways (copy downstream, deposit for the Tap).
@@ -149,6 +146,3 @@ func (l *Add) Backward(eis, eos, _ []*tensor.Tensor) {
 
 // ApplyGrads implements Layer (no parameters).
 func (l *Add) ApplyGrads(float32, int) {}
-
-// EpochEnd implements Layer.
-func (l *Add) EpochEnd() {}

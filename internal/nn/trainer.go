@@ -169,7 +169,6 @@ func (t *Trainer) TrainEpoch(ds Dataset, r *rng.RNG) EpochStats {
 		correct += c
 	}
 	elapsed := time.Since(start).Seconds()
-	t.Net.EpochEnd()
 
 	stats := EpochStats{Epoch: t.epoch, Images: len(order), Seconds: elapsed}
 	stats.Account(lossSum, correct, t.Net)

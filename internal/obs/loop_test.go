@@ -19,7 +19,8 @@ import (
 // slowdown injected into its spans must fire a drift event within the
 // detector's window, invalidate the affected plan.Key, and cause a fresh
 // measurement pass on the next batch. The control phase (no injection)
-// must see zero events and zero extra measurement passes.
+// must see zero events, zero invalidations and zero extra measurement
+// passes.
 func TestDriftRetuneLoop(t *testing.T) {
 	s := conv.Spec{Nx: 24, Ny: 24, Nc: 16, Nf: 32, Fx: 3, Fy: 3, Sx: 1, Sy: 1}
 	const workers, batch = 2, 4
@@ -28,11 +29,9 @@ func TestDriftRetuneLoop(t *testing.T) {
 	r := rng.New(7)
 	layer := nn.NewConvCtx("c1", s, pl, ctx, r)
 
-	cp := NewCoupler(pl)
-	cp.Register(layer)
 	o := New(Options{
 		Workers: workers, Warmup: 5, Window: 3, Threshold: 1.6,
-		OnDrift: cp.OnDrift,
+		OnDrift: func(ev DriftEvent) { pl.InvalidateSpec(ev.Spec, ev.Phase) },
 	})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(batch)
@@ -53,7 +52,6 @@ func TestDriftRetuneLoop(t *testing.T) {
 	step := func() {
 		layer.Forward(outs, ins)
 		layer.Backward(eis, eos, ins)
-		cp.Apply()
 	}
 
 	// Warm phase: deploy + settle the baselines.
@@ -65,32 +63,28 @@ func TestDriftRetuneLoop(t *testing.T) {
 		t.Fatal("no measurement passes during deployment")
 	}
 
-	// Control epoch: steady state, no injection. Zero drift events, zero
-	// extra measurement passes — the epoch-end BP re-check must stay a
-	// free in-band cache hit.
+	// Control phase: steady state, no injection. Nothing invalidates the
+	// deployed verdicts and the gradients stay in band, so no batch
+	// re-plans.
 	for i := 0; i < 10; i++ {
 		step()
 	}
-	layer.EpochEnd()
-	layer.EpochEnd() // second epoch crosses the BP re-check period
-	step()
 	st1 := pl.Stats()
 	if n := len(o.Events()); n != 0 {
 		t.Fatalf("control phase fired %d drift events: %v", n, o.Events())
 	}
-	if st1.Measurements != st0.Measurements {
-		t.Fatalf("control phase re-measured: %d -> %d passes", st0.Measurements, st1.Measurements)
-	}
 	if st1.Invalidations != 0 {
 		t.Fatalf("control phase invalidated %d entries", st1.Invalidations)
+	}
+	if st1.Measurements != st0.Measurements || st1.Hits != st0.Hits || st1.Misses != st0.Misses {
+		t.Fatalf("control phase re-planned: %+v -> %+v", st0, st1)
 	}
 
 	// Fault injection: a fake 2x host slowdown on every observed span.
 	o.SetSlowdown(2)
 	fired := -1
 	for i := 0; i < 15; i++ {
-		layer.Forward(outs, ins)
-		layer.Backward(eis, eos, ins)
+		step()
 		if len(o.Events()) > 0 {
 			fired = i + 1
 			break
@@ -112,24 +106,23 @@ func TestDriftRetuneLoop(t *testing.T) {
 		t.Fatalf("drifting key %v still cached after the drift event", key)
 	}
 
-	// ...and the coupler's re-tune makes the next batch a fresh
-	// measurement pass, not a free hit.
-	cp.Apply()
+	// ...and the layer's next batch is a fresh measurement pass, not a
+	// free hit.
 	step()
 	st3 := pl.Stats()
 	if st3.Measurements <= st2.Measurements {
-		t.Fatalf("no new measurement pass after re-tune: %d -> %d", st2.Measurements, st3.Measurements)
+		t.Fatalf("no new measurement pass after the invalidation: %d -> %d", st2.Measurements, st3.Measurements)
 	}
 	if _, ok := pl.Lookup(key); !ok {
 		t.Fatalf("re-measured verdict for %v not re-cached", key)
 	}
 }
 
-// TestRetuneLandsOnTheNextBatch pins where a queued re-tune is applied: on
-// the trainer's OnStep, so a drift raised during one step re-plans the very
-// next one — at one replica and across a fleet alike, not at the epoch
-// boundary. Scripted: the drift event is handed to the coupler from OnStep
-// itself, so no span timing is involved.
+// TestRetuneLandsOnTheNextBatch pins where a drift's re-plan lands: inside
+// the very next step's layer calls, at one replica and across a fleet
+// alike, not at the epoch boundary. Scripted: the drift event is handed to
+// the observatory's invalidation callback from OnStep, so no span timing
+// is involved.
 func TestRetuneLandsOnTheNextBatch(t *testing.T) {
 	def, err := netdef.Parse(`
 name: "tiny"
@@ -147,32 +140,35 @@ layer { name: "fc0" type: "fc" outputs: 4 }
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := NewCoupler(pl)
-		for i := 0; i < replicas; i++ {
-			cp.Register(dp.Replica(i).ConvLayers()[0])
-		}
+		onDrift := func(ev DriftEvent) { pl.InvalidateSpec(ev.Spec, ev.Phase) }
 		conv := dp.Replica(0).ConvLayers()[0]
-		var appliedAt []int64
-		var passes []uint64 // measurement passes seen at each step's start
-		dp.OnStep = func(step int64) {
-			if cp.Apply() > 0 {
-				appliedAt = append(appliedAt, step)
+		deployed := func() (ex []*core.Exec) {
+			for i := 0; i < replicas; i++ {
+				_, bp, _ := dp.Replica(i).ConvLayers()[0].Selections()
+				ex = append(ex, bp.Chosen)
 			}
+			return ex
+		}
+		var passes []uint64 // measurement passes seen at each step's start
+		var held [][]*core.Exec
+		dp.OnStep = func(step int64) {
 			passes = append(passes, pl.Stats().Measurements)
+			held = append(held, deployed())
 			if step == 2 {
-				cp.OnDrift(DriftEvent{Layer: conv.Name(), Phase: "bp", Spec: conv.Spec()})
+				onDrift(DriftEvent{Layer: conv.Name(), Phase: "bp", Spec: conv.Spec()})
 			}
 		}
 		dp.TrainEpoch(stepDS{n: 16}, rng.New(1))
 
-		if len(appliedAt) != 1 || appliedAt[0] != 3 || cp.Applied() != replicas {
-			t.Fatalf("%d replicas: re-tune applied at steps %v to %d layers, want step 3 and every replica",
-				replicas, appliedAt, cp.Applied())
+		// Steps 1 and 2 measure (first deployment: FP and BP; the re-plan:
+		// BP again, once for the whole fleet), steps 3 and 4 do not.
+		if len(passes) != 4 || passes[1] != 2 || passes[2] != 3 || passes[3] != 3 {
+			t.Fatalf("%d replicas: measurement passes at step starts = %v, want [0 2 3 3]", replicas, passes)
 		}
-		// Steps 1 and 3 measure (first deployment: FP and BP; the re-tune:
-		// BP again, once for the whole fleet), steps 2 and 4 do not.
-		if len(passes) != 4 || passes[1] != 2 || passes[2] != 2 || passes[3] != 3 {
-			t.Fatalf("%d replicas: measurement passes at step starts = %v, want [0 2 2 3]", replicas, passes)
+		for i := 0; i < replicas; i++ {
+			if held[2][i] == held[1][i] || held[3][i] != held[2][i] {
+				t.Fatalf("%d replicas: replica %d did not redeploy exactly on step 2", replicas, i)
+			}
 		}
 	}
 }

@@ -18,10 +18,10 @@
 // When the EWMA ratio deviates from its frozen baseline by more than
 // Options.Threshold for Options.Window consecutive observations, the
 // observatory emits a drift event — a trace instant, spg_drift_* metric
-// series, and the OnDrift callback. The Coupler (coupler.go) wires that
-// callback back into the planner: the affected plan keys are invalidated
-// and the layer's scheduler latch cleared, so the next batch re-measures
-// instead of free-hitting a stale verdict.
+// series, and the OnDrift callback. The caller closes that loop with a
+// callback over plan.Planner.InvalidateSpec: the drifting verdicts are
+// dropped and marked stale, so every layer that deployed one re-plans on its
+// next call instead of running the stale verdict.
 //
 // Detection is RELATIVE to the observed baseline, not to the model's
 // absolute prediction: the machine model is calibrated to the paper's
@@ -85,7 +85,8 @@ type Options struct {
 	Warmup int
 	// OnDrift, when non-nil, is invoked synchronously (outside the
 	// observatory lock, on the goroutine that observed the breaching
-	// span) for every drift event — the re-tune trigger seam. See Coupler.
+	// span) for every drift event — the re-tune trigger seam, typically
+	// a closure over plan.Planner.InvalidateSpec(ev.Spec, ev.Phase).
 	OnDrift func(DriftEvent)
 	// Trace, when non-nil, records drift events as instants on the
 	// timeline (category "drift").
@@ -156,8 +157,11 @@ type stream struct {
 	drifts    int
 	measured  float64 // total measured seconds
 	predicted float64 // total predicted seconds
-	ratioG    *metrics.Gauge
-	ewmaG     *metrics.Gauge
+	// prev is the deployment this one replaced, reported in its place
+	// until this one has an observation of its own; nil after that.
+	prev   *stream
+	ratioG *metrics.Gauge
+	ewmaG  *metrics.Gauge
 }
 
 // Observatory implements exec.Sink: attach with ctx.Probe().AddSink so it
@@ -327,9 +331,17 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 	key := streamKey{layer: layer, phase: phase}
 	st := o.streams[key]
 	if st == nil || st.strategy != strategy {
-		// First deployment, or a redeploy (bp-flip, post-drift re-tune):
+		// First deployment, or a redeploy (bp-flip, post-drift re-plan):
 		// fresh stream state — the old strategy's baseline says nothing
-		// about the new one.
+		// about the new one — except the series' drift count, which
+		// carries over so the report counts every event it lists.
+		next := &stream{strategy: strategy}
+		if st != nil {
+			next.drifts, next.prev = st.drifts, st
+			if st.obs == 0 {
+				next.prev = st.prev
+			}
+		}
 		sp := li.wSparsity
 		if phase == "bp" {
 			sp = li.eoSparsity
@@ -338,11 +350,12 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 		if !ok {
 			// Unmodeled strategy: nothing to compare against. Park a
 			// sentinel stream so the lookup stays cheap.
-			o.streams[key] = &stream{strategy: strategy}
+			o.streams[key] = next
 			o.mu.Unlock()
 			return
 		}
-		st = &stream{strategy: strategy, rate: rate, sparsity: sp}
+		st = next
+		st.rate, st.sparsity = rate, sp
 		if r := o.opts.Metrics; r != nil {
 			st.ratioG = r.Gauge("spg_drift_agreement_ratio",
 				"Instantaneous measured/predicted span-time ratio per deployed strategy.",
@@ -370,6 +383,7 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 	}
 	ratio := seconds / pred
 	st.obs++
+	st.prev = nil
 	st.measured += seconds
 	st.predicted += pred
 	if st.obs == 1 {
@@ -398,7 +412,7 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 				Layer: layer, Phase: phase, Strategy: strategy,
 				Spec:   li.spec,
 				Region: int(ait.Classify(li.spec, classify)),
-				Band:   plan.Band(sp),
+				Band:   ait.Band(sp),
 				Ratio:  st.ewma, Baseline: st.baseline,
 				Observation: st.obs,
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/metrics"
@@ -169,6 +170,53 @@ func TestRedeployResetsStream(t *testing.T) {
 	}
 }
 
+// TestDriftCountSurvivesRedeploy: a drift's usual consequence is a re-plan
+// that may deploy another strategy, which resets the stream. The series'
+// drift count must carry over, so the report's totals and region rollup
+// count every event it lists — before the new deployment is observed and
+// after.
+func TestDriftCountSurvivesRedeploy(t *testing.T) {
+	s := testSpec()
+	o := newTestObservatory(Options{Warmup: 3, Window: 3})
+	o.RegisterLayer("c1", s)
+	o.SetBatch(2)
+	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for i := 0; i < 8; i++ {
+		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+	}
+	for i := 0; i < 20 && len(o.Events()) == 0; i++ {
+		o.ObserveSpan("layer/c1/fp/parallel-gemm", 3*pred)
+	}
+	if len(o.Events()) != 1 {
+		t.Fatalf("slowdown fired %d events, want 1", len(o.Events()))
+	}
+	check := func(when, strategy string) {
+		t.Helper()
+		rep := o.Report()
+		regionDrifts := 0
+		for _, rr := range rep.Regions {
+			regionDrifts += rr.Drifts
+		}
+		if len(rep.Rows) != 1 || rep.Rows[0].Strategy != strategy {
+			t.Fatalf("%s: rows %+v, want one %s row", when, rep.Rows, strategy)
+		}
+		if rep.TotalDrifts() != len(rep.Events) || regionDrifts != len(rep.Events) || len(rep.Events) != 1 {
+			t.Fatalf("%s: TotalDrifts %d, region drifts %d, %d events", when,
+				rep.TotalDrifts(), regionDrifts, len(rep.Events))
+		}
+		if err := rep.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	p2 := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
+	o.ObserveSpan("layer/c1/fp/stencil", p2) // discarded: carries the re-plan
+	check("redeployed, not yet observed", "parallel-gemm")
+	for i := 0; i < 5; i++ {
+		o.ObserveSpan("layer/c1/fp/stencil", p2)
+	}
+	check("redeployed and observed", "stencil")
+}
+
 func TestSparsityRerateIsNotDrift(t *testing.T) {
 	s := testSpec()
 	o := newTestObservatory(Options{Warmup: 3, Window: 3})
@@ -193,8 +241,8 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 	if n := len(o.Events()); n != 0 {
 		t.Fatalf("in-model sparsity re-rate fired %d drift events", n)
 	}
-	if rep := o.Report(); rep.Rows[0].Band != plan.Band(0.9) {
-		t.Fatalf("report band = %d, want %d", rep.Rows[0].Band, plan.Band(0.9))
+	if rep := o.Report(); rep.Rows[0].Band != ait.Band(0.9) {
+		t.Fatalf("report band = %d, want %d", rep.Rows[0].Band, ait.Band(0.9))
 	}
 }
 
@@ -323,41 +371,5 @@ func TestRenderReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-type fakeRetunable struct {
-	name    string
-	spec    conv.Spec
-	retunes []string
-}
-
-func (f *fakeRetunable) Name() string        { return f.name }
-func (f *fakeRetunable) Spec() conv.Spec     { return f.spec }
-func (f *fakeRetunable) Retune(phase string) { f.retunes = append(f.retunes, phase) }
-
-func TestCouplerQueuesAndApplies(t *testing.T) {
-	s := testSpec()
-	c := NewCoupler(nil)
-	l := &fakeRetunable{name: "c1", spec: s}
-	l2 := &fakeRetunable{name: "c1", spec: s} // second replica, same name
-	c.Register(l)
-	c.Register(l2)
-	c.OnDrift(DriftEvent{Layer: "c1", Phase: "bp", Strategy: "sparse", Spec: s})
-	c.OnDrift(DriftEvent{Layer: "c1", Phase: "bp", Strategy: "sparse", Spec: s}) // dedup
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (deduped)", c.Pending())
-	}
-	if n := c.Apply(); n != 2 {
-		t.Fatalf("Apply retuned %d layers, want both replicas", n)
-	}
-	if len(l.retunes) != 1 || l.retunes[0] != "bp" || len(l2.retunes) != 1 {
-		t.Fatalf("retunes = %v / %v", l.retunes, l2.retunes)
-	}
-	if c.Apply() != 0 {
-		t.Fatal("second Apply re-ran retunes")
-	}
-	if c.Applied() != 2 {
-		t.Fatalf("Applied = %d", c.Applied())
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
 	"spgcnn/internal/machine"
-	"spgcnn/internal/plan"
 )
 
 // ReportSchemaVersion stamps every drift report. Readers (spg-doctor)
@@ -88,7 +87,11 @@ func (o *Observatory) Report() Report {
 		Warmup:    o.opts.Warmup,
 		Events:    append([]DriftEvent(nil), o.events...),
 	}
-	for key, st := range o.streams {
+	for key, cur := range o.streams {
+		st := cur
+		if st.obs == 0 && st.prev != nil { // redeployed, not yet observed
+			st = st.prev
+		}
 		if st.rate <= 0 || st.obs == 0 { // unmodeled sentinel or never observed
 			continue
 		}
@@ -101,10 +104,10 @@ func (o *Observatory) Report() Report {
 			Layer: key.layer, Phase: key.phase, Strategy: st.strategy,
 			Spec:     li.spec,
 			Region:   int(ait.Classify(li.spec, classify)),
-			Band:     plan.Band(st.sparsity),
+			Band:     ait.Band(st.sparsity),
 			Sparsity: st.sparsity,
 			Calls:    st.obs, MeasuredSeconds: st.measured, PredictedSeconds: st.predicted,
-			EWMA: st.ewma, Drifts: st.drifts,
+			EWMA: st.ewma, Drifts: cur.drifts,
 		}
 		if st.measured > 0 {
 			row.Agreement = st.predicted / st.measured
@@ -195,7 +198,7 @@ func ReadReportFile(path string) (Report, error) {
 
 // Validate checks the report's schema and invariants: known schema
 // version, phases in {fp, bp}, regions in Fig. 1's six cells, bands
-// within plan.BandCount, and finite non-negative statistics. This is the
+// within ait.BandCount, and finite non-negative statistics. This is the
 // gate ReadReportFile and spg-doctor -check hold the artifact to.
 func (rep Report) Validate() error {
 	if rep.Schema != ReportSchemaVersion {
@@ -220,7 +223,7 @@ func (rep Report) Validate() error {
 		if r.Region < int(ait.Region0) || r.Region > int(ait.Region5) {
 			return fmt.Errorf("obs: report row %s/%s region %d", r.Layer, r.Phase, r.Region)
 		}
-		if r.Band < 0 || r.Band >= plan.BandCount {
+		if r.Band < 0 || r.Band >= ait.BandCount {
 			return fmt.Errorf("obs: report row %s/%s band %d", r.Layer, r.Phase, r.Band)
 		}
 		if err := r.Spec.Validate(); err != nil {

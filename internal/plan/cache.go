@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync/atomic"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
 	"spgcnn/internal/machine"
 )
@@ -14,30 +16,6 @@ import (
 // SchemaVersion stamps every plan-cache file. Load rejects files written
 // under a different schema instead of misreading them.
 const SchemaVersion = 1
-
-// BandCount is the number of sparsity quantization bands. Sparsity is
-// quantized into quarters, so the band boundaries fall at 0.25, 0.50 and
-// 0.75 — the last being ait.SparsityThreshold, Fig. 1's dense/sparse
-// crossover. A BP verdict is therefore keyed coarsely enough to be shared
-// across minibatches, but crossing the paper's crossover always re-keys
-// (and hence re-measures): the band shift IS the cache invalidation of
-// §4.4's epoch re-check.
-const BandCount = 4
-
-// Band quantizes a sparsity fraction into its cache band.
-func Band(sparsity float64) int {
-	if sparsity <= 0 {
-		return 0
-	}
-	if sparsity >= 1 {
-		return BandCount - 1
-	}
-	b := int(sparsity * BandCount)
-	if b >= BandCount {
-		b = BandCount - 1
-	}
-	return b
-}
 
 // Key identifies one cached verdict: where it was measured (host
 // fingerprint), what for (geometry, phase), and under which conditions
@@ -48,7 +26,7 @@ type Key struct {
 	Spec    conv.Spec `json:"spec"`
 	Workers int       `json:"workers"`
 	Phase   string    `json:"phase"` // "fp" or "bp"
-	Band    int       `json:"band"`  // sparsity band: gradient sparsity for BP, weight sparsity for FP (0 when dense)
+	Band    int       `json:"band"`  // ait.Band of the gradient sparsity for BP, of the weight sparsity for FP (0 when dense)
 	// Batch is the batch-size bucket the verdict was measured for. Strategy
 	// ranking shifts with batch size (batch-parallel schedules starve below
 	// the worker count; per-call overheads amortize differently), so serving
@@ -90,6 +68,11 @@ type Entry struct {
 	Timings  []EntryTiming `json:"timings,omitempty"`
 	Model    []ModelScore  `json:"model,omitempty"`
 	Pruned   []string      `json:"pruned,omitempty"`
+
+	// stale flips when InvalidateSpec drops the entry; every layer that
+	// deployed the verdict holds it as core.Planned.Stale and re-plans on
+	// its next call.
+	stale *atomic.Bool
 }
 
 // File is the on-disk form of a plan cache.
@@ -137,12 +120,13 @@ func (p *Planner) Load(r io.Reader) (int, error) {
 	for _, e := range f.Entries {
 		if e == nil || e.Strategy == "" || e.Spec.Validate() != nil ||
 			(e.Phase != "fp" && e.Phase != "bp") || e.Workers < 1 ||
-			e.Band < 0 || e.Band >= BandCount || e.Batch < 0 {
+			e.Band < 0 || e.Band >= ait.BandCount || e.Batch < 0 {
 			continue
 		}
 		// Fold spelled-out defaults (dilation=1, groups=1) onto the zero
 		// values so loaded entries match the canonical keys lookups build.
 		e.Spec = e.Spec.Canon()
+		e.stale = new(atomic.Bool)
 		p.entries[e.Key] = e
 		n++
 	}

@@ -25,8 +25,10 @@ package plan
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
@@ -184,18 +186,20 @@ func (p *Planner) Stats() Stats {
 // buckets and worker counts — and returns how many entries were dropped.
 // Drift is observed per deployed strategy, not per cache band, so the
 // trigger path invalidates the whole (spec, phase) family: whichever band
-// the next re-check lands in, it re-measures.
+// the next request lands in, it re-measures. Each dropped verdict is marked
+// stale, so every layer that deployed it re-plans on its next call.
 func (p *Planner) InvalidateSpec(s conv.Spec, phase string) int {
 	s = s.Canon()
 	n := 0
 	p.mu.Lock()
-	for k := range p.entries {
+	for k, e := range p.entries {
 		if k.Spec != s || k.Host != p.host {
 			continue
 		}
 		if phase != "" && k.Phase != phase {
 			continue
 		}
+		e.stale.Store(true)
 		delete(p.entries, k)
 		n++
 	}
@@ -277,7 +281,7 @@ func (p *Planner) plan(phase string, s conv.Spec, sparsity float64, opts core.Tu
 	batch := max(opts.Batch, 0)
 	// Both phases band on their driving sparsity: gradient sparsity for BP,
 	// weight sparsity for FP (dense weights band to 0).
-	band := Band(sparsity)
+	band := ait.Band(sparsity)
 	// Canon() folds the spelled-out defaults (dilation 1, groups 1) onto
 	// the zero values, so generalized-spec keys never alias plain entries
 	// written before the fields existed — and plain specs hash unchanged.
@@ -360,6 +364,7 @@ func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 		Seconds:  sel.Best().Seconds,
 		Model:    scores,
 		Pruned:   prunedNames,
+		stale:    new(atomic.Bool),
 	}
 	for _, tm := range sel.Timings {
 		entry.Timings = append(entry.Timings, EntryTiming{Strategy: tm.Strategy.Name, Seconds: tm.Seconds})
@@ -377,7 +382,7 @@ func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 		}
 	}
 	p.mu.Unlock()
-	return core.Planned{Selection: sel}
+	return core.Planned{Selection: sel, Stale: entry.stale}
 }
 
 // topModeled returns the best-scored modeled, non-pruned candidate.
@@ -411,7 +416,7 @@ func (p *Planner) deploy(e Entry, c *exec.Ctx) (core.Planned, bool) {
 		sel.Timings = []core.Timing{{Strategy: st, Seconds: e.Seconds}}
 	}
 	c.Probe().RecordChoice(e.Phase, e.Strategy, e.Seconds)
-	return core.Planned{Selection: sel, FromCache: true}, true
+	return core.Planned{Selection: sel, FromCache: true, Stale: e.stale}, true
 }
 
 func lookupStrategy(cands []core.Strategy, name string) (core.Strategy, bool) {

@@ -259,6 +259,47 @@ func TestBPBandShiftRemeasures(t *testing.T) {
 	}
 }
 
+// TestInvalidateSpecMarksDeployedVerdictsStale: every verdict a planner
+// hands out — measured, cache hit, or loaded from a file — carries a
+// staleness flag that InvalidateSpec flips for the dropped (spec, phase)
+// and for nothing else, so the layers holding it re-plan.
+func TestInvalidateSpecMarksDeployedVerdictsStale(t *testing.T) {
+	p := fakePlanner()
+	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
+	fp := p.PlanFP(testSpec, exec.New(1), ins, w, core.TuneOptions{})
+	cold := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	warm := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := fakePlanner()
+	if _, err := loaded.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromFile := loaded.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	if !warm.FromCache || !fromFile.FromCache {
+		t.Fatal("repeat and loaded requests should deploy from cache")
+	}
+	for _, pd := range []core.Planned{fp, cold, warm, fromFile} {
+		if pd.Stale == nil || pd.Stale.Load() {
+			t.Fatalf("fresh verdict %s has staleness flag %v", pd.Chosen.Strategy().Name, pd.Stale)
+		}
+	}
+
+	p.InvalidateSpec(testSpec, "bp")
+	loaded.InvalidateSpec(testSpec, "")
+	if !cold.Stale.Load() || !warm.Stale.Load() || !fromFile.Stale.Load() {
+		t.Fatal("an invalidated BP verdict is not marked stale")
+	}
+	if fp.Stale.Load() {
+		t.Fatal("invalidating BP marked the FP verdict stale")
+	}
+	if again := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{}); again.Stale.Load() {
+		t.Fatal("the re-measured verdict is born stale")
+	}
+}
+
 // TestPersistenceRoundTrip saves a measured planner and loads it into a
 // fresh one: the fresh planner must deploy every verdict with zero
 // measurement passes, and the verdicts must match.
@@ -390,22 +431,6 @@ func TestHostMismatchNeverDeploys(t *testing.T) {
 	pd := b.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{})
 	if pd.FromCache {
 		t.Fatal("a verdict measured on another host deployed here")
-	}
-}
-
-func TestBand(t *testing.T) {
-	cases := []struct {
-		sparsity float64
-		want     int
-	}{
-		{-0.5, 0}, {0, 0}, {0.1, 0}, {0.24, 0},
-		{0.25, 1}, {0.49, 1}, {0.5, 2}, {0.74, 2},
-		{0.75, 3}, {0.9, 3}, {1, 3}, {1.5, 3},
-	}
-	for _, c := range cases {
-		if got := Band(c.sparsity); got != c.want {
-			t.Errorf("Band(%v) = %d, want %d", c.sparsity, got, c.want)
-		}
 	}
 }
 

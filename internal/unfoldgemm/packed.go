@@ -96,8 +96,8 @@ func (k *PackedKernel) plans(c *exec.Ctx, w *tensor.Tensor) (fp, bp *gemm.Packed
 		return k.fp, k.bp
 	}
 	start := time.Now()
-	k.fp = gemm.PackBTrans(&wmat, nil)
-	k.bp = gemm.PackB(&wmat, nil)
+	k.fp = gemm.PackBTrans(&wmat)
+	k.bp = gemm.PackB(&wmat)
 	k.wdata = w.Data
 	k.wver = w.Ver
 	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())

@@ -165,7 +165,7 @@ type Strategy = core.Strategy
 type Exec = core.Exec
 
 // AutoConv is the layer executor: it asks a planner for a strategy per
-// phase, deploys it, and re-checks BP periodically.
+// phase, deploys it, and re-plans BP when gradient sparsity changes band.
 type AutoConv = core.AutoConv
 
 // FPStrategies and BPStrategies return the paper's candidate sets.
@@ -388,11 +388,6 @@ type ObservatoryOptions = obs.Options
 // DriftEvent is one fired drift alarm.
 type DriftEvent = obs.DriftEvent
 
-// DriftCoupler turns drift events into re-tune actions: plan-cache
-// invalidation immediately, layer re-tunes when Apply runs on the
-// training goroutine.
-type DriftCoupler = obs.Coupler
-
 // DriftReport is the observatory's exportable agreement report, with
 // per-series rows and per-Fig.1-region rollups.
 type DriftReport = obs.Report
@@ -409,27 +404,19 @@ const DriftReportSchemaVersion = obs.ReportSchemaVersion
 // NewObservatory builds a drift observatory.
 func NewObservatory(o ObservatoryOptions) *Observatory { return obs.New(o) }
 
-// NewDriftCoupler builds the re-tune trigger for a planner; pass its
-// OnDrift as ObservatoryOptions.OnDrift.
-func NewDriftCoupler(p *Planner) *DriftCoupler { return obs.NewCoupler(p) }
-
 // ReadDriftReportFile reads and schema-validates a drift report.
 func ReadDriftReportFile(path string) (DriftReport, error) { return obs.ReadReportFile(path) }
 
 // RegisterObservatoryLayers declares every convolution layer of a network
-// with the observatory (geometry for predictions) and, when cp is
-// non-nil, with the coupler (re-tune fan-out). Call once per network —
-// data-parallel replicas register every replica with the coupler but
-// share one observatory stream per layer.
-func RegisterObservatoryLayers(o *Observatory, cp *DriftCoupler, net *Network) {
+// with the observatory (geometry for predictions). Data-parallel replicas
+// share layer names and so one observatory stream per layer: register one
+// replica.
+func RegisterObservatoryLayers(o *Observatory, net *Network) {
 	if o == nil || net == nil {
 		return
 	}
 	for _, c := range net.ConvLayers() {
 		o.RegisterLayer(c.Name(), c.Spec())
-		if cp != nil {
-			cp.Register(c)
-		}
 	}
 }
 
