@@ -76,8 +76,6 @@ const (
 	oracle = "test oracle"
 	// How tests read what production code recorded.
 	instrument = "test instrument"
-	// Unreferenced, but its deletion is a ROADMAP item, not this census's.
-	pending = "deletion pending in ROADMAP items 3-4"
 )
 
 // censusAllow names the exported functions and methods that no non-test
@@ -100,14 +98,9 @@ var censusAllow = map[string]string{
 	"tensor.FromBlocked":                oracle,
 	"tensor.UnblockWeights":             oracle,
 	"tensor.FromSlice":                  instrument,
-	"exec.Probe.SetSink":                instrument,
 	"exec.Probe.SpanStats":              instrument,
 	"exec.Probe.Spans":                  instrument,
 	"plan.Planner.Lookup":               instrument,
-	"metrics.Registry.SpanTree":         pending, // item 4's typed span
-	"metrics.SpanTree.Find":             pending,
-	"nn.Network.DisableProfiling":       pending, // with spg-train -profile
-	"nn.Network.ResetProfile":           pending,
 }
 
 // exported is the exported surface of spgcnn.go and internal/ as the census

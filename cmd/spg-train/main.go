@@ -52,7 +52,6 @@ func run(args []string, stdout io.Writer) error {
 		workers      = fs.Int("workers", 0, "worker cores (0 = GOMAXPROCS)")
 		strategy     = fs.String("strategy", "auto", "conv strategy: auto, "+strings.Join(strategyNames(), ", "))
 		seed         = fs.Uint64("seed", 42, "random seed")
-		profile      = fs.Bool("profile", false, "print a per-layer time breakdown after training")
 		savePath     = fs.String("save", "", "write a weight checkpoint here after training")
 		loadPath     = fs.String("load", "", "restore a weight checkpoint before training")
 		planCache    = fs.String("plan-cache", "", "persistent plan cache file: load cached strategy verdicts on start (skipping their measurement passes), save the updated cache on exit")
@@ -153,7 +152,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// The drift observatory rides the same probe seam as the metrics
-	// bridge and tracer; a drift invalidates the shared planner's verdicts,
+	// registry and tracer; a drift invalidates the shared planner's verdicts,
 	// and every layer that deployed one re-plans on its next call.
 	var obsv *spgcnn.Observatory
 	if *drift || *driftReport != "" || *injectEpoch > 0 {
@@ -205,7 +204,7 @@ func run(args []string, stdout io.Writer) error {
 	// each global batch of -batch images shards across them and parameters
 	// average after every step; one replica is the plain SGD trainer run
 	// inline. Replica 0 — canonical after the final sync — is the model the
-	// epilogue profiles and checkpoints.
+	// epilogue checkpoints.
 	dp, err := spgcnn.NewDataParallelFromDef(def, opts, cfg)
 	if err != nil {
 		return err
@@ -222,9 +221,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		fmt.Fprintf(stdout, "restored checkpoint %s\n", *loadPath)
-	}
-	if *profile {
-		net.EnableProfiling()
 	}
 	dp.BindTrace(rec) // no-op when tracing is off
 	if obsv != nil {
@@ -289,9 +285,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "%7d  %5d  %7.2f /%7.2f /%7.2f  %17.2f\n",
 				rs.Replica, rs.Steps, rs.Min*1e3, rs.Mean()*1e3, rs.Max*1e3, rs.BarrierWait*1e3)
 		}
-	}
-	if *profile {
-		fmt.Fprint(stdout, "\nper-layer time breakdown:\n", net.ProfileReport())
 	}
 	if rec != nil {
 		if err := rec.WriteFile(*tracePath); err != nil {

@@ -293,7 +293,7 @@ func measurementPasses(t *testing.T, out string) int {
 // attributes (stragglers per step group, Eq. 9 waste per conv layer); an
 // injected straggler must engage the re-chunker with -mitigate and never
 // without it; -save must write a checkpoint that -load restores, into one
-// replica or into every replica of a fleet; -profile reports replica 0.
+// replica or into every replica of a fleet.
 func TestCommandWiring(t *testing.T) {
 	capture := filepath.Join(t.TempDir(), "trace.json")
 	ckpt := filepath.Join(t.TempDir(), "w.ckpt")
@@ -380,13 +380,6 @@ func TestCommandWiring(t *testing.T) {
 				}
 				if !strings.Contains(fleet.String(), "epoch  1") || !strings.Contains(fleet.String(), "2 syncs") {
 					t.Errorf("restored fleet did not train:\n%s", fleet.String())
-				}
-			}},
-		{"fleet profile",
-			with(tiny, "-replicas", "2", "-profile"),
-			func(t *testing.T, out string) {
-				if !strings.Contains(out, "per-layer time breakdown:") || !strings.Contains(out, "conv0") {
-					t.Errorf("-replicas 2 -profile printed no breakdown:\n%s", out)
 				}
 			}},
 	}

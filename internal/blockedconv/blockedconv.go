@@ -47,17 +47,17 @@ type Kernel struct {
 	wver  uint64         // its Ver at blocking time
 	wb    *tensor.Tensor // blocked [Fo][Cb][Fy][Fx][8c][8f] panels
 
-	spanHit, spanMiss string
+	hit, miss exec.Event
 }
 
 // New builds a blocked-convolution kernel for s.
 func New(s conv.Spec) *Kernel {
 	s.MustValidate()
 	return &Kernel{
-		spec:     s,
-		bp:       unfoldgemm.New(s, 1),
-		spanHit:  "blockw/" + s.String() + "/hit",
-		spanMiss: "blockw/" + s.String() + "/miss",
+		spec: s,
+		bp:   unfoldgemm.New(s, 1),
+		hit:  exec.Event{Cat: "blockw", Name: "blockw/" + s.String() + "/hit"},
+		miss: exec.Event{Cat: "blockw", Name: "blockw/" + s.String() + "/miss"},
 	}
 }
 
@@ -84,7 +84,7 @@ func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 	defer k.mu.Unlock()
 	if k.wb != nil && k.wver == w.Ver &&
 		len(k.wdata) == len(w.Data) && &k.wdata[0] == &w.Data[0] {
-		c.Probe().Observe(k.spanHit, 0)
+		c.Probe().Record(k.hit)
 		return k.wb
 	}
 	start := time.Now()
@@ -95,7 +95,7 @@ func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 	}
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())
+	c.Probe().Record(k.miss.Since(start))
 	return k.wb
 }
 

@@ -44,14 +44,14 @@ func TestWeightBlockCache(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		k.ForwardBatch(c, []*tensor.Tensor{out}, []*tensor.Tensor{in}, w)
 	}
-	hit, _ := c.Probe().SpanStats(k.spanHit)
-	miss, _ := c.Probe().SpanStats(k.spanMiss)
+	hit, _ := c.Probe().SpanStats(k.hit.Name)
+	miss, _ := c.Probe().SpanStats(k.miss.Name)
 	if miss.Calls != 1 || hit.Calls != 2 {
 		t.Fatalf("after 3 calls: %d misses, %d hits (want 1, 2)", miss.Calls, hit.Calls)
 	}
 	w.Bump()
 	k.ForwardBatch(c, []*tensor.Tensor{out}, []*tensor.Tensor{in}, w)
-	if got, _ := c.Probe().SpanStats(k.spanMiss); got.Calls != 2 {
+	if got, _ := c.Probe().SpanStats(k.miss.Name); got.Calls != 2 {
 		t.Fatalf("Bump did not invalidate the weight-block cache: %d misses", got.Calls)
 	}
 }

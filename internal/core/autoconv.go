@@ -82,8 +82,9 @@ func (a *AutoConv) Spec() conv.Spec { return a.spec }
 func (a *AutoConv) Ctx() *exec.Ctx { return a.ctx }
 
 // Forward executes the batch, planning on first use and after the verdict
-// is invalidated, and returns the exec that ran it.
-func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) *Exec {
+// is invalidated, and returns the exec that ran it and whether this call
+// planned.
+func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) (ran *Exec, planned bool) {
 	bucket, sample := 0, ins
 	if len(a.buckets) > 0 {
 		bucket = len(ins)
@@ -95,7 +96,8 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) *Exec {
 	}
 	a.mu.Lock()
 	fp := a.fps[bucket]
-	if !fp.live() {
+	planned = !fp.live()
+	if planned {
 		pd := a.planner.PlanFP(a.spec, a.ctx, sample, w, TuneOptions{Batch: bucket})
 		a.fpSel = pd.Selection
 		fp = deployed{pd.Chosen, pd.Stale}
@@ -103,11 +105,12 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) *Exec {
 	}
 	a.mu.Unlock()
 	fp.ex.Forward(outs, ins, w)
-	return fp.ex
+	return fp.ex, planned
 }
 
 // Backward executes both BP computations for the batch (Eq. 4 alone when
-// eis is nil — see Exec.Backward) and returns the exec that ran it.
+// eis is nil — see Exec.Backward) and returns the exec that ran it and
+// whether this call planned.
 // sparsity is the batch-mean EO sparsity the caller counted; the verdict is
 // planned with the batch's real error gradients (so measured sparsity is
 // the training run's actual sparsity) on first use, after invalidation, and
@@ -115,7 +118,7 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) *Exec {
 // A re-plan that deploys a different strategy is recorded in the probe as a
 // "bp-flip" choice event.
 func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
-	eos, ins []*tensor.Tensor, w *tensor.Tensor, sparsity float64) *Exec {
+	eos, ins []*tensor.Tensor, w *tensor.Tensor, sparsity float64) (ran *Exec, planned bool) {
 	if len(a.buckets) > 0 {
 		panic(fmt.Sprintf("core: Backward on inference-only conv executor (spec %v)", a.spec))
 	}
@@ -127,20 +130,21 @@ func (a *AutoConv) Backward(eis []*tensor.Tensor, dw *tensor.Tensor,
 	} else {
 		a.offBand++
 	}
-	if !a.bp.live() || a.offBand >= bandPatience {
+	planned = !a.bp.live() || a.offBand >= bandPatience
+	if planned {
 		prev := a.bp.ex
 		pd := a.planner.PlanBP(a.spec, a.ctx, eos[:n], ins[:n], w, TuneOptions{NoInputGrad: eis == nil})
 		a.bpSel = pd.Selection
 		a.bp = deployed{pd.Chosen, pd.Stale}
 		a.bpBand, a.offBand = band, 0
 		if next := pd.Chosen.Strategy().Name; prev != nil && next != prev.Strategy().Name {
-			a.ctx.Probe().RecordChoice("bp-flip", next, pd.Best().Seconds)
+			a.ctx.Probe().Record(exec.ChoiceEvent("bp-flip", next, pd.Best().Seconds))
 		}
 	}
 	bp := a.bp.ex
 	a.mu.Unlock()
 	bp.Backward(eis, dw, eos, ins, w)
-	return bp
+	return bp, planned
 }
 
 // FPSelection returns the most recent FP verdict (zero value before the

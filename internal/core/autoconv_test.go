@@ -107,7 +107,12 @@ func TestAutoConvReplansWhenSparsityChangesBand(t *testing.T) {
 	var eos []*tensor.Tensor
 	step := func(sp float64) string {
 		eos = []*tensor.Tensor{eoAt(s, sp)}
-		return a.Backward(nil, dw, eos, ins, w, eos[0].Sparsity()).Strategy().Name
+		asked := len(pl.bpEOs)
+		ran, planned := a.Backward(nil, dw, eos, ins, w, eos[0].Sparsity())
+		if planned != (len(pl.bpEOs) > asked) {
+			t.Fatalf("Backward reported planned=%v after %d planner requests", planned, len(pl.bpEOs)-asked)
+		}
+		return ran.Strategy().Name
 	}
 
 	for i, sp := range []float64{0.1, 0.2, 0.1, 0.15, 0.2} {
@@ -239,11 +244,11 @@ func TestFixedPlannerPinsWithoutMeasuring(t *testing.T) {
 	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s), conv.NewOutput(s)}
 	dw := conv.NewWeights(s)
 	for i, sp := range []float64{0.1, 0.1, 0.9, 0.9, 0.9, 0.4, 0.4, 0.4} {
-		if got := a.Forward(outs, ins, w).Strategy().Name; got != "stencil" {
-			t.Fatalf("batch %d: FP ran %q, want stencil", i, got)
+		if ran, _ := a.Forward(outs, ins, w); ran.Strategy().Name != "stencil" {
+			t.Fatalf("batch %d: FP ran %q, want stencil", i, ran.Strategy().Name)
 		}
-		if got := a.Backward(nil, dw, eos, ins, w, sp).Strategy().Name; got != "sparse" {
-			t.Fatalf("batch %d: BP ran %q, want sparse", i, got)
+		if ran, _ := a.Backward(nil, dw, eos, ins, w, sp); ran.Strategy().Name != "sparse" {
+			t.Fatalf("batch %d: BP ran %q, want sparse", i, ran.Strategy().Name)
 		}
 	}
 	if fp, bp := a.FPSelection(), a.BPSelection(); len(fp.Timings)+len(bp.Timings) != 0 {

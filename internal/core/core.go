@@ -134,8 +134,8 @@ type Exec struct {
 	// fused is the kernel's one-call backward pass, nil when it has none.
 	fused engine.FusedBackward
 
-	// Precomputed span names keep the per-call probe path allocation-free.
-	spanFP, spanBPI, spanBPW, spanBP string
+	// Precomputed span events keep the per-call probe path allocation-free.
+	evFP, evBPI, evBPW, evBP exec.Event
 }
 
 // NewExecCtx instantiates a strategy for a spec under an execution context.
@@ -152,10 +152,10 @@ func NewExecCtx(st Strategy, s conv.Spec, c *exec.Ctx) *Exec {
 		e.k = st.Gen.New(s)
 		e.fused, _ = e.k.(engine.FusedBackward)
 	}
-	e.spanFP = "core/fp/" + st.Name
-	e.spanBPI = "core/bpi/" + st.Name
-	e.spanBPW = "core/bpw/" + st.Name
-	e.spanBP = "core/bp/" + st.Name
+	e.evFP = exec.Event{Cat: "core", Name: "core/fp/" + st.Name}
+	e.evBPI = exec.Event{Cat: "core", Name: "core/bpi/" + st.Name}
+	e.evBPW = exec.Event{Cat: "core", Name: "core/bpw/" + st.Name}
+	e.evBP = exec.Event{Cat: "core", Name: "core/bp/" + st.Name}
 	return e
 }
 
@@ -174,14 +174,14 @@ func (e *Exec) Name() string {
 func (e *Exec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	start := time.Now()
 	e.k.ForwardBatch(e.ctx, outs, ins, w)
-	e.ctx.Probe().Observe(e.spanFP, time.Since(start).Seconds())
+	e.ctx.Probe().Record(e.evFP.Since(start))
 }
 
 // BackwardInput computes eis[i] = corr(eos[i], w).
 func (e *Exec) BackwardInput(eis, eos []*tensor.Tensor, w *tensor.Tensor) {
 	start := time.Now()
 	e.k.BackwardInputBatch(e.ctx, eis, eos, w)
-	e.ctx.Probe().Observe(e.spanBPI, time.Since(start).Seconds())
+	e.ctx.Probe().Record(e.evBPI.Since(start))
 }
 
 // BackwardWeights computes dw = Σ_i grad(eos[i], ins[i]). dw is
@@ -189,7 +189,7 @@ func (e *Exec) BackwardInput(eis, eos []*tensor.Tensor, w *tensor.Tensor) {
 func (e *Exec) BackwardWeights(dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	start := time.Now()
 	e.k.BackwardWeightsBatch(e.ctx, dw, eos, ins)
-	e.ctx.Probe().Observe(e.spanBPW, time.Since(start).Seconds())
+	e.ctx.Probe().Record(e.evBPW.Since(start))
 }
 
 // Backward runs one layer's whole backward pass: eis[i] = corr(eos[i], w)
@@ -208,7 +208,7 @@ func (e *Exec) Backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*ten
 	}
 	start := time.Now()
 	e.fused.BackwardBatch(e.ctx, eis, dw, eos, ins, w)
-	e.ctx.Probe().Observe(e.spanBP, time.Since(start).Seconds())
+	e.ctx.Probe().Record(e.evBP.Since(start))
 }
 
 // backward is Backward without the probe spans: the measurement pass times
@@ -295,7 +295,7 @@ func ChooseFP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	bestT := 0.0
 	for _, st := range strategies {
 		e := NewExecCtx(st, s, c)
-		t := c.Measure("tune/fp/"+st.Name, opts.reps(), func() {
+		t := c.Measure(exec.Event{Cat: "tune", Name: "tune/fp/" + st.Name}, opts.reps(), func() {
 			e.k.ForwardBatch(c, outs, ins, w)
 		})
 		sel.Timings = append(sel.Timings, Timing{Strategy: st, Seconds: t})
@@ -304,7 +304,7 @@ func ChooseFP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 		}
 	}
 	sel.Chosen = bestExec
-	c.Probe().RecordChoice("fp", bestExec.strategy.Name, bestT)
+	c.Probe().Record(exec.ChoiceEvent("fp", bestExec.strategy.Name, bestT))
 	return sel
 }
 
@@ -334,7 +334,7 @@ func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	bestT := 0.0
 	for _, st := range strategies {
 		e := NewExecCtx(st, s, c)
-		t := c.Measure("tune/bp/"+st.Name, opts.reps(), func() {
+		t := c.Measure(exec.Event{Cat: "tune", Name: "tune/bp/" + st.Name}, opts.reps(), func() {
 			e.backward(eis, dw, eos, ins, w)
 		})
 		sel.Timings = append(sel.Timings, Timing{Strategy: st, Seconds: t})
@@ -343,6 +343,6 @@ func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 		}
 	}
 	sel.Chosen = bestExec
-	c.Probe().RecordChoice("bp", bestExec.strategy.Name, bestT)
+	c.Probe().Record(exec.ChoiceEvent("bp", bestExec.strategy.Name, bestT))
 	return sel
 }

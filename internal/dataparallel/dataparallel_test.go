@@ -20,8 +20,8 @@ func buildNet(seed uint64) *nn.Network {
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	cv := nn.NewConvCtx("conv0", s, core.FixedPlanner(st, st), exec.New(1), r)
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
-	fc := nn.NewFC("fc0", re.OutDims(), 4, 1, r)
-	return nn.NewNetwork(cv, re, fc)
+	fc := nn.NewFCCtx("fc0", re.OutDims(), 4, exec.New(1), r)
+	return nn.NewNetwork(cv.Ctx(), cv, re, fc)
 }
 
 // ds is a deterministic in-package dataset.

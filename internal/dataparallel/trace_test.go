@@ -80,7 +80,7 @@ func TestTrainEpochTraced(t *testing.T) {
 	if counts["epoch/epoch"] != 1 || counts["sparsity/sparsity/conv0"] != 1 {
 		t.Fatalf("epoch accounting events missing: %v", counts)
 	}
-	// Probe bridge: layer spans and the planner's cold measurement.
+	// Probe events: layer spans and the planner's cold measurement.
 	if counts["layer/layer/conv0/fp/"+fpStrategyOf(c)] == 0 {
 		t.Fatalf("conv fp layer spans missing: %v", counts)
 	}

@@ -5,8 +5,10 @@
 //   - the worker pool (degree of parallelism batch schedulers fan out to),
 //   - a size-classed tensor.Arena all scratch memory is acquired from, so
 //     hot buffers are reused across kernels, layers and training steps,
-//   - a Probe collecting per-phase timings and kernel-choice events, which
-//     the §4.4 scheduler consumes instead of ad-hoc timing.
+//   - a Probe recording one typed Event per timed span or kernel choice —
+//     the §4.4 scheduler's timings — and handing each to every attached
+//     Sink (the metrics registry, the trace emitter, the drift
+//     observatory), which read its fields without parsing its name.
 //
 // Kernels therefore carry no scratch of their own: they are cheap,
 // stateless plans, and one instance can execute concurrently on many
@@ -99,17 +101,17 @@ func (c *Ctx) PutTensor(t *tensor.Tensor) { c.arena.PutTensor(t) }
 // Measure times fn over reps runs after one warm-up and returns the
 // minimum elapsed seconds — the low-noise estimator the scheduler's
 // measure-and-deploy pass (§4.4) uses. Every timed run is also recorded
-// as a span named name in the probe.
-func (c *Ctx) Measure(name string, reps int, fn func()) float64 {
+// in the probe as ev, stamped with its time.
+func (c *Ctx) Measure(ev Event, reps int, fn func()) float64 {
 	fn() // warm-up: page in scratch, populate arena free lists
 	best := 0.0
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		fn()
-		el := time.Since(start).Seconds()
-		c.probe.Observe(name, el)
-		if i == 0 || el < best {
-			best = el
+		ev = ev.Since(start)
+		c.probe.Record(ev)
+		if i == 0 || ev.Seconds < best {
+			best = ev.Seconds
 		}
 	}
 	return best

@@ -39,7 +39,7 @@ func TestSerialSharesArenaAndProbe(t *testing.T) {
 func TestMeasureReturnsMinAndRecordsSpans(t *testing.T) {
 	c := New(1)
 	calls := 0
-	got := c.Measure("tune/x", 3, func() { calls++ })
+	got := c.Measure(Event{Cat: "tune", Name: "tune/x"}, 3, func() { calls++ })
 	if calls != 4 { // 1 warm-up + 3 timed
 		t.Fatalf("fn called %d times, want 4", calls)
 	}
@@ -57,8 +57,8 @@ func TestMeasureReturnsMinAndRecordsSpans(t *testing.T) {
 
 func TestProbeNilSafe(t *testing.T) {
 	var p *Probe
-	p.Observe("x", 1) // must not panic
-	p.RecordChoice("fp", "stencil", 1)
+	p.Record(Event{Name: "x", Seconds: 1}) // must not panic
+	p.Record(ChoiceEvent("fp", "stencil", 1))
 	if _, ok := p.SpanStats("x"); ok {
 		t.Fatal("nil probe returned a span")
 	}
@@ -75,8 +75,8 @@ func TestProbeChoicesAndSpansConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				p.Observe("fp/stencil", 0.001)
-				p.RecordChoice("bp", "sparse", 0.002)
+				p.Record(Event{Cat: "core", Name: "fp/stencil", Seconds: 0.001})
+				p.Record(ChoiceEvent("bp", "sparse", 0.002))
 			}
 		}()
 	}
@@ -100,15 +100,13 @@ type recordSink struct {
 	choices int
 }
 
-func (s *recordSink) ObserveSpan(string, float64) {
+func (s *recordSink) Record(ev Event) {
 	s.mu.Lock()
-	s.spans++
-	s.mu.Unlock()
-}
-
-func (s *recordSink) RecordChoice(string, string, float64) {
-	s.mu.Lock()
-	s.choices++
+	if ev.Cat == "choice" {
+		s.choices++
+	} else {
+		s.spans++
+	}
 	s.mu.Unlock()
 }
 
@@ -118,38 +116,18 @@ func (s *recordSink) counts() (int, int) {
 	return s.spans, s.choices
 }
 
-// TestSetSinkReplaces pins the documented single-sink semantics: a second
-// SetSink silently detaches the first consumer. (AddSink is the fan-out
-// path — see TestAddSinkFansOut.)
-func TestSetSinkReplaces(t *testing.T) {
-	p := NewProbe()
-	a, b := &recordSink{}, &recordSink{}
-	p.SetSink(a)
-	p.Observe("x", 1)
-	p.SetSink(b)
-	p.Observe("x", 1)
-	p.RecordChoice("fp", "stencil", 1)
-	if sp, _ := a.counts(); sp != 1 {
-		t.Fatalf("replaced sink saw %d spans, want 1 (only pre-replace traffic)", sp)
-	}
-	if sp, ch := b.counts(); sp != 1 || ch != 1 {
-		t.Fatalf("new sink saw %d spans / %d choices, want 1/1", sp, ch)
-	}
-}
-
-// TestAddSinkFansOut: AddSink composes with the existing sink instead of
-// replacing it, so the metrics bridge and a tracer can both observe one
-// probe.
+// TestAddSinkFansOut: every attached sink sees every event, so the metrics
+// registry, a tracer and the observatory can all observe one probe.
 func TestAddSinkFansOut(t *testing.T) {
 	p := NewProbe()
 	a, b, c := &recordSink{}, &recordSink{}, &recordSink{}
-	p.SetSink(a)
+	p.AddSink(a)
 	p.AddSink(b)
 	p.AddSink(nil) // no-op
 	p.AddSink(c)
-	p.Observe("x", 1)
-	p.Observe("y", 2)
-	p.RecordChoice("bp", "sparse", 3)
+	p.Record(Event{Name: "x", Seconds: 1})
+	p.Record(Event{Name: "y", Seconds: 2})
+	p.Record(ChoiceEvent("bp", "sparse", 3))
 	for i, s := range []*recordSink{a, b, c} {
 		if sp, ch := s.counts(); sp != 2 || ch != 1 {
 			t.Fatalf("sink %d saw %d spans / %d choices, want 2/1", i, sp, ch)
@@ -157,33 +135,13 @@ func TestAddSinkFansOut(t *testing.T) {
 	}
 }
 
-// TestAddSinkFirst covers AddSink onto an empty probe (degenerates to
-// SetSink).
+// TestAddSinkFirst covers AddSink onto an empty probe.
 func TestAddSinkFirst(t *testing.T) {
 	p := NewProbe()
 	a := &recordSink{}
 	p.AddSink(a)
-	p.Observe("x", 1)
+	p.Record(Event{Name: "x", Seconds: 1})
 	if sp, _ := a.counts(); sp != 1 {
 		t.Fatalf("sink saw %d spans, want 1", sp)
-	}
-}
-
-// TestMultiSinkFlattens verifies composing composed sinks does not build a
-// nested forwarding chain and drops nils.
-func TestMultiSinkFlattens(t *testing.T) {
-	a, b, c := &recordSink{}, &recordSink{}, &recordSink{}
-	m := MultiSink(MultiSink(a, b), nil, c)
-	if ms, ok := m.(interface{ ObserveSpan(string, float64) }); !ok || ms == nil {
-		t.Fatal("MultiSink did not return a sink")
-	}
-	if got := len(m.(multiSink)); got != 3 {
-		t.Fatalf("flattened to %d sinks, want 3", got)
-	}
-	if MultiSink() != nil || MultiSink(nil) != nil {
-		t.Fatal("empty MultiSink should be nil")
-	}
-	if MultiSink(a) != Sink(a) {
-		t.Fatal("single-sink MultiSink should collapse to the sink itself")
 	}
 }

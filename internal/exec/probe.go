@@ -1,27 +1,62 @@
 package exec
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-// Probe is the lightweight instrumentation sink carried by a Ctx: named
-// timing spans (per execution phase per strategy) and the scheduler's
-// kernel-choice events. All methods are safe for concurrent use and
-// nil-safe, so instrumentation points never need guarding.
+// Probe is the lightweight instrumentation point carried by a Ctx. It
+// records one thing, the Event: timed spans (aggregated by name) and the
+// scheduler's choice events (kept in order), and hands each event as it is
+// recorded to every attached Sink. All methods are safe for concurrent use
+// and nil-safe, so instrumentation points never need guarding.
 type Probe struct {
 	mu      sync.Mutex
 	spans   map[string]*Span
-	choices []Choice
-	sink    Sink
+	choices []Event
+	sinks   []Sink
 }
 
-// Sink receives a live copy of everything the probe records — the seam
-// the metrics registry attaches through (metrics.Bind) so a running
-// training job is scrapeable without polling the probe. Implementations
-// must be safe for concurrent use and must not call back into the probe.
+// Event is one instrumentation record: a timed span or a scheduler choice.
+// Emit sites build an event's strings once and stamp Seconds per call, so
+// recording one allocates nothing.
+type Event struct {
+	// Cat is the category, the first segment of Name: "layer", "core",
+	// "tune", "pack", "blockw", "spweight", or "choice".
+	Cat string
+	// Name is the span path, e.g. "layer/conv0/fp/stencil" or, for a glue
+	// layer, "layer/relu0/bp"; a choice is "choice/<phase>".
+	Name string
+	// Layer, Phase and Strategy are a layer span's parts (Phase "fp" or
+	// "bp"; Strategy empty for glue layers), and a choice's phase and
+	// winning strategy.
+	Layer, Phase, Strategy string
+	// Seconds is the span's elapsed time, or the winner's measured time.
+	Seconds float64
+	// Planned marks a layer span whose call ran a planning pass, so its
+	// time is not the deployed kernel's alone.
+	Planned bool
+}
+
+// Since returns the event stamped with the time elapsed since start.
+func (ev Event) Since(start time.Time) Event {
+	ev.Seconds = time.Since(start).Seconds()
+	return ev
+}
+
+// ChoiceEvent is one scheduler deployment decision: strategy won phase
+// ("fp", "bp", or "bp-flip" for a re-plan that changed the BP strategy) in
+// the measured seconds.
+func ChoiceEvent(phase, strategy string, seconds float64) Event {
+	return Event{Cat: "choice", Name: "choice/" + phase, Phase: phase, Strategy: strategy, Seconds: seconds}
+}
+
+// Sink receives every event a probe records, as it is recorded — how the
+// metrics registry, the trace emitter and the drift observatory observe a
+// running job without polling. Implementations must be safe for concurrent
+// use and must not call back into the probe.
 type Sink interface {
-	// ObserveSpan mirrors Probe.Observe.
-	ObserveSpan(name string, seconds float64)
-	// RecordChoice mirrors Probe.RecordChoice.
-	RecordChoice(phase, strategy string, seconds float64)
+	Record(Event)
 }
 
 // Span aggregates the observations of one named instrumentation point.
@@ -34,109 +69,47 @@ type Span struct {
 	Min float64
 }
 
-// Choice records one scheduler deployment decision: which strategy won a
-// measurement pass and its measured time.
-type Choice struct {
-	// Phase is "fp" or "bp".
-	Phase string
-	// Strategy is the winning strategy's name.
-	Strategy string
-	// Seconds is the winner's measured (minimum) time.
-	Seconds float64
-}
-
 // NewProbe returns an empty probe.
 func NewProbe() *Probe { return &Probe{spans: make(map[string]*Span)} }
 
-// SetSink attaches (or, with nil, detaches) a live mirror of the probe's
-// stream. Only one sink is held; attaching replaces the previous one — use
-// AddSink (or an explicit MultiSink) when several consumers must observe
-// the same probe.
-func (p *Probe) SetSink(s Sink) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.sink = s
-	p.mu.Unlock()
-}
-
-// AddSink attaches s WITHOUT detaching the current sink: when one is
-// already held the two are composed through a MultiSink, so the metrics
-// bridge and the tracer (or any further consumer) can observe the same
-// probe concurrently. A nil s is a no-op.
+// AddSink attaches s beside any sinks already attached; every later event
+// reaches each of them, in attach order. A nil s is a no-op.
 func (p *Probe) AddSink(s Sink) {
 	if p == nil || s == nil {
 		return
 	}
 	p.mu.Lock()
-	p.sink = MultiSink(p.sink, s)
+	// Copy on attach: Record iterates the slice it read outside the lock.
+	p.sinks = append(p.sinks[:len(p.sinks):len(p.sinks)], s)
 	p.mu.Unlock()
 }
 
-// multiSink fans the probe stream out to several sinks, in attach order.
-type multiSink []Sink
-
-// MultiSink composes sinks into one: every observation is forwarded to
-// each non-nil sink in order. Nil sinks are dropped; zero or one survivor
-// collapses to nil or the survivor itself (no wrapper on the hot path).
-// Nested MultiSinks are flattened, so repeated AddSink calls never build a
-// forwarding chain.
-func MultiSink(sinks ...Sink) Sink {
-	var flat multiSink
-	for _, s := range sinks {
-		switch v := s.(type) {
-		case nil:
-			continue
-		case multiSink:
-			flat = append(flat, v...)
-		default:
-			flat = append(flat, s)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return nil
-	case 1:
-		return flat[0]
-	}
-	return flat
-}
-
-// ObserveSpan implements Sink.
-func (m multiSink) ObserveSpan(name string, seconds float64) {
-	for _, s := range m {
-		s.ObserveSpan(name, seconds)
-	}
-}
-
-// RecordChoice implements Sink.
-func (m multiSink) RecordChoice(phase, strategy string, seconds float64) {
-	for _, s := range m {
-		s.RecordChoice(phase, strategy, seconds)
-	}
-}
-
-// Observe records one timed run of the named span.
-func (p *Probe) Observe(name string, seconds float64) {
+// Record records one event: a choice is appended to Choices, any other
+// event is one observation of the span ev.Name. The event then reaches
+// every attached sink.
+func (p *Probe) Record(ev Event) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	sp := p.spans[name]
-	if sp == nil {
-		sp = &Span{Min: seconds}
-		p.spans[name] = sp
+	if ev.Cat == "choice" {
+		p.choices = append(p.choices, ev)
+	} else {
+		sp := p.spans[ev.Name]
+		if sp == nil {
+			sp = &Span{Min: ev.Seconds}
+			p.spans[ev.Name] = sp
+		}
+		sp.Calls++
+		sp.Seconds += ev.Seconds
+		if ev.Seconds < sp.Min {
+			sp.Min = ev.Seconds
+		}
 	}
-	sp.Calls++
-	sp.Seconds += seconds
-	if seconds < sp.Min {
-		sp.Min = seconds
-	}
-	sink := p.sink
+	sinks := p.sinks
 	p.mu.Unlock()
-	if sink != nil {
-		sink.ObserveSpan(name, seconds)
+	for _, s := range sinks {
+		s.Record(ev)
 	}
 }
 
@@ -168,27 +141,12 @@ func (p *Probe) Spans() map[string]Span {
 	return out
 }
 
-// RecordChoice appends one scheduler deployment decision.
-func (p *Probe) RecordChoice(phase, strategy string, seconds float64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.choices = append(p.choices, Choice{Phase: phase, Strategy: strategy, Seconds: seconds})
-	sink := p.sink
-	p.mu.Unlock()
-	if sink != nil {
-		sink.RecordChoice(phase, strategy, seconds)
-	}
-}
-
-// Choices returns a copy of the recorded deployment decisions, oldest
-// first.
-func (p *Probe) Choices() []Choice {
+// Choices returns a copy of the recorded choice events, oldest first.
+func (p *Probe) Choices() []Event {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Choice(nil), p.choices...)
+	return append([]Event(nil), p.choices...)
 }

@@ -1,7 +1,7 @@
 // Package metrics is spg-CNN's observability subsystem: a process-local
-// registry of counters, gauges and fixed-bucket latency histograms, plus a
-// hierarchical span tree keyed layer/phase/strategy that aggregates every
-// instrumentation point the execution contexts emit (see Bind). The
+// registry of counters, gauges and fixed-bucket latency histograms, plus one
+// latency histogram per span name that aggregates every event the execution
+// contexts' probes record (the registry is an exec.Sink; see Bind). The
 // registry renders itself in Prometheus text exposition format (see
 // WritePrometheus and Serve), so a training or benchmark run can be
 // scraped live; per-epoch goodput accounting is recorded through
@@ -246,11 +246,10 @@ func (r *Registry) instrumentWith(name, help, typ string, labels []string, bound
 	return ins
 }
 
-// ObserveSpan records one timed observation of the '/'-separated span path
-// (e.g. "layer/conv1/fp/stencil" — layer, phase, strategy). Spans feed
-// both the span histogram family and the hierarchical tree returned by
-// SpanTree.
-func (r *Registry) ObserveSpan(path string, seconds float64) {
+// observeSpan records one timed observation of the span path (e.g.
+// "layer/conv1/fp/stencil" — layer, phase, strategy) into the span
+// histogram family.
+func (r *Registry) observeSpan(path string, seconds float64) {
 	r.mu.Lock()
 	h := r.spans[path]
 	e := r.spanMeta[path]
@@ -274,7 +273,7 @@ type SpanStats struct {
 	Max     float64
 }
 
-// Span returns the named span's own aggregate (no descendant rollup).
+// Span returns the named span's aggregate.
 func (r *Registry) Span(path string) (SpanStats, bool) {
 	r.mu.Lock()
 	h := r.spans[path]
@@ -301,80 +300,6 @@ func (r *Registry) SpanPaths() []string {
 	r.mu.Unlock()
 	sort.Strings(paths)
 	return paths
-}
-
-// SpanTree is one node of the hierarchical span rollup: the node's own
-// stats plus the sum over every descendant.
-type SpanTree struct {
-	Name     string // path segment
-	Path     string // full path from the root
-	Own      SpanStats
-	Total    SpanStats // Own plus all descendants
-	Children []*SpanTree
-}
-
-// SpanTree builds the hierarchy over every observed span path, splitting
-// on '/'. The returned root has empty Name and aggregates everything.
-func (r *Registry) SpanTree() *SpanTree {
-	root := &SpanTree{}
-	for _, p := range r.SpanPaths() {
-		own, _ := r.Span(p)
-		node := root
-		segs := strings.Split(p, "/")
-		for i, seg := range segs {
-			child := node.child(seg)
-			if child == nil {
-				child = &SpanTree{Name: seg, Path: strings.Join(segs[:i+1], "/")}
-				node.Children = append(node.Children, child)
-			}
-			node = child
-		}
-		node.Own = own
-	}
-	root.rollup()
-	return root
-}
-
-func (n *SpanTree) child(name string) *SpanTree {
-	for _, c := range n.Children {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// Find descends the tree along the '/'-separated path.
-func (n *SpanTree) Find(path string) *SpanTree {
-	node := n
-	for _, seg := range strings.Split(path, "/") {
-		node = node.child(seg)
-		if node == nil {
-			return nil
-		}
-	}
-	return node
-}
-
-func (n *SpanTree) rollup() {
-	agg := n.Own
-	agg.Path = n.Path
-	for _, c := range n.Children {
-		c.rollup()
-		if c.Total.Calls == 0 {
-			continue
-		}
-		if agg.Calls == 0 || c.Total.Min < agg.Min {
-			agg.Min = c.Total.Min
-		}
-		if agg.Calls == 0 || c.Total.Max > agg.Max {
-			agg.Max = c.Total.Max
-		}
-		agg.Calls += c.Total.Calls
-		agg.Seconds += c.Total.Seconds
-	}
-	n.Total = agg
-	sort.Slice(n.Children, func(i, j int) bool { return n.Children[i].Name < n.Children[j].Name })
 }
 
 // SanitizeName maps an arbitrary string onto the Prometheus metric-name

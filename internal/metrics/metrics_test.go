@@ -69,37 +69,6 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestSpanTreeRollup(t *testing.T) {
-	r := NewRegistry()
-	r.ObserveSpan("layer/conv1/fp/stencil", 0.010)
-	r.ObserveSpan("layer/conv1/fp/stencil", 0.020)
-	r.ObserveSpan("layer/conv1/bp/sparse", 0.005)
-	r.ObserveSpan("layer/conv2/fp/stencil", 0.001)
-
-	tree := r.SpanTree()
-	conv1 := tree.Find("layer/conv1")
-	if conv1 == nil {
-		t.Fatal("layer/conv1 missing from tree")
-	}
-	if conv1.Total.Calls != 3 {
-		t.Fatalf("conv1 rollup calls = %d, want 3", conv1.Total.Calls)
-	}
-	if got := conv1.Total.Seconds; got < 0.0349 || got > 0.0351 {
-		t.Fatalf("conv1 rollup seconds = %v, want 0.035", got)
-	}
-	if conv1.Total.Min != 0.005 || conv1.Total.Max != 0.020 {
-		t.Fatalf("conv1 rollup min/max = %v/%v", conv1.Total.Min, conv1.Total.Max)
-	}
-	layer := tree.Find("layer")
-	if layer.Total.Calls != 4 {
-		t.Fatalf("layer rollup calls = %d, want 4", layer.Total.Calls)
-	}
-	st, ok := r.Span("layer/conv1/fp/stencil")
-	if !ok || st.Calls != 2 || st.Min != 0.010 || st.Max != 0.020 {
-		t.Fatalf("leaf span stats = %+v ok=%v", st, ok)
-	}
-}
-
 func TestWritePrometheusDeterministicAndWellFormed(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "second", "k", "v").Add(2)
@@ -107,7 +76,7 @@ func TestWritePrometheusDeterministicAndWellFormed(t *testing.T) {
 	r.Gauge("g", "a gauge").Set(1.5)
 	r.GaugeFunc("fn", "computed", func() float64 { return 7 })
 	r.Histogram("h_seconds", "hist", []float64{0.1, 1}).Observe(0.5)
-	r.ObserveSpan("layer/c1/fp", 0.002)
+	r.Record(exec.Event{Cat: "layer", Name: "layer/c1/fp", Seconds: 0.002})
 
 	var b1, b2 strings.Builder
 	if err := r.WritePrometheus(&b1); err != nil {
@@ -161,11 +130,11 @@ func TestBindStreamsProbeIntoRegistry(t *testing.T) {
 	r := NewRegistry()
 	c := exec.New(2)
 	Bind(c, r)
-	c.Probe().Observe("core/fp/stencil", 0.003)
-	c.Probe().RecordChoice("bp", "sparse", 0.001)
+	c.Probe().Record(exec.Event{Cat: "core", Name: "core/fp/stencil", Seconds: 0.003})
+	c.Probe().Record(exec.ChoiceEvent("bp", "sparse", 0.001))
 
 	if st, ok := r.Span("core/fp/stencil"); !ok || st.Calls != 1 {
-		t.Fatalf("span not bridged: %+v ok=%v", st, ok)
+		t.Fatalf("span not recorded: %+v ok=%v", st, ok)
 	}
 	got := r.Counter("spg_scheduler_choice_total", "", "phase", "bp", "strategy", "sparse").Value()
 	if got != 1 {
@@ -255,7 +224,7 @@ func TestConcurrentObservations(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				r.Counter("n_total", "").Inc()
-				r.ObserveSpan("a/b", 0.001)
+				r.Record(exec.Event{Name: "a/b", Seconds: 0.001})
 				r.Gauge("g", "").Set(float64(j))
 			}
 		}()

@@ -14,8 +14,8 @@ import (
 
 // TestConcurrentScrapeWhileRecording hammers /metrics and /healthz from
 // several goroutines while a training-shaped workload records spans into
-// the same registry through both sinks (metrics bridge + trace recorder)
-// on a shared probe. Run under -race this pins the whole observability
+// the same registry through both sinks (registry + trace emitter) on a
+// shared probe. Run under -race this pins the whole observability
 // path — probe fan-out, registry render, trace gauge reads — as
 // concurrency-safe.
 func TestConcurrentScrapeWhileRecording(t *testing.T) {
@@ -23,7 +23,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	ctx := exec.New(2)
 	rec := trace.New(trace.Options{Mode: trace.Ring, RingSize: 256})
 	Bind(ctx, r)
-	ctx.Probe().AddSink(trace.NewProbeSink(rec.Emitter(0, 0)))
+	ctx.Probe().AddSink(rec.Emitter(0, 0))
 	BindTrace(rec, r)
 
 	srv, err := Serve("127.0.0.1:0", r)
@@ -56,9 +56,9 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 			default:
 			}
 			rec.SetStep(int64(i))
-			ctx.Probe().Observe("layer/conv0/fp/stencil", 0.001)
-			ctx.Probe().Observe("layer/conv0/bp/sparse", 0.002)
-			ctx.Probe().RecordChoice("bp", "sparse", 0.002)
+			ctx.Probe().Record(exec.Event{Cat: "layer", Name: "layer/conv0/fp/stencil", Seconds: 0.001})
+			ctx.Probe().Record(exec.Event{Cat: "layer", Name: "layer/conv0/bp/sparse", Seconds: 0.002})
+			ctx.Probe().Record(exec.ChoiceEvent("bp", "sparse", 0.002))
 		}
 	}()
 

@@ -182,7 +182,7 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			taps[name] = tap
 		}
 	}
-	net := nn.NewNetwork(layers...)
+	net := nn.NewNetwork(ctx, layers...)
 	if opts.Inference {
 		net.SetInference()
 	}

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
@@ -39,13 +38,10 @@ type Conv struct {
 	eoBatches     int
 	eoZeros       []int // per-sample zero counts of the current Backward
 
-	// spans caches the probe span paths "layer/<name>/<phase>/<strategy>":
-	// a call is billed to the strategy of the exec that ran it, and the
-	// steady-state probe path allocates nothing.
-	spans map[spanKey]string
+	// ranFP and ranBP are what each phase's last call ran: the network's
+	// layer event names its strategy.
+	ranFP, ranBP lastRun
 }
-
-type spanKey struct{ phase, strategy string }
 
 // NewConvCtx builds a trainable convolution layer under c whose strategies
 // come from pl: typically one plan.Planner shared by every layer of a
@@ -73,15 +69,14 @@ func newConv(name string, s conv.Spec, pl core.Planner, buckets []int, ctx *exec
 		ctx = exec.New(1)
 	}
 	c := &Conv{
-		name:  name,
-		spec:  s,
-		ctx:   ctx,
-		W:     conv.NewWeights(s),
-		B:     tensor.New(s.Nf),
-		dW:    conv.NewWeights(s),
-		dB:    tensor.New(s.Nf),
-		exec:  core.NewAutoConv(s, ctx, pl, buckets...),
-		spans: make(map[spanKey]string),
+		name: name,
+		spec: s,
+		ctx:  ctx,
+		W:    conv.NewWeights(s),
+		B:    tensor.New(s.Nf),
+		dW:   conv.NewWeights(s),
+		dB:   tensor.New(s.Nf),
+		exec: core.NewAutoConv(s, ctx, pl, buckets...),
 	}
 	// He initialization: stddev = sqrt(2 / fan-in). Grouped layers see only
 	// their group's channel slab, so fan-in is Nc/G taps.
@@ -109,22 +104,10 @@ func (c *Conv) InDims() []int { return []int{c.spec.Nc, c.spec.Ny, c.spec.Nx} }
 // OutDims implements Layer.
 func (c *Conv) OutDims() []int { return []int{c.spec.Nf, c.spec.OutY(), c.spec.OutX()} }
 
-// observe bills the time since start to the layer span of the exec that ran
-// the call.
-func (c *Conv) observe(phase string, e *core.Exec, start time.Time) {
-	k := spanKey{phase, e.Strategy().Name}
-	span, ok := c.spans[k]
-	if !ok {
-		span = "layer/" + c.name + "/" + phase + "/" + k.strategy
-		c.spans[k] = span
-	}
-	c.ctx.Probe().Observe(span, time.Since(start).Seconds())
-}
-
 // Forward implements Layer: convolution plus per-feature bias.
 func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
-	start := time.Now()
-	ran := c.exec.Forward(outs, ins, c.W)
+	ran, planned := c.exec.Forward(outs, ins, c.W)
+	c.ranFP = lastRun{ran.Strategy().Name, planned}
 	oy, ox := c.spec.OutY(), c.spec.OutX()
 	for _, out := range outs {
 		for f := 0; f < c.spec.Nf; f++ {
@@ -138,7 +121,6 @@ func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 			}
 		}
 	}
-	c.observe("fp", ran, start)
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity
@@ -146,16 +128,15 @@ func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 // whose BP verdict follows its band. As a network's first layer it computes
 // no input gradient and does not write eis.
 func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
-	start := time.Now()
 	sparsity := c.reduceEO(eos)
 	if c.first {
 		eis = nil
 	}
 	dwTmp := c.ctx.GetTensor(c.spec.WeightDims()...)
-	ran := c.exec.Backward(eis, dwTmp, eos, ins, c.W, sparsity)
+	ran, planned := c.exec.Backward(eis, dwTmp, eos, ins, c.W, sparsity)
+	c.ranBP = lastRun{ran.Strategy().Name, planned}
 	c.dW.AddScaled(dwTmp, 1)
 	c.ctx.PutTensor(dwTmp)
-	c.observe("bp", ran, start)
 }
 
 // reduceEO makes the layer's one pass over the batch's error gradients: per

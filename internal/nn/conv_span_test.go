@@ -12,12 +12,8 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-func convFixtures(r *rng.RNG, s conv.Spec) (ins, outs, eos, eis []*tensor.Tensor) {
-	ins = []*tensor.Tensor{conv.RandInput(r, s)}
-	outs = []*tensor.Tensor{conv.NewOutput(s)}
-	eos = []*tensor.Tensor{conv.RandOutputError(r, s, 0.5)}
-	eis = []*tensor.Tensor{conv.NewInput(s)}
-	return
+func convFixtures(r *rng.RNG, s conv.Spec) (ins, eos []*tensor.Tensor) {
+	return []*tensor.Tensor{conv.RandInput(r, s)}, []*tensor.Tensor{conv.RandOutputError(r, s, 0.5)}
 }
 
 func TestConvLayerSpansFixedStrategy(t *testing.T) {
@@ -25,12 +21,12 @@ func TestConvLayerSpansFixedStrategy(t *testing.T) {
 	ctx := exec.New(1)
 	r := rng.New(1)
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
-	c := NewConvCtx("c0", s, core.FixedPlanner(st, st), ctx, r)
-	ins, outs, eos, eis := convFixtures(r, s)
+	net := NewNetwork(ctx, NewConvCtx("c0", s, core.FixedPlanner(st, st), ctx, r))
+	ins, eos := convFixtures(r, s)
 
-	c.Forward(outs, ins)
-	c.Backward(eis, eos, ins)
-	c.Forward(outs, ins)
+	net.Forward(ins)
+	net.Backward(eos, ins)
+	net.Forward(ins)
 
 	fp, ok := ctx.Probe().SpanStats("layer/c0/fp/gemm-in-parallel")
 	if !ok || fp.Calls != 2 {
@@ -46,11 +42,11 @@ func TestConvLayerSpansAutoResolveToChosenStrategy(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
 	ctx := exec.New(1)
 	r := rng.New(2)
-	c := NewConvCtx("c1", s, plan.New(plan.Options{}), ctx, r)
-	ins, outs, eos, eis := convFixtures(r, s)
+	net := NewNetwork(ctx, NewConvCtx("c1", s, plan.New(plan.Options{}), ctx, r))
+	ins, eos := convFixtures(r, s)
 
-	c.Forward(outs, ins)
-	c.Backward(eis, eos, ins)
+	net.Forward(ins)
+	net.Backward(eos, ins)
 
 	var fpSpan, bpSpan string
 	for name := range ctx.Probe().Spans() {
@@ -85,19 +81,19 @@ func (bucketPlanner) PlanFP(s conv.Spec, c *exec.Ctx, _ []*tensor.Tensor, _ *ten
 	return core.Planned{Selection: core.Selection{Chosen: core.NewExecCtx(st, s, c)}}
 }
 
-// TestConvLayerSpansFollowTheStrategyThatRan: an inference layer whose
-// buckets deploy different strategies bills each call's layer span to the
+// TestConvLayerSpansFollowTheStrategyThatRan: the network bills each call of
+// an inference layer whose buckets deploy different strategies to the
 // strategy that executed it, like the core span beneath it.
 func TestConvLayerSpansFollowTheStrategyThatRan(t *testing.T) {
 	s := conv.Square(8, 2, 2, 3, 1)
 	ctx := exec.New(1)
 	r := rng.New(3)
-	c := NewConvInferCtx("conv0", s, bucketPlanner{}, []int{1, 2}, ctx, r)
+	net := NewNetwork(ctx, NewConvInferCtx("conv0", s, bucketPlanner{}, []int{1, 2}, ctx, r))
+	net.SetInference()
 	ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
-	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
 
-	c.Forward(outs[:1], ins[:1])
-	c.Forward(outs, ins)
+	net.Forward(ins[:1])
+	net.Forward(ins)
 
 	for _, span := range []string{
 		"core/fp/stencil", "core/fp/gemm-in-parallel",

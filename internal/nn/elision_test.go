@@ -33,7 +33,7 @@ func twoConvNet(seed uint64, bp string) *Network {
 	c1 := NewConvCtx("conv1", s1, core.FixedPlanner(fp, bpStrategy(bp, workers)), c, r)
 	r1 := NewReLU("relu1", c1.OutDims(), workers)
 	fc := NewFCCtx("fc0", r1.OutDims(), 4, c, r)
-	return NewNetwork(c0, r0, c1, r1, fc)
+	return NewNetwork(c, c0, r0, c1, r1, fc)
 }
 
 func mustIdentical(t *testing.T, what string, got, want *tensor.Tensor) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"spgcnn/internal/exec"
 	"spgcnn/internal/par"
@@ -27,8 +26,6 @@ type FC struct {
 	dW, dB *tensor.Tensor
 	mu     sync.Mutex // guards dW/dB accumulation across workers
 	opt    sgdState   // optimizer config (momentum.go)
-
-	spanFP, spanBP string // probe span names (same scheme as Conv)
 }
 
 // NewFCCtx builds a fully-connected layer mapping prod(inDims) -> out,
@@ -52,16 +49,8 @@ func NewFCCtx(name string, inDims []int, out int, c *exec.Ctx, r *rng.RNG) *FC {
 		dW:     tensor.New(out, inLen),
 		dB:     tensor.New(out),
 	}
-	l.spanFP = "layer/" + name + "/fp/gemm-in-parallel"
-	l.spanBP = "layer/" + name + "/bp/gemm-in-parallel"
 	l.W.FillNormal(r, 0, float32(math.Sqrt(2/float64(inLen))))
 	return l
-}
-
-// NewFC builds a fully-connected layer with a private context of the given
-// worker count.
-func NewFC(name string, inDims []int, out, workers int, r *rng.RNG) *FC {
-	return NewFCCtx(name, inDims, out, exec.New(workers), r)
 }
 
 // Name implements Layer.
@@ -78,7 +67,6 @@ func (l *FC) Forward(outs, ins []*tensor.Tensor) {
 	if len(outs) != len(ins) {
 		panic(fmt.Sprintf("nn: %s Forward batch mismatch", l.name))
 	}
-	start := time.Now()
 	par.For(len(ins), l.ctx.Workers(), func(i int) {
 		x := ins[i].Data
 		y := outs[i].Data
@@ -91,7 +79,6 @@ func (l *FC) Forward(outs, ins []*tensor.Tensor) {
 			y[o] = s + l.B.Data[o]
 		}
 	})
-	l.ctx.Probe().Observe(l.spanFP, time.Since(start).Seconds())
 }
 
 // Backward implements Layer: ei = Wᵀ·eo, dW += eo⊗x, dB += eo.
@@ -99,7 +86,6 @@ func (l *FC) Backward(eis, eos, ins []*tensor.Tensor) {
 	if len(eis) != len(eos) || len(eos) != len(ins) {
 		panic(fmt.Sprintf("nn: %s Backward batch mismatch", l.name))
 	}
-	start := time.Now()
 	par.ForWorkers(len(eos), l.ctx.Workers(), func(_, lo, hi int) {
 		if lo >= hi {
 			return
@@ -136,7 +122,6 @@ func (l *FC) Backward(eis, eos, ins []*tensor.Tensor) {
 		l.ctx.PutTensor(dB)
 		l.ctx.PutTensor(dW)
 	})
-	l.ctx.Probe().Observe(l.spanBP, time.Since(start).Seconds())
 }
 
 // ApplyGrads implements Layer.

@@ -11,18 +11,16 @@ import (
 func TestFCLayerSpans(t *testing.T) {
 	ctx := exec.New(1)
 	r := rng.New(3)
-	l := NewFCCtx("fc0", []int{2, 3, 3}, 4, ctx, r)
+	net := NewNetwork(ctx, NewFCCtx("fc0", []int{2, 3, 3}, 4, ctx, r))
 
 	ins := []*tensor.Tensor{tensor.New(2, 3, 3)}
-	outs := []*tensor.Tensor{tensor.New(4)}
 	eos := []*tensor.Tensor{tensor.New(4)}
-	eis := []*tensor.Tensor{tensor.New(2, 3, 3)}
 	ins[0].FillNormal(r, 0, 1)
 	eos[0].FillNormal(r, 0, 1)
 
-	l.Forward(outs, ins)
-	l.Forward(outs, ins)
-	l.Backward(eis, eos, ins)
+	net.Forward(ins)
+	net.Forward(ins)
+	net.Backward(eos, ins)
 
 	fp, ok := ctx.Probe().SpanStats("layer/fc0/fp/gemm-in-parallel")
 	if !ok || fp.Calls != 2 {

@@ -14,7 +14,9 @@
 // planner (and bucket list) the executor is built with. A Conv counts each
 // batch's error-gradient zeros once, for the sparsity probe and for its
 // executor, which re-plans BP inside the call when the band moves — no
-// layer has an epoch hook.
+// layer has an epoch hook. No layer times itself either: the Network's
+// per-layer clock records every layer call, glue included, as one "layer"
+// event in its context's probe.
 //
 // Training has one step and one epoch record. Trainer.Step is the only
 // fill → forward → loss → backward → apply in the tree: TrainEpoch loops

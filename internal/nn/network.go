@@ -2,7 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"time"
 
+	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
 )
 
@@ -22,17 +24,31 @@ type Network struct {
 	// gradient storage and Backward panics (serve.go's replicas).
 	inference bool
 
-	// profiling state (profile.go).
-	profiling bool
-	profile   []LayerProfile
+	// probe receives one "layer" event per layer call (see timed); events
+	// holds each (layer, phase, strategy)'s event, built on first use.
+	probe  *exec.Probe
+	events map[eventKey]exec.Event
+}
+
+type eventKey struct {
+	layer    int
+	bp       bool
+	strategy string
+}
+
+// lastRun is what a layer's last call of one phase ran.
+type lastRun struct {
+	strategy string
+	planned  bool // the call ran a planning pass
 }
 
 // NewNetwork validates that consecutive layer shapes chain and returns the
-// network. A convolution at layer 0 is marked as the network's first layer:
-// nothing reads the input gradient of the data, so its Backward skips Eq. 3
-// and leaves its eis argument unwritten — whether Network.Backward or a
-// caller walking Layers() drives it.
-func NewNetwork(layers ...Layer) *Network {
+// network, which times every layer call into ctx's probe. A convolution at
+// layer 0 is marked as the network's first layer: nothing reads the input
+// gradient of the data, so its Backward skips Eq. 3 and leaves its eis
+// argument unwritten — whether Network.Backward or a caller walking Layers()
+// drives it.
+func NewNetwork(ctx *exec.Ctx, layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
 	}
@@ -46,7 +62,7 @@ func NewNetwork(layers ...Layer) *Network {
 	if c, ok := layers[0].(*Conv); ok {
 		c.first = true
 	}
-	n := &Network{layers: layers}
+	n := &Network{layers: layers, probe: ctx.Probe(), events: make(map[eventKey]exec.Event)}
 	n.acts = make([][]*tensor.Tensor, len(layers))
 	n.grads = make([][]*tensor.Tensor, len(layers))
 	return n
@@ -140,6 +156,41 @@ func (n *Network) Backward(dlogits, ins []*tensor.Tensor) {
 		n.timed(l, true, func() { layer.Backward(eis, eos, layerIns) })
 		cur = eis
 	}
+}
+
+// timed runs one layer call on the network's per-layer clock and records it
+// in the probe — the one emitter of "layer" events, for every layer:
+// "layer/<name>/<phase>/<strategy>" naming the strategy the call ran, or
+// "layer/<name>/<phase>" for glue. The steady state allocates nothing.
+func (n *Network) timed(l int, bp bool, fn func()) {
+	start := time.Now()
+	fn()
+	var run lastRun // glue layers run no strategy
+	switch layer := n.layers[l].(type) {
+	case *Conv:
+		run = layer.ranFP
+		if bp {
+			run = layer.ranBP
+		}
+	case *FC:
+		run.strategy = "gemm-in-parallel"
+	}
+	k := eventKey{l, bp, run.strategy}
+	ev, ok := n.events[k]
+	if !ok {
+		phase := "fp"
+		if bp {
+			phase = "bp"
+		}
+		name := n.layers[l].Name()
+		ev = exec.Event{Cat: "layer", Name: "layer/" + name + "/" + phase, Layer: name, Phase: phase, Strategy: run.strategy}
+		if run.strategy != "" {
+			ev.Name += "/" + run.strategy
+		}
+		n.events[k] = ev
+	}
+	ev.Planned = run.planned
+	n.probe.Record(ev.Since(start))
 }
 
 // ApplyGrads performs the SGD step on every layer.

@@ -147,8 +147,8 @@ func tinyNet(r *rng.RNG, workers int) *Network {
 	s := conv.Square(6, 3, 2, 3, 1) // in 2x6x6, out 3x4x4
 	cv := pinnedConv("conv0", s, serialStrategy(), workers, r)
 	re := NewReLU("relu0", cv.OutDims(), workers)
-	fc := NewFC("fc0", re.OutDims(), 4, workers, r)
-	return NewNetwork(cv, re, fc)
+	fc := NewFCCtx("fc0", re.OutDims(), 4, exec.New(workers), r)
+	return NewNetwork(cv.Ctx(), cv, re, fc)
 }
 
 func TestNetworkShapesChain(t *testing.T) {
@@ -162,7 +162,7 @@ func TestNetworkShapesChain(t *testing.T) {
 			t.Fatal("mismatched network did not panic")
 		}
 	}()
-	NewNetwork(
+	NewNetwork(exec.New(1),
 		NewReLU("a", []int{3}, 1),
 		NewReLU("b", []int{4}, 1),
 	)
@@ -228,8 +228,8 @@ func TestGradientCheck(t *testing.T) {
 
 func TestFCGradientCheck(t *testing.T) {
 	r := rng.New(9)
-	fc := NewFC("fc", []int{5}, 3, 1, r)
-	net := NewNetwork(fc)
+	fc := NewFCCtx("fc", []int{5}, 3, exec.New(1), r)
+	net := NewNetwork(exec.New(1), fc)
 	in := tensor.New(5)
 	in.FillNormal(r, 0, 1)
 	label := 1

@@ -46,8 +46,8 @@ func TestSelectionsAfterAutoTune(t *testing.T) {
 	s := conv.Square(8, 3, 2, 3, 1)
 	cv := NewConvCtx("conv0", s, plan.New(plan.Options{}), exec.New(1), r)
 	re := NewReLU("relu0", cv.OutDims(), 1)
-	fc := NewFC("fc0", re.OutDims(), 3, 1, r)
-	net := NewNetwork(cv, re, fc)
+	fc := NewFCCtx("fc0", re.OutDims(), 3, exec.New(1), r)
+	net := NewNetwork(cv.Ctx(), cv, re, fc)
 
 	// Before any batch: nothing tuned, nothing reported.
 	if _, _, ok := cv.Selections(); ok {

@@ -3,6 +3,7 @@ package nn
 import (
 	"testing"
 
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -13,7 +14,7 @@ import (
 func TestResidualTapAdd(t *testing.T) {
 	dims := []int{2, 3, 3}
 	tap := NewTap("tap", dims)
-	net := NewNetwork(tap, NewReLU("relu", dims, 1), NewAdd("add", dims, tap))
+	net := NewNetwork(exec.New(1), tap, NewReLU("relu", dims, 1), NewAdd("add", dims, tap))
 
 	in := tensor.New(dims...)
 	r := rng.New(7)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spgcnn/internal/conv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -49,8 +50,8 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build a different-geometry network with the same layer names.
-	other := NewNetwork(
-		NewFC("conv0", []int{8}, 3, 1, r), // name collides, shape differs
+	other := NewNetwork(exec.New(1),
+		NewFCCtx("conv0", []int{8}, 3, exec.New(1), r), // name collides, shape differs
 	)
 	if err := other.Load(&buf); err == nil {
 		t.Fatal("Load accepted mismatched network")
@@ -68,7 +69,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestLoadRejectsPartialSnapshot(t *testing.T) {
 	r := rng.New(4)
 	// Snapshot from a 1-conv net cannot restore a 2-param-layer net.
-	small := NewNetwork(NewFC("fc", []int{4}, 2, 1, r))
+	small := NewNetwork(exec.New(1), NewFCCtx("fc", []int{4}, 2, exec.New(1), r))
 	var buf bytes.Buffer
 	if err := small.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -81,9 +82,9 @@ func TestLoadRejectsPartialSnapshot(t *testing.T) {
 
 func TestSaveRejectsDuplicateLayerNames(t *testing.T) {
 	r := rng.New(5)
-	net := NewNetwork(
-		NewFC("same", []int{4}, 4, 1, r),
-		NewFC("same", []int{4}, 2, 1, r),
+	net := NewNetwork(exec.New(1),
+		NewFCCtx("same", []int{4}, 4, exec.New(1), r),
+		NewFCCtx("same", []int{4}, 2, exec.New(1), r),
 	)
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err == nil {
@@ -126,8 +127,8 @@ func tinyTrainNet(r *rng.RNG) *Network {
 	s := tinySpec()
 	cv := pinnedConv("conv0", s, serialStrategy(), 1, r)
 	re := NewReLU("relu0", cv.OutDims(), 1)
-	fc := NewFC("fc0", re.OutDims(), 4, 1, r)
-	return NewNetwork(cv, re, fc)
+	fc := NewFCCtx("fc0", re.OutDims(), 4, exec.New(1), r)
+	return NewNetwork(cv.Ctx(), cv, re, fc)
 }
 
 // syntheticDS is a minimal in-package Dataset for trainer tests.

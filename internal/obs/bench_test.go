@@ -3,6 +3,7 @@ package obs
 import (
 	"testing"
 
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/plan"
 )
@@ -18,12 +19,11 @@ func benchPrediction() float64 {
 	return 4 * float64(s.FlopsFP()) / (rate * 1e9 * 2)
 }
 
-// BenchmarkObserveSpan measures the steady-state sink cost for a
-// registered series: path parse, map lookup, EWMA fold and envelope
-// check under the mutex. This is what every kernel span pays once the
+// BenchmarkRecord measures the steady-state sink cost for a registered
+// series: map lookup, EWMA fold and envelope check under the mutex. This is what every kernel span pays once the
 // observatory is attached, so it has to stay far inside the probe
 // budget (a conv span is tens of microseconds at minimum).
-func BenchmarkObserveSpan(b *testing.B) {
+func BenchmarkRecord(b *testing.B) {
 	o := New(Options{Workers: 2})
 	o.RegisterLayer("c1", testSpec())
 	o.SetBatch(4)
@@ -31,14 +31,14 @@ func BenchmarkObserveSpan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
 	}
 }
 
-// BenchmarkObserveSpanParallel is the same hot path under contention —
+// BenchmarkRecordParallel is the same hot path under contention —
 // data-parallel replicas share one observatory, so the mutex is the
 // scaling question.
-func BenchmarkObserveSpanParallel(b *testing.B) {
+func BenchmarkRecordParallel(b *testing.B) {
 	o := New(Options{Workers: 2})
 	o.RegisterLayer("c1", testSpec())
 	o.SetBatch(4)
@@ -46,20 +46,21 @@ func BenchmarkObserveSpanParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+			o.Record(layerEvent("fp", "parallel-gemm", pred, false))
 		}
 	})
 }
 
-// BenchmarkObserveSpanForeign measures the rejection path: spans that
-// are not layer kernels (planner tuning, barriers, allreduce) must be
-// shed almost for free, since they share the probe stream.
-func BenchmarkObserveSpanForeign(b *testing.B) {
+// BenchmarkRecordForeign measures the rejection path: events that are not
+// layer spans (kernel, tune and pack spans, choices) must be shed almost for
+// free, since they share the probe stream.
+func BenchmarkRecordForeign(b *testing.B) {
 	o := New(Options{Workers: 2})
 	o.RegisterLayer("c1", testSpec())
+	ev := exec.Event{Cat: "core", Name: "core/fp/stencil", Seconds: 1e-4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.ObserveSpan("allreduce/step", 1e-4)
+		o.Record(ev)
 	}
 }

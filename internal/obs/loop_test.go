@@ -27,7 +27,11 @@ func TestDriftRetuneLoop(t *testing.T) {
 	ctx := exec.New(workers)
 	pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
 	r := rng.New(7)
+	// The network's clock emits c1's layer events; a ReLU in front keeps c1
+	// from being the first layer, so its BP verdict computes the input
+	// gradient and is keyed as the lookups below expect.
 	layer := nn.NewConvCtx("c1", s, pl, ctx, r)
+	net := nn.NewNetwork(ctx, nn.NewReLU("relu", layer.InDims(), workers), layer)
 
 	o := New(Options{
 		Workers: workers, Warmup: 5, Window: 3, Threshold: 1.6,
@@ -38,20 +42,16 @@ func TestDriftRetuneLoop(t *testing.T) {
 	ctx.Probe().AddSink(o)
 
 	ins := make([]*tensor.Tensor, batch)
-	outs := make([]*tensor.Tensor, batch)
 	eos := make([]*tensor.Tensor, batch)
-	eis := make([]*tensor.Tensor, batch)
 	for i := 0; i < batch; i++ {
 		ins[i] = tensor.New(s.Nc, s.Ny, s.Nx)
 		ins[i].FillNormal(r, 0, 1)
-		outs[i] = tensor.New(s.Nf, s.OutY(), s.OutX())
 		eos[i] = tensor.New(s.Nf, s.OutY(), s.OutX())
 		eos[i].FillNormal(r, 0, 1)
-		eis[i] = tensor.New(s.Nc, s.Ny, s.Nx)
 	}
 	step := func() {
-		layer.Forward(outs, ins)
-		layer.Backward(eis, eos, ins)
+		net.Forward(ins)
+		net.Backward(eos, ins)
 	}
 
 	// Warm phase: deploy + settle the baselines.

@@ -8,8 +8,9 @@
 // loop notices when a deployed strategy slows down afterwards — co-tenant
 // interference, thermal throttling, GC pressure, or sparsity drifting out
 // of the band the verdict was tuned for. The observatory closes that gap:
-// it rides the same probe/span seam as trace.ProbeSink and metrics.Bind
-// (exec.Probe.AddSink), converts each deployed-strategy span into a
+// it is an exec.Sink beside the metrics registry and the trace emitter
+// (exec.Probe.AddSink), reads each layer event's layer, phase and strategy
+// fields, converts the deployed strategy's time into a
 // measured-vs-predicted ratio using the planner's own analytical rate
 // (plan.ModelRate over internal/machine, placed by internal/ait), and
 // maintains per-layer/per-phase EWMA agreement statistics bucketed by
@@ -33,7 +34,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"spgcnn/internal/ait"
@@ -142,14 +142,9 @@ type streamKey struct {
 
 // stream is the online state of one (layer, phase) series.
 type stream struct {
-	strategy string
-	rate     float64 // dense-equivalent GFlops/core under the model
-	sparsity float64 // sparsity the rate was computed at
-	// skipped marks whether the stream's first span was discarded: the
-	// scheduler tunes lazily inside the first batch, so that span carries
-	// the measurement pass on top of the deployed kernel and would poison
-	// the warmup EWMA by an order of magnitude.
-	skipped   bool
+	strategy  string
+	rate      float64 // dense-equivalent GFlops/core under the model
+	sparsity  float64 // sparsity the rate was computed at
 	ewma      float64
 	baseline  float64 // frozen after warmup; 0 while warming
 	obs       int64
@@ -165,7 +160,7 @@ type stream struct {
 }
 
 // Observatory implements exec.Sink: attach with ctx.Probe().AddSink so it
-// observes the same span stream as the metrics bridge and the tracer.
+// observes the same event stream as the metrics registry and the tracer.
 // Safe for concurrent use (data-parallel replicas share one observatory
 // exactly as they share one planner).
 type Observatory struct {
@@ -288,36 +283,17 @@ func (o *Observatory) SetSlowdown(f float64) {
 	o.mu.Unlock()
 }
 
-// RecordChoice implements exec.Sink. Deployment decisions reset the
-// affected streams lazily (the next span's strategy name won't match), so
-// nothing to do here.
-func (o *Observatory) RecordChoice(phase, strategy string, seconds float64) {}
-
-// ObserveSpan implements exec.Sink: layer spans ("layer/<name>/<phase>/
-// <strategy>") are folded into their stream's agreement state; every other
-// span category passes through untouched.
-func (o *Observatory) ObserveSpan(name string, seconds float64) {
-	// Fast reject before any allocation: the hot path sees pack/, blockw/,
-	// step/ and similar non-layer spans too.
-	if !strings.HasPrefix(name, "layer/") {
+// Record implements exec.Sink: a layer event of a registered layer's
+// deployed strategy is folded into its (layer, phase) stream's agreement
+// state. Every other event passes through untouched, and so does a layer
+// event whose call ran a planning pass: its time carries the measurement on
+// top of the deployed kernel and would poison the EWMA by an order of
+// magnitude.
+func (o *Observatory) Record(ev exec.Event) {
+	if ev.Cat != "layer" || ev.Planned || ev.Strategy == "" {
 		return
 	}
-	rest := name[len("layer/"):]
-	i := strings.IndexByte(rest, '/')
-	if i < 0 {
-		return
-	}
-	layer := rest[:i]
-	rest = rest[i+1:]
-	j := strings.IndexByte(rest, '/')
-	if j < 0 {
-		return
-	}
-	phase, strategy := rest[:j], rest[j+1:]
-	if (phase != "fp" && phase != "bp") || strategy == "" || strategy == "tuning" {
-		return
-	}
-
+	layer, phase, strategy, seconds := ev.Layer, ev.Phase, ev.Strategy, ev.Seconds
 	var fire *DriftEvent
 	o.mu.Lock()
 	li := o.layers[layer]
@@ -370,11 +346,6 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 		o.mu.Unlock()
 		return
 	}
-	if !st.skipped {
-		st.skipped = true
-		o.mu.Unlock()
-		return
-	}
 
 	pred := o.predictLocked(li.spec, phase, st.rate)
 	if pred <= 0 {
@@ -421,12 +392,8 @@ func (o *Observatory) ObserveSpan(name string, seconds float64) {
 			st.breaches = 0
 			// Re-arm against the new steady state: baseline moves to the
 			// current EWMA so a persistent slowdown doesn't fire every
-			// Window observations. The next span is also discarded — when
-			// the event triggers a re-tune that redeploys the SAME
-			// strategy, that span carries the re-measurement pass and would
-			// immediately poison the re-armed stream.
+			// Window observations.
 			st.baseline = st.ewma
-			st.skipped = false
 			fire = &ev
 		}
 	default:

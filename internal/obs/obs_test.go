@@ -9,6 +9,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 	"spgcnn/internal/metrics"
 	"spgcnn/internal/plan"
@@ -35,6 +36,13 @@ func modelSeconds(t *testing.T, s conv.Spec, phase, strategy string, sparsity fl
 	return float64(batch) * flops / (rate * 1e9 * float64(workers))
 }
 
+// layerEvent is the network's event of one call of layer c1; planned marks
+// a call that ran a planning pass, as a deployment's first call does.
+func layerEvent(phase, strategy string, seconds float64, planned bool) exec.Event {
+	return exec.Event{Cat: "layer", Name: "layer/c1/" + phase + "/" + strategy, Layer: "c1",
+		Phase: phase, Strategy: strategy, Seconds: seconds, Planned: planned}
+}
+
 func newTestObservatory(opts Options) *Observatory {
 	if opts.Workers == 0 {
 		opts.Workers = 2
@@ -49,15 +57,15 @@ func TestAgreementTracksModel(t *testing.T) {
 	o.SetBatch(4)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 4)
 	for i := 0; i < 21; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
 	rep := o.Report()
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %+v", rep.Rows)
 	}
 	r := rep.Rows[0]
-	// The stream's first span is discarded (it carries the lazy tuning
-	// pass), so 21 spans account as 20 observations.
+	// The first call planned the deployment and is not observed, so 21
+	// calls account as 20 observations.
 	if r.Calls != 20 || r.Strategy != "parallel-gemm" || r.Phase != "fp" {
 		t.Fatalf("row = %+v", r)
 	}
@@ -81,7 +89,7 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	pred := modelSeconds(t, s, "bp", "parallel-gemm", 0, 2, 4)
 	// Warm up and settle the baseline at ratio 1.
 	for i := 0; i < 10; i++ {
-		o.ObserveSpan("layer/c1/bp/parallel-gemm", pred)
+		o.Record(layerEvent("bp", "parallel-gemm", pred, i == 0))
 	}
 	if len(got) != 0 {
 		t.Fatalf("drift during steady state: %v", got)
@@ -90,7 +98,7 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	// Window consecutive breaching observations, fire exactly one event.
 	steps := 0
 	for i := 0; i < 50 && len(got) == 0; i++ {
-		o.ObserveSpan("layer/c1/bp/parallel-gemm", 2*pred)
+		o.Record(layerEvent("bp", "parallel-gemm", 2*pred, false))
 		steps++
 	}
 	if len(got) != 1 {
@@ -111,7 +119,7 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	// The baseline re-arms at the new steady state: continued 2x spans
 	// fire nothing further.
 	for i := 0; i < 20; i++ {
-		o.ObserveSpan("layer/c1/bp/parallel-gemm", 2*pred)
+		o.Record(layerEvent("bp", "parallel-gemm", 2*pred, false))
 	}
 	if len(got) != 1 {
 		t.Fatalf("persistent slowdown kept firing: %d events", len(got))
@@ -128,18 +136,18 @@ func TestSlowdownInjectionSeam(t *testing.T) {
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
 	for i := 0; i < 8; i++ {
-		o.ObserveSpan("layer/c1/fp/stencil", pred)
+		o.Record(layerEvent("fp", "stencil", pred, i == 0))
 	}
 	o.SetSlowdown(2)
 	for i := 0; i < 20; i++ {
-		o.ObserveSpan("layer/c1/fp/stencil", pred) // same wall time; injection slows it
+		o.Record(layerEvent("fp", "stencil", pred, false)) // same wall time; injection slows it
 	}
 	if n := len(o.Events()); n != 1 {
 		t.Fatalf("injected slowdown fired %d events, want 1", n)
 	}
 	o.SetSlowdown(0) // disable: back to 1x -> drifts back DOWN eventually
 	for i := 0; i < 20; i++ {
-		o.ObserveSpan("layer/c1/fp/stencil", pred)
+		o.Record(layerEvent("fp", "stencil", pred, false))
 	}
 	if n := len(o.Events()); n != 2 {
 		t.Fatalf("recovery fired %d events total, want 2 (one per direction)", n)
@@ -153,13 +161,13 @@ func TestRedeployResetsStream(t *testing.T) {
 	o.SetBatch(2)
 	p1 := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 10; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", p1)
+		o.Record(layerEvent("fp", "parallel-gemm", p1, i == 0))
 	}
 	// The scheduler flips the deployment. Stencil's model rate differs
 	// wildly from parallel-gemm's; a naive shared baseline would alarm.
 	p2 := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
 	for i := 0; i < 10; i++ {
-		o.ObserveSpan("layer/c1/fp/stencil", p2)
+		o.Record(layerEvent("fp", "stencil", p2, i == 0))
 	}
 	if n := len(o.Events()); n != 0 {
 		t.Fatalf("redeploy read as drift: %d events", n)
@@ -182,10 +190,10 @@ func TestDriftCountSurvivesRedeploy(t *testing.T) {
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 8; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
 	for i := 0; i < 20 && len(o.Events()) == 0; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", 3*pred)
+		o.Record(layerEvent("fp", "parallel-gemm", 3*pred, false))
 	}
 	if len(o.Events()) != 1 {
 		t.Fatalf("slowdown fired %d events, want 1", len(o.Events()))
@@ -209,12 +217,43 @@ func TestDriftCountSurvivesRedeploy(t *testing.T) {
 		}
 	}
 	p2 := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
-	o.ObserveSpan("layer/c1/fp/stencil", p2) // discarded: carries the re-plan
+	o.Record(layerEvent("fp", "stencil", p2, true)) // not observed: the call re-planned
 	check("redeployed, not yet observed", "parallel-gemm")
 	for i := 0; i < 5; i++ {
-		o.ObserveSpan("layer/c1/fp/stencil", p2)
+		o.Record(layerEvent("fp", "stencil", p2, false))
 	}
 	check("redeployed and observed", "stencil")
+}
+
+// TestPlannedCallIsNotObserved: a call that re-planned and deployed the same
+// strategy again (a BP band or invalidation re-plan, a serving bucket's
+// first use) carries the measurement pass in its time. The observatory drops
+// exactly that event, so a 10x planned call on a settled stream neither
+// breaches — even with a one-observation window — nor lands in the row's
+// Calls and Measured totals.
+func TestPlannedCallIsNotObserved(t *testing.T) {
+	s := testSpec()
+	o := newTestObservatory(Options{Warmup: 3, Window: 1})
+	o.RegisterLayer("c1", s)
+	o.SetBatch(2)
+	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for i := 0; i < 6; i++ {
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
+	}
+	o.Record(layerEvent("fp", "parallel-gemm", 10*pred, true))
+	for i := 0; i < 5; i++ {
+		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
+	}
+	if evs := o.Events(); len(evs) != 0 {
+		t.Fatalf("a planned call breached: %v", evs)
+	}
+	rep := o.Report()
+	if len(rep.Rows) != 1 {
+		t.Fatalf("rows = %+v", rep.Rows)
+	}
+	if r := rep.Rows[0]; r.Calls != 10 || math.Abs(r.MeasuredSeconds-10*pred) > 1e-9*pred {
+		t.Fatalf("row counts %d calls, %g s measured; want 10 calls, %g s", r.Calls, r.MeasuredSeconds, 10*pred)
+	}
 }
 
 func TestSparsityRerateIsNotDrift(t *testing.T) {
@@ -225,7 +264,7 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 	o.SetSparsity("c1", 0, 0.2)
 	pred := modelSeconds(t, s, "bp", "sparse", 0.2, 2, 2)
 	for i := 0; i < 10; i++ {
-		o.ObserveSpan("layer/c1/bp/sparse", pred)
+		o.Record(layerEvent("bp", "sparse", pred, i == 0))
 	}
 	// Gradient sparsity rises: the model now predicts the sparse kernel
 	// runs FASTER (higher dense-equivalent rate). If the measured spans
@@ -236,7 +275,7 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 		t.Fatalf("sparse model rate did not improve with sparsity: %v !< %v", pred9, pred)
 	}
 	for i := 0; i < 20; i++ {
-		o.ObserveSpan("layer/c1/bp/sparse", pred9)
+		o.Record(layerEvent("bp", "sparse", pred9, false))
 	}
 	if n := len(o.Events()); n != 0 {
 		t.Fatalf("in-model sparsity re-rate fired %d drift events", n)
@@ -249,12 +288,16 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 func TestIgnoresForeignSpans(t *testing.T) {
 	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", testSpec())
-	for _, span := range []string{
-		"pack/whatever/hit", "step/3", "layer/c1/fp", "layer/c1/fp/tuning",
-		"layer/unregistered/fp/stencil", "layer/c1/oddphase/stencil",
-		"layer/c1/fp/no-such-strategy",
+	for _, ev := range []exec.Event{
+		{Cat: "pack", Name: "pack/whatever/hit", Seconds: 1},
+		{Cat: "core", Name: "core/fp/stencil", Seconds: 1},
+		{Cat: "layer", Name: "layer/c1/fp", Layer: "c1", Phase: "fp", Seconds: 1},
+		{Cat: "layer", Name: "layer/unregistered/fp/stencil", Layer: "unregistered", Phase: "fp", Strategy: "stencil", Seconds: 1},
+		layerEvent("fp", "no-such-strategy", 1, false),
+		layerEvent("fp", "stencil", 1, true),
+		exec.ChoiceEvent("fp", "stencil", 1),
 	} {
-		o.ObserveSpan(span, 1)
+		o.Record(ev)
 	}
 	if rep := o.Report(); len(rep.Rows) != 0 {
 		t.Fatalf("foreign spans produced rows: %+v", rep.Rows)
@@ -269,11 +312,11 @@ func TestMetricsExport(t *testing.T) {
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 6; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
 	o.SetSlowdown(3)
 	for i := 0; i < 10; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -298,7 +341,7 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 5; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred*1.1)
+		o.Record(layerEvent("fp", "parallel-gemm", pred*1.1, i == 0))
 	}
 	rep := o.Report()
 	if err := rep.Validate(); err != nil {
@@ -355,11 +398,11 @@ func TestRenderReport(t *testing.T) {
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 6; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
 	o.SetSlowdown(4)
 	for i := 0; i < 8; i++ {
-		o.ObserveSpan("layer/c1/fp/parallel-gemm", pred)
+		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
 	}
 	var sb strings.Builder
 	o.Report().Render(&sb)

@@ -415,7 +415,7 @@ func (p *Planner) deploy(e Entry, c *exec.Ctx) (core.Planned, bool) {
 	if len(sel.Timings) == 0 {
 		sel.Timings = []core.Timing{{Strategy: st, Seconds: e.Seconds}}
 	}
-	c.Probe().RecordChoice(e.Phase, e.Strategy, e.Seconds)
+	c.Probe().Record(exec.ChoiceEvent(e.Phase, e.Strategy, e.Seconds))
 	return core.Planned{Selection: sel, FromCache: true, Stale: e.stale}, true
 }
 

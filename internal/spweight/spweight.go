@@ -52,7 +52,7 @@ type Kernel struct {
 	wver  uint64    // its Ver at compression time
 	plan  *csrPlan
 
-	spanHit, spanMiss string
+	hit, miss exec.Event
 }
 
 var _ engine.Kernel = (*Kernel)(nil)
@@ -61,10 +61,10 @@ var _ engine.Kernel = (*Kernel)(nil)
 func New(s conv.Spec) *Kernel {
 	s.MustValidate()
 	return &Kernel{
-		spec:     s,
-		bp:       unfoldgemm.New(s, 1),
-		spanHit:  "spweight/" + s.String() + "/hit",
-		spanMiss: "spweight/" + s.String() + "/miss",
+		spec: s,
+		bp:   unfoldgemm.New(s, 1),
+		hit:  exec.Event{Cat: "spweight", Name: "spweight/" + s.String() + "/hit"},
+		miss: exec.Event{Cat: "spweight", Name: "spweight/" + s.String() + "/miss"},
 	}
 }
 
@@ -88,14 +88,14 @@ func (k *Kernel) compressed(c *exec.Ctx, w *tensor.Tensor) *csrPlan {
 	defer k.mu.Unlock()
 	if k.plan != nil && k.wver == w.Ver &&
 		len(k.wdata) == len(w.Data) && &k.wdata[0] == &w.Data[0] {
-		c.Probe().Observe(k.spanHit, 0)
+		c.Probe().Record(k.hit)
 		return k.plan
 	}
 	start := time.Now()
 	k.plan = compress(k.spec, w, k.plan)
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())
+	c.Probe().Record(k.miss.Since(start))
 	return k.plan
 }
 

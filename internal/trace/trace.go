@@ -2,9 +2,11 @@
 // flight recorder that captures begin/end events for every layer × phase ×
 // strategy execution, planner measurement pass, arena growth and
 // data-parallel synchronization barrier, each stamped with the training
-// step, replica, worker and the live gradient-sparsity band.
+// step, replica, worker and the live gradient-sparsity band. An Emitter is
+// an exec.Sink: attached to a context's probe (Attach) it lands every typed
+// probe event on the timeline under the event's own category and name.
 //
-// The metrics registry (PR 2) answers "THAT a phase is slow"; this package
+// The metrics registry answers "THAT a phase is slow"; this package
 // answers "WHEN, and on WHICH replica". Captures export as Chrome/Perfetto
 // trace-event JSON (WriteJSON) and feed two analyzers: a straggler
 // detector for data-parallel barriers (Stragglers) and a goodput-waste

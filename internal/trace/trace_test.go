@@ -42,10 +42,9 @@ func TestNilRecorderAndEmitterAreInert(t *testing.T) {
 	if !ran {
 		t.Fatal("nil emitter Region did not run fn")
 	}
-	// The sink over a nil emitter must also be inert.
-	s := NewProbeSink(e)
-	s.ObserveSpan("layer/x/fp/stencil", 0.1)
-	s.RecordChoice("fp", "stencil", 0.1)
+	// Recording probe events into a nil emitter must also be inert.
+	e.Record(exec.Event{Cat: "layer", Name: "layer/x/fp/stencil", Seconds: 0.1})
+	e.Record(exec.ChoiceEvent("fp", "stencil", 0.1))
 }
 
 func TestEmitterStampsIdentityStepAndBand(t *testing.T) {
@@ -162,14 +161,14 @@ func TestEndStampsSpanStart(t *testing.T) {
 	}
 }
 
-func TestProbeSinkBridgesSpansAndChoices(t *testing.T) {
+func TestEmitterRecordsSpansAndChoices(t *testing.T) {
 	r := New(Options{})
 	p := exec.NewProbe()
-	p.AddSink(NewProbeSink(r.Emitter(1, 0)))
-	p.Observe("layer/conv0/bp/sparse", 0.002)
-	p.Observe("tune/fp/stencil", 0.001)
-	p.Observe("flat", 0.001)
-	p.RecordChoice("bp", "sparse", 0.002)
+	p.AddSink(r.Emitter(1, 0))
+	p.Record(exec.Event{Cat: "layer", Name: "layer/conv0/bp/sparse", Seconds: 0.002})
+	p.Record(exec.Event{Cat: "tune", Name: "tune/fp/stencil", Seconds: 0.001})
+	p.Record(exec.Event{Cat: "span", Name: "flat", Seconds: 0.001})
+	p.Record(exec.ChoiceEvent("bp", "sparse", 0.002))
 	evs := r.Events()
 	if len(evs) != 4 {
 		t.Fatalf("events = %d, want 4", len(evs))

@@ -45,9 +45,9 @@ type PackedKernel struct {
 	fp    *gemm.PackedB // Wmatᵀ panels (FP)
 	bp    *gemm.PackedB // Wmat panels (BP-EI)
 
-	// Precomputed probe span names: pack time lands on the miss span, the
+	// Precomputed probe span events: pack time lands on the miss span, the
 	// hit span's Calls count gives the cache hit rate per layer spec.
-	spanHit, spanMiss string
+	hit, miss exec.Event
 }
 
 // NewPacked builds a prepacked-weights kernel for s at the given GEMM
@@ -58,10 +58,10 @@ func NewPacked(s conv.Spec, workers int) *PackedKernel {
 		workers = 1
 	}
 	return &PackedKernel{
-		spec:     s,
-		workers:  workers,
-		spanHit:  "pack/" + s.String() + "/hit",
-		spanMiss: "pack/" + s.String() + "/miss",
+		spec:    s,
+		workers: workers,
+		hit:     exec.Event{Cat: "pack", Name: "pack/" + s.String() + "/hit"},
+		miss:    exec.Event{Cat: "pack", Name: "pack/" + s.String() + "/miss"},
 	}
 }
 
@@ -92,7 +92,7 @@ func (k *PackedKernel) plans(c *exec.Ctx, w *tensor.Tensor) (fp, bp *gemm.Packed
 	defer k.mu.Unlock()
 	if k.fp != nil && w.Ver != 0 && k.wver == w.Ver &&
 		len(k.wdata) == len(w.Data) && &k.wdata[0] == &w.Data[0] {
-		c.Probe().Observe(k.spanHit, 0)
+		c.Probe().Record(k.hit)
 		return k.fp, k.bp
 	}
 	start := time.Now()
@@ -100,7 +100,7 @@ func (k *PackedKernel) plans(c *exec.Ctx, w *tensor.Tensor) (fp, bp *gemm.Packed
 	k.bp = gemm.PackB(&wmat)
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Observe(k.spanMiss, time.Since(start).Seconds())
+	c.Probe().Record(k.miss.Since(start))
 	return k.fp, k.bp
 }
 

@@ -118,8 +118,9 @@ const (
 // reused across kernels and training steps.
 type Ctx = exec.Ctx
 
-// Probe is the instrumentation sink carried by a Ctx: named timing spans
-// and the §4.4 scheduler's deployment decisions.
+// Probe is the instrumentation point carried by a Ctx: it records one typed
+// event per timing span or §4.4 deployment decision and hands it to every
+// attached sink (metrics registry, trace emitter, observatory).
 type Probe = exec.Probe
 
 // Arena is the size-classed scratch pool carried by a Ctx.
@@ -340,9 +341,8 @@ func PaperMachine() machine.Machine { return machine.Paper() }
 
 // Observability (metrics registry, live export, bench baselines).
 
-// MetricsRegistry holds counters, gauges, latency histograms and the
-// hierarchical layer/phase/strategy span tree, and renders itself in
-// Prometheus text exposition format.
+// MetricsRegistry holds counters, gauges and latency histograms, one per
+// probe span name, and renders itself in Prometheus text exposition format.
 type MetricsRegistry = metrics.Registry
 
 // MetricsServer is a live metrics endpoint: /metrics (Prometheus text
@@ -492,8 +492,8 @@ func ParseTraceMode(s string) (TraceMode, error) { return trace.ParseMode(s) }
 
 // AttachTraceCtx streams an execution context's probe (layer, kernel and
 // tune spans, scheduler choices) and arena growth onto the timeline under
-// the given replica identity. The metrics bridge, if bound, keeps
-// observing — sinks fan out.
+// the given replica identity. A bound metrics registry keeps observing —
+// sinks fan out.
 func AttachTraceCtx(rec *TraceRecorder, c *Ctx, replica int) *TraceEmitter {
 	return trace.Attach(rec, c, replica)
 }
