@@ -123,9 +123,6 @@ func stragglers(w io.Writer, c trace.Capture) {
 	if rep.Syncs > 0 {
 		fmt.Fprintf(w, "  syncs %d  all-reduce total %s\n", rep.Syncs, dur(rep.AllReduceSeconds))
 	}
-	if rep.Rechunks > 0 {
-		fmt.Fprintf(w, "  mitigation rechunks %d\n", rep.Rechunks)
-	}
 }
 
 func waste(w io.Writer, c trace.Capture) {
@@ -191,7 +188,6 @@ type jsonStragglers struct {
 	Syncs          int             `json:"syncs"`
 	AllReduceSecs  float64         `json:"allreduce_seconds"`
 	SlowestReplica int             `json:"slowest_replica"`
-	Rechunks       int             `json:"rechunks,omitempty"`
 	Rows           []jsonStraggler `json:"rows"`
 }
 
@@ -253,7 +249,6 @@ func writeJSONSummary(w io.Writer, c trace.Capture, top int) error {
 		js := &jsonStragglers{
 			Steps: rep.Steps, Syncs: rep.Syncs,
 			AllReduceSecs: rep.AllReduceSeconds, SlowestReplica: rep.SlowestReplica,
-			Rechunks: rep.Rechunks,
 		}
 		for _, r := range rep.Rows {
 			js.Rows = append(js.Rows, jsonStraggler{

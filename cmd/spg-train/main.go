@@ -19,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"spgcnn"
 )
@@ -42,33 +41,27 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spg-train", flag.ContinueOnError)
 	var (
-		netName      = fs.String("net", "cifar", "built-in network: mnist, cifar, imagenet100")
-		file         = fs.String("file", "", "netdef file (overrides -net)")
-		dataset      = fs.String("dataset", "", "dataset: mnist, cifar, imagenet100 (default: matches -net)")
-		epochs       = fs.Int("epochs", 3, "training epochs")
-		examples     = fs.Int("examples", 256, "dataset size")
-		batch        = fs.Int("batch", 16, "minibatch size")
-		lr           = fs.Float64("lr", 0.01, "learning rate")
-		workers      = fs.Int("workers", 0, "worker cores (0 = GOMAXPROCS)")
-		strategy     = fs.String("strategy", "auto", "conv strategy: auto, "+strings.Join(strategyNames(), ", "))
-		seed         = fs.Uint64("seed", 42, "random seed")
-		savePath     = fs.String("save", "", "write a weight checkpoint here after training")
-		loadPath     = fs.String("load", "", "restore a weight checkpoint before training")
-		planCache    = fs.String("plan-cache", "", "persistent plan cache file: load cached strategy verdicts on start (skipping their measurement passes), save the updated cache on exit")
-		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics (Prometheus), /healthz and /debug/pprof on this address during training (e.g. :8080)")
-		replicas     = fs.Int("replicas", 1, "data-parallel model replicas; N > 1 shards each global batch of -batch across N replicas with synchronous parameter averaging")
-		allreduce    = fs.String("allreduce", "flat", "parameter-sync schedule with -replicas > 1: flat, ring, tree, or auto (cost-model ranked per round)")
-		sparseSync   = fs.String("sparse-sync", "off", "gradient-delta exchange with -replicas > 1: off (dense), auto (ship CT-CSR deltas while dense enough to win, else dense), force (always ship deltas)")
-		staleness    = fs.Int("staleness", 0, "bounded-staleness async mode with -replicas > 1: replicas may run K steps ahead of the slowest instead of barriering every step (0 = synchronous)")
-		mitigate     = fs.Bool("mitigate", false, "straggler mitigation with -replicas > 1: re-chunk each step's shard assignment from measured per-replica throughput (slow replicas get fewer images)")
-		injectSlow   = fs.Int("inject-slow-replica", -1, "TESTING: index of a replica to slow down artificially (sleeps -inject-slow-ms per image); -1 = off")
-		injectSlowMS = fs.Float64("inject-slow-ms", 2, "per-image sleep in milliseconds for -inject-slow-replica")
-		tracePath    = fs.String("trace", "", "write a Chrome/Perfetto trace-event JSON capture of the run here (open in ui.perfetto.dev, analyze with spg-trace)")
-		traceMode    = fs.String("trace-mode", "ring", "trace capture mode: ring (bounded flight recorder, keeps the newest events) or full (everything up to a cap)")
-		drift        = fs.Bool("drift", false, "run the plan-drift observatory: track model-vs-measured agreement per layer and re-tune automatically when a deployed strategy drifts")
-		driftReport  = fs.String("drift-report", "", "write the observatory's agreement report (schema-versioned JSON, render with spg-doctor) here after training; implies -drift")
-		injectEpoch  = fs.Int("drift-inject-epoch", 0, "TESTING: from the start of this epoch (1-based), scale every span time the observatory sees by -drift-inject-factor — a synthetic co-tenant; implies -drift")
-		injectFac    = fs.Float64("drift-inject-factor", 2, "synthetic slowdown factor for -drift-inject-epoch")
+		netName     = fs.String("net", "cifar", "built-in network: mnist, cifar, imagenet100")
+		file        = fs.String("file", "", "netdef file (overrides -net)")
+		dataset     = fs.String("dataset", "", "dataset: mnist, cifar, imagenet100 (default: matches -net)")
+		epochs      = fs.Int("epochs", 3, "training epochs")
+		examples    = fs.Int("examples", 256, "dataset size")
+		batch       = fs.Int("batch", 16, "minibatch size")
+		lr          = fs.Float64("lr", 0.01, "learning rate")
+		workers     = fs.Int("workers", 0, "worker cores (0 = GOMAXPROCS)")
+		strategy    = fs.String("strategy", "auto", "conv strategy: auto, "+strings.Join(strategyNames(), ", "))
+		seed        = fs.Uint64("seed", 42, "random seed")
+		savePath    = fs.String("save", "", "write a weight checkpoint here after training")
+		loadPath    = fs.String("load", "", "restore a weight checkpoint before training")
+		planCache   = fs.String("plan-cache", "", "persistent plan cache file: load cached strategy verdicts on start (skipping their measurement passes), save the updated cache on exit")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus), /healthz and /debug/pprof on this address during training (e.g. :8080)")
+		replicas    = fs.Int("replicas", 1, "data-parallel model replicas; N > 1 shards each global batch of -batch across N replicas and averages their parameters through the ring after every step")
+		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace-event JSON capture of the run here (open in ui.perfetto.dev, analyze with spg-trace)")
+		traceMode   = fs.String("trace-mode", "ring", "trace capture mode: ring (bounded flight recorder, keeps the newest events) or full (everything up to a cap)")
+		drift       = fs.Bool("drift", false, "run the plan-drift observatory: track model-vs-measured agreement per layer and re-tune automatically when a deployed strategy drifts")
+		driftReport = fs.String("drift-report", "", "write the observatory's agreement report (schema-versioned JSON, render with spg-doctor) here after training; implies -drift")
+		injectEpoch = fs.Int("drift-inject-epoch", 0, "TESTING: from the start of this epoch (1-based), scale every span time the observatory sees by -drift-inject-factor — a synthetic co-tenant; implies -drift")
+		injectFac   = fs.Float64("drift-inject-factor", 2, "synthetic slowdown factor for -drift-inject-epoch")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,23 +173,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
 
-	method, err := spgcnn.ParseAllReduceMethod(*allreduce)
-	if err != nil {
-		return err
-	}
-	sparseMode, err := spgcnn.ParseSparseSyncMode(*sparseSync)
-	if err != nil {
-		return err
-	}
-	cfg := spgcnn.DataParallelConfig{
-		Replicas: *replicas, LR: float32(*lr), GlobalBatch: *batch, SyncEvery: 1,
-		AllReduce: method, SparseSync: sparseMode,
-		Staleness: *staleness, Mitigate: *mitigate,
-	}
-	if *injectSlow >= 0 {
-		cfg.InjectSlowReplica = *injectSlow
-		cfg.InjectSlowPerImage = time.Duration(*injectSlowMS * float64(time.Millisecond))
-	}
+	cfg := spgcnn.DataParallelConfig{Replicas: *replicas, LR: float32(*lr), GlobalBatch: *batch, SyncEvery: 1}
 
 	fmt.Fprintf(stdout, "network %q, dataset %s (%d examples), strategy %s\n",
 		def.Name, *dataset, *examples, *strategy)
@@ -231,18 +208,8 @@ func run(args []string, stdout io.Writer) error {
 		dp.AddSink(obsv)
 	}
 	if *replicas > 1 {
-		fmt.Fprintf(stdout, "data-parallel: %d replicas, global batch %d (shard %d), allreduce %s, sparse-sync %s\n",
-			*replicas, *batch, *batch / *replicas, *allreduce, *sparseSync)
-		if *staleness > 0 {
-			fmt.Fprintf(stdout, "data-parallel: bounded-staleness async, K=%d\n", *staleness)
-		}
-		if *mitigate {
-			fmt.Fprintln(stdout, "data-parallel: straggler mitigation on (trace-driven re-chunking)")
-		}
-		if *injectSlow >= 0 {
-			fmt.Fprintf(stdout, "data-parallel: injecting straggler: replica %d sleeps %.1fms/image\n",
-				*injectSlow, *injectSlowMS)
-		}
+		fmt.Fprintf(stdout, "data-parallel: %d replicas, global batch %d (shard %d), ring allreduce\n",
+			*replicas, *batch, *batch / *replicas)
 	}
 
 	r := spgcnn.NewRNG(*seed)
@@ -377,18 +344,7 @@ func printEpoch(stdout io.Writer, net *spgcnn.Network, stats spgcnn.DataParallel
 	if stats.Syncs == 0 {
 		return
 	}
-	line := fmt.Sprintf("          sync %s  %.2fms total  wire %.2f MB",
-		stats.AllReduceMethod, stats.AllReduceSeconds*1e3, float64(stats.WireBytes)/1e6)
-	if stats.SparseSyncs > 0 {
-		line += fmt.Sprintf("  sparse %d/%d (density %.3f)",
-			stats.SparseSyncs, stats.Syncs, stats.MeanDeltaDensity)
-	}
-	if stats.Rechunks > 0 {
-		line += fmt.Sprintf("  rechunks %d", stats.Rechunks)
-	}
-	if stats.StalenessMax > 0 {
-		line += fmt.Sprintf("  staleness max %d", stats.StalenessMax)
-	}
+	line := fmt.Sprintf("          sync ring  %.2fms total", stats.AllReduceSeconds*1e3)
 	if stats.SkippedImages > 0 {
 		line += fmt.Sprintf("  skipped %d images", stats.SkippedImages)
 	}

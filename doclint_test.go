@@ -65,12 +65,45 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	return flags
 }
 
+// stringLiterals returns the value of every string literal in the non-test
+// Go files under internal/ and cmd/ — where each metric series name is
+// spelled.
+func stringLiterals(t *testing.T) map[string]bool {
+	t.Helper()
+	lits := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, _ := strconv.Unquote(lit.Value)
+					lits[s] = true
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lits
+}
+
 // TestDocsNameOnlyWhatExists is the doc lint: every script, command,
 // package, result file, baseline, experiment ID, strategy, command-line
-// flag and backticked Go reference (pkg.Name, pkg.Type.Member, Type.Member)
-// the docs name must exist in the tree, in Experiments(), in the planner's
-// candidate sets, on the command's FlagSet or among the declarations the
-// census parses — so deleting or renaming one fails tier-1 until the prose
+// flag, backticked Go reference (pkg.Name, pkg.Type.Member, Type.Member)
+// and backticked metric series name the docs name must exist in the tree,
+// in Experiments(), in the planner's candidate sets, on the command's
+// FlagSet, among the declarations the census parses or as a string literal
+// in the code — so deleting or renaming one fails tier-1 until the prose
 // follows.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	experiments := map[string]bool{}
@@ -87,6 +120,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		_, err := os.Stat(strings.TrimRight(path, "./"))
 		return err == nil
 	}
+	literals := stringLiterals(t)
+	isSeries := func(name string) bool { return strings.HasSuffix(name, "_") || literals[name] }
 
 	// A reference spelled with a glob, alternation or placeholder
 	// character names a family, not one thing; the patterns capture those
@@ -104,6 +139,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		{"strategy", regexp.MustCompile(`\b[fb]p=([a-z][a-z-]*)`), isStrategy},
 		// A code span that opens with a dotted Go name.
 		{"Go reference", regexp.MustCompile("`([A-Za-z_]\\w*(?:\\.[A-Z]\\w*){1,2})(?:[^\\w.]|$)"), parseExported(t).resolves},
+		// A code span that opens with a metric series name; a prefix
+		// (`spg_dp_*`, `spg_planner_cache_{hits,misses}_total`) names a family.
+		{"metric series", regexp.MustCompile("`(spg_[a-z0-9_]*\\*?)"), isSeries},
 	}
 
 	// Flags. An invocation — a command name followed by its arguments, up

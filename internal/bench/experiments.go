@@ -105,7 +105,6 @@ func Experiments() []Experiment {
 		{"ablation-ctcsr", "Ablation: CT-CSR column-tile width sweep (measured)", KindMeasured, RunAblationCTCSR},
 		{"ablation-machine", "Ablation: machine-model sensitivity study (modeled)", KindModeled, RunAblationMachine},
 		{"goodput", "Goodput across training: dense vs sparse BP (measured)", KindMeasured, RunGoodputTrain},
-		{"scaleout", "Scale-out (Fig 4 analogue): CT-CSR exchange wire bytes, alpha-beta cluster allreduce curves (modeled)", KindModeled, RunScaleout},
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataparallel
 
 import (
-	"math"
 	"testing"
 
 	"spgcnn/internal/rng"
@@ -36,25 +35,57 @@ func cloneViews(views [][][]float32) [][][]float32 {
 	return out
 }
 
+// flatMean is the reference the ring is pinned against — the drift-fixed
+// serial mean: one pass per replica accumulates into a float64 scratch
+// vector (a float32 sum into replica 0 loses low-order bits by 64
+// replicas), then one pass per replica writes the mean back.
+func flatMean(views [][][]float32) {
+	n := len(views)
+	inv := 1 / float64(n)
+	for j := range views[0] {
+		acc := make([]float64, len(views[0][j]))
+		for r := 0; r < n; r++ {
+			for i, v := range views[r][j] {
+				acc[i] += float64(v)
+			}
+		}
+		for r := 0; r < n; r++ {
+			dst := views[r][j]
+			for i := range dst {
+				dst[i] = float32(acc[i] * inv)
+			}
+		}
+	}
+}
+
 // TestRingBitIdenticalToFlat is the pinned dense bit-identity: the chunked
 // ring schedule must produce byte-for-byte the same mean as the flat
-// float64 path, at replica counts and lengths that exercise partial chunks.
+// float64 path, at replica counts and lengths that exercise partial chunks,
+// chunk-boundary lengths, empty parameters and more ring workers than
+// chunks.
 func TestRingBitIdenticalToFlat(t *testing.T) {
-	sizes := []int{3, reduceChunkElems, reduceChunkElems*2 + 17, 1000}
-	for _, n := range []int{2, 3, 8} {
-		flat := makeViews(n, sizes, 42)
+	cases := []struct {
+		n     int
+		sizes []int
+	}{
+		{2, []int{3, reduceChunkElems, reduceChunkElems*2 + 17, 1000}},
+		{3, []int{3, reduceChunkElems, reduceChunkElems*2 + 17, 1000}},
+		{8, []int{3, reduceChunkElems, reduceChunkElems*2 + 17, 1000}},
+		{3, []int{5, 0, 11}},
+		{4, []int{reduceChunkElems - 1, reduceChunkElems, reduceChunkElems + 1}},
+		{8, []int{3}},
+	}
+	for _, tc := range cases {
+		flat := makeViews(tc.n, tc.sizes, 42)
 		ring := cloneViews(flat)
-		NewExchange(MethodFlat, SparseOff, flat, nil).Sync()
-		info := NewExchange(MethodRing, SparseOff, ring, nil).Sync()
-		if info.Method != MethodRing || info.Sparse {
-			t.Fatalf("n=%d: ring sync reported %+v", n, info)
-		}
+		flatMean(flat)
+		newRing(ring).reduce()
 		for w := range flat {
 			for j := range flat[w] {
 				for i := range flat[w][j] {
 					if flat[w][j][i] != ring[w][j][i] {
-						t.Fatalf("n=%d replica %d param %d elem %d: flat %v != ring %v",
-							n, w, j, i, flat[w][j][i], ring[w][j][i])
+						t.Fatalf("n=%d sizes %v replica %d param %d elem %d: flat %v != ring %v",
+							tc.n, tc.sizes, w, j, i, flat[w][j][i], ring[w][j][i])
 					}
 				}
 			}
@@ -62,40 +93,11 @@ func TestRingBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
-// TestTreeReduceCorrect checks the hierarchical schedule against a float64
-// reference mean — pairwise float32 combining is not bit-identical to the
-// flat path, but must stay within a few ulps of the true mean.
-func TestTreeReduceCorrect(t *testing.T) {
-	sizes := []int{reduceChunkElems + 33}
-	for _, n := range []int{2, 3, 5, 8} {
-		views := makeViews(n, sizes, 7)
-		want := make([]float64, sizes[0])
-		for w := range views {
-			for i, v := range views[w][0] {
-				want[i] += float64(v)
-			}
-		}
-		inv := 1 / float64(n)
-		info := NewExchange(MethodTree, SparseOff, views, nil).Sync()
-		if info.Method != MethodTree {
-			t.Fatalf("n=%d: got method %q", n, info.Method)
-		}
-		for w := range views {
-			for i, got := range views[w][0] {
-				ref := want[i] * inv
-				if math.Abs(float64(got)-ref) > 1e-5 {
-					t.Fatalf("n=%d replica %d elem %d: tree %v, reference %v", n, w, i, got, ref)
-				}
-			}
-		}
-	}
-}
-
-// TestFlatDriftRegression64Replicas pins the satellite drift fix: with 64
-// replicas where replica 0 holds 1.0 and the rest hold 1e-8, the old
-// float32 sequential accumulation absorbed every small contribution
-// (1 + 1e-8 == 1 in float32) and returned exactly 1/64; the float64 path
-// must preserve them.
+// TestFlatDriftRegression64Replicas pins the drift fix: with 64 replicas
+// where replica 0 holds 1.0 and the rest hold 1e-8, float32 sequential
+// accumulation absorbs every small contribution (1 + 1e-8 == 1 in float32)
+// and returns exactly 1/64; the ring and the flat reference must both
+// preserve them.
 func TestFlatDriftRegression64Replicas(t *testing.T) {
 	const n = 64
 	views := make([][][]float32, n)
@@ -115,167 +117,19 @@ func TestFlatDriftRegression64Replicas(t *testing.T) {
 	if want == lost {
 		t.Fatal("test vector does not distinguish the accumulators")
 	}
-	for _, m := range []Method{MethodFlat, MethodRing} {
+	for name, mean := range map[string]func([][][]float32){
+		"flat": flatMean,
+		"ring": func(vs [][][]float32) { newRing(vs).reduce() },
+	} {
 		vs := cloneViews(views)
-		NewExchange(m, SparseOff, vs, nil).Sync()
+		mean(vs)
 		for w := range vs {
 			for i, got := range vs[w][0] {
 				if got != want {
 					t.Fatalf("%s replica %d elem %d: got %v, want %v (float32 drift would give %v)",
-						m, w, i, got, want, lost)
+						name, w, i, got, want, lost)
 				}
 			}
 		}
-	}
-}
-
-// TestSparseExchangeMatchesDense checks the CT-CSR delta exchange: after
-// aligned replicas diverge by sparse deltas, a forced sparse sync must
-// land every replica on the dense-path mean (within float tolerance) and
-// report a plausible density and a wire-byte figure below the dense
-// schedules'.
-func TestSparseExchangeMatchesDense(t *testing.T) {
-	const n, l = 8, 20000
-	base := makeViews(1, []int{l}, 3)[0][0]
-	views := make([][][]float32, n)
-	for w := range views {
-		views[w] = [][]float32{append([]float32(nil), base...)}
-	}
-	// Start from aligned state, then perturb ~5% of each replica.
-	ex := NewExchange(MethodRing, SparseForce, views, nil)
-	r := rng.New(11)
-	for w := range views {
-		for i := range views[w][0] {
-			if r.Float32() < 0.05 {
-				views[w][0][i] += r.Float32() * 0.1
-			}
-		}
-	}
-	dense := cloneViews(views)
-	info := ex.Sync()
-	if !info.Sparse {
-		t.Fatalf("forced sparse sync ran dense: %+v", info)
-	}
-	if info.Density <= 0 || info.Density > 0.1 {
-		t.Fatalf("density %v outside the injected ~0.05 band", info.Density)
-	}
-	denseWire := 2 * int64(n-1) * int64(l) * 4
-	if info.WireBytes <= 0 || info.WireBytes >= denseWire {
-		t.Fatalf("sparse wire bytes %d not below dense ring %d at 5%% density",
-			info.WireBytes, denseWire)
-	}
-	NewExchange(MethodFlat, SparseOff, dense, nil).Sync()
-	for w := range views {
-		for i := range views[w][0] {
-			if diff := math.Abs(float64(views[w][0][i] - dense[w][0][i])); diff > 1e-6 {
-				t.Fatalf("replica %d elem %d: sparse %v vs dense %v (diff %g)",
-					w, i, views[w][0][i], dense[w][0][i], diff)
-			}
-		}
-	}
-	// A second perturb/sync round exercises the refreshed base snapshot.
-	for w := range views {
-		for i := range views[w][0] {
-			if r.Float32() < 0.02 {
-				views[w][0][i] -= r.Float32() * 0.05
-			}
-		}
-	}
-	dense2 := cloneViews(views)
-	info2 := ex.Sync()
-	if !info2.Sparse {
-		t.Fatalf("second forced sparse sync ran dense: %+v", info2)
-	}
-	NewExchange(MethodFlat, SparseOff, dense2, nil).Sync()
-	for w := range views {
-		for i := range views[w][0] {
-			if diff := math.Abs(float64(views[w][0][i] - dense2[w][0][i])); diff > 1e-6 {
-				t.Fatalf("round 2 replica %d elem %d: sparse %v vs dense %v",
-					w, i, views[w][0][i], dense2[w][0][i])
-			}
-		}
-	}
-}
-
-// TestSparseAutoFallsBackDenseBitIdentical pins the band-boundary
-// fallback: with fully dense deltas (density 1 > SparseDensityBoundary)
-// the auto mode must run the dense schedule and stay bit-identical to the
-// plain flat path — the "sparsity 0" bit-identity requirement.
-func TestSparseAutoFallsBackDenseBitIdentical(t *testing.T) {
-	const n, l = 4, 9000
-	base := makeViews(1, []int{l}, 5)[0][0]
-	views := make([][][]float32, n)
-	for w := range views {
-		views[w] = [][]float32{append([]float32(nil), base...)}
-	}
-	ex := NewExchange(MethodRing, SparseAuto, views, nil)
-	r := rng.New(13)
-	for w := range views {
-		for i := range views[w][0] {
-			views[w][0][i] += r.Float32() + 0.5 // every element moves: density 1
-		}
-	}
-	ref := cloneViews(views)
-	info := ex.Sync()
-	if info.Sparse {
-		t.Fatalf("auto mode shipped sparse at density %v", info.Density)
-	}
-	if info.Density < 0.99 {
-		t.Fatalf("measured density %v, want ~1", info.Density)
-	}
-	NewExchange(MethodFlat, SparseOff, ref, nil).Sync()
-	for w := range views {
-		for i := range views[w][0] {
-			if views[w][0][i] != ref[w][0][i] {
-				t.Fatalf("replica %d elem %d: fallback %v != flat %v",
-					w, i, views[w][0][i], ref[w][0][i])
-			}
-		}
-	}
-	// After the dense fallback refreshed the snapshot, a small follow-up
-	// perturbation must go back to shipping sparse.
-	for w := range views {
-		for i := range views[w][0] {
-			if r.Float32() < 0.01 {
-				views[w][0][i] += 0.25
-			}
-		}
-	}
-	if info := ex.Sync(); !info.Sparse {
-		t.Fatalf("auto mode stayed dense at density %v", info.Density)
-	}
-}
-
-// TestMethodAutoUsesRanker checks that auto mode defers to the wired cost
-// model.
-func TestMethodAutoUsesRanker(t *testing.T) {
-	views := makeViews(4, []int{5000}, 9)
-	var sawElems, sawReplicas int
-	ex := NewExchange(MethodAuto, SparseOff, views,
-		func(elems, replicas int, density float64) (Method, bool) {
-			sawElems, sawReplicas = elems, replicas
-			return MethodTree, false
-		})
-	info := ex.Sync()
-	if info.Method != MethodTree {
-		t.Fatalf("ranker verdict ignored: deployed %q", info.Method)
-	}
-	if sawElems != 5000 || sawReplicas != 4 {
-		t.Fatalf("ranker saw (%d, %d), want (5000, 4)", sawElems, sawReplicas)
-	}
-}
-
-func TestParseFlags(t *testing.T) {
-	if _, err := ParseMethod("bogus"); err == nil {
-		t.Fatal("bogus method accepted")
-	}
-	if m, err := ParseMethod(""); err != nil || m != MethodFlat {
-		t.Fatalf("empty method: %v %v", m, err)
-	}
-	if _, err := ParseSparseMode("bogus"); err == nil {
-		t.Fatal("bogus sparse mode accepted")
-	}
-	if s, err := ParseSparseMode(""); err != nil || s != SparseOff {
-		t.Fatalf("empty sparse mode: %v %v", s, err)
 	}
 }

@@ -6,21 +6,22 @@
 // of data parallelism — shard compute, synchronize parameters — executable
 // and testable on one machine.
 //
-// Every global minibatch is sharded across the replicas; each replica runs
-// forward/backward on its shard and applies a locally-scaled SGD step, and
-// every SyncEvery steps the replicas' parameters are averaged (an
-// all-reduce). With SyncEvery = 1 and plain SGD this is mathematically
-// identical to single-worker large-batch SGD (the averaging of
-// per-shard-scaled steps reconstructs the global gradient average);
-// SyncEvery > 1 is local SGD with periodic averaging, trading
-// synchronization cost for gradient staleness exactly as the paper's §6
+// There is one schedule. Every global minibatch is sharded evenly across
+// the replicas; each replica runs forward/backward on its shard and applies
+// a locally-scaled SGD step, the coordinator waits for all of them at the
+// step barrier, and every SyncEvery steps the replicas' parameters are
+// averaged by the chunked ring reduce (allreduce.go). With SyncEvery = 1 and
+// plain SGD this is mathematically identical to single-worker large-batch
+// SGD (the averaging of per-shard-scaled steps reconstructs the global
+// gradient average); SyncEvery > 1 is local SGD with periodic averaging,
+// trading synchronization cost for gradient staleness as the paper's §6
 // discussion of parameter-synchronization latency describes.
 //
 // A replica is an nn.Trainer: its shard of a step is nn.Trainer.Step, the
 // same call a plain trainer's epoch loops over, and an epoch's statistics
 // close through the same nn.EpochStats.Account. One replica is therefore not
 // "N = 1 of the fleet loop" but replica 0's own nn.Trainer.TrainEpoch, run
-// inline: no goroutine, no exchange, the tail batch trained.
+// inline: no goroutine, no ring, the tail batch trained.
 package dataparallel
 
 import (
@@ -32,7 +33,6 @@ import (
 	"spgcnn/internal/ait"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
-	"spgcnn/internal/machine"
 	"spgcnn/internal/netdef"
 	"spgcnn/internal/nn"
 	"spgcnn/internal/plan"
@@ -52,43 +52,18 @@ type Config struct {
 	// SyncEvery is the parameter-averaging period in steps (default 1 =
 	// fully synchronous).
 	SyncEvery int
-
-	// AllReduce selects the reduction schedule (default MethodFlat;
-	// MethodAuto ranks schedules with the machine.Cluster cost model).
-	AllReduce Method
-	// SparseSync selects the gradient-delta exchange mode: SparseOff
-	// (default) is always-dense, SparseAuto ships CT-CSR deltas while
-	// their density stays within the band boundary, SparseForce always
-	// ships deltas.
-	SparseSync string
-	// Staleness enables the bounded-staleness async mode when > 0:
-	// replicas run without a per-step barrier and may proceed up to
-	// Staleness steps ahead of the slowest replica; parameter averaging
-	// happens when a pending sync boundary has quiesced the fleet.
-	// 0 = fully synchronous (the default).
-	Staleness int
-	// Mitigate closes the straggler loop: per-replica barrier-wait
-	// attribution feeds an EWMA throughput estimate that re-chunks the
-	// next step's shard assignment (slow replicas get fewer images, the
-	// LR of each replica's locally-scaled step is rescaled to keep the
-	// global update unbiased). It needs the step barrier: New rejects it
-	// together with Staleness > 0.
-	Mitigate bool
-	// InjectSlowReplica / InjectSlowPerImage inject an artificial
-	// straggler for benchmarking: replica InjectSlowReplica sleeps
-	// InjectSlowPerImage × (its current share) after each step's compute.
-	// Inactive unless InjectSlowPerImage > 0.
-	InjectSlowReplica  int
-	InjectSlowPerImage time.Duration
+	// AllReduce names the parameter-sync schedule: "" or "ring", the only
+	// one; anything else is an error. It is kept for the repository
+	// benchmark, which sets it, and goes with the next benchmark-only change.
+	AllReduce string
 }
 
 // Trainer coordinates the replicas.
 type Trainer struct {
 	// OnStep, when set, runs on the coordinating goroutine at the fleet's
-	// quiescent point — before every global step in synchronous mode, at
-	// every parameter sync in bounded-staleness mode, before every minibatch
-	// at one replica — with the global step number. No replica has a batch
-	// in flight.
+	// quiescent point — before every global step, before every minibatch at
+	// one replica — with the global step number. No replica has a batch in
+	// flight.
 	OnStep func(step int64)
 
 	cfg      Config
@@ -100,9 +75,7 @@ type Trainer struct {
 	epoch int
 	steps int
 
-	exchange *Exchange // reduction subsystem (lazy; see ensureExchange)
-	shares   []int     // per-replica images per step (sums to GlobalBatch)
-	rate     []float64 // per-replica EWMA throughput (images/sec), 0 = unknown
+	ring *ring // parameter averaging (lazy; see ensureRing)
 
 	rec      *trace.Recorder
 	coord    *trace.Emitter   // replica -1: all-reduce, planner, epoch accounting
@@ -136,37 +109,17 @@ func New(build func(replica int) *nn.Network, cfg Config) (*Trainer, error) {
 	if cfg.SyncEvery < 1 {
 		cfg.SyncEvery = 1
 	}
-	if _, err := ParseMethod(string(cfg.AllReduce)); err != nil {
-		return nil, err
-	}
-	if _, err := ParseSparseMode(cfg.SparseSync); err != nil {
-		return nil, err
-	}
-	if cfg.Staleness < 0 {
-		return nil, fmt.Errorf("dataparallel: staleness %d < 0", cfg.Staleness)
-	}
-	if cfg.Mitigate && cfg.Staleness > 0 {
-		return nil, fmt.Errorf("dataparallel: mitigate re-chunks at the step barrier, which staleness %d removes; set one of the two",
-			cfg.Staleness)
-	}
-	if cfg.InjectSlowPerImage > 0 &&
-		(cfg.InjectSlowReplica < 0 || cfg.InjectSlowReplica >= cfg.Replicas) {
-		return nil, fmt.Errorf("dataparallel: inject-slow replica %d out of range [0, %d)",
-			cfg.InjectSlowReplica, cfg.Replicas)
+	if cfg.AllReduce != "" && cfg.AllReduce != "ring" {
+		return nil, fmt.Errorf("dataparallel: unknown allreduce schedule %q (the ring is the only one)", cfg.AllReduce)
 	}
 	t := &Trainer{cfg: cfg}
-	t.shares = make([]int, cfg.Replicas)
-	t.rate = make([]float64, cfg.Replicas)
-	for w := range t.shares {
-		t.shares[w] = cfg.GlobalBatch / cfg.Replicas
-	}
 	for i := 0; i < cfg.Replicas; i++ {
 		net := build(i)
 		if net == nil {
 			return nil, fmt.Errorf("dataparallel: builder returned nil for replica %d", i)
 		}
 		t.nets = append(t.nets, net)
-		t.replicas = append(t.replicas, &replica{tr: nn.NewTrainer(net, cfg.LR, t.shares[i])})
+		t.replicas = append(t.replicas, &replica{tr: nn.NewTrainer(net, cfg.LR, cfg.GlobalBatch/cfg.Replicas)})
 	}
 	if err := t.checkAligned(); err != nil {
 		return nil, err
@@ -354,13 +307,8 @@ type ReplicaStats struct {
 	// Total/Min/Max are the replica's per-step wall times in seconds.
 	Total, Min, Max float64
 	// BarrierWait is the cumulative time this replica spent finished,
-	// waiting at the step barrier for the slowest replica (seconds). In
-	// async mode it is the time spent parked by the staleness bound or a
-	// pending sync.
+	// waiting at the step barrier for the slowest replica (seconds).
 	BarrierWait float64
-	// Share is the replica's images-per-step share at epoch end
-	// (GlobalBatch/Replicas unless straggler mitigation re-chunked it).
-	Share int
 }
 
 // Mean returns the replica's mean step time.
@@ -382,7 +330,7 @@ type Stats struct {
 	Syncs int
 	// Replicas holds per-replica step-time min/max/mean and barrier-wait
 	// attribution for this epoch. A single replica trains inline with no
-	// per-step clock: its row carries Steps, Total and Share only.
+	// per-step clock: its row carries Steps and Total only.
 	Replicas []ReplicaStats
 
 	// SkippedImages counts trailing examples that did not fill a whole
@@ -393,142 +341,48 @@ type Stats struct {
 	// SkippedConvFlops is the conv work those images would have cost.
 	SkippedConvFlops float64
 
-	// AllReduceMethod is the schedule deployed by the last sync of the
-	// epoch ("flat", "ring", "tree", with "+sparse" when deltas shipped).
-	AllReduceMethod string
 	// AllReduceSeconds is the cumulative wall time of this epoch's syncs.
 	AllReduceSeconds float64
-	// SparseSyncs counts the syncs that shipped CT-CSR deltas (the rest
-	// of Syncs ran dense).
-	SparseSyncs int
-	// MeanDeltaDensity is the mean measured gradient-delta density across
-	// syncs that computed deltas (-1 when none did).
-	MeanDeltaDensity float64
-	// WireBytes is the modeled interconnect traffic of this epoch's syncs
-	// (what the rounds would ship on a scale-out fabric).
-	WireBytes int64
-	// Rechunks counts mitigation share reassignments this epoch.
-	Rechunks int
-	// StalenessMax is the largest observed step gap between the fastest
-	// and slowest replica at a sync point (async mode; 0 when
-	// synchronous).
-	StalenessMax int
-}
-
-// epochTally accumulates one epoch's training tallies and sync-round
-// telemetry; TrainEpoch's epilogue turns it into Stats.
-type epochTally struct {
-	loss    float64
-	correct int
-	images  int
-	steps   int
-	perRep  []ReplicaStats
-
-	syncs        int
-	seconds      float64
-	wire         int64
-	sparse       int
-	densitySum   float64
-	densityN     int
-	method       string
-	rechunks     int
-	stalenessMax int
-}
-
-// observe folds one finished step of replica w into the tally.
-func (e *epochTally) observe(w int, rp *replica, images int) {
-	e.loss += rp.loss
-	e.correct += rp.correct
-	e.images += images
-	r := &e.perRep[w]
-	r.Steps++
-	r.Total += rp.secs
-	r.Min = min(r.Min, rp.secs)
-	r.Max = max(r.Max, rp.secs)
 }
 
 // TrainEpoch runs one shuffled pass over the dataset. One replica is
-// replica 0's nn.Trainer.TrainEpoch, inline. A fleet shards every global
-// batch: trailing examples that do not fill a whole one are skipped (every
-// step must shard evenly) and reported as Stats.SkippedImages — an Eq.
-// 9-style waste term; size datasets as multiples of GlobalBatch for exact
-// epochs. cfg.Staleness > 0 schedules the fleet's steps under the bounded-
-// staleness rule instead of the per-step barrier; everything around the
-// schedule is shared.
+// replica 0's nn.Trainer.TrainEpoch, inline. A fleet runs every global step
+// under the step barrier: each replica runs its even shard on its own
+// goroutine, the coordinator waits for all of them and attributes the
+// barrier wait, and every SyncEvery steps the ring averages the parameters.
+// Trailing examples that do not fill a whole global batch are skipped
+// (every step must shard evenly) and reported as Stats.SkippedImages — an
+// Eq. 9-style waste term; size datasets as multiples of GlobalBatch for
+// exact epochs.
 func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
 	cfg := t.cfg
 	if cfg.Replicas == 1 {
 		es := t.replicas[0].tr.TrainEpoch(ds, r)
 		steps := (es.Images + cfg.GlobalBatch - 1) / cfg.GlobalBatch
-		stats := Stats{EpochStats: es, Steps: steps, MeanDeltaDensity: -1,
-			Replicas: []ReplicaStats{{Steps: steps, Total: es.Seconds, Share: cfg.GlobalBatch}}}
+		stats := Stats{EpochStats: es, Steps: steps,
+			Replicas: []ReplicaStats{{Steps: steps, Total: es.Seconds}}}
 		t.traceEpoch(stats)
 		return stats
 	}
-	// Build the reduction subsystem up front: the sparse base snapshot
-	// must be taken while the replicas are aligned.
-	t.ensureExchange()
+	t.ensureRing()
 	order := r.Perm(ds.Len())
-	e := &epochTally{perRep: make([]ReplicaStats, cfg.Replicas)}
-	for w := range e.perRep {
-		e.perRep[w] = ReplicaStats{Replica: w, Min: math.MaxFloat64}
+	stats := Stats{Replicas: make([]ReplicaStats, cfg.Replicas), SkippedImages: len(order) % cfg.GlobalBatch}
+	for w := range stats.Replicas {
+		stats.Replicas[w] = ReplicaStats{Replica: w, Min: math.MaxFloat64}
 	}
+	shard := cfg.GlobalBatch / cfg.Replicas
+	var loss float64
+	var correct int
 	start := time.Now()
-	if cfg.Staleness > 0 {
-		t.runAsync(ds, order, e)
-	} else {
-		t.runSync(ds, order, e)
-	}
-	t.steps += e.steps
-	t.epoch++
-	for w := range e.perRep {
-		if e.perRep[w].Steps == 0 {
-			e.perRep[w].Min = 0
-		}
-		e.perRep[w].Share = t.shares[w]
-	}
-	stats := Stats{
-		EpochStats:       nn.EpochStats{Epoch: t.epoch, Images: e.images, Seconds: time.Since(start).Seconds()},
-		Steps:            e.steps,
-		Syncs:            e.syncs,
-		Replicas:         e.perRep,
-		SkippedImages:    len(order) % cfg.GlobalBatch,
-		AllReduceMethod:  e.method,
-		AllReduceSeconds: e.seconds,
-		SparseSyncs:      e.sparse,
-		MeanDeltaDensity: -1,
-		WireBytes:        e.wire,
-		Rechunks:         e.rechunks,
-		StalenessMax:     e.stalenessMax,
-	}
-	if e.densityN > 0 {
-		stats.MeanDeltaDensity = e.densitySum / float64(e.densityN)
-	}
-	stats.SkippedConvFlops = stats.Account(e.loss, e.correct, t.nets...) * float64(stats.SkippedImages)
-	t.traceEpoch(stats)
-	return stats
-}
-
-// runSync schedules the epoch's steps under the per-step barrier: every
-// replica runs its shard of a global step on its own goroutine, the
-// coordinator waits for all of them, attributes the barrier wait, re-chunks
-// when mitigating, and averages parameters every SyncEvery steps.
-func (t *Trainer) runSync(ds nn.Dataset, order []int, e *epochTally) {
-	cfg := t.cfg
-	offsets := make([]int, cfg.Replicas)
 	for lo := 0; lo+cfg.GlobalBatch <= len(order); lo += cfg.GlobalBatch {
-		t.onStep(int64(t.steps + e.steps + 1))
-		off := 0
-		for w := range offsets {
-			offsets[w] = off
-			off += t.shares[w]
-		}
+		t.steps++
+		t.onStep(int64(t.steps))
 		var wg sync.WaitGroup
 		wg.Add(cfg.Replicas)
 		for w := 0; w < cfg.Replicas; w++ {
 			go func(w int) {
 				defer wg.Done()
-				t.runStep(ds, w, order[lo+offsets[w]:lo+offsets[w]+t.shares[w]])
+				t.runStep(ds, w, order[lo+w*shard:lo+(w+1)*shard])
 			}(w)
 		}
 		wg.Wait()
@@ -537,79 +391,67 @@ func (t *Trainer) runSync(ds nn.Dataset, order []int, e *epochTally) {
 			slowest = max(slowest, rp.secs)
 		}
 		for w, rp := range t.replicas {
-			e.observe(w, rp, t.shares[w])
+			loss += rp.loss
+			correct += rp.correct
+			rs := &stats.Replicas[w]
+			rs.Steps++
+			rs.Total += rp.secs
+			rs.Min = min(rs.Min, rp.secs)
+			rs.Max = max(rs.Max, rp.secs)
 			if rp.secs < slowest {
 				wait := slowest - rp.secs
-				e.perRep[w].BarrierWait += wait
+				rs.BarrierWait += wait
 				t.em(w).Instant("sync", "barrier", "", wait)
 			}
 		}
-		if cfg.Mitigate {
-			t.rechunk(e)
-		}
-		e.steps++
-		if (t.steps+e.steps)%cfg.SyncEvery == 0 {
-			t.sync(e)
+		stats.Steps++
+		if t.steps%cfg.SyncEvery == 0 {
+			stats.Syncs++
+			stats.AllReduceSeconds += t.sync()
 		}
 	}
+	t.epoch++
+	for w := range stats.Replicas {
+		if stats.Replicas[w].Steps == 0 {
+			stats.Replicas[w].Min = 0
+		}
+	}
+	stats.EpochStats = nn.EpochStats{Epoch: t.epoch, Images: stats.Steps * cfg.GlobalBatch, Seconds: time.Since(start).Seconds()}
+	stats.SkippedConvFlops = stats.Account(loss, correct, t.nets...) * float64(stats.SkippedImages)
+	t.traceEpoch(stats)
+	return stats
 }
 
 // runStep executes one replica's shard of one global step through its
-// trainer's Step. The LR is rescaled for unequal mitigation shares so the
-// replica average still reconstructs the lr/GlobalBatch global step (at
-// equal shares the rescale is exactly cfg.LR, preserving the historical
-// arithmetic).
+// trainer's Step and clocks it.
 func (t *Trainer) runStep(ds nn.Dataset, w int, idx []int) {
-	cfg := t.cfg
 	rp := t.replicas[w]
 	stepStart := time.Now()
 	t.em(w).Region("step", "step", func() {
-		lr := cfg.LR
-		if share := len(idx); share*cfg.Replicas != cfg.GlobalBatch {
-			lr = cfg.LR * float32(share*cfg.Replicas) / float32(cfg.GlobalBatch)
-		}
-		rp.loss, rp.correct = rp.tr.Step(ds, idx, lr)
-		if cfg.InjectSlowPerImage > 0 && w == cfg.InjectSlowReplica {
-			time.Sleep(cfg.InjectSlowPerImage * time.Duration(len(idx)))
-		}
+		rp.loss, rp.correct = rp.tr.Step(ds, idx, t.cfg.LR)
 	})
 	rp.secs = time.Since(stepStart).Seconds()
 }
 
-// sync runs one parameter-averaging round through the reduction subsystem
-// and records its telemetry.
-func (t *Trainer) sync(es *epochTally) {
-	arStart := time.Now()
-	info := t.exchange.Sync()
-	dur := time.Since(arStart)
-	method := string(info.Method)
-	if info.Sparse {
-		method += "+sparse"
-	}
-	t.coord.SpanDetail("sync", "allreduce", method, float64(info.WireBytes), arStart, dur)
-	es.syncs++
-	es.seconds += dur.Seconds()
-	es.wire += info.WireBytes
-	es.method = method
-	if info.Sparse {
-		es.sparse++
-	}
-	if info.Density >= 0 {
-		es.densitySum += info.Density
-		es.densityN++
-	}
+// sync runs one parameter-averaging round through the ring, traces it and
+// returns its wall time in seconds.
+func (t *Trainer) sync() float64 {
+	start := time.Now()
+	t.ring.reduce()
+	dur := time.Since(start)
+	t.coord.Span("sync", "allreduce", start, dur)
+	return dur.Seconds()
 }
 
-// ensureExchange lazily builds the reduction subsystem over the replicas'
-// live parameter views, with the machine.Cluster cost model as the
-// MethodAuto ranker.
-func (t *Trainer) ensureExchange() {
-	if t.exchange != nil {
+// ensureRing lazily builds the ring over the replicas' live parameter
+// views.
+func (t *Trainer) ensureRing() {
+	if t.ring != nil {
 		return
 	}
-	// New verified the alignment the exchange's base snapshot assumes;
-	// whatever a caller restored into the replicas since must have reached
-	// every one of them.
+	// New verified the alignment; whatever a caller restored into the
+	// replicas since must have reached every one of them, or the first
+	// sync would average two different models.
 	if err := t.checkAligned(); err != nil {
 		panic(err)
 	}
@@ -621,95 +463,7 @@ func (t *Trainer) ensureExchange() {
 			views[i][j] = p.Tensor.Data
 		}
 	}
-	cl := machine.DefaultCluster(len(t.nets))
-	ranker := func(elems, replicas int, density float64) (Method, bool) {
-		best := cl.BestAllReduce(elems, density)
-		return Method(best.Method), best.Sparse
-	}
-	t.exchange = NewExchange(t.cfg.AllReduce, t.cfg.SparseSync, views, ranker)
-}
-
-// rechunk closes the straggler loop: the step that just finished updates
-// each replica's EWMA throughput, and shares are reassigned proportionally
-// (largest-remainder rounding, minimum 1 image) so next step's barrier
-// wait concentrates less on the fast replicas.
-func (t *Trainer) rechunk(es *epochTally) {
-	n := t.cfg.Replicas
-	if n < 2 {
-		return
-	}
-	const alpha = 0.5
-	for w, rp := range t.replicas {
-		if rp.secs <= 0 {
-			continue
-		}
-		r := float64(t.shares[w]) / rp.secs
-		if t.rate[w] == 0 {
-			t.rate[w] = r
-		} else {
-			t.rate[w] = (1-alpha)*t.rate[w] + alpha*r
-		}
-	}
-	var sum float64
-	for _, r := range t.rate {
-		if r <= 0 {
-			return // not every replica measured yet
-		}
-		sum += r
-	}
-	b := t.cfg.GlobalBatch
-	target := make([]int, n)
-	frac := make([]float64, n)
-	assigned := 0
-	for w := range target {
-		ideal := float64(b) * t.rate[w] / sum
-		fl := int(ideal)
-		if fl < 1 {
-			fl = 1
-		}
-		target[w] = fl
-		frac[w] = ideal - float64(fl)
-		assigned += fl
-	}
-	for assigned < b {
-		best := 0
-		for w := 1; w < n; w++ {
-			if frac[w] > frac[best] {
-				best = w
-			}
-		}
-		target[best]++
-		frac[best] = -1
-		assigned++
-	}
-	for assigned > b {
-		best := -1
-		for w := 0; w < n; w++ {
-			if target[w] > 1 && (best < 0 || frac[w] < frac[best]) {
-				best = w
-			}
-		}
-		if best < 0 {
-			break
-		}
-		target[best]--
-		frac[best] = 2
-		assigned--
-	}
-	moved := 0
-	for w := range target {
-		d := target[w] - t.shares[w]
-		if d < 0 {
-			d = -d
-		}
-		moved += d
-	}
-	if moved == 0 {
-		return
-	}
-	copy(t.shares, target)
-	es.rechunks++
-	t.coord.Instant("sync", "rechunk", "", float64(moved))
+	t.ring = newRing(views)
 }
 
 // Replica returns replica i's network (replica 0 is the canonical model

@@ -3,6 +3,7 @@ package dataparallel
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
@@ -14,14 +15,46 @@ import (
 
 // buildNet returns a deterministic conv+relu+fc network; every call with
 // the same seed yields identical weights.
-func buildNet(seed uint64) *nn.Network {
+func buildNet(seed uint64) *nn.Network { return buildSlowNet(seed, 0) }
+
+// buildSlowNet is buildNet with, when perImage > 0, a sleepLayer between
+// the relu and the fc: the same parameters, a slower step.
+func buildSlowNet(seed uint64, perImage time.Duration) *nn.Network {
 	r := rng.New(seed)
 	s := conv.Square(8, 3, 2, 3, 1)
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
 	cv := nn.NewConvCtx("conv0", s, core.FixedPlanner(st, st), exec.New(1), r)
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
 	fc := nn.NewFCCtx("fc0", re.OutDims(), 4, exec.New(1), r)
-	return nn.NewNetwork(cv.Ctx(), cv, re, fc)
+	layers := []nn.Layer{cv, re}
+	if perImage > 0 {
+		layers = append(layers, sleepLayer{dims: re.OutDims(), perImage: perImage})
+	}
+	return nn.NewNetwork(cv.Ctx(), append(layers, fc)...)
+}
+
+// sleepLayer is a parameter-free pass-through that sleeps perImage for
+// every image it forwards: a straggler built into one replica's network
+// that leaves the fleet's parameters aligned.
+type sleepLayer struct {
+	dims     []int
+	perImage time.Duration
+}
+
+func (sleepLayer) Name() string            { return "sleep" }
+func (l sleepLayer) InDims() []int         { return l.dims }
+func (l sleepLayer) OutDims() []int        { return l.dims }
+func (sleepLayer) ApplyGrads(float32, int) {}
+func (l sleepLayer) Forward(outs, ins []*tensor.Tensor) {
+	for i := range ins {
+		copy(outs[i].Data, ins[i].Data)
+	}
+	time.Sleep(l.perImage * time.Duration(len(ins)))
+}
+func (sleepLayer) Backward(eis, eos, _ []*tensor.Tensor) {
+	for i := range eos {
+		copy(eis[i].Data, eos[i].Data)
+	}
 }
 
 // ds is a deterministic in-package dataset.
@@ -41,8 +74,8 @@ func TestConfigValidation(t *testing.T) {
 		{Replicas: 0, GlobalBatch: 4},
 		{Replicas: 3, GlobalBatch: 4}, // not divisible
 		{Replicas: 8, GlobalBatch: 4}, // batch < replicas
-		// mitigation re-chunks at the barrier that staleness removes
-		{Replicas: 2, GlobalBatch: 4, Staleness: 2, Mitigate: true},
+		// the ring is the only schedule
+		{Replicas: 2, GlobalBatch: 4, AllReduce: "tree"},
 	}
 	for _, cfg := range cases {
 		cfg.LR = 0.01
@@ -50,12 +83,47 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if _, err := New(build, Config{Replicas: 2, GlobalBatch: 4, LR: 0.01}); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, allreduce := range []string{"", "ring"} {
+		if _, err := New(build, Config{Replicas: 2, GlobalBatch: 4, LR: 0.01, AllReduce: allreduce}); err != nil {
+			t.Fatalf("valid config (allreduce %q) rejected: %v", allreduce, err)
+		}
 	}
 	_, err := New(build, cases[len(cases)-1])
-	if err == nil || !strings.Contains(err.Error(), "mitigate") || !strings.Contains(err.Error(), "staleness 2") {
-		t.Fatalf("mitigate+staleness error = %v, want both settings named", err)
+	if err == nil || !strings.Contains(err.Error(), `"tree"`) {
+		t.Fatalf("allreduce tree error = %v, want the value named", err)
+	}
+}
+
+// TestInjectedStragglerAttribution pins the straggler surface: with
+// replica 1 built slow, the barrier wait must concentrate on the OTHER
+// replicas (they finish first and wait), and the slow replica itself must
+// wait ~nothing.
+func TestInjectedStragglerAttribution(t *testing.T) {
+	dp, err := New(func(replica int) *nn.Network {
+		if replica == 1 {
+			return buildSlowNet(7, 2*time.Millisecond)
+		}
+		return buildNet(7)
+	}, Config{Replicas: 4, GlobalBatch: 16, LR: 0.05, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := dp.TrainEpoch(ds{n: 64}, rng.New(3))
+	slow := stats.Replicas[1]
+	var fastWait float64
+	for w, r := range stats.Replicas {
+		if w != 1 {
+			fastWait += r.BarrierWait
+		}
+	}
+	if fastWait <= 0 {
+		t.Fatal("no barrier wait attributed to the fast replicas")
+	}
+	// The slow replica sleeps 2ms × 4 images per step; the fast replicas'
+	// mean wait should dwarf the slow one's.
+	if slow.BarrierWait > fastWait/3 {
+		t.Fatalf("wait did not concentrate on fast replicas: slow %.4fs, fast total %.4fs",
+			slow.BarrierWait, fastWait)
 	}
 }
 

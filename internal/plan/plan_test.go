@@ -17,11 +17,13 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// The fake strategies mirror core's autoconv tests: no real compute,
-// sleep-based costs with ~10x margins so measured verdicts are
-// deterministic. They carry no analytical model, so the planner's prune
-// pass leaves them untouched and the measured path sees every candidate —
-// exactly the pre-planner ChooseFP/ChooseBP behavior.
+// The fake strategies mirror core's autoconv tests: no real compute, and
+// every verdict is a winner that returns at once against losers that sleep
+// for milliseconds. A loaded host stretches sleeps but never shortens one,
+// so a verdict flips only if a multi-millisecond stall lands inside the
+// winner's function-call-long timed window. They carry no analytical model,
+// so the planner's prune pass leaves them untouched and the measured path
+// sees every candidate — exactly the pre-planner ChooseFP/ChooseBP behavior.
 type fakeKernel struct {
 	spec   conv.Spec
 	name   string
@@ -65,20 +67,23 @@ func fakeStrategy(name string, fpCost time.Duration, bpCost func(float64) time.D
 func fakeFP() []core.Strategy {
 	return []core.Strategy{
 		fakeStrategy("slow-fp", 5*time.Millisecond, nil),
-		fakeStrategy("fast-fp", 200*time.Microsecond, nil),
+		fakeStrategy("fast-fp", 0, nil),
 	}
 }
 
-// fakeBP has the Fig. 3b crossover: dense-friendly is flat, sparse-
-// friendly wins only once gradients are sparse.
+// fakeBP has the Fig. 3b crossover: dense-friendly wins while gradients
+// are dense, sparse-friendly only once they are sparse.
 func fakeBP() []core.Strategy {
 	return []core.Strategy{
-		fakeStrategy("dense-friendly", 0, func(float64) time.Duration {
-			return 2 * time.Millisecond
+		fakeStrategy("dense-friendly", 0, func(sp float64) time.Duration {
+			if sp >= 0.5 {
+				return 2 * time.Millisecond
+			}
+			return 0
 		}),
 		fakeStrategy("sparse-friendly", 0, func(sp float64) time.Duration {
 			if sp >= 0.5 {
-				return 200 * time.Microsecond
+				return 0
 			}
 			return 20 * time.Millisecond
 		}),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -305,6 +306,11 @@ type inferRequest struct {
 	Input []float32 `json:"input"`
 }
 
+// maxInferBody bounds a /v1/infer request body for a model of inLen input
+// values: 64 bytes per value is several times the longest JSON number, and
+// 64 KiB covers the envelope and whitespace.
+func maxInferBody(inLen int) int64 { return 64*int64(inLen) + 64<<10 }
+
 // inferResponse is the /v1/infer JSON response.
 type inferResponse struct {
 	Output    []float32 `json:"output"`
@@ -344,8 +350,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	body := http.MaxBytesReader(w, r.Body, maxInferBody(s.model.InLen()))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	if len(req.Input) != s.model.InLen() {

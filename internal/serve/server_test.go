@@ -262,3 +262,39 @@ func TestServerDrainOnClose(t *testing.T) {
 		t.Fatalf("post-close request got %d, want 503", code)
 	}
 }
+
+// TestServerInferBodyLimit: a /v1/infer body one byte over maxInferBody is
+// refused with 413 before it is decoded, and the server goes on answering:
+// a body exactly at the limit and the next ordinary request are served.
+func TestServerInferBodyLimit(t *testing.T) {
+	srv, ts := testServer(t, time.Millisecond, 4, 16, nil)
+	input := make([]float32, srv.model.InLen())
+	limit := maxInferBody(len(input))
+	// padded is a well-formed request of exactly n bytes: leading
+	// whitespace the decoder must read through before the value.
+	padded := func(n int64) []byte {
+		doc, _ := json.Marshal(inferRequest{Input: input})
+		return append(bytes.Repeat([]byte(" "), int(n)-len(doc)), doc...)
+	}
+	post := func(body []byte) int {
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	if code := post(padded(limit + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of limit+1 bytes got %d, want 413", code)
+	}
+	if code := post(padded(limit)); code != http.StatusOK {
+		t.Fatalf("body of exactly limit bytes got %d, want 200", code)
+	}
+	if out, code := postInfer(t, ts.URL, input); code != http.StatusOK || len(out.Output) != 7 {
+		t.Fatalf("ordinary request after the refusal got %d with %d logits", code, len(out.Output))
+	}
+	if st := srv.Stats(); st.Requests != 2 {
+		t.Fatalf("%d requests admitted, want 2 (the oversized one never reaches the queue)", st.Requests)
+	}
+}

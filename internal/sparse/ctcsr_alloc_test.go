@@ -18,10 +18,9 @@ func makeDelta(buf []float32, density float64, seed uint64) {
 	}
 }
 
-// TestFromDenseCTIntoSteadyStateAllocs pins the property the sync path
-// depends on: once the tile skeletons have grown to steady-state capacity,
-// re-encoding a same-shaped vector allocates nothing — the data-parallel
-// exchange calls this once per replica per sync round.
+// TestFromDenseCTIntoSteadyStateAllocs pins the reuse contract: once the
+// tile skeletons have grown to steady-state capacity, re-encoding a
+// same-shaped vector allocates nothing.
 func TestFromDenseCTIntoSteadyStateAllocs(t *testing.T) {
 	const l = 1 << 16
 	buf := make([]float32, l)
@@ -88,8 +87,8 @@ func TestFromDenseCTIntoRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkFromDenseCTIntoReencode measures the per-round re-encode cost
-// of the sparse gradient exchange at a typical delta density.
+// BenchmarkFromDenseCTIntoReencode measures the steady-state re-encode
+// cost of a vector at 5% density.
 func BenchmarkFromDenseCTIntoReencode(b *testing.B) {
 	const l = 1 << 18
 	buf := make([]float32, l)

@@ -49,7 +49,7 @@ type Kernel struct {
 	tileWidth int
 
 	// scratch pools CT-CSR skeletons whose Values/ColIdx/RowPtr arrays are
-	// reused across steps via sparse.FromDenseCTInto.
+	// reused across steps via sparse.FromPlanesCTInto.
 	scratch sync.Pool
 
 	fwd *unfoldgemm.Kernel

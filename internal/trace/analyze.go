@@ -94,9 +94,6 @@ type StragglerReport struct {
 	// their total cost.
 	Syncs            int
 	AllReduceSeconds float64
-	// Rechunks counts straggler-mitigation share reassignments observed
-	// in the capture ("sync"/"rechunk" instants).
-	Rechunks int
 	// SlowestReplica is the replica most often slowest (-1 when the
 	// capture has no step groups).
 	SlowestReplica int
@@ -142,8 +139,6 @@ func Stragglers(c Capture) StragglerReport {
 		case ev.Cat == "sync" && ev.Phase == 'X' && ev.Name == "allreduce":
 			rep.Syncs++
 			rep.AllReduceSeconds += seconds(ev.Dur)
-		case ev.Cat == "sync" && ev.Phase == 'i' && ev.Name == "rechunk":
-			rep.Rechunks++
 		}
 	}
 

@@ -283,27 +283,10 @@ func NewDataParallelFromDef(def *NetDef, opts BuildOptions, cfg DataParallelConf
 	return dataparallel.NewFromDef(def, opts, cfg)
 }
 
-// AllReduceMethod selects the reduction schedule of the parameter sync.
-type AllReduceMethod = dataparallel.Method
-
-// Reduction schedules and sparse-exchange modes of the data-parallel
-// reduction subsystem.
-const (
-	AllReduceFlat = dataparallel.MethodFlat
-	AllReduceRing = dataparallel.MethodRing
-	AllReduceTree = dataparallel.MethodTree
-	AllReduceAuto = dataparallel.MethodAuto
-
-	SparseSyncOff   = dataparallel.SparseOff
-	SparseSyncAuto  = dataparallel.SparseAuto
-	SparseSyncForce = dataparallel.SparseForce
-)
-
-// ParseAllReduceMethod validates an -allreduce flag value.
-func ParseAllReduceMethod(s string) (AllReduceMethod, error) { return dataparallel.ParseMethod(s) }
-
-// ParseSparseSyncMode validates a -sparse-sync flag value.
-func ParseSparseSyncMode(s string) (string, error) { return dataparallel.ParseSparseMode(s) }
+// AllReduceRing names the parameter-sync schedule, the chunked ring — the
+// only one, and what an empty DataParallelConfig.AllReduce selects. Kept
+// for the repository benchmark, which sets it.
+const AllReduceRing = "ring"
 
 // Built-in benchmark network descriptions (Table 2 geometries).
 const (
