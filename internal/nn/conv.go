@@ -104,23 +104,23 @@ func (c *Conv) InDims() []int { return []int{c.spec.Nc, c.spec.Ny, c.spec.Nx} }
 // OutDims implements Layer.
 func (c *Conv) OutDims() []int { return []int{c.spec.Nf, c.spec.OutY(), c.spec.OutX()} }
 
-// Forward implements Layer: convolution plus per-feature bias.
+// Forward implements Layer: convolution plus per-feature bias, the bias pass
+// fanned over the batch with the context's workers.
 func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
 	ran, planned := c.exec.Forward(outs, ins, c.W)
 	c.ranFP = lastRun{ran.Strategy().Name, planned}
-	oy, ox := c.spec.OutY(), c.spec.OutX()
-	for _, out := range outs {
-		for f := 0; f < c.spec.Nf; f++ {
-			b := c.B.Data[f]
+	plane := c.spec.OutY() * c.spec.OutX()
+	par.For(len(outs), c.ctx.Workers(), func(i int) {
+		for f, b := range c.B.Data {
 			if b == 0 {
 				continue
 			}
-			plane := out.Data[f*oy*ox : (f+1)*oy*ox]
-			for i := range plane {
-				plane[i] += b
+			p := outs[i].Data[f*plane:][:plane]
+			for j := range p {
+				p[j] += b
 			}
 		}
-	}
+	})
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity

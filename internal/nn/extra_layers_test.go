@@ -33,7 +33,7 @@ func TestAvgPoolBackwardDistributes(t *testing.T) {
 	l.Forward([]*tensor.Tensor{out}, []*tensor.Tensor{in})
 	eo := tensor.FromSlice([]float32{4, 0, 0, 8}, 1, 2, 2)
 	ei := tensor.New(1, 4, 4)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	// Each window element gets g/4.
 	if ei.At3(0, 0, 0) != 1 || ei.At3(0, 1, 1) != 1 {
 		t.Fatalf("top-left window grads wrong: %v", ei.Data)
@@ -57,7 +57,7 @@ func TestAvgPoolAdjoint(t *testing.T) {
 	eo := tensor.New(l.OutDims()...)
 	eo.FillNormal(r, 0, 1)
 	ei := tensor.New(2, 5, 7)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	var lhs, rhs float64
 	for i := range eo.Data {
 		lhs += float64(eo.Data[i]) * float64(out.Data[i])
@@ -110,7 +110,7 @@ func TestDropoutBackwardUsesMask(t *testing.T) {
 		eo.Data[i] = 1
 	}
 	ei := tensor.New(1000)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	for i := range ei.Data {
 		fwdDropped := out.Data[i] == 0
 		bwdDropped := ei.Data[i] == 0
@@ -139,7 +139,7 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 		t.Fatal("inference dropout is not identity")
 	}
 	ei := tensor.New(64)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{out}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{out}, []*tensor.Tensor{in})
 	if tensor.MaxAbsDiff(ei, out) != 0 {
 		t.Fatal("inference dropout backward is not identity")
 	}

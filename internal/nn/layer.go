@@ -41,8 +41,11 @@ type Layer interface {
 	// Forward computes outs[i] = f(ins[i]) for the batch.
 	Forward(outs, ins []*tensor.Tensor)
 	// Backward computes the input-error gradients eis[i] from the
-	// output-error gradients eos[i] (given the forwarded inputs ins) and
-	// accumulates parameter gradients for the batch.
+	// output-error gradients eos[i] and accumulates parameter gradients for
+	// the batch. ins must be the inputs of the last Forward, unmodified: a
+	// layer may rebuild from them what its forward decided instead of saving
+	// it (ReLU recomputes its select; conv and FC read them for dW), while
+	// Tap, Add, Dropout and the pools ignore them.
 	Backward(eis, eos, ins []*tensor.Tensor)
 	// ApplyGrads performs the SGD step w -= lr/batch · dw and clears the
 	// accumulated gradients. Layers without parameters do nothing.

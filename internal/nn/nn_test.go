@@ -37,7 +37,7 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 	eo := tensor.FromSlice([]float32{5, 6, 7, 8}, 4)
 	ei := tensor.New(4)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	wantG := []float32{0, 0, 7, 0}
 	for i := range wantG {
 		if ei.Data[i] != wantG[i] {
@@ -58,7 +58,7 @@ func TestReLUGradientSparsity(t *testing.T) {
 	eo := tensor.New(10000)
 	eo.FillUniform(r, 0.5, 1) // dense gradient arriving
 	ei := tensor.New(10000)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	s := ei.Sparsity()
 	if s < 0.45 || s > 0.55 {
 		t.Fatalf("ReLU-induced gradient sparsity = %v, want ~0.5", s)
@@ -83,7 +83,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	}
 	eo := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	ei := tensor.New(1, 4, 4)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	// Gradients land exactly on the max positions.
 	if ei.At3(0, 1, 1) != 1 || ei.At3(0, 1, 3) != 2 || ei.At3(0, 3, 1) != 3 || ei.At3(0, 3, 3) != 4 {
 		t.Fatalf("pool grads misrouted: %v", ei.Data)
@@ -101,7 +101,7 @@ func TestMaxPoolOverlapBackwardAccumulates(t *testing.T) {
 	l.Forward([]*tensor.Tensor{out}, []*tensor.Tensor{in})
 	eo := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
 	ei := tensor.New(1, 3, 3)
-	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, nil)
+	l.Backward([]*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 	if ei.At3(0, 1, 1) != 4 {
 		t.Fatalf("overlapping pool grads = %v, want 4 at center", ei.At3(0, 1, 1))
 	}

@@ -69,26 +69,19 @@ func (l *MaxPool) Forward(outs, ins []*tensor.Tensor) {
 	l.ensureArgmax(len(ins))
 	c, h, w := l.inDims[0], l.inDims[1], l.inDims[2]
 	par.For(len(ins), l.workers, func(i int) {
-		in, out, am := ins[i], outs[i], l.argmax[i]
+		var best [64]uint64 // maxPoolRow's running maxima, a row chunk at a time
+		in, out, am := ins[i].Data, outs[i].Data, l.argmax[i]
 		o := 0
 		for ci := 0; ci < c; ci++ {
-			base := ci * h * w
 			for oy := 0; oy < l.outH; oy++ {
-				for ox := 0; ox < l.outW; ox++ {
-					bestIdx := base + oy*l.stride*w + ox*l.stride
-					best := in.Data[bestIdx]
-					for ky := 0; ky < l.size; ky++ {
-						rowBase := base + (oy*l.stride+ky)*w + ox*l.stride
-						for kx := 0; kx < l.size; kx++ {
-							if v := in.Data[rowBase+kx]; v > best {
-								best = v
-								bestIdx = rowBase + kx
-							}
-						}
+				for ox := 0; ox < l.outW; ox += len(best) {
+					n := min(len(best), l.outW-ox)
+					base := (ci*h+oy*l.stride)*w + ox*l.stride
+					maxPoolRow(best[:n], am[o:o+n], in[base:], base, w, l.size, l.stride)
+					for _, j := range am[o : o+n] {
+						out[o] = in[j]
+						o++
 					}
-					out.Data[o] = best
-					am[o] = int32(bestIdx)
-					o++
 				}
 			}
 		}

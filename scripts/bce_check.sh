@@ -12,9 +12,11 @@
 #   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRow(Stride), zeroBuf (CSR FP)
 #   internal/spkernel/kernels.go      axpyRows (CT-CSR pointer-shifting BP)
+#   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
 #
-# (blockedconv/forward.go, spweight/forward.go and spkernel/spkernel.go are
-# the drivers feeding those loops — per-row slicing, excluded like the GEMM
+# (blockedconv/forward.go, spweight/forward.go, spkernel/spkernel.go and
+# nn/activations.go, nn/pool.go are the drivers feeding those loops — per-row
+# slicing and the pool's data-indexed argmax scatter, excluded like the GEMM
 # drivers.)
 #
 # Pack/driver code (packed.go, gemm.go, ...) is deliberately NOT protected:
@@ -29,9 +31,10 @@ protected="internal/gemm/microkernel.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
 internal/spweight/kernels.go
-internal/spkernel/kernels.go"
+internal/spkernel/kernels.go
+internal/nn/kernels.go"
 
-pkgs="./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/"
+pkgs="./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/ ./internal/nn/"
 
 out="$(go build -gcflags='-d=ssa/check_bce' $pkgs 2>&1)" || {
 	echo "$out"
