@@ -91,6 +91,7 @@ var censusAllow = map[string]string{
 	"gemm.Naive":                        oracle,
 	"gemm.Matrix.Transpose":             oracle,
 	"gemm.ForcePackedForTest":           oracle,
+	"gemm.SerialAccum":                  oracle, // explicit BP-dW that unfoldgemm's implicit unfold is pinned to
 	"sparse.FromDense":                  oracle, // CSR, CT-CSR's untiled reference
 	"sparse.CSR.RowNNZ":                 oracle,
 	"sparse.CSR.SpMM":                   oracle,

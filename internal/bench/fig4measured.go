@@ -61,7 +61,9 @@ func RunFig4Measured(o Options) []Table {
 		tStencil := fpTime(reps, c, stk, out, in, w)
 		fp.AddRow(row.ID, s.String(), s.Nf, tBase*1e3, tStencil*1e3, tBase/tStencil)
 
-		// Dense BP baseline time (sparsity-independent).
+		// Dense BP baseline, timed on a fully dense EO: its BP-EI scatter
+		// skips zero EO entries, so timing it at each sparsity would hand it
+		// part of the Sparse-Kernel's advantage.
 		tDenseBP := bpTime(reps, c, base, ei, dw, conv.RandOutputError(r, s, 0), in, w)
 		spCells := []any{fmt.Sprintf("ID:%d", row.ID)}
 		for _, sp := range Fig4fSparsities {

@@ -21,8 +21,8 @@ func TestEmptyMatrices(t *testing.T) {
 	a2 := NewMatrix(4, 3)
 	b2 := NewMatrix(3, 0)
 	Serial(c2, a2, b2)
-	// Aᵀ·B with A 4x3 and B 4x0 -> C 3x0.
-	MulTransA(NewMatrix(3, 0), a2, NewMatrix(4, 0))
+	// A·Bᵀ with A 4x3 and B 0x3 -> C 4x0.
+	MulTransB(c2, a2, NewMatrix(0, 3))
 }
 
 func TestKZero(t *testing.T) {

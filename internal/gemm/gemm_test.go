@@ -126,19 +126,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMulTransA(t *testing.T) {
-	r := rng.New(7)
-	a := randMatrix(r, 8, 5) // A is 8x5, A^T is 5x8
-	b := randMatrix(r, 8, 6)
-	got := NewMatrix(5, 6)
-	MulTransA(got, a, b)
-	want := NewMatrix(5, 6)
-	Naive(want, a.Transpose(), b)
-	if !matricesClose(got, want, 1e-4) {
-		t.Fatal("MulTransA differs from explicit transpose")
-	}
-}
-
 func TestMulTransB(t *testing.T) {
 	r := rng.New(8)
 	a := randMatrix(r, 7, 5)

@@ -28,7 +28,7 @@ package gemm
 // property the panel layout exists to provide — feeding eight accumulator
 // chains that stay in registers across the whole reduction, with the K loop
 // unrolled 4x. Each sum is one accumulator walking k in increasing order, so
-// the kernel is bit-identical to the scalar dot (and to dotRows8).
+// the kernel is bit-identical to the scalar dot.
 func microDot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
 	for len(a) >= 4 && len(bp) >= 32 {
 		av := a[0]
@@ -154,144 +154,6 @@ func panelTile4x4(c0, c1, c2, c3, x0, x1, x2, x3, bp []float32, stride int) {
 	c3[1] += s31
 	c3[2] += s32
 	c3[3] += s33
-}
-
-// dotRows8 returns the eight dot products of a against b0..b7 (each at
-// least len(a) long): the row kernel of C = A·Bᵀ, one streamed A row feeding
-// eight register-resident sums. Each sum is accumulated in k order with a
-// single accumulator, so grouping rows eight at a time is bit-transparent.
-func dotRows8(a, b0, b1, b2, b3, b4, b5, b6, b7 []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
-	for len(a) >= 4 && len(b0) >= 4 && len(b1) >= 4 && len(b2) >= 4 && len(b3) >= 4 &&
-		len(b4) >= 4 && len(b5) >= 4 && len(b6) >= 4 && len(b7) >= 4 {
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		s0 += a0 * b0[0]
-		s0 += a1 * b0[1]
-		s0 += a2 * b0[2]
-		s0 += a3 * b0[3]
-		s1 += a0 * b1[0]
-		s1 += a1 * b1[1]
-		s1 += a2 * b1[2]
-		s1 += a3 * b1[3]
-		s2 += a0 * b2[0]
-		s2 += a1 * b2[1]
-		s2 += a2 * b2[2]
-		s2 += a3 * b2[3]
-		s3 += a0 * b3[0]
-		s3 += a1 * b3[1]
-		s3 += a2 * b3[2]
-		s3 += a3 * b3[3]
-		s4 += a0 * b4[0]
-		s4 += a1 * b4[1]
-		s4 += a2 * b4[2]
-		s4 += a3 * b4[3]
-		s5 += a0 * b5[0]
-		s5 += a1 * b5[1]
-		s5 += a2 * b5[2]
-		s5 += a3 * b5[3]
-		s6 += a0 * b6[0]
-		s6 += a1 * b6[1]
-		s6 += a2 * b6[2]
-		s6 += a3 * b6[3]
-		s7 += a0 * b7[0]
-		s7 += a1 * b7[1]
-		s7 += a2 * b7[2]
-		s7 += a3 * b7[3]
-		a = a[4:]
-		b0 = b0[4:]
-		b1 = b1[4:]
-		b2 = b2[4:]
-		b3 = b3[4:]
-		b4 = b4[4:]
-		b5 = b5[4:]
-		b6 = b6[4:]
-		b7 = b7[4:]
-	}
-	for k, av := range a {
-		if k >= len(b0) || k >= len(b1) || k >= len(b2) || k >= len(b3) ||
-			k >= len(b4) || k >= len(b5) || k >= len(b6) || k >= len(b7) {
-			break
-		}
-		s0 += av * b0[k]
-		s1 += av * b1[k]
-		s2 += av * b2[k]
-		s3 += av * b3[k]
-		s4 += av * b4[k]
-		s5 += av * b5[k]
-		s6 += av * b6[k]
-		s7 += av * b7[k]
-	}
-	return
-}
-
-// dotRows4 is the four-row variant of dotRows8 for B-row remainders.
-func dotRows4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	for len(a) >= 4 && len(b0) >= 4 && len(b1) >= 4 && len(b2) >= 4 && len(b3) >= 4 {
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		s0 += a0 * b0[0]
-		s0 += a1 * b0[1]
-		s0 += a2 * b0[2]
-		s0 += a3 * b0[3]
-		s1 += a0 * b1[0]
-		s1 += a1 * b1[1]
-		s1 += a2 * b1[2]
-		s1 += a3 * b1[3]
-		s2 += a0 * b2[0]
-		s2 += a1 * b2[1]
-		s2 += a2 * b2[2]
-		s2 += a3 * b2[3]
-		s3 += a0 * b3[0]
-		s3 += a1 * b3[1]
-		s3 += a2 * b3[2]
-		s3 += a3 * b3[3]
-		a = a[4:]
-		b0 = b0[4:]
-		b1 = b1[4:]
-		b2 = b2[4:]
-		b3 = b3[4:]
-	}
-	for k, av := range a {
-		if k >= len(b0) || k >= len(b1) || k >= len(b2) || k >= len(b3) {
-			break
-		}
-		s0 += av * b0[k]
-		s1 += av * b1[k]
-		s2 += av * b2[k]
-		s3 += av * b3[k]
-	}
-	return
-}
-
-// dotRow1 is the single-row dot product (final B-row remainder).
-func dotRow1(a, b []float32) float32 {
-	var s float32
-	for k, av := range a {
-		if k >= len(b) {
-			break
-		}
-		s += av * b[k]
-	}
-	return s
-}
-
-// axpyAcc computes dst[i] += w*src[i] over min(len(dst), len(src)) — the
-// scatter inner loop of C = Aᵀ·B, 4-wide unrolled. Element order is
-// unchanged from the scalar loop, so results are bit-identical.
-func axpyAcc(dst, src []float32, w float32) {
-	for len(dst) >= 4 && len(src) >= 4 {
-		v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
-		dst[0] += w * v0
-		dst[1] += w * v1
-		dst[2] += w * v2
-		dst[3] += w * v3
-		dst = dst[4:]
-		src = src[4:]
-	}
-	for i := range dst {
-		if i >= len(src) {
-			break
-		}
-		dst[i] += w * src[i]
-	}
 }
 
 // copyStrip8 packs one panel column group from an operand walked in its

@@ -19,8 +19,8 @@ import "sync"
 //
 // Accumulation order: every output element is one full-K dot product with a
 // single accumulator walking k in increasing order — the same order as
-// Naive's inner loop and the same order dotRows8 uses, so the packed path
-// is bit-identical to the MulTransB row kernel it accelerates.
+// Naive's inner loop, so for finite operands the packed path is
+// bit-identical to it.
 
 // panelW is the packed panel width: eight C columns computed per A-row pass,
 // matching the eight accumulator chains microDot8 keeps in registers.

@@ -31,22 +31,23 @@ func TestPackBMatchesNaive(t *testing.T) {
 }
 
 func TestPackBTransMatchesMulTransB(t *testing.T) {
-	// The packed path must be BIT-identical to the dotRows8 path: both keep
-	// one k-ordered accumulator per output element.
+	// The prepacked path must be BIT-identical to MulTransB and to the
+	// naive triple loop: all keep one k-ordered accumulator per element.
 	r := rng.New(32)
 	for _, s := range []struct{ m, k, n int }{{9, 33, 17}, {64, 576, 128}, {5, 100, 1}} {
 		a := randMatrix(r, s.m, s.k)
 		src := randMatrix(r, s.n, s.k) // C = A·srcᵀ
-		want := NewMatrix(s.m, s.n)
-		mulTransBRange(want, a, src, 0, s.m)
+		want, naive := NewMatrix(s.m, s.n), NewMatrix(s.m, s.n)
+		MulTransB(want, a, src)
+		Naive(naive, a, src.Transpose())
 
 		p := PackBTrans(src)
 		got := NewMatrix(s.m, s.n)
 		MulPacked(got, a, p)
 		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("packed path not bit-identical to dot path at %d: %v != %v",
-					i, got.Data[i], want.Data[i])
+			if want.Data[i] != got.Data[i] || naive.Data[i] != got.Data[i] {
+				t.Fatalf("packed path not bit-identical at %d: %v, MulTransB %v, naive %v",
+					i, got.Data[i], want.Data[i], naive.Data[i])
 			}
 		}
 	}

@@ -42,44 +42,18 @@ func ParallelAccum(c, a, b *Matrix, workers int) {
 	})
 }
 
-// MulTransA computes C = Aᵀ·B without materializing the transpose:
-// C[i][j] = Σ_k A[k][i]·B[k][j]. Used by the backward-weights GEMM where
-// the unfolded input appears transposed. The scatter structure skips
-// zero A entries, so sparse error gradients cost only their non-zeros.
-func MulTransA(c, a, b *Matrix) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic("gemm: MulTransA dimension mismatch")
-	}
-	c.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, aki := range arow {
-			if aki == 0 {
-				continue
-			}
-			axpyAcc(c.Row(i), brow, aki)
-		}
-	}
-}
-
 // MulTransB computes C = A·Bᵀ without materializing the transpose:
-// C[i][j] = Σ_k A[i][k]·B[j][k]. The inner loop is a dot product of two
-// contiguous rows — eight B rows at a time (dotRows8) — and large operands
-// first pack Bᵀ into interleaved panels so the eight row streams collapse
-// into one (microDot8). Both forms keep one k-ordered accumulator per
-// element, so they are bit-identical.
+// C[i][j] = Σ_k A[i][k]·B[j][k]. Bᵀ is packed into interleaved panels
+// (packPanelsTrans) and streamed through microDot8, one k-ordered
+// accumulator per element. It is the explicit unfold's GEMM (Fig. 2c and
+// the spatial ablation's baseline); no engine runs it.
 func MulTransB(c, a, b *Matrix) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("gemm: MulTransB dimension mismatch")
 	}
-	if usePacked(a.Rows, a.Cols, b.Rows) {
-		buf := bufPool.Get().(*packBuf)
-		panels := buf.panels(b.Cols * padUp(b.Rows))
-		packPanelsTrans(panels, b)
-		packedMulRange(c, a, panels, b.Rows, 0, a.Rows, false)
-		bufPool.Put(buf)
-		return
-	}
-	mulTransBRange(c, a, b, 0, a.Rows)
+	buf := bufPool.Get().(*packBuf)
+	panels := buf.panels(b.Cols * padUp(b.Rows))
+	packPanelsTrans(panels, b)
+	packedMulRange(c, a, panels, b.Rows, 0, a.Rows, false)
+	bufPool.Put(buf)
 }

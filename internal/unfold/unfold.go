@@ -8,11 +8,12 @@
 // each input element is replicated up to Fx·Fy times, inflating memory
 // traffic and destroying the convolution's intrinsic arithmetic intensity.
 //
-// The generalized spec threads through here naturally: padding taps
-// unfold as zeros, dilated taps gather strided input elements, and
-// grouped convolution unfolds one U per group (Im2colGroup) whose columns
-// cover only that group's channels — turning the convolution into G
-// independent (Nf/G) × Cols GEMMs.
+// This package materializes U: it is the explicit form the figures, the
+// prepacked-weights engine and the baselines measure. The deployed
+// unfold+GEMM engine (internal/unfoldgemm) never builds U; it packs GEMM
+// panels of U straight from the tensors. Padding taps unfold as zeros and
+// dilated taps gather strided input elements; a grouped convolution is G
+// ungrouped ones over channel slices, so Im2col takes ungrouped specs.
 package unfold
 
 import (
@@ -37,44 +38,32 @@ func checkU(s conv.Spec, u *gemm.Matrix) {
 	}
 }
 
-func checkGroup(s conv.Spec, g int) {
-	if g < 0 || g >= s.G() {
-		panic(fmt.Sprintf("unfold: group %d out of range for %v (G=%d)", g, s, s.G()))
+func checkUngrouped(s conv.Spec) {
+	s.MustValidate()
+	if s.G() != 1 {
+		panic(fmt.Sprintf("unfold: grouped spec %v; unfold each group's ungrouped sub-spec", s))
 	}
 }
 
 // Im2col unfolds input in ([Nc][Ny][Nx]) into the matrix U
 // (Rows(s) × Cols(s)): row (y·OutX + x) holds, channel-major then ky then
-// kx, the input window that produces output pixel (y, x). This matches the
-// paper's Fig. 2b, where each channel's unfolded block is stacked
-// left-to-right. Grouped specs must use Im2colGroup per group.
+// kx, the (possibly padded/dilated) input window that produces output
+// pixel (y, x). This matches the paper's Fig. 2b, where each channel's
+// unfolded block is stacked left-to-right. Taps that fall outside the
+// input unfold as zeros.
 func Im2col(s conv.Spec, u *gemm.Matrix, in *tensor.Tensor) {
-	if s.G() != 1 {
-		panic(fmt.Sprintf("unfold: Im2col on grouped spec %v; use Im2colGroup", s))
-	}
-	Im2colGroup(s, 0, u, in)
-}
-
-// Im2colGroup unfolds group g's channels of input in into U
-// (Rows(s) × Cols(s)): row (y·OutX + x) holds, group-relative-channel-major
-// then ky then kx, the (possibly padded/dilated) input window feeding
-// output pixel (y, x). Taps that fall outside the input unfold as zeros.
-func Im2colGroup(s conv.Spec, g int, u *gemm.Matrix, in *tensor.Tensor) {
-	s.MustValidate()
+	checkUngrouped(s)
 	conv.CheckInput(s, in)
 	checkU(s, u)
-	checkGroup(s, g)
 	oy, ox := s.OutY(), s.OutX()
-	gnc := s.GroupNc()
-	cbase := g * gnc
 	fxy := s.Fy * s.Fx
 	dx, dy := s.DilX(), s.DilY()
 	for y := 0; y < oy; y++ {
 		for x := 0; x < ox; x++ {
 			dst := u.Row(y*ox + x)
 			ix0 := x*s.Sx - s.Px
-			for cc := 0; cc < gnc; cc++ {
-				base := cc * fxy
+			for c := 0; c < s.Nc; c++ {
+				base := c * fxy
 				for ky := 0; ky < s.Fy; ky++ {
 					drow := dst[base+ky*s.Fx : base+(ky+1)*s.Fx]
 					iy := y*s.Sy + ky*dy - s.Py
@@ -82,7 +71,7 @@ func Im2colGroup(s conv.Spec, g int, u *gemm.Matrix, in *tensor.Tensor) {
 						zeroRow(drow)
 						continue
 					}
-					irow := in.Row3(cbase+cc, iy)
+					irow := in.Row3(c, iy)
 					if dx == 1 && ix0 >= 0 && ix0+s.Fx <= s.Nx {
 						copy(drow, irow[ix0:ix0+s.Fx])
 						continue
@@ -115,41 +104,28 @@ func NewU(s conv.Spec) *gemm.Matrix { return gemm.NewMatrix(Rows(s), Cols(s)) }
 // windows: in[c, y·sy+ky·dy−py, x·sx+kx·dx−px] += U[(y,x), (c,ky,kx)]. It
 // is the exact adjoint of Im2col (padding taps are dropped), which is what
 // makes Unfold+GEMM back-propagation (EI = fold(Wᵀ·EO)) correct. The
-// destination is zeroed first; grouped specs use Col2imGroup, which
-// accumulates without zeroing so the caller zeroes once across groups.
+// destination is zeroed first, then every element sums its pixels in
+// (y, x) order.
 func Col2im(s conv.Spec, in *tensor.Tensor, u *gemm.Matrix) {
-	if s.G() != 1 {
-		panic(fmt.Sprintf("unfold: Col2im on grouped spec %v; use Col2imGroup", s))
-	}
-	in.Zero()
-	Col2imGroup(s, 0, in, u)
-}
-
-// Col2imGroup folds group g's unfolded matrix back into input space,
-// accumulating into in WITHOUT zeroing it first (the caller zeroes once,
-// then folds each group).
-func Col2imGroup(s conv.Spec, g int, in *tensor.Tensor, u *gemm.Matrix) {
-	s.MustValidate()
+	checkUngrouped(s)
 	conv.CheckInput(s, in)
 	checkU(s, u)
-	checkGroup(s, g)
+	in.Zero()
 	oy, ox := s.OutY(), s.OutX()
-	gnc := s.GroupNc()
-	cbase := g * gnc
 	fxy := s.Fy * s.Fx
 	dx, dy := s.DilX(), s.DilY()
 	for y := 0; y < oy; y++ {
 		for x := 0; x < ox; x++ {
 			src := u.Row(y*ox + x)
 			ix0 := x*s.Sx - s.Px
-			for cc := 0; cc < gnc; cc++ {
-				base := cc * fxy
+			for c := 0; c < s.Nc; c++ {
+				base := c * fxy
 				for ky := 0; ky < s.Fy; ky++ {
 					iy := y*s.Sy + ky*dy - s.Py
 					if iy < 0 || iy >= s.Ny {
 						continue
 					}
-					irow := in.Row3(cbase+cc, iy)
+					irow := in.Row3(c, iy)
 					srow := src[base+ky*s.Fx:]
 					if dx == 1 && ix0 >= 0 && ix0+s.Fx <= s.Nx {
 						addTo(irow[ix0:ix0+s.Fx], srow)

@@ -28,7 +28,7 @@ import (
 // Both are bit-identical reorderings of the baseline GEMMs (one k-ordered
 // accumulator per element; float multiply commutes bitwise), so the engine
 // is a drop-in candidate. BP-dW has no constant operand and delegates to
-// the per-call packing inside gemm.SerialAccum/ParallelAccum.
+// the base Kernel, which packs its panels straight from the tensors.
 //
 // The pack cache is keyed by (data pointer, length, tensor version). A
 // weight tensor with Ver == 0 is untracked and repacks on every batch call —
@@ -38,6 +38,7 @@ import (
 type PackedKernel struct {
 	spec    conv.Spec
 	workers int
+	base    *Kernel // BP-dW, which has no constant operand
 
 	mu    sync.Mutex
 	wdata []float32     // identity of the cached weight tensor's Data
@@ -60,6 +61,7 @@ func NewPacked(s conv.Spec, workers int) *PackedKernel {
 	return &PackedKernel{
 		spec:    s,
 		workers: workers,
+		base:    New(s, workers),
 		hit:     exec.Event{Cat: "pack", Name: "pack/" + s.String() + "/hit"},
 		miss:    exec.Event{Cat: "pack", Name: "pack/" + s.String() + "/miss"},
 	}
@@ -176,10 +178,9 @@ func (k *PackedKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor
 }
 
 // BackwardWeightsBatch has no constant operand (both EO and U vary per
-// image); it delegates to the per-call packed path of the base kernel.
+// image); it delegates to the base kernel's implicit unfold.
 func (k *PackedKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-	base := Kernel{spec: k.spec, workers: k.workers}
-	base.BackwardWeightsBatch(c, dw, eos, ins)
+	k.base.BackwardWeightsBatch(c, dw, eos, ins)
 }
 
 // PackedGenerator returns an engine.Generator for the prepacked-weights

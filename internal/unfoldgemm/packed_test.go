@@ -6,7 +6,6 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine/enginetest"
 	"spgcnn/internal/exec"
-	"spgcnn/internal/gemm"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -20,32 +19,19 @@ func TestPackedConformanceParallel4(t *testing.T) {
 }
 
 func TestPackedDifferentialVsSerial(t *testing.T) {
-	// The prepacked engine against the direct lowering, under the full
-	// ULP-budget sparsity sweep.
+	// The serial prepacked engine against the implicit unfold under the
+	// full ULP-budget sparsity sweep.
 	enginetest.RunDifferential(t, PackedGenerator(1), Generator(1),
 		enginetest.DiffOptions{Seed: 0xD1F4})
 }
 
 func TestPackedDifferentialForcedPackedPath(t *testing.T) {
-	// Drop the gemm dispatch limits so even the small odd/strided
-	// geometries run the packed-panel micro-kernels on BOTH engines; the
-	// comparison then exercises prepack-and-reuse against per-call packing
-	// across every remainder path.
-	restore := gemm.ForcePackedForTest()
-	defer restore()
+	// The fanned-out prepacked engine against the serial implicit unfold:
+	// both always run the packed-panel micro-kernels, so even the small
+	// odd/strided geometries exercise prepack-and-reuse against per-call
+	// packing across every remainder path.
 	enginetest.RunDifferential(t, PackedGenerator(4), Generator(1),
 		enginetest.DiffOptions{Seed: 0xD1F5})
-}
-
-func TestSerialForcedPackedConformance(t *testing.T) {
-	// The base engine with every GEMM forced through the packed kernels,
-	// validated against the direct reference convolution (independent of
-	// the gemm package), so the packed path itself is conformance-swept at
-	// small shapes.
-	restore := gemm.ForcePackedForTest()
-	defer restore()
-	enginetest.Run(t, Generator(1), enginetest.Options{Seed: 43})
-	enginetest.Run(t, Generator(3), enginetest.Options{Trials: 8, Seed: 44})
 }
 
 func TestPackedNames(t *testing.T) {

@@ -1,18 +1,27 @@
 // Package unfoldgemm implements the state-of-the-art baseline the paper
-// characterizes (§2.3): convolution by unfolding (im2col) followed by
-// GEMM, in the two scheduling flavours §3–4 contrast:
+// characterizes (§2.3): convolution lowered to GEMM over the unfolded
+// input, in the two scheduling flavours §3–4 contrast:
 //
 //   - workers == 1: the single-threaded GEMM that GEMM-in-Parallel runs
 //     many instances of.
 //   - workers > 1: Unfold+Parallel-GEMM — each of the three training GEMMs
-//     is row-partitioned across all workers, reproducing the per-core AIT
+//     is partitioned across all workers, reproducing the per-core AIT
 //     reduction of §3.2.
 //
-// The three computations lower to the GEMMs of Fig. 2c:
+// The three computations are the GEMMs of Fig. 2c:
 //
 //	FP:   O[Nf×pix]      = Wmat[Nf×taps] · Uᵀ
 //	BP-EI: U_E[pix×taps] = EOmatᵀ · Wmat, then fold (col2im)
 //	BP-dW: dW[Nf×taps]   = EOmat[Nf×pix] · U[pix×taps]
+//
+// The unfold is implicit: no pix × taps matrix is ever built. Each phase
+// builds one 8-wide GEMM panel of U at a time straight from the input (FP:
+// 8 pixels × all taps; BP-dW: 8 taps × all pixels) in the k-interleaved
+// layout gemm.MicroDot8 consumes, and BP-EI scatters into an 8-pixel panel
+// of U_E that is folded into the input gradient before the next one. Each
+// output element keeps the single k-ordered accumulator of the explicit
+// im2col → GEMM → col2im composition, so results are bit-identical to it
+// (BP-dW wherever that composition took gemm's packed branch).
 package unfoldgemm
 
 import (
@@ -22,17 +31,33 @@ import (
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/gemm"
+	"spgcnn/internal/par"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfold"
 )
 
-// Kernel is an unfold+GEMM convolution plan for one spec. It holds no
-// scratch — the unfold matrices are drawn from the execution context's
-// arena per batch call — so one instance is safe for concurrent use
-// through the batch entry points.
+// Kernel is an unfold+GEMM convolution plan for one spec. It holds only
+// constant geometry — scratch (panels, zero-bordered copies) is drawn from
+// the execution context's arena per batch call — so one instance is safe
+// for concurrent use through the batch entry points.
 type Kernel struct {
 	spec    conv.Spec
 	workers int
+
+	// Output width, pixel count (the rows of U) and taps per group (its
+	// columns).
+	ox, rows, cols int
+	// pw is the pixel width of a BP-EI panel and blk the number of 8-tap
+	// panels a BP-dW work unit builds at once: both keep a unit's panels
+	// near 16 KB, and blk leaves every worker at least 4 units.
+	pw, blk int
+	// Geometry of the zero-bordered input ([Nc][Ny+2Py][Nx+2Px]; the input
+	// itself when unpadded): row width and plane size.
+	px, plane int
+	// taps[t] is the offset of group-relative tap t = (cc, ky, kx) from its
+	// pixel's window origin: cc·plane + ky·Dy·px + kx·Dx. It strictly
+	// increases with t.
+	taps []int
 }
 
 // New builds a kernel for s. workers selects Parallel-GEMM fan-out;
@@ -42,7 +67,19 @@ func New(s conv.Spec, workers int) *Kernel {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Kernel{spec: s, workers: workers}
+	k := &Kernel{spec: s, workers: workers, ox: s.OutX(), rows: unfold.Rows(s), cols: unfold.Cols(s),
+		px: s.Nx + 2*s.Px}
+	k.plane = (s.Ny + 2*s.Py) * k.px
+	k.pw = min(k.ox, max(8, 4096/k.cols/8*8))
+	k.blk = max(1, min(4096/(8*k.rows), (k.cols+7)/8/(4*workers)))
+	for cc := 0; cc < s.GroupNc(); cc++ {
+		for ky := 0; ky < s.Fy; ky++ {
+			for kx := 0; kx < s.Fx; kx++ {
+				k.taps = append(k.taps, cc*k.plane+ky*s.DilY()*k.px+kx*s.DilX())
+			}
+		}
+	}
+	return k
 }
 
 // Name implements engine.Kernel.
@@ -59,92 +96,326 @@ func (k *Kernel) Spec() conv.Spec { return k.spec }
 // Workers reports the GEMM fan-out.
 func (k *Kernel) Workers() int { return k.workers }
 
-// ForwardBatch computes Eq. 2 by O = Wmat · Uᵀ, one GEMM per sample and
-// group, all samples sharing one arena-backed unfold matrix. For G = 1
-// the group slab is the whole matrix, so the plain path is unchanged.
+// getPad draws a zero-bordered image buffer when the spec pads; without
+// padding it returns nil and panels read the tensors themselves. putPad
+// returns it.
+func (k *Kernel) getPad(c *exec.Ctx) []float32 {
+	if k.spec.Px == 0 && k.spec.Py == 0 {
+		return nil
+	}
+	return c.Get(k.spec.Nc * k.plane)
+}
+
+func (k *Kernel) putPad(c *exec.Ctx, buf []float32) {
+	if buf != nil {
+		c.Put(buf)
+	}
+}
+
+// source returns the image panels are built from: in itself, or in copied
+// into the zero-bordered buf.
+func (k *Kernel) source(buf []float32, in *tensor.Tensor) []float32 {
+	if buf == nil {
+		return in.Data
+	}
+	s := &k.spec
+	clear(buf)
+	for c := 0; c < s.Nc; c++ {
+		for y := 0; y < s.Ny; y++ {
+			o := c*k.plane + (y+s.Py)*k.px + s.Px
+			copy(buf[o:o+s.Nx], in.Row3(c, y))
+		}
+	}
+	return buf
+}
+
+// origin returns the offset of output pixel p's window origin within group
+// g of the (zero-bordered) image.
+func (k *Kernel) origin(g, p int) int {
+	return g*k.spec.GroupNc()*k.plane + (p/k.ox)*k.spec.Sy*k.px + (p%k.ox)*k.spec.Sx
+}
+
+// fan runs body over the work units [0, n), one contiguous range per
+// worker, handing each worker its own per-float slice of scratch. Units
+// own disjoint outputs and keep their per-element operation order, so every
+// worker count gives the same bits. (Serial kernels call the body inline:
+// no closure, no allocation.)
+func (k *Kernel) fan(n int, scratch []float32, per int, body func(lo, hi int, buf []float32)) {
+	par.ForWorkers(n, k.workers, func(w, lo, hi int) {
+		body(lo, hi, scratch[w*per:(w+1)*per])
+	})
+}
+
+// ForwardBatch computes Eq. 2 by O = Wmat · Uᵀ. The work units are
+// (group, 8-pixel panel): each builds its cols × 8 panel of Uᵀ from the
+// image and runs every feature row of its group against it while it is in
+// L1.
 func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	if len(outs) != len(ins) {
 		panic("unfoldgemm: ForwardBatch length mismatch")
 	}
 	s := k.spec
-	rows, cols := unfold.Rows(s), unfold.Cols(s)
 	conv.CheckWeights(s, w)
-	ng, gnf := s.G(), s.GroupNf()
-	ubuf := c.Get(rows * cols)
-	u := gemm.Matrix{Rows: rows, Cols: cols, Data: ubuf}
+	units := s.G() * ((k.rows + 7) / 8)
+	pad := k.getPad(c)
+	scratch := c.Get(min(k.workers, units) * k.cols * 8)
 	for i := range ins {
+		conv.CheckInput(s, ins[i])
 		conv.CheckOutput(s, outs[i])
-		for g := 0; g < ng; g++ {
-			unfold.Im2colGroup(s, g, &u, ins[i])
-			wmat := gemm.Matrix{Rows: gnf, Cols: cols, Data: w.Data[g*gnf*cols : (g+1)*gnf*cols]}
-			omat := gemm.Matrix{Rows: gnf, Cols: rows, Data: outs[i].Data[g*gnf*rows : (g+1)*gnf*rows]}
-			if k.workers <= 1 {
-				gemm.MulTransB(&omat, &wmat, &u)
+		src, out := k.source(pad, ins[i]), outs[i].Data
+		if k.workers <= 1 {
+			k.forward(out, src, w.Data, scratch, 0, units)
+			continue
+		}
+		k.fan(units, scratch, k.cols*8, func(lo, hi int, panel []float32) {
+			k.forward(out, src, w.Data, panel, lo, hi)
+		})
+	}
+	c.Put(scratch)
+	k.putPad(c, pad)
+}
+
+// forward computes the FP work units [lo, hi).
+func (k *Kernel) forward(out, src, w, panel []float32, lo, hi int) {
+	rows, cols := k.rows, k.cols
+	gnf, npan := k.spec.GroupNf(), (rows+7)/8
+	panel = panel[:cols*8]
+	for u := lo; u < hi; u++ {
+		g, p0 := u/npan, u%npan*8
+		n := k.pixelPanel(panel, src, g, p0)
+		for f := g * gnf; f < (g+1)*gnf; f++ {
+			s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(w[f*cols:(f+1)*cols], panel)
+			if o := out[f*rows+p0:]; n == 8 && len(o) >= 8 {
+				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 			} else {
-				gemm.ParallelMulTransB(&omat, &wmat, &u, k.workers)
+				v := [8]float32{s0, s1, s2, s3, s4, s5, s6, s7}
+				copy(o[:n], v[:])
 			}
 		}
 	}
-	c.Put(ubuf)
+}
+
+// pixelPanel builds the panel dst[8t+c] = U[p0+c][t] for group g and
+// returns its live pixel count; columns past the last pixel are zero.
+// Eight adjacent pixels of one output row at unit stride are a contiguous
+// copy per tap; a panel that crosses a row, runs out of pixels or strides
+// gathers per pixel.
+func (k *Kernel) pixelPanel(dst, src []float32, g, p0 int) int {
+	if k.spec.Sx == 1 && p0%k.ox+8 <= k.ox {
+		copyTaps8(dst, src[k.origin(g, p0):], k.taps)
+		return 8
+	}
+	n := min(8, k.rows-p0)
+	var off [8]int
+	for c := 0; c < n; c++ {
+		off[c] = k.origin(g, p0+c)
+	}
+	for t, o := range k.taps {
+		d := dst[8*t : 8*t+8]
+		for c := range d {
+			d[c] = 0
+			if c < n {
+				d[c] = src[o+off[c]]
+			}
+		}
+	}
+	return n
 }
 
 // BackwardInputBatch computes Eq. 3 by U_E = EOmatᵀ · Wmat followed by
-// col2im, per sample.
+// col2im. The work units are (image, input channel) pairs — images write
+// disjoint gradients, so a few-channel layer still splits evenly: per
+// panel of up to pw pixels of one output row, every non-zero EO element
+// scatters its weight row (the unit's taps) into an L1-resident panel of
+// U_E, which is folded into the zero-bordered input gradient 8 pixels at a
+// time before the next panel.
 func (k *Kernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
 	if len(eis) != len(eos) {
 		panic("unfoldgemm: BackwardInputBatch length mismatch")
 	}
 	s := k.spec
-	rows, cols := unfold.Rows(s), unfold.Cols(s)
 	conv.CheckWeights(s, w)
-	ng, gnf := s.G(), s.GroupNf()
-	uebuf := c.Get(rows * cols)
-	ue := gemm.Matrix{Rows: rows, Cols: cols, Data: uebuf}
 	for i := range eos {
 		conv.CheckOutput(s, eos[i])
 		conv.CheckInput(s, eis[i])
-		eis[i].Zero()
-		for g := 0; g < ng; g++ {
-			wmat := gemm.Matrix{Rows: gnf, Cols: cols, Data: w.Data[g*gnf*cols : (g+1)*gnf*cols]}
-			eomat := gemm.Matrix{Rows: gnf, Cols: rows, Data: eos[i].Data[g*gnf*rows : (g+1)*gnf*rows]}
-			if k.workers <= 1 {
-				gemm.MulTransA(&ue, &eomat, &wmat)
-			} else {
-				gemm.ParallelMulTransA(&ue, &eomat, &wmat, k.workers)
+	}
+	units, per := len(eos)*s.Nc, k.pw*k.cols
+	if s.Px != 0 || s.Py != 0 {
+		per += s.Nc * k.plane
+	}
+	scratch := c.Get(min(k.workers, units) * per)
+	if k.workers <= 1 {
+		k.backwardInputUnits(eis, eos, w.Data, scratch, 0, units)
+	} else {
+		k.fan(units, scratch, per, func(lo, hi int, buf []float32) {
+			k.backwardInputUnits(eis, eos, w.Data, buf, lo, hi)
+		})
+	}
+	c.Put(scratch)
+}
+
+// backwardInputUnits computes the BP-EI work units [lo, hi) in buf's
+// panel and zero-bordered planes.
+func (k *Kernel) backwardInputUnits(eis, eos []*tensor.Tensor, w, buf []float32, lo, hi int) {
+	nc := k.spec.Nc
+	panel, pad := buf[:k.pw*k.cols], buf[k.pw*k.cols:]
+	for u := lo; u < hi; {
+		i, clo := u/nc, u%nc
+		chi := min(nc, clo+hi-u)
+		k.backwardInput(eis[i], pad, eos[i].Data, w, panel, clo, chi)
+		u += chi - clo
+	}
+}
+
+// backwardInput computes input channels [clo, chi) of ei, folding into the
+// matching planes of pad (or of ei itself when pad is empty: the spec does
+// not pad).
+func (k *Kernel) backwardInput(ei *tensor.Tensor, pad, eo, w, panel []float32, clo, chi int) {
+	s := &k.spec
+	rows, cols, ox := k.rows, k.cols, k.ox
+	gnc, gnf, fxy := s.GroupNc(), s.GroupNf(), s.Fy*s.Fx
+	dst := ei.Data
+	if len(pad) > 0 {
+		dst = pad
+	}
+	clear(dst[clo*k.plane : chi*k.plane])
+	for g := clo / gnc; g*gnc < chi; g++ {
+		tlo, thi := (max(clo, g*gnc)-g*gnc)*fxy, (min(chi, (g+1)*gnc)-g*gnc)*fxy
+		tw, taps := thi-tlo, k.taps[tlo:thi]
+		for p0 := 0; p0 < rows; p0 += min(k.pw, ox-p0%ox) {
+			n := min(k.pw, ox-p0%ox)
+			clear(panel[:n*tw])
+			for f := g * gnf; f < (g+1)*gnf; f++ {
+				wrow := w[f*cols+tlo : f*cols+thi]
+				for c, e := range eo[f*rows+p0 : f*rows+p0+n] {
+					if e != 0 {
+						axpyAcc(panel[c*tw:(c+1)*tw], wrow, e)
+					}
+				}
 			}
-			unfold.Col2imGroup(s, g, eis[i], &ue)
+			for x := 0; x < n; x += 8 {
+				m, o, r := min(8, n-x), k.origin(g, p0+x), panel[x*tw:]
+				if m == 8 && s.Sx == 1 {
+					foldTaps8(dst[o:], taps, r[:tw], r[tw:2*tw], r[2*tw:3*tw], r[3*tw:4*tw],
+						r[4*tw:5*tw], r[5*tw:6*tw], r[6*tw:7*tw], r[7*tw:8*tw])
+					continue
+				}
+				for t := tw - 1; t >= 0; t-- {
+					for c := 0; c < m; c++ {
+						dst[o+taps[t]+c*s.Sx] += r[c*tw+t]
+					}
+				}
+			}
 		}
 	}
-	c.Put(uebuf)
+	if len(pad) == 0 {
+		return
+	}
+	for ch := clo; ch < chi; ch++ {
+		for y := 0; y < s.Ny; y++ {
+			o := ch*k.plane + (y+s.Py)*k.px + s.Px
+			copy(ei.Row3(ch, y), pad[o:o+s.Nx])
+		}
+	}
 }
 
 // BackwardWeightsBatch computes dw = Σ_i EOmat_i · U_i (Eq. 4 summed over
-// the batch). dw is overwritten.
+// the batch, images in order). dw is overwritten. The work units are
+// (group, block of 8-tap panels): each builds its pix × 8 panels of U from
+// the image and runs every EO row of its group against them. A block
+// holds as many panels as fit in about 16 KB, so small images update a
+// contiguous run of each dW row instead of 8 floats at a time.
 func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	if len(eos) != len(ins) {
 		panic("unfoldgemm: BackwardWeightsBatch length mismatch")
 	}
 	s := k.spec
 	conv.CheckWeights(s, dw)
-	rows, cols := unfold.Rows(s), unfold.Cols(s)
-	ng, gnf := s.G(), s.GroupNf()
+	units := s.G() * k.blocks()
+	per := k.blk * k.rows * 8
 	dw.Zero()
-	ubuf := c.Get(rows * cols)
-	u := gemm.Matrix{Rows: rows, Cols: cols, Data: ubuf}
+	pad := k.getPad(c)
+	scratch := c.Get(min(k.workers, units) * per)
 	for i := range ins {
+		conv.CheckInput(s, ins[i])
 		conv.CheckOutput(s, eos[i])
-		for g := 0; g < ng; g++ {
-			unfold.Im2colGroup(s, g, &u, ins[i])
-			dwmat := gemm.Matrix{Rows: gnf, Cols: cols, Data: dw.Data[g*gnf*cols : (g+1)*gnf*cols]}
-			eomat := gemm.Matrix{Rows: gnf, Cols: rows, Data: eos[i].Data[g*gnf*rows : (g+1)*gnf*rows]}
-			if k.workers <= 1 {
-				gemm.SerialAccum(&dwmat, &eomat, &u)
-			} else {
-				gemm.ParallelAccum(&dwmat, &eomat, &u, k.workers)
+		src, eo := k.source(pad, ins[i]), eos[i].Data
+		if k.workers <= 1 {
+			k.backwardWeights(dw.Data, src, eo, scratch, 0, units)
+			continue
+		}
+		k.fan(units, scratch, per, func(lo, hi int, panels []float32) {
+			k.backwardWeights(dw.Data, src, eo, panels, lo, hi)
+		})
+	}
+	c.Put(scratch)
+	k.putPad(c, pad)
+}
+
+// blocks returns the number of BP-dW panel blocks per group.
+func (k *Kernel) blocks() int { return ((k.cols+7)/8 + k.blk - 1) / k.blk }
+
+// backwardWeights accumulates the BP-dW work units [lo, hi) of one image.
+func (k *Kernel) backwardWeights(dw, src, eo, panels []float32, lo, hi int) {
+	rows, cols, size := k.rows, k.cols, k.rows*8
+	gnf, npan, nblk := k.spec.GroupNf(), (cols+7)/8, k.blocks()
+	for u := lo; u < hi; u++ {
+		g, j0 := u/nblk, u%nblk*k.blk
+		j1 := min(j0+k.blk, npan)
+		for j := j0; j < j1; j++ {
+			k.tapPanel(panels[(j-j0)*size:(j-j0+1)*size], src, g, j*8)
+		}
+		for f := g * gnf; f < (g+1)*gnf; f++ {
+			a, p := eo[f*rows:(f+1)*rows], panels
+			for d := dw[f*cols+j0*8 : f*cols+min(j1*8, cols)]; len(d) > 0; p = p[size:] {
+				s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(a, p[:size])
+				if len(d) < 8 {
+					for c, v := range [8]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
+						if c < len(d) {
+							d[c] += v
+						}
+					}
+					break
+				}
+				d[0] += s0
+				d[1] += s1
+				d[2] += s2
+				d[3] += s3
+				d[4] += s4
+				d[5] += s5
+				d[6] += s6
+				d[7] += s7
+				d = d[8:]
 			}
 		}
 	}
-	c.Put(ubuf)
+}
+
+// tapPanel builds the panel dst[8p+c] = U[p][t0+c] for group g; columns
+// past the last tap are zero. At unit stride each output row is one
+// gatherRows8 over eight shifted image rows.
+func (k *Kernel) tapPanel(dst, src []float32, g, t0 int) {
+	s := &k.spec
+	ox, n := k.ox, min(8, k.cols-t0)
+	var o [8]int
+	for c := range o {
+		o[c] = k.origin(g, 0) + k.taps[t0+min(c, n-1)]
+	}
+	for rb, d := 0, dst; len(d) > 0; rb, d = rb+s.Sy*k.px, d[ox*8:] {
+		if s.Sx == 1 {
+			gatherRows8(d[:ox*8], src[o[0]+rb:], src[o[1]+rb:], src[o[2]+rb:], src[o[3]+rb:],
+				src[o[4]+rb:], src[o[5]+rb:], src[o[6]+rb:], src[o[7]+rb:])
+			continue
+		}
+		for x := 0; x < ox; x++ {
+			for c := 0; c < 8; c++ {
+				d[8*x+c] = src[o[c]+rb+x*s.Sx]
+			}
+		}
+	}
+	for p := 0; n < 8 && p < k.rows; p++ {
+		clear(dst[8*p+n : 8*p+8])
+	}
 }
 
 // Generator returns an engine.Generator for this technique at the given

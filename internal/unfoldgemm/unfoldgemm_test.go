@@ -42,6 +42,8 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestSerialAndParallelAgree: every worker owns disjoint outputs and keeps
+// each element's operation order, so the fan-out changes no bits.
 func TestSerialAndParallelAgree(t *testing.T) {
 	r := rng.New(9)
 	c := exec.New(1)
@@ -56,21 +58,21 @@ func TestSerialAndParallelAgree(t *testing.T) {
 		o1, o2 := conv.NewOutput(s), conv.NewOutput(s)
 		serial.ForwardBatch(c, []*tensor.Tensor{o1}, []*tensor.Tensor{in}, w)
 		parallel.ForwardBatch(c, []*tensor.Tensor{o2}, []*tensor.Tensor{in}, w)
-		if !tensor.AlmostEqual(o1, o2, 1e-4) {
+		if !tensor.Identical(o1, o2) {
 			t.Fatalf("FP serial/parallel disagree for %v", s)
 		}
 
 		e1, e2 := conv.NewInput(s), conv.NewInput(s)
 		serial.BackwardInputBatch(c, []*tensor.Tensor{e1}, []*tensor.Tensor{eo}, w)
 		parallel.BackwardInputBatch(c, []*tensor.Tensor{e2}, []*tensor.Tensor{eo}, w)
-		if !tensor.AlmostEqual(e1, e2, 1e-4) {
+		if !tensor.Identical(e1, e2) {
 			t.Fatalf("BP-EI serial/parallel disagree for %v", s)
 		}
 
 		d1, d2 := conv.NewWeights(s), conv.NewWeights(s)
 		serial.BackwardWeightsBatch(c, d1, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
 		parallel.BackwardWeightsBatch(c, d2, []*tensor.Tensor{eo}, []*tensor.Tensor{in})
-		if !tensor.AlmostEqual(d1, d2, 1e-4) {
+		if !tensor.Identical(d1, d2) {
 			t.Fatalf("BP-dW serial/parallel disagree for %v", s)
 		}
 	}

@@ -7,17 +7,20 @@
 # or once per streamed element, where a single reintroduced bounds check
 # costs double-digit percent throughput:
 #
-#   internal/gemm/microkernel.go      microDot8, dotRows8/4, axpyAcc, strips
+#   internal/gemm/microkernel.go      microDot8, panelTile4x4, strips
+#   internal/unfoldgemm/kernels.go    copyTaps8, gatherRows8, axpyAcc, foldTaps8
+#                                     (implicit-unfold panel build and fold)
 #   internal/stencil/kernels.go       saxpy1-4, gatherDot, scatterAxpy
 #   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRow(Stride), zeroBuf (CSR FP)
 #   internal/spkernel/kernels.go      axpyRows (CT-CSR pointer-shifting BP)
 #   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
 #
-# (blockedconv/forward.go, spweight/forward.go, spkernel/spkernel.go and
-# nn/activations.go, nn/pool.go are the drivers feeding those loops — per-row
-# slicing and the pool's data-indexed argmax scatter, excluded like the GEMM
-# drivers.)
+# (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spweight/forward.go,
+# spkernel/spkernel.go and nn/activations.go, nn/pool.go are the drivers
+# feeding those loops — per-panel offsets, ragged/strided panel fallbacks,
+# per-row slicing and the pool's data-indexed argmax scatter, excluded like
+# the GEMM drivers.)
 #
 # Pack/driver code (packed.go, gemm.go, ...) is deliberately NOT protected:
 # its checks execute O(M·N/8) times, not in the inner loops.
@@ -28,6 +31,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 protected="internal/gemm/microkernel.go
+internal/unfoldgemm/kernels.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
 internal/spweight/kernels.go
