@@ -78,13 +78,6 @@ func main() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cifar_training: "+format+"\n", args...)
 	os.Exit(1)

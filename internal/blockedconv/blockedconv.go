@@ -6,12 +6,12 @@
 //
 //   - the blocked weight tensor [Fo][Cb][Fy][Fx][8c][8f] is, for fixed
 //     (fo, cb, ky), a contiguous k-interleaved panel in exactly
-//     gemm.MicroDot8's bp format (k running over (kx, c-lane));
+//     kern.Dot8's bp format (k running over (kx, c-lane));
 //   - the matching A operand is a contiguous slice of the blocked input
 //     row at (cb, oy·Sy+ky): Fx·8 consecutive floats, stride handled by
 //     offsetting the slice start by ox·Sx·8.
 //
-// FP is therefore one MicroDot8 call per (pixel, fo, cb, ky) with zero
+// FP is therefore one kern.Dot8 call per (pixel, fo, cb, ky) with zero
 // packing, gathering or unfolding. The weight blocking itself is cached
 // per tensor.Ver exactly like the packed engine's panel plans, so its
 // cost amortizes across the batch and across training steps.
@@ -110,7 +110,7 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 	s := k.spec
 	if !s.Plain() {
 		// Generalized specs run the grouped/padded unfold path (the blocked
-		// weight panels and MicroDot8 schedule are generated for plain
+		// weight panels and Dot8 schedule are generated for plain
 		// geometry only).
 		k.bp.ForwardBatch(c, outs, ins, w)
 		return

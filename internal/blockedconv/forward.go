@@ -26,7 +26,7 @@ func forwardBlocked(s conv.Spec, out, in, wb *tensor.Tensor) {
 	step := s.Sx * tensor.Block
 	for fo := 0; fo < fbN; fo++ {
 		plane := out.Data[fo*planeN : (fo+1)*planeN]
-		zeroRow(plane)
+		clear(plane)
 		for cb := 0; cb < cbN; cb++ {
 			for ky := 0; ky < s.Fy; ky++ {
 				wOff := (((fo*cbN+cb)*s.Fy + ky) * s.Fx) * tensor.Block * tensor.Block

@@ -1,21 +1,21 @@
 package blockedconv
 
-// Hot loops of the blocked forward pass, written in the repo's
-// bounds-check-eliminated streaming-slice idiom (see gemm/microkernel.go;
-// this file is gated by scripts/bce_check.sh). The only compute kernel is
-// gemm.MicroDot8 — the blocked layout's whole point is that the micro-
-// kernel's packed-panel operands exist in memory without a packing pass.
-// The per-row driver that feeds these loops lives in forward.go.
+// Hot loop of the blocked forward pass, written in the repo's
+// bounds-check-eliminated streaming-slice idiom (see internal/kern; this
+// file is gated by scripts/bce_check.sh). The only compute kernel is
+// kern.Dot8 — the blocked layout's whole point is that the micro-kernel's
+// packed-panel operands exist in memory without a packing pass. The
+// per-row driver that feeds this loop lives in forward.go.
 
-import "spgcnn/internal/gemm"
+import "spgcnn/internal/kern"
 
 // accRow accumulates one output row of one feature block: for each output
-// pixel the 8 feature lanes gain MicroDot8(in-window, panel). in advances
-// by step (= Sx·8) per pixel; the window length is len(wp)/8 (= Fx·8).
+// pixel the 8 feature lanes gain Dot8(in-window, panel). in advances by
+// step (= Sx·8) per pixel; the window length is len(wp)/8 (= Fx·8).
 func accRow(out, in, wp []float32, step int) {
 	kw := len(wp) / 8
 	for len(out) >= 8 && len(in) >= kw {
-		s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(in[:kw], wp)
+		s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(in[:kw], wp)
 		out[0] += s0
 		out[1] += s1
 		out[2] += s2
@@ -30,23 +30,5 @@ func accRow(out, in, wp []float32, step int) {
 		} else {
 			in = in[:0]
 		}
-	}
-}
-
-// zeroRow clears a buffer with an 8-wide streaming store.
-func zeroRow(dst []float32) {
-	for len(dst) >= 8 {
-		dst[0] = 0
-		dst[1] = 0
-		dst[2] = 0
-		dst[3] = 0
-		dst[4] = 0
-		dst[5] = 0
-		dst[6] = 0
-		dst[7] = 0
-		dst = dst[8:]
-	}
-	for i := range dst {
-		dst[i] = 0
 	}
 }

@@ -49,11 +49,7 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Zero clears the matrix.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Clone deep-copies the matrix.
 func (m *Matrix) Clone() *Matrix {
@@ -230,11 +226,4 @@ func microPanel(c, a, b *Matrix, mlo, mhi, klo, khi, nlo, nhi int) {
 // dimensions performs (2·M·N·K: one multiply plus one add per term).
 func Flops(m, n, k int) int64 {
 	return 2 * int64(m) * int64(n) * int64(k)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

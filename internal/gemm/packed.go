@@ -1,10 +1,14 @@
 package gemm
 
-import "sync"
+import (
+	"sync"
+
+	"spgcnn/internal/kern"
+)
 
 // Packed-operand SGEMM: the B operand is copied once into column panels of
 // panelW columns, interleaved along K (panel element 8k+c holds B[k][j+c]),
-// and the inner kernel (microDot8, microkernel.go) streams ONE packed panel
+// and the inner kernel (kern.Dot8) streams ONE packed panel
 // against one A row — two slice advances per K step feeding eight
 // register-resident accumulators. Classical packing (Goto & van de Geijn,
 // the paper's [26]) buys contiguity; the interleaved layout additionally
@@ -23,7 +27,7 @@ import "sync"
 // bit-identical to it.
 
 // panelW is the packed panel width: eight C columns computed per A-row pass,
-// matching the eight accumulator chains microDot8 keeps in registers.
+// matching the eight accumulator chains kern.Dot8 keeps in registers.
 const panelW = 8
 
 // packedThreshold selects the packed path in Serial/SerialAccum/Parallel
@@ -89,14 +93,14 @@ func packPanels(dst []float32, b *Matrix) {
 // packPanelsTrans packs the TRANSPOSE of src (N×K row-major) into the same
 // panel layout — the B operand of C = A·srcᵀ without materializing the
 // transpose: dst[...] = src[j+c][k]. Each panel gathers eight consecutive
-// src rows walked along k (gatherStrip8). Rows past src.Rows pack as zeros.
+// src rows walked along k (kern.Gather8). Rows past src.Rows pack as zeros.
 // dst must have K*padUp(src.Rows) elements.
 func packPanelsTrans(dst []float32, src *Matrix) {
 	K, N := src.Cols, src.Rows
 	idx := 0
 	j := 0
 	for ; j+panelW <= N; j += panelW {
-		gatherStrip8(dst[idx:idx+K*panelW],
+		kern.Gather8(dst[idx:idx+K*panelW],
 			src.Row(j), src.Row(j+1), src.Row(j+2), src.Row(j+3),
 			src.Row(j+4), src.Row(j+5), src.Row(j+6), src.Row(j+7))
 		idx += K * panelW
@@ -125,7 +129,7 @@ func packedMulRange(c, a *Matrix, panels []float32, n int, lo, hi int, accum boo
 		crow := c.Row(i)
 		j := 0
 		for ; j+panelW <= n; j += panelW {
-			s0, s1, s2, s3, s4, s5, s6, s7 := microDot8(arow, panels[j*K:(j+panelW)*K])
+			s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(arow, panels[j*K:(j+panelW)*K])
 			if accum {
 				crow[j] += s0
 				crow[j+1] += s1
@@ -150,7 +154,7 @@ func packedMulRange(c, a *Matrix, panels []float32, n int, lo, hi int, accum boo
 			// Final partial panel: zero-padded columns yield dots that are
 			// simply not stored.
 			s := [panelW]float32{}
-			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = microDot8(arow, panels[j*K:(j+panelW)*K])
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = kern.Dot8(arow, panels[j*K:(j+panelW)*K])
 			for c2 := 0; j+c2 < n; c2++ {
 				if accum {
 					crow[j+c2] += s[c2]

@@ -26,7 +26,7 @@ func PackB(b *Matrix) *PackedB {
 
 // PackBTrans packs srcᵀ for C = A·srcᵀ without materializing the transpose
 // (src is N×K; the logical operand is K×N). Panels gather eight consecutive
-// src rows along k (gatherStrip8).
+// src rows along k (kern.Gather8).
 func PackBTrans(src *Matrix) *PackedB {
 	p := &PackedB{K: src.Cols, N: src.Rows, panels: make([]float32, src.Cols*padUp(src.Rows))}
 	packPanelsTrans(p.panels, src)

@@ -44,7 +44,7 @@ func ParallelAccum(c, a, b *Matrix, workers int) {
 
 // MulTransB computes C = A·Bᵀ without materializing the transpose:
 // C[i][j] = Σ_k A[i][k]·B[j][k]. Bᵀ is packed into interleaved panels
-// (packPanelsTrans) and streamed through microDot8, one k-ordered
+// (packPanelsTrans) and streamed through kern.Dot8, one k-ordered
 // accumulator per element. It is the explicit unfold's GEMM (Fig. 2c and
 // the spatial ablation's baseline); no engine runs it.
 func MulTransB(c, a, b *Matrix) {

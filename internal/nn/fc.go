@@ -98,9 +98,7 @@ func (l *FC) Backward(eis, eos, ins []*tensor.Tensor) {
 			eo := eos[i].Data
 			x := ins[i].Data
 			ei := eis[i].Data
-			for j := range ei {
-				ei[j] = 0
-			}
+			clear(ei)
 			for o := 0; o < l.outLen; o++ {
 				g := eo[o]
 				if g == 0 {

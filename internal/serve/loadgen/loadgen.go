@@ -313,10 +313,3 @@ func (r *Result) WriteReport(w io.Writer) {
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -89,9 +89,7 @@ func (m *CSR) SpMM(c, b []float32, bCols int) {
 	if len(c) != m.Rows*bCols {
 		panic(fmt.Sprintf("sparse: C length %d != %d x %d", len(c), m.Rows, bCols))
 	}
-	for i := range c {
-		c[i] = 0
-	}
+	clear(c)
 	for i := 0; i < m.Rows; i++ {
 		crow := c[i*bCols : (i+1)*bCols]
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {

@@ -177,9 +177,7 @@ func (m *CTCSR) SpMM(c, b []float32, bCols int) {
 	if len(c) != m.Rows*bCols {
 		panic(fmt.Sprintf("sparse: C length %d != %d x %d", len(c), m.Rows, bCols))
 	}
-	for i := range c {
-		c[i] = 0
-	}
+	clear(c)
 	for t, tile := range m.Tiles {
 		colBase := t * m.TileWidth
 		for i := 0; i < tile.Rows; i++ {

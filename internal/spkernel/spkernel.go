@@ -19,8 +19,8 @@
 //     done for zero gradients (Fig. 6).
 //
 // The delta-weight computation (Eq. 4) follows the same structure with the
-// input activations in place of the weights. The inner loops live in
-// kernels.go.
+// input activations in place of the weights. The inner loop is
+// kern.AxpyRuns.
 package spkernel
 
 import (
@@ -30,6 +30,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/kern"
 	"spgcnn/internal/sparse"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
@@ -194,9 +195,9 @@ func shift(s conv.Spec, ceo *sparse.CTCSR, img, blocks []float32, toImage bool) 
 				for p := lo; p < hi; p++ {
 					blk := blocks[(fBase+int(cols[p]))*block:][:block]
 					if toImage {
-						axpyRows(win, blk, vals[p], run, imgRow, run)
+						kern.AxpyRuns(win, blk, vals[p], run, imgRow, run)
 					} else {
-						axpyRows(blk, win, vals[p], run, run, imgRow)
+						kern.AxpyRuns(blk, win, vals[p], run, run, imgRow)
 					}
 				}
 			}

@@ -162,31 +162,6 @@ func TestSparseMatchesReferenceAcrossSparsities(t *testing.T) {
 	}
 }
 
-func TestAxpyRows(t *testing.T) {
-	// Three runs of n elements, dst rows 7 apart and src rows packed: every
-	// run element accumulates, everything between the dst runs is untouched.
-	for n := 0; n <= 7; n++ {
-		dst := make([]float32, 2*7+n)
-		src := make([]float32, 3*n)
-		for i := range dst {
-			dst[i] = float32(i)
-		}
-		for i := range src {
-			src[i] = float32(i * i)
-		}
-		axpyRows(dst, src, 2, n, 7, n)
-		for i := range dst {
-			want := float32(i)
-			if r, x := i/7, i%7; x < n {
-				want += 2 * float32((r*n+x)*(r*n+x))
-			}
-			if dst[i] != want {
-				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
 func benchBP(b *testing.B, sparsity float64) {
 	s := conv.Square(32, 32, 32, 4, 1) // Table 1 ID 0
 	r := rng.New(1)

@@ -7,6 +7,7 @@ package spweight
 
 import (
 	"spgcnn/internal/conv"
+	"spgcnn/internal/kern"
 	"spgcnn/internal/tensor"
 )
 
@@ -20,7 +21,7 @@ func forwardCSR(s conv.Spec, p *csrPlan, out, in *tensor.Tensor) {
 	rowStep := s.Sy * s.Nx
 	for f := 0; f < s.Nf; f++ {
 		plane := out.Data[f*oy*ox : (f+1)*oy*ox]
-		zeroBuf(plane)
+		clear(plane)
 		lo, hi := int(p.rowStart[f]), int(p.rowStart[f+1])
 		taps := p.off[lo:hi]
 		vals := p.val[lo:hi]
@@ -34,7 +35,7 @@ func forwardCSR(s conv.Spec, p *csrPlan, out, in *tensor.Tensor) {
 				src := in.Data[off+y*rowStep:]
 				dst := plane[y*ox : (y+1)*ox]
 				if s.Sx == 1 {
-					axpyRow(dst, src, v)
+					kern.Axpy(dst, src, v)
 				} else {
 					axpyRowStride(dst, src, v, s.Sx)
 				}

@@ -1,29 +1,11 @@
 package spweight
 
-// Hot loops of the sparse-weight forward pass, in the repo's bounds-check-
+// Hot loop of the sparse-weight forward pass, in the repo's bounds-check-
 // eliminated streaming-slice idiom (gated by scripts/bce_check.sh). Each
 // surviving tap is one saxpy of an input row window into an output row —
 // the per-element work of the dense path with every zero-weight term gone.
-// The per-tap driver that feeds these loops lives in forward.go.
-
-// axpyRow computes dst[i] += v·src[i], 4-unrolled (the Sx==1 fast path).
-func axpyRow(dst, src []float32, v float32) {
-	for len(dst) >= 4 && len(src) >= 4 {
-		s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
-		dst[0] += v * s0
-		dst[1] += v * s1
-		dst[2] += v * s2
-		dst[3] += v * s3
-		dst = dst[4:]
-		src = src[4:]
-	}
-	for i := range dst {
-		if i >= len(src) {
-			break
-		}
-		dst[i] += v * src[i]
-	}
-}
+// The unit-stride saxpy is kern.Axpy; the per-tap driver that feeds these
+// loops lives in forward.go.
 
 // axpyRowStride computes dst[i] += v·src[i·stride].
 func axpyRowStride(dst, src []float32, v float32, stride int) {
@@ -35,19 +17,5 @@ func axpyRowStride(dst, src []float32, v float32, stride int) {
 		} else {
 			src = src[:0]
 		}
-	}
-}
-
-// zeroBuf clears a buffer with a 4-wide streaming store.
-func zeroBuf(dst []float32) {
-	for len(dst) >= 4 {
-		dst[0] = 0
-		dst[1] = 0
-		dst[2] = 0
-		dst[3] = 0
-		dst = dst[4:]
-	}
-	for i := range dst {
-		dst[i] = 0
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// Generalized-spec paths: the register-tiled schedule and its specialized
-// tap kernels are generated for plain geometry (no padding, unit
-// dilation, one group). For generalized specs the stencil stays a direct,
-// unfold-free engine but runs these row-streamed loop nests instead: per
-// tap, the in-bounds output-column interval is computed once
-// (tapBounds) so the inner saxpy/dot/scatter loops carry no per-element
-// bounds tests — padding costs interval arithmetic, not branches.
+// Generalized-spec forward path: the register-tiled schedule and its
+// specialized tap kernels are generated for plain geometry (no padding,
+// unit dilation, one group). For generalized specs the stencil stays a
+// direct, unfold-free engine but runs this row-streamed loop nest instead:
+// per tap, the in-bounds output-column interval is computed once
+// (tapBounds) so the inner loop carries no per-element bounds tests —
+// padding costs interval arithmetic, not branches.
 
 // tapBounds returns the half-open output-column range [lo, hi) for which
 // 0 <= x·sx + off < nx, i.e. the columns whose tap read stays inside the
@@ -59,9 +59,7 @@ func (k *Kernel) forwardGeneralOne(acc []float32, out, in, w *tensor.Tensor) {
 	for f := 0; f < s.Nf; f++ {
 		cbase := (f / gnf) * gnc
 		for y := 0; y < oy; y++ {
-			for i := range acc {
-				acc[i] = 0
-			}
+			clear(acc)
 			for cc := 0; cc < gnc; cc++ {
 				wBase := (f*gnc + cc) * s.Fy * s.Fx
 				for ky := 0; ky < s.Fy; ky++ {
@@ -84,104 +82,6 @@ func (k *Kernel) forwardGeneralOne(acc []float32, out, in, w *tensor.Tensor) {
 				}
 			}
 			copy(out.Row3(f, y), acc)
-		}
-	}
-}
-
-// backwardInputGeneralBatch computes Eq. 3 for a generalized spec as the
-// adjoint scatter of forwardGeneralOne: each output-error row is streamed
-// once per in-group (c, ky, kx) tap into the input-error row it feeds,
-// clipped to in-bounds columns (the adjoint of zero padding drops the
-// out-of-range taps).
-func (k *Kernel) backwardInputGeneralBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
-	s := k.spec
-	conv.CheckWeights(s, w)
-	oy, ox := s.OutY(), s.OutX()
-	gnc, gnf := s.GroupNc(), s.GroupNf()
-	dx, dy := s.DilX(), s.DilY()
-	for i := range eos {
-		ei, eo := eis[i], eos[i]
-		conv.CheckInput(s, ei)
-		conv.CheckOutput(s, eo)
-		ei.Zero()
-		for f := 0; f < s.Nf; f++ {
-			cbase := (f / gnf) * gnc
-			for y := 0; y < oy; y++ {
-				erow := eo.Row3(f, y)
-				if allZero(erow) {
-					continue
-				}
-				for cc := 0; cc < gnc; cc++ {
-					wBase := (f*gnc + cc) * s.Fy * s.Fx
-					for ky := 0; ky < s.Fy; ky++ {
-						iy := y*s.Sy + ky*dy - s.Py
-						if iy < 0 || iy >= s.Ny {
-							continue
-						}
-						dst := ei.Row3(cbase+cc, iy)
-						for kx := 0; kx < s.Fx; kx++ {
-							wv := w.Data[wBase+ky*s.Fx+kx]
-							if wv == 0 {
-								continue
-							}
-							off := kx*dx - s.Px
-							lo, hi := tapBounds(ox, s.Sx, off, s.Nx)
-							for x := lo; x < hi; x++ {
-								dst[x*s.Sx+off] += wv * erow[x]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// backwardWeightsGeneralBatch computes Eq. 4 for a generalized spec: each
-// tap's gradient is the dot product of the output-error plane with the
-// correspondingly shifted/dilated input plane over the in-bounds columns,
-// accumulated over the batch. dw is overwritten.
-func (k *Kernel) backwardWeightsGeneralBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-	s := k.spec
-	conv.CheckWeights(s, dw)
-	dw.Zero()
-	oy, ox := s.OutY(), s.OutX()
-	gnc, gnf := s.GroupNc(), s.GroupNf()
-	dx, dy := s.DilX(), s.DilY()
-	for i := range eos {
-		eo, in := eos[i], ins[i]
-		conv.CheckOutput(s, eo)
-		conv.CheckInput(s, in)
-		for f := 0; f < s.Nf; f++ {
-			cbase := (f / gnf) * gnc
-			for cc := 0; cc < gnc; cc++ {
-				wBase := (f*gnc + cc) * s.Fy * s.Fx
-				for ky := 0; ky < s.Fy; ky++ {
-					for kx := 0; kx < s.Fx; kx++ {
-						off := kx*dx - s.Px
-						lo, hi := tapBounds(ox, s.Sx, off, s.Nx)
-						if lo >= hi {
-							continue
-						}
-						var sum float32
-						for y := 0; y < oy; y++ {
-							iy := y*s.Sy + ky*dy - s.Py
-							if iy < 0 || iy >= s.Ny {
-								continue
-							}
-							erow := eo.Row3(f, y)
-							if allZero(erow) {
-								continue
-							}
-							irow := in.Row3(cbase+cc, iy)
-							for x := lo; x < hi; x++ {
-								sum += erow[x] * irow[x*s.Sx+off]
-							}
-						}
-						dw.Data[wBase+ky*s.Fx+kx] += sum
-					}
-				}
-			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ package stencil
 // one streamed input row contributes to N accumulator rows at once, so
 // every 4-element group of input loads feeds 4·N multiply-accumulates —
 // the load reuse that restores the convolution's arithmetic intensity.
+// The single-row case is kern.Axpy.
 //
 // Every routine here is written in the streaming-slice form (advance the
 // slice, compare against len) rather than indexed form, with an explicit
@@ -16,28 +17,7 @@ package stencil
 // scalars, one per destination row (the wvec[..] = mm256_set1(weight[..])
 // of Fig. 7).
 
-// saxpy1 computes dst[x] += w * src[x] for x in [0, n).
-func saxpy1(dst, src []float32, w float32, n int) {
-	if n < 0 || n > len(dst) || n > len(src) {
-		panic("stencil: saxpy1 bounds")
-	}
-	dst = dst[:n]
-	src = src[:n]
-	for len(src) >= 4 && len(dst) >= 4 {
-		v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
-		dst[0] += w * v0
-		dst[1] += w * v1
-		dst[2] += w * v2
-		dst[3] += w * v3
-		src = src[4:]
-		dst = dst[4:]
-	}
-	for len(src) >= 1 && len(dst) >= 1 {
-		dst[0] += w * src[0]
-		src = src[1:]
-		dst = dst[1:]
-	}
-}
+import "spgcnn/internal/kern"
 
 // saxpy2 streams src once into two accumulator rows.
 func saxpy2(d0, d1, src []float32, w0, w1 float32, n int) {
@@ -168,7 +148,11 @@ func saxpyRows(dsts [][]float32, ws []float32, src []float32, n int) {
 	switch len(dsts) {
 	case 0:
 	case 1:
-		saxpy1(dsts[0], src, ws[0], n)
+		d := dsts[0]
+		if n < 0 || n > len(d) || n > len(src) {
+			panic("stencil: saxpyRows bounds")
+		}
+		kern.Axpy(d[:n], src, ws[0])
 	case 2:
 		saxpy2(dsts[0], dsts[1], src, ws[0], ws[1], n)
 	case 3:
@@ -176,71 +160,6 @@ func saxpyRows(dsts [][]float32, ws []float32, src []float32, n int) {
 	case 4:
 		saxpy4(dsts[0], dsts[1], dsts[2], dsts[3], src, ws[0], ws[1], ws[2], ws[3], n)
 	default:
-		for i := range dsts {
-			saxpy1(dsts[i], src, ws[i], n)
-		}
-	}
-}
-
-// gatherDot computes Σ_x dst·src for strided source access; used by the
-// direct backward-weights kernel where the input walk is strided.
-func gatherDot(a []float32, b []float32, stride, n int) float32 {
-	if stride == 1 {
-		if n < 0 || n > len(a) || n > len(b) {
-			panic("stencil: gatherDot bounds")
-		}
-		a = a[:n]
-		b = b[:n]
-		var s0, s1, s2, s3 float32
-		for len(a) >= 4 && len(b) >= 4 {
-			s0 += a[0] * b[0]
-			s1 += a[1] * b[1]
-			s2 += a[2] * b[2]
-			s3 += a[3] * b[3]
-			a = a[4:]
-			b = b[4:]
-		}
-		for len(a) >= 1 && len(b) >= 1 {
-			s0 += a[0] * b[0]
-			a = a[1:]
-			b = b[1:]
-		}
-		return s0 + s1 + s2 + s3
-	}
-	var s float32
-	for n > 0 && len(a) >= 1 && len(b) >= 1 {
-		s += a[0] * b[0]
-		a = a[1:]
-		n--
-		if n == 0 {
-			break
-		}
-		// uint compare also rules out negative strides for the prove pass.
-		if uint(stride) > uint(len(b)) {
-			break
-		}
-		b = b[stride:]
-	}
-	return s
-}
-
-// scatterAxpy computes dst[x*stride] += w*src[x]; used by the direct
-// backward-input kernel for strided convolutions.
-func scatterAxpy(dst []float32, src []float32, w float32, stride, n int) {
-	if stride == 1 {
-		saxpy1(dst, src, w, n)
-		return
-	}
-	for n > 0 && len(src) >= 1 && len(dst) >= 1 {
-		dst[0] += w * src[0]
-		src = src[1:]
-		n--
-		if n == 0 {
-			break
-		}
-		if uint(stride) > uint(len(dst)) {
-			break
-		}
-		dst = dst[stride:]
+		panic("stencil: saxpyRows fan-out exceeds maxRY")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
+	"spgcnn/internal/unfoldgemm"
 )
 
 // Kernel is a generated stencil convolution plan for one spec. Forward
@@ -15,9 +16,8 @@ import (
 // stencil over the input, with the Eq. 21 layout transform for strided
 // convolutions and cache tiling along output rows.
 //
-// The paper deploys the stencil for FP only (BP uses GEMM or the sparse
-// kernel); for interface completeness this kernel also provides direct
-// (unfold-free) BP implementations built on the same row primitives.
+// The paper deploys the stencil for FP only; BP delegates to the serial
+// unfold+GEMM kernel, as the other FP specialists do.
 //
 // The plan holds no numeric scratch: accumulator tiles and the
 // stride-split tensor come from the execution context's arena per batch
@@ -27,9 +27,10 @@ import (
 type Kernel struct {
 	spec conv.Spec
 	plan Plan
+	bp   *unfoldgemm.Kernel // BP delegate (serial; batchpar supplies the fan-out)
 
 	// scratch pools op-list skeletons for the column-resident kernels
-	// (unit stride, rows <= 2): ops2 feed both tile rows, ops0/ops1 feed
+	// (unit stride, ry <= 2): ops2 feed both tile rows, ops0/ops1 feed
 	// only one.
 	scratch sync.Pool
 }
@@ -54,7 +55,7 @@ func NewWithPlan(p Plan) *Kernel {
 	if p.TileX < 1 {
 		p.TileX = p.Spec.OutX()
 	}
-	k := &Kernel{spec: p.Spec, plan: p}
+	k := &Kernel{spec: p.Spec, plan: p, bp: unfoldgemm.New(p.Spec, 1)}
 	k.scratch.New = func() any { return &fwdScratch{} }
 	return k
 }
@@ -159,8 +160,6 @@ func (k *Kernel) forwardOne(sc *fwdScratch, accT [][]float32, split *tensor.Tens
 	tileX := k.plan.TileX
 	var dsts [maxRY][]float32
 	var accRows [maxRY][]float32
-	var wrows [maxRY][]float32
-	var blk [maxRY][]float32
 	var kys [maxRY]int
 	var ws [maxRY]float32
 	for f := 0; f < s.Nf; f++ {
@@ -170,17 +169,16 @@ func (k *Kernel) forwardOne(sc *fwdScratch, accT [][]float32, split *tensor.Tens
 				rows = oy - yb
 			}
 			for r := 0; r < rows; r++ {
-				acc := accT[r][:ox]
-				for i := range acc {
-					acc[i] = 0
-				}
+				clear(accT[r][:ox])
 			}
 			iyLo := yb * s.Sy
 			iyHi := (yb+rows-1)*s.Sy + s.Fy - 1
-			if s.Sx == 1 && rows <= 2 {
-				// The column-resident fast path: accumulate the whole
+			if s.Sx == 1 && ry <= 2 {
+				// The column-resident path, run by every unit-stride plan
+				// ChoosePlan can pick: accumulate the whole
 				// Nc·(rows+Fy−1)·Fx reduction for a strip of output
 				// columns in registers before storing (tapColumn kernels).
+				// Taller ablation tiles take the per-tap path below.
 				k.forwardColumns(sc, accT, out, in, w, f, yb, rows, iyLo, iyHi)
 				continue
 			}
@@ -206,20 +204,11 @@ func (k *Kernel) forwardOne(sc *fwdScratch, accT [][]float32, split *tensor.Tens
 						if nd == 0 {
 							continue
 						}
-						if s.Sx == 1 {
-							// Unit stride, ry > 2 (ablation plans):
-							// register-blocked tap reduction per input
-							// row (tapblock.go).
-							for d := 0; d < nd; d++ {
-								wrows[d] = w.Data[wBase+kys[d]*s.Fx:][:s.Fx]
-								blk[d] = accRows[d][xt:]
-							}
-							tapRows(blk[:nd], wrows[:nd], in.Row3(c, iy)[xt:], s.Fx, n)
-							continue
-						}
-						// Strided along x: use the Eq. 21 layout and
-						// per-tap streamed accumulation (contiguity holds
-						// within one tap but not across taps).
+						// Per-tap streamed accumulation: one saxpy of the
+						// input row per kx into every accumulator row it
+						// feeds (through the Eq. 21 layout when strided —
+						// contiguity holds within one tap but not across
+						// taps).
 						for kx := 0; kx < s.Fx; kx++ {
 							srow := k.srcRow(src, in, c, iy, kx)
 							for d := 0; d < nd; d++ {
@@ -278,16 +267,11 @@ func (k *Kernel) forwardColumns(sc *fwdScratch, accT [][]float32, out, in, w *te
 			}
 		}
 	}
+	// forwardOne has zeroed the tile's accumulator rows.
 	acc0 := accT[0][:ox]
-	for i := range acc0 {
-		acc0[i] = 0
-	}
 	var acc1 []float32
 	if rows == 2 {
 		acc1 = accT[1][:ox]
-		for i := range acc1 {
-			acc1[i] = 0
-		}
 	}
 	tileX := k.plan.TileX
 	for xt := 0; xt < ox; xt += tileX {
@@ -312,98 +296,15 @@ func (k *Kernel) forwardColumns(sc *fwdScratch, accT [][]float32, out, in, w *te
 	}
 }
 
-// BackwardInputBatch computes Eq. 3 directly (no unfolding): every
-// output-error row is streamed once per (c, ky, kx) tap into the
-// input-error row it feeds, with strided scatter for sx > 1.
+// BackwardInputBatch implements engine.Kernel via the unfold+GEMM delegate
+// (this engine is an FP specialist).
 func (k *Kernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
-	if len(eis) != len(eos) {
-		panic("stencil: BackwardInputBatch length mismatch")
-	}
-	s := k.spec
-	if !s.Plain() {
-		k.backwardInputGeneralBatch(c, eis, eos, w)
-		return
-	}
-	conv.CheckWeights(s, w)
-	oy, ox := s.OutY(), s.OutX()
-	for i := range eos {
-		ei, eo := eis[i], eos[i]
-		conv.CheckInput(s, ei)
-		conv.CheckOutput(s, eo)
-		ei.Zero()
-		for f := 0; f < s.Nf; f++ {
-			for y := 0; y < oy; y++ {
-				erow := eo.Row3(f, y)
-				if allZero(erow) {
-					continue
-				}
-				for ch := 0; ch < s.Nc; ch++ {
-					wBase := (f*s.Nc + ch) * s.Fy * s.Fx
-					for ky := 0; ky < s.Fy; ky++ {
-						dst := ei.Row3(ch, y*s.Sy+ky)
-						for kx := 0; kx < s.Fx; kx++ {
-							wv := w.Data[wBase+ky*s.Fx+kx]
-							if wv == 0 {
-								continue
-							}
-							scatterAxpy(dst[kx:], erow, wv, s.Sx, ox)
-						}
-					}
-				}
-			}
-		}
-	}
+	k.bp.BackwardInputBatch(c, eis, eos, w)
 }
 
-// BackwardWeightsBatch computes dw = Σ_i grad(eos[i], ins[i]) (Eq. 4)
-// directly: each tap's gradient is the dot product of the output-error
-// plane with the correspondingly shifted (and strided) input plane,
-// accumulated over the batch. dw is overwritten.
+// BackwardWeightsBatch implements engine.Kernel via the same delegate.
 func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-	if len(eos) != len(ins) {
-		panic("stencil: BackwardWeightsBatch length mismatch")
-	}
-	s := k.spec
-	if !s.Plain() {
-		k.backwardWeightsGeneralBatch(c, dw, eos, ins)
-		return
-	}
-	conv.CheckWeights(s, dw)
-	dw.Zero()
-	oy, ox := s.OutY(), s.OutX()
-	for i := range eos {
-		eo, in := eos[i], ins[i]
-		conv.CheckOutput(s, eo)
-		conv.CheckInput(s, in)
-		for f := 0; f < s.Nf; f++ {
-			for ch := 0; ch < s.Nc; ch++ {
-				wBase := (f*s.Nc + ch) * s.Fy * s.Fx
-				for ky := 0; ky < s.Fy; ky++ {
-					for kx := 0; kx < s.Fx; kx++ {
-						var sum float32
-						for y := 0; y < oy; y++ {
-							erow := eo.Row3(f, y)
-							if allZero(erow) {
-								continue
-							}
-							irow := in.Row3(ch, y*s.Sy+ky)
-							sum += gatherDot(erow, irow[kx:], s.Sx, ox)
-						}
-						dw.Data[wBase+ky*s.Fx+kx] += sum
-					}
-				}
-			}
-		}
-	}
-}
-
-func allZero(row []float32) bool {
-	for _, v := range row {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	k.bp.BackwardWeightsBatch(c, dw, eos, ins)
 }
 
 // Generator returns the engine.Generator for the stencil technique.

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"testing"
 
 	"spgcnn/internal/conv"
@@ -164,25 +165,48 @@ func TestSaxpyKernels(t *testing.T) {
 	}
 }
 
-func TestGatherDotStrided(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{10, 0, 20, 0, 30, 0}
-	if got := gatherDot(a, b, 2, 3); got != 10+40+90 {
-		t.Fatalf("gatherDot stride 2 = %v, want 140", got)
-	}
-	if got := gatherDot(a, b[:3], 1, 3); got != 10+0+60 {
-		t.Fatalf("gatherDot stride 1 = %v, want 70", got)
-	}
-}
-
-func TestScatterAxpyStrided(t *testing.T) {
-	dst := make([]float32, 6)
-	scatterAxpy(dst, []float32{1, 2, 3}, 2, 2, 3)
-	want := []float32{2, 0, 4, 0, 6, 0}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("scatterAxpy = %v, want %v", dst, want)
+func TestPerTapPathMatchesReference(t *testing.T) {
+	// The per-tap saxpy path — unit-stride tiles taller than two rows (the
+	// register-tile ablation) and every strided spec — sums each output in
+	// the reference (c, ky, kx) order from +0, so it must reproduce
+	// conv.ForwardRef bit for bit.
+	r := rng.New(0x7A9)
+	check := func(name string, k *Kernel) {
+		t.Helper()
+		s := k.Spec()
+		ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
+		w := conv.RandWeights(r, s)
+		outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
+		k.ForwardBatch(exec.New(1), outs, ins, w)
+		for i := range ins {
+			want := conv.NewOutput(s)
+			conv.ForwardRef(s, want, ins[i], w)
+			if !tensor.Identical(outs[i], want) {
+				t.Fatalf("%s %v sample %d: not identical to ForwardRef (max diff %g)",
+					name, s, i, tensor.MaxAbsDiff(outs[i], want))
+			}
 		}
+	}
+	for _, s := range []conv.Spec{
+		conv.Square(28, 20, 1, 5, 1), // MNIST L0: OutY 24, a multiple of 3 and 4
+		conv.Square(36, 8, 3, 5, 1),  // OutY 32: a ragged last 3-row block
+		conv.Square(13, 4, 2, 3, 1),  // OutY 11: ragged for both heights
+		{Nx: 19, Ny: 9, Nc: 3, Nf: 2, Fx: 3, Fy: 2, Sx: 1, Sy: 1},
+	} {
+		for _, ry := range []int{3, 4} {
+			p := ChoosePlan(s)
+			p.RY = ry
+			check(fmt.Sprintf("ry=%d", ry), NewWithPlan(p))
+			p.TileX = 5
+			check(fmt.Sprintf("ry=%d tileX=5", ry), NewWithPlan(p))
+		}
+	}
+	for _, s := range []conv.Spec{
+		conv.Square(20, 8, 3, 5, 2),
+		conv.Square(23, 4, 2, 3, 2),
+		{Nx: 17, Ny: 15, Nc: 2, Nf: 3, Fx: 3, Fy: 3, Sx: 2, Sy: 1},
+	} {
+		check("ChoosePlan", New(s))
 	}
 }
 

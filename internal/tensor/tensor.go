@@ -94,11 +94,7 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // SameShape reports whether t and o have identical dimension lists.
 func (t *Tensor) SameShape(o *Tensor) bool {

@@ -68,7 +68,7 @@ func Im2col(s conv.Spec, u *gemm.Matrix, in *tensor.Tensor) {
 					drow := dst[base+ky*s.Fx : base+(ky+1)*s.Fx]
 					iy := y*s.Sy + ky*dy - s.Py
 					if iy < 0 || iy >= s.Ny {
-						zeroRow(drow)
+						clear(drow)
 						continue
 					}
 					irow := in.Row3(c, iy)
@@ -87,13 +87,6 @@ func Im2col(s conv.Spec, u *gemm.Matrix, in *tensor.Tensor) {
 				}
 			}
 		}
-	}
-}
-
-// zeroRow clears one kernel row of an unfolded destination.
-func zeroRow(dst []float32) {
-	for i := range dst {
-		dst[i] = 0
 	}
 }
 

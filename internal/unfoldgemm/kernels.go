@@ -1,16 +1,16 @@
 package unfoldgemm
 
-// Hot loops of the implicit unfold, written in the repo's bounds-check-
-// eliminated streaming-slice idiom (see gemm/microkernel.go; this file is
-// gated by scripts/bce_check.sh). Four loops replace the materialized
-// unfolded matrix U:
+// Hot loops of the implicit unfold that only this engine runs, written in
+// the repo's bounds-check-eliminated streaming-slice idiom (see
+// internal/kern; this file is gated by scripts/bce_check.sh). With the
+// shared primitives they replace the materialized unfolded matrix U:
 //
 //   - copyTaps8 builds an FP panel: for 8 adjacent output pixels of one
 //     row it copies the 8 contiguous input floats of every tap, producing
-//     exactly the k-interleaved panel gemm.MicroDot8 consumes.
-//   - gatherRows8 builds one output row of a BP-dW panel: 8 taps, each a
+//     exactly the k-interleaved panel kern.Dot8 consumes.
+//   - kern.Gather8 builds one output row of a BP-dW panel: 8 taps, each a
 //     shifted image row, interleaved pixel by pixel.
-//   - axpyAcc scatters one non-zero error gradient's weight row into a
+//   - kern.Axpy scatters one non-zero error gradient's weight row into a
 //     BP-EI panel (U_E restricted to 8 pixels).
 //   - foldTaps8 folds an 8-pixel BP-EI panel into the (zero-bordered)
 //     input gradient, walking taps in descending order so every element
@@ -42,54 +42,6 @@ func copyTaps8(dst, src []float32, taps []int) {
 		dst[6] = v6
 		dst[7] = v7
 		dst = dst[8:]
-	}
-}
-
-// gatherRows8 writes dst[8x+c] = rc[x] for x < len(dst)/8: the pixels of
-// one output row for 8 taps, each tap's pixels a contiguous image row.
-// The rows are cut to one shared length first so a single counter indexes
-// all eight without bounds checks or eight advancing slice headers.
-func gatherRows8(dst, r0, r1, r2, r3, r4, r5, r6, r7 []float32) {
-	n := len(dst) / 8
-	if len(r0) < n || len(r1) < n || len(r2) < n || len(r3) < n ||
-		len(r4) < n || len(r5) < n || len(r6) < n || len(r7) < n {
-		return
-	}
-	r0, r1, r2, r3, r4, r5, r6, r7 = r0[:n], r1[:n], r2[:n], r3[:n], r4[:n], r5[:n], r6[:n], r7[:n]
-	for x, v0 := range r0 {
-		if len(dst) < 8 {
-			return
-		}
-		dst[0] = v0
-		dst[1] = r1[x]
-		dst[2] = r2[x]
-		dst[3] = r3[x]
-		dst[4] = r4[x]
-		dst[5] = r5[x]
-		dst[6] = r6[x]
-		dst[7] = r7[x]
-		dst = dst[8:]
-	}
-}
-
-// axpyAcc computes dst[i] += w*src[i] over min(len(dst), len(src)),
-// 4-wide unrolled. Element order is unchanged from the scalar loop, so
-// results are bit-identical.
-func axpyAcc(dst, src []float32, w float32) {
-	for len(dst) >= 4 && len(src) >= 4 {
-		v0, v1, v2, v3 := src[0], src[1], src[2], src[3]
-		dst[0] += w * v0
-		dst[1] += w * v1
-		dst[2] += w * v2
-		dst[3] += w * v3
-		dst = dst[4:]
-		src = src[4:]
-	}
-	for i := range dst {
-		if i >= len(src) {
-			break
-		}
-		dst[i] += w * src[i]
 	}
 }
 

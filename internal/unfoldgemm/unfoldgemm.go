@@ -17,7 +17,7 @@
 // The unfold is implicit: no pix × taps matrix is ever built. Each phase
 // builds one 8-wide GEMM panel of U at a time straight from the input (FP:
 // 8 pixels × all taps; BP-dW: 8 taps × all pixels) in the k-interleaved
-// layout gemm.MicroDot8 consumes, and BP-EI scatters into an 8-pixel panel
+// layout kern.Dot8 consumes, and BP-EI scatters into an 8-pixel panel
 // of U_E that is folded into the input gradient before the next one. Each
 // output element keeps the single k-ordered accumulator of the explicit
 // im2col → GEMM → col2im composition, so results are bit-identical to it
@@ -30,7 +30,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
-	"spgcnn/internal/gemm"
+	"spgcnn/internal/kern"
 	"spgcnn/internal/par"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfold"
@@ -184,7 +184,7 @@ func (k *Kernel) forward(out, src, w, panel []float32, lo, hi int) {
 		g, p0 := u/npan, u%npan*8
 		n := k.pixelPanel(panel, src, g, p0)
 		for f := g * gnf; f < (g+1)*gnf; f++ {
-			s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(w[f*cols:(f+1)*cols], panel)
+			s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(w[f*cols:(f+1)*cols], panel)
 			if o := out[f*rows+p0:]; n == 8 && len(o) >= 8 {
 				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 			} else {
@@ -289,7 +289,7 @@ func (k *Kernel) backwardInput(ei *tensor.Tensor, pad, eo, w, panel []float32, c
 				wrow := w[f*cols+tlo : f*cols+thi]
 				for c, e := range eo[f*rows+p0 : f*rows+p0+n] {
 					if e != 0 {
-						axpyAcc(panel[c*tw:(c+1)*tw], wrow, e)
+						kern.Axpy(panel[c*tw:(c+1)*tw], wrow, e)
 					}
 				}
 			}
@@ -368,7 +368,7 @@ func (k *Kernel) backwardWeights(dw, src, eo, panels []float32, lo, hi int) {
 		for f := g * gnf; f < (g+1)*gnf; f++ {
 			a, p := eo[f*rows:(f+1)*rows], panels
 			for d := dw[f*cols+j0*8 : f*cols+min(j1*8, cols)]; len(d) > 0; p = p[size:] {
-				s0, s1, s2, s3, s4, s5, s6, s7 := gemm.MicroDot8(a, p[:size])
+				s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(a, p[:size])
 				if len(d) < 8 {
 					for c, v := range [8]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
 						if c < len(d) {
@@ -393,7 +393,7 @@ func (k *Kernel) backwardWeights(dw, src, eo, panels []float32, lo, hi int) {
 
 // tapPanel builds the panel dst[8p+c] = U[p][t0+c] for group g; columns
 // past the last tap are zero. At unit stride each output row is one
-// gatherRows8 over eight shifted image rows.
+// kern.Gather8 over eight shifted image rows.
 func (k *Kernel) tapPanel(dst, src []float32, g, t0 int) {
 	s := &k.spec
 	ox, n := k.ox, min(8, k.cols-t0)
@@ -403,7 +403,7 @@ func (k *Kernel) tapPanel(dst, src []float32, g, t0 int) {
 	}
 	for rb, d := 0, dst; len(d) > 0; rb, d = rb+s.Sy*k.px, d[ox*8:] {
 		if s.Sx == 1 {
-			gatherRows8(d[:ox*8], src[o[0]+rb:], src[o[1]+rb:], src[o[2]+rb:], src[o[3]+rb:],
+			kern.Gather8(d[:ox*8], src[o[0]+rb:], src[o[1]+rb:], src[o[2]+rb:], src[o[3]+rb:],
 				src[o[4]+rb:], src[o[5]+rb:], src[o[6]+rb:], src[o[7]+rb:])
 			continue
 		}

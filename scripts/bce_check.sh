@@ -7,13 +7,14 @@
 # or once per streamed element, where a single reintroduced bounds check
 # costs double-digit percent throughput:
 #
-#   internal/gemm/microkernel.go      microDot8, panelTile4x4, strips
-#   internal/unfoldgemm/kernels.go    copyTaps8, gatherRows8, axpyAcc, foldTaps8
+#   internal/kern/kern.go             Axpy, AxpyRuns, Dot8, Gather8 (the
+#                                     inner-loop layer every engine shares)
+#   internal/gemm/microkernel.go      panelTile4x4, copyStrip8
+#   internal/unfoldgemm/kernels.go    copyTaps8, foldTaps8
 #                                     (implicit-unfold panel build and fold)
-#   internal/stencil/kernels.go       saxpy1-4, gatherDot, scatterAxpy
-#   internal/blockedconv/kernels.go   accRow, zeroRow (NCHW8 direct FP)
-#   internal/spweight/kernels.go      axpyRow(Stride), zeroBuf (CSR FP)
-#   internal/spkernel/kernels.go      axpyRows (CT-CSR pointer-shifting BP)
+#   internal/stencil/kernels.go       saxpy2-4 (multi-row broadcast)
+#   internal/blockedconv/kernels.go   accRow (NCHW8 direct FP)
+#   internal/spweight/kernels.go      axpyRowStride (strided CSR FP)
 #   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
 #
 # (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spweight/forward.go,
@@ -30,15 +31,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-protected="internal/gemm/microkernel.go
+protected="internal/kern/kern.go
+internal/gemm/microkernel.go
 internal/unfoldgemm/kernels.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
 internal/spweight/kernels.go
-internal/spkernel/kernels.go
 internal/nn/kernels.go"
 
-pkgs="./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/ ./internal/nn/"
+pkgs="./internal/kern/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/ ./internal/nn/"
 
 out="$(go build -gcflags='-d=ssa/check_bce' $pkgs 2>&1)" || {
 	echo "$out"

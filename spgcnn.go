@@ -145,7 +145,9 @@ type Kernel = engine.Kernel
 func NewUnfoldGEMM(s ConvSpec, workers int) Kernel { return unfoldgemm.New(s, workers) }
 
 // NewStencil generates a Stencil-Kernel (§4.3) with the register tile and
-// cache schedule chosen by the basic-block/schedule generators.
+// cache schedule chosen by the basic-block/schedule generators. The
+// stencil is an FP kernel, as in the paper: its BP entry points run the
+// serial unfold+GEMM kernel.
 func NewStencil(s ConvSpec) Kernel { return stencil.New(s) }
 
 // NewSparse generates a Sparse-Kernel (§4.2). tileWidth <= 0 selects the
