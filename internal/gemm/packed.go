@@ -8,13 +8,13 @@ import (
 
 // Packed-operand SGEMM: the B operand is copied once into column panels of
 // panelW columns, interleaved along K (panel element 8k+c holds B[k][j+c]),
-// and the inner kernel (kern.Dot8) streams ONE packed panel
-// against one A row — two slice advances per K step feeding eight
+// and the inner kernel (kern.Dot8x4) streams ONE packed panel against four
+// A rows — one panel load per K step feeding four rows of eight
 // register-resident accumulators. Classical packing (Goto & van de Geijn,
 // the paper's [26]) buys contiguity; the interleaved layout additionally
 // collapses the eight B-row streams of the dot-orientation kernel into a
-// single stream, which is what pushes the pure-Go kernel past the blocked
-// RMW tile on this machine.
+// single stream, which is what pushes the packed kernel past the blocked
+// RMW tile.
 //
 // The pack costs O(K·N) moves against O(M·K·N) arithmetic, so it amortizes
 // across the M output rows of a single call — and across an entire batch
@@ -121,48 +121,48 @@ func packPanelsTrans(dst []float32, src *Matrix) {
 
 // packedMulRange computes rows [lo, hi) of C = A·B (accum=false overwrites,
 // accum=true adds) from pre-packed panels covering all padUp(n) columns.
-// n is the live column count (c.Cols).
+// n is the live column count (c.Cols). Rows run four at a time against
+// each panel (kern.Dot8x4), the rest one at a time (kern.Dot8); the
+// zero-padded columns of a final partial panel yield dots that are simply
+// not stored.
 func packedMulRange(c, a *Matrix, panels []float32, n int, lo, hi int, accum bool) {
 	K := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		j := 0
-		for ; j+panelW <= n; j += panelW {
-			s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(arow, panels[j*K:(j+panelW)*K])
-			if accum {
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
-				crow[j+4] += s4
-				crow[j+5] += s5
-				crow[j+6] += s6
-				crow[j+7] += s7
-			} else {
-				crow[j] = s0
-				crow[j+1] = s1
-				crow[j+2] = s2
-				crow[j+3] = s3
-				crow[j+4] = s4
-				crow[j+5] = s5
-				crow[j+6] = s6
-				crow[j+7] = s7
+	var s [4][panelW]float32
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		for j := 0; j < n; j += panelW {
+			kern.Dot8x4(&s, a0, a1, a2, a3, panels[j*K:(j+panelW)*K])
+			for r := range s {
+				putDots(c.Row(i + r)[j:min(j+panelW, n)], &s[r], accum)
 			}
 		}
-		if j < n {
-			// Final partial panel: zero-padded columns yield dots that are
-			// simply not stored.
-			s := [panelW]float32{}
-			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = kern.Dot8(arow, panels[j*K:(j+panelW)*K])
-			for c2 := 0; j+c2 < n; c2++ {
-				if accum {
-					crow[j+c2] += s[c2]
-				} else {
-					crow[j+c2] = s[c2]
-				}
-			}
+	}
+	for ; i < hi; i++ {
+		arow, v := a.Row(i), &s[0]
+		for j := 0; j < n; j += panelW {
+			v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = kern.Dot8(arow, panels[j*K:(j+panelW)*K])
+			putDots(c.Row(i)[j:min(j+panelW, n)], v, accum)
 		}
+	}
+}
+
+// putDots stores (accum=false) or adds (accum=true) one panel's dots into
+// the ≤ panelW C columns of dst.
+func putDots(dst []float32, v *[panelW]float32, accum bool) {
+	if !accum {
+		copy(dst, v[:])
+		return
+	}
+	if len(dst) == panelW {
+		d := (*[panelW]float32)(dst)
+		for c := range d {
+			d[c] += v[c]
+		}
+		return
+	}
+	for c := range dst {
+		dst[c] += v[c]
 	}
 }
 

@@ -1,13 +1,21 @@
-// Package kern is the inner-loop layer: the scalar loops that more than one
+// Package kern is the inner-loop layer: the loops that more than one
 // convolution engine runs. The engines keep only their drivers — offsets,
 // panel layouts, ragged edges — and call these for the per-element work.
+//
+// Each exported primitive is a dispatch wrapper over two bodies: the scalar
+// Go body in this file and, on amd64 CPUs with AVX2 (checked once, by CPUID
+// and XGETBV in kern_amd64.s), an assembly body in kern_amd64.s. The scalar
+// bodies are the build off amd64, the fallback without AVX2, and the
+// oracle the assembly is tested against.
 //
 // Invariant: every primitive keeps one accumulator per output element and
 // walks its reduction in increasing index order, so replacing a loop by a
 // wider body of the same primitive is bit-transparent — results are
 // identical to the one-line scalar loop each function documents, including
 // ±0, ±Inf and subnormals, and NaN where the loop gives NaN (kern_test.go
-// pins this with math.Float32bits).
+// pins this with math.Float32bits). The assembly keeps it by running every
+// lane's s += a·b as VMULPS then VADDPS, never a fused multiply-add: a
+// fused body would round once where the scalar loop rounds twice.
 //
 // The loops are written in the bounds-check-eliminated streaming-slice
 // idiom (scripts/bce_check.sh gates this file):
@@ -22,12 +30,19 @@
 package kern
 
 // Axpy computes dst[i] += a·src[i] for i < min(len(dst), len(src)).
-//
-// The body is consumed 8 elements at a time, then by a straight-line 4/2/1
-// remainder instead of a counted loop: at the short rows of few-channel
-// layers the mispredicted exit of a 3-trip tail loop costs more than the
-// arithmetic.
 func Axpy(dst, src []float32, a float32) {
+	if hasAVX2 {
+		axpyAVX2(dst, src, a)
+		return
+	}
+	axpy(dst, src, a)
+}
+
+// axpy is Axpy's scalar body. It consumes 8 elements at a time, then a
+// straight-line 4/2/1 remainder instead of a counted loop: at the short
+// rows of few-channel layers the mispredicted exit of a 3-trip tail loop
+// costs more than the arithmetic.
+func axpy(dst, src []float32, a float32) {
 	for len(dst) >= 8 && len(src) >= 8 {
 		dst[0] += a * src[0]
 		dst[1] += a * src[1]
@@ -58,18 +73,30 @@ func Axpy(dst, src []float32, a float32) {
 
 // AxpyRuns computes dst += a·src over consecutive runs of n elements: run r
 // starts at dst[r·dstStride] and src[r·srcStride], and the walk ends when
-// either side has no full run left. spkernel's pointer-shifting BP runs it
-// once per stored EO non-zero, with one side an HWC image window (stride =
-// one image row) and the other a packed [ky][kx·c] block (stride = n).
+// either side has no full run left. A stride ≤ 0 on either side means one
+// run. spkernel's pointer-shifting BP runs it once per stored EO non-zero,
+// with one side an HWC image window (stride = one image row) and the other
+// a packed [ky][kx·c] block (stride = n).
 //
-// The run body is Axpy's, written out here rather than called: runs are
-// short (15 floats on CIFAR conv0), and a call per run, or a single walk
-// shared with Axpy, measured slower there. Kept out of line: inlined into
+// The assembly body walks every run in one call, with the n%8 tail mask
+// built once: runs are short (15 floats on CIFAR conv0), and cannot afford
+// a call each.
+func AxpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
+	if hasAVX2 {
+		axpyRunsAVX2(dst, src, a, n, dstStride, srcStride)
+		return
+	}
+	axpyRuns(dst, src, a, n, dstStride, srcStride)
+}
+
+// axpyRuns is AxpyRuns' scalar body. The run body is axpy's, written out
+// here rather than called: a call per run, or a single walk shared with
+// axpy, measured slower at 15-float runs. Kept out of line: inlined into
 // the driver's loop nest the run loop's induction variable spills to the
 // stack.
 //
 //go:noinline
-func AxpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
+func axpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
 	for n > 0 && len(dst) >= n && len(src) >= n {
 		d, s := dst[:n], src[:n]
 		for len(d) >= 8 && len(s) >= 8 {
@@ -98,7 +125,8 @@ func AxpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
 		if len(d) >= 1 && len(s) >= 1 {
 			d[0] += a * s[0]
 		}
-		if uint(dstStride) > uint(len(dst)) || uint(srcStride) > uint(len(src)) {
+		if dstStride <= 0 || srcStride <= 0 ||
+			uint(dstStride) > uint(len(dst)) || uint(srcStride) > uint(len(src)) {
 			return
 		}
 		dst, src = dst[dstStride:], src[srcStride:]
@@ -107,11 +135,47 @@ func AxpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
 
 // Dot8 is the packed-panel micro-kernel: eight dot products of a against
 // one k-interleaved panel, s_c = Σ_k a[k]·bp[8k+c] over
-// k < min(len(a), len(bp)/8). Exactly two slices advance per iteration —
+// k < min(len(a), len(bp)/8), each summed in increasing k.
+func Dot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
+	if hasAVX2 {
+		return dot8AVX2(a, bp)
+	}
+	return dot8(a, bp)
+}
+
+// Dot8x4 is the register-blocked Dot8: four rows against one panel,
+// s[r] = Dot8(ar[:K], bp) with one K = min(len(a0), len(a1), len(a2),
+// len(a3), len(bp)/8). Each panel load feeds four independent accumulator
+// chains, so the assembly body overlaps four adds where Dot8's single
+// chain waits out each add's latency. Callers block their rows by four and
+// run the rest through Dot8.
+func Dot8x4(s *[4][8]float32, a0, a1, a2, a3, bp []float32) {
+	if hasAVX2 {
+		dot8x4AVX2(s, a0, a1, a2, a3, bp)
+		return
+	}
+	dot8x4(s, a0, a1, a2, a3, bp)
+}
+
+// dot8x4 is Dot8x4's scalar body: four dot8 calls, since 32 scalar
+// accumulators would spill.
+func dot8x4(s *[4][8]float32, a0, a1, a2, a3, bp []float32) {
+	k := min(len(a0), len(a1), len(a2), len(a3), len(bp)/8)
+	r := &s[0]
+	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot8(a0[:k], bp)
+	r = &s[1]
+	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot8(a1[:k], bp)
+	r = &s[2]
+	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot8(a2[:k], bp)
+	r = &s[3]
+	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot8(a3[:k], bp)
+}
+
+// dot8 is Dot8's scalar body. Exactly two slices advance per iteration —
 // the single-stream property the panel layout exists to provide — feeding
 // eight accumulator chains that stay in registers across the whole
 // reduction, with the k loop unrolled 4x.
-func Dot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
+func dot8(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) {
 	for len(a) >= 4 && len(bp) >= 32 {
 		av := a[0]
 		s0 += av * bp[0]

@@ -1,0 +1,346 @@
+// AVX2 bodies for the primitives of kern.go. Each computes exactly what its
+// scalar body does: every lane runs the scalar chain s += a·b as VMULPS then
+// VADDPS (never a fused multiply-add), one accumulator per output element,
+// in increasing index order, under the same MXCSR — so results match the
+// scalar Go bit for bit. Y15 is left alone (Go's ABIInternal zero register).
+//
+// Axpy and AxpyRuns end each row with a 4/2/1 tail of plain loads and
+// stores. A VMASKMOVPS tail measured 2-3x slower at 4- to 15-float rows: a
+// masked store does not forward to the next load of the same floats, and
+// the engines accumulate into the same rows call after call.
+
+#include "textflag.h"
+
+// func cpuAVX2() bool
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID                      // EAX = highest basic leaf
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID                      // leaf 1: ECX.OSXSAVE[27], ECX.AVX[28]
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV                     // XCR0: XMM[1] and YMM[2] state enabled
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID                      // leaf 7.0: EBX.AVX2[5]
+	BTL  $5, BX
+	JCC  no
+	MOVB $1, ret+0(FP)
+
+no:
+	RET
+
+// func axpyAVX2(dst, src []float32, a float32)
+//
+// dst[i] += a·src[i] for i < min(len(dst), len(src)): 32 floats per
+// iteration, then 8, then a 4/2/1 tail.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-52
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), AX
+	CMPQ         AX, CX
+	CMOVQLT      AX, CX
+	VBROADCASTSS a+48(FP), Y0
+	CMPQ         CX, $32
+	JLT          axpy8
+
+axpy32:
+	VMULPS  (SI), Y0, Y1
+	VMULPS  32(SI), Y0, Y2
+	VMULPS  64(SI), Y0, Y3
+	VMULPS  96(SI), Y0, Y4
+	VADDPS  (DI), Y1, Y1
+	VADDPS  32(DI), Y2, Y2
+	VADDPS  64(DI), Y3, Y3
+	VADDPS  96(DI), Y4, Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JGE     axpy32
+
+axpy8:
+	CMPQ CX, $8
+	JLT  axpytail
+
+axpy8loop:
+	VMULPS  (SI), Y0, Y1
+	VADDPS  (DI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     axpy8loop
+
+axpytail:
+	TESTQ   $4, CX
+	JEQ     axpy2
+	VMULPS  (SI), X0, X1
+	VADDPS  (DI), X1, X1
+	VMOVUPS X1, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+
+axpy2:
+	TESTQ   $2, CX
+	JEQ     axpy1
+	VMOVSD  (SI), X1
+	VMOVSD  (DI), X2
+	VMULPS  X1, X0, X1
+	VADDPS  X2, X1, X1
+	VMOVSD  X1, (DI)
+	ADDQ    $8, SI
+	ADDQ    $8, DI
+
+axpy1:
+	TESTQ   $1, CX
+	JEQ     axpydone
+	VMULSS  (SI), X0, X1
+	VADDSS  (DI), X1, X1
+	VMOVSS  X1, (DI)
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func axpyRunsAVX2(dst, src []float32, a float32, n, dstStride, srcStride int)
+//
+// The whole multi-run walk of AxpyRuns in one call. Each run is n/8 vectors
+// and a 4/2/1 tail; the run count falls out of the length checks, with no
+// division.
+TEXT ·axpyRunsAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), R8
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), R9
+	VBROADCASTSS a+48(FP), Y0
+	MOVQ         n+56(FP), CX
+	MOVQ         dstStride+64(FP), R10
+	MOVQ         srcStride+72(FP), R11
+	TESTQ        CX, CX
+	JLE          runsdone
+	MOVQ         CX, DX
+	SHRQ         $3, DX                // DX = whole vectors per run
+
+run:
+	CMPQ R8, CX
+	JLT  runsdone                   // len(dst) < n
+	CMPQ R9, CX
+	JLT  runsdone                   // len(src) < n
+	XORQ AX, AX                     // byte offset into the run
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JEQ  runtail
+
+runvec:
+	VMOVUPS (SI)(AX*1), Y1
+	VMULPS  Y1, Y0, Y1
+	VADDPS  (DI)(AX*1), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    BX
+	JNE     runvec
+
+runtail:
+	TESTQ   $4, CX
+	JEQ     run2
+	VMULPS  (SI)(AX*1), X0, X1
+	VADDPS  (DI)(AX*1), X1, X1
+	VMOVUPS X1, (DI)(AX*1)
+	ADDQ    $16, AX
+
+run2:
+	TESTQ   $2, CX
+	JEQ     run1
+	VMOVSD  (SI)(AX*1), X1
+	VMOVSD  (DI)(AX*1), X2
+	VMULPS  X1, X0, X1
+	VADDPS  X2, X1, X1
+	VMOVSD  X1, (DI)(AX*1)
+	ADDQ    $8, AX
+
+run1:
+	TESTQ   $1, CX
+	JEQ     runnext
+	VMULSS  (SI)(AX*1), X0, X1
+	VADDSS  (DI)(AX*1), X1, X1
+	VMOVSS  X1, (DI)(AX*1)
+
+runnext:
+	// A stride <= 0, or one past the end of its side, ends the walk.
+	TESTQ R10, R10
+	JLE   runsdone
+	TESTQ R11, R11
+	JLE   runsdone
+	CMPQ  R10, R8
+	JGT   runsdone
+	CMPQ  R11, R9
+	JGT   runsdone
+	LEAQ  (DI)(R10*4), DI
+	SUBQ  R10, R8
+	LEAQ  (SI)(R11*4), SI
+	SUBQ  R11, R9
+	JMP   run
+
+runsdone:
+	VZEROUPPER
+	RET
+
+// func dot8AVX2(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32)
+//
+// One ymm accumulator, lane c = s_c: broadcast a[k], multiply by the
+// panel row bp[8k:8k+8], add. The k loop is unrolled 4x.
+TEXT ·dot8AVX2(SB), NOSPLIT, $0-80
+	MOVQ    a_base+0(FP), SI
+	MOVQ    a_len+8(FP), CX
+	MOVQ    bp_base+24(FP), DI
+	MOVQ    bp_len+32(FP), AX
+	SHRQ    $3, AX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX                  // CX = min(len(a), len(bp)/8)
+	VXORPS  Y0, Y0, Y0
+	CMPQ    CX, $4
+	JLT     dot8tail
+
+dot8loop4:
+	VBROADCASTSS (SI), Y1
+	VMULPS       (DI), Y1, Y1
+	VADDPS       Y1, Y0, Y0
+	VBROADCASTSS 4(SI), Y2
+	VMULPS       32(DI), Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	VBROADCASTSS 8(SI), Y3
+	VMULPS       64(DI), Y3, Y3
+	VADDPS       Y3, Y0, Y0
+	VBROADCASTSS 12(SI), Y4
+	VMULPS       96(DI), Y4, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ         $16, SI
+	ADDQ         $128, DI
+	SUBQ         $4, CX
+	CMPQ         CX, $4
+	JGE          dot8loop4
+
+dot8tail:
+	TESTQ CX, CX
+	JEQ   dot8done
+
+dot8loop1:
+	VBROADCASTSS (SI), Y1
+	VMULPS       (DI), Y1, Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNE          dot8loop1
+
+dot8done:
+	VMOVUPS Y0, s0+48(FP)
+	VZEROUPPER
+	RET
+
+// func dot8x4AVX2(s *[4][8]float32, a0, a1, a2, a3, bp []float32)
+//
+// Four ymm accumulators, one per row, share each panel row load; the four
+// chains are independent, so the adds pipeline. The k loop is unrolled 2x.
+TEXT ·dot8x4AVX2(SB), NOSPLIT, $0-128
+	MOVQ    a0_base+8(FP), R8
+	MOVQ    a0_len+16(FP), CX
+	MOVQ    a1_base+32(FP), R9
+	MOVQ    a1_len+40(FP), AX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX
+	MOVQ    a2_base+56(FP), R10
+	MOVQ    a2_len+64(FP), AX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX
+	MOVQ    a3_base+80(FP), R11
+	MOVQ    a3_len+88(FP), AX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX
+	MOVQ    bp_base+104(FP), SI
+	MOVQ    bp_len+112(FP), AX
+	SHRQ    $3, AX
+	CMPQ    AX, CX
+	CMOVQLT AX, CX                  // CX = K
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	XORQ    BX, BX                  // byte offset into each row
+	CMPQ    CX, $2
+	JLT     x4tail
+
+x4loop2:
+	VMOVUPS      (SI), Y4
+	VBROADCASTSS (R8)(BX*1), Y5
+	VMULPS       Y4, Y5, Y5
+	VADDPS       Y5, Y0, Y0
+	VBROADCASTSS (R9)(BX*1), Y6
+	VMULPS       Y4, Y6, Y6
+	VADDPS       Y6, Y1, Y1
+	VBROADCASTSS (R10)(BX*1), Y7
+	VMULPS       Y4, Y7, Y7
+	VADDPS       Y7, Y2, Y2
+	VBROADCASTSS (R11)(BX*1), Y8
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y8, Y3, Y3
+	VMOVUPS      32(SI), Y9
+	VBROADCASTSS 4(R8)(BX*1), Y10
+	VMULPS       Y9, Y10, Y10
+	VADDPS       Y10, Y0, Y0
+	VBROADCASTSS 4(R9)(BX*1), Y11
+	VMULPS       Y9, Y11, Y11
+	VADDPS       Y11, Y1, Y1
+	VBROADCASTSS 4(R10)(BX*1), Y12
+	VMULPS       Y9, Y12, Y12
+	VADDPS       Y12, Y2, Y2
+	VBROADCASTSS 4(R11)(BX*1), Y13
+	VMULPS       Y9, Y13, Y13
+	VADDPS       Y13, Y3, Y3
+	ADDQ         $8, BX
+	ADDQ         $64, SI
+	SUBQ         $2, CX
+	CMPQ         CX, $2
+	JGE          x4loop2
+
+x4tail:
+	TESTQ        CX, CX
+	JEQ          x4done
+	VMOVUPS      (SI), Y4
+	VBROADCASTSS (R8)(BX*1), Y5
+	VMULPS       Y4, Y5, Y5
+	VADDPS       Y5, Y0, Y0
+	VBROADCASTSS (R9)(BX*1), Y6
+	VMULPS       Y4, Y6, Y6
+	VADDPS       Y6, Y1, Y1
+	VBROADCASTSS (R10)(BX*1), Y7
+	VMULPS       Y4, Y7, Y7
+	VADDPS       Y7, Y2, Y2
+	VBROADCASTSS (R11)(BX*1), Y8
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y8, Y3, Y3
+
+x4done:
+	MOVQ    s+0(FP), DI
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET

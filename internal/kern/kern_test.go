@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"spgcnn/internal/rng"
 )
@@ -195,6 +196,252 @@ func TestGather8MatchesScalarLoop(t *testing.T) {
 	}
 }
 
+// impl is one body of every primitive. The pins below drive each body
+// directly against the one-line scalar loop, whatever the dispatch picks,
+// so a host with AVX2 tests the scalar fallback too.
+type impl struct {
+	name     string
+	axpy     func(dst, src []float32, a float32)
+	axpyRuns func(dst, src []float32, a float32, n, dstStride, srcStride int)
+	dot8     func(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32)
+	dot8x4   func(s *[4][8]float32, a0, a1, a2, a3, bp []float32)
+}
+
+// impls returns the scalar bodies and, where the CPU runs them, the
+// assembly bodies.
+func impls() []impl {
+	is := []impl{{"go", axpy, axpyRuns, dot8, dot8x4}}
+	if hasAVX2 {
+		is = append(is, impl{"avx2", axpyAVX2, axpyRunsAVX2, dot8AVX2, dot8x4AVX2})
+	}
+	return is
+}
+
+func TestBodiesAxpyMatchScalarLoop(t *testing.T) {
+	for _, im := range impls() {
+		r := rng.New(0xB1)
+		for n := 0; n <= 70; n++ {
+			for off := 0; off < 8; off++ {
+				for _, extra := range [][2]int{{0, 0}, {3, 0}, {0, 5}} {
+					src := values(r, off+n+extra[1]+4)[off:]
+					src = src[:n+extra[1]]
+					for _, a := range scalars(r) {
+						buf := values(r, off+n+extra[0]+4)
+						got := append([]float32(nil), buf...)
+						want := append([]float32(nil), buf...)
+						im.axpy(got[off:off+n+extra[0]], src, a)
+						wd := want[off : off+n+extra[0]]
+						for i := range min(len(wd), len(src)) {
+							wd[i] += a * src[i]
+						}
+						if i := sameBits(got, want); i >= 0 {
+							t.Fatalf("%s: n=%d off=%d extra=%v a=%v: [%d] = %v, want %v", im.name, n, off, extra, a, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// axpyRunsOracle is AxpyRuns' one-line loop: whole runs while both sides
+// hold one, and a single run when either stride is ≤ 0.
+func axpyRunsOracle(dst, src []float32, a float32, n, ds, ss int) {
+	for run := 0; n > 0 && run*ds+n <= len(dst) && run*ss+n <= len(src); run++ {
+		for i := 0; i < n; i++ {
+			dst[run*ds+i] += a * src[run*ss+i]
+		}
+		if ds <= 0 || ss <= 0 {
+			return
+		}
+	}
+}
+
+func TestBodiesAxpyRunsMatchScalarLoop(t *testing.T) {
+	for _, im := range impls() {
+		r := rng.New(0xB2)
+		for n := 0; n <= 20; n++ {
+			for _, strides := range [][2]int{{n + 1, n}, {n, n + 7}, {2*n + 3, n + 1}, {1, 2}, {n + 5, 3}, {0, n}, {n, 0}, {-1, n}, {n, -3}} {
+				ds, ss := strides[0], strides[1]
+				for off := 0; off < 8; off += 3 {
+					dlen, slen := 3*max(ds, 1)+n+n/2, 3*max(ss, 1)+n+n/3
+					src := values(r, off+slen)[off:]
+					for _, a := range scalars(r) {
+						buf := values(r, off+dlen+2)
+						got := append([]float32(nil), buf...)
+						want := append([]float32(nil), buf...)
+						im.axpyRuns(got[off:off+dlen], src, a, n, ds, ss)
+						axpyRunsOracle(want[off:off+dlen], src, a, n, ds, ss)
+						if i := sameBits(got, want); i >= 0 {
+							t.Fatalf("%s: n=%d strides=%d,%d off=%d a=%v: [%d] = %v, want %v", im.name, n, ds, ss, off, a, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyRunsZeroStridesReturn pins the one-run rule: with both strides 0
+// the walk used to re-run the same window forever.
+func TestAxpyRunsZeroStridesReturn(t *testing.T) {
+	for _, im := range append(impls(), impl{name: "dispatch", axpyRuns: AxpyRuns}) {
+		done := make(chan []float32)
+		go func() {
+			dst := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+			im.axpyRuns(dst, []float32{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 2, 9, 0, 0)
+			done <- dst
+		}()
+		select {
+		case dst := <-done:
+			for i, v := range dst {
+				want := float32(i + 1)
+				if i < 9 {
+					want += 2
+				}
+				if v != want {
+					t.Fatalf("%s: dst[%d] = %v, want %v (one run)", im.name, i, v, want)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: AxpyRuns with both strides 0 did not return", im.name)
+		}
+	}
+}
+
+func TestBodiesDot8MatchScalarLoop(t *testing.T) {
+	ks := []int{75, 576, 1153}
+	for k := 0; k <= 70; k++ {
+		ks = append(ks, k)
+	}
+	for _, im := range impls() {
+		r := rng.New(0xB3)
+		for _, k := range ks {
+			for off := 0; off < 8; off++ {
+				for _, extra := range [][2]int{{0, 0}, {2, 0}, {0, 5}} {
+					a := values(r, off+k+extra[0])[off:]
+					bp := values(r, off+8*k+extra[1])[off:]
+					var got [8]float32
+					got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = im.dot8(a, bp)
+					var want [8]float32
+					for c := range want {
+						for i := 0; i < min(len(a), len(bp)/8); i++ {
+							want[c] += a[i] * bp[8*i+c]
+						}
+					}
+					if i := sameBits(got[:], want[:]); i >= 0 {
+						t.Fatalf("%s: K=%d off=%d extra=%v: s%d = %v, want %v", im.name, k, off, extra, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDot8x4MatchesFourDot8 cuts four rows of ragged length from one
+// buffer with row stride lda > K: each result row must be the one-line
+// dot of that row, cut to the shared K, against the panel.
+func TestDot8x4MatchesFourDot8(t *testing.T) {
+	for _, im := range append(impls(), impl{name: "dispatch", dot8x4: Dot8x4}) {
+		r := rng.New(0xB4)
+		for k := 0; k <= 70; k++ {
+			for off := 0; off < 8; off++ {
+				lda := k + 1 + r.Intn(9)
+				buf := values(r, off+4*lda)[off:]
+				// One row is exactly K long; the others run on into the
+				// gap before the next row.
+				var rows [4][]float32
+				short := r.Intn(4)
+				for i := range rows {
+					n := k + r.Intn(lda-k+1)
+					if i == short {
+						n = k
+					}
+					rows[i] = buf[i*lda : i*lda+n]
+				}
+				// Panels of K rows, with a partial trailing row, with
+				// spare rows, and one short of K.
+				for _, plen := range []int{8 * k, 8*k + 5, 8*k + 24, max(8*k-5, 0)} {
+					bp := values(r, off+plen)[off:]
+					got := [4][8]float32{{1, 2, 3}, {4}, {5}, {6}}
+					im.dot8x4(&got, rows[0], rows[1], rows[2], rows[3], bp)
+					kk := min(len(rows[0]), len(rows[1]), len(rows[2]), len(rows[3]), len(bp)/8)
+					var want [4][8]float32
+					for i, row := range rows {
+						for c := range want[i] {
+							for j := 0; j < kk; j++ {
+								want[i][c] += row[j] * bp[8*j+c]
+							}
+						}
+					}
+					for i := range got {
+						if j := sameBits(got[i][:], want[i][:]); j >= 0 {
+							t.Fatalf("%s: K=%d lda=%d off=%d len(bp)=%d: s[%d][%d] = %v, want %v", im.name, k, lda, off, len(bp), i, j, got[i][j], want[i][j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNoFusedMultiplyAdd pins the unfused chain: x·x is inexact in float32,
+// so c + x·x rounds twice in the scalar loop (to 0) and once under FMA (to
+// 2^-24). Every body must return the unfused bits, with the deciding add
+// at every position of every unrolled loop and tail.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	x := float32(1 + 1.0/4096)
+	c := -(1 + float32(1.0/2048))
+	unfused := float32(0)
+	if fused := float32(math.FMA(float64(x), float64(x), float64(c))); fused == unfused {
+		t.Fatalf("FMA(%v, %v, %v) = %v: the case does not separate fused from unfused", x, x, c, fused)
+	}
+	fill := func(n int, v float32) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	check := func(name string, got []float32) {
+		t.Helper()
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(unfused) {
+				t.Fatalf("%s: [%d] = %v, want unfused %v", name, i, v, unfused)
+			}
+		}
+	}
+	for _, im := range impls() {
+		// Axpy and AxpyRuns: dst = c, then dst += x·x, element by element.
+		for n := 1; n <= 70; n++ {
+			dst := fill(n, c)
+			im.axpy(dst, fill(n, x), x)
+			check(fmt.Sprintf("%s: axpy n=%d", im.name, n), dst)
+			dst = fill(3*n, c)
+			im.axpyRuns(dst, fill(3*n, x), x, n, n, n)
+			check(fmt.Sprintf("%s: axpyRuns n=%d", im.name, n), dst)
+		}
+		// Dot8 and Dot8x4: s = 0 before step j, 1·c at j, += x·x at j+1,
+		// then += 0·0 to step K.
+		for k := 2; k <= 12; k++ {
+			for j := 0; j+1 < k; j++ {
+				a := make([]float32, k)
+				a[j], a[j+1] = 1, x
+				bp := make([]float32, 8*k)
+				copy(bp[8*j:], fill(8, c))
+				copy(bp[8*(j+1):], fill(8, x))
+				var s [4][8]float32
+				s[0][0], s[0][1], s[0][2], s[0][3], s[0][4], s[0][5], s[0][6], s[0][7] = im.dot8(a, bp)
+				check(fmt.Sprintf("%s: dot8 K=%d j=%d", im.name, k, j), s[0][:])
+				im.dot8x4(&s, a, a, a, a, bp)
+				for r := range s {
+					check(fmt.Sprintf("%s: dot8x4 K=%d j=%d row %d", im.name, k, j, r), s[r][:])
+				}
+			}
+		}
+	}
+}
+
 // benchLengths are the row lengths the engines run: 4-wide tails, a 3×3
 // tap row, CIFAR conv0's 15-float runs, a 5×5×3 window, 144-float rows and
 // a long 1600-float reduction.
@@ -202,16 +449,41 @@ var benchLengths = []int{4, 9, 15, 75, 144, 1600}
 
 func BenchmarkAxpy(b *testing.B) {
 	r := rng.New(1)
-	for _, n := range benchLengths {
-		dst, src := make([]float32, n), make([]float32, n)
-		for i := range src {
-			dst[i], src[i] = float32(r.NormFloat64()), float32(r.NormFloat64())
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Axpy(dst, src, 1e-3)
+	for _, im := range impls() {
+		for _, n := range benchLengths {
+			dst, src := make([]float32, n), make([]float32, n)
+			for i := range src {
+				dst[i], src[i] = float32(r.NormFloat64()), float32(r.NormFloat64())
 			}
-			b.ReportMetric(2*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			b.Run(fmt.Sprintf("%s/n=%d", im.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					im.axpy(dst, src, 1e-3)
+				}
+				b.ReportMetric(2*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			})
+		}
+	}
+}
+
+// BenchmarkAxpyRuns runs spkernel's CIFAR conv0 shape: five 15-float runs
+// of a 5×5×3 window, one side an image row apart (32·3 floats), the other
+// packed.
+func BenchmarkAxpyRuns(b *testing.B) {
+	const n, rowStride, runs = 15, 96, 5
+	r := rng.New(3)
+	dst, src := make([]float32, (runs-1)*rowStride+n), make([]float32, runs*n)
+	for i := range dst {
+		dst[i] = float32(r.NormFloat64())
+	}
+	for i := range src {
+		src[i] = float32(r.NormFloat64())
+	}
+	for _, im := range impls() {
+		b.Run(im.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				im.axpyRuns(dst, src, 1e-3, n, rowStride, n)
+			}
+			b.ReportMetric(2*n*runs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 		})
 	}
 }
@@ -219,22 +491,34 @@ func BenchmarkAxpy(b *testing.B) {
 // sink keeps Dot8's results live.
 var sink float32
 
+// BenchmarkDot8 times one row (Dot8) and the four-row block (x4) against
+// one K-row panel.
 func BenchmarkDot8(b *testing.B) {
 	r := rng.New(2)
-	for _, k := range benchLengths {
-		a, bp := make([]float32, k), make([]float32, 8*k)
-		for i := range a {
-			a[i] = float32(r.NormFloat64())
-		}
-		for i := range bp {
-			bp[i] = float32(r.NormFloat64())
-		}
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s0, _, _, _, _, _, _, s7 := Dot8(a, bp)
-				sink += s0 + s7
+	for _, im := range impls() {
+		for _, k := range benchLengths {
+			a, bp := make([]float32, 4*k), make([]float32, 8*k)
+			for i := range a {
+				a[i] = float32(r.NormFloat64())
 			}
-			b.ReportMetric(16*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
-		})
+			for i := range bp {
+				bp[i] = float32(r.NormFloat64())
+			}
+			b.Run(fmt.Sprintf("%s/K=%d", im.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s0, _, _, _, _, _, _, s7 := im.dot8(a[:k], bp)
+					sink += s0 + s7
+				}
+				b.ReportMetric(16*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			})
+			b.Run(fmt.Sprintf("%s/x4/K=%d", im.name, k), func(b *testing.B) {
+				var s [4][8]float32
+				for i := 0; i < b.N; i++ {
+					im.dot8x4(&s, a[:k], a[k:2*k], a[2*k:3*k], a[3*k:], bp)
+					sink += s[0][0] + s[3][7]
+				}
+				b.ReportMetric(64*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			})
+		}
 	}
 }

@@ -17,11 +17,12 @@
 // The unfold is implicit: no pix × taps matrix is ever built. Each phase
 // builds one 8-wide GEMM panel of U at a time straight from the input (FP:
 // 8 pixels × all taps; BP-dW: 8 taps × all pixels) in the k-interleaved
-// layout kern.Dot8 consumes, and BP-EI scatters into an 8-pixel panel
-// of U_E that is folded into the input gradient before the next one. Each
-// output element keeps the single k-ordered accumulator of the explicit
-// im2col → GEMM → col2im composition, so results are bit-identical to it
-// (BP-dW wherever that composition took gemm's packed branch).
+// layout kern.Dot8 and kern.Dot8x4 consume, and BP-EI scatters into an
+// 8-pixel panel of U_E that is folded into the input gradient before the
+// next one. Each output element keeps the single k-ordered accumulator of
+// the explicit im2col → GEMM → col2im composition, so results are
+// bit-identical to it (BP-dW wherever that composition took gemm's packed
+// branch).
 package unfoldgemm
 
 import (
@@ -175,24 +176,40 @@ func (k *Kernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor
 	k.putPad(c, pad)
 }
 
-// forward computes the FP work units [lo, hi).
+// forward computes the FP work units [lo, hi): the group's feature rows run
+// four at a time against each pixel panel (kern.Dot8x4), the rest one at a
+// time.
 func (k *Kernel) forward(out, src, w, panel []float32, lo, hi int) {
 	rows, cols := k.rows, k.cols
 	gnf, npan := k.spec.GroupNf(), (rows+7)/8
 	panel = panel[:cols*8]
+	var s [4][8]float32
 	for u := lo; u < hi; u++ {
 		g, p0 := u/npan, u%npan*8
 		n := k.pixelPanel(panel, src, g, p0)
-		for f := g * gnf; f < (g+1)*gnf; f++ {
-			s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(w[f*cols:(f+1)*cols], panel)
-			if o := out[f*rows+p0:]; n == 8 && len(o) >= 8 {
-				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
-			} else {
-				v := [8]float32{s0, s1, s2, s3, s4, s5, s6, s7}
-				copy(o[:n], v[:])
+		f, f1 := g*gnf, (g+1)*gnf
+		for ; f+4 <= f1; f += 4 {
+			kern.Dot8x4(&s, w[f*cols:(f+1)*cols], w[(f+1)*cols:(f+2)*cols],
+				w[(f+2)*cols:(f+3)*cols], w[(f+3)*cols:(f+4)*cols], panel)
+			for r := range s {
+				putPixels(out[(f+r)*rows+p0:], &s[r], n)
 			}
 		}
+		for ; f < f1; f++ {
+			v := &s[0]
+			v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = kern.Dot8(w[f*cols:(f+1)*cols], panel)
+			putPixels(out[f*rows+p0:], v, n)
+		}
 	}
+}
+
+// putPixels stores the n live pixels of one panel's dots at o.
+func putPixels(o []float32, v *[8]float32, n int) {
+	if n == 8 {
+		*(*[8]float32)(o) = *v
+		return
+	}
+	copy(o[:n], v[:n])
 }
 
 // pixelPanel builds the panel dst[8t+c] = U[p0+c][t] for group g and
@@ -355,39 +372,53 @@ func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins [
 // blocks returns the number of BP-dW panel blocks per group.
 func (k *Kernel) blocks() int { return ((k.cols+7)/8 + k.blk - 1) / k.blk }
 
-// backwardWeights accumulates the BP-dW work units [lo, hi) of one image.
+// backwardWeights accumulates the BP-dW work units [lo, hi) of one image:
+// the group's EO rows run four at a time against each tap panel
+// (kern.Dot8x4), the rest one at a time.
 func (k *Kernel) backwardWeights(dw, src, eo, panels []float32, lo, hi int) {
 	rows, cols, size := k.rows, k.cols, k.rows*8
 	gnf, npan, nblk := k.spec.GroupNf(), (cols+7)/8, k.blocks()
+	var s [4][8]float32
 	for u := lo; u < hi; u++ {
 		g, j0 := u/nblk, u%nblk*k.blk
 		j1 := min(j0+k.blk, npan)
 		for j := j0; j < j1; j++ {
 			k.tapPanel(panels[(j-j0)*size:(j-j0+1)*size], src, g, j*8)
 		}
-		for f := g * gnf; f < (g+1)*gnf; f++ {
-			a, p := eo[f*rows:(f+1)*rows], panels
-			for d := dw[f*cols+j0*8 : f*cols+min(j1*8, cols)]; len(d) > 0; p = p[size:] {
-				s0, s1, s2, s3, s4, s5, s6, s7 := kern.Dot8(a, p[:size])
-				if len(d) < 8 {
-					for c, v := range [8]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
-						if c < len(d) {
-							d[c] += v
-						}
-					}
-					break
+		// This unit's dW columns are [c0, c1), one panel per 8.
+		f, f1 := g*gnf, (g+1)*gnf
+		c0, c1 := j0*8, min(j1*8, cols)
+		for ; f+4 <= f1; f += 4 {
+			a0, a1, a2, a3 := eo[f*rows:(f+1)*rows], eo[(f+1)*rows:(f+2)*rows],
+				eo[(f+2)*rows:(f+3)*rows], eo[(f+3)*rows:(f+4)*rows]
+			for c, p := c0, panels; c < c1; c, p = c+8, p[size:] {
+				kern.Dot8x4(&s, a0, a1, a2, a3, p[:size])
+				for r := range s {
+					addDots(dw[(f+r)*cols+c:(f+r)*cols+c1], &s[r])
 				}
-				d[0] += s0
-				d[1] += s1
-				d[2] += s2
-				d[3] += s3
-				d[4] += s4
-				d[5] += s5
-				d[6] += s6
-				d[7] += s7
-				d = d[8:]
 			}
 		}
+		for ; f < f1; f++ {
+			a, v := eo[f*rows:(f+1)*rows], &s[0]
+			for c, p := c0, panels; c < c1; c, p = c+8, p[size:] {
+				v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = kern.Dot8(a, p[:size])
+				addDots(dw[f*cols+c:f*cols+c1], v)
+			}
+		}
+	}
+}
+
+// addDots adds one tap panel's dots into d, at most 8 of them.
+func addDots(d []float32, v *[8]float32) {
+	if len(d) >= 8 {
+		o := (*[8]float32)(d)
+		for c := range o {
+			o[c] += v[c]
+		}
+		return
+	}
+	for c := range d {
+		d[c] += v[c]
 	}
 }
 

@@ -7,8 +7,11 @@
 # or once per streamed element, where a single reintroduced bounds check
 # costs double-digit percent throughput:
 #
-#   internal/kern/kern.go             Axpy, AxpyRuns, Dot8, Gather8 (the
-#                                     inner-loop layer every engine shares)
+#   internal/kern/kern.go             Axpy, AxpyRuns, Dot8, Dot8x4, Gather8
+#                                     (the inner-loop layer every engine
+#                                     shares: the dispatch wrappers and the
+#                                     scalar bodies; the AVX2 bodies are
+#                                     assembly, kern_amd64.s)
 #   internal/gemm/microkernel.go      panelTile4x4, copyStrip8
 #   internal/unfoldgemm/kernels.go    copyTaps8, foldTaps8
 #                                     (implicit-unfold panel build and fold)

@@ -5,8 +5,11 @@
 # the full test suite once (the command tests there are the end-to-end
 # gates: plan-cache warm start, drift injection, traced and mitigated
 # data-parallel runs, serve + load, committed baselines and goldens), the
-# race-instrumented short suite, and the bounds-check-elimination gate on
-# the hot micro-kernel files. Run from the repository root.
+# race-instrumented short suite, the bounds-check-elimination gate on the
+# hot micro-kernel files, and an arm64 vet and cross-build, which keep the
+# scalar bodies of internal/kern (the build off amd64) compiling. go vet's
+# asmdecl check covers the amd64 assembly frames. Run from the repository
+# root.
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -16,3 +19,5 @@ go build ./...
 go test ./...
 go test -race -short ./...
 scripts/bce_check.sh
+GOARCH=arm64 go vet ./internal/kern/
+GOARCH=arm64 go build ./...
