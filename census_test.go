@@ -90,7 +90,7 @@ var censusAllow = map[string]string{
 	"engine/enginetest.RunDifferential": oracle,
 	"gemm.Naive":                        oracle,
 	"gemm.Matrix.Transpose":             oracle,
-	"gemm.ForcePackedForTest":           oracle,
+	"unfold.Col2im":                     oracle, // the explicit BP-EI fold unfoldgemm's implicit unfold is pinned to
 	"gemm.SerialAccum":                  oracle, // explicit BP-dW that unfoldgemm's implicit unfold is pinned to
 	"sparse.FromDense":                  oracle, // CSR, CT-CSR's untiled reference
 	"sparse.CSR.RowNNZ":                 oracle,

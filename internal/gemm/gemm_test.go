@@ -59,11 +59,13 @@ func TestNaiveIdentity(t *testing.T) {
 
 func TestSerialMatchesNaive(t *testing.T) {
 	r := rng.New(2)
-	// Shapes chosen to hit the micro-kernel body plus all remainder paths:
-	// M%4, N%4, and K beyond one blockKC.
+	// Shapes chosen to hit the 4-row block plus all remainder paths: M%4,
+	// N%8 (a zero-padded final panel), long K, and fewer rows than one
+	// 4-row block.
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {4, 4, 4}, {5, 3, 7}, {16, 16, 16}, {13, 300, 9},
 		{64, 64, 64}, {65, 257, 31}, {3, 9, 513}, {70, 10, 4},
+		{9, 300, 499}, {9, 300, 501}, {9, 1024, 147},
 	}
 	for _, s := range shapes {
 		a := randMatrix(r, s.m, s.k)

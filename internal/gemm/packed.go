@@ -4,45 +4,32 @@ import (
 	"sync"
 
 	"spgcnn/internal/kern"
+	"spgcnn/internal/par"
 )
 
-// Packed-operand SGEMM: the B operand is copied once into column panels of
+// The one SGEMM kernel path: the B operand is copied into column panels of
 // panelW columns, interleaved along K (panel element 8k+c holds B[k][j+c]),
 // and the inner kernel (kern.Dot8x4) streams ONE packed panel against four
 // A rows — one panel load per K step feeding four rows of eight
 // register-resident accumulators. Classical packing (Goto & van de Geijn,
 // the paper's [26]) buys contiguity; the interleaved layout additionally
 // collapses the eight B-row streams of the dot-orientation kernel into a
-// single stream, which is what pushes the packed kernel past the blocked
-// RMW tile.
+// single stream.
 //
-// The pack costs O(K·N) moves against O(M·K·N) arithmetic, so it amortizes
-// across the M output rows of a single call — and across an entire batch
-// (and training steps) when the packed operand is a constant weight matrix
-// reused via PackedB (packedplan.go).
+// The pack costs O(K·N) moves against O(M·K·N) arithmetic and amortizes
+// across the M output rows of the call.
 //
 // Accumulation order: every output element is one full-K dot product with a
 // single accumulator walking k in increasing order — the same order as
-// Naive's inner loop, so for finite operands the packed path is
+// Naive's inner loop, so for finite operands every entry point is
 // bit-identical to it.
 
 // panelW is the packed panel width: eight C columns computed per A-row pass,
 // matching the eight accumulator chains kern.Dot8 keeps in registers.
 const panelW = 8
 
-// packedThreshold selects the packed path in Serial/SerialAccum/Parallel
-// once the B footprint (K·N elements) outgrows the regime where the
-// pack-free blocked kernel's strided B walk is still cheap. Below it the
-// O(K·N) pack is a poor trade for cache-resident operands; above it the
-// single-stream panels win decisively (see BenchmarkGemmMicrokernel).
-const packedThreshold = 24_576 // K·N elements
-
-// packedMinRows gates the packed path on output height: with fewer rows the
-// pack cost is not amortized and the blocked kernel stays ahead.
-const packedMinRows = 4
-
-// packBuf holds reusable panel storage for the pack-per-call entry points; a
-// zero value is ready to use and grows on demand.
+// packBuf holds reusable panel storage; a zero value is ready to use and
+// grows on demand.
 type packBuf struct {
 	b []float32
 }
@@ -55,9 +42,8 @@ func (p *packBuf) panels(n int) []float32 {
 	return p.b[:n]
 }
 
-// bufPool recycles packBufs for the pack-per-call paths so steady-state
-// training steps do not allocate (Batch runs many Serial instances
-// concurrently; sync.Pool keeps them race-free).
+// bufPool recycles packBufs so steady-state calls do not allocate (many
+// Serial instances run concurrently; sync.Pool keeps them race-free).
 var bufPool = sync.Pool{New: func() any { return new(packBuf) }}
 
 // padUp rounds n up to a multiple of panelW.
@@ -166,20 +152,25 @@ func putDots(dst []float32, v *[panelW]float32, accum bool) {
 	}
 }
 
-// packedAccum computes C += A·B, packing B's panels into buf for the call.
-func packedAccum(buf *packBuf, c, a, b *Matrix) {
-	panels := buf.panels(b.Rows * padUp(b.Cols))
-	packPanels(panels, b)
-	packedMulRange(c, a, panels, b.Cols, 0, a.Rows, true)
-}
-
-// PackedSerial computes C = A·B through the packed-panel kernel,
-// single-threaded. C is overwritten.
-func PackedSerial(c, a, b *Matrix) {
+// mul packs B's panels once into pooled storage and computes C = A·B
+// (accum=false overwrites, accum=true adds) with rows of C claimed by up
+// to workers goroutines: rows write disjoint output and the panels are
+// read-only, so guided chunking is safe.
+func mul(c, a, b *Matrix, workers int, accum bool) {
 	checkMul(c, a, b)
 	buf := bufPool.Get().(*packBuf)
 	panels := buf.panels(b.Rows * padUp(b.Cols))
 	packPanels(panels, b)
-	packedMulRange(c, a, panels, b.Cols, 0, a.Rows, false)
+	if workers <= 1 {
+		packedMulRange(c, a, panels, b.Cols, 0, a.Rows, accum)
+	} else {
+		par.ForDynamic(a.Rows, workers, 1, func(lo, hi int) {
+			packedMulRange(c, a, panels, b.Cols, lo, hi, accum)
+		})
+	}
 	bufPool.Put(buf)
 }
+
+// PackedSerial is Serial under the name the benchmark harness's
+// gemm.packed_gflops probe calls.
+func PackedSerial(c, a, b *Matrix) { Serial(c, a, b) }

@@ -28,20 +28,18 @@ func TestPackedMatchesNaive(t *testing.T) {
 
 func TestPackedAccumWithReuse(t *testing.T) {
 	r := rng.New(22)
-	var buf packBuf
 	a := randMatrix(r, 20, 33)
 	b := randMatrix(r, 33, 17)
 	c := NewMatrix(20, 17)
-	packedAccum(&buf, c, a, b)
-	packedAccum(&buf, c, a, b) // accumulate again with reused buffers
+	SerialAccum(c, a, b)
+	SerialAccum(c, a, b) // accumulate again on a recycled pack buffer
 	want := NewMatrix(20, 17)
 	Naive(want, a, b)
-	want.Data = append([]float32(nil), want.Data...)
 	for i := range want.Data {
 		want.Data[i] *= 2
 	}
-	if !matricesClose(c, FromSlice(want.Data, 20, 17), 1e-3) {
-		t.Fatal("packedAccum did not accumulate correctly across reuses")
+	if !matricesClose(c, want, 1e-3) {
+		t.Fatal("SerialAccum did not accumulate correctly across buffer reuses")
 	}
 }
 
@@ -62,13 +60,12 @@ func TestPackedPropertyQuick(t *testing.T) {
 }
 
 func TestParallelPackedPathMatchesNaive(t *testing.T) {
-	// Shapes above packedThreshold route Parallel through the per-worker
-	// packed kernel; verify against Naive, including row counts that do
-	// not divide evenly across workers.
+	// Every worker reads the one shared pack; verify against Naive,
+	// including row counts that do not divide evenly across workers.
 	r := rng.New(24)
 	for _, workers := range []int{1, 2, 3, 7} {
 		a := randMatrix(r, 37, 400)
-		b := randMatrix(r, 400, 401) // K*N = 160400 >= packedThreshold
+		b := randMatrix(r, 400, 401)
 		want := NewMatrix(37, 401)
 		got := NewMatrix(37, 401)
 		Naive(want, a, b)
@@ -79,6 +76,53 @@ func TestParallelPackedPathMatchesNaive(t *testing.T) {
 	}
 }
 
-func BenchmarkPackedSerial256(b *testing.B) { benchGEMM(b, 256, PackedSerial) }
-func BenchmarkPackedSerial512(b *testing.B) { benchGEMM(b, 512, PackedSerial) }
-func BenchmarkSerial512(b *testing.B)       { benchGEMM(b, 512, Serial) }
+func TestParallelPrimeRows(t *testing.T) {
+	// Prime row counts must divide across workers without dropping or
+	// double-computing rows.
+	r := rng.New(35)
+	for _, s := range []struct{ m, k, n int }{{101, 30, 40}, {37, 400, 401}} {
+		a := randMatrix(r, s.m, s.k)
+		b := randMatrix(r, s.k, s.n)
+		want := NewMatrix(s.m, s.n)
+		Naive(want, a, b)
+		for _, workers := range []int{2, 3, 5, 8} {
+			got := NewMatrix(s.m, s.n)
+			Parallel(got, a, b, workers)
+			if !matricesClose(got, want, 1e-3) {
+				t.Fatalf("Parallel %dx%dx%d workers=%d wrong", s.m, s.k, s.n, workers)
+			}
+		}
+	}
+}
+
+func TestEveryEntryPointBitIdenticalToNaive(t *testing.T) {
+	// One kernel path, one k-ordered accumulator per element: Serial,
+	// SerialAccum from zero, Parallel and MulTransB must all reproduce
+	// Naive bit for bit on finite operands, at every shape and K depth.
+	r := rng.New(25)
+	for _, s := range []struct{ m, k, n int }{
+		{1, 1, 1}, {3, 9, 5}, {9, 33, 17}, {13, 300, 9}, {64, 576, 128}, {5, 100, 1}, {37, 1024, 147},
+	} {
+		a := randMatrix(r, s.m, s.k)
+		b := randMatrix(r, s.k, s.n)
+		want := NewMatrix(s.m, s.n)
+		Naive(want, a, b)
+		got := map[string]*Matrix{}
+		for _, name := range []string{"Serial", "SerialAccum", "Parallel", "MulTransB"} {
+			got[name] = NewMatrix(s.m, s.n)
+		}
+		Serial(got["Serial"], a, b)
+		SerialAccum(got["SerialAccum"], a, b)
+		Parallel(got["Parallel"], a, b, 3)
+		MulTransB(got["MulTransB"], a, b.Transpose())
+		for name, g := range got {
+			for i := range want.Data {
+				if g.Data[i] != want.Data[i] {
+					t.Fatalf("%s %dx%dx%d: element %d = %v, Naive %v", name, s.m, s.k, s.n, i, g.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkSerial512(b *testing.B) { benchGEMM(b, 512, Serial) }

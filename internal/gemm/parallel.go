@@ -1,46 +1,21 @@
 package gemm
 
-import "spgcnn/internal/par"
-
-// Parallel computes C = A·B with the M dimension (rows of C) statically
-// partitioned across workers, the way MKL/OpenBLAS parallelize a GEMM.
+// Parallel computes C = A·B with the M dimension (rows of C) divided
+// across workers, the way MKL/OpenBLAS parallelize a GEMM.
 //
 // This is the paper's "Parallel-GEMM" baseline. Its defining property
-// (§3.2) is that worker w computes rows [w·M/P, (w+1)·M/P) of C, which
+// (§3.2) is that each worker computes a slice of the rows of C, which
 // requires that slice of A and of C but the ENTIRE B matrix, so the
 // arithmetic intensity per core falls as P grows:
 //
 //	AIT/core = (2·M·N·K/P) / (M·K/P + K·N + M·N/P)
 //
 // For the square case this is the paper's n/2 at P=2 versus 2n/3 serial.
+// B's panels are packed ONCE (read-only, shared by every worker) and rows
+// are claimed dynamically through par.ForDynamic's guided chunking, so the
+// pack is paid once per call and a ragged tail cannot idle a core.
 // Workers <= 1 degrades to Serial.
-func Parallel(c, a, b *Matrix, workers int) {
-	checkMul(c, a, b)
-	c.Zero()
-	ParallelAccum(c, a, b, workers)
-}
-
-// ParallelAccum computes C += A·B with rows of C divided across workers.
-// Large operands pack B's panels ONCE (read-only, shared by every worker)
-// and claim rows through par.ForDynamic's guided chunking, so the pack cost
-// is paid once per call instead of once per worker and ragged tails cannot
-// idle a core.
-func ParallelAccum(c, a, b *Matrix, workers int) {
-	checkMul(c, a, b)
-	if usePacked(a.Rows, a.Cols, b.Cols) {
-		buf := bufPool.Get().(*packBuf)
-		panels := buf.panels(b.Rows * padUp(b.Cols))
-		packPanels(panels, b)
-		par.ForDynamic(a.Rows, workers, 1, func(lo, hi int) {
-			packedMulRange(c, a, panels, b.Cols, lo, hi, true)
-		})
-		bufPool.Put(buf)
-		return
-	}
-	par.ForChunked(a.Rows, workers, func(lo, hi int) {
-		serialRange(c, a, b, lo, hi)
-	})
-}
+func Parallel(c, a, b *Matrix, workers int) { mul(c, a, b, workers, false) }
 
 // MulTransB computes C = A·Bᵀ without materializing the transpose:
 // C[i][j] = Σ_k A[i][k]·B[j][k]. Bᵀ is packed into interleaved panels

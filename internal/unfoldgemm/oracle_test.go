@@ -113,20 +113,17 @@ func oracleSpecs() []conv.Spec {
 		conv.Square(8, 16, 12, 5, 1),                              // OutX 4 < 8 (CIFAR conv1's shape)
 		{Nx: 13, Ny: 6, Nc: 3, Nf: 9, Fx: 3, Fy: 3, Sx: 1, Sy: 1}, // OutX 11, not a multiple of 8
 		{Nx: 11, Ny: 9, Nc: 6, Nf: 9, Fx: 3, Fy: 2, Sx: 2, Sy: 1, Px: 1, Py: 2, Dx: 2, Dy: 1, Groups: 3}, // everything
-		conv.Square(24, 8, 8, 3, 1), // big enough for gemm's packed branch
+		conv.Square(24, 8, 8, 3, 1), // BP-dW GEMM with K = 484 pixels
 	}
 }
 
 // TestMatchesExplicitOracle pins the implicit unfold to the explicit
-// composition bit for bit: FP and BP-EI always, BP-dW when the explicit
-// BP-dW takes gemm's packed branch (forced here for every shape; its
-// blocked branch accumulates K in blocks and is held to the ULP budget by
-// TestDifferentialVsExplicit). The implicit BP-EI skips exactly the zero
-// EO entries the explicit scatter skipped, so the two agree even for
-// non-finite weights; this test draws finite ones.
+// composition bit for bit in all three phases: gemm has one kernel path,
+// whose one k-ordered accumulator per element is the implicit BP-dW's too.
+// The implicit BP-EI skips exactly the zero EO entries the explicit
+// scatter skipped, so the two agree even for non-finite weights; this test
+// draws finite ones.
 func TestMatchesExplicitOracle(t *testing.T) {
-	restore := gemm.ForcePackedForTest()
-	defer restore()
 	r := rng.New(0x0AC1E)
 	c := exec.New(2)
 	for _, s := range oracleSpecs() {
@@ -175,7 +172,7 @@ func TestMatchesExplicitOracle(t *testing.T) {
 						}
 					}
 					if !tensor.Identical(dw, wantDW) {
-						t.Fatalf("BP-dW differs from Im2col → SerialAccum (packed): %s", label)
+						t.Fatalf("BP-dW differs from Im2col → SerialAccum: %s", label)
 					}
 				}
 			}
@@ -184,8 +181,8 @@ func TestMatchesExplicitOracle(t *testing.T) {
 }
 
 // TestDifferentialVsExplicit holds the implicit unfold to the explicit
-// composition under the shared ULP budget with gemm's own size dispatch,
-// across the differential suite's plain, random and generalized specs.
+// composition under the shared ULP budget across the differential suite's
+// plain, random and generalized specs.
 func TestDifferentialVsExplicit(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		enginetest.RunDifferential(t, Generator(workers), explicitGenerator(),

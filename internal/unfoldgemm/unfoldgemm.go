@@ -21,8 +21,7 @@
 // 8-pixel panel of U_E that is folded into the input gradient before the
 // next one. Each output element keeps the single k-ordered accumulator of
 // the explicit im2col → GEMM → col2im composition, so results are
-// bit-identical to it (BP-dW wherever that composition took gemm's packed
-// branch).
+// bit-identical to it.
 package unfoldgemm
 
 import (
