@@ -84,3 +84,21 @@ func TestNegativeDimsPanics(t *testing.T) {
 	}()
 	NewMatrix(-1, 2)
 }
+
+func TestPackedAtThreshold(t *testing.T) {
+	// Shapes that once straddled Serial's retired pack-size gate: a ragged
+	// M below one 4-row block, N either side of a panel boundary, and a
+	// long K. Serial now packs them all; each must agree with Naive.
+	r := rng.New(3)
+	for _, kn := range []struct{ k, n int }{{300, 499}, {300, 501}, {1024, 147}} {
+		a := randMatrix(r, 9, kn.k)
+		b := randMatrix(r, kn.k, kn.n)
+		want := NewMatrix(9, kn.n)
+		got := NewMatrix(9, kn.n)
+		Naive(want, a, b)
+		Serial(got, a, b)
+		if !matricesClose(got, want, 1e-3) {
+			t.Fatalf("threshold shape %dx%d wrong", kn.k, kn.n)
+		}
+	}
+}
