@@ -46,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 		f         = fs.Int("f", 5, "kernel size (Fx = Fy)")
 		s         = fs.Int("s", 1, "stride")
 		sparsity  = fs.Float64("sparsity", 0.85, "assumed BP error sparsity")
-		wsparsity = fs.Float64("wsparsity", 0, "FP weight sparsity the -tune pass measures on (fraction of pruned weights)")
+		wsparsity = fs.Float64("wsparsity", 0, "assumed FP weight sparsity (fraction of pruned weights)")
 		tune      = fs.Bool("tune", false, "also run the planner's measurement pass on this host")
 		workers   = fs.Int("workers", 0, "worker cores for the model ranking and -tune (0 = GOMAXPROCS)")
 		reps      = fs.Int("reps", 0, "measurement repetitions per candidate for -tune (0 = default)")
@@ -98,9 +98,9 @@ func run(args []string, stdout io.Writer) error {
 	// dense-equivalent axis, with the prune verdicts the planner would
 	// apply before measuring.
 	fmt.Fprintf(stdout, "planner model ranking (dense-equivalent GFlops/core at p=%d):\n", w)
-	fmt.Fprintf(stdout, "  fp keyed on weight band 0 (%.0f%% weight sparsity), bp on gradient band %d (%.0f%% error sparsity)\n",
-		*wsparsity*100, ait.Band(*sparsity), *sparsity*100)
-	printModelRank(stdout, "fp", w, modelRanking(m, spec, "fp", 0, w))
+	fmt.Fprintf(stdout, "  fp keyed on weight band %d (%.0f%% weight sparsity), bp on gradient band %d (%.0f%% error sparsity)\n",
+		ait.Band(*wsparsity), *wsparsity*100, ait.Band(*sparsity), *sparsity*100)
+	printModelRank(stdout, "fp", w, modelRanking(m, spec, "fp", *wsparsity, w))
 	printModelRank(stdout, "bp", w, modelRanking(m, spec, "bp", *sparsity, w))
 
 	if !*tune {
@@ -132,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	topts := core.TuneOptions{Reps: *reps}
 
 	fpPlan := planner.PlanFP(spec, ctx, ins, wts, topts)
-	printMeasured(stdout, "FP", fpPlan, 0)
+	printMeasured(stdout, "FP", fpPlan, ait.Band(wts.Sparsity()))
 	bpPlan := planner.PlanBP(spec, ctx, eos, ins, wts, topts)
 	printMeasured(stdout, "BP", bpPlan, ait.Band(*sparsity))
 

@@ -222,7 +222,7 @@ func run(args []string, stdout io.Writer) error {
 		stats := dp.TrainEpoch(ds, r)
 		if obsv != nil {
 			for name, s := range stats.ConvSparsity {
-				obsv.SetSparsity(name, s)
+				obsv.SetSparsity(name, -1, s)
 			}
 		}
 		if reg != nil {

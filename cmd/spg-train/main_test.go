@@ -151,7 +151,7 @@ func TestFindStrategy(t *testing.T) {
 	}
 	// An unknown name is rejected with the accepted names listed.
 	err := run([]string{"-strategy", "warp-drive", "-epochs", "0"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "blocked") {
+	if err == nil || !strings.Contains(err.Error(), "sparse-weight") {
 		t.Fatalf("unknown strategy error = %v, want the accepted names", err)
 	}
 }

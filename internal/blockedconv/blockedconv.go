@@ -1,8 +1,8 @@
 // Package blockedconv implements direct forward convolution on the
 // channel-blocked NCHW8 layout (tensor/blocked.go; Georganas et al.,
-// PAPERS.md). Where an explicit unfold+GEMM reaches the 8-wide
-// micro-kernel by copying — im2col per image, a panel pack of the
-// weights — the blocked layout makes both copies structural:
+// PAPERS.md). Where the prepacked unfold+GEMM engine reaches the 8-wide
+// micro-kernel by copying — im2col per image, PackB per weight version —
+// the blocked layout makes both copies structural:
 //
 //   - the blocked weight tensor [Fo][Cb][Fy][Fx][8c][8f] is, for fixed
 //     (fo, cb, ky), a contiguous k-interleaved panel in exactly
@@ -13,8 +13,8 @@
 //
 // FP is therefore one kern.Dot8 call per (pixel, fo, cb, ky) with zero
 // packing, gathering or unfolding. The weight blocking itself is cached
-// per tensor.Ver, so its cost amortizes across the batch and across
-// training steps.
+// per tensor.Ver exactly like the packed engine's panel plans, so its
+// cost amortizes across the batch and across training steps.
 //
 // The engine accumulates each output block in memory over (cb, ky) with
 // the micro-kernel reducing (kx, c-lane) — a reassociation of the
@@ -70,7 +70,8 @@ func (k *Kernel) Spec() conv.Spec { return k.spec }
 // blockedWeights returns w in the blocked panel layout, re-blocking (and
 // recording a miss span with the blocking time) when the per-Ver cache is
 // stale and counting a hit span otherwise. Blocks live on the Go heap —
-// long-lived per-layer artifacts, not per-call scratch.
+// long-lived per-layer artifacts, not per-call scratch — mirroring the
+// packed engine's plan cache.
 func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 	conv.CheckWeights(k.spec, w)
 	if w.Ver == 0 {

@@ -5,12 +5,12 @@
 // when the layer's error-gradient sparsity changes band, because sparsity
 // drifts as training converges (Fig. 3b).
 //
-// The candidate set matches the paper, plus the one engine this repo has
-// grown since that wins measured cells (the channel-blocked direct FP
-// kernel):
+// The candidate set matches the paper, plus the engines this repo has
+// grown since (prepacked GEMM, the channel-blocked direct kernel, and the
+// sparse-weight kernel for pruned layers):
 //
-//	FP: Parallel-GEMM, GEMM-in-Parallel, Stencil-Kernel, Blocked
-//	BP: Parallel-GEMM, GEMM-in-Parallel, Sparse-Kernel
+//	FP: Parallel-GEMM, GEMM-in-Parallel, Stencil-Kernel, Packed, Blocked, Sparse-Weight
+//	BP: Parallel-GEMM, GEMM-in-Parallel, Sparse-Kernel, Packed
 //
 // A layer reaches its kernel through exactly one path: nn.Conv holds an
 // AutoConv, the AutoConv asks its Planner what to deploy per phase, and the
@@ -31,6 +31,7 @@ import (
 	"spgcnn/internal/exec"
 	"spgcnn/internal/refconv"
 	"spgcnn/internal/spkernel"
+	"spgcnn/internal/spweight"
 	"spgcnn/internal/stencil"
 	"spgcnn/internal/tensor"
 	"spgcnn/internal/unfoldgemm"
@@ -87,7 +88,9 @@ func FPStrategies(workers int) []Strategy {
 		{Name: "parallel-gemm", Gen: unfoldgemm.Generator(workers)},
 		{Name: "gemm-in-parallel", Gen: unfoldgemm.Generator(1), BatchParallel: true},
 		{Name: "stencil", Gen: stencil.Generator(), BatchParallel: true},
+		{Name: "gemm-packed", Gen: unfoldgemm.PackedGenerator(workers)},
 		{Name: "blocked", Gen: blockedconv.Generator(), BatchParallel: true, Layout: tensor.NCHW8},
+		{Name: "sparse-weight", Gen: spweight.Generator(), BatchParallel: true},
 	}
 }
 
@@ -98,6 +101,7 @@ func BPStrategies(workers int) []Strategy {
 		{Name: "parallel-gemm", Gen: unfoldgemm.Generator(workers)},
 		{Name: "gemm-in-parallel", Gen: unfoldgemm.Generator(1), BatchParallel: true},
 		{Name: "sparse", Gen: spkernel.Generator(), BatchParallel: true},
+		{Name: "gemm-packed", Gen: unfoldgemm.PackedGenerator(workers)},
 	}
 }
 

@@ -19,17 +19,18 @@ func sampleBatch(r *rng.RNG, s conv.Spec, n int, sparsity float64) (ins, eos []*
 
 func TestStrategySetsMatchPaper(t *testing.T) {
 	fp := FPStrategies(4)
-	if len(fp) != 4 || fp[0].Name != "parallel-gemm" || fp[1].Name != "gemm-in-parallel" ||
-		fp[2].Name != "stencil" || fp[3].Name != "blocked" {
+	if len(fp) != 6 || fp[0].Name != "parallel-gemm" || fp[1].Name != "gemm-in-parallel" ||
+		fp[2].Name != "stencil" || fp[3].Name != "gemm-packed" ||
+		fp[4].Name != "blocked" || fp[5].Name != "sparse-weight" {
 		t.Fatalf("FP candidates = %v", names(fp))
 	}
 	bp := BPStrategies(4)
-	if len(bp) != 3 || bp[0].Name != "parallel-gemm" || bp[1].Name != "gemm-in-parallel" || bp[2].Name != "sparse" {
+	if len(bp) != 4 || bp[2].Name != "sparse" || bp[3].Name != "gemm-packed" {
 		t.Fatalf("BP candidates = %v", names(bp))
 	}
-	// Only the internally-parallel GEMM strategy is not batch-parallel.
-	if fp[0].BatchParallel || !fp[1].BatchParallel || !fp[2].BatchParallel || !fp[3].BatchParallel ||
-		bp[0].BatchParallel || !bp[1].BatchParallel || !bp[2].BatchParallel {
+	// The paper's three keep their positions; internally-parallel GEMM
+	// strategies are not batch-parallel.
+	if fp[0].BatchParallel || !fp[1].BatchParallel || !fp[2].BatchParallel || fp[3].BatchParallel {
 		t.Fatal("batch-parallel flags wrong")
 	}
 	// Only the blocked engine computes in NCHW8; everything else reports
@@ -208,7 +209,7 @@ func TestChooseBPPicksMeasuredMinimum(t *testing.T) {
 	w := conv.RandWeights(r, s)
 	ins, eos := sampleBatch(r, s, 2, 0.9)
 	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{Reps: 2})
-	if sel.Chosen == nil || len(sel.Timings) != len(BPStrategies(2)) {
+	if sel.Chosen == nil || len(sel.Timings) != 4 {
 		t.Fatal("ChooseBP incomplete")
 	}
 	if sel.Chosen.Strategy().Name != sel.Best().Strategy.Name {

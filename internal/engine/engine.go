@@ -71,9 +71,9 @@ type Generator struct {
 	New func(s conv.Spec) Kernel
 	// Supports reports whether the technique can execute the given
 	// geometry. nil means every valid spec is supported. Shape-restricted
-	// engines (the sparse kernel's ungrouped/undilated loop nest) set this
-	// so the planner prunes them from the candidate set instead of
-	// crashing at generation time.
+	// engines (the sparse kernels' ungrouped/undilated loop nests, the
+	// prepacked GEMM's single weight pack) set this so the planner prunes
+	// them from the candidate set instead of crashing at generation time.
 	Supports func(s conv.Spec) bool
 }
 

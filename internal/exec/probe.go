@@ -22,7 +22,7 @@ type Probe struct {
 // recording one allocates nothing.
 type Event struct {
 	// Cat is the category, the first segment of Name: "layer", "core",
-	// "tune", "blockw", or "choice".
+	// "tune", "pack", "blockw", "spweight", or "choice".
 	Cat string
 	// Name is the span path, e.g. "layer/conv0/fp/stencil" or, for a glue
 	// layer, "layer/relu0/bp"; a choice is "choice/<phase>".

@@ -32,8 +32,7 @@ type Options struct {
 	// sparse-column region placement and the sparse BP candidate (default
 	// 0.85; pass a negative value for an explicitly dense analysis).
 	Sparsity float64
-	// WSparsity is the FP weight sparsity the header reports (default 0,
-	// dense); no FP candidate's model depends on it.
+	// WSparsity is the assumed FP weight sparsity (default 0, dense).
 	WSparsity float64
 	// Machine is the model the ranking runs on (default machine.Paper()).
 	Machine *machine.Machine
@@ -129,7 +128,7 @@ func reportLayer(w io.Writer, c *nn.Conv, opts Options) {
 	fmt.Fprintf(w, "  region          dense %v, sparse %v\n", dense, sparse)
 	fmt.Fprintf(w, "  prescribed      %v\n", sparse.Props().Recommendations)
 	fmt.Fprintf(w, "  stencil tile    %v\n", stencil.ChoosePlan(s))
-	rankPhase(w, "fp", s, 0, opts, core.FPStrategies(opts.Workers))
+	rankPhase(w, "fp", s, opts.WSparsity, opts, core.FPStrategies(opts.Workers))
 	rankPhase(w, "bp", s, opts.Sparsity, opts, core.BPStrategies(opts.Workers))
 }
 

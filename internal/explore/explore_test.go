@@ -54,8 +54,8 @@ func TestReportShowsCapabilitySeam(t *testing.T) {
 	if !strings.Contains(got, "declined: ") {
 		t.Fatalf("depthwise report shows no declined candidates:\n%s", got)
 	}
-	if !strings.Contains(got, "declined: sparse") {
-		t.Errorf("expected the sparse kernel (plain specs only) among BP declines:\n%s", got)
+	if !strings.Contains(got, "sparse-weight") || !strings.Contains(got, "gemm-packed") {
+		t.Errorf("expected sparse-weight (padded) and gemm-packed (grouped) among declines:\n%s", got)
 	}
 }
 

@@ -86,9 +86,9 @@ func TestNegativeDimsPanics(t *testing.T) {
 }
 
 func TestPackedAtThreshold(t *testing.T) {
-	// Shapes that once straddled Serial's retired pack-size gate: a ragged
-	// M below one 4-row block, N either side of a panel boundary, and a
-	// long K. Serial now packs them all; each must agree with Naive.
+	// M = 9 leaves a one-row tail after two 4-row blocks; N = 499 and 501
+	// end on either side of an 8-wide panel edge; K = 1024 is a long
+	// single-accumulator dot. Each must agree with Naive.
 	r := rng.New(3)
 	for _, kn := range []struct{ k, n int }{{300, 499}, {300, 501}, {1024, 147}} {
 		a := randMatrix(r, 9, kn.k)
@@ -98,7 +98,7 @@ func TestPackedAtThreshold(t *testing.T) {
 		Naive(want, a, b)
 		Serial(got, a, b)
 		if !matricesClose(got, want, 1e-3) {
-			t.Fatalf("threshold shape %dx%d wrong", kn.k, kn.n)
+			t.Fatalf("shape 9x%dx%d wrong", kn.k, kn.n)
 		}
 	}
 }

@@ -16,8 +16,10 @@ import (
 // collapses the eight B-row streams of the dot-orientation kernel into a
 // single stream.
 //
-// The pack costs O(K·N) moves against O(M·K·N) arithmetic and amortizes
-// across the M output rows of the call.
+// The pack costs O(K·N) moves against O(M·K·N) arithmetic, so it amortizes
+// across the M output rows of a single call — and across an entire batch
+// (and training steps) when the packed operand is a constant weight matrix
+// reused via PackedB (packedplan.go).
 //
 // Accumulation order: every output element is one full-K dot product with a
 // single accumulator walking k in increasing order — the same order as

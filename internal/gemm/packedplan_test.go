@@ -69,26 +69,6 @@ func TestParallelMulPacked(t *testing.T) {
 	}
 }
 
-func TestParallelPrimeRows(t *testing.T) {
-	// Regression for the static-split tail imbalance: prime row counts must
-	// divide across workers without dropping or double-computing rows, on
-	// both the blocked (small) and packed (large) parallel paths.
-	r := rng.New(35)
-	for _, s := range []struct{ m, k, n int }{{101, 30, 40}, {37, 400, 401}} {
-		a := randMatrix(r, s.m, s.k)
-		b := randMatrix(r, s.k, s.n)
-		want := NewMatrix(s.m, s.n)
-		Naive(want, a, b)
-		for _, workers := range []int{2, 3, 5, 8} {
-			got := NewMatrix(s.m, s.n)
-			Parallel(got, a, b, workers)
-			if !matricesClose(got, want, 1e-3) {
-				t.Fatalf("Parallel %dx%dx%d workers=%d wrong", s.m, s.k, s.n, workers)
-			}
-		}
-	}
-}
-
 // BenchmarkGemmPackedReuse measures the packed-plan amortization: one PackB
 // against the batch-sized stream of MulPacked calls that reuse it, versus
 // repacking inside every call (Serial). The gap is the per-call pack cost

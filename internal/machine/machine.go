@@ -175,6 +175,36 @@ func (m Machine) trainingAggregate(s conv.Spec, p int, rate func(conv.Spec, ait.
 	return totalFlops / totalTime / 1e9 / float64(p)
 }
 
+// PackedGEMM predicts GFlops/core for the prepacked-operand engine
+// (unfold-packed-gemm) on p cores. The engine runs the weight-consuming
+// GEMMs in the orientation that makes the constant weight matrix the
+// packable operand, so per §3.2 accounting each core reads only its row
+// slice of the VARYING operand (the unfolded image or transposed error)
+// plus the packed weights — no operand the size of the unfolded matrix is
+// read in full per core — and the O(Nf·taps) pack itself is charged once
+// per packAmortBatch images instead of per image. BP-dW has no constant
+// operand and keeps the Parallel-GEMM rate.
+func (m Machine) PackedGEMM(s conv.Spec, phase ait.Phase, p int) float64 {
+	if phase == ait.BPWeights {
+		return m.ParallelGEMM(s, phase, p)
+	}
+	// Nominal images sharing one weight pack: a pack survives a whole
+	// batch (and across steps until the optimizer writes the weights).
+	const packAmortBatch = 8
+	mm := ait.MMOf(s, phase)
+	fp := float64(p)
+	flops := 2 * float64(mm.M) * float64(mm.N) * float64(mm.K)
+	taps := float64(s.GroupNc() * s.Fy * s.Fx)
+	nf := float64(s.Nf)
+	wElems := nf * taps
+	pix := flops / (2 * wElems)
+	memPerCore := pix*(taps+nf)/fp + wElems*(1+2/(packAmortBatch*fp))
+	a := (flops / fp) / memPerCore
+	rate := m.shareBandwidth(m.EffPerCore(a), a, p)
+	t := m.unfoldSeconds(s) + flops/(rate*1e9*fp)
+	return flops / t / 1e9 / fp
+}
+
 // Stencil predicts GFlops/core for the Stencil-Kernel (FP) on p cores:
 // throughput is peak discounted by the generated basic block's
 // loads-per-MAC (register/L1 traffic), with shared bandwidth charged only
@@ -251,6 +281,38 @@ func (m Machine) BlockedConvFP(s conv.Spec, p int) float64 {
 	convertBytes := 4 * float64(2*s.InputSize()+2*s.OutputSize())
 	t := convertBytes/(m.TransformGBsPerCore*1e9) + flops/(rate*1e9)
 	return flops / t / 1e9
+}
+
+// SparseWeightFP predicts the sparse-weight engine's FP goodput in
+// GFlops/core on p cores at the given weight sparsity: useful flops over
+// compression time plus non-zero work time, the FP dual of SparseGoodput.
+// Compression streams W once per tensor.Ver and survives a whole batch,
+// so it is amortized like the packed engine's weight packs.
+func (m Machine) SparseWeightFP(s conv.Spec, wSparsity float64, p int) float64 {
+	if wSparsity < 0 {
+		wSparsity = 0
+	}
+	if wSparsity > 1 {
+		wSparsity = 1
+	}
+	useful := float64(s.FlopsFP()) * (1 - wSparsity)
+	// Weights are read and the CSR plan written once per version, shared
+	// across compressAmort images of the batch.
+	const compressAmort = 8
+	compressBytes := 4 * 2 * float64(s.WeightSize())
+	tCompress := compressBytes / (m.TransformGBsPerCore * 1e9 * compressAmort)
+	// Each surviving tap is a row-long axpy: the saxpy rate discounted for
+	// short output rows (per-tap setup amortizes over OutX) and for the
+	// 1-load-1-store-per-MAC balance of axpy versus the 8-wide dot kernels.
+	rowEff := float64(s.OutX()) / (float64(s.OutX()) + 8)
+	workRate := m.PeakGFlopsPerCore * m.SparseAxpyEfficiency * rowEff * 0.5
+	tWork := useful / (workRate * 1e9)
+	total := tCompress + tWork
+	if total <= 0 {
+		return 0
+	}
+	goodput := useful / total / 1e9
+	return m.shareBandwidth(goodput, ait.Intrinsic(s), p)
 }
 
 // UnfoldGEMMBP predicts the dense baseline's BP throughput (GFlops/core,

@@ -235,3 +235,39 @@ func TestBlockedConvFPBeatsGEMMInParallelOnCIFAR(t *testing.T) {
 		}
 	}
 }
+
+func TestSparseWeightFPShape(t *testing.T) {
+	// FP goodput must fall monotonically with weight sparsity (less useful
+	// work over near-constant overheads) while the dense-equivalent rate
+	// (goodput / density) RISES — that is what lets the candidate win the
+	// ranking for heavily pruned layers and lose it for dense ones.
+	m := Paper()
+	s := conv.Square(36, 64, 3, 5, 1)
+	prev := m.SparseWeightFP(s, 0, 4)
+	if prev <= 0 {
+		t.Fatal("dense-weight goodput not positive")
+	}
+	for _, ws := range []float64{0.25, 0.5, 0.75, 0.9, 0.99} {
+		g := m.SparseWeightFP(s, ws, 4)
+		if g <= 0 || g >= prev {
+			t.Fatalf("goodput not decreasing at ws=%.2f: %v -> %v", ws, prev, g)
+		}
+		prev = g
+	}
+	denseEq := func(ws float64) float64 {
+		d := 1 - ws
+		if d < 0.01 {
+			d = 0.01
+		}
+		return m.SparseWeightFP(s, ws, 4) / d
+	}
+	if denseEq(0.95) <= denseEq(0) {
+		t.Fatal("dense-equivalent rate does not improve with pruning")
+	}
+	// At 95% weight sparsity the pruned kernel should model clearly faster
+	// than the dense baseline (the planner-selection acceptance criterion).
+	if denseEq(0.95) <= m.GEMMInParallel(s, ait.FP, 4) {
+		t.Fatalf("95%% pruned dense-equivalent %.2f <= GEMM-in-Parallel %.2f",
+			denseEq(0.95), m.GEMMInParallel(s, ait.FP, 4))
+	}
+}

@@ -248,28 +248,29 @@ func TestRoundTripTable2Geometry(t *testing.T) {
 	}
 }
 
-func TestBuildBlockedStrategy(t *testing.T) {
-	// The grown FP engine resolves through the same name registry as the
+func TestBuildBlockedAndSparseWeightStrategies(t *testing.T) {
+	// The grown FP engines resolve through the same name registry as the
 	// paper's strategies as a net-wide FixedStrategy, and the layer runs
 	// both phases under it.
-	const name = "blocked"
-	st, ok := core.StrategyByName(name, 1)
-	if !ok {
-		t.Fatalf("StrategyByName(%q) unknown", name)
-	}
-	net := MustBuild(MNISTNet, BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 2})
-	in := tensor.New(net.InDims()...)
-	r := rng.New(3)
-	in.FillNormal(r, 0, 1)
-	logits := net.Forward([]*tensor.Tensor{in})
-	d := tensor.New(net.OutDims()...)
-	nn.SoftmaxXent{}.Loss(logits[0], 3, d)
-	net.Backward([]*tensor.Tensor{d}, []*tensor.Tensor{in})
-	net.ApplyGrads(0.01, 1)
-	probe := net.ConvLayers()[0].Ctx().Probe()
-	for _, phase := range []string{"fp", "bp"} {
-		if _, ok := probe.SpanStats("layer/conv0/" + phase + "/" + name); !ok {
-			t.Fatalf("conv0 %s did not run under the fixed strategy (spans %v)", phase, probe.Spans())
+	for _, name := range []string{"blocked", "sparse-weight"} {
+		st, ok := core.StrategyByName(name, 1)
+		if !ok {
+			t.Fatalf("StrategyByName(%q) unknown", name)
+		}
+		net := MustBuild(MNISTNet, BuildOptions{Workers: 1, FixedStrategy: &st, Seed: 2})
+		in := tensor.New(net.InDims()...)
+		r := rng.New(3)
+		in.FillNormal(r, 0, 1)
+		logits := net.Forward([]*tensor.Tensor{in})
+		d := tensor.New(net.OutDims()...)
+		nn.SoftmaxXent{}.Loss(logits[0], 3, d)
+		net.Backward([]*tensor.Tensor{d}, []*tensor.Tensor{in})
+		net.ApplyGrads(0.01, 1)
+		probe := net.ConvLayers()[0].Ctx().Probe()
+		for _, phase := range []string{"fp", "bp"} {
+			if _, ok := probe.SpanStats("layer/conv0/" + phase + "/" + name); !ok {
+				t.Fatalf("%s: conv0 %s did not run under the fixed strategy (spans %v)", name, phase, probe.Spans())
+			}
 		}
 	}
 }

@@ -82,9 +82,9 @@ func newConv(name string, s conv.Spec, pl core.Planner, buckets []int, ctx *exec
 	// their group's channel slab, so fan-in is Nc/G taps.
 	fanIn := float64(s.GroupNc() * s.Fy * s.Fx)
 	c.W.FillNormal(r, 0, float32(math.Sqrt(2/fanIn)))
-	// Track weight versions from the start so engines that cache derived
-	// weights (the blocked engine's NCHW8 panels) reuse them across
-	// batches and steps, invalidating only on ApplyGrads.
+	// Track weight versions from the start so engines that cache packed
+	// operands (unfoldgemm.PackedKernel) reuse them across batches and
+	// steps, invalidating only on ApplyGrads.
 	c.W.Bump()
 	return c
 }
@@ -190,7 +190,7 @@ func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
 func (c *Conv) ApplyGrads(lr float32, batch int) {
 	c.opt.step(c.W, c.dW, lr, batch)
 	c.opt.step(c.B, c.dB, lr, batch)
-	// The in-place weight update invalidates any cached derived weights.
+	// The in-place weight update invalidates any cached packed operands.
 	c.W.Bump()
 }
 

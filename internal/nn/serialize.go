@@ -70,7 +70,7 @@ func (l *FC) setParam(name string, t *tensor.Tensor) bool {
 // networks see identical weights forever, which is exactly what a serving
 // replica wants: N forward-only replicas share one read-only parameter
 // set, and because a shared tensor keeps one data pointer and one version,
-// every replica's blocked-weight caches key to the same entry.
+// every replica's packed/blocked weight caches key to the same entry.
 // Mutating parameters through either network affects both — inference
 // replicas never do (Backward panics; ApplyGrads is never called).
 func (n *Network) ShareParameters(src *Network) error {

@@ -174,3 +174,21 @@ func (t *Trainer) TrainEpoch(ds Dataset, r *rng.RNG) EpochStats {
 	stats.Account(lossSum, correct, t.Net)
 	return stats
 }
+
+// Evaluate computes loss and accuracy without updating weights.
+func (t *Trainer) Evaluate(ds Dataset) (loss, accuracy float64) {
+	idx := make([]int, 0, t.BatchSize)
+	var lossSum float64
+	correct := 0
+	for lo := 0; lo < ds.Len(); lo += t.BatchSize {
+		idx = idx[:0]
+		for i := lo; i < min(lo+t.BatchSize, ds.Len()); i++ {
+			idx = append(idx, i)
+		}
+		l, c := t.forward(ds, idx)
+		lossSum += l
+		correct += c
+	}
+	n := float64(ds.Len())
+	return safeDiv(lossSum, n), safeDiv(float64(correct), n)
+}

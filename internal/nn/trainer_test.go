@@ -55,6 +55,24 @@ func TestGoodputBelowDenseThroughput(t *testing.T) {
 	}
 }
 
+func TestEvaluateDoesNotTrain(t *testing.T) {
+	net := tinyTrainNet(rng.New(5))
+	tr := NewTrainer(net, 0.05, 4)
+	ds := &syntheticDS{n: 16, classes: 4, dims: net.InDims()}
+	before := net.ConvLayers()[0].W.Clone()
+	loss1, acc1 := tr.Evaluate(ds)
+	loss2, acc2 := tr.Evaluate(ds)
+	if loss1 != loss2 || acc1 != acc2 {
+		t.Fatal("Evaluate is not deterministic")
+	}
+	after := net.ConvLayers()[0].W
+	for i := range before.Data {
+		if before.Data[i] != after.Data[i] {
+			t.Fatal("Evaluate modified weights")
+		}
+	}
+}
+
 func TestTrainerBatchFloor(t *testing.T) {
 	net := tinyTrainNet(rng.New(6))
 	tr := NewTrainer(net, 0.05, 0)
@@ -112,9 +130,11 @@ func TestEpochAccountIsFinite(t *testing.T) {
 			if stats.Images != tc.images {
 				t.Fatalf("images = %d, want %d", stats.Images, tc.images)
 			}
+			evalLoss, evalAcc := tr.Evaluate(ds)
 			for name, v := range map[string]float64{
 				"Loss": stats.Loss, "Accuracy": stats.Accuracy, "ImagesPerSec": stats.ImagesPerSec,
 				"ConvGFlops": stats.ConvGFlops, "ConvGoodputGFlops": stats.ConvGoodputGFlops,
+				"Evaluate loss": evalLoss, "Evaluate accuracy": evalAcc,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 					t.Errorf("%s = %v", name, v)

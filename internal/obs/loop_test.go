@@ -21,11 +21,6 @@ import (
 // measurement pass on the next batch. The control phase (no injection)
 // must see zero events, zero invalidations and zero extra measurement
 // passes.
-//
-// The observatory sees the layer's real events through steadySpans, which
-// fixes their span time: this layer's sub-millisecond spans swing by ~1.7x
-// between runs on a loaded host, as far as the 1.6x threshold, so wall
-// time alone could fire the control phase or mask the injection.
 func TestDriftRetuneLoop(t *testing.T) {
 	s := conv.Spec{Nx: 24, Ny: 24, Nc: 16, Nf: 32, Fx: 3, Fy: 3, Sx: 1, Sy: 1}
 	const workers, batch = 2, 4
@@ -44,7 +39,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 	})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(batch)
-	ctx.Probe().AddSink(steadySpans{o})
+	ctx.Probe().AddSink(o)
 
 	ins := make([]*tensor.Tensor, batch)
 	eos := make([]*tensor.Tensor, batch)
@@ -176,15 +171,6 @@ layer { name: "fc0" type: "fc" outputs: 4 }
 			}
 		}
 	}
-}
-
-// steadySpans forwards every event to the wrapped sink with a fixed span
-// time, so the only change a drift detector sees is the injected one.
-type steadySpans struct{ dst exec.Sink }
-
-func (s steadySpans) Record(ev exec.Event) {
-	ev.Seconds = 1e-3
-	s.dst.Record(ev)
 }
 
 // stepDS is a deterministic dataset for the trainer-level loop test.

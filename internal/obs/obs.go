@@ -123,11 +123,12 @@ func (e DriftEvent) String() string {
 		e.Layer, e.Phase, e.Strategy, e.Region, e.Band, e.Ratio/e.Baseline, e.Baseline, e.Observation)
 }
 
-// layerInfo is a registered layer's geometry plus the latest gradient
-// sparsity the glue feeds in, which drives BP model rates (FP rates are
-// sparsity-free).
+// layerInfo is a registered layer's geometry plus the latest sparsity
+// signals the glue feeds in (weight sparsity drives FP model rates and
+// bands; gradient sparsity drives BP).
 type layerInfo struct {
 	spec       conv.Spec
+	wSparsity  float64
 	eoSparsity float64
 }
 
@@ -232,31 +233,41 @@ func (o *Observatory) SetBatch(n int) {
 	o.mu.Unlock()
 }
 
-// SetSparsity updates a layer's error-gradient sparsity, which drives BP
-// predictions (the Fig. 3b probe's output — feed it per epoch from
-// nn.EpochStats.ConvSparsity). A change re-rates the layer's BP stream
+// SetSparsity updates a layer's sparsity signals: wSparsity is the weight
+// sparsity driving FP predictions, eoSparsity the error-gradient sparsity
+// driving BP predictions (the Fig. 3b probe's output — feed it per epoch
+// from nn.EpochStats.ConvSparsity). A change re-rates the layer's streams
 // WITHOUT resetting drift state: model-rate changes from sparsity are part
-// of the plan, not drift.
-func (o *Observatory) SetSparsity(layer string, eoSparsity float64) {
+// of the plan, not drift. Negative values leave the old signal in place.
+func (o *Observatory) SetSparsity(layer string, wSparsity, eoSparsity float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	li := o.layers[layer]
 	if li == nil {
 		return
 	}
-	li.eoSparsity = eoSparsity
+	if wSparsity >= 0 {
+		li.wSparsity = wSparsity
+	}
+	if eoSparsity >= 0 {
+		li.eoSparsity = eoSparsity
+	}
 	for key, st := range o.streams {
-		if key.layer != layer || key.phase != "bp" {
+		if key.layer != layer {
 			continue
 		}
-		if rate, ok := plan.ModelRate(o.mach, li.spec, key.phase, eoSparsity, o.opts.Workers, st.strategy); ok {
+		sp := li.wSparsity
+		if key.phase == "bp" {
+			sp = li.eoSparsity
+		}
+		if rate, ok := plan.ModelRate(o.mach, li.spec, key.phase, sp, o.opts.Workers, st.strategy); ok {
 			// The EWMA and baseline carry the dimensionless measured/
 			// predicted ratio, so they survive the re-rate untouched: when
 			// reality follows the model (sparse spans speed up as sparsity
 			// rises), the ratio is invariant; when it does not, the
 			// departure is genuine model error and SHOULD alarm.
 			st.rate = rate
-			st.sparsity = eoSparsity
+			st.sparsity = sp
 		}
 	}
 }
@@ -307,7 +318,7 @@ func (o *Observatory) Record(ev exec.Event) {
 				next.prev = st.prev
 			}
 		}
-		sp := 0.0
+		sp := li.wSparsity
 		if phase == "bp" {
 			sp = li.eoSparsity
 		}

@@ -261,7 +261,7 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 	o := newTestObservatory(Options{Warmup: 3, Window: 3})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
-	o.SetSparsity("c1", 0.2)
+	o.SetSparsity("c1", 0, 0.2)
 	pred := modelSeconds(t, s, "bp", "sparse", 0.2, 2, 2)
 	for i := 0; i < 10; i++ {
 		o.Record(layerEvent("bp", "sparse", pred, i == 0))
@@ -269,7 +269,7 @@ func TestSparsityRerateIsNotDrift(t *testing.T) {
 	// Gradient sparsity rises: the model now predicts the sparse kernel
 	// runs FASTER (higher dense-equivalent rate). If the measured spans
 	// speed up in proportion, the agreement is intact — no drift.
-	o.SetSparsity("c1", 0.9)
+	o.SetSparsity("c1", -1, 0.9)
 	pred9 := modelSeconds(t, s, "bp", "sparse", 0.9, 2, 2)
 	if pred9 >= pred {
 		t.Fatalf("sparse model rate did not improve with sparsity: %v !< %v", pred9, pred)

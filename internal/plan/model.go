@@ -73,6 +73,17 @@ func ModelRate(m machine.Machine, s conv.Spec, phase string, sparsity float64,
 		return bpAggregate(s, workers, func(ph ait.Phase) float64 {
 			return m.GEMMInParallel(s, ph, workers)
 		}), true
+	case "gemm-packed":
+		// Prepacked weight operand: the model carries the pack-amortization
+		// term (machine.PackedGEMM) so the candidate ranks above
+		// parallel-gemm exactly where hoisting the pack pays — many output
+		// pixels per weight element — and not on degenerate geometries.
+		if phase == "fp" {
+			return m.PackedGEMM(s, ait.FP, workers), true
+		}
+		return bpAggregate(s, workers, func(ph ait.Phase) float64 {
+			return m.PackedGEMM(s, ph, workers)
+		}), true
 	case "stencil":
 		if phase == "fp" {
 			return m.Stencil(s, workers), true
@@ -86,6 +97,19 @@ func ModelRate(m machine.Machine, s conv.Spec, phase string, sparsity float64,
 			return m.BlockedConvFP(s, workers), true
 		}
 		return 0, false
+	case "sparse-weight":
+		// Weight-density-scaled FP goodput, converted to the dense-
+		// equivalent rate exactly like the sparse BP kernel below. For this
+		// candidate `sparsity` carries the WEIGHT sparsity (plan passes
+		// w.Sparsity() to the FP phase).
+		if phase != "fp" {
+			return 0, false
+		}
+		dense := 1 - sparsity
+		if dense < 0.01 {
+			dense = 0.01
+		}
+		return m.SparseWeightFP(s, sparsity, workers) / dense, true
 	case "sparse":
 		if phase != "bp" {
 			return 0, false

@@ -213,11 +213,17 @@ func (p *Planner) InvalidateSpec(s conv.Spec, phase string) int {
 }
 
 // PlanFP implements core.Planner: forward-propagation selection. FP
-// activations are dense and no FP candidate's rate depends on weight
-// density, so every FP key sits in sparsity band 0.
+// activations are dense, but the WEIGHTS may be pruned — the sparse-weight
+// engine's rate scales with weight density — so the key's sparsity band
+// carries w.Sparsity(). Dense weights band to 0, which keeps keys (and
+// saved caches) from before weight-density keying valid.
 func (p *Planner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
 	w *tensor.Tensor, opts core.TuneOptions) core.Planned {
-	return p.plan("fp", s, 0, opts, c, func(survivors []core.Strategy) core.Selection {
+	wSparsity := 0.0
+	if w != nil {
+		wSparsity = w.Sparsity()
+	}
+	return p.plan("fp", s, wSparsity, opts, c, func(survivors []core.Strategy) core.Selection {
 		return core.ChooseFP(survivors, s, c, ins, w, p.tuneOpts(opts))
 	})
 }
@@ -273,7 +279,8 @@ func (p *Planner) plan(phase string, s conv.Spec, sparsity float64, opts core.Tu
 		c = exec.New(1)
 	}
 	batch := max(opts.Batch, 0)
-	// BP bands on gradient sparsity; FP passes 0.
+	// Both phases band on their driving sparsity: gradient sparsity for BP,
+	// weight sparsity for FP (dense weights band to 0).
 	band := ait.Band(sparsity)
 	// Canon() folds the spelled-out defaults (dilation 1, groups 1) onto
 	// the zero values, so generalized-spec keys never alias plain entries
@@ -334,9 +341,13 @@ func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 	for i, st := range cands {
 		names[i] = st.Name
 	}
+	classifySparsity := sparsity
+	if key.Phase == "fp" {
+		classifySparsity = 0
+	}
 	scores := ModelRank(p.mach, key.Spec, key.Phase, sparsity, key.Workers, names)
 	survivors, prunedNames := prune(cands, scores, p.pruneRatio,
-		recommendedNames(key.Spec, sparsity))
+		recommendedNames(key.Spec, classifySparsity))
 
 	p.mu.Lock()
 	tr := p.tr

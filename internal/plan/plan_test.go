@@ -514,36 +514,58 @@ func TestFingerprintDistinguishesHosts(t *testing.T) {
 	}
 }
 
-// TestModelRanksNewFPCandidates: the grown FP candidate (blocked) is
-// modeled and FP-only in the model, and the retired engine names have no
-// model at all.
+// TestModelRanksNewFPCandidates: the grown FP candidates are modeled, the
+// blocked engine is FP-only in the model, and at heavy weight sparsity
+// the sparse-weight candidate tops the FP ranking (the Fig. 1 sparse
+// region of the tentpole's acceptance criteria).
 func TestModelRanksNewFPCandidates(t *testing.T) {
 	m := machine.Paper()
 	s := conv.Square(36, 64, 3, 5, 1)
-	if r, ok := ModelRate(m, s, "fp", 0, 4, "blocked"); !ok || r <= 0 {
-		t.Fatalf("blocked not modeled: %v, %v", r, ok)
-	}
-	if _, ok := ModelRate(m, s, "bp", 0, 4, "blocked"); ok {
-		t.Fatal("blocked claims a BP model")
-	}
-	for _, n := range []string{"gemm-packed", "sparse-weight"} {
-		for _, phase := range []string{"fp", "bp"} {
-			if _, ok := ModelRate(m, s, phase, 0.95, 4, n); ok {
-				t.Fatalf("retired strategy %s still models %s", n, phase)
+	names := []string{"parallel-gemm", "gemm-in-parallel", "stencil", "gemm-packed", "blocked", "sparse-weight"}
+	byName := func(scores []ModelScore, n string) ModelScore {
+		for _, sc := range scores {
+			if sc.Strategy == n {
+				return sc
 			}
+		}
+		t.Fatalf("%s not scored", n)
+		return ModelScore{}
+	}
+
+	dense := ModelRank(m, s, "fp", 0, 4, names)
+	if sc := byName(dense, "blocked"); !sc.Modeled || sc.GFlopsPerCore <= 0 {
+		t.Fatalf("blocked not modeled: %+v", sc)
+	}
+	if sc := byName(dense, "sparse-weight"); !sc.Modeled {
+		t.Fatalf("sparse-weight not modeled: %+v", sc)
+	}
+	// Dense weights: sparse-weight must NOT outrank the blocked engine.
+	if dense[0].Strategy == "sparse-weight" {
+		t.Fatal("sparse-weight tops the dense-weight FP ranking")
+	}
+
+	pruned := ModelRank(m, s, "fp", 0.95, 4, names)
+	if pruned[0].Strategy != "sparse-weight" {
+		t.Fatalf("at 95%% weight sparsity the FP ranking starts with %q, want sparse-weight", pruned[0].Strategy)
+	}
+
+	// Neither new candidate models as a BP strategy.
+	for _, n := range []string{"blocked", "sparse-weight"} {
+		if _, ok := ModelRate(m, s, "bp", 0, 4, n); ok {
+			t.Fatalf("%s claims a BP model", n)
 		}
 	}
 }
 
 // TestCachedRetiredStrategiesRemeasure loads a plan cache whose FP and BP
-// verdicts name strategies the candidate sets no longer hold (gemm-packed,
-// sparse-weight — caches saved before those engines were retired): both
-// lookups must count a miss, re-measure, and deploy a live candidate.
+// verdicts name strategies the candidate sets do not hold, as a cache
+// saved before an engine's retirement would: both lookups must count a
+// miss, re-measure, and deploy a live candidate.
 func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 	old := New(Options{
-		FP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("sparse-weight", 0, nil)} },
-		BP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("gemm-packed", 0, nil)} },
+		FP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-fp", 0, nil)} },
+		BP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-bp", 0, nil)} },
 		Tune: core.TuneOptions{Reps: 1},
 	})
 	ctx := exec.New(2)
@@ -553,7 +575,7 @@ func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 	if err := old.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{`"sparse-weight"`, `"gemm-packed"`} {
+	for _, retired := range []string{`"retired-fp"`, `"retired-bp"`} {
 		if !strings.Contains(buf.String(), retired) {
 			t.Fatalf("saved cache does not name %s:\n%s", retired, buf.String())
 		}
@@ -581,6 +603,38 @@ func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 	}
 	if st := p.Stats(); st.Misses != 2 || st.Hits != 0 || st.Measurements != 2 {
 		t.Fatalf("stats %+v: want 2 misses, 0 hits, 2 measurement passes", st)
+	}
+}
+
+// TestPlannerSelectsSparseWeightForPrunedLayer is the measured acceptance
+// test: on a real geometry with weights pruned to ~97%, the planner's
+// measured FP pass must deploy the sparse-weight engine — it executes
+// ~3% of the dense multiply-adds, a margin far beyond timing noise.
+func TestPlannerSelectsSparseWeightForPrunedLayer(t *testing.T) {
+	s := conv.Square(16, 16, 8, 3, 1)
+	r := rng.New(42)
+	var ins []*tensor.Tensor
+	for i := 0; i < 4; i++ {
+		ins = append(ins, conv.RandInput(r, s))
+	}
+	w := conv.RandWeights(r, s)
+	w.Sparsify(r, 0.97)
+	w.Bump()
+
+	p := New(Options{Tune: core.TuneOptions{Reps: 3}})
+	ctx := exec.New(2)
+	pd := p.PlanFP(s, ctx, ins, w, core.TuneOptions{})
+	if got := pd.Selection.Chosen.Strategy().Name; got != "sparse-weight" {
+		t.Fatalf("planner deployed %q for a 97%%-pruned layer, want sparse-weight (timings: %+v)",
+			got, pd.Selection.Timings)
+	}
+	// The verdict is keyed on the weight-density band, so a dense-weight
+	// request for the same spec must NOT reuse it.
+	wDense := conv.RandWeights(r, s)
+	wDense.Bump()
+	pd2 := p.PlanFP(s, ctx, ins, wDense, core.TuneOptions{})
+	if pd2.FromCache {
+		t.Fatal("dense-weight request reused the pruned-weight verdict")
 	}
 }
 

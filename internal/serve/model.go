@@ -54,7 +54,7 @@ type ModelConfig struct {
 
 // Model is a loaded, forward-only network replicated across batch workers.
 // Replica networks share parameter tensors — one weight set in memory, one
-// blocked-weight cache entry per kernel — while owning their
+// packed/blocked weight-cache entry per kernel — while owning their
 // activations, so worker i may run Forward on replica i concurrently with
 // every other worker.
 type Model struct {
@@ -151,7 +151,7 @@ func NewModel(def *netdef.NetDef, cfg ModelConfig) (*Model, error) {
 
 // LoadWeights restores a checkpoint written by nn's Save into every
 // replica at once (the parameter set is shared). Versions bump so any
-// derived-weight cache keyed to the initialization weights invalidates.
+// packed-operand cache keyed to the initialization weights invalidates.
 func (m *Model) LoadWeights(r io.Reader) error {
 	if err := m.replicas[0].Load(r); err != nil {
 		return err

@@ -11,7 +11,7 @@ import "fmt"
 // micro-kernel width (kern.Dot8's 8-wide panels), the panels the
 // packed GEMM path manufactures by copying fall directly out of the data
 // layout: a blocked convolution engine reads its micro-kernel operands
-// contiguously with no panel pack and no im2col.
+// contiguously with no PackB copies and no im2col.
 //
 // Channel counts not divisible by Block get a partial tail block whose
 // unused lanes are zero-filled. Zero lanes multiply against zero weight

@@ -31,7 +31,7 @@ type Tensor struct {
 	Layout Layout
 
 	// Ver is an opt-in version counter for caches of artifacts derived
-	// from Data (layout transforms such as blocked weights). Zero means
+	// from Data (packed GEMM operands, layout transforms). Zero means
 	// untracked: consumers must re-derive on every use. Code that mutates
 	// Data in place and wants such caches to engage calls Bump after each
 	// mutation (the first Bump moves the tensor from untracked to

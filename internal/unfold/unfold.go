@@ -8,8 +8,8 @@
 // each input element is replicated up to Fx·Fy times, inflating memory
 // traffic and destroying the convolution's intrinsic arithmetic intensity.
 //
-// This package materializes U: it is the explicit form the figures and the
-// baselines measure. The deployed
+// This package materializes U: it is the explicit form the figures, the
+// prepacked-weights engine and the baselines measure. The deployed
 // unfold+GEMM engine (internal/unfoldgemm) never builds U; it packs GEMM
 // panels of U straight from the tensors. Padding taps unfold as zeros and
 // dilated taps gather strided input elements; a grouped convolution is G

@@ -17,12 +17,14 @@
 #                                     (implicit-unfold panel build and fold)
 #   internal/stencil/kernels.go       saxpy2-4 (multi-row broadcast)
 #   internal/blockedconv/kernels.go   accRow (NCHW8 direct FP)
+#   internal/spweight/kernels.go      axpyRowStride (strided CSR FP)
 #   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
 #
-# (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spkernel/spkernel.go
-# and nn/activations.go, nn/pool.go are the drivers feeding those loops —
-# per-panel offsets, ragged/strided panel fallbacks, per-row slicing and
-# the pool's data-indexed argmax scatter, excluded like the GEMM drivers.)
+# (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spweight/forward.go,
+# spkernel/spkernel.go and nn/activations.go, nn/pool.go are the drivers
+# feeding those loops — per-panel offsets, ragged/strided panel fallbacks,
+# per-row slicing and the pool's data-indexed argmax scatter, excluded like
+# the GEMM drivers.)
 #
 # Pack/driver code (packed.go, gemm.go, ...) is deliberately NOT protected:
 # its checks execute O(M·N/8) times, not in the inner loops.
@@ -37,9 +39,10 @@ internal/gemm/microkernel.go
 internal/unfoldgemm/kernels.go
 internal/stencil/kernels.go
 internal/blockedconv/kernels.go
+internal/spweight/kernels.go
 internal/nn/kernels.go"
 
-pkgs="./internal/kern/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/nn/"
+pkgs="./internal/kern/ ./internal/gemm/ ./internal/stencil/ ./internal/unfoldgemm/ ./internal/unfold/ ./internal/spkernel/ ./internal/par/ ./internal/blockedconv/ ./internal/spweight/ ./internal/nn/"
 
 out="$(go build -gcflags='-d=ssa/check_bce' $pkgs 2>&1)" || {
 	echo "$out"
