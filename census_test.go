@@ -76,6 +76,8 @@ const (
 	oracle = "test oracle"
 	// How tests read what production code recorded.
 	instrument = "test instrument"
+	// How tests script what production code reads.
+	script = "test script"
 )
 
 // censusAllow names the exported functions and methods that no non-test
@@ -99,6 +101,7 @@ var censusAllow = map[string]string{
 	"tensor.FromBlocked":                oracle,
 	"tensor.UnblockWeights":             oracle,
 	"tensor.FromSlice":                  instrument,
+	"exec.Probe.SetClock":               script, // scripted time for the drift and planner tests
 	"exec.Probe.SpanStats":              instrument,
 	"exec.Probe.Spans":                  instrument,
 	"plan.Planner.Lookup":               instrument,
@@ -353,6 +356,82 @@ func TestEveryExportedFuncHasAProductionCaller(t *testing.T) {
 	for name := range censusAllow {
 		if !declared[name] {
 			t.Errorf("censusAllow names %s, which is not declared: drop the entry", name)
+		}
+	}
+}
+
+// wallClock names the non-test files that read the wall clock through
+// time.Now or time.Since, with how many reads each holds and why: these
+// are where wall time is itself the output. Everything else times work on
+// exec.Probe's clock, the one tests can script. The benchmark harness is
+// its own module and times on the wall clock by design.
+var wallClock = map[string]struct {
+	reads int
+	why   string
+}{
+	"internal/exec/probe.go":            {2, "the runtime clock behind Probe.Now"},
+	"internal/machine/calibrate.go":     {4, "CalibrateHost's peak and stream timings"},
+	"internal/bench/fig8.go":            {2, "a measured figure's timings"},
+	"internal/trace/trace.go":           {4, "the trace recorder's timeline stamps"},
+	"internal/plan/plan.go":             {2, "a measure span's place on the trace timeline"},
+	"internal/serve/server.go":          {3, "a served batch's compute time and request latency"},
+	"internal/serve/queue.go":           {3, "the admission queue's deadline timer"},
+	"internal/serve/loadgen/loadgen.go": {1, "the load generator's arrival schedule"},
+	"cmd/spg-serve/main.go":             {2, "the warm-up epilogue"},
+	"examples/pruned_inference/main.go": {2, "an example's printed timing"},
+	"examples/sparse_backprop/main.go":  {2, "an example's printed timing"},
+}
+
+// TestClockCensus is the one-clock rule as a test: a non-test file outside
+// the benchmark module may name time.Now or time.Since only as often as
+// wallClock allows it, so a new timer cannot bypass the probe's clock.
+func TestClockCensus(t *testing.T) {
+	fset := token.NewFileSet()
+	reads := map[string]int{}
+	for _, root := range []string{"spgcnn.go", "internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			timePkg := ""
+			for _, im := range f.Imports {
+				if im.Path.Value == `"time"` {
+					timePkg = "time"
+					if im.Name != nil {
+						timePkg = im.Name.Name
+					}
+				}
+			}
+			if timePkg == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == timePkg {
+						reads[filepath.ToSlash(path)]++
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path, n := range reads {
+		if allow := wallClock[path]; n != allow.reads {
+			t.Errorf("%s reads the wall clock %d times, wallClock allows %d: time work on exec.Probe's clock "+
+				"(Now, RecordSince), or name the wall-clock output in wallClock", path, n, allow.reads)
+		}
+	}
+	for path, allow := range wallClock {
+		if reads[path] == 0 {
+			t.Errorf("wallClock names %s (%s), which reads no wall clock: drop the entry", path, allow.why)
 		}
 	}
 }

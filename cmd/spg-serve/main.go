@@ -30,6 +30,14 @@ import (
 	"spgcnn"
 )
 
+// HTTP timeouts of the inference endpoint: the metrics server's header
+// budget, then the whole request, then an idle keep-alive connection.
+const (
+	readHeaderTimeout = spgcnn.ReadHeaderTimeout
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // Test seams: serveReadyHook fires once the listener is bound (with the
 // concrete address); stopCh, when non-nil, shuts the server down as a
 // signal would.
@@ -208,7 +216,8 @@ func run(args []string, stdout io.Writer) error {
 		serveReadyHook(bound)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -212,6 +213,31 @@ func TestServeCheckpointRoundTrip(t *testing.T) {
 	}
 	if res.OK != 8 {
 		t.Errorf("ok %d, want 8", res.OK)
+	}
+}
+
+// TestSlowHeaderIsDisconnected: a client that sends half a request header
+// and stalls is dropped once the header timeout runs out, rather than
+// holding its connection open.
+func TestSlowHeaderIsDisconnected(t *testing.T) {
+	addr, _ := startServe(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/infer HTTP/1.1\r\nHost: spg\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	if err != io.EOF {
+		t.Fatalf("half a header: read %d bytes, %v after %v; want the server to close the connection",
+			n, err, time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

@@ -25,10 +25,13 @@ import (
 
 // Test seams: invoked (when non-nil) once the metrics endpoint is
 // listening and after every recorded epoch, so an integration test can
-// scrape the live endpoint at a deterministic mid-training moment.
+// scrape the live endpoint at a deterministic mid-training moment; ctxHook
+// gets the run's execution context before anything is timed, so a test can
+// install a scripted clock on its probe.
 var (
 	metricsUpHook func(addr string)
 	epochHook     func(epoch int)
+	ctxHook       func(*spgcnn.Ctx)
 )
 
 func main() {
@@ -60,8 +63,6 @@ func run(args []string, stdout io.Writer) error {
 		traceMode   = fs.String("trace-mode", "ring", "trace capture mode: ring (bounded flight recorder, keeps the newest events) or full (everything up to a cap)")
 		drift       = fs.Bool("drift", false, "run the plan-drift observatory: track model-vs-measured agreement per layer and re-tune automatically when a deployed strategy drifts")
 		driftReport = fs.String("drift-report", "", "write the observatory's agreement report (schema-versioned JSON, render with spg-doctor) here after training; implies -drift")
-		injectEpoch = fs.Int("drift-inject-epoch", 0, "TESTING: from the start of this epoch (1-based), scale every span time the observatory sees by -drift-inject-factor — a synthetic co-tenant; implies -drift")
-		injectFac   = fs.Float64("drift-inject-factor", 2, "synthetic slowdown factor for -drift-inject-epoch")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,6 +94,9 @@ func run(args []string, stdout io.Writer) error {
 	// One execution context for the whole network: every layer draws
 	// scratch from the same arena and reports into the same probe.
 	ctx := spgcnn.NewCtx(w)
+	if ctxHook != nil {
+		ctxHook(ctx)
+	}
 
 	// The metrics endpoint comes up before training starts, so a scrape at
 	// any point during the run sees live per-layer spans and the goodput
@@ -148,7 +152,7 @@ func run(args []string, stdout io.Writer) error {
 	// registry and tracer; a drift invalidates the shared planner's verdicts,
 	// and every layer that deployed one re-plans on its next call.
 	var obsv *spgcnn.Observatory
-	if *drift || *driftReport != "" || *injectEpoch > 0 {
+	if *drift || *driftReport != "" {
 		oo := spgcnn.ObservatoryOptions{
 			Workers: w,
 			OnDrift: func(ev spgcnn.DriftEvent) { planner.InvalidateSpec(ev.Spec, ev.Phase) },
@@ -215,10 +219,6 @@ func run(args []string, stdout io.Writer) error {
 	r := spgcnn.NewRNG(*seed)
 	agg := make([]spgcnn.DataParallelReplicaStats, *replicas)
 	for e := 0; e < *epochs; e++ {
-		if obsv != nil && *injectEpoch > 0 && e+1 == *injectEpoch {
-			obsv.SetSlowdown(*injectFac)
-			fmt.Fprintf(stdout, "drift: injecting synthetic %.2fx slowdown from epoch %d\n", *injectFac, e+1)
-		}
 		stats := dp.TrainEpoch(ds, r)
 		if obsv != nil {
 			for name, s := range stats.ConvSparsity {
@@ -307,15 +307,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "plan cache: saved %d entries to %s\n", planner.Entries(), *planCache)
 	}
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			return err
-		}
-		err = net.Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := spgcnn.WriteFileAtomic(*savePath, net.Save); err != nil {
 			return fmt.Errorf("saving %s: %w", *savePath, err)
 		}
 		fmt.Fprintf(stdout, "saved checkpoint %s\n", *savePath)

@@ -26,7 +26,6 @@ package blockedconv
 
 import (
 	"sync"
-	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
@@ -87,7 +86,7 @@ func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 		c.Probe().Record(k.hit)
 		return k.wb
 	}
-	start := time.Now()
+	start := c.Probe().Now()
 	if k.wb == nil {
 		k.wb = tensor.BlockWeights(w)
 	} else {
@@ -95,7 +94,7 @@ func (k *Kernel) blockedWeights(c *exec.Ctx, w *tensor.Tensor) *tensor.Tensor {
 	}
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Record(k.miss.Since(start))
+	c.Probe().RecordSince(k.miss, start)
 	return k.wb
 }
 

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"spgcnn/internal/batchpar"
 	"spgcnn/internal/blockedconv"
@@ -172,24 +171,24 @@ func (e *Exec) Name() string {
 
 // Forward computes outs[i] = conv(ins[i], w).
 func (e *Exec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	start := time.Now()
+	start := e.ctx.Probe().Now()
 	e.k.ForwardBatch(e.ctx, outs, ins, w)
-	e.ctx.Probe().Record(e.evFP.Since(start))
+	e.ctx.Probe().RecordSince(e.evFP, start)
 }
 
 // BackwardInput computes eis[i] = corr(eos[i], w).
 func (e *Exec) BackwardInput(eis, eos []*tensor.Tensor, w *tensor.Tensor) {
-	start := time.Now()
+	start := e.ctx.Probe().Now()
 	e.k.BackwardInputBatch(e.ctx, eis, eos, w)
-	e.ctx.Probe().Record(e.evBPI.Since(start))
+	e.ctx.Probe().RecordSince(e.evBPI, start)
 }
 
 // BackwardWeights computes dw = Σ_i grad(eos[i], ins[i]). dw is
 // overwritten.
 func (e *Exec) BackwardWeights(dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
-	start := time.Now()
+	start := e.ctx.Probe().Now()
 	e.k.BackwardWeightsBatch(e.ctx, dw, eos, ins)
-	e.ctx.Probe().Record(e.evBPW.Since(start))
+	e.ctx.Probe().RecordSince(e.evBPW, start)
 }
 
 // Backward runs one layer's whole backward pass: eis[i] = corr(eos[i], w)
@@ -206,9 +205,9 @@ func (e *Exec) Backward(eis []*tensor.Tensor, dw *tensor.Tensor, eos, ins []*ten
 		e.BackwardWeights(dw, eos, ins)
 		return
 	}
-	start := time.Now()
+	start := e.ctx.Probe().Now()
 	e.fused.BackwardBatch(e.ctx, eis, dw, eos, ins, w)
-	e.ctx.Probe().Record(e.evBP.Since(start))
+	e.ctx.Probe().RecordSince(e.evBP, start)
 }
 
 // backward is Backward without the probe spans: the measurement pass times

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/core"
@@ -373,7 +372,7 @@ func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
 	shard := cfg.GlobalBatch / cfg.Replicas
 	var loss float64
 	var correct int
-	start := time.Now()
+	start := t.nets[0].Probe().Now()
 	for lo := 0; lo+cfg.GlobalBatch <= len(order); lo += cfg.GlobalBatch {
 		t.steps++
 		t.onStep(int64(t.steps))
@@ -416,31 +415,31 @@ func (t *Trainer) TrainEpoch(ds nn.Dataset, r *rng.RNG) Stats {
 			stats.Replicas[w].Min = 0
 		}
 	}
-	stats.EpochStats = nn.EpochStats{Epoch: t.epoch, Images: stats.Steps * cfg.GlobalBatch, Seconds: time.Since(start).Seconds()}
+	stats.EpochStats = nn.EpochStats{Epoch: t.epoch, Images: stats.Steps * cfg.GlobalBatch, Seconds: (t.nets[0].Probe().Now() - start).Seconds()}
 	stats.SkippedConvFlops = stats.Account(loss, correct, t.nets...) * float64(stats.SkippedImages)
 	t.traceEpoch(stats)
 	return stats
 }
 
 // runStep executes one replica's shard of one global step through its
-// trainer's Step and clocks it.
+// trainer's Step and clocks it on the replica's probe.
 func (t *Trainer) runStep(ds nn.Dataset, w int, idx []int) {
 	rp := t.replicas[w]
-	stepStart := time.Now()
+	start := t.nets[w].Probe().Now()
 	t.em(w).Region("step", "step", func() {
 		rp.loss, rp.correct = rp.tr.Step(ds, idx, t.cfg.LR)
 	})
-	rp.secs = time.Since(stepStart).Seconds()
+	rp.secs = (t.nets[w].Probe().Now() - start).Seconds()
 }
 
 // sync runs one parameter-averaging round through the ring, traces it and
-// returns its wall time in seconds.
+// returns its time in seconds on replica 0's probe clock.
 func (t *Trainer) sync() float64 {
-	start := time.Now()
+	start := t.nets[0].Probe().Now()
 	t.ring.reduce()
-	dur := time.Since(start)
-	t.coord.Span("sync", "allreduce", start, dur)
-	return dur.Seconds()
+	secs := (t.nets[0].Probe().Now() - start).Seconds()
+	t.coord.End("sync", "allreduce", secs)
+	return secs
 }
 
 // ensureRing lazily builds the ring over the replicas' live parameter

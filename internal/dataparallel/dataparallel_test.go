@@ -1,7 +1,9 @@
 package dataparallel
 
 import (
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +15,19 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// buildNet returns a deterministic conv+relu+fc network; every call with
-// the same seed yields identical weights.
-func buildNet(seed uint64) *nn.Network { return buildSlowNet(seed, 0) }
+// buildNet returns a deterministic conv+relu+fc network on the runtime
+// clock; every call with the same seed yields identical weights.
+func buildNet(seed uint64) *nn.Network { return buildOn(seed, nil, 0) }
 
-// buildSlowNet is buildNet with, when perImage > 0, a sleepLayer between
-// the relu and the fc: the same parameters, a slower step.
-func buildSlowNet(seed uint64, perImage time.Duration) *nn.Network {
+// buildStalledNet is buildNet on a scripted clock that only a stallLayer
+// between the relu and the fc advances, by perImage for every image it
+// forwards: the same parameters, and a step that lasts exactly perImage
+// per image of the replica's shard on the replica's clock.
+func buildStalledNet(seed uint64, perImage time.Duration) *nn.Network {
+	return buildOn(seed, new(atomic.Int64), perImage)
+}
+
+func buildOn(seed uint64, clock *atomic.Int64, perImage time.Duration) *nn.Network {
 	r := rng.New(seed)
 	s := conv.Square(8, 3, 2, 3, 1)
 	st, _ := core.StrategyByName("gemm-in-parallel", 1)
@@ -27,31 +35,33 @@ func buildSlowNet(seed uint64, perImage time.Duration) *nn.Network {
 	re := nn.NewReLU("relu0", cv.OutDims(), 1)
 	fc := nn.NewFCCtx("fc0", re.OutDims(), 4, exec.New(1), r)
 	layers := []nn.Layer{cv, re}
-	if perImage > 0 {
-		layers = append(layers, sleepLayer{dims: re.OutDims(), perImage: perImage})
+	if clock != nil {
+		cv.Ctx().Probe().SetClock(func() time.Duration { return time.Duration(clock.Load()) })
+		layers = append(layers, stallLayer{dims: re.OutDims(), perImage: perImage, clock: clock})
 	}
 	return nn.NewNetwork(cv.Ctx(), append(layers, fc)...)
 }
 
-// sleepLayer is a parameter-free pass-through that sleeps perImage for
-// every image it forwards: a straggler built into one replica's network
-// that leaves the fleet's parameters aligned.
-type sleepLayer struct {
+// stallLayer is a parameter-free pass-through that advances its replica's
+// scripted clock perImage for every image it forwards: a straggler built
+// into one replica's network that leaves the fleet's parameters aligned.
+type stallLayer struct {
 	dims     []int
 	perImage time.Duration
+	clock    *atomic.Int64
 }
 
-func (sleepLayer) Name() string            { return "sleep" }
-func (l sleepLayer) InDims() []int         { return l.dims }
-func (l sleepLayer) OutDims() []int        { return l.dims }
-func (sleepLayer) ApplyGrads(float32, int) {}
-func (l sleepLayer) Forward(outs, ins []*tensor.Tensor) {
+func (stallLayer) Name() string            { return "stall" }
+func (l stallLayer) InDims() []int         { return l.dims }
+func (l stallLayer) OutDims() []int        { return l.dims }
+func (stallLayer) ApplyGrads(float32, int) {}
+func (l stallLayer) Forward(outs, ins []*tensor.Tensor) {
 	for i := range ins {
 		copy(outs[i].Data, ins[i].Data)
 	}
-	time.Sleep(l.perImage * time.Duration(len(ins)))
+	l.clock.Add(int64(l.perImage) * int64(len(ins)))
 }
-func (sleepLayer) Backward(eis, eos, _ []*tensor.Tensor) {
+func (stallLayer) Backward(eis, eos, _ []*tensor.Tensor) {
 	for i := range eos {
 		copy(eis[i].Data, eos[i].Data)
 	}
@@ -94,36 +104,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestInjectedStragglerAttribution pins the straggler surface: with
-// replica 1 built slow, the barrier wait must concentrate on the OTHER
-// replicas (they finish first and wait), and the slow replica itself must
-// wait ~nothing.
+// TestInjectedStragglerAttribution pins the straggler surface on scripted
+// clocks: replica 1 is built to take 2ms per image, 8ms per 4-image shard,
+// and the others take no time at all. Every step, each fast replica waits
+// exactly 8ms at the barrier and the slow one waits nothing.
 func TestInjectedStragglerAttribution(t *testing.T) {
 	dp, err := New(func(replica int) *nn.Network {
 		if replica == 1 {
-			return buildSlowNet(7, 2*time.Millisecond)
+			return buildStalledNet(7, 2*time.Millisecond)
 		}
-		return buildNet(7)
+		return buildStalledNet(7, 0)
 	}, Config{Replicas: 4, GlobalBatch: 16, LR: 0.05, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := dp.TrainEpoch(ds{n: 64}, rng.New(3))
-	slow := stats.Replicas[1]
-	var fastWait float64
 	for w, r := range stats.Replicas {
-		if w != 1 {
-			fastWait += r.BarrierWait
+		want := 4 * 0.008 // 4 steps of 8ms
+		if w == 1 {
+			want = 0
+		}
+		if r.Steps != 4 || math.Abs(r.BarrierWait-want) > 1e-12 {
+			t.Fatalf("replica %d: %d steps, barrier wait %vs; want 4 steps, %vs", w, r.Steps, r.BarrierWait, want)
 		}
 	}
-	if fastWait <= 0 {
-		t.Fatal("no barrier wait attributed to the fast replicas")
-	}
-	// The slow replica sleeps 2ms × 4 images per step; the fast replicas'
-	// mean wait should dwarf the slow one's.
-	if slow.BarrierWait > fastWait/3 {
-		t.Fatalf("wait did not concentrate on fast replicas: slow %.4fs, fast total %.4fs",
-			slow.BarrierWait, fastWait)
+	if slow := stats.Replicas[1]; slow.Min != 0.008 || slow.Max != 0.008 {
+		t.Fatalf("slow replica steps took %v-%vs, want 0.008s each", slow.Min, slow.Max)
 	}
 }
 

@@ -16,11 +16,7 @@
 // guarded) arena.
 package exec
 
-import (
-	"time"
-
-	"spgcnn/internal/tensor"
-)
+import "spgcnn/internal/tensor"
 
 // Ctx is one execution context. Construct with New; the zero value is not
 // usable. Contexts are safe for concurrent use.
@@ -99,19 +95,17 @@ func (c *Ctx) GetTensorLayout(l tensor.Layout, dims ...int) *tensor.Tensor {
 func (c *Ctx) PutTensor(t *tensor.Tensor) { c.arena.PutTensor(t) }
 
 // Measure times fn over reps runs after one warm-up and returns the
-// minimum elapsed seconds — the low-noise estimator the scheduler's
-// measure-and-deploy pass (§4.4) uses. Every timed run is also recorded
-// in the probe as ev, stamped with its time.
+// minimum elapsed seconds on the probe's clock — the low-noise estimator
+// the scheduler's measure-and-deploy pass (§4.4) uses. Every timed run is
+// also recorded in the probe as ev, stamped with its time.
 func (c *Ctx) Measure(ev Event, reps int, fn func()) float64 {
 	fn() // warm-up: page in scratch, populate arena free lists
 	best := 0.0
 	for i := 0; i < reps; i++ {
-		start := time.Now()
+		start := c.probe.Now()
 		fn()
-		ev = ev.Since(start)
-		c.probe.Record(ev)
-		if i == 0 || ev.Seconds < best {
-			best = ev.Seconds
+		if t := c.probe.RecordSince(ev, start); i == 0 || t < best {
+			best = t
 		}
 	}
 	return best

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewClampsWorkers(t *testing.T) {
@@ -36,22 +38,48 @@ func TestSerialSharesArenaAndProbe(t *testing.T) {
 	}
 }
 
+// TestMeasureReturnsMinAndRecordsSpans: on a scripted clock that only the
+// measured function advances, Measure returns exactly the fastest timed run
+// and records each timed run, never the warm-up.
 func TestMeasureReturnsMinAndRecordsSpans(t *testing.T) {
 	c := New(1)
+	var now time.Duration
+	c.Probe().SetClock(func() time.Duration { return now })
+	costs := []time.Duration{time.Second, 5 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
 	calls := 0
-	got := c.Measure(Event{Cat: "tune", Name: "tune/x"}, 3, func() { calls++ })
+	got := c.Measure(Event{Cat: "tune", Name: "tune/x"}, 3, func() {
+		now += costs[calls]
+		calls++
+	})
 	if calls != 4 { // 1 warm-up + 3 timed
 		t.Fatalf("fn called %d times, want 4", calls)
 	}
-	if got < 0 {
-		t.Fatalf("Measure returned %v", got)
+	if got != 0.002 {
+		t.Fatalf("Measure returned %v, want 0.002", got)
 	}
 	sp, ok := c.Probe().SpanStats("tune/x")
-	if !ok || sp.Calls != 3 {
-		t.Fatalf("span = %+v ok=%v, want 3 recorded calls", sp, ok)
+	if !ok || sp.Calls != 3 || sp.Min != 0.002 || math.Abs(sp.Seconds-0.011) > 1e-12 {
+		t.Fatalf("span = %+v ok=%v, want 3 calls, 0.011s total, 0.002s min", sp, ok)
 	}
-	if sp.Min > sp.Seconds {
-		t.Fatal("span min exceeds total")
+}
+
+// TestProbeClock: RecordSince stamps an event on the probe's clock, a
+// scripted one included, and SetClock(nil) restores the runtime's.
+func TestProbeClock(t *testing.T) {
+	p := NewProbe()
+	now := 7 * time.Second
+	p.SetClock(func() time.Duration { return now })
+	start := p.Now()
+	now += 1500 * time.Microsecond
+	if got := p.RecordSince(Event{Cat: "core", Name: "core/x"}, start); got != 0.0015 {
+		t.Fatalf("RecordSince = %v, want 0.0015", got)
+	}
+	if sp, _ := p.SpanStats("core/x"); sp.Calls != 1 || sp.Seconds != 0.0015 {
+		t.Fatalf("span = %+v, want one 0.0015s call", sp)
+	}
+	p.SetClock(nil)
+	if a, b := p.Now(), p.Now(); a <= 0 || b < a {
+		t.Fatalf("runtime clock read %v then %v", a, b)
 	}
 }
 
@@ -59,6 +87,9 @@ func TestProbeNilSafe(t *testing.T) {
 	var p *Probe
 	p.Record(Event{Name: "x", Seconds: 1}) // must not panic
 	p.Record(ChoiceEvent("fp", "stencil", 1))
+	if p.RecordSince(Event{Name: "x"}, p.Now()) < 0 {
+		t.Fatal("nil probe's clock ran backwards")
+	}
 	if _, ok := p.SpanStats("x"); ok {
 		t.Fatal("nil probe returned a span")
 	}

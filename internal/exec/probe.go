@@ -8,9 +8,12 @@ import (
 // Probe is the lightweight instrumentation point carried by a Ctx. It
 // records one thing, the Event: timed spans (aggregated by name) and the
 // scheduler's choice events (kept in order), and hands each event as it is
-// recorded to every attached Sink. All methods are safe for concurrent use
-// and nil-safe, so instrumentation points never need guarding.
+// recorded to every attached Sink. It also owns the one clock (Now) every
+// span, measurement pass and training-loop timer reads. All methods but
+// SetClock are safe for concurrent use, and all are nil-safe, so
+// instrumentation points never need guarding.
 type Probe struct {
+	clock   func() time.Duration // nil: the runtime's monotonic clock
 	mu      sync.Mutex
 	spans   map[string]*Span
 	choices []Event
@@ -38,12 +41,6 @@ type Event struct {
 	Planned bool
 }
 
-// Since returns the event stamped with the time elapsed since start.
-func (ev Event) Since(start time.Time) Event {
-	ev.Seconds = time.Since(start).Seconds()
-	return ev
-}
-
 // ChoiceEvent is one scheduler deployment decision: strategy won phase
 // ("fp", "bp", or "bp-flip" for a re-plan that changed the BP strategy) in
 // the measured seconds.
@@ -69,8 +66,34 @@ type Span struct {
 	Min float64
 }
 
-// NewProbe returns an empty probe.
+// NewProbe returns an empty probe on the runtime's monotonic clock.
 func NewProbe() *Probe { return &Probe{spans: make(map[string]*Span)} }
+
+// origin is the runtime clock's zero: Now reads the monotonic time since it.
+var origin = time.Now()
+
+// Now reads the probe's clock: a monotonic time since an arbitrary fixed
+// origin, to be subtracted from a later reading.
+func (p *Probe) Now() time.Duration {
+	if p == nil || p.clock == nil {
+		return time.Since(origin)
+	}
+	return p.clock()
+}
+
+// SetClock replaces the runtime clock Now reads with clock — how a test
+// scripts time; nil restores the runtime clock. Install it before the probe
+// is shared: the clock itself is not guarded, and a scripted clock must be
+// safe for concurrent use.
+func (p *Probe) SetClock(clock func() time.Duration) { p.clock = clock }
+
+// RecordSince stamps ev with the time elapsed since start, an earlier Now
+// reading, records it, and returns the stamped seconds.
+func (p *Probe) RecordSince(ev Event, start time.Duration) float64 {
+	ev.Seconds = (p.Now() - start).Seconds()
+	p.Record(ev)
+	return ev.Seconds
+}
 
 // AddSink attaches s beside any sinks already attached; every later event
 // reaches each of them, in attach order. A nil s is a no-op.

@@ -33,6 +33,10 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
+// ReadHeaderTimeout is how long the metrics server, and spg-serve's
+// inference server, wait for a request's headers before dropping it.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Server is a running metrics endpoint.
 type Server struct {
 	srv *http.Server
@@ -48,7 +52,7 @@ func Serve(addr string, r *Registry) (*Server, error) {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		srv: &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second},
+		srv: &http.Server{Handler: Handler(r), ReadHeaderTimeout: ReadHeaderTimeout},
 		ln:  ln,
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed on Close

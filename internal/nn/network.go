@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"time"
 
 	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
@@ -70,6 +69,10 @@ func NewNetwork(ctx *exec.Ctx, layers ...Layer) *Network {
 
 // Layers returns the layer stack.
 func (n *Network) Layers() []Layer { return n.layers }
+
+// Probe returns the probe the network records its layer events into, whose
+// clock times the network's training steps too.
+func (n *Network) Probe() *exec.Probe { return n.probe }
 
 // InDims returns the per-image input shape.
 func (n *Network) InDims() []int { return n.layers[0].InDims() }
@@ -163,7 +166,7 @@ func (n *Network) Backward(dlogits, ins []*tensor.Tensor) {
 // "layer/<name>/<phase>/<strategy>" naming the strategy the call ran, or
 // "layer/<name>/<phase>" for glue. The steady state allocates nothing.
 func (n *Network) timed(l int, bp bool, fn func()) {
-	start := time.Now()
+	start := n.probe.Now()
 	fn()
 	var run lastRun // glue layers run no strategy
 	switch layer := n.layers[l].(type) {
@@ -190,7 +193,7 @@ func (n *Network) timed(l int, bp bool, fn func()) {
 		n.events[k] = ev
 	}
 	ev.Planned = run.planned
-	n.probe.Record(ev.Since(start))
+	n.probe.RecordSince(ev, start)
 }
 
 // ApplyGrads performs the SGD step on every layer.

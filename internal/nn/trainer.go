@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"time"
-
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -158,7 +156,7 @@ func (t *Trainer) TrainEpoch(ds Dataset, r *rng.RNG) EpochStats {
 	order := r.Perm(ds.Len())
 	var lossSum float64
 	correct := 0
-	start := time.Now()
+	start := t.Net.probe.Now()
 	for lo := 0; lo < len(order); lo += t.BatchSize {
 		t.steps++
 		if t.OnStep != nil {
@@ -168,7 +166,7 @@ func (t *Trainer) TrainEpoch(ds Dataset, r *rng.RNG) EpochStats {
 		lossSum += l
 		correct += c
 	}
-	elapsed := time.Since(start).Seconds()
+	elapsed := (t.Net.probe.Now() - start).Seconds()
 
 	stats := EpochStats{Epoch: t.epoch, Images: len(order), Seconds: elapsed}
 	stats.Account(lossSum, correct, t.Net)

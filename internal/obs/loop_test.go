@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
@@ -14,17 +16,34 @@ import (
 	"spgcnn/internal/tensor"
 )
 
+// tickClock is a scripted probe clock: every reading advances it by one
+// tick. A span therefore lasts as many ticks as the clock readings inside
+// it, the same count on every steady-state call of a layer, and raising the
+// tick stretches every span alike, the way a co-tenant taking the machine
+// would.
+type tickClock struct{ ns, tick atomic.Int64 }
+
+func newTickClock(tick time.Duration) *tickClock {
+	c := &tickClock{}
+	c.tick.Store(int64(tick))
+	return c
+}
+
+func (c *tickClock) now() time.Duration { return time.Duration(c.ns.Add(c.tick.Load())) }
+
 // TestDriftRetuneLoop is the end-to-end acceptance test for the re-tune
-// loop: a real planned layer trains under the observatory; a fake 2x
-// slowdown injected into its spans must fire a drift event within the
-// detector's window, invalidate the affected plan.Key, and cause a fresh
-// measurement pass on the next batch. The control phase (no injection)
+// loop: a real planned layer trains under the observatory on a scripted
+// clock; doubling the clock's tick must fire a drift event on the 5th
+// slowed batch, invalidate the affected plan.Key, and cause a fresh
+// measurement pass on the next batch. The control phase (the same tick)
 // must see zero events, zero invalidations and zero extra measurement
 // passes.
 func TestDriftRetuneLoop(t *testing.T) {
 	s := conv.Spec{Nx: 24, Ny: 24, Nc: 16, Nf: 32, Fx: 3, Fy: 3, Sx: 1, Sy: 1}
 	const workers, batch = 2, 4
 	ctx := exec.New(workers)
+	clock := newTickClock(time.Microsecond)
+	ctx.Probe().SetClock(clock.now)
 	pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
 	r := rng.New(7)
 	// The network's clock emits c1's layer events; a ReLU in front keeps c1
@@ -34,7 +53,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 	net := nn.NewNetwork(ctx, nn.NewReLU("relu", layer.InDims(), workers), layer)
 
 	o := New(Options{
-		Workers: workers, Warmup: 5, Window: 3, Threshold: 1.6,
+		Workers: workers,
 		OnDrift: func(ev DriftEvent) { pl.InvalidateSpec(ev.Spec, ev.Phase) },
 	})
 	o.RegisterLayer("c1", s)
@@ -80,8 +99,10 @@ func TestDriftRetuneLoop(t *testing.T) {
 		t.Fatalf("control phase re-planned: %+v -> %+v", st0, st1)
 	}
 
-	// Fault injection: a fake 2x host slowdown on every observed span.
-	o.SetSlowdown(2)
+	// Fault injection: every span from here on takes twice as long. The
+	// stream's first call planned, so the 5th slowed batch is its 24th
+	// observation.
+	clock.tick.Store(int64(2 * time.Microsecond))
 	fired := -1
 	for i := 0; i < 15; i++ {
 		step()
@@ -90,13 +111,15 @@ func TestDriftRetuneLoop(t *testing.T) {
 			break
 		}
 	}
-	if fired < 0 {
-		t.Fatal("2x slowdown fired no drift event in 15 batches")
+	if fired != 5 {
+		t.Fatalf("2x slowdown fired its first drift event after %d batches, want 5: %v", fired, o.Events())
 	}
-	t.Logf("drift fired after %d slowed batches: %v", fired, o.Events()[0])
 
 	// The trigger invalidated the drifting (spec, phase) keys...
 	ev := o.Events()[0]
+	if ev.Observation != 24 {
+		t.Fatalf("drift fired at observation %d, want 24: %v", ev.Observation, ev)
+	}
 	st2 := pl.Stats()
 	if st2.Invalidations == 0 {
 		t.Fatal("drift event did not invalidate any plan entries")

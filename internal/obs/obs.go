@@ -16,24 +16,27 @@
 // maintains per-layer/per-phase EWMA agreement statistics bucketed by
 // Fig. 1 region and sparsity band.
 //
-// When the EWMA ratio deviates from its frozen baseline by more than
-// Options.Threshold for Options.Window consecutive observations, the
-// observatory emits a drift event — a trace instant, spg_drift_* metric
-// series, and the OnDrift callback. The caller closes that loop with a
-// callback over plan.Planner.InvalidateSpec: the drifting verdicts are
-// dropped and marked stale, so every layer that deployed one re-plans on its
-// next call instead of running the stale verdict.
+// When the EWMA ratio and the span's own ratio both deviate from the frozen
+// baseline by more than DefaultThreshold, on the same side, for
+// DefaultWindow consecutive observations, the observatory emits a drift
+// event — a trace instant, spg_drift_* metric series, and the OnDrift
+// callback. The caller closes that loop with a callback over
+// plan.Planner.InvalidateSpec: the drifting verdicts are dropped and marked
+// stale, so every layer that deployed one re-plans on its next call instead
+// of running the stale verdict.
 //
 // Detection is RELATIVE to the observed baseline, not to the model's
 // absolute prediction: the machine model is calibrated to the paper's
 // hardware, so on an arbitrary host the measured/predicted ratio settles
-// at some host-specific constant. The observatory freezes that constant
-// after Options.Warmup observations and alarms on departures from it —
-// absolute agreement is still reported (Report), it just doesn't alarm.
+// at some host-specific constant. The observatory freezes that constant at
+// the median of the first DefaultWarmup ratios and alarms on departures
+// from it — absolute agreement is still reported (Report), it just doesn't
+// alarm.
 package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"spgcnn/internal/ait"
@@ -46,27 +49,25 @@ import (
 )
 
 // DefaultThreshold is the drift alarm factor: an observation breaches when
-// the smoothed measured/predicted ratio leaves [baseline/t, baseline×t].
-// 1.5× is far outside run-to-run timing noise once EWMA-smoothed, yet
-// fires quickly under genuine interference (a co-tenant stealing half the
-// machine doubles span times).
+// the EWMA ratio and the span's own ratio both leave [baseline/t,
+// baseline×t] on the same side. 1.5× is far outside run-to-run noise, yet
+// a co-tenant stealing half the machine doubles span times.
 const DefaultThreshold = 1.5
 
 // DefaultWindow is the number of CONSECUTIVE breaching observations
-// required before a drift event fires — single-batch hiccups (a GC cycle,
-// a page-fault storm) never trigger a re-tune.
+// required before a drift event fires — one 10× hiccup (a GC cycle, a
+// page-fault storm) lifts the EWMA for several spans, but only it breaches.
 const DefaultWindow = 3
 
 // DefaultAlpha is the EWMA smoothing factor for the agreement ratio.
 const DefaultAlpha = 0.25
 
 // DefaultWarmup is the number of observations of a deployed strategy
-// before its baseline ratio freezes and drift detection arms.
+// before drift detection arms, its baseline frozen at their median ratio.
 const DefaultWarmup = 5
 
 // Options configures an Observatory. The zero value is usable: paper
-// machine model, GOMAXPROCS-sized worker count, and the default
-// threshold/window/alpha/warmup.
+// machine model, one worker. The detector runs at the Default* constants.
 type Options struct {
 	// Machine is the analytical model predictions come from. Nil uses
 	// machine.Paper() — the same default the planner runs with.
@@ -75,14 +76,6 @@ type Options struct {
 	// per-core model rates into wall-time predictions. Zero or negative
 	// defaults to 1; bind the real context's Workers().
 	Workers int
-	// Threshold overrides DefaultThreshold (values <= 1 take the default).
-	Threshold float64
-	// Window overrides DefaultWindow (values < 1 take the default).
-	Window int
-	// Alpha overrides DefaultAlpha (values outside (0, 1] take the default).
-	Alpha float64
-	// Warmup overrides DefaultWarmup (values < 1 take the default).
-	Warmup int
 	// OnDrift, when non-nil, is invoked synchronously (outside the
 	// observatory lock, on the goroutine that observed the breaching
 	// span) for every drift event — the re-tune trigger seam, typically
@@ -146,7 +139,8 @@ type stream struct {
 	rate      float64 // dense-equivalent GFlops/core under the model
 	sparsity  float64 // sparsity the rate was computed at
 	ewma      float64
-	baseline  float64 // frozen after warmup; 0 while warming
+	warm      [DefaultWarmup]float64 // the warm-up ratios
+	baseline  float64                // frozen after warm-up; 0 while warming
 	obs       int64
 	breaches  int
 	drifts    int
@@ -171,7 +165,6 @@ type Observatory struct {
 	layers   map[string]*layerInfo
 	streams  map[streamKey]*stream
 	batch    int
-	slowdown float64 // fault-injection factor; 0 or 1 = off
 	events   []DriftEvent
 	eventCtr *metrics.Counter
 }
@@ -193,18 +186,6 @@ func New(opts Options) *Observatory {
 	}
 	if o.opts.Workers < 1 {
 		o.opts.Workers = 1
-	}
-	if o.opts.Threshold <= 1 {
-		o.opts.Threshold = DefaultThreshold
-	}
-	if o.opts.Window < 1 {
-		o.opts.Window = DefaultWindow
-	}
-	if o.opts.Alpha <= 0 || o.opts.Alpha > 1 {
-		o.opts.Alpha = DefaultAlpha
-	}
-	if o.opts.Warmup < 1 {
-		o.opts.Warmup = DefaultWarmup
 	}
 	if r := o.opts.Metrics; r != nil {
 		o.eventCtr = r.Counter("spg_drift_events_total",
@@ -272,17 +253,6 @@ func (o *Observatory) SetSparsity(layer string, wSparsity, eoSparsity float64) {
 	}
 }
 
-// SetSlowdown installs the fault-injection factor: every subsequently
-// observed span time is multiplied by f before accounting, simulating a
-// host slowdown (co-tenant interference) without perturbing the workload.
-// This is the deterministic seam the drift acceptance test (cmd/spg-train
-// TestDriftInjectionAndControl) injects through. f <= 0 or 1 disables.
-func (o *Observatory) SetSlowdown(f float64) {
-	o.mu.Lock()
-	o.slowdown = f
-	o.mu.Unlock()
-}
-
 // Record implements exec.Sink: a layer event of a registered layer's
 // deployed strategy is folded into its (layer, phase) stream's agreement
 // state. Every other event passes through untouched, and so does a layer
@@ -300,9 +270,6 @@ func (o *Observatory) Record(ev exec.Event) {
 	if li == nil {
 		o.mu.Unlock()
 		return
-	}
-	if o.slowdown > 0 && o.slowdown != 1 {
-		seconds *= o.slowdown
 	}
 	key := streamKey{layer: layer, phase: phase}
 	st := o.streams[key]
@@ -360,20 +327,23 @@ func (o *Observatory) Record(ev exec.Event) {
 	if st.obs == 1 {
 		st.ewma = ratio
 	} else {
-		st.ewma = o.opts.Alpha*ratio + (1-o.opts.Alpha)*st.ewma
+		st.ewma = DefaultAlpha*ratio + (1-DefaultAlpha)*st.ewma
 	}
 	if st.ratioG != nil {
 		st.ratioG.Set(ratio)
 		st.ewmaG.Set(st.ewma)
 	}
-	switch {
-	case st.baseline == 0:
-		if st.obs >= int64(o.opts.Warmup) {
-			st.baseline = st.ewma
+	switch side := outOfBand(st.ewma, st.baseline); {
+	case st.obs <= DefaultWarmup:
+		st.warm[st.obs-1] = ratio
+		if st.obs == DefaultWarmup {
+			w := st.warm
+			slices.Sort(w[:])
+			st.baseline = w[DefaultWarmup/2]
 		}
-	case st.ewma > st.baseline*o.opts.Threshold || st.ewma < st.baseline/o.opts.Threshold:
+	case side != 0 && side == outOfBand(ratio, st.baseline):
 		st.breaches++
-		if st.breaches >= o.opts.Window {
+		if st.breaches >= DefaultWindow {
 			sp := st.sparsity
 			classify := sp
 			if phase == "fp" {
@@ -392,7 +362,7 @@ func (o *Observatory) Record(ev exec.Event) {
 			st.breaches = 0
 			// Re-arm against the new steady state: baseline moves to the
 			// current EWMA so a persistent slowdown doesn't fire every
-			// Window observations.
+			// DefaultWindow observations.
 			st.baseline = st.ewma
 			fire = &ev
 		}
@@ -411,6 +381,19 @@ func (o *Observatory) Record(ev exec.Event) {
 			cb(*fire)
 		}
 	}
+}
+
+// outOfBand reports which side of [baseline/DefaultThreshold,
+// baseline×DefaultThreshold] the ratio r lies on: +1 above, -1 below, 0
+// inside.
+func outOfBand(r, baseline float64) int {
+	switch {
+	case r > baseline*DefaultThreshold:
+		return 1
+	case r < baseline/DefaultThreshold:
+		return -1
+	}
+	return 0
 }
 
 // predictLocked models the wall time of one whole-batch span: batch ×

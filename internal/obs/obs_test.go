@@ -81,7 +81,6 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	s := testSpec()
 	var got []DriftEvent
 	o := newTestObservatory(Options{
-		Warmup: 3, Window: 4, Threshold: 1.5,
 		OnDrift: func(ev DriftEvent) { got = append(got, ev) },
 	})
 	o.RegisterLayer("c1", s)
@@ -94,27 +93,25 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("drift during steady state: %v", got)
 	}
-	// A fake 2x slowdown: the EWMA must cross baseline*1.5 and, after
-	// Window consecutive breaching observations, fire exactly one event.
+	// A sustained 2x slowdown. Every slowed span is out of band at once;
+	// the EWMA (alpha 0.25) reads 1.25, 1.44, 1.58, 1.68, 1.76, so it
+	// crosses 1.5x the baseline on the 3rd slowed observation, and the 3rd
+	// consecutive breach fires on the 5th: observation 9 + 5 = 14.
 	steps := 0
 	for i := 0; i < 50 && len(got) == 0; i++ {
 		o.Record(layerEvent("bp", "parallel-gemm", 2*pred, false))
 		steps++
 	}
-	if len(got) != 1 {
-		t.Fatalf("drift events = %d after %d slowed steps", len(got), steps)
+	if len(got) != 1 || steps != 5 {
+		t.Fatalf("drift events = %d after %d slowed steps, want 1 after 5", len(got), steps)
 	}
 	ev := got[0]
 	if ev.Layer != "c1" || ev.Phase != "bp" || ev.Strategy != "parallel-gemm" {
 		t.Fatalf("event = %+v", ev)
 	}
-	if ev.Ratio/ev.Baseline < 1.5 {
-		t.Fatalf("event ratio %.3f / baseline %.3f below threshold", ev.Ratio, ev.Baseline)
-	}
-	// EWMA(0.25) crossing 1.5 needs ceil(log(1-0.5/1)/log(0.75)) = 3 obs,
-	// plus Window=4 consecutive breaches: must fire within ~10 steps.
-	if steps > 10 {
-		t.Fatalf("drift took %d steps to fire", steps)
+	if ev.Observation != 14 || math.Abs(ev.Baseline-1) > 1e-9 || math.Abs(ev.Ratio-(2-math.Pow(0.75, 5))) > 1e-9 {
+		t.Fatalf("event at observation %d, ratio %v, baseline %v; want 14, %v, 1",
+			ev.Observation, ev.Ratio, ev.Baseline, 2-math.Pow(0.75, 5))
 	}
 	// The baseline re-arms at the new steady state: continued 2x spans
 	// fire nothing further.
@@ -129,34 +126,69 @@ func TestDriftFiresAfterConsecutiveBreaches(t *testing.T) {
 	}
 }
 
-func TestSlowdownInjectionSeam(t *testing.T) {
+// TestWarmupSpikeFiresNothing: one 8x or 10x span among the warm-up
+// observations, at any position, is an outlier the baseline ignores. It
+// freezes at the warm-up median, 1, so the spans after it stay in band even
+// while the EWMA still carries the spike, and a later sustained 2x fires on
+// its 5th observation exactly as it would without the spike. A baseline
+// frozen at the EWMA would sit at 1.6-3.25 and alarm as the EWMA decayed.
+func TestWarmupSpikeFiresNothing(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 3, Window: 3})
+	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for _, spike := range []float64{8, 10} {
+		for at := 0; at < DefaultWarmup; at++ {
+			o := newTestObservatory(Options{})
+			o.RegisterLayer("c1", s)
+			o.SetBatch(2)
+			o.Record(layerEvent("fp", "parallel-gemm", pred, true))
+			for i := 0; i < DefaultWarmup; i++ {
+				f := 1.0
+				if i == at {
+					f = spike
+				}
+				o.Record(layerEvent("fp", "parallel-gemm", f*pred, false))
+			}
+			for i := 0; i < 30; i++ {
+				o.Record(layerEvent("fp", "parallel-gemm", pred, false))
+			}
+			if evs := o.Events(); len(evs) != 0 {
+				t.Fatalf("%gx span at warm-up observation %d fired %v", spike, at+1, evs)
+			}
+			for i := 0; i < 5; i++ {
+				o.Record(layerEvent("fp", "parallel-gemm", 2*pred, false))
+			}
+			if evs := o.Events(); len(evs) != 1 || evs[0].Observation != DefaultWarmup+35 || math.Abs(evs[0].Baseline-1) > 1e-9 {
+				t.Fatalf("%gx span at warm-up observation %d: sustained 2x fired %v, want one event at observation %d against baseline 1",
+					spike, at+1, evs, DefaultWarmup+35)
+			}
+		}
+	}
+}
+
+// TestSteadyStateSpikeFiresNothing: one 10x span on a settled stream lifts
+// the EWMA above 1.5x the baseline for six observations, but only the
+// spike's own ratio is out of band, so it is one breach, not three.
+func TestSteadyStateSpikeFiresNothing(t *testing.T) {
+	s := testSpec()
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
-	pred := modelSeconds(t, s, "fp", "stencil", 0, 2, 2)
-	for i := 0; i < 8; i++ {
-		o.Record(layerEvent("fp", "stencil", pred, i == 0))
+	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
+	for i := 0; i < 10; i++ {
+		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
-	o.SetSlowdown(2)
+	o.Record(layerEvent("fp", "parallel-gemm", 10*pred, false))
 	for i := 0; i < 20; i++ {
-		o.Record(layerEvent("fp", "stencil", pred, false)) // same wall time; injection slows it
+		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
 	}
-	if n := len(o.Events()); n != 1 {
-		t.Fatalf("injected slowdown fired %d events, want 1", n)
-	}
-	o.SetSlowdown(0) // disable: back to 1x -> drifts back DOWN eventually
-	for i := 0; i < 20; i++ {
-		o.Record(layerEvent("fp", "stencil", pred, false))
-	}
-	if n := len(o.Events()); n != 2 {
-		t.Fatalf("recovery fired %d events total, want 2 (one per direction)", n)
+	if evs := o.Events(); len(evs) != 0 {
+		t.Fatalf("one 10x span fired %v", evs)
 	}
 }
 
 func TestRedeployResetsStream(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 2, Window: 2})
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	p1 := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
@@ -185,7 +217,7 @@ func TestRedeployResetsStream(t *testing.T) {
 // after.
 func TestDriftCountSurvivesRedeploy(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 3, Window: 3})
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
@@ -228,12 +260,11 @@ func TestDriftCountSurvivesRedeploy(t *testing.T) {
 // TestPlannedCallIsNotObserved: a call that re-planned and deployed the same
 // strategy again (a BP band or invalidation re-plan, a serving bucket's
 // first use) carries the measurement pass in its time. The observatory drops
-// exactly that event, so a 10x planned call on a settled stream neither
-// breaches — even with a one-observation window — nor lands in the row's
-// Calls and Measured totals.
+// exactly that event, so a 10x planned call on a settled stream moves
+// neither the EWMA nor the row's Calls and Measured totals.
 func TestPlannedCallIsNotObserved(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 3, Window: 1})
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
@@ -251,14 +282,15 @@ func TestPlannedCallIsNotObserved(t *testing.T) {
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %+v", rep.Rows)
 	}
-	if r := rep.Rows[0]; r.Calls != 10 || math.Abs(r.MeasuredSeconds-10*pred) > 1e-9*pred {
-		t.Fatalf("row counts %d calls, %g s measured; want 10 calls, %g s", r.Calls, r.MeasuredSeconds, 10*pred)
+	if r := rep.Rows[0]; r.Calls != 10 || math.Abs(r.MeasuredSeconds-10*pred) > 1e-9*pred || math.Abs(r.EWMA-1) > 1e-9 {
+		t.Fatalf("row counts %d calls, %g s measured, ewma %v; want 10 calls, %g s, ewma 1",
+			r.Calls, r.MeasuredSeconds, r.EWMA, 10*pred)
 	}
 }
 
 func TestSparsityRerateIsNotDrift(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 3, Window: 3})
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	o.SetSparsity("c1", 0, 0.2)
@@ -307,16 +339,15 @@ func TestIgnoresForeignSpans(t *testing.T) {
 func TestMetricsExport(t *testing.T) {
 	s := testSpec()
 	r := metrics.NewRegistry()
-	o := newTestObservatory(Options{Warmup: 2, Window: 2, Metrics: r})
+	o := newTestObservatory(Options{Metrics: r})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 6; i++ {
 		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
-	o.SetSlowdown(3)
 	for i := 0; i < 10; i++ {
-		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
+		o.Record(layerEvent("fp", "parallel-gemm", 3*pred, false))
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -393,16 +424,15 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 
 func TestRenderReport(t *testing.T) {
 	s := testSpec()
-	o := newTestObservatory(Options{Warmup: 2, Window: 2})
+	o := newTestObservatory(Options{})
 	o.RegisterLayer("c1", s)
 	o.SetBatch(2)
 	pred := modelSeconds(t, s, "fp", "parallel-gemm", 0, 2, 2)
 	for i := 0; i < 6; i++ {
 		o.Record(layerEvent("fp", "parallel-gemm", pred, i == 0))
 	}
-	o.SetSlowdown(4)
 	for i := 0; i < 8; i++ {
-		o.Record(layerEvent("fp", "parallel-gemm", pred, false))
+		o.Record(layerEvent("fp", "parallel-gemm", 4*pred, false))
 	}
 	var sb strings.Builder
 	o.Report().Render(&sb)

@@ -11,6 +11,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 )
 
@@ -81,10 +82,10 @@ func (o *Observatory) Report() Report {
 		Schema:    ReportSchemaVersion,
 		Host:      machine.HostInfo().Fingerprint(),
 		Workers:   o.opts.Workers,
-		Threshold: o.opts.Threshold,
-		Window:    o.opts.Window,
-		Alpha:     o.opts.Alpha,
-		Warmup:    o.opts.Warmup,
+		Threshold: DefaultThreshold,
+		Window:    DefaultWindow,
+		Alpha:     DefaultAlpha,
+		Warmup:    DefaultWarmup,
 		Events:    append([]DriftEvent(nil), o.events...),
 	}
 	for key, cur := range o.streams {
@@ -156,23 +157,8 @@ func (rep Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// WriteFile writes the report to path atomically (sibling temp + rename).
-func (rep Report) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = rep.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+// WriteFile writes the report to path atomically (exec.WriteFileAtomic).
+func (rep Report) WriteFile(path string) error { return exec.WriteFileAtomic(path, rep.WriteJSON) }
 
 // ReadReport decodes and validates a report.
 func ReadReport(r io.Reader) (Report, error) {

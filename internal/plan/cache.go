@@ -10,6 +10,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/machine"
 )
 
@@ -133,23 +134,8 @@ func (p *Planner) Load(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// SaveFile writes the cache to path (atomically via a sibling temp file).
-func (p *Planner) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = p.Save(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+// SaveFile writes the cache to path atomically (exec.WriteFileAtomic).
+func (p *Planner) SaveFile(path string) error { return exec.WriteFileAtomic(path, p.Save) }
 
 // LoadFile merges the cache at path. A missing file is not an error — it
 // is the cold-start case — and reports zero entries.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,12 +19,12 @@ import (
 )
 
 // The fake strategies mirror core's autoconv tests: no real compute, and
-// every verdict is a winner that returns at once against losers that sleep
-// for milliseconds. A loaded host stretches sleeps but never shortens one,
-// so a verdict flips only if a multi-millisecond stall lands inside the
-// winner's function-call-long timed window. They carry no analytical model,
-// so the planner's prune pass leaves them untouched and the measured path
-// sees every candidate — exactly the pre-planner ChooseFP/ChooseBP behavior.
+// every verdict is decided by the costs fake kernels charge to the scripted
+// clock of the context they run under (newCtx). That clock stands still
+// until charged, so a measurement reads exactly the charged cost and no
+// verdict depends on the host's load. They carry no analytical model, so
+// the planner's prune pass leaves them untouched and the measured path sees
+// every candidate — exactly the pre-planner ChooseFP/ChooseBP behavior.
 type fakeKernel struct {
 	spec   conv.Spec
 	name   string
@@ -31,11 +32,33 @@ type fakeKernel struct {
 	bpCost func(sparsity float64) time.Duration
 }
 
+// clocks maps each newCtx context's probe to its scripted clock reading.
+var clocks sync.Map // *exec.Probe -> *atomic.Int64
+
+// newCtx is exec.New on a scripted clock that moves only when a fake kernel
+// charges it.
+func newCtx(workers int) *exec.Ctx {
+	ctx := exec.New(workers)
+	ns := new(atomic.Int64)
+	clocks.Store(ctx.Probe(), ns)
+	ctx.Probe().SetClock(func() time.Duration { return time.Duration(ns.Load()) })
+	return ctx
+}
+
+// charge advances the scripted clock of c, a newCtx context, by d.
+func charge(c *exec.Ctx, d time.Duration) {
+	ns, ok := clocks.Load(c.Probe())
+	if !ok {
+		panic("plan test: fake kernel ran outside a newCtx context")
+	}
+	ns.(*atomic.Int64).Add(int64(d))
+}
+
 func (k fakeKernel) Name() string    { return k.name }
 func (k fakeKernel) Spec() conv.Spec { return k.spec }
 
 func (k fakeKernel) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	time.Sleep(k.fpCost)
+	charge(c, k.fpCost)
 }
 
 func (k fakeKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w *tensor.Tensor) {
@@ -46,7 +69,7 @@ func (k fakeKernel) BackwardInputBatch(c *exec.Ctx, eis, eos []*tensor.Tensor, w
 	for _, eo := range eos {
 		sum += eo.Sparsity()
 	}
-	time.Sleep(k.bpCost(sum / float64(len(eos))))
+	charge(c, k.bpCost(sum/float64(len(eos))))
 }
 
 func (k fakeKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
@@ -129,14 +152,14 @@ func TestColdPathMatchesChoose(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 
 	p := fakePlanner()
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 	fpGot := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{Reps: 1})
 	bpGot := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{Reps: 1})
 	if fpGot.FromCache || bpGot.FromCache {
 		t.Fatal("first selections must not come from the cache")
 	}
 
-	ref := exec.New(2)
+	ref := newCtx(2)
 	fpWant := core.ChooseFP(fakeFP(), testSpec, ref, ins, w, core.TuneOptions{Reps: 1})
 	bpWant := core.ChooseBP(fakeBP(), testSpec, ref, eos, ins, w, core.TuneOptions{Reps: 1})
 
@@ -166,14 +189,14 @@ func TestWarmPathZeroTuneSpans(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 	p := fakePlanner()
 
-	ctx1 := exec.New(2)
+	ctx1 := newCtx(2)
 	p.PlanFP(testSpec, ctx1, ins, w, core.TuneOptions{})
 	p.PlanBP(testSpec, ctx1, eos, ins, w, core.TuneOptions{})
 	if len(tuneSpans(ctx1)) == 0 {
 		t.Fatal("cold context should carry tune spans")
 	}
 
-	ctx2 := exec.New(2)
+	ctx2 := newCtx(2)
 	fp := p.PlanFP(testSpec, ctx2, ins, w, core.TuneOptions{})
 	bp := p.PlanBP(testSpec, ctx2, eos, ins, w, core.TuneOptions{})
 	if !fp.FromCache || !bp.FromCache {
@@ -211,7 +234,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx := exec.New(2)
+			ctx := newCtx(2)
 			pd := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
 			winners[i] = pd.Chosen.Strategy().Name
 		}(i)
@@ -237,7 +260,7 @@ func TestSingleFlight(t *testing.T) {
 // new band, and the crossover flips the winner.
 func TestBPBandShiftRemeasures(t *testing.T) {
 	p := fakePlanner()
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 
 	ins, denseEOs, w := sampleTensors(t, testSpec, 2, 0)
 	dense := p.PlanBP(testSpec, ctx, denseEOs, ins, w, core.TuneOptions{})
@@ -271,9 +294,9 @@ func TestBPBandShiftRemeasures(t *testing.T) {
 func TestInvalidateSpecMarksDeployedVerdictsStale(t *testing.T) {
 	p := fakePlanner()
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
-	fp := p.PlanFP(testSpec, exec.New(1), ins, w, core.TuneOptions{})
-	cold := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
-	warm := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	fp := p.PlanFP(testSpec, newCtx(1), ins, w, core.TuneOptions{})
+	cold := p.PlanBP(testSpec, newCtx(1), eos, ins, w, core.TuneOptions{})
+	warm := p.PlanBP(testSpec, newCtx(1), eos, ins, w, core.TuneOptions{})
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -282,7 +305,7 @@ func TestInvalidateSpecMarksDeployedVerdictsStale(t *testing.T) {
 	if _, err := loaded.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fromFile := loaded.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	fromFile := loaded.PlanBP(testSpec, newCtx(1), eos, ins, w, core.TuneOptions{})
 	if !warm.FromCache || !fromFile.FromCache {
 		t.Fatal("repeat and loaded requests should deploy from cache")
 	}
@@ -300,7 +323,7 @@ func TestInvalidateSpecMarksDeployedVerdictsStale(t *testing.T) {
 	if fp.Stale.Load() {
 		t.Fatal("invalidating BP marked the FP verdict stale")
 	}
-	if again := p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{}); again.Stale.Load() {
+	if again := p.PlanBP(testSpec, newCtx(1), eos, ins, w, core.TuneOptions{}); again.Stale.Load() {
 		t.Fatal("the re-measured verdict is born stale")
 	}
 }
@@ -318,7 +341,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		BP:   func(int) []core.Strategy { return fakeBP() },
 		Tune: core.TuneOptions{Reps: 1},
 	})
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 	fpCold := a.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
 	a.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{})
 
@@ -340,7 +363,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d entries, want 2", n)
 	}
 
-	ctx2 := exec.New(2)
+	ctx2 := newCtx(2)
 	fpWarm := b.PlanFP(testSpec, ctx2, ins, w, core.TuneOptions{})
 	bpWarm := b.PlanBP(testSpec, ctx2, eos, ins, w, core.TuneOptions{})
 	if !fpWarm.FromCache || !bpWarm.FromCache {
@@ -375,7 +398,7 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 func TestLoadSkipsMalformedEntries(t *testing.T) {
 	ins, _, w := sampleTensors(t, testSpec, 2, 0)
 	a := fakePlanner()
-	a.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{})
+	a.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{})
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -423,7 +446,7 @@ func TestHostMismatchNeverDeploys(t *testing.T) {
 		BP:   func(int) []core.Strategy { return fakeBP() },
 		Tune: core.TuneOptions{Reps: 1},
 	})
-	a.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{})
+	a.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{})
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -433,7 +456,7 @@ func TestHostMismatchNeverDeploys(t *testing.T) {
 	if _, err := b.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	pd := b.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{})
+	pd := b.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{})
 	if pd.FromCache {
 		t.Fatal("a verdict measured on another host deployed here")
 	}
@@ -568,7 +591,7 @@ func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 		BP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-bp", 0, nil)} },
 		Tune: core.TuneOptions{Reps: 1},
 	})
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 	old.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
 	old.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{})
 	var buf bytes.Buffer
@@ -645,7 +668,7 @@ func TestPlannerSelectsSparseWeightForPrunedLayer(t *testing.T) {
 func TestBatchBucketsKeySeparately(t *testing.T) {
 	ins, _, w := sampleTensors(t, testSpec, 2, 0)
 	p := fakePlanner()
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 
 	p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})         // unkeyed (training)
 	p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{Batch: 4}) // bucket 4
@@ -685,7 +708,7 @@ func TestBatchKeyPersistence(t *testing.T) {
 	}
 
 	a := mk()
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 	a.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
 	a.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{Batch: 4})
 
@@ -702,10 +725,10 @@ func TestBatchKeyPersistence(t *testing.T) {
 	if n, err := b.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 2 {
 		t.Fatalf("Load = %d, %v; want 2 entries", n, err)
 	}
-	if got := b.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{Batch: 4}); !got.FromCache {
+	if got := b.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{Batch: 4}); !got.FromCache {
 		t.Fatal("batch-keyed verdict did not survive the round trip")
 	}
-	if got := b.PlanFP(testSpec, exec.New(2), ins, w, core.TuneOptions{}); !got.FromCache {
+	if got := b.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{}); !got.FromCache {
 		t.Fatal("unkeyed verdict did not survive the round trip")
 	}
 	if st := b.Stats(); st.Measurements != 0 {
@@ -758,7 +781,7 @@ func TestPlannerDeploysSparseWhereThePaperSays(t *testing.T) {
 func TestFirstLayerVerdictsKeySeparately(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 	p := fakePlanner()
-	ctx := exec.New(2)
+	ctx := newCtx(2)
 	p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: true})
 	if pd := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{}); pd.FromCache {
 		t.Fatal("a mid-network request deployed the first layer's verdict")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spgcnn/internal/core"
-	"spgcnn/internal/exec"
 	"spgcnn/internal/trace"
 )
 
@@ -17,9 +16,9 @@ func TestPlannerTraceEvents(t *testing.T) {
 	p.SetTrace(rec.Emitter(-1, 0))
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 
-	ctx := exec.New(1)
+	ctx := newCtx(1)
 	p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{})
-	p.PlanBP(testSpec, exec.New(1), eos, ins, w, core.TuneOptions{})
+	p.PlanBP(testSpec, newCtx(1), eos, ins, w, core.TuneOptions{})
 
 	var measures, hits []trace.Event
 	for _, ev := range rec.Events() {

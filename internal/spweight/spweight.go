@@ -23,7 +23,6 @@ package spweight
 
 import (
 	"sync"
-	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
@@ -91,11 +90,11 @@ func (k *Kernel) compressed(c *exec.Ctx, w *tensor.Tensor) *csrPlan {
 		c.Probe().Record(k.hit)
 		return k.plan
 	}
-	start := time.Now()
+	start := c.Probe().Now()
 	k.plan = compress(k.spec, w, k.plan)
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Record(k.miss.Since(start))
+	c.Probe().RecordSince(k.miss, start)
 	return k.plan
 }
 

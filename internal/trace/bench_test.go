@@ -14,7 +14,7 @@ func BenchmarkEmitRing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Span("layer", "layer/conv0/fp/stencil", start, time.Millisecond)
+		e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, start, time.Millisecond)
 	}
 }
 
@@ -28,7 +28,7 @@ func BenchmarkEmitRingParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		e := r.Emitter(0, 0)
 		for pb.Next() {
-			e.Span("layer", "layer/conv0/fp/stencil", start, time.Millisecond)
+			e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, start, time.Millisecond)
 		}
 	})
 }
@@ -41,7 +41,7 @@ func BenchmarkEmitFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Span("layer", "layer/conv0/fp/stencil", start, time.Millisecond)
+		e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, start, time.Millisecond)
 	}
 }
 
@@ -54,6 +54,6 @@ func BenchmarkEmitDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Span("layer", "layer/conv0/fp/stencil", start, time.Millisecond)
+		e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, start, time.Millisecond)
 	}
 }

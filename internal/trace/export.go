@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"sort"
+
+	"spgcnn/internal/exec"
 )
 
 // SortEvents orders events deterministically: ascending start time, then
@@ -157,17 +159,11 @@ func WriteJSON(w io.Writer, c Capture) error {
 	return enc.Encode(out)
 }
 
-// WriteFile writes the recorder's capture to path.
+// WriteFile writes the recorder's capture to path atomically
+// (exec.WriteFileAtomic).
 func (r *Recorder) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WriteJSON(f, r.Capture())
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	c := r.Capture()
+	return exec.WriteFileAtomic(path, func(w io.Writer) error { return WriteJSON(w, c) })
 }
 
 // ReadJSON parses a capture written by WriteJSON (metadata rows are

@@ -380,20 +380,8 @@ func (e *Emitter) emit(ev Event) {
 	e.r.record(e.shard, ev)
 }
 
-// Span records a complete event with an explicit start and duration.
-func (e *Emitter) Span(cat, name string, start time.Time, dur time.Duration) {
-	if e == nil || e.r == nil {
-		return
-	}
-	ts := int64(start.Sub(e.r.start))
-	if ts < 0 {
-		ts = 0
-	}
-	e.emit(Event{Name: name, Cat: cat, Phase: 'X', Ts: ts, Dur: int64(dur)})
-}
-
-// SpanDetail records a complete event carrying a label and a numeric
-// payload.
+// SpanDetail records a complete event with an explicit start and duration,
+// carrying a label and a numeric payload (both may be zero).
 func (e *Emitter) SpanDetail(cat, name, detail string, value float64, start time.Time, dur time.Duration) {
 	if e == nil || e.r == nil {
 		return
@@ -449,7 +437,7 @@ func (e *Emitter) Region(cat, name string, fn func()) {
 		defer rtrace.StartRegion(ctx, name).End()
 		fn()
 	})
-	e.Span(cat, name, start, time.Since(start))
+	e.SpanDetail(cat, name, "", 0, start, time.Since(start))
 }
 
 // WithRegion runs fn inside a runtime/trace region (no event recording) —

@@ -34,7 +34,7 @@ func TestNilRecorderAndEmitterAreInert(t *testing.T) {
 		t.Fatal("nil recorder returned stats")
 	}
 	e := r.Emitter(0, 0)
-	e.Span("c", "n", time.Now(), time.Millisecond)
+	e.SpanDetail("c", "n", "", 0, time.Now(), time.Millisecond)
 	e.Instant("c", "n", "", 0)
 	e.End("c", "n", 0.1)
 	ran := false
@@ -52,7 +52,7 @@ func TestEmitterStampsIdentityStepAndBand(t *testing.T) {
 	r.SetStep(7)
 	r.SetBand(3)
 	e := r.Emitter(2, 1)
-	e.Span("layer", "layer/conv0/fp/stencil", time.Now(), time.Millisecond)
+	e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, time.Now(), time.Millisecond)
 	e.Instant("epoch", "epoch", "detail", 42)
 	evs := r.Events()
 	if len(evs) != 2 {
@@ -190,10 +190,9 @@ func TestRegionRecordsSpanAndRuns(t *testing.T) {
 	r := New(Options{})
 	e := r.Emitter(0, 0)
 	ran := false
-	e.Region("step", "step", func() {
-		ran = true
-		time.Sleep(time.Millisecond)
-	})
+	start := time.Now()
+	e.Region("step", "step", func() { ran = true })
+	wall := time.Since(start)
 	if !ran {
 		t.Fatal("Region did not run fn")
 	}
@@ -201,8 +200,8 @@ func TestRegionRecordsSpanAndRuns(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "step" || evs[0].Phase != 'X' {
 		t.Fatalf("events = %+v", evs)
 	}
-	if evs[0].Dur < int64(time.Millisecond) {
-		t.Fatalf("region dur = %d, want >= 1ms", evs[0].Dur)
+	if evs[0].Dur < 0 || evs[0].Dur > int64(wall) {
+		t.Fatalf("region dur = %d, want within the %d ns the call took", evs[0].Dur, wall)
 	}
 }
 

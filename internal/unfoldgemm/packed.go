@@ -3,7 +3,6 @@ package unfoldgemm
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/engine"
@@ -97,12 +96,12 @@ func (k *PackedKernel) plans(c *exec.Ctx, w *tensor.Tensor) (fp, bp *gemm.Packed
 		c.Probe().Record(k.hit)
 		return k.fp, k.bp
 	}
-	start := time.Now()
+	start := c.Probe().Now()
 	k.fp = gemm.PackBTrans(&wmat)
 	k.bp = gemm.PackB(&wmat)
 	k.wdata = w.Data
 	k.wver = w.Ver
-	c.Probe().Record(k.miss.Since(start))
+	c.Probe().RecordSince(k.miss, start)
 	return k.fp, k.bp
 }
 

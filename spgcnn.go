@@ -31,6 +31,8 @@
 package spgcnn
 
 import (
+	"io"
+
 	"spgcnn/internal/ait"
 	"spgcnn/internal/bench"
 	"spgcnn/internal/conv"
@@ -132,6 +134,12 @@ type ArenaStats = tensor.ArenaStats
 // NewCtx builds an execution context with the given worker count (minimum
 // 1), a fresh arena and a fresh probe.
 func NewCtx(workers int) *Ctx { return exec.New(workers) }
+
+// WriteFileAtomic writes path through write via a sibling temp file, so a
+// failed or interrupted write leaves the previous file intact.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	return exec.WriteFileAtomic(path, write)
+}
 
 // Kernels (paper §4).
 
@@ -337,6 +345,10 @@ type MetricsServer = metrics.Server
 // MetricsSpanStats is one span's aggregate (calls, total seconds, min,
 // max).
 type MetricsSpanStats = metrics.SpanStats
+
+// ReadHeaderTimeout is how long the metrics endpoint, and spg-serve's
+// inference endpoint, wait for a request's headers.
+const ReadHeaderTimeout = metrics.ReadHeaderTimeout
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
