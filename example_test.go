@@ -61,7 +61,7 @@ func ExampleNewStencil() {
 // step) reuses the buffers the first acquired instead of allocating.
 func ExampleCtx() {
 	ctx := spgcnn.NewCtx(2)
-	layer0 := spgcnn.Square(16, 8, 3, 5, 1)
+	layer0 := spgcnn.Square(16, 8, 3, 5, 2) // strided: the stencil stages its Eq. 21 split in scratch
 	layer1 := spgcnn.Square(12, 16, 8, 3, 1)
 	r := spgcnn.NewRNG(7)
 

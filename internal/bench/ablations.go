@@ -68,10 +68,15 @@ func RunAblationRTile(o Options) []Table {
 		reps = 5
 	}
 	t := Table{
-		Title:   "Ablation: stencil register-tile height (measured GFlops, single core)",
-		Note:    "chosen = the basic-block generator's pick for this implementation",
-		Columns: []string{"Spec", "ry=1", "ry=2", "ry=3", "ry=4", "chosen"},
+		Title: "Ablation: stencil register-tile height (measured GFlops, single core)",
+		Note: fmt.Sprintf("chosen = the basic-block generator's pick for this implementation; "+
+			"tiles taller than ry=%d exceed the %d-register budget", stencil.MaxRY, stencil.NumRegisters),
+		Columns: []string{"Spec"},
 	}
+	for ry := 1; ry <= stencil.MaxRY; ry++ {
+		t.Columns = append(t.Columns, fmt.Sprintf("ry=%d", ry))
+	}
+	t.Columns = append(t.Columns, "chosen")
 	r := rng.New(0xAB2)
 	c := exec.New(1)
 	specs := []conv.Spec{
@@ -84,7 +89,7 @@ func RunAblationRTile(o Options) []Table {
 		w := conv.RandWeights(r, s)
 		out := conv.NewOutput(s)
 		cells := []any{s.String()}
-		for ry := 1; ry <= 4; ry++ {
+		for ry := 1; ry <= stencil.MaxRY; ry++ {
 			p := stencil.ChoosePlan(s)
 			p.RY = ry
 			el := fpTime(reps, c, stencil.NewWithPlan(p), out, in, w)

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"spgcnn/internal/stencil"
 )
 
 func quickOpts() Options { return Options{Scale: "quick", Workers: 2} }
@@ -305,7 +307,7 @@ func TestAblationRTileSmoke(t *testing.T) {
 	}
 	tabs := RunAblationRTile(quickOpts())
 	for _, row := range tabs[0].Rows {
-		for _, cell := range row[1:5] {
+		for _, cell := range row[1 : 1+stencil.MaxRY] {
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil || v <= 0 {
 				t.Fatalf("bad GFlops cell %q", cell)

@@ -160,19 +160,9 @@ func RunDifferential(t *testing.T, gen, ref engine.Generator, opts DiffOptions) 
 	r := rng.New(opts.Seed)
 
 	c := exec.New(opts.Workers)
-	poisonArena(c)
+	PoisonArena(c)
 
-	specs := []conv.Spec{
-		conv.Square(4, 1, 1, 1, 1),
-		conv.Square(9, 3, 2, 3, 3),
-		conv.Spec{Nx: 11, Ny: 5, Nc: 2, Nf: 3, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
-		// Odd prime dims and stride > 1 on both axes: geometries whose
-		// GEMM shapes hit every remainder path of the register kernels
-		// (partial panels, M/N/K not multiples of the tile widths).
-		conv.Spec{Nx: 13, Ny: 7, Nc: 3, Nf: 5, Fx: 3, Fy: 3, Sx: 2, Sy: 2},
-		conv.Spec{Nx: 17, Ny: 17, Nc: 1, Nf: 7, Fx: 5, Fy: 1, Sx: 3, Sy: 1},
-	}
-	specs = append(specs, opts.ExtraSpecs...)
+	specs := append(DiffSpecs(), opts.ExtraSpecs...)
 	for i := 0; i < opts.Trials; i++ {
 		specs = append(specs, conv.RandSpec(r, opts.MaxDim))
 	}
@@ -254,10 +244,24 @@ func RunDifferential(t *testing.T, gen, ref engine.Generator, opts DiffOptions) 
 	runGeneralSweep(t, c, gen, r, opts)
 }
 
-// generalSpecs is the built-in padded/dilated/grouped geometry sweep.
+// DiffSpecs is the differential sweep's built-in plain geometry list.
+func DiffSpecs() []conv.Spec {
+	return []conv.Spec{
+		conv.Square(4, 1, 1, 1, 1),
+		conv.Square(9, 3, 2, 3, 3),
+		{Nx: 11, Ny: 5, Nc: 2, Nf: 3, Fx: 3, Fy: 2, Sx: 2, Sy: 1},
+		// Odd prime dims and stride > 1 on both axes: geometries whose
+		// GEMM shapes hit every remainder path of the register kernels
+		// (partial panels, M/N/K not multiples of the tile widths).
+		{Nx: 13, Ny: 7, Nc: 3, Nf: 5, Fx: 3, Fy: 3, Sx: 2, Sy: 2},
+		{Nx: 17, Ny: 17, Nc: 1, Nf: 7, Fx: 5, Fy: 1, Sx: 3, Sy: 1},
+	}
+}
+
+// GeneralSpecs is the built-in padded/dilated/grouped geometry sweep.
 // The Nc=12, Groups=2 entries exercise NCHW8 tail lanes (one full block
 // of 8 plus a 4-wide tail) with a group boundary mid-tensor.
-func generalSpecs() []conv.Spec {
+func GeneralSpecs() []conv.Spec {
 	return []conv.Spec{
 		// Same-padded 3×3, the workload zoo's bread and butter.
 		{Nx: 8, Ny: 8, Nc: 2, Nf: 3, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Px: 1, Py: 1},
@@ -284,7 +288,7 @@ func generalSpecs() []conv.Spec {
 // pruning contract.
 func runGeneralSweep(t *testing.T, c *exec.Ctx, gen engine.Generator, r *rng.RNG, opts DiffOptions) {
 	t.Helper()
-	specs := generalSpecs()
+	specs := GeneralSpecs()
 	for i := 0; i < opts.Trials; i++ {
 		specs = append(specs, conv.RandSpecGeneral(r, opts.MaxDim))
 	}

@@ -70,10 +70,10 @@ func (o *Options) fill() {
 	}
 }
 
-// poisonArena fills the context's free lists with NaN-stuffed buffers
+// PoisonArena fills the context's free lists with NaN-stuffed buffers
 // across a spread of size classes, so any kernel consuming arena scratch
 // it did not fully write produces NaNs instead of silently reading zeros.
-func poisonArena(c *exec.Ctx) {
+func PoisonArena(c *exec.Ctx) {
 	const perClass = 4
 	var bufs [][]float32
 	for n := 16; n <= 1<<18; n <<= 2 {
@@ -98,7 +98,7 @@ func Run(t *testing.T, gen engine.Generator, opts Options) {
 
 	// One context for the whole suite: every spec reuses the same arena.
 	c := exec.New(2)
-	poisonArena(c)
+	PoisonArena(c)
 
 	specs := append([]conv.Spec(nil), opts.ExtraSpecs...)
 	// Hand-picked edge geometries: 1x1 kernel, kernel == input, single
@@ -246,7 +246,7 @@ func checkInterleaved(t *testing.T, gen engine.Generator, r *rng.RNG, opts Optio
 	kA, kB := gen.New(sA), gen.New(sB)
 
 	c := exec.New(2)
-	poisonArena(c)
+	PoisonArena(c)
 
 	type fixture struct {
 		k              engine.Kernel

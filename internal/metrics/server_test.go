@@ -21,7 +21,7 @@ import (
 func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	r := NewRegistry()
 	ctx := exec.New(2)
-	rec := trace.New(trace.Options{Mode: trace.Ring, RingSize: 256})
+	rec := trace.New(trace.Options{Mode: trace.Ring})
 	Bind(ctx, r)
 	ctx.Probe().AddSink(rec.Emitter(0, 0))
 	BindTrace(rec, r)

@@ -14,10 +14,10 @@
 //     so the accumulator block plus the input rows it consumes stay
 //     L1-resident.
 //
-// Where the paper's generator emits AVX intrinsics (Fig. 7), this one
-// dispatches to specialized Go kernels whose fixed-size accumulator groups
-// the compiler keeps in registers (kernels.go). The analogue of the vector
-// width is the 4-way unrolled inner loop.
+// Where the paper's generator emits AVX intrinsics (Fig. 7), this one runs
+// every plan through one Go basic block (body.go) whose 4-column × ry-row
+// accumulator tile the compiler keeps in registers. The analogue of the
+// vector width is the 4-column block.
 package stencil
 
 import (
@@ -29,14 +29,14 @@ import (
 // NumRegisters is the modeled register budget: 16 architectural FP
 // registers. On the paper's AVX machine these are 8-float vector
 // registers; in this scalar-Go implementation each holds one float, and
-// the effective vector width comes from the 4-way unrolled inner loop —
+// the effective vector width comes from the body's 4-column block —
 // so a register tile of rx "vectors" × ry rows consumes 4·rx·ry scalar
 // registers for accumulators, 4 for the streaming input values, and ry
 // for the broadcast weights (the Fig. 7 register roles).
 const NumRegisters = 16
 
-// planVW is the implementation's vector width: the unroll factor of the
-// tap kernels' inner loop.
+// planVW is the implementation's vector width: the columns of the body's
+// register block.
 const planVW = 4
 
 // tileFeasible reports whether an (rx, ry) tile fits the register budget.
@@ -44,8 +44,14 @@ func tileFeasible(rx, ry int) bool {
 	return planVW*rx*ry+planVW+ry <= NumRegisters
 }
 
-// maxRY is the tallest register tile the specialized kernels implement.
-const maxRY = 4
+// MaxRY is the tallest register tile the body holds: 4 columns × 2 rows
+// of accumulators, 4 streamed inputs and 2 broadcast weights fill the
+// 16-register budget (tileFeasible admits no taller tile).
+const MaxRY = 2
+
+// footprintRows is the output-row height chooseTileX sizes its L1
+// footprint for — a cache model constant, independent of MaxRY.
+const footprintRows = 4
 
 // Plan is the output of the basic-block + schedule generators for one
 // convolution: the register tile, the cache tile, and the modeled cost
@@ -53,7 +59,8 @@ const maxRY = 4
 type Plan struct {
 	Spec conv.Spec
 	// RX is the register-tile width in vector units; RY its height in
-	// output rows. RX·RY accumulators stay live in registers.
+	// output rows. RX·RY accumulators stay live in registers. RX is a model
+	// quantity only: the body's block is one vector (4 columns) wide.
 	RX, RY int
 	// TileX is the output-row cache tile width chosen by the schedule
 	// generator.
@@ -94,7 +101,7 @@ func loadsPerMAC(rx, ry, fx, fy, vw int) float64 {
 func ChoosePlan(s conv.Spec) Plan {
 	s.MustValidate()
 	best := Plan{Spec: s, RX: 1, RY: 1, LoadsPerMAC: loadsPerMAC(1, 1, s.Fx, s.Fy, planVW)}
-	for ry := 1; ry <= maxRY; ry++ {
+	for ry := 1; ry <= MaxRY; ry++ {
 		for rx := 1; tileFeasible(rx, ry); rx++ {
 			l := loadsPerMAC(rx, ry, s.Fx, s.Fy, planVW)
 			if l < best.LoadsPerMAC-1e-12 {
@@ -112,15 +119,15 @@ func ChoosePlan(s conv.Spec) Plan {
 	return best
 }
 
-// chooseTileX picks the output-row tile so that the accumulator block
-// (maxRY rows), the input rows feeding it, and a weight row together stay
+// chooseTileX picks the output-row tile so that a block of footprintRows
+// output rows, the input rows feeding it, and a weight row together stay
 // within half of a 32 KiB L1 cache.
 func chooseTileX(s conv.Spec) int {
 	const l1Floats = 32 * 1024 / 4 / 2
 	ox := s.OutX()
-	// Per output column: maxRY accumulators + (maxRY + Fy - 1) input
-	// positions (times the stride for the raw row footprint).
-	perCol := maxRY + (maxRY+s.Fy-1)*s.Sx
+	// Per output column: footprintRows outputs + (footprintRows + Fy - 1)
+	// input positions (times the stride for the raw row footprint).
+	perCol := footprintRows + (footprintRows+s.Fy-1)*s.Sx
 	tile := l1Floats / perCol
 	if tile < 16 {
 		tile = 16

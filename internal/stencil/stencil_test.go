@@ -1,7 +1,6 @@
 package stencil
 
 import (
-	"fmt"
 	"testing"
 
 	"spgcnn/internal/conv"
@@ -36,7 +35,7 @@ func TestDifferentialVsUnfoldGEMM(t *testing.T) {
 func TestConformanceEveryRegisterTile(t *testing.T) {
 	// Every (rx, ry) register tile the ablation API accepts must be
 	// correct, not just the generator's favourite.
-	for ry := 1; ry <= maxRY; ry++ {
+	for ry := 1; ry <= MaxRY; ry++ {
 		ry := ry
 		gen := engine.Generator{
 			Name: "stencil-fixed-ry",
@@ -93,7 +92,7 @@ func TestChoosePlanMinimizesModel(t *testing.T) {
 		conv.Square(16, 8, 4, 1, 1),
 	} {
 		p := ChoosePlan(s)
-		for ry := 1; ry <= maxRY && ry <= s.OutY(); ry++ {
+		for ry := 1; ry <= MaxRY && ry <= s.OutY(); ry++ {
 			for rx := 1; tileFeasible(rx, ry); rx++ {
 				if l := loadsPerMAC(rx, ry, s.Fx, s.Fy, planVW); l < p.LoadsPerMAC-1e-9 {
 					t.Fatalf("plan %v beaten by (rx=%d, ry=%d): %.4f < %.4f", p, rx, ry, l, p.LoadsPerMAC)
@@ -126,38 +125,41 @@ func TestLoadsPerMACModel(t *testing.T) {
 	}
 }
 
-func TestSaxpyKernels(t *testing.T) {
-	r := rng.New(5)
-	src := make([]float32, 23)
-	for i := range src {
-		src[i] = float32(r.NormFloat64())
-	}
-	mk := func() [][]float32 {
-		d := make([][]float32, 4)
-		for i := range d {
-			d[i] = make([]float32, 23)
-			for j := range d[i] {
-				d[i][j] = float32(i)
-			}
+func TestEveryPlanMatchesReference(t *testing.T) {
+	// The one body sums each output's taps in the reference (c, ky, kx)
+	// order from +0, so every spec — plain, strided, padded, dilated,
+	// grouped, depthwise or all at once — at every tile height the body
+	// holds and every cache tile must reproduce conv.ForwardRef bit for
+	// bit, through a NaN-poisoned arena at batch 2.
+	specs := append(enginetest.DiffSpecs(), enginetest.GeneralSpecs()...)
+	specs = append(specs,
+		conv.Square(28, 20, 1, 5, 1), // MNIST L0
+		conv.Square(36, 64, 3, 5, 1), // CIFAR L0
+		conv.Square(8, 64, 64, 5, 1), // CIFAR L1
+		conv.Square(13, 4, 2, 3, 1),  // OutY 11: a ragged last row block
+		conv.Square(64, 16, 3, 7, 2), // BenchmarkForwardStrided
+		conv.Square(6, 2, 1, 4, 1),   // OutX 3: narrower than one block
+	)
+	r := rng.New(0x7A9)
+	c := exec.New(1)
+	enginetest.PoisonArena(c)
+	for _, s := range specs {
+		ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
+		w := conv.RandWeights(r, s)
+		want := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
+		for i := range ins {
+			conv.ForwardRef(s, want[i], ins[i], w)
 		}
-		return d
-	}
-	ws := []float32{0.5, -1, 2, 3}
-	for n := 0; n <= 23; n++ {
-		for rows := 1; rows <= 4; rows++ {
-			got := mk()
-			saxpyRows(got[:rows], ws[:rows], src, n)
-			want := mk()
-			for ri := 0; ri < rows; ri++ {
-				for x := 0; x < n; x++ {
-					want[ri][x] += ws[ri] * src[x]
-				}
-			}
-			for ri := 0; ri < rows; ri++ {
-				for x := 0; x < 23; x++ {
-					if got[ri][x] != want[ri][x] {
-						t.Fatalf("saxpyRows(rows=%d, n=%d) row %d col %d: %v != %v",
-							rows, n, ri, x, got[ri][x], want[ri][x])
+		for ry := 1; ry <= MaxRY; ry++ {
+			for _, tileX := range []int{1, 5, ChoosePlan(s).TileX} {
+				p := ChoosePlan(s)
+				p.RY, p.TileX = ry, tileX
+				outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
+				NewWithPlan(p).ForwardBatch(c, outs, ins, w)
+				for i := range outs {
+					if !tensor.Identical(outs[i], want[i]) {
+						t.Fatalf("%v ry=%d tileX=%d sample %d: not identical to ForwardRef (max diff %g)",
+							s, ry, tileX, i, tensor.MaxAbsDiff(outs[i], want[i]))
 					}
 				}
 			}
@@ -165,48 +167,23 @@ func TestSaxpyKernels(t *testing.T) {
 	}
 }
 
-func TestPerTapPathMatchesReference(t *testing.T) {
-	// The per-tap saxpy path — unit-stride tiles taller than two rows (the
-	// register-tile ablation) and every strided spec — sums each output in
-	// the reference (c, ky, kx) order from +0, so it must reproduce
-	// conv.ForwardRef bit for bit.
-	r := rng.New(0x7A9)
-	check := func(name string, k *Kernel) {
-		t.Helper()
-		s := k.Spec()
+func TestForwardBatchAllocatesNothing(t *testing.T) {
+	// The tap and row tables live in the Kernel and the staged input in
+	// the arena: after warm-up a batch call allocates nothing.
+	for _, s := range []conv.Spec{
+		conv.Square(28, 20, 1, 5, 1), // plain: read in place
+		conv.Square(20, 8, 3, 5, 2),  // strided: Eq. 21 split
+		{Nx: 12, Ny: 12, Nc: 4, Nf: 4, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Px: 1, Py: 1, Groups: 4}, // padded depthwise
+	} {
+		r := rng.New(3)
 		ins := []*tensor.Tensor{conv.RandInput(r, s), conv.RandInput(r, s)}
-		w := conv.RandWeights(r, s)
 		outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s)}
-		k.ForwardBatch(exec.New(1), outs, ins, w)
-		for i := range ins {
-			want := conv.NewOutput(s)
-			conv.ForwardRef(s, want, ins[i], w)
-			if !tensor.Identical(outs[i], want) {
-				t.Fatalf("%s %v sample %d: not identical to ForwardRef (max diff %g)",
-					name, s, i, tensor.MaxAbsDiff(outs[i], want))
-			}
+		w := conv.RandWeights(r, s)
+		k, c := New(s), exec.New(1)
+		k.ForwardBatch(c, outs, ins, w)
+		if n := testing.AllocsPerRun(20, func() { k.ForwardBatch(c, outs, ins, w) }); n != 0 {
+			t.Errorf("%v: ForwardBatch allocates %v per call, want 0", s, n)
 		}
-	}
-	for _, s := range []conv.Spec{
-		conv.Square(28, 20, 1, 5, 1), // MNIST L0: OutY 24, a multiple of 3 and 4
-		conv.Square(36, 8, 3, 5, 1),  // OutY 32: a ragged last 3-row block
-		conv.Square(13, 4, 2, 3, 1),  // OutY 11: ragged for both heights
-		{Nx: 19, Ny: 9, Nc: 3, Nf: 2, Fx: 3, Fy: 2, Sx: 1, Sy: 1},
-	} {
-		for _, ry := range []int{3, 4} {
-			p := ChoosePlan(s)
-			p.RY = ry
-			check(fmt.Sprintf("ry=%d", ry), NewWithPlan(p))
-			p.TileX = 5
-			check(fmt.Sprintf("ry=%d tileX=5", ry), NewWithPlan(p))
-		}
-	}
-	for _, s := range []conv.Spec{
-		conv.Square(20, 8, 3, 5, 2),
-		conv.Square(23, 4, 2, 3, 2),
-		{Nx: 17, Ny: 15, Nc: 2, Nf: 3, Fx: 3, Fy: 3, Sx: 2, Sy: 1},
-	} {
-		check("ChoosePlan", New(s))
 	}
 }
 

@@ -33,18 +33,6 @@ func BenchmarkEmitRingParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkEmitFull measures the full-capture append path.
-func BenchmarkEmitFull(b *testing.B) {
-	r := New(Options{Mode: Full, MaxEvents: 1 << 30})
-	e := r.Emitter(0, 0)
-	start := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.SpanDetail("layer", "layer/conv0/fp/stencil", "", 0, start, time.Millisecond)
-	}
-}
-
 // BenchmarkEmitDisabled pins the nil-emitter fast path: tracing off must
 // cost nothing at the call sites that stay wired in.
 func BenchmarkEmitDisabled(b *testing.B) {

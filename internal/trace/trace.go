@@ -36,9 +36,9 @@ import (
 type Mode int
 
 const (
-	// Full keeps every event up to MaxEvents, then drops new ones.
+	// Full keeps every event up to DefMaxEvents, then drops new ones.
 	Full Mode = iota
-	// Ring bounds memory at RingSize events per shard, overwriting the
+	// Ring bounds memory at DefRingSize events per shard, overwriting the
 	// oldest — flight-recorder semantics.
 	Ring
 )
@@ -62,29 +62,20 @@ func ParseMode(s string) (Mode, error) {
 	return Full, fmt.Errorf("trace: unknown mode %q (want ring or full)", s)
 }
 
-// DefRingSize is the default per-shard event capacity in Ring mode.
+// DefRingSize is the per-shard event capacity in Ring mode.
 const DefRingSize = 8192
 
-// DefMaxEvents is the default total event cap in Full mode.
+// DefMaxEvents is the total event cap in Full mode.
 const DefMaxEvents = 1 << 20
 
-// DefShards is the default shard count; emitters are distributed
-// round-robin, so up to DefShards concurrent emitters never share a lock.
+// DefShards is the shard count; emitters are distributed round-robin,
+// so up to DefShards concurrent emitters never share a lock.
 const DefShards = 16
 
-// Options configures a Recorder. The zero value is a Full-mode recorder
-// with the default caps.
+// Options configures a Recorder. The zero value is a Full-mode recorder.
 type Options struct {
 	// Mode is the retention policy (default Full).
 	Mode Mode
-	// RingSize is the per-shard event capacity in Ring mode
-	// (default DefRingSize).
-	RingSize int
-	// MaxEvents caps the total buffered events in Full mode
-	// (default DefMaxEvents).
-	MaxEvents int
-	// Shards is the buffer shard count (default DefShards).
-	Shards int
 }
 
 // Event is one recorded timeline entry. Complete events (Dur > 0 or
@@ -145,16 +136,14 @@ type shard struct {
 // Recorder is the capture buffer. Construct with New; safe for concurrent
 // use. A nil *Recorder is inert: emitters built from it drop everything.
 type Recorder struct {
-	mode      Mode
-	ringSize  int
-	maxEvents int
-	start     time.Time
+	mode  Mode
+	start time.Time
 
 	step atomic.Int64
 	band atomic.Int32
 
 	nextShard   atomic.Uint32
-	shards      []shard
+	shards      [DefShards]shard
 	emitted     atomic.Uint64
 	overwritten atomic.Uint64
 	dropped     atomic.Uint64
@@ -175,22 +164,7 @@ type LayerMeta struct {
 
 // New builds a recorder. The capture clock starts now.
 func New(o Options) *Recorder {
-	if o.RingSize <= 0 {
-		o.RingSize = DefRingSize
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = DefMaxEvents
-	}
-	if o.Shards <= 0 {
-		o.Shards = DefShards
-	}
-	return &Recorder{
-		mode:      o.Mode,
-		ringSize:  o.RingSize,
-		maxEvents: o.MaxEvents,
-		start:     time.Now(),
-		shards:    make([]shard, o.Shards),
-	}
+	return &Recorder{mode: o.Mode, start: time.Now()}
 }
 
 // Mode reports the retention policy.
@@ -267,9 +241,9 @@ func (r *Recorder) record(s *shard, ev Event) {
 	switch r.mode {
 	case Ring:
 		if s.buf == nil {
-			s.buf = make([]Event, 0, r.ringSize)
+			s.buf = make([]Event, 0, DefRingSize)
 		}
-		if len(s.buf) < r.ringSize {
+		if len(s.buf) < DefRingSize {
 			s.buf = append(s.buf, ev)
 			r.buffered.Add(1)
 		} else {
@@ -278,11 +252,11 @@ func (r *Recorder) record(s *shard, ev Event) {
 			r.overwritten.Add(1)
 		}
 		s.next++
-		if s.next == r.ringSize {
+		if s.next == DefRingSize {
 			s.next = 0
 		}
 	default: // Full
-		if int(r.buffered.Load()) >= r.maxEvents {
+		if r.buffered.Load() >= DefMaxEvents {
 			r.dropped.Add(1)
 		} else {
 			s.buf = append(s.buf, ev)
@@ -297,9 +271,9 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return Stats{}
 	}
-	capTotal := uint64(r.maxEvents)
+	capTotal := uint64(DefMaxEvents)
 	if r.mode == Ring {
-		capTotal = uint64(r.ringSize) * uint64(len(r.shards))
+		capTotal = DefRingSize * DefShards
 	}
 	return Stats{
 		Emitted:     r.emitted.Load(),

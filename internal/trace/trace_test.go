@@ -72,71 +72,74 @@ func TestEmitterStampsIdentityStepAndBand(t *testing.T) {
 }
 
 func TestRingModeBoundsMemoryAndCountsOverwrites(t *testing.T) {
-	r := New(Options{Mode: Ring, RingSize: 4, Shards: 1})
+	r := New(Options{Mode: Ring})
 	e := r.Emitter(0, 0)
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	for i := 0; i < DefRingSize+extra; i++ {
 		e.Instant("c", "n", "", float64(i))
 	}
 	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring held %d events, want 4", len(evs))
+	if len(evs) != DefRingSize {
+		t.Fatalf("ring held %d events, want %d", len(evs), DefRingSize)
 	}
-	// The survivors must be the NEWEST four, oldest-first.
+	// The survivors must be the NEWEST DefRingSize, oldest-first.
 	for i, ev := range evs {
-		if want := float64(6 + i); ev.Value != want {
+		if want := float64(extra + i); ev.Value != want {
 			t.Fatalf("ring[%d].Value = %v, want %v", i, ev.Value, want)
 		}
 	}
 	st := r.Stats()
-	if st.Emitted != 10 || st.Buffered != 4 || st.Overwritten != 6 {
-		t.Fatalf("stats = %+v, want emitted 10 buffered 4 overwritten 6", st)
+	if st.Emitted != DefRingSize+extra || st.Buffered != DefRingSize || st.Overwritten != extra {
+		t.Fatalf("stats = %+v, want emitted %d buffered %d overwritten %d", st, DefRingSize+extra, DefRingSize, extra)
 	}
-	if st.Capacity != 4 {
-		t.Fatalf("capacity = %d, want 4", st.Capacity)
+	if st.Capacity != DefRingSize*DefShards {
+		t.Fatalf("capacity = %d, want %d", st.Capacity, DefRingSize*DefShards)
 	}
 }
 
 func TestFullModeDropsAtCap(t *testing.T) {
-	r := New(Options{Mode: Full, MaxEvents: 3, Shards: 1})
+	r := New(Options{Mode: Full})
 	e := r.Emitter(0, 0)
-	for i := 0; i < 5; i++ {
+	const extra = 2
+	for i := 0; i < DefMaxEvents+extra; i++ {
 		e.Instant("c", "n", "", float64(i))
 	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("full mode held %d events, want 3", len(evs))
+	// Full mode keeps the OLDEST events and drops new arrivals. The one
+	// emitter's shard holds them all; read it in place rather than
+	// copying a million events through Events.
+	buf := r.shards[0].buf
+	if len(buf) != DefMaxEvents {
+		t.Fatalf("full mode held %d events, want %d", len(buf), DefMaxEvents)
 	}
-	// Full mode keeps the OLDEST events and drops new arrivals.
-	for i, ev := range evs {
-		if ev.Value != float64(i) {
-			t.Fatalf("full[%d].Value = %v, want %v", i, ev.Value, float64(i))
-		}
+	if buf[0].Value != 0 || buf[len(buf)-1].Value != DefMaxEvents-1 {
+		t.Fatalf("full mode kept values %v..%v, want 0..%d", buf[0].Value, buf[len(buf)-1].Value, DefMaxEvents-1)
 	}
-	if st := r.Stats(); st.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", st.Dropped)
+	if st := r.Stats(); st.Dropped != extra || st.Buffered != DefMaxEvents {
+		t.Fatalf("stats = %+v, want dropped %d buffered %d", st, extra, DefMaxEvents)
 	}
 }
 
 func TestEmittersShardIndependently(t *testing.T) {
-	r := New(Options{Mode: Ring, RingSize: 8, Shards: 4})
+	r := New(Options{Mode: Ring})
+	const replicas, perReplica = 4, DefRingSize + 100
 	var wg sync.WaitGroup
-	for rep := 0; rep < 4; rep++ {
+	for rep := 0; rep < replicas; rep++ {
 		e := r.Emitter(rep, 0)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < perReplica; i++ {
 				e.Instant("c", "n", "", 1)
 			}
 		}()
 	}
 	wg.Wait()
-	// 4 shards × ring of 8: each replica's emitter kept its newest 8.
-	if evs := r.Events(); len(evs) != 32 {
-		t.Fatalf("events = %d, want 32", len(evs))
+	// One shard per emitter: each replica kept its newest DefRingSize.
+	if evs := r.Events(); len(evs) != replicas*DefRingSize {
+		t.Fatalf("events = %d, want %d", len(evs), replicas*DefRingSize)
 	}
-	if st := r.Stats(); st.Emitted != 400 {
-		t.Fatalf("emitted = %d, want 400", st.Emitted)
+	if st := r.Stats(); st.Emitted != replicas*perReplica {
+		t.Fatalf("emitted = %d, want %d", st.Emitted, replicas*perReplica)
 	}
 }
 

@@ -15,7 +15,8 @@
 #   internal/gemm/microkernel.go      copyStrip8 (the GEMM panel pack)
 #   internal/unfoldgemm/kernels.go    copyTaps8, foldTaps8
 #                                     (implicit-unfold panel build and fold)
-#   internal/stencil/kernels.go       saxpy2-4 (multi-row broadcast)
+#   internal/stencil/body.go          forwardRows, block (the one
+#                                     register-tiled stencil body)
 #   internal/blockedconv/kernels.go   accRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRowStride (strided CSR FP)
 #   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
@@ -37,7 +38,7 @@ cd "$(dirname "$0")/.."
 protected="internal/kern/kern.go
 internal/gemm/microkernel.go
 internal/unfoldgemm/kernels.go
-internal/stencil/kernels.go
+internal/stencil/body.go
 internal/blockedconv/kernels.go
 internal/spweight/kernels.go
 internal/nn/kernels.go"
