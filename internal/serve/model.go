@@ -62,7 +62,8 @@ type Model struct {
 	replicas []*nn.Network
 	ctxs     []*exec.Ctx
 	buckets  []int
-	pad      []*tensor.Tensor // shared zero inputs for ragged-batch padding
+	pad      []*tensor.Tensor   // shared zero inputs for ragged-batch padding
+	padded   [][]*tensor.Tensor // per replica: the reused padded-batch slice
 	inDims   []int
 	inLen    int
 	outLen   int
@@ -146,6 +147,10 @@ func NewModel(def *netdef.NetDef, cfg ModelConfig) (*Model, error) {
 	for i := range m.pad {
 		m.pad[i] = tensor.New(m.inDims...)
 	}
+	m.padded = make([][]*tensor.Tensor, replicas)
+	for i := range m.padded {
+		m.padded[i] = make([]*tensor.Tensor, 0, maxBucket)
+	}
 	return m, nil
 }
 
@@ -212,19 +217,29 @@ func (m *Model) InferBatch(replica int, ins []*tensor.Tensor) ([][]float32, int)
 	if len(ins) == 0 {
 		return nil, 0
 	}
-	bucket := m.bucketFor(len(ins))
+	outs := make([][]float32, len(ins))
+	for i := range outs {
+		outs[i] = make([]float32, m.outLen)
+	}
+	return outs, m.inferInto(replica, ins, outs)
+}
+
+// inferInto is InferBatch copying each real input's logits into the
+// caller's outs[i] (OutLen values each). Outside the forward pass it
+// allocates nothing.
+func (m *Model) inferInto(replica int, ins []*tensor.Tensor, outs [][]float32) (bucket int) {
+	bucket = m.bucketFor(len(ins))
 	batch := ins
 	if bucket > len(ins) {
-		batch = make([]*tensor.Tensor, 0, bucket)
-		batch = append(batch, ins...)
+		batch = append(m.padded[replica][:0], ins...)
 		batch = append(batch, m.pad[:bucket-len(ins)]...)
+		m.padded[replica] = batch
 	}
 	logits := m.replicas[replica].Forward(batch)
-	outs := make([][]float32, len(ins))
 	for i := range ins {
-		outs[i] = append([]float32(nil), logits[i].Data...)
+		copy(outs[i], logits[i].Data)
 	}
-	return outs, bucket
+	return bucket
 }
 
 // Warmup runs every bucket once on every replica, so per-bucket strategy

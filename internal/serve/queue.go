@@ -76,16 +76,17 @@ func (q *queue) submit(r *request) error {
 	return nil
 }
 
-// next blocks until a batch is ready and returns it. ok is false only when
-// the queue is closed AND drained: every admitted request is part of
-// exactly one returned batch.
-func (q *queue) next() (batch []*request, ok bool) {
+// nextInto blocks until a batch is ready and returns it in dst's storage,
+// so a worker that passes its previous batch back allocates nothing. ok is
+// false only when the queue is closed AND drained: every admitted request
+// is part of exactly one returned batch.
+func (q *queue) nextInto(dst []*request) (batch []*request, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
 		if len(q.pending) > 0 {
 			if q.closed || len(q.pending) >= q.maxBatch || q.deadlineReached() {
-				return q.cut(), true
+				return q.cut(dst), true
 			}
 			q.armTimer()
 		} else if q.closed {
@@ -124,19 +125,13 @@ func (q *queue) armTimer() {
 	q.timer.Reset(d)
 }
 
-// cut removes and returns the oldest min(pending, maxBatch) requests.
-// Called with q.mu held.
-func (q *queue) cut() []*request {
-	n := len(q.pending)
-	if n > q.maxBatch {
-		n = q.maxBatch
-	}
-	batch := make([]*request, n)
-	copy(batch, q.pending[:n])
+// cut moves the oldest min(pending, maxBatch) requests into dst[:0] and
+// returns it. Called with q.mu held.
+func (q *queue) cut(dst []*request) []*request {
+	n := min(len(q.pending), q.maxBatch)
+	batch := append(dst[:0], q.pending[:n]...)
 	rest := copy(q.pending, q.pending[n:])
-	for i := rest; i < len(q.pending); i++ {
-		q.pending[i] = nil
-	}
+	clear(q.pending[rest:])
 	q.pending = q.pending[:rest]
 	if rest > 0 {
 		// More work waiting: another worker may be able to cut right away.

@@ -16,15 +16,20 @@ import (
 )
 
 // request is one admitted inference request in flight through the queue.
+// Requests are pooled: a handler takes one, decodes its body into input,
+// waits for its result and appends the response into buf, and only then
+// hands it back.
 type request struct {
-	input *tensor.Tensor
-	enq   time.Time
-	done  chan result
+	input  *tensor.Tensor
+	enq    time.Time
+	done   chan result
+	output []float32 // the batch worker copies this request's logits here
+	buf    []byte    // the request body, then the response
 }
 
 // result is what a batch worker hands back to the waiting HTTP handler.
 type result struct {
-	output    []float32
+	output    []float32 // the request's own output slice; nil on error
 	argmax    int
 	batch     int // real (unpadded) rows of the executed batch
 	bucket    int // padded batch size actually run
@@ -67,6 +72,9 @@ type Server struct {
 	rec      *trace.Recorder
 	wg       sync.WaitGroup
 	closed   atomic.Bool
+	reqs     sync.Pool // *request
+	// labels[rows] is the serve/batch span detail of a rows-request batch.
+	labels []string
 
 	// counters (atomics: exported via GaugeFunc and read by Stats)
 	requests     atomic.Int64
@@ -107,6 +115,10 @@ func New(cfg Config) (*Server, error) {
 		q:        newQueue(maxBatch, queueCap, cfg.MaxDelay),
 		maxBatch: maxBatch,
 		rec:      cfg.Trace,
+		labels:   make([]string, maxBatch+1),
+	}
+	for rows := 1; rows <= maxBatch; rows++ {
+		s.labels[rows] = batchLabel(rows, cfg.Model.bucketFor(rows))
 	}
 	s.bindMetrics(cfg.Metrics)
 
@@ -227,32 +239,42 @@ func (s *Server) Stats() Stats {
 }
 
 // worker is one batch-worker goroutine: it owns model replica `replica`
-// exclusively and drains the admission queue until close-and-empty.
+// exclusively and drains the admission queue until close-and-empty. Its
+// batch, input and output slices are reused from batch to batch.
 func (s *Server) worker(replica int) {
 	defer s.wg.Done()
 	em := s.rec.Emitter(replica, 0)
+	var (
+		batch []*request
+		ins   []*tensor.Tensor
+		outs  [][]float32
+		ok    bool
+	)
 	for {
-		batch, ok := s.q.next()
-		if !ok {
+		if batch, ok = s.q.nextInto(batch); !ok {
 			return
 		}
-		s.runBatch(replica, em, batch)
+		ins, outs = ins[:0], outs[:0]
+		for _, rq := range batch {
+			ins = append(ins, rq.input)
+			outs = append(outs, rq.output)
+		}
+		s.runBatch(replica, em, batch, ins, outs)
 	}
 }
 
-// runBatch pads, executes and completes one cut batch. Every request gets
-// exactly one result, even when the forward pass panics.
-func (s *Server) runBatch(replica int, em *trace.Emitter, batch []*request) {
+// runBatch pads, executes and completes one cut batch: ins[i] and outs[i]
+// are batch[i]'s input and output. Every request gets exactly one result,
+// even when the forward pass panics.
+func (s *Server) runBatch(replica int, em *trace.Emitter, batch []*request, ins []*tensor.Tensor, outs [][]float32) {
 	start := time.Now()
 	var maxWait time.Duration
-	ins := make([]*tensor.Tensor, len(batch))
-	for i, rq := range batch {
-		ins[i] = rq.input
+	for _, rq := range batch {
 		if w := start.Sub(rq.enq); w > maxWait {
 			maxWait = w
 		}
 	}
-	outs, bucket, err := s.forward(replica, ins)
+	bucket, err := s.forward(replica, ins, outs)
 	compute := time.Since(start)
 
 	s.batches.Add(1)
@@ -263,32 +285,41 @@ func (s *Server) runBatch(replica int, em *trace.Emitter, batch []*request) {
 	s.paddingRows.Add(padRows)
 	s.usefulFlops.Add(int64(len(batch)) * s.model.FlopsPerImage())
 	s.paddingFlops.Add(padRows * s.model.FlopsPerImage())
-	em.SpanDetail("serve", "serve/batch", fmt.Sprintf("rows=%d bucket=%d", len(batch), bucket),
-		float64(len(batch)), start, compute)
+	var label string
+	if err == nil && len(batch) < len(s.labels) {
+		label = s.labels[len(batch)]
+	} else { // the zero Server has no table; a failed batch reports bucket 0
+		label = batchLabel(len(batch), bucket)
+	}
+	em.SpanDetail("serve", "serve/batch", label, float64(len(batch)), start, compute)
 	em.Instant("serve", "serve/queue-wait", "oldest request in batch", maxWait.Seconds())
 
-	for i, rq := range batch {
+	for _, rq := range batch {
 		res := result{batch: len(batch), bucket: bucket, queueWait: start.Sub(rq.enq), compute: compute}
 		if err != nil {
 			res.err = err
 		} else {
-			res.output = outs[i]
-			res.argmax = argmax(outs[i])
+			res.output = rq.output
+			res.argmax = argmax(rq.output)
 		}
 		rq.done <- res
 	}
 }
 
+// batchLabel is the serve/batch span detail.
+func batchLabel(rows, bucket int) string {
+	return fmt.Sprintf("rows=%d bucket=%d", rows, bucket)
+}
+
 // forward runs the model, converting a panic into an error so a poisoned
 // batch fails its requests instead of deadlocking them.
-func (s *Server) forward(replica int, ins []*tensor.Tensor) (outs [][]float32, bucket int, err error) {
+func (s *Server) forward(replica int, ins []*tensor.Tensor, outs [][]float32) (bucket int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: forward pass panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	outs, bucket = s.model.InferBatch(replica, ins)
-	return outs, bucket, nil
+	return s.model.inferInto(replica, ins, outs), nil
 }
 
 func argmax(xs []float32) int {
@@ -301,25 +332,10 @@ func argmax(xs []float32) int {
 	return best
 }
 
-// inferRequest is the /v1/infer JSON body.
-type inferRequest struct {
-	Input []float32 `json:"input"`
-}
-
 // maxInferBody bounds a /v1/infer request body for a model of inLen input
 // values: 64 bytes per value is several times the longest JSON number, and
 // 64 KiB covers the envelope and whitespace.
 func maxInferBody(inLen int) int64 { return 64*int64(inLen) + 64<<10 }
-
-// inferResponse is the /v1/infer JSON response.
-type inferResponse struct {
-	Output    []float32 `json:"output"`
-	Argmax    int       `json:"argmax"`
-	Batch     int       `json:"batch"`
-	Bucket    int       `json:"bucket"`
-	QueueMs   float64   `json:"queue_ms"`
-	ComputeMs float64   `json:"compute_ms"`
-}
 
 // specResponse is the /v1/spec JSON response — what a load generator needs
 // to size its request vectors.
@@ -344,14 +360,35 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// getRequest takes a request from the pool, or builds one sized to the
+// model. The pool starts empty, so the zero Server works too.
+func (s *Server) getRequest() *request {
+	if rq, ok := s.reqs.Get().(*request); ok {
+		return rq
+	}
+	return &request{
+		input:  tensor.New(s.model.InDims()...),
+		done:   make(chan result, 1),
+		output: make([]float32, s.model.OutLen()),
+	}
+}
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req inferRequest
-	body := http.MaxBytesReader(w, r.Body, maxInferBody(s.model.InLen()))
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	rq := s.getRequest()
+	// Every path below either never submits rq or has received its result,
+	// so no batch worker holds it when it goes back.
+	defer s.reqs.Put(rq)
+
+	var err error
+	rq.buf, err = readBody(rq.buf, http.MaxBytesReader(w, r.Body, maxInferBody(s.model.InLen())))
+	if err == nil {
+		err = decodeInput(rq.buf, rq.input.Data)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
@@ -359,16 +396,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
-	if len(req.Input) != s.model.InLen() {
-		http.Error(w, fmt.Sprintf("input length %d, model wants %d", len(req.Input), s.model.InLen()),
-			http.StatusBadRequest)
-		return
-	}
-	in := tensor.New(s.model.InDims()...)
-	copy(in.Data, req.Input)
 
-	rq := &request{input: in, done: make(chan result, 1)}
-	if err := s.q.submit(rq); err != nil {
+	if err = s.q.submit(rq); err != nil {
 		s.rejected.Add(1)
 		s.rejCounter.Inc()
 		// Backpressure: tell closed-loop clients when to come back instead
@@ -385,18 +414,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	res := <-rq.done
 	s.queueWait.Observe(res.queueWait.Seconds())
 	s.reqLatency.Observe(time.Since(rq.enq).Seconds())
+	if res.err == nil {
+		rq.buf, res.err = appendResponse(rq.buf[:0], &res)
+	}
 	if res.err != nil {
 		s.failed.Add(1)
 		http.Error(w, res.err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(inferResponse{
-		Output:    res.output,
-		Argmax:    res.argmax,
-		Batch:     res.batch,
-		Bucket:    res.bucket,
-		QueueMs:   float64(res.queueWait) / float64(time.Millisecond),
-		ComputeMs: float64(res.compute) / float64(time.Millisecond),
-	})
+	w.Write(rq.buf)
 }

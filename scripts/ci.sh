@@ -5,7 +5,8 @@
 # the full test suite once (the command tests there are the end-to-end
 # gates: plan-cache warm start, drift on a scripted clock, traced and mitigated
 # data-parallel runs, serve + load, committed baselines and goldens), the
-# race-instrumented short suite, a determinism gate (the drift tests and
+# race-instrumented short suite, 15 s of fuzzing the /v1/infer body
+# decoder (tier-1 replays its committed corpus), a determinism gate (the drift tests and
 # the planner's fake-strategy tests run on scripted clocks, so twenty
 # race-instrumented repeats must all pass), the bounds-check-elimination
 # gate on the hot micro-kernel files, and an arm64 vet and cross-build,
@@ -20,6 +21,7 @@ go build ./...
 (cd benchmark && go vet . && go test .)
 go test ./...
 go test -race -short ./...
+go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
 go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl' ./internal/obs ./cmd/spg-train
 go test -race -count=20 -skip 'TestPlannerSelectsSparseWeightForPrunedLayer|TestPlannerDeploysSparseWhereThePaperSays' ./internal/plan
 scripts/bce_check.sh
