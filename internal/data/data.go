@@ -10,18 +10,28 @@
 // ReLU-derivative error gradients genuinely sparsify as the model fits.
 //
 // Everything is derived from explicit seeds: Image(i) always produces the
-// same pixels, so experiments are exactly reproducible.
+// same pixels, so experiments are exactly reproducible. Because of that a
+// dataset of at most cacheCap bytes keeps each example after rendering it
+// once, and every later Image(i) is a copy of the same bits.
 package data
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
 
-// Synthetic is a deterministic labeled image dataset.
+// cacheCap bounds the rendered pixels one dataset keeps: a set larger
+// than this (Fig. 3b's full-scale CIFAR and ImageNet100) renders example
+// i on every access instead.
+const cacheCap = 16 << 20
+
+// Synthetic is a deterministic labeled image dataset. Image is safe for
+// concurrent calls.
 type Synthetic struct {
 	name    string
 	n       int
@@ -30,6 +40,13 @@ type Synthetic struct {
 	seed    uint64
 	blobs   [][]blob // per class
 	noise   float32
+
+	// slab holds example i's pixels at [i*c*h*w, (i+1)*c*h*w) once
+	// ready[i] is set; both are nil above cacheCap. mu serializes the
+	// publishes, so two first accesses of i write the slab once.
+	slab  []float32
+	ready []atomic.Bool
+	mu    sync.Mutex
 }
 
 type blob struct {
@@ -93,6 +110,10 @@ func New(cfg Config) *Synthetic {
 			d.blobs[k] = append(d.blobs[k], bl)
 		}
 	}
+	if size := cfg.Examples * cfg.Channels * cfg.Height * cfg.Width; size <= cacheCap/4 {
+		d.slab = make([]float32, size)
+		d.ready = make([]atomic.Bool, cfg.Examples)
+	}
 	return d
 }
 
@@ -112,12 +133,38 @@ func (d *Synthetic) Dims() []int { return []int{d.c, d.h, d.w} }
 // every epoch is balanced.
 func (d *Synthetic) Label(i int) int { return i % d.classes }
 
-// Image implements nn.Dataset: renders example i into dst, which must be
-// shaped [C][H][W].
+// Image implements nn.Dataset: writes example i into dst, which must be
+// shaped [C][H][W]. The first access renders it; later ones copy the
+// bits the first published. Above cacheCap, or for i outside [0, Len),
+// every access renders.
 func (d *Synthetic) Image(i int, dst *tensor.Tensor) {
 	if dst.Rank() != 3 || dst.Dim(0) != d.c || dst.Dim(1) != d.h || dst.Dim(2) != d.w {
 		panic(fmt.Sprintf("data: Image dst shape %v, want [%d %d %d]", dst.Dims, d.c, d.h, d.w))
 	}
+	if uint(i) >= uint(len(d.ready)) {
+		d.render(i, dst)
+		return
+	}
+	size := d.c * d.h * d.w
+	kept := d.slab[i*size : (i+1)*size]
+	if d.ready[i].Load() {
+		copy(dst.Data, kept)
+		return
+	}
+	d.render(i, dst)
+	d.mu.Lock()
+	if !d.ready[i].Load() {
+		copy(kept, dst.Data)
+		d.ready[i].Store(true)
+	}
+	d.mu.Unlock()
+}
+
+// render draws example i into dst: the class's blobs, jittered per
+// example, then per-pixel noise. Each blob's Gaussian weight is computed
+// once per pixel and scaled by every channel's amplitude; each pixel
+// still receives its blob contributions in blob order.
+func (d *Synthetic) render(i int, dst *tensor.Tensor) {
 	label := d.Label(i)
 	r := rng.New(d.seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
 	// Per-example jitter: shift each blob by up to ±7% of the image.
@@ -125,6 +172,7 @@ func (d *Synthetic) Image(i int, dst *tensor.Tensor) {
 	jx := (r.Float64() - 0.5) * 0.14
 	dst.Zero()
 	fh, fw := float64(d.h), float64(d.w)
+	plane := d.h * d.w
 	for _, bl := range d.blobs[label] {
 		cy := (bl.cy + jy) * fh
 		cx := (bl.cx + jx) * fw
@@ -133,14 +181,14 @@ func (d *Synthetic) Image(i int, dst *tensor.Tensor) {
 		// Render within 3 sigma.
 		ylo, yhi := clamp(int(cy-3*sig), 0, d.h), clamp(int(cy+3*sig)+1, 0, d.h)
 		xlo, xhi := clamp(int(cx-3*sig), 0, d.w), clamp(int(cx+3*sig)+1, 0, d.w)
-		for c := 0; c < d.c; c++ {
-			amp := bl.amp[c]
-			for y := ylo; y < yhi; y++ {
-				dy := float64(y) - cy
-				row := dst.Row3(c, y)
-				for x := xlo; x < xhi; x++ {
-					dx := float64(x) - cx
-					row[x] += amp * float32(math.Exp(-(dy*dy+dx*dx)*inv))
+		for y := ylo; y < yhi; y++ {
+			dy := float64(y) - cy
+			for x := xlo; x < xhi; x++ {
+				dx := float64(x) - cx
+				g := float32(math.Exp(-(dy*dy + dx*dx) * inv))
+				at := y*d.w + x
+				for c, amp := range bl.amp {
+					dst.Data[c*plane+at] += amp * g
 				}
 			}
 		}

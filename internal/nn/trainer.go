@@ -12,6 +12,8 @@ type Dataset interface {
 	// Len is the number of examples.
 	Len() int
 	// Image writes example i into dst (shaped like the network input).
+	// It must be safe for concurrent calls: data-parallel replicas fill
+	// their batches from one shared dataset at once.
 	Image(i int, dst *tensor.Tensor)
 	// Label returns example i's class.
 	Label(i int) int

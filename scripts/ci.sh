@@ -5,10 +5,11 @@
 # the full test suite once (the command tests there are the end-to-end
 # gates: plan-cache warm start, drift on a scripted clock, traced and mitigated
 # data-parallel runs, serve + load, committed baselines and goldens), the
-# race-instrumented short suite, 15 s of fuzzing the /v1/infer body
-# decoder (tier-1 replays its committed corpus), a determinism gate (the drift tests and
-# the planner's fake-strategy tests run on scripted clocks, so twenty
-# race-instrumented repeats must all pass), the bounds-check-elimination
+# race-instrumented short suite, 15 s each of fuzzing the /v1/infer body
+# decoder and the netdef parser (tier-1 replays their committed corpora),
+# a determinism gate (the drift tests and the planner's fake-strategy
+# tests run on scripted clocks, so twenty race-instrumented repeats must
+# all pass), the bounds-check-elimination
 # gate on the hot micro-kernel files, and an arm64 vet and cross-build,
 # which keep the scalar bodies of internal/kern (the build off amd64)
 # compiling. go vet's asmdecl check covers the amd64 assembly frames. Run
@@ -22,6 +23,7 @@ go build ./...
 go test ./...
 go test -race -short ./...
 go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/netdef
 go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl' ./internal/obs ./cmd/spg-train
 go test -race -count=20 -skip 'TestPlannerSelectsSparseWeightForPrunedLayer|TestPlannerDeploysSparseWhereThePaperSays' ./internal/plan
 scripts/bce_check.sh
