@@ -46,9 +46,9 @@ type Kernel interface {
 }
 
 // FusedBackward is implemented by kernels that run a layer's whole backward
-// pass in one call, sharing per-sample work the two separate entry points
-// would each redo (the Sparse-Kernel compresses every EO once and drives
-// Eq. 3 and Eq. 4 from that one compression). Callers that find the seam
+// pass in one call, sharing work the two separate entry points would each
+// redo (the Sparse-Kernel walks the batch once for both equations, with
+// one set of pooled scratch). Callers that find the seam
 // use it instead of BackwardInputBatch + BackwardWeightsBatch; kernels
 // without it keep being called through the pair.
 type FusedBackward interface {

@@ -133,6 +133,134 @@ func axpyRuns(dst, src []float32, a float32, n, dstStride, srcStride int) {
 	}
 }
 
+// NonZeros writes the indices i of the non-zero x[i], in ascending order,
+// to the front of idx and returns their count. x is cut to len(idx) first,
+// so the list always fits. A value counts as zero exactly when Go's
+// v != 0 is false: ±0 are zero, NaN is not.
+//
+// The assembly body tests eight floats per compare (VCMPPS, NEQ_UQ) and
+// visits only the set bits of each movemask, so a zero block costs one
+// compare and one branch.
+func NonZeros(idx []int32, x []float32) int {
+	x = x[:min(len(x), len(idx))]
+	if hasAVX2 {
+		return nonZerosAVX2(idx, x)
+	}
+	return nonZeros(idx, x)
+}
+
+// nonZeros is NonZeros' scalar body. The full-list test never fires after
+// NonZeros' cut; it lets the prover drop the store's bounds check.
+func nonZeros(idx []int32, x []float32) int {
+	out := idx
+	for i, v := range x {
+		if v != 0 {
+			if len(out) == 0 {
+				break
+			}
+			out[0] = int32(i)
+			out = out[1:]
+		}
+	}
+	return len(idx) - len(out)
+}
+
+// BlockVectors is how many 8-float vectors a held Block keeps in
+// registers. Callers with larger blocks walk them one slice of at most
+// this many at a time.
+const BlockVectors = 12
+
+// Block is a planned block accumulation: rows runs of n floats, dst row r
+// at dst[r·dstStride], over a list of shifted windows of src. Planning
+// once keeps the register layout out of the per-call path.
+type Block struct {
+	n, dstStride, srcStride int
+	size, span              int // floats of dst the block covers, of src one window reads
+	// k is the number of vectors the assembly body holds: 0 when the
+	// shape is not held (n < 8, or more than BlockVectors vectors).
+	k     int
+	slots blockSlots
+}
+
+// blockSlots lays out a held Block's vectors, row by row: vector s reads
+// the window at byte offset src[s] and holds the block at byte offset
+// dst[s]. A row's last vector starts at float n−8, overlapping the one
+// before, so both registers hold the same element's identical chain and
+// no lane is masked.
+type blockSlots struct {
+	src, dst [BlockVectors]int
+}
+
+// NewBlock plans a rows × n block. rows > 1 needs dstStride ≥ n and
+// srcStride ≥ 1, or NewBlock panics; rows or n below 1 plan an empty
+// block.
+func NewBlock(rows, n, dstStride, srcStride int) Block {
+	if rows > 1 && (dstStride < n || srcStride < 1) {
+		panic("kern: NewBlock rows overlap")
+	}
+	if rows < 1 || n < 1 {
+		return Block{}
+	}
+	b := Block{n: n, dstStride: dstStride, srcStride: srcStride,
+		size: (rows-1)*dstStride + n, span: (rows-1)*srcStride + n}
+	nv := (n + 7) / 8
+	k := rows * nv
+	if n < 8 || k > BlockVectors {
+		return b
+	}
+	for s := 0; s < k; s++ {
+		r, j := s/nv, min(8*(s%nv), n-8)
+		b.slots.src[s] = 4 * (r*srcStride + j)
+		b.slots.dst[s] = 4 * (r*dstStride + j)
+	}
+	b.k = k
+	return b
+}
+
+// Axpy accumulates the block over the list:
+//
+//	for p := range offs: for r < rows: for j < n:
+//	    dst[r·dstStride+j] += vals[p] · src[offs[p]+r·srcStride+j]
+//
+// Every element receives its terms in list order, each as acc + v·x, so the
+// result is bit for bit that of one AxpyRuns(dst, src[offs[p]:], vals[p],
+// n, dstStride, srcStride) per entry. The walk covers min(len(vals),
+// len(offs)) entries and ends at the first offset whose window does not
+// fit in src; nothing happens when dst cannot hold the block.
+//
+// spkernel's Eq. 4 runs it once per (image, feature) with the feature's
+// [ky][kx·c] dW′ block as dst and one window per EO non-zero. The assembly
+// body loads a held block into registers once, walks the whole list, and
+// stores it once. Other shapes run one AxpyRuns per entry.
+func (b *Block) Axpy(dst, src, vals []float32, offs []int32) {
+	if uint(b.size) > uint(len(dst)) || uint(b.span) > uint(len(src)) {
+		return
+	}
+	m := min(len(vals), len(offs))
+	if hasAVX2 && b.k > 0 {
+		axpyBlockAVX2(dst[:b.size], src, vals[:m], offs[:m], &b.slots, b.k, len(src)-b.span)
+		return
+	}
+	axpyBlock(AxpyRuns, dst[:b.size], src, vals[:m], offs[:m], b.n, b.dstStride, b.srcStride, len(src)-b.span)
+}
+
+// axpyBlock is Block.Axpy's unheld walk, for a block already cut to its
+// size and a list cut to one length: one runs call per entry, which
+// re-reads and re-stores the block every time. With runs = axpyRuns it is
+// the scalar body. limit is the last offset whose window fits in src.
+func axpyBlock(runs func(dst, src []float32, a float32, n, dstStride, srcStride int),
+	dst, src, vals []float32, offs []int32, n, dstStride, srcStride, limit int) {
+	for len(offs) > 0 && len(vals) > 0 {
+		// The second compare restates the first for the prover.
+		o := int(offs[0])
+		if uint(o) > uint(limit) || uint(o) > uint(len(src)) {
+			return
+		}
+		runs(dst, src[o:], vals[0], n, dstStride, srcStride)
+		offs, vals = offs[1:], vals[1:]
+	}
+}
+
 // Dot8 is the packed-panel micro-kernel: eight dot products of a against
 // one k-interleaved panel, s_c = Σ_k a[k]·bp[8k+c] over
 // k < min(len(a), len(bp)/8), each summed in increasing k.

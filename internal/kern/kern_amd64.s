@@ -344,3 +344,294 @@ x4done:
 	VMOVUPS Y3, 96(DI)
 	VZEROUPPER
 	RET
+
+// func nonZerosAVX2(idx []int32, x []float32) int
+//
+// x is already cut to len(idx). 32 floats per iteration: four compares
+// against zero (NEQ_UQ: true for NaN, false for ±0), their movemasks
+// joined into one 32-bit mask, and one index store per set bit, lowest
+// first; then 8 at a time; then a scalar tail testing the bits below the
+// sign. A zero block costs its compares and one branch.
+TEXT ·nonZerosAVX2(SB), NOSPLIT, $0-56
+	MOVQ   idx_base+0(FP), DI
+	MOVQ   x_base+24(FP), SI
+	MOVQ   x_len+32(FP), CX
+	XORQ   AX, AX                   // indices written
+	XORQ   BX, BX                   // index of the block's first float
+	VXORPS Y0, Y0, Y0
+	CMPQ   CX, $32
+	JLT    nz8
+
+nz32:
+	VCMPPS    $4, (SI), Y0, Y1
+	VCMPPS    $4, 32(SI), Y0, Y2
+	VCMPPS    $4, 64(SI), Y0, Y3
+	VCMPPS    $4, 96(SI), Y0, Y4
+	VMOVMSKPS Y1, DX
+	VMOVMSKPS Y2, R8
+	VMOVMSKPS Y3, R9
+	VMOVMSKPS Y4, R10
+	SHLL      $8, R8
+	SHLL      $16, R9
+	SHLL      $24, R10
+	ORL       R8, DX
+	ORL       R9, DX
+	ORL       R10, DX
+	JEQ       nz32next
+
+nz32bits:
+	BSFL DX, R8
+	LEAQ (BX)(R8*1), R9
+	MOVL R9, (DI)(AX*4)
+	INCQ AX
+	LEAL -1(DX), R8
+	ANDL R8, DX                     // clear the lowest set bit
+	JNE  nz32bits
+
+nz32next:
+	ADDQ $128, SI
+	ADDQ $32, BX
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  nz32
+
+nz8:
+	CMPQ CX, $8
+	JLT  nztail
+
+nz8loop:
+	VCMPPS    $4, (SI), Y0, Y1
+	VMOVMSKPS Y1, DX
+	TESTL     DX, DX
+	JEQ       nz8next
+
+nz8bits:
+	BSFL DX, R8
+	LEAQ (BX)(R8*1), R9
+	MOVL R9, (DI)(AX*4)
+	INCQ AX
+	LEAL -1(DX), R8
+	ANDL R8, DX
+	JNE  nz8bits
+
+nz8next:
+	ADDQ $32, SI
+	ADDQ $8, BX
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  nz8loop
+
+nztail:
+	TESTQ CX, CX
+	JEQ   nzdone
+
+nztailloop:
+	MOVL  (SI), DX
+	ANDL  $0x7fffffff, DX           // zero exactly for ±0
+	JEQ   nztailnext
+	MOVL  BX, (DI)(AX*4)
+	INCQ  AX
+
+nztailnext:
+	ADDQ $4, SI
+	INCQ BX
+	DECQ CX
+	JNE  nztailloop
+
+nzdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func axpyBlockAVX2(dst, src, vals []float32, offs []int32, slots *blockSlots, k, limit int)
+//
+// The held block: Y0..Y(k-1) load the block's k vectors once (vector s at
+// byte offset slots.dst[s] of dst), every list entry adds vals[p] times
+// the k window vectors at src + 4·offs[p] + slots.src[s], and the block is
+// stored once. The unrolled slot sequence leaves after slot k-1; the exit
+// branches take the same way for the whole walk. An offset above limit
+// (negative ones included, compared unsigned) ends the walk. Y12 holds the
+// broadcast value, Y13 the product.
+TEXT ·axpyBlockAVX2(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ vals_base+48(FP), R8
+	MOVQ vals_len+56(FP), CX
+	MOVQ offs_base+72(FP), R9
+	MOVQ slots+96(FP), R10
+	MOVQ k+104(FP), DX
+	MOVQ limit+112(FP), R11
+
+	MOVQ    96(R10), R12
+	VMOVUPS (DI)(R12*1), Y0
+	CMPQ    DX, $1
+	JEQ     blkwalk
+	MOVQ    104(R10), R12
+	VMOVUPS (DI)(R12*1), Y1
+	CMPQ    DX, $2
+	JEQ     blkwalk
+	MOVQ    112(R10), R12
+	VMOVUPS (DI)(R12*1), Y2
+	CMPQ    DX, $3
+	JEQ     blkwalk
+	MOVQ    120(R10), R12
+	VMOVUPS (DI)(R12*1), Y3
+	CMPQ    DX, $4
+	JEQ     blkwalk
+	MOVQ    128(R10), R12
+	VMOVUPS (DI)(R12*1), Y4
+	CMPQ    DX, $5
+	JEQ     blkwalk
+	MOVQ    136(R10), R12
+	VMOVUPS (DI)(R12*1), Y5
+	CMPQ    DX, $6
+	JEQ     blkwalk
+	MOVQ    144(R10), R12
+	VMOVUPS (DI)(R12*1), Y6
+	CMPQ    DX, $7
+	JEQ     blkwalk
+	MOVQ    152(R10), R12
+	VMOVUPS (DI)(R12*1), Y7
+	CMPQ    DX, $8
+	JEQ     blkwalk
+	MOVQ    160(R10), R12
+	VMOVUPS (DI)(R12*1), Y8
+	CMPQ    DX, $9
+	JEQ     blkwalk
+	MOVQ    168(R10), R12
+	VMOVUPS (DI)(R12*1), Y9
+	CMPQ    DX, $10
+	JEQ     blkwalk
+	MOVQ    176(R10), R12
+	VMOVUPS (DI)(R12*1), Y10
+	CMPQ    DX, $11
+	JEQ     blkwalk
+	MOVQ    184(R10), R12
+	VMOVUPS (DI)(R12*1), Y11
+
+blkwalk:
+	TESTQ CX, CX
+	JEQ   blkstore
+
+blkentry:
+	MOVLQSX      (R9), AX
+	CMPQ         AX, R11
+	JHI          blkstore
+	LEAQ         (SI)(AX*4), BX
+	VBROADCASTSS (R8), Y12
+	MOVQ         0(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y0, Y0
+	CMPQ         DX, $1
+	JEQ          blknext
+	MOVQ         8(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y1, Y1
+	CMPQ         DX, $2
+	JEQ          blknext
+	MOVQ         16(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y2, Y2
+	CMPQ         DX, $3
+	JEQ          blknext
+	MOVQ         24(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y3, Y3
+	CMPQ         DX, $4
+	JEQ          blknext
+	MOVQ         32(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y4, Y4
+	CMPQ         DX, $5
+	JEQ          blknext
+	MOVQ         40(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y5, Y5
+	CMPQ         DX, $6
+	JEQ          blknext
+	MOVQ         48(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y6, Y6
+	CMPQ         DX, $7
+	JEQ          blknext
+	MOVQ         56(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y7, Y7
+	CMPQ         DX, $8
+	JEQ          blknext
+	MOVQ         64(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y8, Y8
+	CMPQ         DX, $9
+	JEQ          blknext
+	MOVQ         72(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y9, Y9
+	CMPQ         DX, $10
+	JEQ          blknext
+	MOVQ         80(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y10, Y10
+	CMPQ         DX, $11
+	JEQ          blknext
+	MOVQ         88(R10), R12
+	VMULPS       (BX)(R12*1), Y12, Y13
+	VADDPS       Y13, Y11, Y11
+
+blknext:
+	ADDQ $4, R8
+	ADDQ $4, R9
+	DECQ CX
+	JNE  blkentry
+
+blkstore:
+	MOVQ    96(R10), R12
+	VMOVUPS Y0, (DI)(R12*1)
+	CMPQ    DX, $1
+	JEQ     blkdone
+	MOVQ    104(R10), R12
+	VMOVUPS Y1, (DI)(R12*1)
+	CMPQ    DX, $2
+	JEQ     blkdone
+	MOVQ    112(R10), R12
+	VMOVUPS Y2, (DI)(R12*1)
+	CMPQ    DX, $3
+	JEQ     blkdone
+	MOVQ    120(R10), R12
+	VMOVUPS Y3, (DI)(R12*1)
+	CMPQ    DX, $4
+	JEQ     blkdone
+	MOVQ    128(R10), R12
+	VMOVUPS Y4, (DI)(R12*1)
+	CMPQ    DX, $5
+	JEQ     blkdone
+	MOVQ    136(R10), R12
+	VMOVUPS Y5, (DI)(R12*1)
+	CMPQ    DX, $6
+	JEQ     blkdone
+	MOVQ    144(R10), R12
+	VMOVUPS Y6, (DI)(R12*1)
+	CMPQ    DX, $7
+	JEQ     blkdone
+	MOVQ    152(R10), R12
+	VMOVUPS Y7, (DI)(R12*1)
+	CMPQ    DX, $8
+	JEQ     blkdone
+	MOVQ    160(R10), R12
+	VMOVUPS Y8, (DI)(R12*1)
+	CMPQ    DX, $9
+	JEQ     blkdone
+	MOVQ    168(R10), R12
+	VMOVUPS Y9, (DI)(R12*1)
+	CMPQ    DX, $10
+	JEQ     blkdone
+	MOVQ    176(R10), R12
+	VMOVUPS Y10, (DI)(R12*1)
+	CMPQ    DX, $11
+	JEQ     blkdone
+	MOVQ    184(R10), R12
+	VMOVUPS Y11, (DI)(R12*1)
+
+blkdone:
+	VZEROUPPER
+	RET

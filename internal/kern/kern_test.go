@@ -205,16 +205,39 @@ type impl struct {
 	axpyRuns func(dst, src []float32, a float32, n, dstStride, srcStride int)
 	dot8     func(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32)
 	dot8x4   func(s *[4][8]float32, a0, a1, a2, a3, bp []float32)
+	nonZeros func(idx []int32, x []float32) int
+	// block takes Block.Axpy's arguments, for a dst and src the block
+	// fits; held reports whether the body takes a block.
+	block func(b *Block, dst, src, vals []float32, offs []int32)
+	held  func(b *Block) bool
 }
 
 // impls returns the scalar bodies and, where the CPU runs them, the
 // assembly bodies.
 func impls() []impl {
-	is := []impl{{"go", axpy, axpyRuns, dot8, dot8x4}}
+	is := []impl{{"go", axpy, axpyRuns, dot8, dot8x4, nonZerosCut(nonZeros), scalarBlock,
+		func(*Block) bool { return true }}}
 	if hasAVX2 {
-		is = append(is, impl{"avx2", axpyAVX2, axpyRunsAVX2, dot8AVX2, dot8x4AVX2})
+		is = append(is, impl{"avx2", axpyAVX2, axpyRunsAVX2, dot8AVX2, dot8x4AVX2, nonZerosCut(nonZerosAVX2), heldBlock,
+			func(b *Block) bool { return b.k > 0 }})
 	}
 	return is
+}
+
+// nonZerosCut gives a scan body NonZeros' cut of x to len(idx).
+func nonZerosCut(body func(idx []int32, x []float32) int) func(idx []int32, x []float32) int {
+	return func(idx []int32, x []float32) int { return body(idx, x[:min(len(x), len(idx))]) }
+}
+
+// scalarBlock and heldBlock run Block.Axpy's two bodies with its cuts.
+func scalarBlock(b *Block, dst, src, vals []float32, offs []int32) {
+	m := min(len(vals), len(offs))
+	axpyBlock(axpyRuns, dst[:b.size], src, vals[:m], offs[:m], b.n, b.dstStride, b.srcStride, len(src)-b.span)
+}
+
+func heldBlock(b *Block, dst, src, vals []float32, offs []int32) {
+	m := min(len(vals), len(offs))
+	axpyBlockAVX2(dst[:b.size], src, vals[:m], offs[:m], &b.slots, b.k, len(src)-b.span)
 }
 
 func TestBodiesAxpyMatchScalarLoop(t *testing.T) {
@@ -421,6 +444,19 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			im.axpyRuns(dst, fill(3*n, x), x, n, n, n)
 			check(fmt.Sprintf("%s: axpyRuns n=%d", im.name, n), dst)
 		}
+		// AxpyBlock: dst = c, then three entries over the same window of
+		// x: += 0·x, += x·x, += 0·x, so the deciding add is mid-walk.
+		for n := 1; n <= 70; n++ {
+			for rows := 1; rows <= 12; rows++ {
+				b := NewBlock(rows, n, n, n)
+				if !im.held(&b) {
+					continue
+				}
+				dst := fill(rows*n, c)
+				im.block(&b, dst, fill(rows*n, x), []float32{0, x, 0}, []int32{0, 0, 0})
+				check(fmt.Sprintf("%s: axpyBlock rows=%d n=%d", im.name, rows, n), dst)
+			}
+		}
 		// Dot8 and Dot8x4: s = 0 before step j, 1·c at j, += x·x at j+1,
 		// then += 0·0 to step K.
 		for k := 2; k <= 12; k++ {
@@ -440,6 +476,163 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sparseValues fills n floats of which about three in five are ±0 and
+// the rest values' mix, specials included.
+func sparseValues(r *rng.RNG, n int) []float32 {
+	v := values(r, n)
+	for i := range v {
+		switch r.Intn(5) {
+		case 0, 1:
+			v[i] = 0
+		case 2:
+			v[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return v
+}
+
+// nonZerosOracle is NonZeros' one-line loop over x cut to len(idx).
+func nonZerosOracle(idx []int32, x []float32) int {
+	n := 0
+	for i, v := range x[:min(len(x), len(idx))] {
+		if v != 0 {
+			idx[n] = int32(i)
+			n++
+		}
+	}
+	return n
+}
+
+func TestBodiesNonZerosMatchScalarLoop(t *testing.T) {
+	for _, im := range append(impls(), impl{name: "dispatch", nonZeros: NonZeros}) {
+		r := rng.New(0xB5)
+		for n := 0; n <= 70; n++ {
+			for off := 0; off < 8; off++ {
+				for _, dense := range []bool{false, true} {
+					x := sparseValues(r, off+n)[off:]
+					if dense {
+						x = values(r, off+n)[off:]
+					}
+					// An index list as long as x, and one three short: the
+					// scan stops at len(idx). Past the count, idx is untouched.
+					for _, short := range []int{0, min(3, n)} {
+						got, want := make([]int32, n-short+2), make([]int32, n-short+2)
+						for i := range got {
+							got[i], want[i] = -7, -7
+						}
+						gn := im.nonZeros(got[:n-short], x)
+						wn := nonZerosOracle(want[:n-short], x)
+						if gn != wn {
+							t.Fatalf("%s: n=%d off=%d short=%d: count %d, want %d", im.name, n, off, short, gn, wn)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s: n=%d off=%d short=%d: idx[%d] = %d, want %d", im.name, n, off, short, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// axpyBlockOracle is Block.Axpy as repeated one-line AxpyRuns loops over
+// the block cut to its rows.
+func axpyBlockOracle(dst, src, vals []float32, offs []int32, rows, n, ds, ss int) {
+	dst = dst[:(rows-1)*ds+n]
+	span := (rows-1)*ss + n
+	for p := range min(len(vals), len(offs)) {
+		o := int(offs[p])
+		if o < 0 || o+span > len(src) {
+			return
+		}
+		axpyRunsOracle(dst, src[o:], vals[p], n, ds, ss)
+	}
+}
+
+// blockCase draws a block walk: dst and src misaligned by off, a list of
+// windows (repeats and neighbours included) with special values, and,
+// when bad, one window past the end of src or below it mid-list.
+func blockCase(r *rng.RNG, rows, n, ds, ss, off int, bad bool) (buf, src, vals []float32, offs []int32) {
+	span := (rows-1)*ss + n
+	src = values(r, off+span+40)[off:]
+	vals = values(r, 1+r.Intn(9))
+	offs = make([]int32, len(vals)+r.Intn(2)) // sometimes one offset more than values
+	for p := range offs {
+		offs[p] = int32(r.Intn(len(src) - span + 1))
+		if p > 0 && r.Intn(4) == 0 {
+			offs[p] = offs[p-1]
+		}
+	}
+	if bad && len(offs) > 1 {
+		p := 1 + r.Intn(len(offs)-1)
+		offs[p] = []int32{int32(len(src) - span + 1), -1, int32(len(src))}[r.Intn(3)]
+	}
+	buf = values(r, off+(rows-1)*ds+n+3)
+	return buf, src, vals, offs
+}
+
+func TestBodiesBlockMatchesAxpyRuns(t *testing.T) {
+	for _, im := range impls() {
+		r := rng.New(0xB6)
+		for n := 1; n <= 70; n++ {
+			for rows := 1; rows <= 12; rows++ {
+				for _, st := range [][2]int{{n, n}, {n + 3, 2*n + 1}, {n, n + 96}} {
+					ds, ss := st[0], st[1]
+					b := NewBlock(rows, n, ds, ss)
+					if !im.held(&b) || (im.name == "go" && rows > 3) {
+						continue
+					}
+					for off := 0; off < 8; off++ {
+						buf, src, vals, offs := blockCase(r, rows, n, ds, ss, off, off%3 == 2)
+						got := append([]float32(nil), buf...)
+						want := append([]float32(nil), buf...)
+						im.block(&b, got[off:], src, vals, offs)
+						axpyBlockOracle(want[off:], src, vals, offs, rows, n, ds, ss)
+						if i := sameBits(got, want); i >= 0 {
+							t.Fatalf("%s: rows=%d n=%d strides=%d,%d off=%d offs=%v: [%d] = %v, want %v",
+								im.name, rows, n, ds, ss, off, offs, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockDispatch drives Block.Axpy over shapes the assembly does not
+// hold (n < 8, more than BlockVectors vectors) as well as ones it does, a
+// dst too short for the block, and the overlap panic.
+func TestBlockDispatch(t *testing.T) {
+	r := rng.New(0xB7)
+	for _, sh := range [][2]int{{5, 5}, {1, 7}, {5, 15}, {1, 96}, {1, 97}, {2, 64}, {5, 320}, {3, 1}} {
+		rows, n := sh[0], sh[1]
+		for off := 0; off < 8; off += 3 {
+			buf, src, vals, offs := blockCase(r, rows, n, n+1, n+2, off, off == 6)
+			got := append([]float32(nil), buf...)
+			want := append([]float32(nil), buf...)
+			b := NewBlock(rows, n, n+1, n+2)
+			b.Axpy(got[off:], src, vals, offs)
+			axpyBlockOracle(want[off:], src, vals, offs, rows, n, n+1, n+2)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("rows=%d n=%d off=%d: [%d] = %v, want %v", rows, n, off, i, got[i], want[i])
+			}
+			short := append([]float32(nil), buf...)
+			b.Axpy(short[off:off+(rows-1)*(n+1)+n-1], src, vals, offs)
+			if i := sameBits(short, buf); i >= 0 {
+				t.Fatalf("rows=%d n=%d off=%d: a short block wrote [%d]", rows, n, off, i)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewBlock with overlapping rows did not panic")
+		}
+	}()
+	NewBlock(2, 8, 7, 8)
 }
 
 // benchLengths are the row lengths the engines run: 4-wide tails, a 3×3
@@ -487,6 +680,67 @@ func BenchmarkAxpyRuns(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNonZeros scans one CIFAR conv0 EO plane (32×32) at the
+// layer's ~94 % sparsity and at 50 %.
+func BenchmarkNonZeros(b *testing.B) {
+	r := rng.New(4)
+	for _, im := range impls() {
+		for _, density := range []int{16, 2} {
+			x := make([]float32, 1024)
+			for i := range x {
+				if r.Intn(density) == 0 {
+					x[i] = float32(r.NormFloat64())
+				}
+			}
+			idx := make([]int32, len(x))
+			b.Run(fmt.Sprintf("%s/1in%d", im.name, density), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkN += im.nonZeros(idx, x)
+				}
+				b.ReportMetric(float64(len(x))*4*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+	}
+}
+
+// BenchmarkBlock walks CIFAR conv0's dW′ block (5 runs of 15 floats,
+// image rows 96 floats apart) over 64 windows, against one AxpyRuns call
+// per window.
+func BenchmarkBlock(b *testing.B) {
+	const n, rows, rowStride, windows = 15, 5, 96, 64
+	r := rng.New(5)
+	src := make([]float32, 32*rowStride)
+	for i := range src {
+		src[i] = float32(r.NormFloat64())
+	}
+	vals, offs := make([]float32, windows), make([]int32, windows)
+	for p := range offs {
+		vals[p] = float32(r.NormFloat64())
+		offs[p] = int32(r.Intn(len(src) - (rows-1)*rowStride - n))
+	}
+	dst := make([]float32, rows*n)
+	blk := NewBlock(rows, n, n, rowStride)
+	for _, im := range impls() {
+		b.Run(im.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				im.block(&blk, dst, src, vals, offs)
+			}
+			b.ReportMetric(2*n*rows*windows*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+		})
+		b.Run(im.name+"/runs", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for p, o := range offs {
+					im.axpyRuns(dst, src[o:], vals[p], n, n, rowStride)
+				}
+			}
+			b.ReportMetric(2*n*rows*windows*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+		})
+	}
+}
+
+// sinkN keeps NonZeros' counts live.
+var sinkN int
 
 // sink keeps Dot8's results live.
 var sink float32

@@ -2,6 +2,7 @@ package netdef
 
 import (
 	"fmt"
+	"slices"
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
@@ -77,6 +78,9 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 	var layers []nn.Layer
 	for i, l := range def.Layers {
 		name := nameOr(l, i)
+		if err := checkFields(l, name); err != nil {
+			return nil, err
+		}
 		switch l.Type {
 		case "conv":
 			if len(dims) != 3 {
@@ -187,6 +191,56 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 		net.SetInference()
 	}
 	return net, nil
+}
+
+// fieldKinds lists, per layer type, every field Build reads and the kind
+// of value it takes: 'i' an integer, 'f' a float (an integer is
+// promoted), 's' a quoted string.
+var fieldKinds = map[string]map[string]byte{
+	"conv":    {"features": 'i', "kernel": 'i', "stride": 'i', "pad": 'i', "dilation": 'i', "groups": 'i'},
+	"relu":    {},
+	"maxpool": {"kernel": 'i', "stride": 'i'},
+	"avgpool": {"kernel": 'i', "stride": 'i'},
+	"dropout": {"rate": 'f'},
+	"fc":      {"outputs": 'i'},
+	"add":     {"from": 's'},
+}
+
+// checkFields reports the first field, by name, that l's type does not
+// read or that holds the wrong kind of value: a misspelt field or a
+// decimal stride would otherwise build a layer with the default. An
+// unknown type passes; Build's type switch reports it.
+func checkFields(l LayerDef, name string) error {
+	kinds, ok := fieldKinds[l.Type]
+	if !ok {
+		return nil
+	}
+	var fields []string
+	for f := range l.Fields {
+		fields = append(fields, f)
+	}
+	for f := range l.Floats {
+		fields = append(fields, f)
+	}
+	for f := range l.Strings {
+		fields = append(fields, f)
+	}
+	slices.Sort(fields)
+	for _, f := range fields {
+		_, isInt := l.Fields[f]
+		_, isFloat := l.Floats[f]
+		switch kind, known := kinds[f]; {
+		case !known:
+			return fmt.Errorf("netdef: layer %q (%s) has no field %q", name, l.Type, f)
+		case kind == 'i' && isFloat:
+			return fmt.Errorf("netdef: layer %q (%s): field %q takes an integer, not the decimal %v", name, l.Type, f, l.Floats[f])
+		case kind == 's' && (isInt || isFloat):
+			return fmt.Errorf("netdef: layer %q (%s): field %q takes a quoted string", name, l.Type, f)
+		case kind != 's' && !isInt && !isFloat:
+			return fmt.Errorf("netdef: layer %q (%s): field %q takes a number", name, l.Type, f)
+		}
+	}
+	return nil
 }
 
 func nameOr(l LayerDef, i int) string {

@@ -213,9 +213,17 @@ func Parse(src string) (*NetDef, error) {
 			}
 			def.Name = v.text
 		case "input":
-			fields, _, _, err := p.block(false)
+			fields, floats, _, err := p.block(false)
 			if err != nil {
 				return nil, err
+			}
+			for f, v := range floats {
+				return nil, fmt.Errorf("netdef: input block: field %q takes an integer, not the decimal %v", f, v)
+			}
+			for f := range fields {
+				if f != "channels" && f != "height" && f != "width" {
+					return nil, fmt.Errorf("netdef: input block has no field %q", f)
+				}
 			}
 			def.Input = InputDef{
 				Channels: fields["channels"],

@@ -274,3 +274,74 @@ func TestBuildBlockedAndSparseWeightStrategies(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRejectsFieldsItDoesNotRead: a misspelt field, a decimal in an
+// integer field, or a value of the wrong kind is an error naming the layer
+// and the field, not a layer built with the default.
+func TestBuildRejectsFieldsItDoesNotRead(t *testing.T) {
+	const in = "input { channels: 1 height: 8 width: 8 }\n"
+	cases := []struct{ layer, wantSub string }{
+		{`layer { name: "c" type: "conv" features: 2 kernel: 3 strid: 2 }`, `layer "c" (conv) has no field "strid"`},
+		{`layer { name: "c" type: "conv" features: 2 kernel: 3 stride: 2.0 }`, `layer "c" (conv): field "stride" takes an integer`},
+		{`layer { name: "p" type: "maxpool" kernel: 2 pad: 1 }`, `layer "p" (maxpool) has no field "pad"`},
+		{`layer { name: "r" type: "relu" slope: 0.1 }`, `layer "r" (relu) has no field "slope"`},
+		{`layer { name: "f" type: "fc" outputs: 4 from: "x" }`, `layer "f" (fc) has no field "from"`},
+		{`layer { name: "f" type: "fc" outputs: "4" }`, `layer "f" (fc): field "outputs" takes a number`},
+		{`layer { name: "d" type: "dropout" rate: "0.5" }`, `layer "d" (dropout): field "rate" takes a number`},
+		{`layer { name: "a" type: "add" from: 2 }`, `layer "a" (add): field "from" takes a quoted string`},
+	}
+	for _, tc := range cases {
+		def, err := Parse(in + tc.layer)
+		if err != nil {
+			t.Fatalf("Parse(%q) failed: %v", tc.layer, err)
+		}
+		if _, err := Build(def, BuildOptions{}); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("Build(%q) error = %v, want containing %q", tc.layer, err, tc.wantSub)
+		}
+	}
+	// dropout's rate is a float and takes an integer too.
+	for _, rate := range []string{"0.25", "0"} {
+		if _, err := Build(mustParse(t, in+`layer { type: "dropout" rate: `+rate+` }`), BuildOptions{}); err != nil {
+			t.Errorf("dropout rate %s: %v", rate, err)
+		}
+	}
+}
+
+// TestParseRejectsInputFieldsItDoesNotRead covers the input block.
+func TestParseRejectsInputFieldsItDoesNotRead(t *testing.T) {
+	for src, want := range map[string]string{
+		"input { channels: 1 height: 8 width: 8 depth: 2 }\nlayer { type: \"relu\" }":  `input block has no field "depth"`,
+		"input { channels: 1 height: 8.0 width: 8 }\nlayer { type: \"relu\" }":         `input block: field "height" takes an integer`,
+		"input { channels: 1 hieght: 8 height: 8 width: 8 }\nlayer { type: \"relu\" }": `input block has no field "hieght"`,
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) error = %v, want containing %q", src, err, want)
+		}
+	}
+}
+
+// TestCommittedDescriptionsBuild: the seven committed descriptions use
+// only fields their layers read.
+func TestCommittedDescriptionsBuild(t *testing.T) {
+	srcs := []string{MNISTNet, CIFARNet, ImageNet100Net}
+	for _, z := range Zoo() {
+		srcs = append(srcs, z.Src)
+	}
+	if len(srcs) != 7 {
+		t.Fatalf("%d committed descriptions, want 7", len(srcs))
+	}
+	for _, src := range srcs {
+		if _, err := Build(mustParse(t, src), BuildOptions{Workers: 1, Seed: 1}); err != nil {
+			t.Errorf("%v", err)
+		}
+	}
+}
+
+func mustParse(t *testing.T, src string) *NetDef {
+	t.Helper()
+	def, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return def
+}

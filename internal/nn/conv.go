@@ -7,6 +7,7 @@ import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/kern"
 	"spgcnn/internal/par"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
@@ -141,11 +142,15 @@ func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 
 // reduceEO makes the layer's one pass over the batch's error gradients: per
 // sample, the zero count behind the sparsity probe and the Nf plane sums
-// behind dB, fanned over the context's workers. The per-sample partials are
-// then folded in sample order, so dB and the probe are bit-identical to a
-// serial sample-by-sample reduction whatever the worker count. It returns
-// the batch-mean sparsity, from the same per-sample counts TakeSparsity
-// averages.
+// behind dB, fanned over the context's workers. Each plane is walked
+// through kern.NonZeros' list of its non-zeros: the zero count is what the
+// list leaves out, and the sum adds only the listed values, in ascending
+// order. Skipping the zeros keeps the sum's bits: it starts at +0 and can
+// only become −0 by adding −0 to −0, so adding ±0 never changes it. The
+// per-sample partials are then folded in sample order, so dB and the probe
+// are bit-identical to a serial sample-by-sample reduction whatever the
+// worker count. It returns the batch-mean sparsity, from the same
+// per-sample counts TakeSparsity averages.
 func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
 	nf := c.spec.Nf
 	plane := c.spec.OutY() * c.spec.OutX()
@@ -155,19 +160,23 @@ func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
 	}
 	zeros := c.eoZeros[:len(eos)]
 	par.ForChunked(len(eos), c.ctx.Workers(), func(lo, hi int) {
+		var idx [256]int32 // one piece of a plane's non-zero list
 		for i := lo; i < hi; i++ {
-			z := 0
+			nnz := 0
 			for f := 0; f < nf; f++ {
 				var sum float32
-				for _, v := range eos[i].Data[f*plane:][:plane] {
-					sum += v
-					if v == 0 {
-						z++
+				for p := eos[i].Data[f*plane:][:plane]; len(p) > 0; {
+					piece := p[:min(len(p), len(idx))]
+					n := kern.NonZeros(idx[:], piece)
+					for _, q := range idx[:n] {
+						sum += piece[q]
 					}
+					nnz += n
+					p = p[len(piece):]
 				}
 				sums[i*nf+f] = sum
 			}
-			zeros[i] = z
+			zeros[i] = nf*plane - nnz
 		}
 	})
 	batch := 0.0

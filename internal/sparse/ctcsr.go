@@ -1,6 +1,10 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"spgcnn/internal/kern"
+)
 
 // CTCSR is the paper's Column Tiled-Compressed Sparse Row format
 // (Fig. 5a): the matrix is split into vertical tiles of tileWidth columns,
@@ -12,6 +16,8 @@ type CTCSR struct {
 	Rows, Cols int
 	TileWidth  int
 	Tiles      []*CSR // len = ceil(Cols/TileWidth); tile t covers columns [t*TileWidth, ...)
+
+	scan []int32 // FromPlanesCTInto's list of one plane's non-zero rows
 }
 
 // DefaultTileWidth is the column-tile width used when callers do not
@@ -57,21 +63,24 @@ func FromDenseCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
 // map with cols = C and rows = H·W), and the result is bit-for-bit the
 // matrix FromDenseCTInto builds from the [H][W][C] copy — one row per
 // plane position, one column per plane — without that copy ever being
-// made. Each tile is a counting transpose: one sequential pass over its
-// planes counts every row's non-zeros into RowPtr, a second places them,
-// so the dense operand is only ever read in memory order and only
-// non-zeros are written. Storage is reused exactly as by FromDenseCTInto.
+// made. Each tile is a counting transpose over kern.NonZeros' list of each
+// plane's non-zero rows: one pass counts every row's non-zeros into
+// RowPtr, a second places them, so the dense operand is only ever scanned
+// in memory order and only non-zeros are visited. Storage is reused
+// exactly as by FromDenseCTInto.
 func FromPlanesCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
 	m.reset(len(data), rows, cols, tileWidth)
+	if cap(m.scan) < rows {
+		m.scan = make([]int32, rows)
+	}
+	scan := m.scan[:rows]
 	for t, tile := range m.Tiles {
 		planes := data[t*m.TileWidth*rows:][:tile.Cols*rows]
 		next := tile.RowPtr[1:] // next[i] ends up as row i's end, RowPtr[i+1]
 		clear(next)
 		for j := 0; j < tile.Cols; j++ {
-			for i, v := range planes[j*rows:][:rows] {
-				if v != 0 {
-					next[i]++
-				}
+			for _, i := range scan[:kern.NonZeros(scan, planes[j*rows:][:rows])] {
+				next[i]++
 			}
 		}
 		nnz := int32(0)
@@ -85,12 +94,11 @@ func FromPlanesCTInto(m *CTCSR, data []float32, rows, cols, tileWidth int) {
 		}
 		vals, idx := tile.Values[:nnz], tile.ColIdx[:nnz]
 		for j := 0; j < tile.Cols; j++ {
-			for i, v := range planes[j*rows:][:rows] {
-				if v != 0 {
-					p := next[i]
-					vals[p], idx[p] = v, int32(j)
-					next[i] = p + 1
-				}
+			plane := planes[j*rows:][:rows]
+			for _, i := range scan[:kern.NonZeros(scan, plane)] {
+				p := next[i]
+				vals[p], idx[p] = plane[i], int32(j)
+				next[i] = p + 1
 			}
 		}
 		tile.Values, tile.ColIdx = vals, idx

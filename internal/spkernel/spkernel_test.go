@@ -96,6 +96,13 @@ func TestBackwardBatchSteadyStateAllocs(t *testing.T) {
 				withEI != nil, allocs)
 		}
 	}
+	// A first layer's kernel never computes EI: warmed without it, its
+	// dW-only passes allocate nothing either.
+	first := New(s, 0)
+	first.BackwardBatch(c, nil, dw, dense, ins, nil)
+	if allocs := testing.AllocsPerRun(10, func() { first.BackwardBatch(c, nil, dw, sparse, ins, nil) }); allocs != 0 {
+		t.Fatalf("steady-state dW-only BP allocates %v times per pass, want 0", allocs)
+	}
 }
 
 func TestSingleNonZeroPointerShift(t *testing.T) {
@@ -213,3 +220,48 @@ func BenchmarkBackwardConv0NoEI(b *testing.B) {
 	benchCIFAR(b, conv.Square(36, 64, 3, 5, 1), 0.94, false)
 }
 func BenchmarkBackwardConv1(b *testing.B) { benchCIFAR(b, conv.Square(8, 64, 64, 5, 1), 0.50, true) }
+
+// poolEO is a CIFAR conv0 error gradient after ReLU and max-pool: in each
+// 4×4 window of each plane, with probability p, one position holds a
+// gradient and the rest are zero (~94 % sparse at p = 0.9).
+func poolEO(r *rng.RNG, s conv.Spec, p float64) *tensor.Tensor {
+	eo := conv.NewOutput(s)
+	oy, ox := s.OutY(), s.OutX()
+	for f := 0; f < s.Nf; f++ {
+		for y := 0; y+4 <= oy; y += 4 {
+			for x := 0; x+4 <= ox; x += 4 {
+				if r.Float64() < p {
+					eo.Set3(f, y+r.Intn(4), x+r.Intn(4), float32(r.NormFloat64()))
+				}
+			}
+		}
+	}
+	return eo
+}
+
+// BenchmarkSparseWeights times Eq. 4 alone (a network's first layer) on
+// CIFAR conv0 over one worker's chunk of a batch-16 step on two workers:
+// 8 images with pool-structured gradients.
+func BenchmarkSparseWeights(b *testing.B) {
+	s := conv.Square(36, 64, 3, 5, 1)
+	r := rng.New(1)
+	c := exec.New(1)
+	k := New(s, 0)
+	const batch = 8
+	var eos, ins []*tensor.Tensor
+	nnz := 0
+	for range batch {
+		eo := poolEO(r, s, 0.9)
+		nnz += eo.NNZ()
+		eos, ins = append(eos, eo), append(ins, conv.RandInput(r, s))
+	}
+	dw := conv.NewWeights(s)
+	k.BackwardWeightsBatch(c, dw, eos, ins)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.BackwardWeightsBatch(c, dw, eos, ins)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/image")
+	b.ReportMetric(float64(NonZeroFlops(s, nnz))*float64(b.N)/b.Elapsed().Seconds()/1e9, "goodput-GFlops")
+}

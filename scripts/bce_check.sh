@@ -7,7 +7,8 @@
 # or once per streamed element, where a single reintroduced bounds check
 # costs double-digit percent throughput:
 #
-#   internal/kern/kern.go             Axpy, AxpyRuns, Dot8, Dot8x4, Gather8
+#   internal/kern/kern.go             Axpy, AxpyRuns, NonZeros, Block.Axpy,
+#                                     Dot8, Dot8x4, Gather8
 #                                     (the inner-loop layer every engine
 #                                     shares: the dispatch wrappers and the
 #                                     scalar bodies; the AVX2 bodies are
@@ -22,10 +23,11 @@
 #   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
 #
 # (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spweight/forward.go,
-# spkernel/spkernel.go and nn/activations.go, nn/pool.go are the drivers
-# feeding those loops — per-panel offsets, ragged/strided panel fallbacks,
-# per-row slicing and the pool's data-indexed argmax scatter, excluded like
-# the GEMM drivers.)
+# spkernel/spkernel.go, sparse/ctcsr.go and nn/activations.go, nn/pool.go,
+# nn/conv.go are the drivers feeding those loops — per-panel offsets,
+# ragged/strided panel fallbacks, per-row and per-plane slicing, the
+# non-zero lists' data-indexed reads and the pool's argmax scatter, excluded
+# like the GEMM drivers.)
 #
 # Pack/driver code (packed.go, gemm.go, ...) is deliberately NOT protected:
 # its checks execute O(M·N/8) times, not in the inner loops.
