@@ -64,10 +64,11 @@ func main() {
 	fmt.Printf("sparse BP: EO is %.0f%% zeros; EI computed from %d non-zeros\n",
 		eo.Sparsity()*100, eo.NNZ())
 
-	// 4. Or let spg-CNN's scheduler measure and choose (§4.4).
+	// 4. Or let spg-CNN's scheduler measure and choose (§4.4). The zero
+	// epilogue adds no bias and no ReLU to the deployed kernel's output.
 	auto := spgcnn.NewAutoConv(spec, 2)
 	outs := []*spgcnn.Tensor{spgcnn.NewOutput(spec)}
-	auto.Forward(outs, ins, w)
+	auto.Forward(outs, ins, w, spgcnn.Epilogue{})
 	fmt.Println("scheduler measurements (FP):")
 	for _, t := range auto.FPSelection().Timings {
 		fmt.Printf("  %-18s %8.3f ms\n", t.Strategy.Name, t.Seconds*1e3)

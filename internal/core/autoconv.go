@@ -8,6 +8,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/tensor"
 )
@@ -81,10 +82,11 @@ func (a *AutoConv) Spec() conv.Spec { return a.spec }
 // Ctx returns the execution context the layer runs under.
 func (a *AutoConv) Ctx() *exec.Ctx { return a.ctx }
 
-// Forward executes the batch, planning on first use and after the verdict
-// is invalidated, and returns the exec that ran it and whether this call
-// planned.
-func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) (ran *Exec, planned bool) {
+// Forward executes the batch with the layer's epilogue (Exec.ForwardEpilogue),
+// planning on first use and after the verdict is invalidated, and returns
+// the exec that ran it and whether this call planned. The planner measures
+// the bare convolution: the epilogue costs every candidate the same.
+func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor, ep engine.Epilogue) (ran *Exec, planned bool) {
 	bucket, sample := 0, ins
 	if len(a.buckets) > 0 {
 		bucket = len(ins)
@@ -104,7 +106,7 @@ func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) (ran *E
 		a.fps[bucket] = fp
 	}
 	a.mu.Unlock()
-	fp.ex.Forward(outs, ins, w)
+	fp.ex.ForwardEpilogue(outs, ins, w, ep)
 	return fp.ex, planned
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
+	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
@@ -172,17 +173,17 @@ func TestAutoConvReplansInvalidatedVerdict(t *testing.T) {
 	pl := &bandPlanner{}
 	a := NewAutoConv(s, exec.New(2), pl)
 	for i := 0; i < 2; i++ {
-		a.Forward(outs, ins, w)
+		a.Forward(outs, ins, w, engine.Epilogue{})
 		a.Backward(nil, dw, eos, ins, w, 0.2)
 	}
 	pl.invalidate()
-	a.Forward(outs, ins, w)
+	a.Forward(outs, ins, w, engine.Epilogue{})
 	if len(pl.fpBuckets) != 2 || len(pl.bpEOs) != 1 {
 		t.Fatalf("after invalidation the next Forward made %d FP and %d BP requests, want 2 and 1",
 			len(pl.fpBuckets), len(pl.bpEOs))
 	}
 	a.Backward(nil, dw, eos, ins, w, 0.2)
-	a.Forward(outs, ins, w)
+	a.Forward(outs, ins, w, engine.Epilogue{})
 	a.Backward(nil, dw, eos, ins, w, 0.2)
 	if len(pl.fpBuckets) != 2 || len(pl.bpEOs) != 2 {
 		t.Fatalf("after invalidation: %d FP and %d BP requests, want 2 and 2", len(pl.fpBuckets), len(pl.bpEOs))
@@ -191,15 +192,15 @@ func TestAutoConvReplansInvalidatedVerdict(t *testing.T) {
 	pl = &bandPlanner{}
 	inf := NewAutoConv(s, exec.New(2), pl, 1, 4)
 	one, three := outs[:1], outs
-	inf.Forward(one, ins[:1], w)
-	inf.Forward(three, ins, w)
+	inf.Forward(one, ins[:1], w, engine.Epilogue{})
+	inf.Forward(three, ins, w, engine.Epilogue{})
 	pl.invalidate()
-	inf.Forward(one, ins[:1], w)
+	inf.Forward(one, ins[:1], w, engine.Epilogue{})
 	if got := pl.fpBuckets; len(got) != 3 || got[2] != 1 {
 		t.Fatalf("bucket requests %v, want [1 4 1]: only the called bucket re-plans", got)
 	}
-	inf.Forward(three, ins, w)
-	inf.Forward(one, ins[:1], w)
+	inf.Forward(three, ins, w, engine.Epilogue{})
+	inf.Forward(one, ins[:1], w, engine.Epilogue{})
 	if got := pl.fpBuckets; len(got) != 4 || got[3] != 4 {
 		t.Fatalf("bucket requests %v, want [1 4 1 4]", got)
 	}
@@ -244,7 +245,7 @@ func TestFixedPlannerPinsWithoutMeasuring(t *testing.T) {
 	outs := []*tensor.Tensor{conv.NewOutput(s), conv.NewOutput(s), conv.NewOutput(s)}
 	dw := conv.NewWeights(s)
 	for i, sp := range []float64{0.1, 0.1, 0.9, 0.9, 0.9, 0.4, 0.4, 0.4} {
-		if ran, _ := a.Forward(outs, ins, w); ran.Strategy().Name != "stencil" {
+		if ran, _ := a.Forward(outs, ins, w, engine.Epilogue{}); ran.Strategy().Name != "stencil" {
 			t.Fatalf("batch %d: FP ran %q, want stencil", i, ran.Strategy().Name)
 		}
 		if ran, _ := a.Backward(nil, dw, eos, ins, w, sp); ran.Strategy().Name != "sparse" {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spgcnn/internal/conv"
+	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
@@ -230,7 +231,7 @@ func TestAutoConvTunesAndExecutes(t *testing.T) {
 		eis[i] = conv.NewInput(s)
 	}
 	dw := conv.NewWeights(s)
-	a.Forward(outs, ins, w)
+	a.Forward(outs, ins, w, engine.Epilogue{})
 	a.Backward(eis, dw, eos, ins, w, 0.85)
 
 	if a.FPSelection().Chosen == nil || a.BPSelection().Chosen == nil {

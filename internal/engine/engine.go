@@ -16,6 +16,7 @@ package engine
 import (
 	"spgcnn/internal/conv"
 	"spgcnn/internal/exec"
+	"spgcnn/internal/kern"
 	"spgcnn/internal/tensor"
 )
 
@@ -58,6 +59,33 @@ type FusedBackward interface {
 	// layer): Eq. 3 is skipped entirely.
 	BackwardBatch(c *exec.Ctx, eis []*tensor.Tensor, dw *tensor.Tensor,
 		eos, ins []*tensor.Tensor, w *tensor.Tensor)
+}
+
+// Epilogue is what a convolution layer does to each output image after
+// the kernel writes it: add a per-feature bias, then, with ReLU, apply the
+// rectifier, in one pass over the image (kern.Epilogue per feature plane).
+// The executors run it right after an image's kernel call, while the image
+// is still in cache, so a conv → ReLU pair costs no pass of its own. The
+// zero value does nothing.
+type Epilogue struct {
+	Bias []float32 // per output feature; empty adds nothing
+	ReLU bool
+}
+
+// Empty reports whether the epilogue leaves every output as it is.
+func (ep Epilogue) Empty() bool { return len(ep.Bias) == 0 && !ep.ReLU }
+
+// Apply runs the epilogue over one output image, len(ep.Bias) feature
+// planes of equal size (or one plane without a bias).
+func (ep Epilogue) Apply(out []float32) {
+	if len(ep.Bias) == 0 {
+		kern.Epilogue(out, 0, ep.ReLU)
+		return
+	}
+	plane := len(out) / len(ep.Bias)
+	for f, b := range ep.Bias {
+		kern.Epilogue(out[f*plane:][:plane], b, ep.ReLU)
+	}
 }
 
 // Generator builds a kernel specialized to a spec. It plays the role of

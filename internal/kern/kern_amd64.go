@@ -29,3 +29,9 @@ func nonZerosAVX2(idx []int32, x []float32) int
 
 //go:noescape
 func axpyBlockAVX2(dst, src, vals []float32, offs []int32, slots *blockSlots, k, limit int)
+
+//go:noescape
+func maxPoolAVX2(am []int32, band []float32, base, w, size int)
+
+//go:noescape
+func epilogueAVX2(p []float32, b float32, add, relu bool)

@@ -635,3 +635,190 @@ blkstore:
 blkdone:
 	VZEROUPPER
 	RET
+
+// KEY turns the float bits in r into MaxPool's order keys, as orderKey:
+// m = bits &^ sign (left in Y6), s = the sign bit smeared (Y7),
+// key = 0x807fffff + (m ^ s) - s. Y8 holds 0x7fffffff and Y9 0x807fffff.
+#define KEY(r) \
+	VPSRAD $31, r, Y7; \
+	VPAND  Y8, r, Y6; \
+	VPXOR  Y7, Y6, r; \
+	VPSUBD Y7, r, r; \
+	VPADDD Y9, r, r
+
+// LEAD raises the window-leading lanes of row 0's keys (Y0, whose m is
+// still in Y6) to leadKey: all ones where the leader is a NaN, which is
+// where 0x7f800000 - m is negative. Y10 holds 0x7f800000 and Y11 all ones
+// in the leading lanes.
+#define LEAD \
+	VPSUBD Y6, Y10, Y7; \
+	VPSRAD $31, Y7, Y7; \
+	VPAND  Y11, Y7, Y7; \
+	VPOR   Y7, Y0, Y0
+
+// ARGMAX stores one window's winner at out(DI). AX holds the group's match
+// mask, bit 8·ky + column for every lane equal to its window's maximum;
+// mask selects the window's bits, so its lowest set bit is the first
+// row-major match. The flat index is R8 (the group's first column in row
+// 0) + ky·w + column.
+#define ARGMAX(mask, out) \
+	MOVL  AX, DX; \
+	ANDL  $mask, DX; \
+	BSFL  DX, DX; \
+	MOVL  DX, BX; \
+	SHRL  $3, BX; \
+	IMULQ R9, BX; \
+	ANDL  $7, DX; \
+	ADDQ  R8, DX; \
+	ADDQ  DX, BX; \
+	MOVL  BX, out(DI)
+
+// func maxPoolAVX2(am []int32, band []float32, base, w, size int)
+//
+// len(am) windows of size × size floats at stride size (size 2 or 4),
+// len(am) a multiple of 8/size, whose size rows (w floats apart) fit in
+// band. Each group of eight columns loads one vector per row, turns it
+// into order keys (the leaders' lanes into lead keys), takes the
+// elementwise VPMAXUD over the rows and then across each window's lanes
+// (VPSHUFD swaps within 128-bit halves, so a window never mixes with its
+// neighbours), and compares every row with that maximum. The movemasks,
+// one byte per row, give each window's matching lanes in row-major bit
+// order, and BSF picks the first.
+TEXT ·maxPoolAVX2(SB), NOSPLIT, $0-72
+	MOVQ am_base+0(FP), DI
+	MOVQ am_len+8(FP), CX
+	MOVQ band_base+24(FP), SI
+	MOVQ base+48(FP), R8
+	MOVQ w+56(FP), R9
+	MOVQ size+64(FP), R10
+	MOVQ R9, R11
+	SHLQ $2, R11                    // row stride in bytes
+
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Y8
+	MOVL         $0x807fffff, AX
+	VMOVD        AX, X9
+	VPBROADCASTD X9, Y9
+	MOVL         $0x7f800000, AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10
+	MOVL         $0xffffffff, AX
+	VMOVD        AX, X11            // lane 0 all ones, lanes 1-3 zero
+	CMPQ         R10, $4
+	JEQ          mp4
+
+	VPBROADCASTQ X11, Y11           // leaders of 2-wide windows: lanes 0, 2, 4, 6
+
+mp2loop:
+	TESTQ    CX, CX
+	JEQ      mpdone
+	VMOVDQU  (SI), Y0
+	VMOVDQU  (SI)(R11*1), Y1
+	KEY(Y0)
+	LEAD
+	KEY(Y1)
+	VPMAXUD  Y1, Y0, Y4
+	VPSHUFD  $0xb1, Y4, Y5
+	VPMAXUD  Y5, Y4, Y4
+	VPCMPEQD Y4, Y0, Y5
+	VMOVMSKPS Y5, AX
+	VPCMPEQD Y4, Y1, Y5
+	VMOVMSKPS Y5, BX
+	SHLL     $8, BX
+	ORL      BX, AX
+	ARGMAX(0x0303, 0)
+	ARGMAX(0x0c0c, 4)
+	ARGMAX(0x3030, 8)
+	ARGMAX(0xc0c0, 12)
+	ADDQ     $32, SI
+	ADDQ     $8, R8
+	ADDQ     $16, DI
+	SUBQ     $4, CX
+	JMP      mp2loop
+
+mp4:
+	VINSERTI128 $1, X11, Y11, Y11   // leaders of 4-wide windows: lanes 0, 4
+
+mp4loop:
+	TESTQ    CX, CX
+	JEQ      mpdone
+	LEAQ     (SI)(R11*2), R12
+	VMOVDQU  (SI), Y0
+	VMOVDQU  (SI)(R11*1), Y1
+	VMOVDQU  (R12), Y2
+	VMOVDQU  (R12)(R11*1), Y3
+	KEY(Y0)
+	LEAD
+	KEY(Y1)
+	KEY(Y2)
+	KEY(Y3)
+	VPMAXUD  Y1, Y0, Y4
+	VPMAXUD  Y3, Y2, Y5
+	VPMAXUD  Y5, Y4, Y4
+	VPSHUFD  $0xb1, Y4, Y5
+	VPMAXUD  Y5, Y4, Y4
+	VPSHUFD  $0x4e, Y4, Y5
+	VPMAXUD  Y5, Y4, Y4
+	VPCMPEQD Y4, Y0, Y5
+	VMOVMSKPS Y5, AX
+	VPCMPEQD Y4, Y1, Y5
+	VMOVMSKPS Y5, BX
+	SHLL     $8, BX
+	ORL      BX, AX
+	VPCMPEQD Y4, Y2, Y5
+	VMOVMSKPS Y5, BX
+	SHLL     $16, BX
+	ORL      BX, AX
+	VPCMPEQD Y4, Y3, Y5
+	VMOVMSKPS Y5, BX
+	SHLL     $24, BX
+	ORL      BX, AX
+	ARGMAX(0x0f0f0f0f, 0)
+	ARGMAX(0xf0f0f0f0, 4)
+	ADDQ     $32, SI
+	ADDQ     $8, R8
+	ADDQ     $8, DI
+	SUBQ     $2, CX
+	JMP      mp4loop
+
+mpdone:
+	VZEROUPPER
+	RET
+
+// func epilogueAVX2(p []float32, b float32, add, relu bool)
+//
+// len(p) a multiple of 8. Per vector: VADDPS the broadcast bias when add,
+// then, when relu, VANDPS with VCMPPS GT_OQ against zero — all ones exactly
+// where the sum is > 0, so NaN and ±0 become +0 as in Positive's select.
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-30
+	MOVQ         p_base+0(FP), DI
+	MOVQ         p_len+8(FP), CX
+	VBROADCASTSS b+24(FP), Y1
+	MOVBLZX      add+28(FP), AX
+	MOVBLZX      relu+29(FP), BX
+	VXORPS       Y2, Y2, Y2
+
+ep8:
+	CMPQ    CX, $8
+	JLT     epdone
+	VMOVUPS (DI), Y0
+	TESTL   AX, AX
+	JEQ     epmask
+	VADDPS  Y1, Y0, Y0
+
+epmask:
+	TESTL   BX, BX
+	JEQ     epstore
+	VCMPPS  $0x1e, Y2, Y0, Y3
+	VANDPS  Y3, Y0, Y0
+
+epstore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     ep8
+
+epdone:
+	VZEROUPPER
+	RET

@@ -23,3 +23,9 @@ func nonZerosAVX2(idx []int32, x []float32) int { return nonZeros(idx, x) }
 func axpyBlockAVX2(dst, src, vals []float32, offs []int32, slots *blockSlots, k, limit int) {
 	panic("kern: no held-block body off amd64")
 }
+
+func maxPoolAVX2(am []int32, band []float32, base, w, size int) {
+	maxPool(am, band, base, w, size, size)
+}
+
+func epilogueAVX2(p []float32, b float32, add, relu bool) { epilogue(p, b, relu) }

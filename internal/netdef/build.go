@@ -47,8 +47,21 @@ type BuildOptions struct {
 	InferBuckets []int
 }
 
+// MaxElems caps the size of what a description declares: every integer
+// field, and the float32 elements of the input, of each layer's per-image
+// output and of its parameters, summed over the network. A description
+// past it is an error, so a hostile shape cannot make Build (or the first
+// batch) allocate without bound; Build itself allocates each parameter
+// tensor twice (weights and gradient). The committed descriptions declare
+// under 0.4 M elements in all.
+const MaxElems = 1 << 23
+
 // Build constructs the network, inferring each layer's input shape from
-// the previous layer's output.
+// the previous layer's output. A relu layer that directly follows a conv
+// becomes that conv's fused ReLU (nn.Conv.FuseReLU), unless a from: names
+// the conv, whose pre-ReLU output then has a second reader; a from: naming
+// such a relu taps the fused conv's output, which is the relu's. Every
+// other relu is an nn.ReLU layer.
 func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -63,6 +76,10 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 	}
 	r := rng.New(opts.Seed ^ 0xB111D)
 	dims := []int{def.Input.Channels, def.Input.Height, def.Input.Width}
+	declared, ok := within(0, dims...)
+	if !ok {
+		return nil, fmt.Errorf("netdef: input %v declares more than %d elements", dims, MaxElems)
+	}
 	// Residual wiring: every layer an `add` node names via from= gets a
 	// hidden nn.Tap appended right after it; the add node becomes the
 	// nn.Add summing the tapped activations back in.
@@ -76,15 +93,20 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 	}
 	taps := map[string]*nn.Tap{}
 	var layers []nn.Layer
+	var last *nn.Conv // the conv the previous layer built, while a relu may still fuse onto it
 	for i, l := range def.Layers {
 		name := nameOr(l, i)
+		l.Name = name // every error below, MustField's too, names the layer as built
 		if err := checkFields(l, name); err != nil {
 			return nil, err
 		}
+		var params []int // parameter elements the layer declares, beyond its output
+		prev := last
+		last = nil
 		switch l.Type {
 		case "conv":
 			if len(dims) != 3 {
-				return nil, fmt.Errorf("netdef: layer %q: conv needs a [C][H][W] input, have %v", l.Name, dims)
+				return nil, fmt.Errorf("netdef: layer %q: conv needs a [C][H][W] input, have %v", name, dims)
 			}
 			nf, err := l.MustField("features")
 			if err != nil {
@@ -104,11 +126,18 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 				Groups: l.Field("groups", 1),
 			}.Canon()
 			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("netdef: layer %q: %w", l.Name, err)
+				return nil, fmt.Errorf("netdef: layer %q: %w", name, err)
 			}
 			if st := opts.FixedStrategy; st != nil && !st.Supports(s) {
 				return nil, fmt.Errorf("netdef: layer %q: fixed strategy %q does not support spec %v",
 					name, st.Name, s)
+			}
+			params = s.WeightDims()
+			if _, ok := within(0, params...); !ok {
+				return nil, fmt.Errorf("netdef: layer %q: weights %v declare more than %d elements", name, params, MaxElems)
+			}
+			if _, ok := within(0, s.Nf, s.OutY(), s.OutX()); !ok {
+				return nil, fmt.Errorf("netdef: layer %q: output declares more than %d elements", name, MaxElems)
 			}
 			var cl *nn.Conv
 			if opts.Inference && opts.FixedStrategy == nil {
@@ -118,37 +147,32 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			}
 			layers = append(layers, cl)
 			dims = cl.OutDims()
+			if !tapWanted[name] {
+				last = cl
+			}
 		case "relu":
-			rl := nn.NewReLU(name, dims, workers)
-			layers = append(layers, rl)
-		case "maxpool":
-			if len(dims) != 3 {
-				return nil, fmt.Errorf("netdef: layer %q: maxpool needs a [C][H][W] input, have %v", l.Name, dims)
+			if prev != nil {
+				prev.FuseReLU()
+				break
 			}
-			k, err := l.MustField("kernel")
+			layers = append(layers, nn.NewReLU(name, dims, workers))
+		case "maxpool", "avgpool":
+			size, stride, err := poolWindow(l, dims)
 			if err != nil {
 				return nil, err
 			}
-			stride := l.Field("stride", k)
-			pl := nn.NewMaxPool(name, dims, k, stride, workers)
-			layers = append(layers, pl)
-			dims = pl.OutDims()
-		case "avgpool":
-			if len(dims) != 3 {
-				return nil, fmt.Errorf("netdef: layer %q: avgpool needs a [C][H][W] input, have %v", l.Name, dims)
+			var pl nn.Layer
+			if l.Type == "maxpool" {
+				pl = nn.NewMaxPool(name, dims, size, stride, workers)
+			} else {
+				pl = nn.NewAvgPool(name, dims, size, stride, workers)
 			}
-			k, err := l.MustField("kernel")
-			if err != nil {
-				return nil, err
-			}
-			stride := l.Field("stride", k)
-			pl := nn.NewAvgPool(name, dims, k, stride, workers)
 			layers = append(layers, pl)
 			dims = pl.OutDims()
 		case "dropout":
 			rate := l.FloatField("rate", 0.5)
 			if rate < 0 || rate >= 1 {
-				return nil, fmt.Errorf("netdef: layer %q: dropout rate %v outside [0, 1)", l.Name, rate)
+				return nil, fmt.Errorf("netdef: layer %q: dropout rate %v outside [0, 1)", name, rate)
 			}
 			dl := nn.NewDropout(name, dims, rate, workers, r.Split())
 			if opts.Inference {
@@ -159,6 +183,13 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			out, err := l.MustField("outputs")
 			if err != nil {
 				return nil, err
+			}
+			if out < 1 {
+				return nil, fmt.Errorf("netdef: layer %q: fc outputs %d must be positive", name, out)
+			}
+			params = []int{elems(dims), out}
+			if _, ok := within(0, params...); !ok {
+				return nil, fmt.Errorf("netdef: layer %q: weights %v declare more than %d elements", name, params, MaxElems)
 			}
 			fl := nn.NewFCCtx(name, dims, out, ctx, r)
 			layers = append(layers, fl)
@@ -178,7 +209,13 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 			}
 			layers = append(layers, nn.NewAdd(name, dims, tap))
 		default:
-			return nil, fmt.Errorf("netdef: layer %q has unknown type %q", l.Name, l.Type)
+			return nil, fmt.Errorf("netdef: layer %q has unknown type %q", name, l.Type)
+		}
+		if declared, ok = within(declared, dims...); ok && params != nil {
+			declared, ok = within(declared, params...)
+		}
+		if !ok {
+			return nil, fmt.Errorf("netdef: layer %q: the network declares more than %d elements", name, MaxElems)
 		}
 		if tapWanted[name] {
 			tap := nn.NewTap(name+".tap", dims)
@@ -191,6 +228,39 @@ func Build(def *NetDef, opts BuildOptions) (*nn.Network, error) {
 		net.SetInference()
 	}
 	return net, nil
+}
+
+// poolWindow reads a pooling layer's window and stride (default: the
+// window) and checks them against its [C][H][W] input.
+func poolWindow(l LayerDef, dims []int) (size, stride int, err error) {
+	if len(dims) != 3 {
+		return 0, 0, fmt.Errorf("netdef: layer %q: %s needs a [C][H][W] input, have %v", l.Name, l.Type, dims)
+	}
+	size, err = l.MustField("kernel")
+	if err != nil {
+		return 0, 0, err
+	}
+	stride = l.Field("stride", size)
+	switch {
+	case size < 1 || stride < 1:
+		return 0, 0, fmt.Errorf("netdef: layer %q: %s kernel %d and stride %d must be positive", l.Name, l.Type, size, stride)
+	case size > dims[1] || size > dims[2]:
+		return 0, 0, fmt.Errorf("netdef: layer %q: %s window %d exceeds its %dx%d input", l.Name, l.Type, size, dims[1], dims[2])
+	}
+	return size, stride, nil
+}
+
+// within adds the element count of dims to n and reports whether the sum
+// stays within MaxElems, without overflowing on the way.
+func within(n int, dims ...int) (int, bool) {
+	p := 1
+	for _, d := range dims {
+		if d < 0 || (d > 0 && p > MaxElems/d) {
+			return n, false
+		}
+		p *= d
+	}
+	return n + p, n+p <= MaxElems
 }
 
 // fieldKinds lists, per layer type, every field Build reads and the kind
@@ -234,6 +304,8 @@ func checkFields(l LayerDef, name string) error {
 			return fmt.Errorf("netdef: layer %q (%s) has no field %q", name, l.Type, f)
 		case kind == 'i' && isFloat:
 			return fmt.Errorf("netdef: layer %q (%s): field %q takes an integer, not the decimal %v", name, l.Type, f, l.Floats[f])
+		case isInt && (l.Fields[f] > MaxElems || l.Fields[f] < -MaxElems):
+			return fmt.Errorf("netdef: layer %q (%s): field %q = %d is beyond the size cap %d", name, l.Type, f, l.Fields[f], MaxElems)
 		case kind == 's' && (isInt || isFloat):
 			return fmt.Errorf("netdef: layer %q (%s): field %q takes a quoted string", name, l.Type, f)
 		case kind != 's' && !isInt && !isFloat:

@@ -117,6 +117,37 @@ layer { name: "p" type: "pad" size: 1 }`, `layer "p" has unknown type "pad"`},
 		{`input { channels: 1 height: 8 width: 8 }
 layer { type: "fc" outputs: 4 }
 layer { type: "maxpool" kernel: 2 }`, "maxpool needs"},
+		// Shapes the nn constructors would panic on, reported under the
+		// name the layer is built with.
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "maxpool" kernel: 9 }`, `layer "maxpool0": maxpool window 9 exceeds its 4x4 input`},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "avgpool" kernel: 9 }`, `layer "avgpool0": avgpool window 9 exceeds its 4x4 input`},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "relu" }
+layer { type: "maxpool" kernel: 0 }`, `layer "maxpool1": maxpool kernel 0 and stride 0 must be positive`},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "avgpool" kernel: 2 stride: 0 }`, "stride 0 must be positive"},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "fc" outputs: 0 }`, `layer "fc0": fc outputs 0 must be positive`},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "conv" kernel: 3 }`, `layer "conv0" (conv) missing field "features"`},
+		// Declared sizes past MaxElems: one field, one tensor, the sum.
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "conv" features: 2 kernel: 3 dilation: 9999999999 }`, "beyond the size cap"},
+		{`input { channels: 4096 height: 4096 width: 1 }
+layer { type: "relu" }`, "input [4096 4096 1] declares more than"},
+		{`input { channels: 1 height: 4 width: 4 }
+layer { type: "fc" outputs: 8000000 }`, "declare more than"},
+		{`input { channels: 1 height: 1024 width: 1024 }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }
+layer { type: "relu" }`, `layer "relu7": the network declares more than`},
 	}
 	for _, tc := range cases {
 		def, err := Parse(tc.src)
@@ -321,7 +352,7 @@ func TestParseRejectsInputFieldsItDoesNotRead(t *testing.T) {
 }
 
 // TestCommittedDescriptionsBuild: the seven committed descriptions use
-// only fields their layers read.
+// only fields their layers read and declare less than MaxElems.
 func TestCommittedDescriptionsBuild(t *testing.T) {
 	srcs := []string{MNISTNet, CIFARNet, ImageNet100Net}
 	for _, z := range Zoo() {
@@ -344,4 +375,42 @@ func mustParse(t *testing.T, src string) *NetDef {
 		t.Fatal(err)
 	}
 	return def
+}
+
+// TestBuildFusesReLUIntoConv pins the fusion rule: a relu directly after a
+// conv becomes the conv's (and a from: naming the relu taps the fused
+// conv), unless a from: names the conv itself; a relu after anything else,
+// or after a fused one, stays a layer.
+func TestBuildFusesReLUIntoConv(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want string // built layers, a fused conv marked +relu
+	}{
+		{CIFARNet, "conv0+relu pool0 conv1+relu fc0"},
+		{ZooResidualNet, "conv0+relu relu0.tap conv1+relu conv2 add1 relu2 pool0 fc0"},
+		{`input { channels: 2 height: 8 width: 8 }
+layer { name: "c0" type: "conv" features: 2 kernel: 3 }
+layer { name: "r0" type: "relu" }
+layer { name: "c1" type: "conv" features: 2 kernel: 1 }
+layer { name: "a" type: "add" from: "c0" }
+layer { name: "r1" type: "relu" }
+layer { name: "r2" type: "relu" }
+layer { name: "f" type: "fc" outputs: 2 }`, "c0 c0.tap r0 c1 a r1 r2 f"},
+	} {
+		net, err := Build(mustParse(t, tc.src), BuildOptions{Workers: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, l := range net.Layers() {
+			name := l.Name()
+			if c, ok := l.(*nn.Conv); ok && strings.HasSuffix(c.String(), ", relu)") {
+				name += "+relu"
+			}
+			got = append(got, name)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("built %q, want %q", strings.Join(got, " "), tc.want)
+		}
+	}
 }

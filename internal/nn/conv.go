@@ -6,6 +6,7 @@ import (
 
 	"spgcnn/internal/conv"
 	"spgcnn/internal/core"
+	"spgcnn/internal/engine"
 	"spgcnn/internal/exec"
 	"spgcnn/internal/kern"
 	"spgcnn/internal/par"
@@ -13,9 +14,10 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// Conv is a convolution layer with per-feature bias. Every call runs
-// through one core.AutoConv, which asks the layer's planner what to deploy:
-// a plan.Planner tunes (spg-CNN scheduling), core.FixedPlanner pins.
+// Conv is a convolution layer with per-feature bias and, fused, the ReLU
+// that follows it. Every call runs through one core.AutoConv, which asks
+// the layer's planner what to deploy: a plan.Planner tunes (spg-CNN
+// scheduling), core.FixedPlanner pins.
 type Conv struct {
 	name string
 	spec conv.Spec
@@ -26,6 +28,13 @@ type Conv struct {
 	opt    sgdState // optimizer config (momentum.go)
 
 	exec *core.AutoConv
+
+	// relu fuses a ReLU onto the output (FuseReLU): Forward's epilogue
+	// applies it after the bias, and Backward masks the error gradients
+	// with ys, the outputs of the last Forward, which are positive exactly
+	// where the pre-ReLU outputs were.
+	relu bool
+	ys   []*tensor.Tensor
 
 	// first marks the layer as a network's layer 0 (set by NewNetwork from
 	// graph position): nothing reads its input gradient, so Backward skips
@@ -105,31 +114,37 @@ func (c *Conv) InDims() []int { return []int{c.spec.Nc, c.spec.Ny, c.spec.Nx} }
 // OutDims implements Layer.
 func (c *Conv) OutDims() []int { return []int{c.spec.Nf, c.spec.OutY(), c.spec.OutX()} }
 
-// Forward implements Layer: convolution plus per-feature bias, the bias pass
-// fanned over the batch with the context's workers.
+// FuseReLU makes the layer a convolution followed by a ReLU, for a ReLU
+// whose input nothing else reads: its outputs are the rectified ones, and
+// its Backward takes the error gradients of those outputs. netdef.Build
+// fuses every ReLU that directly follows a conv this way.
+func (c *Conv) FuseReLU() { c.relu = true }
+
+// Forward implements Layer: convolution, then per-feature bias and the
+// fused ReLU as one epilogue pass over each image (engine.Epilogue).
 func (c *Conv) Forward(outs, ins []*tensor.Tensor) {
-	ran, planned := c.exec.Forward(outs, ins, c.W)
+	ran, planned := c.exec.Forward(outs, ins, c.W, engine.Epilogue{Bias: c.B.Data, ReLU: c.relu})
 	c.ranFP = lastRun{ran.Strategy().Name, planned}
-	plane := c.spec.OutY() * c.spec.OutX()
-	par.For(len(outs), c.ctx.Workers(), func(i int) {
-		for f, b := range c.B.Data {
-			if b == 0 {
-				continue
-			}
-			p := outs[i].Data[f*plane:][:plane]
-			for j := range p {
-				p[j] += b
-			}
-		}
-	})
+	if c.relu {
+		c.ys = outs
+	}
 }
 
 // Backward implements Layer. It also records the error-gradient sparsity
 // the Fig. 3b experiment tracks and hands the batch's mean to the scheduler,
 // whose BP verdict follows its band. As a network's first layer it computes
-// no input gradient and does not write eis.
+// no input gradient and does not write eis. With a fused ReLU, eos are the
+// gradients of the rectified outputs: reduceEO masks them in place first,
+// which is the ReLU's backward pass.
 func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
-	sparsity := c.reduceEO(eos)
+	var ys []*tensor.Tensor
+	if c.relu {
+		if len(c.ys) < len(eos) {
+			panic(fmt.Sprintf("nn: %s Backward over %d samples after a Forward of %d", c.name, len(eos), len(c.ys)))
+		}
+		ys = c.ys[:len(eos)]
+	}
+	sparsity := c.reduceEO(eos, ys)
 	if c.first {
 		eis = nil
 	}
@@ -151,7 +166,18 @@ func (c *Conv) Backward(eis, eos, ins []*tensor.Tensor) {
 // are bit-identical to a serial sample-by-sample reduction whatever the
 // worker count. It returns the batch-mean sparsity, from the same
 // per-sample counts TakeSparsity averages.
-func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
+//
+// Non-nil ys are the fused ReLU's outputs. Each listed element is then
+// kept only where kern.Positive(ys[i][q]) and set to +0 in place where not,
+// which is the ReLU backward's select; a masked element adds +0 to the sum
+// (a no-op, as above) and is not counted as non-zero. So the mask is read
+// only at the listed positions — about 6 % of conv0's — and eos, dB and the
+// probe are bit for bit what a ReLU layer's backward followed by the
+// unfused reduction give. The one difference is an unlisted −0 under the
+// mask, which stays −0 where the ReLU would write +0; every kernel reads
+// it as a zero (the sparse ones skip it, the dense ones add it to a
+// +0-started sum), so no result changes.
+func (c *Conv) reduceEO(eos, ys []*tensor.Tensor) float64 {
 	nf := c.spec.Nf
 	plane := c.spec.OutY() * c.spec.OutX()
 	sums := c.ctx.Get(len(eos) * nf)
@@ -163,16 +189,31 @@ func (c *Conv) reduceEO(eos []*tensor.Tensor) float64 {
 		var idx [256]int32 // one piece of a plane's non-zero list
 		for i := lo; i < hi; i++ {
 			nnz := 0
+			var y []float32
+			if ys != nil {
+				y = ys[i].Data[:nf*plane]
+			}
 			for f := 0; f < nf; f++ {
 				var sum float32
-				for p := eos[i].Data[f*plane:][:plane]; len(p) > 0; {
-					piece := p[:min(len(p), len(idx))]
+				for off := f * plane; off < (f+1)*plane; {
+					piece := eos[i].Data[off:min((f+1)*plane, off+len(idx))]
 					n := kern.NonZeros(idx[:], piece)
-					for _, q := range idx[:n] {
-						sum += piece[q]
+					if y == nil {
+						for _, q := range idx[:n] {
+							sum += piece[q]
+						}
+						nnz += n
+					} else {
+						yp := y[off:][:len(piece)]
+						for _, q := range idx[:n] {
+							m := kern.Positive(yp[q])
+							v := math.Float32frombits(math.Float32bits(piece[q]) & m)
+							piece[q] = v
+							sum += v
+							nnz += int(m & 1)
+						}
 					}
-					nnz += n
-					p = p[len(piece):]
+					off += len(piece)
 				}
 				sums[i*nf+f] = sum
 			}
@@ -229,5 +270,8 @@ func (c *Conv) PlannedBuckets() map[int]string { return c.exec.PlannedBuckets() 
 
 // String describes the layer.
 func (c *Conv) String() string {
+	if c.relu {
+		return fmt.Sprintf("Conv(%s: %v, relu)", c.name, c.spec)
+	}
 	return fmt.Sprintf("Conv(%s: %v)", c.name, c.spec)
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"spgcnn/internal/conv"
+	"spgcnn/internal/core"
+	"spgcnn/internal/exec"
 	"spgcnn/internal/rng"
 	"spgcnn/internal/tensor"
 )
@@ -212,7 +215,12 @@ func TestMaxPoolMatchesBranchyOracle(t *testing.T) {
 
 // BenchmarkGlue times the glue layers at the CIFAR conv0 output: ReLU and
 // the net's 4x4 max-pool over a batch of 16 [64][32][32] images at 2
-// workers, forward and backward.
+// workers, forward and backward. The conv rows time conv0 itself, pinned to
+// the strategies train_cifar deploys (gemm-in-parallel FP, sparse BP, no
+// input gradient): "conv" is the engine alone (core.Exec, no epilogue) and
+// "conv+relu" the fused layer, whose FP adds the bias+ReLU epilogue and
+// whose BP adds the mask and the dB/probe reduction, over a pooled EO of
+// the density training sees. The difference is the fusion's whole cost.
 func BenchmarkGlue(b *testing.B) {
 	const batch, workers = 16, 2
 	dims := []int{64, 32, 32}
@@ -228,6 +236,25 @@ func BenchmarkGlue(b *testing.B) {
 	}
 	relu.Forward(y, x)
 	pool.Forward(p, y)
+
+	ctx := exec.New(workers)
+	fp, _ := core.StrategyByName("gemm-in-parallel", workers)
+	bp, _ := core.StrategyByName("sparse", workers)
+	cs := conv.Square(36, 64, 3, 5, 1)
+	cv := NewConvCtx("conv0", cs, core.FixedPlanner(fp, bp), ctx, r)
+	cv.FuseReLU()
+	cv.first = true
+	cv.B.FillNormal(r, 0, 0.1)
+	cin, cout, ceo := newBatch(batch, cv.InDims()), newBatch(batch, dims), newBatch(batch, dims)
+	for i := range cin {
+		cin[i].FillNormal(r, 0, 1)
+	}
+	cv.Forward(cout, cin)
+	pool.Forward(p, cout)
+	pool.Backward(ceo, gp, cout) // one non-zero per 4x4 window, as pool0 hands conv0
+	fpExec, bpExec := core.NewExecCtx(fp, cs, ctx), core.NewExecCtx(bp, cs, ctx)
+	dw := conv.NewWeights(cs)
+
 	for _, c := range []struct {
 		name string
 		call func()
@@ -236,6 +263,10 @@ func BenchmarkGlue(b *testing.B) {
 		{"relu/bp", func() { relu.Backward(gx, gy, x) }},
 		{"maxpool/fp", func() { pool.Forward(p, y) }},
 		{"maxpool/bp", func() { pool.Backward(gy, gp, y) }},
+		{"conv/fp", func() { fpExec.Forward(cout, cin, cv.W) }},
+		{"conv+relu/fp", func() { cv.Forward(cout, cin) }},
+		{"conv/bp", func() { bpExec.Backward(nil, dw, ceo, cin, cv.W) }},
+		{"conv+relu/bp", func() { cv.Backward(nil, ceo, cin) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -45,7 +45,8 @@ type Layer interface {
 	// the batch. ins must be the inputs of the last Forward, unmodified: a
 	// layer may rebuild from them what its forward decided instead of saving
 	// it (ReLU recomputes its select; conv and FC read them for dW), while
-	// Tap, Add, Dropout and the pools ignore them.
+	// Tap, Add, Dropout and the pools ignore them. eos belong to the call:
+	// a conv with a fused ReLU masks them in place.
 	Backward(eis, eos, ins []*tensor.Tensor)
 	// ApplyGrads performs the SGD step w -= lr/batch · dw and clears the
 	// accumulated gradients. Layers without parameters do nothing.

@@ -340,7 +340,7 @@ func TestConvSchedulerSparsityIsTheProbeCount(t *testing.T) {
 		{0.1, 0.2}, {0.96, 0.96}, {0.8, 0.9}, {0.3, 0.4}, {0.8, 0.9}, {0.36, 0.3},
 	} {
 		eos := []*tensor.Tensor{exactEO(pair[0]), exactEO(pair[1])}
-		handed := twin.reduceEO(eos)
+		handed := twin.reduceEO(eos, nil)
 		cv.Backward(eis, eos, ins)
 		got, _ := cv.TakeSparsity()
 		if math.Float64bits(got) != math.Float64bits(handed) {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"spgcnn/internal/kern"
 	"spgcnn/internal/par"
 	"spgcnn/internal/tensor"
 )
@@ -69,19 +70,16 @@ func (l *MaxPool) Forward(outs, ins []*tensor.Tensor) {
 	l.ensureArgmax(len(ins))
 	c, h, w := l.inDims[0], l.inDims[1], l.inDims[2]
 	par.For(len(ins), l.workers, func(i int) {
-		var best [64]uint64 // maxPoolRow's running maxima, a row chunk at a time
 		in, out, am := ins[i].Data, outs[i].Data, l.argmax[i]
 		o := 0
 		for ci := 0; ci < c; ci++ {
 			for oy := 0; oy < l.outH; oy++ {
-				for ox := 0; ox < l.outW; ox += len(best) {
-					n := min(len(best), l.outW-ox)
-					base := (ci*h+oy*l.stride)*w + ox*l.stride
-					maxPoolRow(best[:n], am[o:o+n], in[base:], base, w, l.size, l.stride)
-					for _, j := range am[o : o+n] {
-						out[o] = in[j]
-						o++
-					}
+				base := (ci*h + oy*l.stride) * w
+				row := am[o : o+l.outW]
+				kern.MaxPool(row, in[base:], base, w, l.size, l.stride)
+				for _, j := range row {
+					out[o] = in[j]
+					o++
 				}
 			}
 		}

@@ -56,7 +56,7 @@ func TestReduceEOMatchesElementLoop(t *testing.T) {
 					}
 					eos = append(eos, eo)
 				}
-				got := c.reduceEO(eos)
+				got := c.reduceEO(eos, nil)
 				sums, zeros := reduceEOOracle(s, eos)
 				want := 0.0
 				for i, eo := range eos {

@@ -13,6 +13,10 @@
 #                                     shares: the dispatch wrappers and the
 #                                     scalar bodies; the AVX2 bodies are
 #                                     assembly, kern_amd64.s)
+#   internal/kern/glue.go             Epilogue, MaxPool (the conv epilogue's
+#                                     bias + ReLU pass and the max-pool's
+#                                     scalar twin; its AVX2 body is in
+#                                     kern_amd64.s)
 #   internal/gemm/microkernel.go      copyStrip8 (the GEMM panel pack)
 #   internal/unfoldgemm/kernels.go    copyTaps8, foldTaps8
 #                                     (implicit-unfold panel build and fold)
@@ -20,7 +24,7 @@
 #                                     register-tiled stencil body)
 #   internal/blockedconv/kernels.go   accRow (NCHW8 direct FP)
 #   internal/spweight/kernels.go      axpyRowStride (strided CSR FP)
-#   internal/nn/kernels.go            reluRow, reluGradRow, maxPoolRow (glue)
+#   internal/nn/kernels.go            reluRow, reluGradRow (glue)
 #
 # (unfoldgemm/unfoldgemm.go, blockedconv/forward.go, spweight/forward.go,
 # spkernel/spkernel.go, sparse/ctcsr.go and nn/activations.go, nn/pool.go,
@@ -38,6 +42,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 protected="internal/kern/kern.go
+internal/kern/glue.go
 internal/gemm/microkernel.go
 internal/unfoldgemm/kernels.go
 internal/stencil/body.go

@@ -6,7 +6,8 @@
 # gates: plan-cache warm start, drift on a scripted clock, traced and mitigated
 # data-parallel runs, serve + load, committed baselines and goldens), the
 # race-instrumented short suite, 15 s each of fuzzing the /v1/infer body
-# decoder and the netdef parser (tier-1 replays their committed corpora),
+# decoder, the netdef parser and Parse+Build (tier-1 replays their
+# committed corpora),
 # a determinism gate (the drift tests and the planner's fake-strategy
 # tests run on scripted clocks, so twenty race-instrumented repeats must
 # all pass), the bounds-check-elimination
@@ -24,6 +25,7 @@ go test ./...
 go test -race -short ./...
 go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/netdef
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 15s ./internal/netdef
 go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl' ./internal/obs ./cmd/spg-train
 go test -race -count=20 -skip 'TestPlannerSelectsSparseWeightForPrunedLayer|TestPlannerDeploysSparseWhereThePaperSays' ./internal/plan
 scripts/bce_check.sh

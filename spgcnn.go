@@ -179,6 +179,11 @@ type Exec = core.Exec
 // phase, deploys it, and re-plans BP when gradient sparsity changes band.
 type AutoConv = core.AutoConv
 
+// Epilogue is what a conv layer applies to each output image right after
+// its kernel writes it: per-feature bias, then ReLU. The zero value does
+// nothing.
+type Epilogue = engine.Epilogue
+
 // FPStrategies and BPStrategies return the paper's candidate sets.
 func FPStrategies(workers int) []Strategy { return core.FPStrategies(workers) }
 func BPStrategies(workers int) []Strategy { return core.BPStrategies(workers) }

@@ -105,7 +105,7 @@ func TestAutoConvThroughPublicAPI(t *testing.T) {
 	}
 	w := spgcnn.NewWeights(spec)
 	w.FillNormal(r, 0, 0.5)
-	a.Forward(outs, ins, w)
+	a.Forward(outs, ins, w, spgcnn.Epilogue{})
 	if a.FPSelection().Chosen == nil {
 		t.Fatal("AutoConv did not tune through the facade")
 	}
