@@ -55,27 +55,12 @@ func (e *Executor) Spec() conv.Spec { return e.spec }
 // independently by the stateless inner kernel, so chunk boundaries cannot
 // affect the bits.
 func (e *Executor) ForwardBatch(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor) {
-	e.ForwardEpilogue(c, outs, ins, w, engine.Epilogue{})
-}
-
-// ForwardEpilogue is ForwardBatch followed by ep on every output. A
-// non-empty epilogue runs on each image right after that image's own
-// inner-kernel call, on the worker that wrote it, while the image is still
-// in that core's cache.
-func (e *Executor) ForwardEpilogue(c *exec.Ctx, outs, ins []*tensor.Tensor, w *tensor.Tensor, ep engine.Epilogue) {
 	if len(outs) != len(ins) {
 		panic("batchpar: ForwardBatch batch length mismatch")
 	}
 	serial := c.Serial()
 	par.ForDynamic(len(ins), c.Workers(), 1, func(lo, hi int) {
-		if ep.Empty() {
-			e.k.ForwardBatch(serial, outs[lo:hi], ins[lo:hi], w)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			e.k.ForwardBatch(serial, outs[i:i+1], ins[i:i+1], w)
-			ep.Apply(outs[i].Data)
-		}
+		e.k.ForwardBatch(serial, outs[lo:hi], ins[lo:hi], w)
 	})
 }
 

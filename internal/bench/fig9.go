@@ -174,19 +174,20 @@ func fig9Measured(o Options) Table {
 }
 
 // buildCIFARNet assembles the Table 2 CIFAR network with every conv layer
-// pinned to fp for forward and bp for backward propagation.
+// pinned to fp for forward and bp for backward propagation, each conv's
+// ReLU fused into it as netdef.Build fuses it.
 func buildCIFARNet(fp, bp core.Strategy, workers int) *nn.Network {
 	r := rng.New(0x0C1F)
 	specs := cifarConvSpecs()
 	pinned := core.FixedPlanner(fp, bp)
 	ctx := exec.New(workers)
 	c0 := nn.NewConvCtx("conv0", specs[0], pinned, ctx, r)
-	r0 := nn.NewReLU("relu0", c0.OutDims(), workers)
-	p0 := nn.NewMaxPool("pool0", r0.OutDims(), 4, 4, workers)
+	c0.FuseReLU()
+	p0 := nn.NewMaxPool("pool0", c0.OutDims(), 4, 4, workers)
 	c1 := nn.NewConvCtx("conv1", specs[1], pinned, ctx, r)
-	r1 := nn.NewReLU("relu1", c1.OutDims(), workers)
-	fc := nn.NewFCCtx("fc0", r1.OutDims(), 10, ctx, r)
-	return nn.NewNetwork(ctx, c0, r0, p0, c1, r1, fc)
+	c1.FuseReLU()
+	fc := nn.NewFCCtx("fc0", c1.OutDims(), 10, ctx, r)
+	return nn.NewNetwork(ctx, c0, p0, c1, fc)
 }
 
 func coreColsList(first string, cores []int) []string {

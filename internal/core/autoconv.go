@@ -85,7 +85,8 @@ func (a *AutoConv) Ctx() *exec.Ctx { return a.ctx }
 // Forward executes the batch with the layer's epilogue (Exec.ForwardEpilogue),
 // planning on first use and after the verdict is invalidated, and returns
 // the exec that ran it and whether this call planned. The planner measures
-// the bare convolution: the epilogue costs every candidate the same.
+// the bare convolution: the epilogue is one pass after the kernel, the same
+// for every candidate.
 func (a *AutoConv) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor, ep engine.Epilogue) (ran *Exec, planned bool) {
 	bucket, sample := 0, ins
 	if len(a.buckets) > 0 {

@@ -131,9 +131,6 @@ type Exec struct {
 	spec     conv.Spec
 	ctx      *exec.Ctx
 	k        engine.Kernel
-	// batch is k as the batch-parallel executor, nil for a whole-batch
-	// strategy: it runs a forward epilogue per image.
-	batch *batchpar.Executor
 	// fused is the kernel's one-call backward pass, nil when it has none.
 	fused engine.FusedBackward
 
@@ -150,7 +147,7 @@ func NewExecCtx(st Strategy, s conv.Spec, c *exec.Ctx) *Exec {
 	e := &Exec{strategy: st, spec: s, ctx: c}
 	if st.BatchParallel {
 		bp := batchpar.New(st.Gen, s)
-		e.k, e.batch, e.fused = bp, bp, bp.Fused()
+		e.k, e.fused = bp, bp.Fused()
 	} else {
 		e.k = st.Gen.New(s)
 		e.fused, _ = e.k.(engine.FusedBackward)
@@ -179,20 +176,15 @@ func (e *Exec) Forward(outs, ins []*tensor.Tensor, w *tensor.Tensor) {
 	e.ForwardEpilogue(outs, ins, w, engine.Epilogue{})
 }
 
-// ForwardEpilogue computes outs[i] = conv(ins[i], w) and applies ep to
-// every output, inside the one "core/fp/<strategy>" span. A batch-parallel
-// strategy applies ep to each image right after that image's kernel call;
-// a whole-batch strategy applies it per image, fanned over the context's
-// workers, after the call.
+// ForwardEpilogue computes outs[i] = conv(ins[i], w) and then applies ep
+// to every output in one pass fanned over the context's workers, both
+// inside the one "core/fp/<strategy>" span. The pass is the same for every
+// strategy, so ranking strategies by their bare kernels stays valid.
 func (e *Exec) ForwardEpilogue(outs, ins []*tensor.Tensor, w *tensor.Tensor, ep engine.Epilogue) {
 	start := e.ctx.Probe().Now()
-	if e.batch != nil {
-		e.batch.ForwardEpilogue(e.ctx, outs, ins, w, ep)
-	} else {
-		e.k.ForwardBatch(e.ctx, outs, ins, w)
-		if !ep.Empty() {
-			par.For(len(outs), e.ctx.Workers(), func(i int) { ep.Apply(outs[i].Data) })
-		}
+	e.k.ForwardBatch(e.ctx, outs, ins, w)
+	if !ep.Empty() {
+		par.For(len(outs), e.ctx.Workers(), func(i int) { ep.Apply(outs[i].Data) })
 	}
 	e.ctx.Probe().RecordSince(e.evFP, start)
 }

@@ -64,8 +64,8 @@ type FusedBackward interface {
 // Epilogue is what a convolution layer does to each output image after
 // the kernel writes it: add a per-feature bias, then, with ReLU, apply the
 // rectifier, in one pass over the image (kern.Epilogue per feature plane).
-// The executors run it right after an image's kernel call, while the image
-// is still in cache, so a conv → ReLU pair costs no pass of its own. The
+// core.Exec runs it over the batch right after the kernel call, so a conv →
+// ReLU pair costs one pass instead of a bias pass plus a ReLU pass. The
 // zero value does nothing.
 type Epilogue struct {
 	Bias []float32 // per output feature; empty adds nothing

@@ -179,8 +179,8 @@ type Exec = core.Exec
 // phase, deploys it, and re-plans BP when gradient sparsity changes band.
 type AutoConv = core.AutoConv
 
-// Epilogue is what a conv layer applies to each output image right after
-// its kernel writes it: per-feature bias, then ReLU. The zero value does
+// Epilogue is what a conv layer applies to each output image after its
+// kernel writes the batch: per-feature bias, then ReLU. The zero value does
 // nothing.
 type Epilogue = engine.Epilogue
 
