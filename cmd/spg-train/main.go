@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"spgcnn"
@@ -191,6 +192,19 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	net := dp.Replica(0)
+	// A dataset that does not fit the network is refused before training,
+	// not left to panic in the first batch: every built-in dataset knows
+	// its example shape, and each label must index a logit.
+	if dims := ds.(interface{ Dims() []int }).Dims(); !slices.Equal(dims, net.InDims()) {
+		return fmt.Errorf("dataset %s has examples of shape %v, network %q takes %v", *dataset, dims, def.Name, net.InDims())
+	}
+	outs := 1
+	for _, d := range net.OutDims() {
+		outs *= d
+	}
+	if ds.Classes() > outs {
+		return fmt.Errorf("dataset %s has %d classes, network %q has %d outputs", *dataset, ds.Classes(), def.Name, outs)
+	}
 	if *loadPath != "" {
 		ckpt, err := os.ReadFile(*loadPath)
 		if err != nil {

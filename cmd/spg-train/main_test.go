@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -174,6 +175,76 @@ layer { name: "fc0" type: "fc" outputs: 10 }
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestDatasetMustFitNetwork: a dataset whose examples or classes do not fit
+// the network is an error that names both sides, returned before anything
+// trains; it used to panic in the first batch.
+func TestDatasetMustFitNetwork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "net32.prototxt")
+	const src = `
+name: "net32"
+input { channels: 3 height: 32 width: 32 }
+layer { name: "conv0" type: "conv" features: 4 kernel: 3 pad: 1 }
+layer { name: "fc0" type: "fc" outputs: 10 }
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ dataset, want string }{
+		{"cifar", `dataset cifar has examples of shape [3 36 36], network "net32" takes [3 32 32]`},
+		{"imagenet100", `dataset imagenet100 has 100 classes, network "net32" has 10 outputs`},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-file", path, "-dataset", tc.dataset, "-epochs", "1", "-examples", "16"}, &out)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("-dataset %s: err = %v, want %q", tc.dataset, err, tc.want)
+		}
+		if strings.Contains(out.String(), "epoch") {
+			t.Errorf("-dataset %s trained before refusing:\n%s", tc.dataset, out.String())
+		}
+	}
+}
+
+// TestTrainsAsThePlainTrainer pins spg-train's default run as nn.Trainer's
+// epoch loop over one BuildNet network: its checkpoint is byte-equal to one
+// trained in-process with BuildNet, NewTrainer and TrainEpoch from the same
+// seeds, dataset and RNG.
+func TestTrainsAsThePlainTrainer(t *testing.T) {
+	const seed = 7
+	ckpt := filepath.Join(t.TempDir(), "w.ckpt")
+	if err := run([]string{"-net", "mnist", "-epochs", "2", "-strategy", "gemm-in-parallel",
+		"-seed", strconv.Itoa(seed), "-save", ckpt}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := runtime.GOMAXPROCS(0)
+	def, err := spgcnn.ParseNet(spgcnn.MNISTNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := spgcnn.StrategyByName("gemm-in-parallel", w)
+	net, err := spgcnn.BuildNet(def, spgcnn.BuildOptions{Ctx: spgcnn.NewCtx(w), Seed: seed, FixedStrategy: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := 0.01 // spg-train's -lr default, converted the way the flag is
+	tr := spgcnn.NewTrainer(net, float32(lr), 16)
+	ds, r := spgcnn.MNISTData(256), spgcnn.NewRNG(seed)
+	for e := 0; e < 2; e++ {
+		tr.TrainEpoch(ds, r)
+	}
+	var want bytes.Buffer
+	if err := net.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("spg-train's checkpoint (%d bytes) differs from the plain trainer's (%d bytes)", len(got), want.Len())
+	}
 }
 
 // TestPlanCacheWarmStart trains the same tiny network twice against one

@@ -2,7 +2,6 @@ package nn_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"spgcnn/internal/conv"
@@ -53,26 +52,12 @@ func unfusedNet(t *testing.T, fused *nn.Network, pl core.Planner, workers int) *
 	return net
 }
 
-// sameBits compares two tensors bit for bit: ±0 differ, and NaNs match
-// only with the same payload.
-func sameBits(a, b *tensor.Tensor) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func sameTensors(a, b []*tensor.Tensor) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !sameBits(a[i], b[i]) {
+		if !tensor.Identical(a[i], b[i]) {
 			return false
 		}
 	}
@@ -139,7 +124,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 						cu := unfused.ConvLayers()[l]
 						wF, bF := nn.ConvGrads(cf)
 						wU, bU := nn.ConvGrads(cu)
-						if !sameBits(wF, wU) || !sameBits(bF, bU) {
+						if !tensor.Identical(wF, wU) || !tensor.Identical(bF, bU) {
 							t.Fatalf("%s step %d %s: dW or dB differ", name, step, cf.Name())
 						}
 						sF, okF := cf.TakeSparsity()

@@ -151,33 +151,32 @@ func (n *Network) Parameters() []NamedParam {
 
 // savedTensor is the gob wire form of one parameter tensor.
 type savedTensor struct {
+	Name string // "layerName/paramName"
 	Dims []int
 	Data []float32
 }
 
-// snapshot is the gob wire form of a whole model.
+// snapshot is the gob wire form of a whole model: its parameters in
+// Parameters order, so the same weights always encode to the same bytes.
+// (Version 1 held them in a map, which gob encodes in random order; its
+// Params field is not read, so a version-1 file fails the version check.)
 type snapshot struct {
 	Version int
-	Params  map[string]savedTensor // "layerName/paramName"
+	Tensors []savedTensor
 }
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Save writes every parameter of the network to w in gob format.
 func (n *Network) Save(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion, Params: map[string]savedTensor{}}
-	for _, layer := range n.layers {
-		po, ok := layer.(paramOwner)
-		if !ok {
-			continue
+	snap := snapshot{Version: snapshotVersion}
+	seen := map[string]bool{}
+	for _, p := range n.Parameters() {
+		if seen[p.Name] {
+			return fmt.Errorf("nn: duplicate parameter key %q (layer names must be unique)", p.Name)
 		}
-		for name, t := range po.params() {
-			key := layer.Name() + "/" + name
-			if _, dup := snap.Params[key]; dup {
-				return fmt.Errorf("nn: duplicate parameter key %q (layer names must be unique)", key)
-			}
-			snap.Params[key] = savedTensor{Dims: t.Dims, Data: t.Data}
-		}
+		seen[p.Name] = true
+		snap.Tensors = append(snap.Tensors, savedTensor{Name: p.Name, Dims: p.Tensor.Dims, Data: p.Tensor.Data})
 	}
 	return gob.NewEncoder(w).Encode(snap)
 }
@@ -195,26 +194,22 @@ func (n *Network) Load(r io.Reader) error {
 		return fmt.Errorf("nn: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	want := map[string]*tensor.Tensor{}
-	for _, layer := range n.layers {
-		po, ok := layer.(paramOwner)
-		if !ok {
-			continue
-		}
-		for name, t := range po.params() {
-			want[layer.Name()+"/"+name] = t
-		}
+	for _, p := range n.Parameters() {
+		want[p.Name] = p.Tensor
 	}
-	if len(want) != len(snap.Params) {
-		return fmt.Errorf("nn: snapshot has %d parameters, network has %d", len(snap.Params), len(want))
+	if len(want) != len(snap.Tensors) {
+		return fmt.Errorf("nn: snapshot has %d parameters, network has %d", len(snap.Tensors), len(want))
 	}
-	for key, saved := range snap.Params {
-		dst, ok := want[key]
+	for _, saved := range snap.Tensors {
+		// Each destination is filled once: a repeated name finds none.
+		dst, ok := want[saved.Name]
 		if !ok {
-			return fmt.Errorf("nn: snapshot parameter %q has no destination in this network", key)
+			return fmt.Errorf("nn: snapshot parameter %q has no destination in this network", saved.Name)
 		}
-		if !dimsEqual(saved.Dims, dst.Dims) {
-			return fmt.Errorf("nn: parameter %q shape %v does not match network shape %v",
-				key, saved.Dims, dst.Dims)
+		delete(want, saved.Name)
+		if !dimsEqual(saved.Dims, dst.Dims) || len(saved.Data) != len(dst.Data) {
+			return fmt.Errorf("nn: parameter %q shape %v (%d values) does not match network shape %v",
+				saved.Name, saved.Dims, len(saved.Data), dst.Dims)
 		}
 		copy(dst.Data, saved.Data)
 	}

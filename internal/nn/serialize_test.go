@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"spgcnn/internal/conv"
@@ -77,6 +79,64 @@ func TestLoadRejectsPartialSnapshot(t *testing.T) {
 	big := tinyNet(r, 1)
 	if err := big.Load(&buf); err == nil {
 		t.Fatal("Load accepted a snapshot with missing parameters")
+	}
+}
+
+// TestSaveIsDeterministic: the same weights encode to the same bytes, so
+// two checkpoints can be compared with cmp.
+func TestSaveIsDeterministic(t *testing.T) {
+	net := tinyTrainNet(rng.New(8))
+	var first bytes.Buffer
+	if err := net.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		var again bytes.Buffer
+		if err := net.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("save %d encoded the same weights to different bytes", i+2)
+		}
+	}
+}
+
+// TestLoadRejectsMalformedSnapshots: a well-formed gob stream that does not
+// describe this network is an error, never a partial restore.
+func TestLoadRejectsMalformedSnapshots(t *testing.T) {
+	net := tinyTrainNet(rng.New(9))
+	var good []savedTensor
+	for _, p := range net.Parameters() {
+		good = append(good, savedTensor{Name: p.Name, Dims: p.Tensor.Dims, Data: p.Tensor.Data})
+	}
+	encode := func(v any) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	short := append([]savedTensor(nil), good...)
+	short[0].Data = short[0].Data[:1]
+	twice := append([]savedTensor(nil), good...)
+	twice[1] = twice[0]
+	type snapshotV1 struct {
+		Version int
+		Params  map[string]savedTensor
+	}
+	for name, tc := range map[string]struct {
+		stream *bytes.Buffer
+		want   string
+	}{
+		"version 1":      {encode(snapshotV1{Version: 1, Params: map[string]savedTensor{good[0].Name: good[0]}}), "version 1"},
+		"short data":     {encode(snapshot{Version: snapshotVersion, Tensors: short}), "does not match"},
+		"name twice":     {encode(snapshot{Version: snapshotVersion, Tensors: twice}), "no destination"},
+		"parameter lost": {encode(snapshot{Version: snapshotVersion, Tensors: good[1:]}), "parameters"},
+	} {
+		err := net.Load(tc.stream)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load err = %v, want it to mention %q", name, err, tc.want)
+		}
 	}
 }
 

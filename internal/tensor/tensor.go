@@ -250,14 +250,14 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 }
 
 // Identical reports whether the two tensors have the same shape and
-// bit-identical elements (NaN != NaN, so any NaN makes tensors differ —
-// exactly what reuse-determinism checks want).
+// bit-identical elements: it compares math.Float32bits, so +0 and -0
+// differ, and two NaNs match exactly when their payloads do.
 func Identical(a, b *Tensor) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +162,34 @@ func TestAlmostEqual(t *testing.T) {
 	d := New(3)
 	if AlmostEqual(a, d, 1) {
 		t.Fatal("different shapes reported equal")
+	}
+}
+
+// TestIdenticalComparesBits: the bit-identity pin sees the sign of zero
+// and NaN payloads, which float == cannot.
+func TestIdenticalComparesBits(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nanA := math.Float32frombits(0x7fc00001)
+	nanB := math.Float32frombits(0x7fc00002)
+	for _, tc := range []struct {
+		name string
+		a, b float32
+		want bool
+	}{
+		{"equal", 1.5, 1.5, true},
+		{"+0 vs -0", 0, negZero, false},
+		{"-0 vs -0", negZero, negZero, true},
+		{"same NaN payload", nanA, nanA, true},
+		{"different NaN payloads", nanA, nanB, false},
+		{"NaN vs number", nanA, 1, false},
+	} {
+		a, b := FromSlice([]float32{2, tc.a}, 2), FromSlice([]float32{2, tc.b}, 2)
+		if got := Identical(a, b); got != tc.want {
+			t.Errorf("%s: Identical = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if Identical(New(2), New(1, 2)) {
+		t.Error("different shapes reported identical")
 	}
 }
 

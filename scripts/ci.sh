@@ -3,13 +3,14 @@
 # tests (it is outside `go build ./...`, so a deleted symbol its adapter
 # freezes would otherwise break nothing until the benchmark driver runs),
 # the full test suite once (the command tests there are the end-to-end
-# gates: plan-cache warm start, drift on a scripted clock, traced and mitigated
-# data-parallel runs, serve + load, committed baselines and goldens), the
+# gates: plan-cache warm start, drift on a scripted clock, a traced
+# data-parallel run, serve + load, committed baselines and goldens), the
 # race-instrumented short suite, 15 s each of fuzzing the /v1/infer body
 # decoder, the netdef parser and Parse+Build (tier-1 replays their
 # committed corpora),
 # a determinism gate (the drift tests and the planner's fake-strategy
-# tests run on scripted clocks, so twenty race-instrumented repeats must
+# tests run on scripted clocks, and spg-train's checkpoint must equal the
+# plain trainer's byte for byte, so twenty race-instrumented repeats must
 # all pass), the bounds-check-elimination
 # gate on the hot micro-kernel files, and an arm64 vet and cross-build,
 # which keep the scalar bodies of internal/kern (the build off amd64)
@@ -26,7 +27,7 @@ go test -race -short ./...
 go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/netdef
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 15s ./internal/netdef
-go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl' ./internal/obs ./cmd/spg-train
+go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl|TestTrainsAsThePlainTrainer' ./internal/obs ./cmd/spg-train
 go test -race -count=20 -skip 'TestPlannerSelectsSparseWeightForPrunedLayer|TestPlannerDeploysSparseWhereThePaperSays' ./internal/plan
 scripts/bce_check.sh
 GOARCH=arm64 go vet ./internal/kern/
