@@ -162,7 +162,7 @@ func modelRanking(m machine.Machine, spec conv.Spec, phase string, sparsity floa
 		names[i] = st.Name
 	}
 	scores := plan.ModelRank(m, spec, phase, sparsity, w, names)
-	plan.MarkPruned(cands, scores, plan.DefaultPruneRatio, spec, sparsity)
+	plan.MarkPruned(cands, scores, spec, sparsity)
 	return scores
 }
 

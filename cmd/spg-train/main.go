@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		planCache   = fs.String("plan-cache", "", "persistent plan cache file: load cached strategy verdicts on start (skipping their measurement passes), save the updated cache on exit")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus), /healthz and /debug/pprof on this address during training (e.g. :8080)")
 		replicas    = fs.Int("replicas", 1, "data-parallel model replicas; N > 1 shards each global batch of -batch across N replicas and averages their parameters through the ring after every step")
-		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace-event JSON capture of the run here (open in ui.perfetto.dev, analyze with spg-trace)")
+		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace-event JSON capture of the run here (open in ui.perfetto.dev, analyze with spg-doctor)")
 		traceMode   = fs.String("trace-mode", "ring", "trace capture mode: ring (bounded flight recorder, keeps the newest events) or full (everything up to a cap)")
 		drift       = fs.Bool("drift", false, "run the plan-drift observatory: track model-vs-measured agreement per layer and re-tune automatically when a deployed strategy drifts")
 		driftReport = fs.String("drift-report", "", "write the observatory's agreement report (schema-versioned JSON, render with spg-doctor) here after training; implies -drift")

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"spgcnn"
+	"spgcnn/internal/obs"
 	"spgcnn/internal/trace"
 )
 
@@ -333,7 +334,11 @@ func TestDriftInjectionAndControl(t *testing.T) {
 	if strings.Contains(out, "0 plan entries invalidated") {
 		t.Fatalf("drift event did not invalidate the plan:\n%s", out)
 	}
-	rep, err := spgcnn.ReadDriftReportFile(report)
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.ReadReport(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("written report does not validate: %v", err)
 	}
@@ -397,7 +402,11 @@ func TestCommandWiring(t *testing.T) {
 						t.Errorf("output missing %q:\n%s", want, out)
 					}
 				}
-				c, err := trace.ReadFile(capture)
+				raw, err := os.ReadFile(capture)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := trace.ReadJSON(bytes.NewReader(raw))
 				if err != nil {
 					t.Fatal(err)
 				}

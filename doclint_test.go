@@ -151,7 +151,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	// must be declared by at least one. Arguments of the go tool are not a
 	// command's.
 	flags := commandFlags(t)
-	if len(flags) != 7 || len(flags["spg-train"]) < 20 {
+	if len(flags) != 6 || len(flags["spg-train"]) < 20 {
 		t.Fatalf("read %d commands, %d spg-train flags: the flag walk is broken", len(flags), len(flags["spg-train"]))
 	}
 	invocation := regexp.MustCompile("\\b(spg-[a-z]+)((?: +[^ `|;&#()]+)*)")

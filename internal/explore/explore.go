@@ -151,7 +151,7 @@ func rankPhase(w io.Writer, phase string, s conv.Spec, sparsity float64,
 		names[i] = st.Name
 	}
 	scores := plan.ModelRank(*opts.Machine, s, phase, sparsity, opts.Workers, names)
-	plan.MarkPruned(supported, scores, plan.DefaultPruneRatio, s, sparsity)
+	plan.MarkPruned(supported, scores, s, sparsity)
 	for i, sc := range scores {
 		head := "  "
 		if i == 0 {

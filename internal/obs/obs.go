@@ -66,12 +66,11 @@ const DefaultAlpha = 0.25
 // before drift detection arms, its baseline frozen at their median ratio.
 const DefaultWarmup = 5
 
-// Options configures an Observatory. The zero value is usable: paper
-// machine model, one worker. The detector runs at the Default* constants.
+// Options configures an Observatory. The zero value is usable: one
+// worker. Predictions come from the paper machine model (machine.Paper),
+// the one the planner runs, and the detector runs at the Default*
+// constants.
 type Options struct {
-	// Machine is the analytical model predictions come from. Nil uses
-	// machine.Paper() — the same default the planner runs with.
-	Machine *machine.Machine
 	// Workers is the execution context's worker count, used to turn
 	// per-core model rates into wall-time predictions. Zero or negative
 	// defaults to 1; bind the real context's Workers().
@@ -175,14 +174,10 @@ var _ exec.Sink = (*Observatory)(nil)
 func New(opts Options) *Observatory {
 	o := &Observatory{
 		opts:    opts,
+		mach:    machine.Paper(),
 		layers:  make(map[string]*layerInfo),
 		streams: make(map[streamKey]*stream),
 		batch:   1,
-	}
-	if opts.Machine != nil {
-		o.mach = *opts.Machine
-	} else {
-		o.mach = machine.Paper()
 	}
 	if o.opts.Workers < 1 {
 		o.opts.Workers = 1

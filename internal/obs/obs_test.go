@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -382,7 +383,11 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReportFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadReport(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +419,7 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("out-of-range region accepted")
 	}
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReportFile(path); err == nil {
+	if _, err := ReadReport(strings.NewReader("{not json")); err == nil {
 		t.Fatal("malformed file accepted")
 	}
 }

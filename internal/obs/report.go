@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"text/tabwriter"
 
@@ -172,20 +171,11 @@ func ReadReport(r io.Reader) (Report, error) {
 	return rep, nil
 }
 
-// ReadReportFile reads and validates the report at path.
-func ReadReportFile(path string) (Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Report{}, err
-	}
-	defer f.Close()
-	return ReadReport(f)
-}
-
 // Validate checks the report's schema and invariants: known schema
-// version, phases in {fp, bp}, regions in Fig. 1's six cells, bands
-// within ait.BandCount, and finite non-negative statistics. This is the
-// gate ReadReportFile and spg-doctor -check hold the artifact to.
+// version, phases in {fp, bp}, regions in Fig. 1's six cells and bands
+// within ait.BandCount (rows and events alike), and finite non-negative
+// statistics. This is the gate ReadReport and spg-doctor -check hold the
+// artifact to.
 func (rep Report) Validate() error {
 	if rep.Schema != ReportSchemaVersion {
 		return fmt.Errorf("obs: report schema %d, want %d", rep.Schema, ReportSchemaVersion)
@@ -246,6 +236,9 @@ func (rep Report) Validate() error {
 	for _, ev := range rep.Events {
 		if ev.Phase != "fp" && ev.Phase != "bp" {
 			return fmt.Errorf("obs: event %s has phase %q", ev.Layer, ev.Phase)
+		}
+		if ev.Region < int(ait.Region0) || ev.Region > int(ait.Region5) || ev.Band < 0 || ev.Band >= ait.BandCount {
+			return fmt.Errorf("obs: event %s/%s region %d band %d", ev.Layer, ev.Phase, ev.Region, ev.Band)
 		}
 	}
 	return nil

@@ -141,12 +141,11 @@ func bpAggregate(s conv.Spec, workers int, rate func(ait.Phase) float64) float64
 }
 
 // MarkPruned applies the planner's prune policy to scores in place —
-// which candidates would be excluded from measurement at the given ratio —
-// without running any measurement. sparsity drives the Fig. 1 region
+// which candidates would be excluded from measurement — without running
+// any measurement. sparsity drives the Fig. 1 region
 // classification guarding region-recommended candidates (pass 0 for FP).
-func MarkPruned(cands []core.Strategy, scores []ModelScore, ratio float64,
-	s conv.Spec, sparsity float64) {
-	prune(cands, scores, ratio, recommendedNames(s, sparsity))
+func MarkPruned(cands []core.Strategy, scores []ModelScore, s conv.Spec, sparsity float64) {
+	prune(cands, scores, recommendedNames(s, sparsity))
 }
 
 // recommendedNames maps the Fig. 1 region prescription for (s, sparsity)
@@ -175,9 +174,9 @@ func recommendedNames(s conv.Spec, sparsity float64) map[string]bool {
 // surviving strategies in their ORIGINAL candidate order (ChooseFP/Choose-
 // BP break measurement ties by order, so reordering would perturb cold-
 // path selections). A modeled candidate is pruned when its predicted rate
-// falls below ratio × the best modeled rate, unless it is the model's own
-// top pick, region-recommended, or unmodeled.
-func prune(cands []core.Strategy, scores []ModelScore, ratio float64,
+// falls below DefaultPruneRatio × the best modeled rate, unless it is the
+// model's own top pick, region-recommended, or unmodeled.
+func prune(cands []core.Strategy, scores []ModelScore,
 	recommended map[string]bool) (survivors []core.Strategy, pruned []string) {
 	best := 0.0
 	top := ""
@@ -188,13 +187,13 @@ func prune(cands []core.Strategy, scores []ModelScore, ratio float64,
 		}
 	}
 	dead := make(map[string]bool)
-	if ratio > 0 && best > 0 {
+	if best > 0 {
 		for i := range scores {
 			sc := &scores[i]
 			if !sc.Modeled || sc.Strategy == top || recommended[sc.Strategy] {
 				continue
 			}
-			if sc.GFlopsPerCore < ratio*best {
+			if sc.GFlopsPerCore < DefaultPruneRatio*best {
 				sc.Pruned = true
 				dead[sc.Strategy] = true
 			}

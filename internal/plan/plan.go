@@ -43,13 +43,11 @@ import (
 // to skip hopeless candidates, not to decide close races.
 const DefaultPruneRatio = 0.2
 
-// Options configures a Planner. The zero value is fully usable: paper
-// machine model, this host's fingerprint, the paper's candidate sets, and
-// the default prune ratio.
+// Options configures a Planner. The zero value is fully usable: this
+// host's fingerprint and the paper's candidate sets. The model-first pass
+// always runs the paper machine model (machine.Paper) and prunes at
+// DefaultPruneRatio; bind a trace emitter with SetTrace.
 type Options struct {
-	// Machine is the analytical model backing the model-first pass.
-	// Nil uses machine.Paper().
-	Machine *machine.Machine
 	// Host overrides the host fingerprint cache keys carry (zero value:
 	// machine.HostInfo() of the running process).
 	Host machine.Host
@@ -59,14 +57,6 @@ type Options struct {
 	// Tune configures measurement passes when the caller's request does
 	// not carry its own TuneOptions.
 	Tune core.TuneOptions
-	// PruneRatio overrides DefaultPruneRatio; negative disables model
-	// pruning entirely.
-	PruneRatio float64
-	// Trace, when non-nil, puts planner activity on the trace timeline:
-	// cache hits and single-flight waits as instants, measurement passes
-	// as spans carrying the winning strategy. Can also be bound after
-	// construction with SetTrace.
-	Trace *trace.Emitter
 }
 
 // Stats are the planner's cumulative counters — the numbers
@@ -108,12 +98,11 @@ func (s Stats) AgreementRate() float64 {
 // replica of a data-parallel trainer, and (via Save/Load) every run on
 // the same host.
 type Planner struct {
-	mach       machine.Machine
-	hostInfo   machine.Host
-	host       string
-	fp, bp     func(workers int) []core.Strategy
-	tune       core.TuneOptions
-	pruneRatio float64
+	mach     machine.Machine
+	hostInfo machine.Host
+	host     string
+	fp, bp   func(workers int) []core.Strategy
+	tune     core.TuneOptions
 
 	mu       sync.Mutex
 	entries  map[Key]*Entry
@@ -129,19 +118,13 @@ type flight struct{ done chan struct{} }
 // New builds a planner.
 func New(opts Options) *Planner {
 	p := &Planner{
-		hostInfo:   opts.Host,
-		fp:         opts.FP,
-		bp:         opts.BP,
-		tune:       opts.Tune,
-		pruneRatio: opts.PruneRatio,
-		entries:    make(map[Key]*Entry),
-		inflight:   make(map[Key]*flight),
-		tr:         opts.Trace,
-	}
-	if opts.Machine != nil {
-		p.mach = *opts.Machine
-	} else {
-		p.mach = machine.Paper()
+		mach:     machine.Paper(),
+		hostInfo: opts.Host,
+		fp:       opts.FP,
+		bp:       opts.BP,
+		tune:     opts.Tune,
+		entries:  make(map[Key]*Entry),
+		inflight: make(map[Key]*flight),
 	}
 	if p.hostInfo == (machine.Host{}) {
 		p.hostInfo = machine.HostInfo()
@@ -153,21 +136,17 @@ func New(opts Options) *Planner {
 	if p.bp == nil {
 		p.bp = core.BPStrategies
 	}
-	switch {
-	case p.pruneRatio < 0:
-		p.pruneRatio = 0 // disabled
-	case p.pruneRatio == 0:
-		p.pruneRatio = DefaultPruneRatio
-	}
 	return p
 }
 
 // Host returns the fingerprint the planner keys verdicts under.
 func (p *Planner) Host() string { return p.host }
 
-// SetTrace binds (or, with nil, unbinds) a trace emitter after
-// construction. The emitter's replica stamp attributes planner events —
-// bind the coordinator emitter, since the planner is shared.
+// SetTrace binds (or, with nil, unbinds) a trace emitter: planner activity
+// then lands on the trace timeline — cache hits and single-flight waits as
+// instants, measurement passes as spans carrying the winning strategy. The
+// emitter's replica stamp attributes planner events — bind the coordinator
+// emitter, since the planner is shared.
 func (p *Planner) SetTrace(e *trace.Emitter) {
 	p.mu.Lock()
 	p.tr = e
@@ -346,8 +325,7 @@ func (p *Planner) measureMiss(key Key, sparsity float64, f *flight,
 		classifySparsity = 0
 	}
 	scores := ModelRank(p.mach, key.Spec, key.Phase, sparsity, key.Workers, names)
-	survivors, prunedNames := prune(cands, scores, p.pruneRatio,
-		recommendedNames(key.Spec, classifySparsity))
+	survivors, prunedNames := prune(cands, scores, recommendedNames(key.Spec, classifySparsity))
 
 	p.mu.Lock()
 	tr := p.tr

@@ -502,7 +502,7 @@ func TestPruneGuards(t *testing.T) {
 		{Strategy: "c", GFlopsPerCore: 1, Modeled: true},
 		{Strategy: "d", Modeled: false},
 	}
-	survivors, pruned := prune(cands, scores, 0.2, map[string]bool{"c": true})
+	survivors, pruned := prune(cands, scores, map[string]bool{"c": true})
 	names := func(ss []core.Strategy) string {
 		var b strings.Builder
 		for _, s := range ss {
@@ -510,19 +510,14 @@ func TestPruneGuards(t *testing.T) {
 		}
 		return b.String()
 	}
-	// a: top pick, survives. b: 5 < 0.2*100, pruned. c: below ratio but
-	// recommended, survives. d: unmodeled, survives. Order preserved.
+	// a: top pick, survives. b: 5 < DefaultPruneRatio*100, pruned. c: below
+	// the ratio but recommended, survives. d: unmodeled, survives. Order
+	// preserved.
 	if names(survivors) != "acd" {
 		t.Errorf("survivors %q, want acd", names(survivors))
 	}
 	if len(pruned) != 1 || pruned[0] != "b" {
 		t.Errorf("pruned %v, want [b]", pruned)
-	}
-
-	// Ratio 0 disables pruning.
-	all, none := prune(cands, scores, 0, nil)
-	if len(all) != 4 || len(none) != 0 {
-		t.Errorf("ratio 0 pruned %v", none)
 	}
 }
 
@@ -751,24 +746,31 @@ func TestBatchKeyPersistence(t *testing.T) {
 // TestPlannerDeploysSparseWhereThePaperSays is the measured Fig. 7 claim on
 // the real engines: for CIFAR conv0's geometry the planner's BP verdict is
 // the Sparse-Kernel at the layer's measured 0.94 gradient sparsity and a
-// dense GEMM engine at 0.50 — with and without the input gradient.
+// dense GEMM engine well below the crossover — with and without the input
+// gradient. The full pass (Eq. 3 + Eq. 4) crosses between 0.60 and 0.75, the
+// first layer's Eq. 4 alone near 0.50; each dense point sits where the best
+// dense engine measured at least 15 % faster than sparse in every one of 30
+// plans, so host noise cannot flip the verdict.
 func TestPlannerDeploysSparseWhereThePaperSays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times real kernels; margins do not survive the race detector's slowdown")
 	}
 	s := conv.Square(36, 64, 3, 5, 1)
 	ctx := exec.New(2)
-	for _, noEI := range []bool{false, true} {
+	for _, mode := range []struct {
+		noEI  bool
+		dense float64
+	}{{false, 0.30}, {true, 0.20}} {
 		for _, tc := range []struct {
 			sparsity float64
 			sparse   bool
-		}{{0.94, true}, {0.50, false}} {
+		}{{0.94, true}, {mode.dense, false}} {
 			ins, eos, w := sampleTensors(t, s, 2, tc.sparsity)
 			p := New(Options{})
-			pd := p.PlanBP(s, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: noEI})
+			pd := p.PlanBP(s, ctx, eos, ins, w, core.TuneOptions{NoInputGrad: mode.noEI})
 			if got := pd.Selection.Chosen.Strategy().Name; (got == "sparse") != tc.sparse {
 				t.Errorf("EO sparsity %.2f, input gradient elided %v: deployed %q (timings %+v)",
-					tc.sparsity, noEI, got, pd.Selection.Timings)
+					tc.sparsity, mode.noEI, got, pd.Selection.Timings)
 			}
 		}
 	}

@@ -8,20 +8,14 @@ import (
 // seconds converts an event duration to seconds.
 func seconds(ns int64) float64 { return float64(ns) / 1e9 }
 
-// SpanAgg aggregates every complete event sharing one name.
+// SpanAgg aggregates every complete event sharing one name. Durations
+// are in seconds.
 type SpanAgg struct {
-	Name  string
-	Calls int
-	Total float64 // seconds
-	Max   float64 // seconds
-}
-
-// Mean returns the mean span duration in seconds.
-func (a SpanAgg) Mean() float64 {
-	if a.Calls == 0 {
-		return 0
-	}
-	return a.Total / float64(a.Calls)
+	Name  string  `json:"name"`
+	Calls int     `json:"calls"`
+	Total float64 `json:"total_seconds"`
+	Mean  float64 `json:"mean_seconds"`
+	Max   float64 `json:"max_seconds"`
 }
 
 // TopSpans aggregates complete events by name and returns the n entries
@@ -47,6 +41,7 @@ func TopSpans(events []Event, n int) []SpanAgg {
 	}
 	out := make([]SpanAgg, 0, len(byName))
 	for _, a := range byName {
+		a.Mean = a.Total / float64(a.Calls)
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -63,40 +58,35 @@ func TopSpans(events []Event, n int) []SpanAgg {
 
 // StragglerStat is one replica's barrier behavior over the capture.
 type StragglerStat struct {
-	Replica int
+	Replica int `json:"replica"`
 	// Steps is the number of per-replica step spans observed.
-	Steps int
-	// Total/Min/Max summarize the replica's step durations (seconds).
-	Total, Min, Max float64
+	Steps int `json:"steps"`
+	// Total/Min/Mean/Max summarize the replica's step durations (seconds).
+	Total float64 `json:"-"`
+	Min   float64 `json:"min_seconds"`
+	Mean  float64 `json:"mean_seconds"`
+	Max   float64 `json:"max_seconds"`
 	// BarrierWait is the cumulative time this replica spent finished at
 	// the step barrier waiting for the slowest replica (seconds).
-	BarrierWait float64
+	BarrierWait float64 `json:"barrier_wait_seconds"`
 	// SlowestCount is how many steps this replica WAS the slowest — the
 	// one every other replica waited on.
-	SlowestCount int
-}
-
-// Mean returns the replica's mean step duration.
-func (s StragglerStat) Mean() float64 {
-	if s.Steps == 0 {
-		return 0
-	}
-	return s.Total / float64(s.Steps)
+	SlowestCount int `json:"slowest_count"`
 }
 
 // StragglerReport is the per-replica time-at-barrier attribution of a
 // data-parallel capture.
 type StragglerReport struct {
-	Rows []StragglerStat
 	// Steps is the number of synchronized step groups analyzed.
-	Steps int
+	Steps int `json:"steps"`
 	// Syncs / AllReduceSeconds count the parameter-averaging rounds and
 	// their total cost.
-	Syncs            int
-	AllReduceSeconds float64
+	Syncs            int     `json:"syncs"`
+	AllReduceSeconds float64 `json:"allreduce_seconds"`
 	// SlowestReplica is the replica most often slowest (-1 when the
 	// capture has no step groups).
-	SlowestReplica int
+	SlowestReplica int             `json:"slowest_replica"`
+	Rows           []StragglerStat `json:"rows"`
 }
 
 // Stragglers derives barrier attribution from per-replica "step" spans
@@ -164,6 +154,7 @@ func Stragglers(c Capture) StragglerReport {
 	}
 
 	for _, st := range byReplica {
+		st.Mean = st.Total / float64(st.Steps)
 		rep.Rows = append(rep.Rows, *st)
 	}
 	sort.Slice(rep.Rows, func(i, j int) bool { return rep.Rows[i].Replica < rep.Rows[j].Replica })
@@ -178,33 +169,40 @@ func Stragglers(c Capture) StragglerReport {
 
 // WasteRow attributes one layer's share of the Eq. 9 dense-vs-useful gap.
 type WasteRow struct {
-	Layer string
+	Layer string `json:"layer"`
 	// FPStrategy / BPStrategy are the deployed strategies observed in the
 	// capture's layer spans (the one with the most recorded time wins;
 	// empty when the capture holds no span for the phase).
-	FPStrategy, BPStrategy string
+	FPStrategy string `json:"fp_strategy,omitempty"`
+	BPStrategy string `json:"bp_strategy,omitempty"`
 	// FPSeconds / BPSeconds are the layer's recorded phase times.
-	FPSeconds, BPSeconds float64
+	FPSeconds float64 `json:"-"`
+	BPSeconds float64 `json:"-"`
 	// DenseFlops is the layer's dense work over the capture (FP + BP).
-	DenseFlops float64
+	DenseFlops float64 `json:"dense_flops"`
 	// UsefulFlops discounts BP by the observed gradient sparsity (Eq. 9).
-	UsefulFlops float64
+	UsefulFlops float64 `json:"useful_flops"`
 	// WastedFlops is the dense-vs-useful gap: BP flops that multiply
 	// zeros when a dense engine executes them.
-	WastedFlops float64
+	WastedFlops float64 `json:"wasted_flops"`
 	// BurnedFlops is the wasted work actually executed: equal to
 	// WastedFlops under a dense BP strategy, 0 under the sparse kernel
 	// (which skips the zeros — the gap is recovered, not burned).
-	BurnedFlops float64
+	BurnedFlops float64 `json:"burned_flops"`
 }
 
 // WasteReport is the per-layer goodput-waste attribution of a capture.
 type WasteReport struct {
-	Rows []WasteRow
 	// Epochs is the number of epoch accounting events consumed.
-	Epochs int
-	// Totals over all rows.
-	DenseFlops, UsefulFlops, WastedFlops, BurnedFlops float64
+	Epochs int `json:"epochs"`
+	// Totals over all rows; Goodput is UsefulFlops / DenseFlops (0 when
+	// the capture carries no dense work).
+	DenseFlops  float64    `json:"dense_flops"`
+	UsefulFlops float64    `json:"useful_flops"`
+	Goodput     float64    `json:"goodput_fraction"`
+	WastedFlops float64    `json:"wasted_flops"`
+	BurnedFlops float64    `json:"burned_flops"`
+	Rows        []WasteRow `json:"rows"`
 }
 
 // GoodputWaste splits the Eq. 9 dense-vs-useful gap per layer: for every
@@ -274,6 +272,9 @@ func GoodputWaste(c Capture) WasteReport {
 		rep.UsefulFlops += row.UsefulFlops
 		rep.WastedFlops += row.WastedFlops
 		rep.BurnedFlops += row.BurnedFlops
+	}
+	if rep.DenseFlops > 0 {
+		rep.Goodput = rep.UsefulFlops / rep.DenseFlops
 	}
 	sort.Slice(rep.Rows, func(i, j int) bool {
 		a, b := rep.Rows[i], rep.Rows[j]

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 
 	"spgcnn/internal/exec"
@@ -166,6 +165,11 @@ func (r *Recorder) WriteFile(path string) error {
 	return exec.WriteFileAtomic(path, func(w io.Writer) error { return WriteJSON(w, c) })
 }
 
+// maxMicros bounds an event's ts and dur (2^52 µs, about 142 years) so
+// both convert to int64 nanoseconds and their sum, the event's end, does
+// not overflow.
+const maxMicros = 1 << 52
+
 // ReadJSON parses a capture written by WriteJSON (metadata rows are
 // skipped; foreign trace-event files load as far as their events carry
 // the standard fields). Events come back in deterministic sorted order.
@@ -197,7 +201,7 @@ func ReadJSON(rd io.Reader) (Capture, error) {
 		if je.Name == "" {
 			return Capture{}, fmt.Errorf("trace: event %d: empty name", i)
 		}
-		if je.Ts < 0 || math.IsNaN(je.Ts) {
+		if je.Ts < 0 || math.IsNaN(je.Ts) || je.Ts > maxMicros {
 			return Capture{}, fmt.Errorf("trace: event %d (%s): bad ts %v", i, je.Name, je.Ts)
 		}
 		if je.Pid < 0 || je.Tid < 0 {
@@ -212,7 +216,7 @@ func ReadJSON(rd io.Reader) (Capture, error) {
 			Worker:  int32(je.Tid),
 		}
 		if je.Dur != nil {
-			if *je.Dur < 0 || math.IsNaN(*je.Dur) {
+			if *je.Dur < 0 || math.IsNaN(*je.Dur) || *je.Dur > maxMicros {
 				return Capture{}, fmt.Errorf("trace: event %d (%s): bad dur %v", i, je.Name, *je.Dur)
 			}
 			ev.Dur = int64(math.Round(*je.Dur * 1e3))
@@ -238,16 +242,6 @@ func ReadJSON(rd io.Reader) (Capture, error) {
 	}
 	SortEvents(c.Events)
 	return c, nil
-}
-
-// ReadFile loads a capture from path.
-func ReadFile(path string) (Capture, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Capture{}, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
 }
 
 // Validate checks a capture's internal consistency beyond what ReadJSON

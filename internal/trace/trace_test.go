@@ -346,8 +346,8 @@ func TestStragglerAttribution(t *testing.T) {
 	if want := 0.003; !close(r1.BarrierWait, want) {
 		t.Fatalf("replica 1 barrier wait = %v, want %v", r1.BarrierWait, want)
 	}
-	if !close(r0.Min, 0.002) || !close(r0.Max, 0.006) || !close(r0.Mean(), 10.0/3/1000) {
-		t.Fatalf("replica 0 min/max/mean = %v/%v/%v", r0.Min, r0.Max, r0.Mean())
+	if !close(r0.Min, 0.002) || !close(r0.Max, 0.006) || !close(r0.Mean, 10.0/3/1000) {
+		t.Fatalf("replica 0 min/max/mean = %v/%v/%v", r0.Min, r0.Max, r0.Mean)
 	}
 	if !close(rep.AllReduceSeconds, 0.003) {
 		t.Fatalf("allreduce seconds = %v", rep.AllReduceSeconds)
@@ -393,8 +393,8 @@ func TestTopSpans(t *testing.T) {
 	if spans[0].Name != "step" || spans[0].Calls != 6 || !close(spans[0].Total, 0.022) {
 		t.Fatalf("top span = %+v", spans[0])
 	}
-	if !close(spans[0].Max, 0.006) || !close(spans[0].Mean(), 0.022/6) {
-		t.Fatalf("top span max/mean = %v/%v", spans[0].Max, spans[0].Mean())
+	if !close(spans[0].Max, 0.006) || !close(spans[0].Mean, 0.022/6) {
+		t.Fatalf("top span max/mean = %v/%v", spans[0].Max, spans[0].Mean)
 	}
 	all := TopSpans(sampleCapture().Events, 0)
 	if len(all) < 6 {

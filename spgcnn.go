@@ -406,9 +406,6 @@ const DriftReportSchemaVersion = obs.ReportSchemaVersion
 // NewObservatory builds a drift observatory.
 func NewObservatory(o ObservatoryOptions) *Observatory { return obs.New(o) }
 
-// ReadDriftReportFile reads and schema-validates a drift report.
-func ReadDriftReportFile(path string) (DriftReport, error) { return obs.ReadReportFile(path) }
-
 // RegisterObservatoryLayers declares every convolution layer of a network
 // with the observatory (geometry for predictions). Data-parallel replicas
 // share layer names and so one observatory stream per layer: register one
@@ -457,7 +454,7 @@ func HostInfo() HostFingerprint { return machine.HostInfo() }
 // layer/phase/strategy execution, planner decision, arena growth and
 // all-reduce lands on a timeline stamped with step, replica, worker and
 // sparsity band. Export with its WriteFile method (Chrome/Perfetto
-// trace-event JSON) and analyze with cmd/spg-trace.
+// trace-event JSON) and analyze with cmd/spg-doctor.
 type TraceRecorder = trace.Recorder
 
 // TraceEmitter stamps events for one (replica, worker) identity; obtain
