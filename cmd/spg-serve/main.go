@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		replicas  = fs.Int("replicas", 1, "batch-worker replicas sharing one weight set")
 		threads   = fs.Int("threads", 1, "worker cores per replica (intra-batch parallelism)")
 		maxBatch  = fs.Int("max-batch", 8, "max requests coalesced into one forward pass")
-		maxDelay  = fs.Duration("max-delay", 2*time.Millisecond, "how long a partial batch waits for late arrivals (0 = greedy)")
+		maxDelay  = fs.Duration("max-delay", 2*time.Millisecond, "longest a partial batch waits for late arrivals, used only when the arrival gaps predict one in time (0 = greedy)")
 		queueCap  = fs.Int("queue-cap", 0, "admission queue bound; overflow rejects with 503 (0 = 8 x max-batch)")
 		strategy  = fs.String("strategy", "auto", "conv strategy: auto (planner, per-bucket) or a fixed FP strategy name")
 		seed      = fs.Uint64("seed", 42, "weight init seed (only meaningful without -load)")

@@ -6,7 +6,9 @@
 //     arrival rate adapts to the server (throughput measurement);
 //   - open loop: requests arrive on a fixed schedule regardless of
 //     completions — the latency distribution under a target rate
-//     (tail-latency measurement; late arrivals queue, they do not skip).
+//     (tail-latency measurement; late arrivals queue, they do not skip,
+//     and each is timed from when it was due, so the wait a slow server
+//     imposes on later requests counts).
 //
 // The clock, sleeper and HTTP client are injectable so the report path is
 // testable with a deterministic fake server and fake time.
@@ -34,7 +36,8 @@ type Config struct {
 	Concurrency int
 	// Requests is the total request budget. Default 100.
 	Requests int
-	// RateHz, when > 0, switches to open-loop arrivals at that rate.
+	// RateHz, when > 0, switches to open-loop arrivals at that rate; each
+	// request's latency then runs from when it was due, not when sent.
 	RateHz float64
 	// InputLen is the flat input length; 0 fetches it from /v1/spec.
 	InputLen int
@@ -140,8 +143,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	samples := make([]sample, cfg.Requests)
 
-	shoot := func(i int) {
-		start := now()
+	// shoot sends request i and times it from start: the send in closed
+	// loop, the due time in open loop.
+	shoot := func(i int, start time.Time) {
 		resp, err := client.Post(cfg.URL+"/v1/infer", "application/json",
 			bytes.NewReader(pool[i%len(pool)]))
 		if err != nil {
@@ -167,14 +171,18 @@ func Run(cfg Config) (*Result, error) {
 		res.Mode = "open"
 		res.RateHz = cfg.RateHz
 		interval := time.Duration(float64(time.Second) / cfg.RateHz)
-		jobs := make(chan int, cfg.Requests)
+		type job struct {
+			i   int
+			due time.Time
+		}
+		jobs := make(chan job, cfg.Requests)
 		var wg sync.WaitGroup
 		for w := 0; w < cfg.Concurrency; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range jobs {
-					shoot(i)
+				for j := range jobs {
+					shoot(j.i, j.due)
 				}
 			}()
 		}
@@ -183,7 +191,7 @@ func Run(cfg Config) (*Result, error) {
 			if d := next.Sub(now()); d > 0 {
 				sleep(d)
 			}
-			jobs <- i
+			jobs <- job{i, next}
 			next = next.Add(interval)
 		}
 		close(jobs)
@@ -202,7 +210,7 @@ func Run(cfg Config) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
-					shoot(i)
+					shoot(i, now())
 				}
 			}()
 		}

@@ -144,6 +144,57 @@ func TestOpenLoopPacesArrivals(t *testing.T) {
 	}
 }
 
+// slowTransport answers every request after advancing the shared fake
+// clock by cost: a server that takes cost per request, one at a time.
+type slowTransport struct {
+	fakeTransport
+	clock *fakeClock
+	cost  time.Duration
+}
+
+func (s *slowTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.clock.advance(s.cost)
+	return s.fakeTransport.RoundTrip(req)
+}
+
+// TestOpenLoopTimesFromDueTime: requests due every 10ms to a server that
+// takes 30ms each, through one connection, queue behind each other. Each
+// is timed from its due time, so request k reports its 20ms-per-request
+// wait on top of its own 30ms: 30 + 20k ms. Timing from the send would
+// report 30ms for every one, hiding the backlog.
+func TestOpenLoopTimesFromDueTime(t *testing.T) {
+	clock := &fakeClock{} // readings do not advance it; only the server does
+	ft := &slowTransport{fakeTransport: fakeTransport{script: []fakeReply{{http.StatusOK, 1}}}, clock: clock, cost: 30 * time.Millisecond}
+	res, err := Run(Config{
+		URL:         "http://fake",
+		Concurrency: 1,
+		Requests:    10,
+		RateHz:      100,
+		InputLen:    4,
+		Client:      &http.Client{Transport: ft},
+		Now:         clock.now,
+		Sleep:       func(time.Duration) {}, // the schedule never waits on this clock
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK != 10 {
+		t.Fatalf("ok %d, want 10", res.OK)
+	}
+	// Latencies 30, 50, ..., 210ms: mean 120ms, nearest-rank p50 the 5th
+	// (110ms), p95 and p99 the 10th.
+	for name, c := range map[string]struct{ got, want time.Duration }{
+		"mean": {res.LatMean, 120 * time.Millisecond},
+		"p50":  {res.LatP50, 110 * time.Millisecond},
+		"p95":  {res.LatP95, 210 * time.Millisecond},
+		"p99":  {res.LatP99, 210 * time.Millisecond},
+	} {
+		if c.got != c.want {
+			t.Errorf("latency %s %v, want %v", name, c.got, c.want)
+		}
+	}
+}
+
 func TestPercentileNearestRank(t *testing.T) {
 	lats := make([]time.Duration, 100)
 	for i := range lats {

@@ -4,11 +4,12 @@
 //
 // The queue is where the paper's §3 latency/goodput tradeoff becomes a
 // serving policy: single-image requests coalesce into batches (flushed on
-// size or deadline), larger batches amortize per-forward overhead and give
-// the planner real batch-parallel work, and the padding a ragged batch
-// needs is accounted as wasted flops — the serving analogue of Eq. 9's
-// goodput discount. Backpressure is a bounded queue: overflow rejects with
-// 503 + Retry-After rather than building an unbounded latency tail.
+// size, on a deadline, or at once when no company is due), larger batches
+// amortize per-forward overhead and give the planner real batch-parallel
+// work, and the padding a ragged batch needs is accounted as wasted flops
+// — the serving analogue of Eq. 9's goodput discount. Backpressure is a
+// bounded queue: overflow rejects with 503 + Retry-After rather than
+// building an unbounded latency tail.
 package serve
 
 import (
@@ -28,8 +29,9 @@ var ErrClosed = errors.New("serve: server shutting down")
 // queue is the dynamic-batching admission queue. Submitters append
 // requests; batch workers call next, which blocks until a batch is ready:
 // maxBatch requests are waiting (size trigger), the oldest waiting request
-// is maxDelay old (deadline trigger), or the queue is closed (drain —
-// whatever is pending flushes immediately).
+// is maxDelay old (deadline trigger), the admission stream predicts no
+// further request before that deadline (arrival trigger), or the queue is
+// closed (drain — whatever is pending flushes immediately).
 type queue struct {
 	maxBatch int
 	maxDelay time.Duration
@@ -40,6 +42,12 @@ type queue struct {
 	pending []*request
 	closed  bool
 	timer   *time.Timer
+
+	// last is the latest admission and gap an EWMA (weight ¼) of the
+	// intervals between admissions, -1 until two have been seen. Only a
+	// coalescing queue (maxDelay > 0) keeps them.
+	last time.Time
+	gap  time.Duration
 }
 
 func newQueue(maxBatch, capacity int, maxDelay time.Duration) *queue {
@@ -49,7 +57,7 @@ func newQueue(maxBatch, capacity int, maxDelay time.Duration) *queue {
 	if capacity < maxBatch {
 		capacity = maxBatch
 	}
-	q := &queue{maxBatch: maxBatch, maxDelay: maxDelay, cap: capacity}
+	q := &queue{maxBatch: maxBatch, maxDelay: maxDelay, cap: capacity, gap: -1}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -66,11 +74,20 @@ func (q *queue) submit(r *request) error {
 	}
 	r.enq = time.Now()
 	q.pending = append(q.pending, r)
-	if len(q.pending) >= q.maxBatch {
-		q.cond.Broadcast()
-	} else if len(q.pending) == 1 {
-		// First waiter: wake a batch worker so it can arm the deadline (or
-		// cut immediately when maxDelay is zero — greedy batching).
+	if q.maxDelay > 0 {
+		if !q.last.IsZero() {
+			if g := r.enq.Sub(q.last); q.gap < 0 {
+				q.gap = g
+			} else {
+				q.gap += (g - q.gap) / 4
+			}
+		}
+		q.last = r.enq
+	}
+	// Wake a batch worker for the first waiter (to cut it or arm the
+	// deadline), for a full batch, and for an admission after which no
+	// company is due: a worker holding the partial batch open cuts it now.
+	if len(q.pending) == 1 || len(q.pending) >= q.maxBatch || q.maxDelay > 0 && !q.companyDue() {
 		q.cond.Broadcast()
 	}
 	return nil
@@ -85,7 +102,7 @@ func (q *queue) nextInto(dst []*request) (batch []*request, ok bool) {
 	defer q.mu.Unlock()
 	for {
 		if len(q.pending) > 0 {
-			if q.closed || len(q.pending) >= q.maxBatch || q.deadlineReached() {
+			if q.closed || len(q.pending) >= q.maxBatch || q.flushDue() {
 				return q.cut(dst), true
 			}
 			q.armTimer()
@@ -96,13 +113,24 @@ func (q *queue) nextInto(dst []*request) (batch []*request, ok bool) {
 	}
 }
 
-// deadlineReached reports whether the oldest pending request has waited
+// flushDue reports whether a partial batch should be cut now: no company
+// is due before its deadline, or the oldest pending request has waited
 // out the coalescing delay. Called with q.mu held.
-func (q *queue) deadlineReached() bool {
+func (q *queue) flushDue() bool {
 	if q.maxDelay <= 0 {
 		return true // greedy: cut whatever accumulated while workers were busy
 	}
-	return time.Since(q.pending[0].enq) >= q.maxDelay
+	return !q.companyDue() || time.Since(q.pending[0].enq) >= q.maxDelay
+}
+
+// companyDue reports whether the admission stream predicts another request
+// before the oldest pending one's deadline: a gap is known and the latest
+// admission plus that gap falls at or before oldest.enq + maxDelay. A lone
+// request at a rate far below 1/maxDelay is therefore cut at once instead
+// of waiting out the delay for company that is not coming. Called with
+// q.mu held and pending non-empty.
+func (q *queue) companyDue() bool {
+	return q.gap >= 0 && !q.last.Add(q.gap).After(q.pending[0].enq.Add(q.maxDelay))
 }
 
 // armTimer (re)arms the flush timer for the oldest pending request's

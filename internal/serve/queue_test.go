@@ -44,25 +44,114 @@ func TestQueueSizeTriggeredFlush(t *testing.T) {
 	}
 }
 
-// TestQueueDeadlineTriggeredFlush: a partial batch flushes once the oldest
-// request has waited out maxDelay, not before.
+// TestQueueDeadlineTriggeredFlush: a partial batch whose arrivals predict
+// company flushes once the oldest request has waited out maxDelay, not
+// before. A quick burst admits the batch, so the admission gap is far
+// below the delay.
 func TestQueueDeadlineTriggeredFlush(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	q := newQueue(8, 16, delay)
 	start := time.Now()
-	if err := q.submit(mkReq()); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := q.submit(mkReq()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	batch, ok := q.next()
 	elapsed := time.Since(start)
-	if !ok || len(batch) != 1 {
-		t.Fatalf("next = %d requests, %v; want 1, true", len(batch), ok)
+	if !ok || len(batch) != 3 {
+		t.Fatalf("next = %d requests, %v; want 3, true", len(batch), ok)
 	}
 	if elapsed < delay {
 		t.Fatalf("flushed after %v, before the %v deadline", elapsed, delay)
 	}
 	if elapsed > 10*delay {
 		t.Fatalf("flushed after %v, deadline was %v", elapsed, delay)
+	}
+}
+
+// TestQueueLoneRequestFlushesAtOnce: with no admission gap known yet, or
+// with gaps far above maxDelay, a lone request is cut well before its
+// deadline instead of waiting for company that is not coming.
+func TestQueueLoneRequestFlushesAtOnce(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	q := newQueue(8, 16, delay)
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(2 * delay) // the gap: far above the delay
+		}
+		start := time.Now()
+		if err := q.submit(mkReq()); err != nil {
+			t.Fatal(err)
+		}
+		batch, ok := q.next()
+		if elapsed := time.Since(start); elapsed > delay/2 {
+			t.Fatalf("request %d: cut after %v, want well before the %v deadline", i, elapsed, delay)
+		}
+		if !ok || len(batch) != 1 {
+			t.Fatalf("request %d: next = %d requests, %v; want 1, true", i, len(batch), ok)
+		}
+	}
+}
+
+// TestQueueBurstCoalesces: requests admitted at gaps far below maxDelay
+// come out as one batch while a worker waits on the queue: it holds the
+// partial batch open until the size trigger cuts it.
+func TestQueueBurstCoalesces(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	const burst = 4
+	q := newQueue(burst, 16, delay)
+	// A first burst teaches the queue its gap.
+	for i := 0; i < burst; i++ {
+		if err := q.submit(mkReq()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, ok := q.next(); !ok || len(b) != burst {
+		t.Fatalf("first burst: next = %d, %v; want %d, true", len(b), ok, burst)
+	}
+
+	got := make(chan int, 1)
+	go func() {
+		b, _ := q.next()
+		got <- len(b)
+	}()
+	for i := 0; i < burst; i++ {
+		time.Sleep(time.Millisecond)
+		if err := q.submit(mkReq()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := <-got; n != burst {
+		t.Fatalf("a burst at 1ms gaps under a %v delay came out as a batch of %d, want %d", delay, n, burst)
+	}
+}
+
+// TestQueueVerdictChangeWakesWorker: a worker holds a partial batch open
+// because its quick admissions predict company; an admission after a gap
+// long enough that the next one is no longer due before the deadline cuts
+// the batch at once, not at the deadline.
+func TestQueueVerdictChangeWakesWorker(t *testing.T) {
+	const delay = time.Second
+	q := newQueue(8, 16, delay)
+	q.submit(mkReq())
+	q.submit(mkReq())
+	got := make(chan int, 1)
+	go func() {
+		b, _ := q.next()
+		got <- len(b)
+	}()
+	// The gap EWMA becomes ~¼·880ms = 220ms, so the next admission is
+	// predicted at ~1.1s, after the 1s deadline.
+	time.Sleep(880 * time.Millisecond)
+	start := time.Now()
+	q.submit(mkReq())
+	n := <-got
+	if elapsed := time.Since(start); elapsed > 60*time.Millisecond {
+		t.Fatalf("batch cut %v after the admission that left no company due, want at once", elapsed)
+	}
+	if n != 3 {
+		t.Fatalf("batch of %d, want 3", n)
 	}
 }
 

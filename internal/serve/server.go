@@ -45,10 +45,12 @@ type Config struct {
 	// MaxBatch caps how many requests coalesce into one forward pass
 	// (default: the model's largest bucket).
 	MaxBatch int
-	// MaxDelay is how long the queue holds a partial batch open for
-	// late-arriving requests before flushing it. Zero is greedy batching:
-	// flush immediately, batches form only from requests that arrived
-	// while every worker was busy.
+	// MaxDelay is the longest the queue holds a partial batch open for
+	// late-arriving requests. It is an upper bound, used only while the
+	// admission gaps predict another request before it runs out; a request
+	// with no company due is cut at once. Zero is greedy batching: flush
+	// immediately, batches form only from requests that arrived while every
+	// worker was busy.
 	MaxDelay time.Duration
 	// QueueCap bounds the admission queue; submissions beyond it reject
 	// with 503 + Retry-After (default: 8 × MaxBatch).

@@ -12,10 +12,11 @@ import (
 //
 // A request body is one JSON object whose only member is "input", spelled
 // literally, holding an array of exactly InLen RFC 8259 numbers, with JSON
-// whitespace anywhere between tokens and nothing after the object. Each
-// number goes through strconv.ParseFloat(s, 32), the call encoding/json
-// makes for a float32, so every accepted value is bit-identical to what
-// json.Unmarshal would store. A response is the bytes
+// whitespace anywhere between tokens and nothing after the object. Every
+// accepted value is bit-identical to what strconv.ParseFloat(s, 32), the
+// call encoding/json makes for a float32, returns: the scanner converts a
+// plain decimal of at most 15 significant digits itself (see number) and
+// hands every other number to strconv. A response is the bytes
 // json.NewEncoder(w).Encode writes for a struct of the same fields.
 
 // readBody appends everything r yields to buf[:0], growing it only when the
@@ -121,26 +122,56 @@ func (p *scanner) token(tok string) bool {
 // -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
 // and returns it rounded to float32. A value beyond float32's range is an
 // error, as it is for encoding/json.
+//
+// The scan accumulates the significant digits into mant and counts the
+// fraction digits, so a plain decimal is mant·10^-frac. With at most 15
+// significant digits and frac ≤ 22, mant and pow10[frac] are exact
+// float64s, and one division gives the correctly rounded float64 of the
+// decimal (Clinger's fast path). Rounding that to float32 gives the
+// correctly rounded float32 unless the float64 sits exactly on a float32
+// midpoint, where a second rounding may break the tie the wrong way; the
+// value lies between 1e-22 and 1e15, inside float32's normal range, so a
+// midpoint is exactly the 29 dropped mantissa bits reading 1<<28. That
+// case, a longer mantissa and every exponent form go to strconv.
 func (p *scanner) number() (float32, error) {
 	b, i := p.b, p.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var mant uint64
+	sig, frac := 0, 0 // significant digits seen; digits after the point
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if sig < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+			sig++
+		}
 	default:
 		return 0, p.errorf("want a number")
 	}
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if mant == 0 && b[i] == '0' {
+				continue // a leading zero: not significant
+			}
+			if sig < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+			sig++
+		}
+		if i == j {
 			return 0, p.errorf("want a digit after the decimal point")
 		}
-		i = j
+		frac = i - j
 	}
+	exact := sig <= 15 && frac <= 22
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -150,7 +181,17 @@ func (p *scanner) number() (float32, error) {
 		if j == i {
 			return 0, p.errorf("want a digit in the exponent")
 		}
-		i = j
+		i, exact = j, false
+	}
+	if exact {
+		f := float64(mant) / pow10[frac]
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			p.i = i
+			if neg {
+				f = -f
+			}
+			return float32(f), nil
+		}
 	}
 	f, err := strconv.ParseFloat(string(b[p.i:i]), 32)
 	if err != nil {
@@ -158,6 +199,12 @@ func (p *scanner) number() (float32, error) {
 	}
 	p.i = i
 	return float32(f), nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // digits returns the offset of the first non-digit at or after i.

@@ -165,6 +165,118 @@ func TestDecodeInputMatchesUnmarshal(t *testing.T) {
 	}
 }
 
+// numberEdges are the plain decimals and exponent forms nearest the fast
+// path's limits: exact float32 midpoints, float32's range ends, signed
+// zeros, mantissas past 15 and 19 significant digits, and fractions
+// around 22 digits.
+var numberEdges = []string{
+	"16777217", "16777219", "-16777217", "16777216.5", "33554435",
+	"3.4028235e38", "3.4028236e38", "-3.4028235e+38", "1.1754944e-38", "1.1754942e-38",
+	"1e-45", "1e-46", "7e-46", "0.000000000000000000000000000000000000000000001",
+	"-0", "0", "0.000", "-0.0", "0.1", "1", "1E+2", "1e-2", "0.5e1", "-1.25E-3",
+	"999999999999999", "9999999999999999", "99999999999999999999",
+	"1234567890123456789", "12345678901234567890123", "-9999999999999999999.5",
+	"0.12345678901234567890123", "1.0000000000000000000001", "0.30000001192092896",
+	"0.0000000000000000000001", "0.00000000000000000000001", "123456789012345.6",
+	"0.0000000000000000000012345", "4.999999999999999", "100000000000000000000000",
+}
+
+// scanNumber runs the body scanner's number on s alone and requires it to
+// consume every byte of an accepted number.
+func scanNumber(t *testing.T, s string) (float32, error) {
+	p := scanner{b: []byte(s)}
+	v, err := p.number()
+	if err == nil && p.i != len(s) {
+		t.Fatalf("number(%q) consumed %d of %d bytes", s, p.i, len(s))
+	}
+	return v, err
+}
+
+// TestNumberMatchesStrconv: the scanner's number agrees with
+// strconv.ParseFloat(s, 32) bit for bit, and in rejecting what is out of
+// range, on the edges above and on generated numbers: shortest float32
+// forms, fixed-precision decimals, exponent forms, decimals printed next
+// to float32 midpoints and random digit strings.
+func TestNumberMatchesStrconv(t *testing.T) {
+	check := func(s string) {
+		got, err := scanNumber(t, s)
+		want, wantErr := strconv.ParseFloat(s, 32)
+		switch {
+		case (err != nil) != (wantErr != nil):
+			t.Fatalf("number(%q): error %v, strconv: %v", s, err, wantErr)
+		case err == nil && math.Float32bits(got) != math.Float32bits(float32(want)):
+			t.Fatalf("number(%q) = %v (%#08x), strconv %v (%#08x)",
+				s, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+		}
+	}
+	for _, s := range numberEdges {
+		check(s)
+	}
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	r := rng.New(29)
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = b[:0]
+		switch i % 6 {
+		case 0: // shortest form of a random finite float32
+			b = strconv.AppendFloat(b, float64(randFloat32s(r, 1)[0]), 'g', -1, 32)
+		case 1: // shortest form of a served input
+			b = strconv.AppendFloat(b, float64(float32(r.NormFloat64())), 'g', -1, 32)
+		case 2: // a fixed-precision decimal
+			v := r.NormFloat64() * math.Pow(10, float64(r.Intn(16)-8))
+			b = strconv.AppendFloat(b, v, 'f', r.Intn(20), 64)
+		case 3: // an exponent form
+			b = strconv.AppendFloat(b, r.NormFloat64()*math.Pow(10, float64(r.Intn(80)-40)), 'e', r.Intn(12), 64)
+		case 4: // a decimal at or next to a float32 midpoint
+			c := float32(r.NormFloat64() * math.Pow(10, float64(r.Intn(16)-8)))
+			mid := (float64(c) + float64(math.Nextafter32(c, float32(math.Inf(1))))) / 2
+			b = strconv.AppendFloat(b, mid, 'f', r.Intn(25), 64)
+		default: // random digits around the 15-digit and 22-place limits
+			if r.Intn(2) == 0 {
+				b = append(b, '-')
+			}
+			if whole := r.Intn(18); whole == 0 {
+				b = append(b, '0')
+			} else {
+				b = append(b, byte('1'+r.Intn(9)))
+				for k := 1; k < whole; k++ {
+					b = append(b, byte('0'+r.Intn(10)))
+				}
+			}
+			if places := r.Intn(26); places > 0 {
+				b = append(b, '.')
+				for k := 0; k < places; k++ {
+					b = append(b, byte('0'+r.Intn(10)))
+				}
+			}
+		}
+		check(string(b))
+	}
+}
+
+// BenchmarkDecodeInput decodes one CIFAR-sized body (3 888 values) in
+// the served inputs' format: normal draws, shortest float32 forms.
+func BenchmarkDecodeInput(b *testing.B) {
+	r := rng.New(31)
+	vals := make([]float32, 3*36*36)
+	for i := range vals {
+		vals[i] = float32(r.NormFloat64())
+	}
+	body := gBody(vals)
+	dst := make([]float32, len(vals))
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decodeInput(body, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestInferBodyRejects: bodies outside the wire format answer 400, among
 // them the four kinds encoding/json's Decoder takes: an unknown member, a
 // case-variant key, a duplicate "input" and bytes after the object.

@@ -6,9 +6,10 @@
 # gates: plan-cache warm start, drift on a scripted clock, a traced
 # data-parallel run, serve + load, committed baselines and goldens), the
 # race-instrumented short suite, 15 s each of fuzzing the /v1/infer body
-# decoder, the netdef parser, Parse+Build, and the two decoders spg-doctor
-# reads: trace captures (FuzzReadCapture) and drift reports
-# (FuzzReadReport) (tier-1 replays their committed corpora),
+# decoder, the netdef parser, Parse+Build, the plan-cache decoder
+# (FuzzPlannerLoad), and the two decoders spg-doctor reads: trace captures
+# (FuzzReadCapture) and drift reports (FuzzReadReport) (tier-1 replays
+# their committed corpora),
 # a determinism gate (the drift tests and the planner's fake-strategy
 # tests run on scripted clocks, and spg-train's checkpoint must equal the
 # plain trainer's byte for byte, so twenty race-instrumented repeats must
@@ -28,6 +29,7 @@ go test -race -short ./...
 go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/netdef
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 15s ./internal/netdef
+go test -run '^$' -fuzz '^FuzzPlannerLoad$' -fuzztime 15s ./internal/plan
 go test -run '^$' -fuzz '^FuzzReadCapture$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 15s ./internal/obs
 go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl|TestTrainsAsThePlainTrainer' ./internal/obs ./cmd/spg-train
