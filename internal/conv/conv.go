@@ -14,6 +14,7 @@ package conv
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -136,13 +137,25 @@ func (s Spec) Validate() error {
 	case s.Nc%s.G() != 0 || s.Nf%s.G() != 0:
 		return fmt.Errorf("conv: groups=%d does not divide channels Nc=%d / features Nf=%d",
 			s.G(), s.Nc, s.Nf)
-	case s.KxExtent() > s.Nx+2*s.Px || s.KyExtent() > s.Ny+2*s.Py:
+	case !extentFits(s.Fx, s.DilX(), s.Nx, s.Px) || !extentFits(s.Fy, s.DilY(), s.Ny, s.Py):
 		// The effective (dilated) kernel extent must fit the padded input,
 		// or there is no valid output position.
 		return fmt.Errorf("conv: effective kernel %dx%d (kernel %dx%d, dilation %dx%d) larger than padded input %dx%d",
 			s.KxExtent(), s.KyExtent(), s.Fx, s.Fy, s.DilX(), s.DilY(), s.Nx+2*s.Px, s.Ny+2*s.Py)
 	}
 	return nil
+}
+
+// extentFits reports whether the dilated kernel extent (f−1)·d + 1 fits
+// the padded input n + 2·p, for f, d, n ≥ 1 and p ≥ 0, without computing
+// either side where it could overflow int: a padded size past
+// math.MaxInt does not fit, and (f−1)·d ≤ n + 2p − 1 is tested as
+// f−1 ≤ ⌊(n + 2p − 1)/d⌋.
+func extentFits(f, d, n, p int) bool {
+	if p > (math.MaxInt-n)/2 {
+		return false
+	}
+	return f-1 <= (n+2*p-1)/d
 }
 
 // MustValidate panics if the spec is invalid.

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,11 @@ func TestValidate(t *testing.T) {
 		{Nx: 8, Ny: 8, Nc: 0, Nf: 1, Fx: 3, Fy: 3, Sx: 1, Sy: 1},
 		{Nx: 8, Ny: 8, Nc: 1, Nf: 1, Fx: 3, Fy: 3, Sx: 0, Sy: 1},
 		{Nx: -1, Ny: 8, Nc: 1, Nf: 1, Fx: 3, Fy: 3, Sx: 1, Sy: 1},
+		// (Fx−1)·Dx wraps to 0 in int: the extent check must not overflow.
+		{Nx: 8, Ny: 8, Nc: 1, Nf: 1, Fx: 1<<62 + 1, Fy: 1, Sx: 1, Sy: 1, Dx: 4},
+		{Nx: 8, Ny: 8, Nc: 1, Nf: 1, Fx: 1, Fy: 1<<61 + 1, Sx: 1, Sy: 1, Dy: 8},
+		// Nx + 2·Px past math.MaxInt wraps negative.
+		{Nx: 8, Ny: 8, Nc: 1, Nf: 1, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Px: math.MaxInt / 2},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {

@@ -299,6 +299,65 @@ func dot8x4(s *[4][8]float32, a0, a1, a2, a3, bp []float32) {
 	r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = dot8(a3[:k], bp)
 }
 
+// Dot8x4Seg is Dot8x4 carried across segments of one reduction into a
+// 4×8 block of dst, row r at dst[r·stride:][:8]. With K as in Dot8x4, the
+// first K/seg·seg rows of the operands split into segments of seg rows,
+// and for each segment j in turn:
+//
+//	dst[r·stride+c] += Σ_{k<seg} ar[j·seg+k]·bp[8(j·seg+k)+c]
+//
+// A trailing partial segment is skipped, and nothing happens when seg < 1,
+// stride < 8 or dst cannot hold the block. Each segment's dot starts at
+// zero and sums in increasing k, and is then added to the block, so the
+// call is bit for bit a Dot8x4 per segment followed by a block += its
+// result. unfoldgemm's BP-dW runs one segment per image of a sub-batch —
+// dW += EO_i·U_i, images in order — and the assembly body keeps the block
+// in registers across them: one load and one store per call instead of
+// one per image.
+func Dot8x4Seg(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int) {
+	if seg < 1 || stride < 8 || stride > len(dst) {
+		return
+	}
+	n := 3*stride + 8 // the block's extent; stride ≤ len(dst) keeps it from overflowing
+	if uint(n) > uint(len(dst)) {
+		return
+	}
+	dst = dst[:n]
+	if hasAVX2 {
+		dot8x4SegAVX2(dst, stride, a0, a1, a2, a3, bp, seg)
+		return
+	}
+	dot8x4Seg(dst, stride, a0, a1, a2, a3, bp, seg)
+}
+
+// dot8x4Seg is Dot8x4Seg's scalar body, for a dst already cut to the
+// block: one dot8x4 and one block add per segment.
+func dot8x4Seg(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int) {
+	if seg < 1 || seg > len(bp)/8 {
+		return
+	}
+	n := 8 * seg // one segment of the panel
+	var d [4][8]float32
+	for len(a0) >= seg && len(a1) >= seg && len(a2) >= seg && len(a3) >= seg && uint(n) <= uint(len(bp)) {
+		dot8x4(&d, a0[:seg], a1[:seg], a2[:seg], a3[:seg], bp)
+		b := dst
+		for r := range d {
+			if len(b) < 8 {
+				return
+			}
+			row, dr := b[:8], &d[r]
+			for c := range dr {
+				row[c] += dr[c]
+			}
+			if r == 3 || uint(stride) > uint(len(b)) {
+				break
+			}
+			b = b[stride:]
+		}
+		a0, a1, a2, a3, bp = a0[seg:], a1[seg:], a2[seg:], a3[seg:], bp[n:]
+	}
+}
+
 // dot8 is Dot8's scalar body. Exactly two slices advance per iteration —
 // the single-stream property the panel layout exists to provide — feeding
 // eight accumulator chains that stay in registers across the whole

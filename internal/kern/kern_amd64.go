@@ -25,6 +25,9 @@ func dot8AVX2(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32)
 func dot8x4AVX2(s *[4][8]float32, a0, a1, a2, a3, bp []float32)
 
 //go:noescape
+func dot8x4SegAVX2(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int)
+
+//go:noescape
 func nonZerosAVX2(idx []int32, x []float32) int
 
 //go:noescape

@@ -345,6 +345,126 @@ x4done:
 	VZEROUPPER
 	RET
 
+// func dot8x4SegAVX2(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int)
+//
+// dst is cut to the block. Y0..Y3 hold the block's rows (at DI, R12 =
+// stride·4 bytes apart) for the whole call. Each segment sums its fresh
+// dot in Y4..Y7 as dot8x4AVX2 does (four chains, the step loop unrolled
+// 2x), and Y0..Y3 then add it. BX is the byte offset into each row, R13
+// the steps left in the segment, CX the rows left in the call.
+TEXT ·dot8x4SegAVX2(SB), NOSPLIT, $0-160
+	MOVQ         a0_base+32(FP), R8
+	MOVQ         a0_len+40(FP), CX
+	MOVQ         a1_base+56(FP), R9
+	MOVQ         a1_len+64(FP), AX
+	CMPQ         AX, CX
+	CMOVQLT      AX, CX
+	MOVQ         a2_base+80(FP), R10
+	MOVQ         a2_len+88(FP), AX
+	CMPQ         AX, CX
+	CMOVQLT      AX, CX
+	MOVQ         a3_base+104(FP), R11
+	MOVQ         a3_len+112(FP), AX
+	CMPQ         AX, CX
+	CMOVQLT      AX, CX
+	MOVQ         bp_base+128(FP), SI
+	MOVQ         bp_len+136(FP), AX
+	SHRQ         $3, AX
+	CMPQ         AX, CX
+	CMOVQLT      AX, CX                    // CX = K
+	MOVQ         seg+152(FP), DX
+	TESTQ        DX, DX
+	JLE          segret
+	CMPQ         CX, DX
+	JLT          segret                    // no whole segment: the block is unchanged
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         stride+24(FP), R12
+	SHLQ         $2, R12
+	LEAQ         (R12)(R12*2), AX          // AX = 3·stride·4
+	VMOVUPS      (DI), Y0
+	VMOVUPS      (DI)(R12*1), Y1
+	VMOVUPS      (DI)(R12*2), Y2
+	VMOVUPS      (DI)(AX*1), Y3
+	XORQ         BX, BX
+
+segnext:
+	SUBQ         DX, CX
+	VXORPS       Y4, Y4, Y4
+	VXORPS       Y5, Y5, Y5
+	VXORPS       Y6, Y6, Y6
+	VXORPS       Y7, Y7, Y7
+	MOVQ         DX, R13
+	CMPQ         R13, $2
+	JLT          segtail
+
+segloop2:
+	VMOVUPS      (SI), Y8
+	VBROADCASTSS (R8)(BX*1), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y4, Y4
+	VBROADCASTSS (R9)(BX*1), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y5, Y5
+	VBROADCASTSS (R10)(BX*1), Y11
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y6, Y6
+	VBROADCASTSS (R11)(BX*1), Y12
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y7, Y7
+	VMOVUPS      32(SI), Y13
+	VBROADCASTSS 4(R8)(BX*1), Y9
+	VMULPS       Y13, Y9, Y9
+	VADDPS       Y9, Y4, Y4
+	VBROADCASTSS 4(R9)(BX*1), Y10
+	VMULPS       Y13, Y10, Y10
+	VADDPS       Y10, Y5, Y5
+	VBROADCASTSS 4(R10)(BX*1), Y11
+	VMULPS       Y13, Y11, Y11
+	VADDPS       Y11, Y6, Y6
+	VBROADCASTSS 4(R11)(BX*1), Y12
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y7, Y7
+	ADDQ         $8, BX
+	ADDQ         $64, SI
+	SUBQ         $2, R13
+	CMPQ         R13, $2
+	JGE          segloop2
+
+segtail:
+	TESTQ        R13, R13
+	JEQ          segadd
+	VMOVUPS      (SI), Y8
+	VBROADCASTSS (R8)(BX*1), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y4, Y4
+	VBROADCASTSS (R9)(BX*1), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y5, Y5
+	VBROADCASTSS (R10)(BX*1), Y11
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y6, Y6
+	VBROADCASTSS (R11)(BX*1), Y12
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y7, Y7
+	ADDQ         $4, BX
+	ADDQ         $32, SI
+
+segadd:
+	VADDPS       Y4, Y0, Y0
+	VADDPS       Y5, Y1, Y1
+	VADDPS       Y6, Y2, Y2
+	VADDPS       Y7, Y3, Y3
+	CMPQ         CX, DX
+	JGE          segnext
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, (DI)(R12*1)
+	VMOVUPS      Y2, (DI)(R12*2)
+	VMOVUPS      Y3, (DI)(AX*1)
+	VZEROUPPER
+
+segret:
+	RET
+
 // func nonZerosAVX2(idx []int32, x []float32) int
 //
 // x is already cut to len(idx). 32 floats per iteration: four compares

@@ -18,6 +18,10 @@ func dot8AVX2(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32) { return
 
 func dot8x4AVX2(s *[4][8]float32, a0, a1, a2, a3, bp []float32) { dot8x4(s, a0, a1, a2, a3, bp) }
 
+func dot8x4SegAVX2(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int) {
+	dot8x4Seg(dst, stride, a0, a1, a2, a3, bp, seg)
+}
+
 func nonZerosAVX2(idx []int32, x []float32) int { return nonZeros(idx, x) }
 
 func axpyBlockAVX2(dst, src, vals []float32, offs []int32, slots *blockSlots, k, limit int) {

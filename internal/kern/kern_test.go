@@ -205,6 +205,7 @@ type impl struct {
 	axpyRuns func(dst, src []float32, a float32, n, dstStride, srcStride int)
 	dot8     func(a, bp []float32) (s0, s1, s2, s3, s4, s5, s6, s7 float32)
 	dot8x4   func(s *[4][8]float32, a0, a1, a2, a3, bp []float32)
+	dot8x4S  func(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int)
 	nonZeros func(idx []int32, x []float32) int
 	// block takes Block.Axpy's arguments, for a dst and src the block
 	// fits; held reports whether the body takes a block.
@@ -215,10 +216,10 @@ type impl struct {
 // impls returns the scalar bodies and, where the CPU runs them, the
 // assembly bodies.
 func impls() []impl {
-	is := []impl{{"go", axpy, axpyRuns, dot8, dot8x4, nonZerosCut(nonZeros), scalarBlock,
+	is := []impl{{"go", axpy, axpyRuns, dot8, dot8x4, segCut(dot8x4Seg), nonZerosCut(nonZeros), scalarBlock,
 		func(*Block) bool { return true }}}
 	if hasAVX2 {
-		is = append(is, impl{"avx2", axpyAVX2, axpyRunsAVX2, dot8AVX2, dot8x4AVX2, nonZerosCut(nonZerosAVX2), heldBlock,
+		is = append(is, impl{"avx2", axpyAVX2, axpyRunsAVX2, dot8AVX2, dot8x4AVX2, segCut(dot8x4SegAVX2), nonZerosCut(nonZerosAVX2), heldBlock,
 			func(b *Block) bool { return b.k > 0 }})
 	}
 	return is
@@ -227,6 +228,17 @@ func impls() []impl {
 // nonZerosCut gives a scan body NonZeros' cut of x to len(idx).
 func nonZerosCut(body func(idx []int32, x []float32) int) func(idx []int32, x []float32) int {
 	return func(idx []int32, x []float32) int { return body(idx, x[:min(len(x), len(idx))]) }
+}
+
+// segCut gives a segmented-dot body Dot8x4Seg's checks and its cut of dst
+// to the block.
+func segCut(body func(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int)) func(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int) {
+	return func(dst []float32, stride int, a0, a1, a2, a3, bp []float32, seg int) {
+		if seg < 1 || stride < 8 || stride > len(dst) || 3*stride+8 > len(dst) {
+			return
+		}
+		body(dst[:3*stride+8], stride, a0, a1, a2, a3, bp, seg)
+	}
 }
 
 // scalarBlock and heldBlock run Block.Axpy's two bodies with its cuts.
@@ -408,6 +420,61 @@ func TestDot8x4MatchesFourDot8(t *testing.T) {
 	}
 }
 
+// TestDot8x4SegMatchesBlockAdds holds every body of Dot8x4Seg to the loop
+// it documents: per whole segment, a fresh one-line dot of each row from
+// zero, added to the block. Rows are ragged (the shortest sets K), the
+// panel may end mid-segment, the block's rows sit stride apart in a
+// buffer of special values, and nothing outside the block may change.
+func TestDot8x4SegMatchesBlockAdds(t *testing.T) {
+	for _, im := range append(impls(), impl{name: "dispatch", dot8x4S: Dot8x4Seg}) {
+		r := rng.New(0xB6)
+		for seg := 1; seg <= 40; seg++ {
+			for _, nseg := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 20} {
+				n := seg * nseg
+				var rows [4][]float32
+				for i := range rows {
+					rows[i] = values(r, n+r.Intn(3))
+				}
+				stride := 8 + r.Intn(9)
+				// A panel of whole segments, with a partial one after,
+				// or one row short of the last segment.
+				for _, plen := range []int{8 * n, 8*n + 8*(seg/2) + 3, 8*n - 8} {
+					bp := values(r, plen)
+					got := values(r, 3*stride+8+r.Intn(3))
+					want := append([]float32(nil), got...)
+					im.dot8x4S(got, stride, rows[0], rows[1], rows[2], rows[3], bp, seg)
+					kk := min(len(rows[0]), len(rows[1]), len(rows[2]), len(rows[3]), len(bp)/8)
+					for j := 0; (j+1)*seg <= kk; j++ {
+						for i, row := range rows {
+							for c := 0; c < 8; c++ {
+								var d float32
+								for k := j * seg; k < (j+1)*seg; k++ {
+									d += row[k] * bp[8*k+c]
+								}
+								want[i*stride+c] += d
+							}
+						}
+					}
+					if i := sameBits(got, want); i >= 0 {
+						t.Fatalf("%s: seg=%d nseg=%d stride=%d len(bp)=%d: dst[%d] = %v, want %v", im.name, seg, nseg, stride, len(bp), i, got[i], want[i])
+					}
+				}
+			}
+		}
+		// seg < 1, no whole segment, stride < 8 and a dst short of the
+		// block leave dst alone.
+		a, bp := values(r, 8), values(r, 64)
+		for _, c := range []struct{ seg, stride, n int }{{0, 8, 32}, {-3, 8, 32}, {9, 8, 32}, {2, 7, 32}, {2, 8, 31}, {2, 10, 37}} {
+			got := values(r, c.n)
+			want := append([]float32(nil), got...)
+			im.dot8x4S(got, c.stride, a, a, a, a, bp, c.seg)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s: seg=%d stride=%d len(dst)=%d changed dst[%d]", im.name, c.seg, c.stride, c.n, i)
+			}
+		}
+	}
+}
+
 // TestNoFusedMultiplyAdd pins the unfused chain: x·x is inexact in float32,
 // so c + x·x rounds twice in the scalar loop (to 0) and once under FMA (to
 // 2^-24). Every body must return the unfused bits, with the deciding add
@@ -472,6 +539,15 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 				im.dot8x4(&s, a, a, a, a, bp)
 				for r := range s {
 					check(fmt.Sprintf("%s: dot8x4 K=%d j=%d row %d", im.name, k, j, r), s[r][:])
+				}
+				// Dot8x4Seg: the same chain as the last of two and of
+				// three segments, after all-zero ones, into a zero block.
+				for _, pre := range []int{1, 2} {
+					sa := append(make([]float32, pre*k), a...)
+					sbp := append(make([]float32, 8*pre*k), bp...)
+					blk := make([]float32, 32)
+					im.dot8x4S(blk, 8, sa, sa, sa, sa, sbp, k)
+					check(fmt.Sprintf("%s: dot8x4Seg K=%d j=%d segment %d", im.name, k, j, pre), blk)
 				}
 			}
 		}
@@ -772,6 +848,16 @@ func BenchmarkDot8(b *testing.B) {
 					sink += s[0][0] + s[3][7]
 				}
 				b.ReportMetric(64*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			})
+			// The block carried over K/16 segments of 16: CIFAR conv1's
+			// BP-dW, one segment per image.
+			b.Run(fmt.Sprintf("%s/x4seg16/K=%d", im.name, k), func(b *testing.B) {
+				blk := make([]float32, 32)
+				for i := 0; i < b.N; i++ {
+					im.dot8x4S(blk, 8, a[:k], a[k:2*k], a[2*k:3*k], a[3*k:], bp, 16)
+				}
+				sink += blk[0] + blk[31]
+				b.ReportMetric(64*float64(k/16*16)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 			})
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"spgcnn/internal/kern"
 	"spgcnn/internal/rng"
 )
 
@@ -224,14 +225,13 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
-// AddScaled accumulates s*o into t. Shapes must match.
+// AddScaled accumulates s*o into t. Shapes must match. Each element is
+// t[i] += s·o[i], a multiply then an add (kern.Axpy), never fused.
 func (t *Tensor) AddScaled(o *Tensor, s float32) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.Dims, o.Dims))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += s * v
-	}
+	kern.Axpy(t.Data, o.Data, s)
 }
 
 // MaxAbsDiff returns max_i |t[i] - o[i]|. Shapes must match.

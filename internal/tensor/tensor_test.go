@@ -236,3 +236,55 @@ func TestSparsityPropertyQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAddScaledMatchesScalarLoop pins AddScaled, which runs kern.Axpy, to
+// the loop it replaced, t[i] += s·o[i], bit for bit over signed zeros,
+// infinities, subnormals and NaNs with distinct payloads. Where two NaNs
+// meet in one operation x86 returns whichever operand comes first, which
+// Go leaves unspecified, so there the result need only be a NaN; a lone
+// NaN's payload must come through as the loop's.
+func TestAddScaledMatchesScalarLoop(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc12345),
+		math.Float32frombits(0x7f800001), // signalling: quieted by the add
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+	}
+	nan := func(v float32) bool { return v != v }
+	r := rng.New(0xADD5)
+	draw := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(r.NormFloat64())
+			if r.Intn(4) == 0 {
+				v[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		return v
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1000, 102400} {
+		for _, s := range append([]float32{1, -1, 0.01, float32(r.NormFloat64())}, specials...) {
+			x, o := FromSlice(draw(n), n), FromSlice(draw(n), n)
+			want := append([]float32(nil), x.Data...)
+			for i, v := range o.Data {
+				want[i] += s * v
+			}
+			before := append([]float32(nil), x.Data...)
+			x.AddScaled(o, s)
+			for i, g := range x.Data {
+				w := want[i]
+				if math.Float32bits(g) == math.Float32bits(w) {
+					continue
+				}
+				p := s * o.Data[i]
+				meet := (nan(s) && nan(o.Data[i])) || (nan(before[i]) && nan(p))
+				if !(meet && nan(g) && nan(w)) {
+					t.Fatalf("n=%d s=%v: [%d] = %#x, want %#x (t %v, o %v)", n, s, i,
+						math.Float32bits(g), math.Float32bits(w), before[i], o.Data[i])
+				}
+			}
+		}
+	}
+}

@@ -114,6 +114,17 @@ func oracleSpecs() []conv.Spec {
 		{Nx: 13, Ny: 6, Nc: 3, Nf: 9, Fx: 3, Fy: 3, Sx: 1, Sy: 1}, // OutX 11, not a multiple of 8
 		{Nx: 11, Ny: 9, Nc: 6, Nf: 9, Fx: 3, Fy: 2, Sx: 2, Sy: 1, Px: 1, Py: 2, Dx: 2, Dy: 1, Groups: 3}, // everything
 		conv.Square(24, 8, 8, 3, 1), // BP-dW GEMM with K = 484 pixels
+		// OutX 4-7 at unit stride: two-run FP panels, the 4-pixel fold
+		// plus its tail, and BP-dW sub-batches of nb > 1 images.
+		{Nx: 7, Ny: 5, Nc: 3, Nf: 5, Fx: 3, Fy: 3, Sx: 1, Sy: 1},               // OutX 5
+		{Nx: 6, Ny: 6, Nc: 2, Nf: 6, Fx: 3, Fy: 2, Sx: 1, Sy: 1, Px: 1},        // OutX 6, padded
+		{Nx: 9, Ny: 7, Nc: 4, Nf: 4, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Groups: 2},    // OutX 7, grouped
+		{Nx: 8, Ny: 8, Nc: 4, Nf: 9, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Px: 1, Py: 1}, // OutX 8, 64 pixels
+		// OutX 4-7 at stride 2: the same panel widths, all gathered.
+		{Nx: 9, Ny: 9, Nc: 3, Nf: 4, Fx: 3, Fy: 3, Sx: 2, Sy: 2},                       // OutX 4
+		{Nx: 11, Ny: 8, Nc: 2, Nf: 5, Fx: 3, Fy: 3, Sx: 2, Sy: 1},                      // OutX 5
+		{Nx: 10, Ny: 10, Nc: 3, Nf: 6, Fx: 3, Fy: 3, Sx: 2, Sy: 2, Px: 1, Py: 1},       // OutX 6
+		{Nx: 13, Ny: 7, Nc: 4, Nf: 8, Fx: 3, Fy: 3, Sx: 2, Sy: 2, Px: 1, Dx: 1, Dy: 2}, // OutX 7
 	}
 }
 
@@ -187,5 +198,41 @@ func TestDifferentialVsExplicit(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		enginetest.RunDifferential(t, Generator(workers), explicitGenerator(),
 			enginetest.DiffOptions{Seed: 0xD1F6, ExtraSpecs: oracleSpecs()})
+	}
+}
+
+// TestSubBatchesMatchExplicitOracle runs BP-dW over batches that cross the
+// sub-batch boundary — 1, 3, nb+1 and 2nb+3 images, so the last sub-batch
+// holds one image, a few, or a full nb — at 1 to 3 workers: dW must stay
+// bit-identical to the explicit per-image SerialAccum.
+func TestSubBatchesMatchExplicitOracle(t *testing.T) {
+	r := rng.New(0x5B)
+	c := exec.New(3)
+	specs := []conv.Spec{
+		conv.Square(8, 16, 12, 5, 1), // OutX 4, nb 16
+		{Nx: 8, Ny: 8, Nc: 8, Nf: 8, Fx: 3, Fy: 3, Sx: 1, Sy: 1, Px: 1, Py: 1, Groups: 8}, // depthwise 8×8, nb 4
+		{Nx: 8, Ny: 8, Nc: 6, Nf: 7, Fx: 1, Fy: 1, Sx: 1, Sy: 1},                          // 1×1, nb 4, Nf % 4 = 3
+		{Nx: 9, Ny: 9, Nc: 3, Nf: 6, Fx: 3, Fy: 3, Sx: 2, Sy: 2, Px: 1, Py: 1},            // stride 2, padded, nb 10
+		conv.Square(20, 8, 4, 3, 1), // 324 pixels, nb 1
+	}
+	for _, s := range specs {
+		nb := New(s, 1).nb
+		for _, batch := range []int{1, 3, nb + 1, 2*nb + 3} {
+			var ins, eos []*tensor.Tensor
+			for i := 0; i < batch; i++ {
+				ins = append(ins, conv.RandInput(r, s))
+				eos = append(eos, conv.RandOutputError(r, s, 0.5))
+			}
+			want := conv.NewWeights(s)
+			explicitKernel{s}.BackwardWeightsBatch(c, want, eos, ins)
+			for _, workers := range []int{1, 2, 3} {
+				dw := conv.NewWeights(s)
+				dw.FillUniform(r, -9, 9)
+				New(s, workers).BackwardWeightsBatch(c, dw, eos, ins)
+				if !tensor.Identical(dw, want) {
+					t.Fatalf("BP-dW differs from Im2col → SerialAccum: %v nb %d batch %d workers %d", s, nb, batch, workers)
+				}
+			}
+		}
 	}
 }

@@ -17,11 +17,16 @@
 // The unfold is implicit: no pix × taps matrix is ever built. Each phase
 // builds one 8-wide GEMM panel of U at a time straight from the input (FP:
 // 8 pixels × all taps; BP-dW: 8 taps × all pixels) in the k-interleaved
-// layout kern.Dot8 and kern.Dot8x4 consume, and BP-EI scatters into an
-// 8-pixel panel of U_E that is folded into the input gradient before the
-// next one. Each output element keeps the single k-ordered accumulator of
-// the explicit im2col → GEMM → col2im composition, so results are
-// bit-identical to it.
+// layout kern.Dot8 and kern.Dot8x4 consume, and BP-EI scatters into a
+// panel of U_E of up to one output row that is folded into the input
+// gradient before the next one. BP-dW takes the batch in sub-batches of
+// nb images, nb from the output size (16 on a 4×4 output, 1 from 256
+// pixels up): one panel of every image of the sub-batch side by side is a
+// single operand, and kern.Dot8x4Seg holds each 4×8 block of dW in
+// registers across the images, adding each image's dot in image order.
+// Each output element keeps the single k-ordered accumulator, and the
+// per-image dW sum, of the explicit im2col → GEMM → col2im composition,
+// so results are bit-identical to it.
 package unfoldgemm
 
 import (
@@ -47,10 +52,12 @@ type Kernel struct {
 	// Output width, pixel count (the rows of U) and taps per group (its
 	// columns).
 	ox, rows, cols int
-	// pw is the pixel width of a BP-EI panel and blk the number of 8-tap
-	// panels a BP-dW work unit builds at once: both keep a unit's panels
+	// pw is the pixel width of a BP-EI panel, nb the number of images a
+	// BP-dW sub-batch gathers into one reduction (nb·pixels·8 floats, one
+	// panel of every image, near 8 KB) and blk the number of 8-tap panels
+	// a BP-dW work unit builds per image: pw and blk keep a unit's panels
 	// near 16 KB, and blk leaves every worker at least 4 units.
-	pw, blk int
+	pw, nb, blk int
 	// Geometry of the zero-bordered input ([Nc][Ny+2Py][Nx+2Px]; the input
 	// itself when unpadded): row width and plane size.
 	px, plane int
@@ -71,7 +78,8 @@ func New(s conv.Spec, workers int) *Kernel {
 		px: s.Nx + 2*s.Px}
 	k.plane = (s.Ny + 2*s.Py) * k.px
 	k.pw = min(k.ox, max(8, 4096/k.cols/8*8))
-	k.blk = max(1, min(4096/(8*k.rows), (k.cols+7)/8/(4*workers)))
+	k.nb = max(1, 2048/(8*k.rows))
+	k.blk = max(1, min(4096/(8*k.rows*k.nb), (k.cols+7)/8/(4*workers)))
 	for cc := 0; cc < s.GroupNc(); cc++ {
 		for ky := 0; ky < s.Fy; ky++ {
 			for kx := 0; kx < s.Fx; kx++ {
@@ -213,13 +221,20 @@ func putPixels(o []float32, v *[8]float32, n int) {
 
 // pixelPanel builds the panel dst[8t+c] = U[p0+c][t] for group g and
 // returns its live pixel count; columns past the last pixel are zero.
-// Eight adjacent pixels of one output row at unit stride are a contiguous
-// copy per tap; a panel that crosses a row, runs out of pixels or strides
-// gathers per pixel.
+// At unit stride, eight adjacent pixels of one output row are a contiguous
+// copy per tap, and two runs of 4 in one row each are two; a panel that
+// crosses a row elsewhere, runs out of pixels or strides gathers per
+// pixel.
 func (k *Kernel) pixelPanel(dst, src []float32, g, p0 int) int {
-	if k.spec.Sx == 1 && p0%k.ox+8 <= k.ox {
-		copyTaps8(dst, src[k.origin(g, p0):], k.taps)
-		return 8
+	if k.spec.Sx == 1 && p0+8 <= k.rows {
+		if p0%k.ox+8 <= k.ox {
+			copyTaps8(dst, src[k.origin(g, p0):], k.taps)
+			return 8
+		}
+		if p0%k.ox+4 <= k.ox && (p0+4)%k.ox+4 <= k.ox {
+			copyTaps4x2(dst, src[k.origin(g, p0):], src[k.origin(g, p0+4):], k.taps)
+			return 8
+		}
 	}
 	n := min(8, k.rows-p0)
 	var off [8]int
@@ -311,13 +326,18 @@ func (k *Kernel) backwardInput(ei *tensor.Tensor, pad, eo, w, panel []float32, c
 			}
 			for x := 0; x < n; x += 8 {
 				m, o, r := min(8, n-x), k.origin(g, p0+x), panel[x*tw:]
-				if m == 8 && s.Sx == 1 {
+				c0 := 0
+				switch {
+				case m == 8 && s.Sx == 1:
 					foldTaps8(dst[o:], taps, r[:tw], r[tw:2*tw], r[2*tw:3*tw], r[3*tw:4*tw],
 						r[4*tw:5*tw], r[5*tw:6*tw], r[6*tw:7*tw], r[7*tw:8*tw])
 					continue
+				case m >= 4 && s.Sx == 1:
+					foldTaps4(dst[o:], taps, r[:tw], r[tw:2*tw], r[2*tw:3*tw], r[3*tw:4*tw])
+					c0 = 4
 				}
 				for t := tw - 1; t >= 0; t-- {
-					for c := 0; c < m; c++ {
+					for c := c0; c < m; c++ {
 						dst[o+taps[t]+c*s.Sx] += r[c*tw+t]
 					}
 				}
@@ -336,72 +356,132 @@ func (k *Kernel) backwardInput(ei *tensor.Tensor, pad, eo, w, panel []float32, c
 }
 
 // BackwardWeightsBatch computes dw = Σ_i EOmat_i · U_i (Eq. 4 summed over
-// the batch, images in order). dw is overwritten. The work units are
-// (group, block of 8-tap panels): each builds its pix × 8 panels of U from
-// the image and runs every EO row of its group against them. A block
-// holds as many panels as fit in about 16 KB, so small images update a
-// contiguous run of each dW row instead of 8 floats at a time.
+// the batch, images in order). dw is overwritten. The batch runs in
+// sub-batches of up to nb images, fanned out once each; the work units are
+// (group, block of 8-tap panels): each builds its pixels × 8 panels of U
+// for every image of the sub-batch and runs every EO row of its group
+// against them. A block holds as many panels as fit in about 16 KB, so
+// small images update a contiguous run of each dW row instead of 8 floats
+// at a time, and small outputs gather several images into one reduction.
 func (k *Kernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins []*tensor.Tensor) {
 	if len(eos) != len(ins) {
 		panic("unfoldgemm: BackwardWeightsBatch length mismatch")
 	}
 	s := k.spec
 	conv.CheckWeights(s, dw)
-	units := s.G() * k.blocks()
-	per := k.blk * k.rows * 8
-	dw.Zero()
-	pad := k.getPad(c)
-	scratch := c.Get(min(k.workers, units) * per)
 	for i := range ins {
 		conv.CheckInput(s, ins[i])
 		conv.CheckOutput(s, eos[i])
-		src, eo := k.source(pad, ins[i]), eos[i].Data
+	}
+	units := s.G() * k.blocks()
+	nb := min(k.nb, len(ins))
+	per := k.blk * nb * k.rows * 8
+	dw.Zero()
+	var pads, eop []float32
+	if s.Px != 0 || s.Py != 0 {
+		pads = c.Get(nb * s.Nc * k.plane)
+	}
+	if nb > 1 {
+		eop = c.Get(s.Nf * nb * k.rows)
+	}
+	scratch := c.Get(min(k.workers, units) * per)
+	for b0 := 0; b0 < len(ins); b0 += nb {
+		sub := ins[b0:min(b0+nb, len(ins))]
+		for i := 0; pads != nil && i < len(sub); i++ {
+			k.source(pads[i*s.Nc*k.plane:(i+1)*s.Nc*k.plane], sub[i])
+		}
+		eo := eos[b0].Data
+		if len(sub) > 1 {
+			eo = k.packEO(eop, eos[b0:b0+len(sub)])
+		}
 		if k.workers <= 1 {
-			k.backwardWeights(dw.Data, src, eo, scratch, 0, units)
+			k.backwardWeights(dw.Data, pads, eo, scratch, sub, 0, units)
 			continue
 		}
 		k.fan(units, scratch, per, func(lo, hi int, panels []float32) {
-			k.backwardWeights(dw.Data, src, eo, panels, lo, hi)
+			k.backwardWeights(dw.Data, pads, eo, panels, sub, lo, hi)
 		})
 	}
 	c.Put(scratch)
-	k.putPad(c, pad)
+	if eop != nil {
+		c.Put(eop)
+	}
+	if pads != nil {
+		c.Put(pads)
+	}
+}
+
+// packEO lays the sub-batch's EO rows out feature-major in dst, each
+// feature's rows of every image back to back — the operand order of the
+// panels — and returns the packed rows.
+func (k *Kernel) packEO(dst []float32, eos []*tensor.Tensor) []float32 {
+	rows, m := k.rows, len(eos)
+	dst = dst[:k.spec.Nf*m*rows]
+	for i, eo := range eos {
+		for f := 0; f < k.spec.Nf; f++ {
+			copy(dst[(f*m+i)*rows:(f*m+i+1)*rows], eo.Data[f*rows:(f+1)*rows])
+		}
+	}
+	return dst
 }
 
 // blocks returns the number of BP-dW panel blocks per group.
 func (k *Kernel) blocks() int { return ((k.cols+7)/8 + k.blk - 1) / k.blk }
 
-// backwardWeights accumulates the BP-dW work units [lo, hi) of one image:
-// the group's EO rows run four at a time against each tap panel
-// (kern.Dot8x4), the rest one at a time.
-func (k *Kernel) backwardWeights(dw, src, eo, panels []float32, lo, hi int) {
+// backwardWeights accumulates the BP-dW work units [lo, hi) of the m
+// images of sub: panel j of image i sits at block slot (j−j0)·m+i, so one
+// panel's m images are a single K = m·pixels operand in image order, as
+// the feature's rows of eo are (packEO). The group's EO rows run four at a
+// time (kern.Dot8x4Seg: the 4×8 dW block is loaded once, adds each image's
+// fresh dot, and is stored once), the rest one image at a time (kern.Dot8).
+// pads holds the sub-batch's zero-bordered images when the spec pads.
+func (k *Kernel) backwardWeights(dw, pads, eo, panels []float32, sub []*tensor.Tensor, lo, hi int) {
 	rows, cols, size := k.rows, k.cols, k.rows*8
+	m, psz := len(sub), k.spec.Nc*k.plane
 	gnf, npan, nblk := k.spec.GroupNf(), (cols+7)/8, k.blocks()
-	var s [4][8]float32
+	n := m * rows // one feature's EO floats, and K of a panel's operand
+	var v [8]float32
 	for u := lo; u < hi; u++ {
 		g, j0 := u/nblk, u%nblk*k.blk
 		j1 := min(j0+k.blk, npan)
 		for j := j0; j < j1; j++ {
-			k.tapPanel(panels[(j-j0)*size:(j-j0+1)*size], src, g, j*8)
+			offs, live := k.tapOffsets(g, j*8)
+			for i, in := range sub {
+				src := in.Data
+				if pads != nil {
+					src = pads[i*psz : (i+1)*psz]
+				}
+				o := ((j-j0)*m + i) * size
+				k.tapPanel(panels[o:o+size], src, &offs, live)
+			}
 		}
 		// This unit's dW columns are [c0, c1), one panel per 8.
 		f, f1 := g*gnf, (g+1)*gnf
 		c0, c1 := j0*8, min(j1*8, cols)
 		for ; f+4 <= f1; f += 4 {
-			a0, a1, a2, a3 := eo[f*rows:(f+1)*rows], eo[(f+1)*rows:(f+2)*rows],
-				eo[(f+2)*rows:(f+3)*rows], eo[(f+3)*rows:(f+4)*rows]
-			for c, p := c0, panels; c < c1; c, p = c+8, p[size:] {
-				kern.Dot8x4(&s, a0, a1, a2, a3, p[:size])
-				for r := range s {
-					addDots(dw[(f+r)*cols+c:(f+r)*cols+c1], &s[r])
+			a0, a1, a2, a3 := eo[f*n:(f+1)*n], eo[(f+1)*n:(f+2)*n], eo[(f+2)*n:(f+3)*n], eo[(f+3)*n:(f+4)*n]
+			for c, p := c0, panels; c < c1; c, p = c+8, p[m*size:] {
+				if c+8 <= c1 {
+					kern.Dot8x4Seg(dw[f*cols+c:], cols, a0, a1, a2, a3, p[:m*size], rows)
+					continue
+				}
+				// The ragged last panel runs through a full-width copy.
+				var t [32]float32
+				for r := 0; r < 4; r++ {
+					copy(t[8*r:8*r+c1-c], dw[(f+r)*cols+c:(f+r)*cols+c1])
+				}
+				kern.Dot8x4Seg(t[:], 8, a0, a1, a2, a3, p[:m*size], rows)
+				for r := 0; r < 4; r++ {
+					copy(dw[(f+r)*cols+c:(f+r)*cols+c1], t[8*r:8*r+c1-c])
 				}
 			}
 		}
 		for ; f < f1; f++ {
-			a, v := eo[f*rows:(f+1)*rows], &s[0]
-			for c, p := c0, panels; c < c1; c, p = c+8, p[size:] {
-				v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = kern.Dot8(a, p[:size])
-				addDots(dw[f*cols+c:f*cols+c1], v)
+			for c, p := c0, panels; c < c1; c, p = c+8, p[m*size:] {
+				for i := 0; i < m; i++ {
+					v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = kern.Dot8(eo[f*n+i*rows:f*n+(i+1)*rows], p[i*size:(i+1)*size])
+					addDots(dw[f*cols+c:f*cols+c1], &v)
+				}
 			}
 		}
 	}
@@ -421,16 +501,25 @@ func addDots(d []float32, v *[8]float32) {
 	}
 }
 
-// tapPanel builds the panel dst[8p+c] = U[p][t0+c] for group g; columns
-// past the last tap are zero. At unit stride each output row is one
-// kern.Gather8 over eight shifted image rows.
-func (k *Kernel) tapPanel(dst, src []float32, g, t0 int) {
-	s := &k.spec
-	ox, n := k.ox, min(8, k.cols-t0)
-	var o [8]int
+// tapOffsets returns the image offsets of taps t0..t0+7 of group g from
+// the window origin of output pixel 0, and how many of those taps exist;
+// slots past the last live tap repeat its offset.
+func (k *Kernel) tapOffsets(g, t0 int) (o [8]int, n int) {
+	n = min(8, k.cols-t0)
+	g0 := k.origin(g, 0)
 	for c := range o {
-		o[c] = k.origin(g, 0) + k.taps[t0+min(c, n-1)]
+		o[c] = g0 + k.taps[t0+min(c, n-1)]
 	}
+	return o, n
+}
+
+// tapPanel builds the panel dst[8p+c] = U[p][t0+c] of image src, where o
+// and n are tapOffsets(g, t0); columns past the n live taps are zero. At
+// unit stride each output row is one kern.Gather8 over eight shifted image
+// rows.
+func (k *Kernel) tapPanel(dst, src []float32, o *[8]int, n int) {
+	s := &k.spec
+	ox := k.ox
 	for rb, d := 0, dst; len(d) > 0; rb, d = rb+s.Sy*k.px, d[ox*8:] {
 		if s.Sx == 1 {
 			kern.Gather8(d[:ox*8], src[o[0]+rb:], src[o[1]+rb:], src[o[2]+rb:], src[o[3]+rb:],

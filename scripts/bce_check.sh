@@ -8,7 +8,7 @@
 # costs double-digit percent throughput:
 #
 #   internal/kern/kern.go             Axpy, AxpyRuns, NonZeros, Block.Axpy,
-#                                     Dot8, Dot8x4, Gather8
+#                                     Dot8, Dot8x4, Dot8x4Seg, Gather8
 #                                     (the inner-loop layer every engine
 #                                     shares: the dispatch wrappers and the
 #                                     scalar bodies; the AVX2 bodies are
@@ -18,8 +18,9 @@
 #                                     scalar twin; its AVX2 body is in
 #                                     kern_amd64.s)
 #   internal/gemm/microkernel.go      copyStrip8 (the GEMM panel pack)
-#   internal/unfoldgemm/kernels.go    copyTaps8, foldTaps8
-#                                     (implicit-unfold panel build and fold)
+#   internal/unfoldgemm/kernels.go    copyTaps8, copyTaps4x2, foldTaps8,
+#                                     foldTaps4 (implicit-unfold panel
+#                                     build and fold)
 #   internal/stencil/body.go          forwardRows, block (the one
 #                                     register-tiled stencil body)
 #   internal/blockedconv/kernels.go   accRow (NCHW8 direct FP)

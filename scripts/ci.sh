@@ -9,7 +9,8 @@
 # decoder, the netdef parser, Parse+Build, the plan-cache decoder
 # (FuzzPlannerLoad), and the two decoders spg-doctor reads: trace captures
 # (FuzzReadCapture) and drift reports (FuzzReadReport) (tier-1 replays
-# their committed corpora),
+# their committed corpora; each step minimises a new input for at most 3 s,
+# so the 15 s go to fuzzing rather than to go test's 60 s default),
 # a determinism gate (the drift tests and the planner's fake-strategy
 # tests run on scripted clocks, and spg-train's checkpoint must equal the
 # plain trainer's byte for byte, so twenty race-instrumented repeats must
@@ -26,12 +27,12 @@ go build ./...
 (cd benchmark && go vet . && go test .)
 go test ./...
 go test -race -short ./...
-go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s ./internal/serve
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/netdef
-go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 15s ./internal/netdef
-go test -run '^$' -fuzz '^FuzzPlannerLoad$' -fuzztime 15s ./internal/plan
-go test -run '^$' -fuzz '^FuzzReadCapture$' -fuzztime 15s ./internal/trace
-go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 15s ./internal/obs
+go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 15s -fuzzminimizetime 3s ./internal/serve
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s -fuzzminimizetime 3s ./internal/netdef
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 15s -fuzzminimizetime 3s ./internal/netdef
+go test -run '^$' -fuzz '^FuzzPlannerLoad$' -fuzztime 15s -fuzzminimizetime 3s ./internal/plan
+go test -run '^$' -fuzz '^FuzzReadCapture$' -fuzztime 15s -fuzzminimizetime 3s ./internal/trace
+go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 15s -fuzzminimizetime 3s ./internal/obs
 go test -race -count=20 -run 'TestDriftRetuneLoop|TestDriftInjectionAndControl|TestTrainsAsThePlainTrainer' ./internal/obs ./cmd/spg-train
 go test -race -count=20 -skip 'TestPlannerSelectsSparseWeightForPrunedLayer|TestPlannerDeploysSparseWhereThePaperSays' ./internal/plan
 scripts/bce_check.sh
