@@ -370,16 +370,12 @@ var wallClock = map[string]struct {
 	why   string
 }{
 	"internal/exec/probe.go":            {2, "the runtime clock behind Probe.Now"},
-	"internal/machine/calibrate.go":     {4, "CalibrateHost's peak and stream timings"},
-	"internal/bench/fig8.go":            {2, "a measured figure's timings"},
 	"internal/trace/trace.go":           {4, "the trace recorder's timeline stamps"},
 	"internal/plan/plan.go":             {2, "a measure span's place on the trace timeline"},
 	"internal/serve/server.go":          {3, "a served batch's compute time and request latency"},
 	"internal/serve/queue.go":           {3, "the admission queue's deadline timer"},
 	"internal/serve/loadgen/loadgen.go": {1, "the load generator's arrival schedule"},
 	"cmd/spg-serve/main.go":             {2, "the warm-up epilogue"},
-	"examples/pruned_inference/main.go": {2, "an example's printed timing"},
-	"examples/sparse_backprop/main.go":  {2, "an example's printed timing"},
 }
 
 // TestClockCensus is the one-clock rule as a test: a non-test file outside

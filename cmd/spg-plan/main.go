@@ -49,7 +49,6 @@ func run(args []string, stdout io.Writer) error {
 		wsparsity = fs.Float64("wsparsity", 0, "assumed FP weight sparsity (fraction of pruned weights)")
 		tune      = fs.Bool("tune", false, "also run the planner's measurement pass on this host")
 		workers   = fs.Int("workers", 0, "worker cores for the model ranking and -tune (0 = GOMAXPROCS)")
-		reps      = fs.Int("reps", 0, "measurement repetitions per candidate for -tune (0 = default)")
 		planCache = fs.String("plan-cache", "", "plan cache file for -tune: deploy cached verdicts instead of re-measuring, save updated cache on exit")
 		exploreAt = fs.String("explore", "", "whole-net design-space report: a built-in net name, 'all' for the workload zoo, or a netdef file path (ignores the per-conv flags)")
 	)
@@ -129,11 +128,9 @@ func run(args []string, stdout io.Writer) error {
 		wts.Sparsify(r, *wsparsity)
 		wts.Bump()
 	}
-	topts := core.TuneOptions{Reps: *reps}
-
-	fpPlan := planner.PlanFP(spec, ctx, ins, wts, topts)
+	fpPlan := planner.PlanFP(spec, ctx, ins, wts, core.TuneOptions{})
 	printMeasured(stdout, "FP", fpPlan, ait.Band(wts.Sparsity()))
-	bpPlan := planner.PlanBP(spec, ctx, eos, ins, wts, topts)
+	bpPlan := planner.PlanBP(spec, ctx, eos, ins, wts, core.TuneOptions{})
 	printMeasured(stdout, "BP", bpPlan, ait.Band(*sparsity))
 
 	pst := planner.Stats()

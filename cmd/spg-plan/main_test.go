@@ -106,7 +106,7 @@ func TestRunTunePlanCacheRoundTrip(t *testing.T) {
 	}
 	cache := filepath.Join(t.TempDir(), "plans.json")
 	args := []string{"-n", "12", "-nf", "8", "-nc", "3", "-f", "3",
-		"-workers", "2", "-tune", "-reps", "1", "-plan-cache", cache}
+		"-workers", "2", "-tune", "-plan-cache", cache}
 
 	var cold strings.Builder
 	if err := run(args, &cold); err != nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"spgcnn"
 )
@@ -43,11 +42,11 @@ func main() {
 	sparse := spgcnn.NewExecCtx(sparseSt, spec, ctx)
 
 	in := spgcnn.NewInput(spec)
-	out := spgcnn.NewOutput(spec)
+	ref, out := spgcnn.NewOutput(spec), spgcnn.NewOutput(spec)
 	img := spgcnn.NewTensor(1, 28, 28)
 	ds.Image(0, img)
 	copy(in.Data, img.Data)
-	ins, outs := []*spgcnn.Tensor{in}, []*spgcnn.Tensor{out}
+	ins, refs, outs := []*spgcnn.Tensor{in}, []*spgcnn.Tensor{ref}, []*spgcnn.Tensor{out}
 
 	fmt.Printf("dense = %s, sparse = %s\n", denseSt.Name, sparseSt.Name)
 	fmt.Printf("%-8s %-8s %-12s %-12s %-10s %s\n",
@@ -56,9 +55,8 @@ func main() {
 		pruned := magnitudePrune(cv.W.Clone(), frac)
 		pruned.Bump() // tracked weights: the tap compression is cached after the first call
 
-		tDense := timeIt(5, func() { dense.Forward(outs, ins, pruned) })
-		ref := out.Clone()
-		tSparse := timeIt(5, func() { sparse.Forward(outs, ins, pruned) })
+		t := ctx.Measure(nil, func() { dense.Forward(refs, ins, pruned) }, func() { sparse.Forward(outs, ins, pruned) })
+		tDense, tSparse := t[0], t[1]
 
 		maxDiff := 0.0
 		for i := range out.Data {
@@ -92,18 +90,4 @@ func magnitudePrune(w *spgcnn.Tensor, frac float64) *spgcnn.Tensor {
 		}
 	}
 	return w
-}
-
-func timeIt(reps int, fn func()) float64 {
-	fn()
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		el := time.Since(start).Seconds()
-		if i == 0 || el < best {
-			best = el
-		}
-	}
-	return best
 }

@@ -7,18 +7,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"spgcnn"
 )
 
 func main() {
 	var (
-		n    = flag.Int("n", 32, "input spatial size")
-		nf   = flag.Int("nf", 32, "output features")
-		nc   = flag.Int("nc", 32, "input channels")
-		f    = flag.Int("f", 4, "kernel size")
-		reps = flag.Int("reps", 3, "timing repetitions (min taken)")
+		n  = flag.Int("n", 32, "input spatial size")
+		nf = flag.Int("nf", 32, "output features")
+		nc = flag.Int("nc", 32, "input channels")
+		f  = flag.Int("f", 4, "kernel size")
 	)
 	flag.Parse()
 
@@ -47,14 +45,14 @@ func main() {
 		eo.Sparsify(r, sp)
 		eos := []*spgcnn.Tensor{eo}
 
-		tDense := timeIt(*reps, func() {
+		t := ctx.Measure(nil, func() {
 			dense.BackwardInputBatch(ctx, eis, eos, w)
 			dense.BackwardWeightsBatch(ctx, dw, eos, ins)
-		})
-		tSparse := timeIt(*reps, func() {
+		}, func() {
 			sparse.BackwardInputBatch(ctx, eis, eos, w)
 			sparse.BackwardWeightsBatch(ctx, dw, eos, ins)
 		})
+		tDense, tSparse := t[0], t[1]
 
 		// Goodput (Eq. 9): non-zero flops over elapsed time. The dense
 		// kernel spends the full flop budget but only the non-zero part
@@ -67,18 +65,4 @@ func main() {
 	}
 	fmt.Println("\n(dense time is sparsity-independent: it multiplies every zero;")
 	fmt.Println(" the sparse kernel's floor at extreme sparsity is the layout-transform cost)")
-}
-
-func timeIt(reps int, fn func()) float64 {
-	fn()
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		el := time.Since(start).Seconds()
-		if i == 0 || el < best {
-			best = el
-		}
-	}
-	return best
 }

@@ -28,10 +28,8 @@ import (
 // which packs its GEMM panels from the input and never builds U, is timed
 // beside it.
 func RunAblationSpatial(o Options) []Table {
-	reps := 3
 	sizes := []int{16, 32, 64, 128, 256}
 	if o.full() {
-		reps = 5
 		sizes = append(sizes, 384)
 	}
 	t := Table{
@@ -48,13 +46,11 @@ func RunAblationSpatial(o Options) []Table {
 		w := conv.RandWeights(r, s)
 		out := conv.NewOutput(s)
 		u := unfold.NewU(s)
-		tBase := minTime(reps, func() {
+		tm := c.Measure(nil, func() {
 			unfold.Im2col(s, u, in)
 			gemm.MulTransB(unfold.OutputMatrix(s, out), unfold.WeightMatrix(s, w), u)
-		})
-		tStencil := fpTime(reps, c, stencil.New(s), out, in, w)
-		tEngine := fpTime(reps, c, unfoldgemm.New(s, 1), out, in, w)
-		t.AddRow(n, float64(s.UnfoldedSize()*4)/1024, tBase*1e3, tStencil*1e3, tBase/tStencil, tEngine*1e3)
+		}, fpRun(c, stencil.New(s), out, in, w), fpRun(c, unfoldgemm.New(s, 1), out, in, w))
+		t.AddRow(n, float64(s.UnfoldedSize()*4)/1024, tm[0]*1e3, tm[1]*1e3, tm[0]/tm[1], tm[2]*1e3)
 	}
 	return []Table{t}
 }
@@ -62,11 +58,7 @@ func RunAblationSpatial(o Options) []Table {
 // RunAblationRTile measures the stencil kernel at every register-tile
 // height against the basic-block generator's choice — validating (or
 // indicting) the §4.3 load-minimization model on this machine.
-func RunAblationRTile(o Options) []Table {
-	reps := 3
-	if o.full() {
-		reps = 5
-	}
+func RunAblationRTile(Options) []Table {
 	t := Table{
 		Title: "Ablation: stencil register-tile height (measured GFlops, single core)",
 		Note: fmt.Sprintf("chosen = the basic-block generator's pick for this implementation; "+
@@ -88,11 +80,14 @@ func RunAblationRTile(o Options) []Table {
 		in := conv.RandInput(r, s)
 		w := conv.RandWeights(r, s)
 		out := conv.NewOutput(s)
-		cells := []any{s.String()}
+		var runs []func()
 		for ry := 1; ry <= stencil.MaxRY; ry++ {
 			p := stencil.ChoosePlan(s)
 			p.RY = ry
-			el := fpTime(reps, c, stencil.NewWithPlan(p), out, in, w)
+			runs = append(runs, fpRun(c, stencil.NewWithPlan(p), out, in, w))
+		}
+		cells := []any{s.String()}
+		for _, el := range c.Measure(nil, runs...) {
 			cells = append(cells, float64(s.FlopsFP())/el/1e9)
 		}
 		cells = append(cells, fmt.Sprintf("ry=%d", stencil.ChoosePlan(s).RY))
@@ -104,11 +99,7 @@ func RunAblationRTile(o Options) []Table {
 // RunAblationCTCSR measures sparse BP time across CT-CSR column-tile
 // widths (a huge width degenerates to plain CSR) — the locality argument
 // behind Fig. 5a.
-func RunAblationCTCSR(o Options) []Table {
-	reps := 3
-	if o.full() {
-		reps = 5
-	}
+func RunAblationCTCSR(Options) []Table {
 	const sparsity = 0.85
 	widths := []int{8, 16, 32, 64, 128, 1 << 20}
 	t := Table{
@@ -139,9 +130,12 @@ func RunAblationCTCSR(o Options) []Table {
 		eo := conv.RandOutputError(r, s, sparsity)
 		ei := conv.NewInput(s)
 		dw := conv.NewWeights(s)
-		cells := []any{s.String()}
+		var runs []func()
 		for _, tw := range widths {
-			el := bpTime(reps, c, spkernel.New(s, tw), ei, dw, eo, in, w)
+			runs = append(runs, bpRun(c, spkernel.New(s, tw), ei, dw, eo, in, w))
+		}
+		cells := []any{s.String()}
+		for _, el := range c.Measure(nil, runs...) {
 			cells = append(cells, el*1e3)
 		}
 		t.AddRow(cells...)

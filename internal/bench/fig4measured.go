@@ -20,10 +20,8 @@ import (
 // so this experiment runs real code rather than the machine model.
 func RunFig4Measured(o Options) []Table {
 	var maxFlops int64 = 30e6
-	reps := 3
 	if o.full() {
 		maxFlops = 500e6
-		reps = 5
 	}
 	r := rng.New(0x4D4F)
 	c := exec.New(1)
@@ -57,27 +55,33 @@ func RunFig4Measured(o Options) []Table {
 		stk := stencil.New(s)
 		spk := spkernel.New(s, 0)
 
-		tBase := fpTime(reps, c, base, out, in, w)
-		tStencil := fpTime(reps, c, stk, out, in, w)
-		fp.AddRow(row.ID, s.String(), s.Nf, tBase*1e3, tStencil*1e3, tBase/tStencil)
+		tFP := c.Measure(nil, fpRun(c, base, out, in, w), fpRun(c, stk, out, in, w))
+		fp.AddRow(row.ID, s.String(), s.Nf, tFP[0]*1e3, tFP[1]*1e3, tFP[0]/tFP[1])
 
 		// Dense BP baseline, timed on a fully dense EO: its BP-EI scatter
 		// skips zero EO entries, so timing it at each sparsity would hand it
 		// part of the Sparse-Kernel's advantage.
-		tDenseBP := bpTime(reps, c, base, ei, dw, conv.RandOutputError(r, s, 0), in, w)
-		spCells := []any{fmt.Sprintf("ID:%d", row.ID)}
+		runs := []func(){bpRun(c, base, ei, dw, conv.RandOutputError(r, s, 0), in, w)}
 		for _, sp := range Fig4fSparsities {
-			tSparse := bpTime(reps, c, spk, ei, dw, conv.RandOutputError(r, s, sp), in, w)
-			spCells = append(spCells, tDenseBP/tSparse)
+			runs = append(runs, bpRun(c, spk, ei, dw, conv.RandOutputError(r, s, sp), in, w))
+		}
+		tBP := c.Measure(nil, runs...)
+		spCells := []any{fmt.Sprintf("ID:%d", row.ID)}
+		for _, tSparse := range tBP[1:] {
+			spCells = append(spCells, tBP[0]/tSparse)
 		}
 		bp.AddRow(spCells...)
 
-		gpCells := []any{fmt.Sprintf("ID:%d", row.ID)}
+		runs = nil
+		var nzf []int64
 		for _, sp := range SparsityLevels {
 			eo := conv.RandOutputError(r, s, sp)
-			tSparse := bpTime(reps, c, spk, ei, dw, eo, in, w)
-			nzf := 2 * spkernel.NonZeroFlops(s, eo.NNZ()) // EI + dW
-			gpCells = append(gpCells, float64(nzf)/tSparse/1e9)
+			runs = append(runs, bpRun(c, spk, ei, dw, eo, in, w))
+			nzf = append(nzf, 2*spkernel.NonZeroFlops(s, eo.NNZ())) // EI + dW
+		}
+		gpCells := []any{fmt.Sprintf("ID:%d", row.ID)}
+		for i, tSparse := range c.Measure(nil, runs...) {
+			gpCells = append(gpCells, float64(nzf[i])/tSparse/1e9)
 		}
 		goodput.AddRow(gpCells...)
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"spgcnn/internal/ait"
 	"spgcnn/internal/conv"
@@ -71,10 +70,8 @@ func fig8ModelBPSpeedup(m machine.Machine, s conv.Spec, p int) float64 {
 func fig8Measured(o Options) Table {
 	workers := o.workers()
 	var maxFlops int64 = 30e6
-	reps := 3
 	if o.full() {
 		maxFlops = 500e6
-		reps = 5
 	}
 	t := Table{
 		Title: "Fig 8 (measured on this host): kernel speedups over serial Unfold+GEMM",
@@ -99,45 +96,27 @@ func fig8Measured(o Options) Table {
 		stk := stencil.New(s)
 		spk := spkernel.New(s, 0)
 
-		tFPBase := fpTime(reps, c, base, out, in, w)
-		tFPStencil := fpTime(reps, c, stk, out, in, w)
-		tBPBase := bpTime(reps, c, base, ei, dw, eo, in, w)
-		tBPSparse := bpTime(reps, c, spk, ei, dw, eo, in, w)
-		t.AddRow(l.Network, fmt.Sprintf("L%d", l.Layer), s.String(),
-			tFPBase/tFPStencil, tBPBase/tBPSparse)
+		tm := c.Measure(nil,
+			fpRun(c, base, out, in, w), fpRun(c, stk, out, in, w),
+			bpRun(c, base, ei, dw, eo, in, w), bpRun(c, spk, ei, dw, eo, in, w))
+		t.AddRow(l.Network, fmt.Sprintf("L%d", l.Layer), s.String(), tm[0]/tm[1], tm[2]/tm[3])
 	}
 	return t
 }
 
-// fpTime is minTime over one sample's forward pass (Eq. 2) through k. The
-// one-element batches are built outside the timed closure.
-func fpTime(reps int, c *exec.Ctx, k engine.Kernel, out, in, w *tensor.Tensor) float64 {
+// fpRun is one sample's forward pass (Eq. 2) through k, for Ctx.Measure.
+// The one-element batches are built outside the timed closure.
+func fpRun(c *exec.Ctx, k engine.Kernel, out, in, w *tensor.Tensor) func() {
 	outs, ins := []*tensor.Tensor{out}, []*tensor.Tensor{in}
-	return minTime(reps, func() { k.ForwardBatch(c, outs, ins, w) })
+	return func() { k.ForwardBatch(c, outs, ins, w) }
 }
 
-// bpTime is minTime over one sample's backward pass (Eq. 3 + Eq. 4)
-// through k.
-func bpTime(reps int, c *exec.Ctx, k engine.Kernel, ei, dw, eo, in, w *tensor.Tensor) float64 {
+// bpRun is one sample's backward pass (Eq. 3 + Eq. 4) through k, for
+// Ctx.Measure.
+func bpRun(c *exec.Ctx, k engine.Kernel, ei, dw, eo, in, w *tensor.Tensor) func() {
 	eis, eos, ins := []*tensor.Tensor{ei}, []*tensor.Tensor{eo}, []*tensor.Tensor{in}
-	return minTime(reps, func() {
+	return func() {
 		k.BackwardInputBatch(c, eis, eos, w)
 		k.BackwardWeightsBatch(c, dw, eos, ins)
-	})
-}
-
-// minTime runs fn reps times after a warm-up and returns the fastest run
-// in seconds.
-func minTime(reps int, fn func()) float64 {
-	fn()
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		el := time.Since(start).Seconds()
-		if i == 0 || el < best {
-			best = el
-		}
 	}
-	return best
 }

@@ -13,19 +13,17 @@ import (
 	"spgcnn/internal/tensor"
 )
 
-// measureAll is the tests' planner: one timed repetition of every candidate
+// measureAll is the tests' planner: one measurement pass over every candidate
 // on every request, no cache — ChooseFP/ChooseBP called directly.
 type measureAll struct{ fp, bp []Strategy }
 
 func (m measureAll) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
 	w *tensor.Tensor, opts TuneOptions) Planned {
-	opts.Reps = 1
 	return Planned{Selection: ChooseFP(SupportedStrategies(m.fp, s), s, c, ins, w, opts)}
 }
 
 func (m measureAll) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
 	w *tensor.Tensor, opts TuneOptions) Planned {
-	opts.Reps = 1
 	return Planned{Selection: ChooseBP(SupportedStrategies(m.bp, s), s, c, eos, ins, w, opts)}
 }
 

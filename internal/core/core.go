@@ -262,8 +262,6 @@ func (s Selection) Best() Timing {
 
 // TuneOptions configures the measurement pass.
 type TuneOptions struct {
-	// Reps is the number of timed repetitions per candidate (default 3).
-	Reps int
 	// Batch, when positive, names the batch-size bucket this selection is
 	// for. It does not change how the measurement runs (the sample batch
 	// already has the bucket's size) — it is the extra cache-key component
@@ -279,17 +277,8 @@ type TuneOptions struct {
 	NoInputGrad bool
 }
 
-func (o TuneOptions) reps() int {
-	if o.Reps <= 0 {
-		return 3
-	}
-	return o.Reps
-}
-
 // ChooseFP measures every FP strategy on the sample batch under ctx and
-// returns the fastest, instantiated and ready to deploy. Every candidate is
-// timed through ctx.Measure (spans "tune/fp/<name>") and the verdict is
-// recorded as a probe choice.
+// returns the fastest, instantiated and ready to deploy (see choose).
 func ChooseFP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	ins []*tensor.Tensor, w *tensor.Tensor, opts TuneOptions) Selection {
 	if len(strategies) == 0 {
@@ -302,22 +291,7 @@ func ChooseFP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 	for i := range outs {
 		outs[i] = conv.NewOutput(s)
 	}
-	var sel Selection
-	var bestExec *Exec
-	bestT := 0.0
-	for _, st := range strategies {
-		e := NewExecCtx(st, s, c)
-		t := c.Measure(exec.Event{Cat: "tune", Name: "tune/fp/" + st.Name}, opts.reps(), func() {
-			e.k.ForwardBatch(c, outs, ins, w)
-		})
-		sel.Timings = append(sel.Timings, Timing{Strategy: st, Seconds: t})
-		if bestExec == nil || t < bestT {
-			bestExec, bestT = e, t
-		}
-	}
-	sel.Chosen = bestExec
-	c.Probe().Record(exec.ChoiceEvent("fp", bestExec.strategy.Name, bestT))
-	return sel
+	return choose("fp", strategies, s, c, func(e *Exec) { e.k.ForwardBatch(c, outs, ins, w) })
 }
 
 // ChooseBP measures every BP strategy (input-error plus delta-weights, the
@@ -341,20 +315,31 @@ func ChooseBP(strategies []Strategy, s conv.Spec, c *exec.Ctx,
 		}
 	}
 	dw := conv.NewWeights(s)
-	var sel Selection
-	var bestExec *Exec
-	bestT := 0.0
-	for _, st := range strategies {
+	return choose("bp", strategies, s, c, func(e *Exec) { e.backward(eis, dw, eos, ins, w) })
+}
+
+// choose instantiates every strategy, times the candidates against each
+// other in one ctx.Measure pass (spans "tune/<phase>/<name>"), and deploys
+// the first fastest, recording the verdict as a probe choice.
+func choose(phase string, strategies []Strategy, s conv.Spec, c *exec.Ctx, run func(*Exec)) Selection {
+	execs := make([]*Exec, len(strategies))
+	evs := make([]exec.Event, len(strategies))
+	runs := make([]func(), len(strategies))
+	for i, st := range strategies {
 		e := NewExecCtx(st, s, c)
-		t := c.Measure(exec.Event{Cat: "tune", Name: "tune/bp/" + st.Name}, opts.reps(), func() {
-			e.backward(eis, dw, eos, ins, w)
-		})
-		sel.Timings = append(sel.Timings, Timing{Strategy: st, Seconds: t})
-		if bestExec == nil || t < bestT {
-			bestExec, bestT = e, t
+		execs[i], evs[i] = e, exec.Event{Cat: "tune", Name: "tune/" + phase + "/" + st.Name}
+		runs[i] = func() { run(e) }
+	}
+	times := c.Measure(evs, runs...)
+	sel := Selection{Timings: make([]Timing, len(execs))}
+	best := 0
+	for i, e := range execs {
+		sel.Timings[i] = Timing{Strategy: e.strategy, Seconds: times[i]}
+		if times[i] < times[best] {
+			best = i
 		}
 	}
-	sel.Chosen = bestExec
-	c.Probe().Record(exec.ChoiceEvent("bp", bestExec.strategy.Name, bestT))
+	sel.Chosen = execs[best]
+	c.Probe().Record(exec.ChoiceEvent(phase, sel.Chosen.strategy.Name, times[best]))
 	return sel
 }

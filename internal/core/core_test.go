@@ -164,7 +164,7 @@ func TestChooseBPWithoutInputGrad(t *testing.T) {
 	s := conv.Square(10, 4, 3, 3, 1)
 	ins, eos := sampleBatch(r, s, 2, 0.9)
 	w := conv.RandWeights(r, s)
-	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{Reps: 1, NoInputGrad: true})
+	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{NoInputGrad: true})
 	if sel.Chosen == nil || len(sel.Timings) != len(BPStrategies(2)) {
 		t.Fatalf("selection incomplete: %+v", sel)
 	}
@@ -176,7 +176,7 @@ func TestChooseFPPicksMeasuredMinimum(t *testing.T) {
 	w := conv.RandWeights(r, s)
 	ins, _ := sampleBatch(r, s, 2, 0)
 	ctx := exec.New(2)
-	sel := ChooseFP(FPStrategies(2), s, ctx, ins, w, TuneOptions{Reps: 2})
+	sel := ChooseFP(FPStrategies(2), s, ctx, ins, w, TuneOptions{})
 	if sel.Chosen == nil {
 		t.Fatal("no choice made")
 	}
@@ -209,7 +209,7 @@ func TestChooseBPPicksMeasuredMinimum(t *testing.T) {
 	s := conv.Square(12, 8, 3, 3, 1)
 	w := conv.RandWeights(r, s)
 	ins, eos := sampleBatch(r, s, 2, 0.9)
-	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{Reps: 2})
+	sel := ChooseBP(BPStrategies(2), s, exec.New(2), eos, ins, w, TuneOptions{})
 	if sel.Chosen == nil || len(sel.Timings) != 4 {
 		t.Fatal("ChooseBP incomplete")
 	}

@@ -16,7 +16,12 @@
 // guarded) arena.
 package exec
 
-import "spgcnn/internal/tensor"
+import (
+	"fmt"
+	"time"
+
+	"spgcnn/internal/tensor"
+)
 
 // Ctx is one execution context. Construct with New; the zero value is not
 // usable. Contexts are safe for concurrent use.
@@ -94,19 +99,56 @@ func (c *Ctx) GetTensorLayout(l tensor.Layout, dims ...int) *tensor.Tensor {
 // PutTensor releases a tensor obtained from GetTensor.
 func (c *Ctx) PutTensor(t *tensor.Tensor) { c.arena.PutTensor(t) }
 
-// Measure times fn over reps runs after one warm-up and returns the
-// minimum elapsed seconds on the probe's clock — the low-noise estimator
-// the scheduler's measure-and-deploy pass (§4.4) uses. Every timed run is
-// also recorded in the probe as ev, stamped with its time.
-func (c *Ctx) Measure(ev Event, reps int, fn func()) float64 {
-	fn() // warm-up: page in scratch, populate arena free lists
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := c.probe.Now()
-		fn()
-		if t := c.probe.RecordSince(ev, start); i == 0 || t < best {
-			best = t
-		}
+// measureRuns and measureFloor end a measurement pass: its rounds go on
+// until every candidate has measureRuns timed runs and the rounds have
+// taken measureFloor on the probe's clock together, so a sub-millisecond
+// candidate is timed many times and a multi-millisecond one measureRuns
+// times.
+const (
+	measureRuns  = 3
+	measureFloor = time.Millisecond
+)
+
+// Measure times the candidates fns against each other and returns each
+// one's minimum elapsed seconds on the probe's clock — the low-noise
+// estimator the scheduler's measure-and-deploy pass (§4.4), the measured
+// figures and the host calibration use. Every candidate runs once untimed
+// (warm-up: page in scratch, populate arena free lists); then each round
+// times every candidate once, starting one candidate later than the round
+// before, until the pass has measureRuns rounds and measureFloor of timed
+// work. A host stall therefore slows every candidate of the rounds it
+// spans instead of all of one candidate's runs. A round the clock does not
+// advance over (a scripted clock nothing charges) ends the pass at
+// measureRuns. Every timed run of fns[i] is recorded in the probe as
+// evs[i], stamped with its time; a nil evs records nothing.
+func (c *Ctx) Measure(evs []Event, fns ...func()) []float64 {
+	if len(fns) == 0 || evs != nil && len(evs) != len(fns) {
+		panic(fmt.Sprintf("exec: Measure with %d events for %d candidates", len(evs), len(fns)))
 	}
-	return best
+	for _, fn := range fns {
+		fn()
+	}
+	best := make([]float64, len(fns))
+	start := c.probe.Now()
+	for r, last := 0, start; ; r++ {
+		for j := range fns {
+			i := (r + j) % len(fns)
+			t0 := c.probe.Now()
+			fns[i]()
+			t := (c.probe.Now() - t0).Seconds()
+			if evs != nil {
+				ev := evs[i]
+				ev.Seconds = t
+				c.probe.Record(ev)
+			}
+			if r == 0 || t < best[i] {
+				best[i] = t
+			}
+		}
+		now := c.probe.Now()
+		if r+1 >= measureRuns && (now-start >= measureFloor || now == last) {
+			return best
+		}
+		last = now
+	}
 }

@@ -38,28 +38,104 @@ func TestSerialSharesArenaAndProbe(t *testing.T) {
 	}
 }
 
-// TestMeasureReturnsMinAndRecordsSpans: on a scripted clock that only the
-// measured function advances, Measure returns exactly the fastest timed run
-// and records each timed run, never the warm-up.
+// scripted is a probe clock only the measured candidates advance: each
+// call of a candidate charges it the next of its costs.
+type scripted struct {
+	now   time.Duration
+	order string // candidate names, one per call
+}
+
+func (sc *scripted) candidate(name string, costs ...time.Duration) func() {
+	calls := 0
+	return func() {
+		sc.now += costs[min(calls, len(costs)-1)]
+		sc.order += name
+		calls++
+	}
+}
+
+// TestMeasureReturnsMinAndRecordsSpans: Measure warms every candidate up
+// once, then times one candidate per turn in rounds that rotate the order,
+// returns each candidate's fastest timed run, and records each timed run,
+// never a warm-up.
 func TestMeasureReturnsMinAndRecordsSpans(t *testing.T) {
 	c := New(1)
-	var now time.Duration
-	c.Probe().SetClock(func() time.Duration { return now })
-	costs := []time.Duration{time.Second, 5 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	calls := 0
-	got := c.Measure(Event{Cat: "tune", Name: "tune/x"}, 3, func() {
-		now += costs[calls]
-		calls++
-	})
-	if calls != 4 { // 1 warm-up + 3 timed
-		t.Fatalf("fn called %d times, want 4", calls)
+	sc := &scripted{}
+	c.Probe().SetClock(func() time.Duration { return sc.now })
+	ms := time.Millisecond
+	got := c.Measure([]Event{{Cat: "tune", Name: "tune/a"}, {Cat: "tune", Name: "tune/b"}},
+		sc.candidate("a", time.Second, 5*ms, 2*ms, 4*ms),
+		sc.candidate("b", time.Second, 3*ms, 6*ms, 1*ms))
+	if sc.order != "ab"+"ab"+"ba"+"ab" { // warm-ups, then 3 rotated rounds
+		t.Fatalf("call order %q, want abab ba ab", sc.order)
 	}
-	if got != 0.002 {
-		t.Fatalf("Measure returned %v, want 0.002", got)
+	if len(got) != 2 || got[0] != 0.002 || got[1] != 0.001 {
+		t.Fatalf("Measure returned %v, want [0.002 0.001]", got)
 	}
-	sp, ok := c.Probe().SpanStats("tune/x")
-	if !ok || sp.Calls != 3 || sp.Min != 0.002 || math.Abs(sp.Seconds-0.011) > 1e-12 {
-		t.Fatalf("span = %+v ok=%v, want 3 calls, 0.011s total, 0.002s min", sp, ok)
+	for _, want := range []struct {
+		name       string
+		total, min float64
+	}{{"tune/a", 0.011, 0.002}, {"tune/b", 0.010, 0.001}} {
+		sp, ok := c.Probe().SpanStats(want.name)
+		if !ok || sp.Calls != measureRuns || sp.Min != want.min || math.Abs(sp.Seconds-want.total) > 1e-12 {
+			t.Fatalf("%s span = %+v ok=%v, want 3 calls, %vs total, %vs min", want.name, sp, ok, want.total, want.min)
+		}
+	}
+}
+
+// TestMeasureFloor: a candidate faster than the floor is timed until the
+// rounds have taken measureFloor, a slow one measureRuns times, and a
+// clock no round advances ends the pass at measureRuns.
+func TestMeasureFloor(t *testing.T) {
+	for _, tc := range []struct {
+		cost  time.Duration
+		calls int64
+	}{
+		{100 * time.Microsecond, int64(measureFloor / (100 * time.Microsecond))},
+		{measureFloor, measureRuns},
+		{0, measureRuns},
+	} {
+		c := New(1)
+		sc := &scripted{}
+		c.Probe().SetClock(func() time.Duration { return sc.now })
+		c.Measure([]Event{{Cat: "tune", Name: "tune/x"}}, sc.candidate("x", tc.cost))
+		if sp, _ := c.Probe().SpanStats("tune/x"); sp.Calls != tc.calls {
+			t.Errorf("cost %v: %d timed runs, want %d", tc.cost, sp.Calls, tc.calls)
+		}
+	}
+}
+
+// TestMeasureSurvivesAStall: a host stall as long as one round — three
+// consecutive calls, each 10 ms slower — lands anywhere in the pass of
+// three candidates costing 1, 2 and 3 ms, and the 1 ms candidate must
+// still win. Timing each candidate's runs back to back fails this: a stall
+// over the fastest one's three runs hands the verdict to the 2 ms one.
+func TestMeasureSurvivesAStall(t *testing.T) {
+	const n = 3
+	ms := time.Millisecond
+	total := n * (1 + measureRuns) // every call of the pass
+	for at := 0; at+n <= total; at++ {
+		c := New(1)
+		var now time.Duration
+		c.Probe().SetClock(func() time.Duration { return now })
+		call := 0
+		cand := func(cost time.Duration) func() {
+			return func() {
+				if call >= at && call < at+n {
+					now += 10 * ms
+				}
+				now += cost
+				call++
+			}
+		}
+		evs := []Event{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+		got := c.Measure(evs, cand(ms), cand(2*ms), cand(3*ms))
+		if call != total {
+			t.Fatalf("stall at call %d: %d calls, want %d", at, call, total)
+		}
+		if got[0] >= got[1] || got[0] >= got[2] {
+			t.Errorf("stall at call %d: times %v, want the 1 ms candidate fastest", at, got)
+		}
 	}
 }
 

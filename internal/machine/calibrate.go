@@ -1,8 +1,7 @@
 package machine
 
 import (
-	"time"
-
+	"spgcnn/internal/exec"
 	"spgcnn/internal/gemm"
 	"spgcnn/internal/par"
 	"spgcnn/internal/rng"
@@ -14,10 +13,13 @@ import (
 // (`spg-bench -machine host`). This is a quick, deterministic probe — a
 // few hundred milliseconds — not a rigorous microbenchmark suite.
 
-// CalibrateHost measures the host and returns a calibrated model.
+// CalibrateHost measures the host and returns a calibrated model. The two
+// probes are timed in separate passes: a stream copy between GEMM runs
+// would evict the GEMM's cache-resident operands.
 func CalibrateHost() Machine {
-	peak := measureComputeGFlops()
-	stream := measureStreamGBs()
+	c := exec.New(1)
+	peak := measureComputeGFlops(c)
+	stream := measureStreamGBs(c)
 	cores := par.MaxWorkers()
 	return Machine{
 		Cores:             cores,
@@ -37,7 +39,7 @@ func CalibrateHost() Machine {
 
 // measureComputeGFlops times a cache-resident register-tiled GEMM — the
 // closest thing to this implementation's attainable peak.
-func measureComputeGFlops() float64 {
+func measureComputeGFlops(ctx *exec.Ctx) float64 {
 	const n = 160 // ~100 KiB per operand: L2-resident
 	r := rng.New(1)
 	a := gemm.NewMatrix(n, n)
@@ -47,36 +49,18 @@ func measureComputeGFlops() float64 {
 		a.Data[i] = r.Float32()
 		b.Data[i] = r.Float32()
 	}
-	gemm.Serial(c, a, b) // warm-up
-	best := 0.0
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		gemm.Serial(c, a, b)
-		el := time.Since(start).Seconds()
-		if rep == 0 || el < best {
-			best = el
-		}
-	}
-	return float64(gemm.Flops(n, n, n)) / best / 1e9
+	best := ctx.Measure(nil, func() { gemm.Serial(c, a, b) })
+	return float64(gemm.Flops(n, n, n)) / best[0] / 1e9
 }
 
 // measureStreamGBs times a large copy (read + write traffic).
-func measureStreamGBs() float64 {
+func measureStreamGBs(ctx *exec.Ctx) float64 {
 	const n = 8 << 20 // 32 MiB src + dst: beyond LLC on most parts
 	src := make([]float32, n)
 	dst := make([]float32, n)
 	for i := range src {
 		src[i] = float32(i)
 	}
-	copy(dst, src) // warm-up / fault pages
-	best := 0.0
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		copy(dst, src)
-		el := time.Since(start).Seconds()
-		if rep == 0 || el < best {
-			best = el
-		}
-	}
-	return float64(n) * 8 / best / 1e9 // 4 B read + 4 B written per element
+	best := ctx.Measure(nil, func() { copy(dst, src) })
+	return float64(n) * 8 / best[0] / 1e9 // 4 B read + 4 B written per element
 }

@@ -41,9 +41,8 @@ func (k nopKernel) BackwardWeightsBatch(c *exec.Ctx, dw *tensor.Tensor, eos, ins
 // rendering with live values.
 func TestBindPlannerExportsCounters(t *testing.T) {
 	p := plan.New(plan.Options{
-		FP:   func(int) []core.Strategy { return []core.Strategy{nopStrategy("a"), nopStrategy("b")} },
-		BP:   func(int) []core.Strategy { return []core.Strategy{nopStrategy("a")} },
-		Tune: core.TuneOptions{Reps: 1},
+		FP: func(int) []core.Strategy { return []core.Strategy{nopStrategy("a"), nopStrategy("b")} },
+		BP: func(int) []core.Strategy { return []core.Strategy{nopStrategy("a")} },
 	})
 	r := NewRegistry()
 	BindPlanner(p, r)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"spgcnn/internal/exec"
 	"spgcnn/internal/nn"
@@ -158,7 +159,9 @@ layer { name: "fc0" type: "fc" outputs: 3 }
 		t.Fatal(err)
 	}
 	// Calibrate what ONE measurement pass looks like: a single-conv
-	// network with the same geometry, on its own context.
+	// network with the same geometry, on its own context. Both contexts
+	// run on a clock that stands still, so every pass times each candidate
+	// the same number of rounds (a real clock's floor would not).
 	soloSrc := `
 name: "solo"
 input { channels: 2 height: 10 width: 10 }
@@ -169,7 +172,9 @@ layer { name: "fc0" type: "fc" outputs: 3 }
 	if err != nil {
 		t.Fatal(err)
 	}
+	frozen := func() time.Duration { return 0 }
 	soloCtx := exec.New(2)
+	soloCtx.Probe().SetClock(frozen)
 	solo, err := Build(soloDef, BuildOptions{Ctx: soloCtx, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +188,7 @@ layer { name: "fc0" type: "fc" outputs: 3 }
 	// convA is the network's first layer and is measured without Eq. 3, a
 	// verdict keyed so that convB can never deploy it — two passes.
 	ctx := exec.New(2)
+	ctx.Probe().SetClock(frozen)
 	net, err := Build(def, BuildOptions{Ctx: ctx, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,8 @@ func (n *Network) Save(w io.Writer) error {
 // Load restores parameters saved by Save into this network. Every
 // parameter in the snapshot must find a same-shaped destination, and every
 // parameter of this network must be present in the snapshot — partial
-// restores are an error, not a silent half-initialization.
+// restores are an error, not a silent half-initialization, and leave the
+// network unchanged.
 func (n *Network) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -200,7 +201,8 @@ func (n *Network) Load(r io.Reader) error {
 	if len(want) != len(snap.Tensors) {
 		return fmt.Errorf("nn: snapshot has %d parameters, network has %d", len(snap.Tensors), len(want))
 	}
-	for _, saved := range snap.Tensors {
+	dsts := make([]*tensor.Tensor, len(snap.Tensors))
+	for i, saved := range snap.Tensors {
 		// Each destination is filled once: a repeated name finds none.
 		dst, ok := want[saved.Name]
 		if !ok {
@@ -211,7 +213,12 @@ func (n *Network) Load(r io.Reader) error {
 			return fmt.Errorf("nn: parameter %q shape %v (%d values) does not match network shape %v",
 				saved.Name, saved.Dims, len(saved.Data), dst.Dims)
 		}
-		copy(dst.Data, saved.Data)
+		dsts[i] = dst
+	}
+	// Only a snapshot that fits as a whole is copied in: a failed Load
+	// leaves every parameter as it was.
+	for i, saved := range snap.Tensors {
+		copy(dsts[i].Data, saved.Data)
 	}
 	return nil
 }

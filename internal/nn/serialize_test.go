@@ -140,6 +140,34 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 	}
 }
 
+// TestFailedLoadLeavesNetworkUnchanged: a snapshot whose last parameter
+// does not fit restores none of the parameters before it.
+func TestFailedLoadLeavesNetworkUnchanged(t *testing.T) {
+	net, other := tinyTrainNet(rng.New(9)), tinyTrainNet(rng.New(10))
+	snap := snapshot{Version: snapshotVersion}
+	var before [][]float32
+	for i, p := range other.Parameters() {
+		snap.Tensors = append(snap.Tensors, savedTensor{Name: p.Name, Dims: p.Tensor.Dims, Data: p.Tensor.Data})
+		before = append(before, append([]float32(nil), net.Parameters()[i].Tensor.Data...))
+	}
+	last := &snap.Tensors[len(snap.Tensors)-1]
+	last.Data = last.Data[:len(last.Data)-1]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Load(&buf); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("Load err = %v, want a shape mismatch", err)
+	}
+	for i, p := range net.Parameters() {
+		for j, v := range p.Tensor.Data {
+			if v != before[i][j] {
+				t.Fatalf("failed Load changed %s[%d]: %v -> %v", p.Name, j, before[i][j], v)
+			}
+		}
+	}
+}
+
 func TestSaveRejectsDuplicateLayerNames(t *testing.T) {
 	r := rng.New(5)
 	net := NewNetwork(exec.New(1),

@@ -44,7 +44,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 	ctx := exec.New(workers)
 	clock := newTickClock(time.Microsecond)
 	ctx.Probe().SetClock(clock.now)
-	pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
+	pl := plan.New(plan.Options{})
 	r := rng.New(7)
 	// The network's clock emits c1's layer events; a ReLU in front keeps c1
 	// from being the first layer, so its BP verdict computes the input
@@ -157,7 +157,7 @@ layer { name: "fc0" type: "fc" outputs: 4 }
 		t.Fatal(err)
 	}
 	for _, replicas := range []int{1, 2} {
-		pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
+		pl := plan.New(plan.Options{})
 		dp, err := dataparallel.NewFromDef(def, netdef.BuildOptions{Workers: 1, Seed: 3, Planner: pl},
 			dataparallel.Config{Replicas: replicas, GlobalBatch: 4, LR: 0.01})
 		if err != nil {

@@ -54,7 +54,7 @@ func TestOneEmissionEverySinkAgrees(t *testing.T) {
 	}
 	const batch, steps = 4, 3
 	ctx := exec.New(2)
-	pl := plan.New(plan.Options{Tune: core.TuneOptions{Reps: 1}})
+	pl := plan.New(plan.Options{})
 	net, err := netdef.Build(def, netdef.BuildOptions{Ctx: ctx, Seed: 1, Planner: pl})
 	if err != nil {
 		t.Fatal(err)

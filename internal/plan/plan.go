@@ -54,9 +54,6 @@ type Options struct {
 	// FP and BP build the candidate sets per worker count (defaults:
 	// core.FPStrategies / core.BPStrategies).
 	FP, BP func(workers int) []core.Strategy
-	// Tune configures measurement passes when the caller's request does
-	// not carry its own TuneOptions.
-	Tune core.TuneOptions
 }
 
 // Stats are the planner's cumulative counters — the numbers
@@ -102,7 +99,6 @@ type Planner struct {
 	hostInfo machine.Host
 	host     string
 	fp, bp   func(workers int) []core.Strategy
-	tune     core.TuneOptions
 
 	mu       sync.Mutex
 	entries  map[Key]*Entry
@@ -122,7 +118,6 @@ func New(opts Options) *Planner {
 		hostInfo: opts.Host,
 		fp:       opts.FP,
 		bp:       opts.BP,
-		tune:     opts.Tune,
 		entries:  make(map[Key]*Entry),
 		inflight: make(map[Key]*flight),
 	}
@@ -203,7 +198,7 @@ func (p *Planner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
 		wSparsity = w.Sparsity()
 	}
 	return p.plan("fp", s, wSparsity, opts, c, func(survivors []core.Strategy) core.Selection {
-		return core.ChooseFP(survivors, s, c, ins, w, p.tuneOpts(opts))
+		return core.ChooseFP(survivors, s, c, ins, w, opts)
 	})
 }
 
@@ -213,18 +208,8 @@ func (p *Planner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor,
 func (p *Planner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor,
 	w *tensor.Tensor, opts core.TuneOptions) core.Planned {
 	return p.plan("bp", s, meanSparsity(eos), opts, c, func(survivors []core.Strategy) core.Selection {
-		return core.ChooseBP(survivors, s, c, eos, ins, w, p.tuneOpts(opts))
+		return core.ChooseBP(survivors, s, c, eos, ins, w, opts)
 	})
-}
-
-// tuneOpts merges the request's options with the planner defaults
-// field-wise: an unset Reps inherits the planner's, while the request's
-// batch-bucket key always passes through.
-func (p *Planner) tuneOpts(req core.TuneOptions) core.TuneOptions {
-	if req.Reps <= 0 {
-		req.Reps = p.tune.Reps
-	}
-	return req
 }
 
 func meanSparsity(eos []*tensor.Tensor) float64 {

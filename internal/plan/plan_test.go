@@ -115,9 +115,8 @@ func fakeBP() []core.Strategy {
 
 func fakePlanner() *Planner {
 	return New(Options{
-		FP:   func(int) []core.Strategy { return fakeFP() },
-		BP:   func(int) []core.Strategy { return fakeBP() },
-		Tune: core.TuneOptions{Reps: 1},
+		FP: func(int) []core.Strategy { return fakeFP() },
+		BP: func(int) []core.Strategy { return fakeBP() },
 	})
 }
 
@@ -153,15 +152,15 @@ func TestColdPathMatchesChoose(t *testing.T) {
 
 	p := fakePlanner()
 	ctx := newCtx(2)
-	fpGot := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{Reps: 1})
-	bpGot := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{Reps: 1})
+	fpGot := p.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
+	bpGot := p.PlanBP(testSpec, ctx, eos, ins, w, core.TuneOptions{})
 	if fpGot.FromCache || bpGot.FromCache {
 		t.Fatal("first selections must not come from the cache")
 	}
 
 	ref := newCtx(2)
-	fpWant := core.ChooseFP(fakeFP(), testSpec, ref, ins, w, core.TuneOptions{Reps: 1})
-	bpWant := core.ChooseBP(fakeBP(), testSpec, ref, eos, ins, w, core.TuneOptions{Reps: 1})
+	fpWant := core.ChooseFP(fakeFP(), testSpec, ref, ins, w, core.TuneOptions{})
+	bpWant := core.ChooseBP(fakeBP(), testSpec, ref, eos, ins, w, core.TuneOptions{})
 
 	if got, want := fpGot.Chosen.Strategy().Name, fpWant.Chosen.Strategy().Name; got != want {
 		t.Errorf("FP winner %q, direct ChooseFP picked %q", got, want)
@@ -339,7 +338,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		Host: host,
 		FP:   func(int) []core.Strategy { return fakeFP() },
 		BP:   func(int) []core.Strategy { return fakeBP() },
-		Tune: core.TuneOptions{Reps: 1},
 	})
 	ctx := newCtx(2)
 	fpCold := a.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
@@ -444,7 +442,6 @@ func TestHostMismatchNeverDeploys(t *testing.T) {
 		Host: other,
 		FP:   func(int) []core.Strategy { return fakeFP() },
 		BP:   func(int) []core.Strategy { return fakeBP() },
-		Tune: core.TuneOptions{Reps: 1},
 	})
 	a.PlanFP(testSpec, newCtx(2), ins, w, core.TuneOptions{})
 	var buf bytes.Buffer
@@ -582,9 +579,8 @@ func TestModelRanksNewFPCandidates(t *testing.T) {
 func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 	ins, eos, w := sampleTensors(t, testSpec, 2, 0.9)
 	old := New(Options{
-		FP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-fp", 0, nil)} },
-		BP:   func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-bp", 0, nil)} },
-		Tune: core.TuneOptions{Reps: 1},
+		FP: func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-fp", 0, nil)} },
+		BP: func(int) []core.Strategy { return []core.Strategy{fakeStrategy("retired-bp", 0, nil)} },
 	})
 	ctx := newCtx(2)
 	old.PlanFP(testSpec, ctx, ins, w, core.TuneOptions{})
@@ -599,7 +595,7 @@ func TestCachedRetiredStrategiesRemeasure(t *testing.T) {
 		}
 	}
 
-	p := New(Options{Tune: core.TuneOptions{Reps: 1}})
+	p := New(Options{})
 	if n, err := p.Load(&buf); err != nil || n != 2 {
 		t.Fatalf("Load = %d, %v; want 2 entries", n, err)
 	}
@@ -639,7 +635,7 @@ func TestPlannerSelectsSparseWeightForPrunedLayer(t *testing.T) {
 	w.Sparsify(r, 0.97)
 	w.Bump()
 
-	p := New(Options{Tune: core.TuneOptions{Reps: 3}})
+	p := New(Options{})
 	ctx := exec.New(2)
 	pd := p.PlanFP(s, ctx, ins, w, core.TuneOptions{})
 	if got := pd.Selection.Chosen.Strategy().Name; got != "sparse-weight" {
@@ -698,7 +694,6 @@ func TestBatchKeyPersistence(t *testing.T) {
 			Host: host,
 			FP:   func(int) []core.Strategy { return fakeFP() },
 			BP:   func(int) []core.Strategy { return fakeBP() },
-			Tune: core.TuneOptions{Reps: 1},
 		})
 	}
 

@@ -28,9 +28,8 @@ layer { name: "fc0" type: "fc" outputs: 7 }
 // ULP-comparable — so differential tests pin both sides to one.)
 func pinnedPlanner(st core.Strategy) *plan.Planner {
 	return plan.New(plan.Options{
-		FP:   func(int) []core.Strategy { return []core.Strategy{st} },
-		BP:   func(int) []core.Strategy { return []core.Strategy{st} },
-		Tune: core.TuneOptions{Reps: 1},
+		FP: func(int) []core.Strategy { return []core.Strategy{st} },
+		BP: func(int) []core.Strategy { return []core.Strategy{st} },
 	})
 }
 

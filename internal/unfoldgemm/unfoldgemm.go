@@ -210,10 +210,13 @@ func (k *Kernel) forward(out, src, w, panel []float32, lo, hi int) {
 	}
 }
 
-// putPixels stores the n live pixels of one panel's dots at o.
+// putPixels stores the n live pixels of one panel's dots at o. A full
+// panel is stored element by element: a whole-array assignment between
+// the two pointers, which may overlap, compiles to a runtime.memmove call.
 func putPixels(o []float32, v *[8]float32, n int) {
 	if n == 8 {
-		*(*[8]float32)(o) = *v
+		d := (*[8]float32)(o)
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
 		return
 	}
 	copy(o[:n], v[:n])
