@@ -31,6 +31,33 @@ func newTickClock(tick time.Duration) *tickClock {
 
 func (c *tickClock) now() time.Duration { return time.Duration(c.ns.Add(c.tick.Load())) }
 
+// stillPlanner runs every planning pass of the wrapped planner with the
+// tick clock standing still. A pass's readings are not work the test
+// meant to charge, and on a clock that ticks per reading Measure's time
+// floor would keep a pass going for a thousand ticks of readings. The
+// layer calls that planned are flagged and the observatory skips them.
+type stillPlanner struct {
+	*plan.Planner
+	clock *tickClock
+}
+
+func (p stillPlanner) hold() func() {
+	tick := p.clock.tick.Swap(0)
+	return func() { p.clock.tick.Store(tick) }
+}
+
+func (p stillPlanner) PlanFP(s conv.Spec, c *exec.Ctx, ins []*tensor.Tensor, w *tensor.Tensor,
+	opts core.TuneOptions) core.Planned {
+	defer p.hold()()
+	return p.Planner.PlanFP(s, c, ins, w, opts)
+}
+
+func (p stillPlanner) PlanBP(s conv.Spec, c *exec.Ctx, eos, ins []*tensor.Tensor, w *tensor.Tensor,
+	opts core.TuneOptions) core.Planned {
+	defer p.hold()()
+	return p.Planner.PlanBP(s, c, eos, ins, w, opts)
+}
+
 // TestDriftRetuneLoop is the end-to-end acceptance test for the re-tune
 // loop: a real planned layer trains under the observatory on a scripted
 // clock; doubling the clock's tick must fire a drift event on the 5th
@@ -49,7 +76,7 @@ func TestDriftRetuneLoop(t *testing.T) {
 	// The network's clock emits c1's layer events; a ReLU in front keeps c1
 	// from being the first layer, so its BP verdict computes the input
 	// gradient and is keyed as the lookups below expect.
-	layer := nn.NewConvCtx("c1", s, pl, ctx, r)
+	layer := nn.NewConvCtx("c1", s, stillPlanner{pl, clock}, ctx, r)
 	net := nn.NewNetwork(ctx, nn.NewReLU("relu", layer.InDims(), workers), layer)
 
 	o := New(Options{
